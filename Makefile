@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fix check
+.PHONY: build test race lint fix check bench
 
 build:
 	$(GO) build ./...
@@ -27,3 +27,10 @@ fix:
 	$(GO) run ./cmd/globelint -fix ./...
 
 check: build test lint
+
+# The end-to-end benchmark BENCHMARK.json gates: four workloads, nine
+# client-visible metrics each (`make bench ARGS='-trace 1'` for the per-layer
+# ladder, ARGS=-quick for a smoke run). Everything it writes goes under
+# .bench_build/.
+bench:
+	bash bench/run.sh $(ARGS)

@@ -1,7 +1,7 @@
 // Package repro's root benchmarks regenerate every figure and table of the
-// paper (see DESIGN.md §4 and EXPERIMENTS.md): one benchmark per artifact,
-// built on the same scenarios as cmd/globebench, plus micro-benchmarks of
-// the hot paths (codec, ordering engines). Custom metrics report the
+// paper: one benchmark per artifact, built on the same scenarios as
+// cmd/globebench, plus micro-benchmarks of the hot paths (codec, ordering
+// engines). Custom metrics report the
 // quantities the paper reasons about: messages, bytes, demand pulls, and
 // stale reads per operation.
 package repro_test
@@ -1411,81 +1411,69 @@ func BenchmarkDurable_Recovery(b *testing.B) {
 }
 
 // BenchmarkContention_MemnetDelivery measures end-to-end simulated delivery
-// throughput — enqueue, schedule, decode, inbox handoff — under both drain
-// modes: the default single scheduler goroutine (deterministic seeded
-// order) and WithParallelDelivery's per-shard drainers, where the decode of
-// frames bound for different destination shards proceeds concurrently. On a
-// single-vCPU host the two modes tie (the parallel win needs real cores);
-// at GOMAXPROCS>1 the parallel mode is the row to watch.
+// throughput on instant links — encode, decode, inbox hand-over on the
+// sender's goroutine — with four senders fanning out over sixteen sinks.
 func BenchmarkContention_MemnetDelivery(b *testing.B) {
 	const senders, receivers = 4, 16
-	for _, mode := range []string{"deterministic", "parallel"} {
-		b.Run(mode, func(b *testing.B) {
-			opts := []memnet.Option{memnet.WithSeed(1)}
-			if mode == "parallel" {
-				opts = append(opts, memnet.WithParallelDelivery())
-			}
-			n := memnet.New(opts...)
-			defer n.Close()
-			srcs := make([]transport.Endpoint, senders)
-			for i := range srcs {
-				ep, err := n.Endpoint(fmt.Sprintf("src%d", i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				srcs[i] = ep
-			}
-			total := int64(b.N)
-			var delivered atomic.Int64
-			done := make(chan struct{})
-			var drain sync.WaitGroup
-			dsts := make([]string, receivers)
-			for j := 0; j < receivers; j++ {
-				dsts[j] = fmt.Sprintf("sink%d", j)
-				ep, err := n.Endpoint(dsts[j])
-				if err != nil {
-					b.Fatal(err)
-				}
-				drain.Add(1)
-				go func(ep transport.Endpoint) {
-					defer drain.Done()
-					for range ep.Recv() {
-						if delivered.Add(1) == total {
-							close(done)
-						}
-					}
-				}(ep)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < senders; i++ {
-				ops := b.N / senders
-				if i < b.N%senders {
-					ops++
-				}
-				wg.Add(1)
-				go func(i, ops int) {
-					defer wg.Done()
-					m := &msg.Message{
-						Kind: msg.KindUpdate, Object: "doc",
-						Write: ids.WiD{Client: ids.ClientID(i + 1), Seq: 1},
-						VVec:  msg.VecFrom(msgVVec(i)),
-						Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 64)},
-					}
-					for k := 0; k < ops; k++ {
-						if err := srcs[i].Send(dsts[(i+k)%receivers], m); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(i, ops)
-			}
-			wg.Wait()
-			<-done // all b.N frames decoded and landed in inboxes
-			b.StopTimer()
-			_ = n.Close()
-			drain.Wait()
-		})
+	n := memnet.New(memnet.WithSeed(1))
+	defer n.Close()
+	srcs := make([]transport.Endpoint, senders)
+	for i := range srcs {
+		ep, err := n.Endpoint(fmt.Sprintf("src%d", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs[i] = ep
 	}
+	total := int64(b.N)
+	var delivered atomic.Int64
+	done := make(chan struct{})
+	var drain sync.WaitGroup
+	dsts := make([]string, receivers)
+	for j := 0; j < receivers; j++ {
+		dsts[j] = fmt.Sprintf("sink%d", j)
+		ep, err := n.Endpoint(dsts[j])
+		if err != nil {
+			b.Fatal(err)
+		}
+		drain.Add(1)
+		go func(ep transport.Endpoint) {
+			defer drain.Done()
+			for range ep.Recv() {
+				if delivered.Add(1) == total {
+					close(done)
+				}
+			}
+		}(ep)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		ops := b.N / senders
+		if i < b.N%senders {
+			ops++
+		}
+		wg.Add(1)
+		go func(i, ops int) {
+			defer wg.Done()
+			m := &msg.Message{
+				Kind: msg.KindUpdate, Object: "doc",
+				Write: ids.WiD{Client: ids.ClientID(i + 1), Seq: 1},
+				VVec:  msg.VecFrom(msgVVec(i)),
+				Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 64)},
+			}
+			for k := 0; k < ops; k++ {
+				if err := srcs[i].Send(dsts[(i+k)%receivers], m); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(i, ops)
+	}
+	wg.Wait()
+	<-done // all b.N frames decoded and landed in inboxes
+	b.StopTimer()
+	_ = n.Close()
+	drain.Wait()
 }

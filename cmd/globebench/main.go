@@ -1,6 +1,5 @@
 // Command globebench runs the full reproduction experiment suite — one
-// experiment per figure/table of the paper (see DESIGN.md §4 and
-// EXPERIMENTS.md) — and prints the measured tables.
+// experiment per figure/table of the paper — and prints the measured tables.
 //
 //	globebench              # full-size experiments
 //	globebench -quick       # reduced sizes (CI-friendly)

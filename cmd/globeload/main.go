@@ -9,9 +9,8 @@
 // Two modes:
 //
 //	-fabric mem   self-deploys a single permanent webdoc store on an
-//	              in-process simulated network and drives it; -parallel
-//	              switches the simulated network to per-shard parallel
-//	              delivery. This is the 10^5..10^6-simulated-client mode.
+//	              in-process simulated network and drives it. This is the
+//	              10^5..10^6-simulated-client mode.
 //	-fabric tcp   drives an already-running deployment (e.g. a globed
 //	              daemon) at -target host:port over real TCP.
 //
@@ -52,7 +51,6 @@ func main() {
 		seed       = flag.Int64("seed", 1998, "workload seed")
 		clientBase = flag.Uint("client-base", 0, "identity offset, for multiple generator processes")
 		timeout    = flag.Duration("timeout", 2*time.Second, "per-RPC timeout")
-		parallel   = flag.Bool("parallel", false, "mem mode: parallel per-shard delivery instead of the deterministic single drainer")
 		check      = flag.Bool("check", false, "exit non-zero on any error or empty histogram")
 	)
 	flag.Parse()
@@ -61,11 +59,7 @@ func main() {
 	addr := *target
 	switch *fabricKind {
 	case "mem":
-		opts := []memnet.Option{memnet.WithSeed(*seed)}
-		if *parallel {
-			opts = append(opts, memnet.WithParallelDelivery())
-		}
-		net := memnet.New(opts...)
+		net := memnet.New(memnet.WithSeed(*seed))
 		defer net.Close()
 		if addr == "" {
 			addr = "perm"

@@ -10,7 +10,7 @@
 // client (globectl), name server (globens), and experiment runner
 // (globebench); examples/ holds five runnable scenarios. bench_test.go in
 // this package regenerates every figure and table of the paper as Go
-// benchmarks. See README.md, DESIGN.md, and EXPERIMENTS.md.
+// benchmarks. See README.md.
 //
 // # One surface from simulation to real TCP
 //
@@ -138,7 +138,12 @@
 // the earliest delivery across shards is due, then drains every due
 // delivery; (time, seq) order within a shard preserves FIFO per
 // destination, and cross-destination ordering is — as on a real network —
-// unspecified.
+// unspecified. A frame with no delay to wait out never meets the schedule:
+// its sender decodes it and places it in the destination inbox before Send
+// returns, unless the inbox is full or an earlier frame for that
+// destination is still scheduled (per sender-destination FIFO holds across
+// both paths). A request over an instant link therefore wakes one
+// goroutine per hop, the receiver's.
 //
 // tcpnet (real TCP): each cached outbound connection carries its own write
 // locks, so an endpoint with K peer connections admits K concurrent

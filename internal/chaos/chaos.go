@@ -64,13 +64,6 @@ type Config struct {
 	LazyInterval time.Duration
 	// ConvergeWithin bounds the post-heal convergence wait.
 	ConvergeWithin time.Duration
-	// ParallelDelivery runs the memnet fabric with per-shard drain
-	// goroutines (memnet.WithParallelDelivery). The fault schedule and
-	// per-sender loss/dup decisions stay seeded, but cross-destination
-	// delivery interleaving becomes nondeterministic — the convergence and
-	// session-guarantee checks must hold regardless, which is exactly what
-	// the parallel legs of the matrix assert.
-	ParallelDelivery bool
 }
 
 func (c *Config) defaults() {
@@ -128,11 +121,7 @@ func Run(cfg Config) (*Result, error) {
 	ob := newRunObserver()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	netOpts := []memnet.Option{memnet.WithSeed(cfg.Seed)}
-	if cfg.ParallelDelivery {
-		netOpts = append(netOpts, memnet.WithParallelDelivery())
-	}
-	net := memnet.New(netOpts...)
+	net := memnet.New(memnet.WithSeed(cfg.Seed))
 	defer net.Close()
 	ns := naming.New()
 

@@ -206,45 +206,6 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConvergenceUnderLossParallelDelivery runs the main PRAM and sequential
-// scenarios over the parallel memnet drain path (one drain goroutine per
-// shard). The seeded fault schedule and per-sender loss/dup decisions are
-// unchanged, but cross-destination delivery interleaving is nondeterministic
-// in this mode, so these legs assert what the parallel mode promises:
-// every replica still converges and no session guarantee bends, whatever
-// the interleaving.
-func TestConvergenceUnderLossParallelDelivery(t *testing.T) {
-	for _, loss := range lossRates(t) {
-		t.Run(fmt.Sprintf("pram/loss=%g", loss), func(t *testing.T) {
-			res, err := Run(Config{
-				Seed:             1998,
-				Loss:             loss,
-				Dup:              0.02,
-				DigestInterval:   100 * time.Millisecond,
-				ParallelDelivery: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			report(t, res)
-		})
-		t.Run(fmt.Sprintf("sequential/loss=%g", loss), func(t *testing.T) {
-			res, err := Run(Config{
-				Seed:             424242,
-				Model:            coherence.Sequential,
-				Loss:             loss,
-				Dup:              0.02,
-				DigestInterval:   100 * time.Millisecond,
-				ParallelDelivery: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			report(t, res)
-		})
-	}
-}
-
 // --- watchdog self-tests ------------------------------------------------------
 
 // A finished workload returns promptly regardless of counters.

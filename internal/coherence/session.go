@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/vclock"
 )
 
@@ -196,36 +197,56 @@ func (s *Session) WriteDone(w ids.WiD, st ids.StoreID) {
 	s.readVC.Set(s.client, w.Seq) // own writes are part of causal history
 }
 
-// ReadRequirement returns the requirement vector and RYW dependency a read
+// ReadRequirementVec returns the requirement vector and RYW dependency a read
 // must attach: under Read Your Writes, the client's own last write; under
 // Monotonic Reads, everything previously read. An empty vector means the
-// read is unconstrained.
-func (s *Session) ReadRequirement() (ids.VersionVec, ids.Dependency) {
+// read is unconstrained. The vector is built in wire form, so the read path
+// allocates nothing for it while it fits msg.VecInline.
+func (s *Session) ReadRequirementVec() (msg.Vec, ids.Dependency) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	req := ids.NewVersionVec(2)
+	var req msg.Vec
 	var dep ids.Dependency
 	if s.models[ReadYourWrites] && !s.lastWrite.Zero() {
-		req.Bump(s.lastWrite.Write.Client, s.lastWrite.Write.Seq)
+		req.Set(s.lastWrite.Write.Client, s.lastWrite.Write.Seq)
 		dep = s.lastWrite
 	}
 	if s.models[MonotonicReads] {
-		req.Merge(s.readVec)
+		for c, q := range s.readVec {
+			if req.Get(c) < q {
+				req.Set(c, q)
+			}
+		}
 	}
 	return req, dep
 }
 
-// ReadDone folds the applied vector returned by the serving store into the
-// session's read state.
-func (s *Session) ReadDone(storeApplied ids.VersionVec) {
+// ReadRequirement is ReadRequirementVec with the vector as a map.
+func (s *Session) ReadRequirement() (ids.VersionVec, ids.Dependency) {
+	req, dep := s.ReadRequirementVec()
+	out := ids.NewVersionVec(req.Len())
+	req.MergeInto(out)
+	return out, dep
+}
+
+// ReadDoneVec folds the applied vector returned by the serving store, in
+// the wire form the reply carries it in, into the session's read state.
+func (s *Session) ReadDoneVec(storeApplied *msg.Vec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.readVec.Merge(storeApplied)
-	for c, q := range storeApplied {
+	storeApplied.Each(func(c ids.ClientID, q uint64) bool {
+		s.readVec.Bump(c, q)
 		if s.readVC.Get(c) < q {
 			s.readVC.Set(c, q)
 		}
-	}
+		return true
+	})
+}
+
+// ReadDone is ReadDoneVec for a map-typed vector.
+func (s *Session) ReadDone(storeApplied ids.VersionVec) {
+	v := msg.VecFrom(storeApplied)
+	s.ReadDoneVec(&v)
 }
 
 // LastWrite returns the RYW dependency (zero if the client has not written).

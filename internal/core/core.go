@@ -20,10 +20,12 @@ import (
 	"repro/internal/naming"
 	"repro/internal/semantics"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
-// ErrTimeout reports a call that received no reply in time.
-var ErrTimeout = errors.New("core: call timed out")
+// ErrTimeout reports a call that received no reply in time; it is the shared
+// call core's error, so one errors.Is covers proxies and every other client.
+var ErrTimeout = transport.ErrTimeout
 
 // ErrClosed reports use of a closed proxy.
 var ErrClosed = errors.New("core: proxy closed")
@@ -75,16 +77,13 @@ type Proxy struct {
 	client  ids.ClientID
 	session *coherence.Session
 	table   *semantics.Table
-	ep      transport.Endpoint
-	store   string
-	storeID ids.StoreID
+	demux   *transport.Demux
 	sem     string
 	timeout time.Duration
 
-	mu      sync.Mutex
-	nextSeq uint64
-	pending map[uint64]chan *msg.Message
-	closed  bool
+	mu      sync.Mutex // guards store and storeID against Rebind
+	store   string
+	storeID ids.StoreID
 
 	// writeMu serialises write departure: it is held from write-ID
 	// allocation until the frame is handed to the transport, so a client's
@@ -92,9 +91,6 @@ type Proxy struct {
 	// concurrently. Stores rely on ordered departure for at-most-once
 	// replay detection of unstamped writes.
 	writeMu sync.Mutex
-
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
 // Bind contacts the object at the chosen store and returns a proxy. It
@@ -109,46 +105,50 @@ func Bind(cfg BindConfig) (*Proxy, error) {
 		client:  cfg.Client,
 		session: coherence.NewSession(cfg.Client, cfg.Session...),
 		table:   semantics.NewTable(cfg.Prototype),
-		ep:      cfg.Endpoint,
+		demux:   transport.NewDemux(cfg.Endpoint),
 		store:   cfg.StoreAddr,
 		sem:     cfg.Semantics,
 		timeout: cfg.Timeout,
-		pending: make(map[uint64]chan *msg.Message),
-		done:    make(chan struct{}),
 	}
-	p.wg.Add(1)
-	go p.recvLoop()
-
-	reply, err := p.call(&msg.Message{
-		Kind:   msg.KindBindRequest,
-		Object: cfg.Object,
-		Client: cfg.Client,
-		Sem:    cfg.Semantics,
-	})
-	if err != nil {
+	if err := p.bind(); err != nil {
 		p.Close()
 		return nil, fmt.Errorf("core: bind %q at %q: %w", cfg.Object, cfg.StoreAddr, err)
 	}
-	if reply.Status != msg.StatusOK {
-		p.Close()
-		return nil, fmt.Errorf("core: bind %q: %w", cfg.Object, &RemoteError{reply.Status, reply.Err})
+	return p, nil
+}
+
+// bind runs the bind round trip against the current store address.
+func (p *Proxy) bind() error {
+	reply, err := p.roundTrip(msg.Message{Kind: msg.KindBindRequest, Object: p.object, Client: p.client, Sem: p.sem}, nil)
+	if err != nil {
+		return err
 	}
+	p.mu.Lock()
 	p.storeID = reply.Store
+	p.mu.Unlock()
 	// Resume the client's write history: a rebinding process reusing a
 	// persistent client ID must not re-issue write IDs the deployment
 	// already applied (they would be deduplicated as replays).
-	p.session.SeedSeq(reply.VVec.Get(cfg.Client))
-	return p, nil
+	p.session.SeedSeq(reply.VVec.Get(p.client))
+	return nil
 }
 
 // Client returns the proxy's client identity.
 func (p *Proxy) Client() ids.ClientID { return p.client }
 
 // Store returns the bound store's ID.
-func (p *Proxy) Store() ids.StoreID { return p.storeID }
+func (p *Proxy) Store() ids.StoreID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.storeID
+}
 
 // StoreAddr returns the bound store's address.
-func (p *Proxy) StoreAddr() string { return p.store }
+func (p *Proxy) StoreAddr() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.store
+}
 
 // Session exposes the client's session-guarantee state.
 func (p *Proxy) Session() *coherence.Session { return p.session }
@@ -160,23 +160,7 @@ func (p *Proxy) Rebind(storeAddr string) error {
 	p.mu.Lock()
 	p.store = storeAddr
 	p.mu.Unlock()
-	reply, err := p.call(&msg.Message{
-		Kind:   msg.KindBindRequest,
-		Object: p.object,
-		Client: p.client,
-		Sem:    p.sem,
-	})
-	if err != nil {
-		return err
-	}
-	if reply.Status != msg.StatusOK {
-		return &RemoteError{reply.Status, reply.Err}
-	}
-	p.mu.Lock()
-	p.storeID = reply.Store
-	p.mu.Unlock()
-	p.session.SeedSeq(reply.VVec.Get(p.client))
-	return nil
+	return p.bind()
 }
 
 // Invoke performs one marshalled method call on the distributed object,
@@ -189,39 +173,28 @@ func (p *Proxy) Invoke(inv msg.Invocation) ([]byte, error) {
 }
 
 func (p *Proxy) invokeRead(inv msg.Invocation) ([]byte, error) {
-	req, dep := p.session.ReadRequirement()
-	m := &msg.Message{
+	req, dep := p.session.ReadRequirementVec()
+	reply, err := p.roundTrip(msg.Message{
 		Kind:    msg.KindReadRequest,
 		Object:  p.object,
 		Client:  p.client,
-		VVec:    msg.VecFrom(req),
+		VVec:    req,
 		ReadDep: dep,
 		Inv:     inv,
-	}
-	reply, err := p.call(m)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if reply.Status != msg.StatusOK {
-		return nil, &RemoteError{reply.Status, reply.Err}
-	}
-	p.session.ReadDone(reply.VVec.Version())
+	p.session.ReadDoneVec(&reply.VVec)
 	return reply.Payload, nil
 }
 
 func (p *Proxy) invokeWrite(inv msg.Invocation) ([]byte, error) {
 	// Serialise writes so per-client sequence numbers leave in order: the
 	// lock spans write-ID allocation THROUGH transport hand-off (released
-	// inside callOrdered), otherwise two concurrent writers could allocate
+	// inside roundTrip), otherwise two concurrent writers could allocate
 	// N and N+1 and send them in the opposite order.
 	p.writeMu.Lock()
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.writeMu.Unlock()
-		return nil, ErrClosed
-	}
-	p.mu.Unlock()
 	// Repair first: an aborted write that could not be rolled back (another
 	// writer on this shared handle had already allocated a later sequence)
 	// left a hole that stalls every subsequent write under ordered models.
@@ -231,11 +204,24 @@ func (p *Proxy) invokeWrite(inv msg.Invocation) ([]byte, error) {
 		p.writeMu.Unlock()
 		return nil, err
 	}
-	p.mu.Lock()
 	w, deps := p.session.NextWrite()
-	p.mu.Unlock()
+	reply, err := p.write(w, deps, inv, &p.writeMu)
+	if err != nil {
+		p.session.AbortWrite(w)
+		return nil, err
+	}
+	p.session.WriteDone(w, reply.Store)
+	return reply.Payload, nil
+}
 
-	m := &msg.Message{
+// write sends one write request under identifier w and, when its outcome is
+// unknown — the request or only its ack may have been lost — retries the
+// identical frame once: the stores' at-most-once admission re-acks it if it
+// was applied and admits it if it never arrived, so the ambiguity usually
+// resolves without abandoning the write ID (which a subsequent different
+// write would reuse and have silently absorbed as a replay).
+func (p *Proxy) write(w ids.WiD, deps vclock.VC, inv msg.Invocation, sent *sync.Mutex) (*msg.Message, error) {
+	req := msg.Message{
 		Kind:      msg.KindWriteRequest,
 		Object:    p.object,
 		Client:    p.client,
@@ -244,26 +230,11 @@ func (p *Proxy) invokeWrite(inv msg.Invocation) ([]byte, error) {
 		Inv:       inv,
 		WallNanos: time.Now().UnixNano(),
 	}
-	reply, err := p.callOrdered(m, &p.writeMu)
-	if err != nil && errors.Is(err, ErrTimeout) {
-		// The outcome is unknown: the request or only its ack may have been
-		// lost. Retry the identical frame once — the stores' at-most-once
-		// admission re-acks it if it was applied and admits it if it never
-		// arrived — so the ambiguity usually resolves without abandoning
-		// the write ID (which a subsequent different write would reuse and
-		// have silently absorbed as a replay).
-		reply, err = p.call(m)
+	reply, err := p.roundTrip(req, sent)
+	if errors.Is(err, ErrTimeout) {
+		reply, err = p.roundTrip(req, nil)
 	}
-	if err != nil {
-		p.session.AbortWrite(w)
-		return nil, err
-	}
-	if reply.Status != msg.StatusOK {
-		p.session.AbortWrite(w)
-		return nil, &RemoteError{reply.Status, reply.Err}
-	}
-	p.session.WriteDone(w, reply.Store)
-	return reply.Payload, nil
+	return reply, err
 }
 
 // sealHoles re-issues every recorded write-sequence hole as a no-op write
@@ -278,115 +249,49 @@ func (p *Proxy) invokeWrite(inv msg.Invocation) ([]byte, error) {
 func (p *Proxy) sealHoles() error {
 	for _, seq := range p.session.Holes() {
 		w, deps := p.session.SealWrite(seq)
-		m := &msg.Message{
-			Kind:      msg.KindWriteRequest,
-			Object:    p.object,
-			Client:    p.client,
-			Write:     w,
-			Deps:      msg.VecFrom(deps),
-			Inv:       msg.Invocation{Method: semantics.MethodNoop},
-			WallNanos: time.Now().UnixNano(),
-		}
-		reply, err := p.call(m)
-		if err != nil && errors.Is(err, ErrTimeout) {
-			reply, err = p.call(m) // same one-retry contract as invokeWrite
-		}
-		if err != nil {
+		if _, err := p.write(w, deps, msg.Invocation{Method: semantics.MethodNoop}, nil); err != nil {
 			return fmt.Errorf("core: sealing write gap %v: %w", w, err)
-		}
-		if reply.Status != msg.StatusOK {
-			return fmt.Errorf("core: sealing write gap %v: %w", w, &RemoteError{reply.Status, reply.Err})
 		}
 		p.session.SealDone(seq)
 	}
 	return nil
 }
 
-// call sends m to the bound store and awaits the correlated reply.
-func (p *Proxy) call(m *msg.Message) (*msg.Message, error) {
-	return p.callOrdered(m, nil)
-}
-
-// callOrdered is call with an optional departure lock: orderMu, when
-// non-nil, is held by the caller and released as soon as the frame has been
-// handed to the transport — waiting for the reply happens outside it, so
-// ordered departure costs no reply-latency serialisation.
-func (p *Proxy) callOrdered(m *msg.Message, orderMu *sync.Mutex) (*msg.Message, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		if orderMu != nil {
-			orderMu.Unlock()
-		}
-		return nil, ErrClosed
+// roundTrip stages req in a call slot (so the request itself is not
+// allocated), sends it to the bound store and awaits the correlated reply; a
+// non-OK status comes back as a RemoteError. sent, when non-nil, is a
+// departure lock the caller holds: it is released as soon as the frame has
+// been handed to the transport — waiting for the reply happens outside it,
+// so ordered departure costs no reply-latency serialisation.
+func (p *Proxy) roundTrip(req msg.Message, sent *sync.Mutex) (*msg.Message, error) {
+	c, err := p.demux.Begin()
+	if err != nil {
+		err = ErrClosed // the only way Begin fails
+	} else {
+		c.Req = req
+		err = c.Send(p.StoreAddr(), &c.Req)
 	}
-	p.nextSeq++
-	seq := p.nextSeq
-	ch := make(chan *msg.Message, 1)
-	p.pending[seq] = ch
-	storeAddr := p.store
-	p.mu.Unlock()
-
-	m.NetSeq = seq
-	m.From = p.ep.Addr()
-	defer func() {
-		p.mu.Lock()
-		delete(p.pending, seq)
-		p.mu.Unlock()
-	}()
-	err := p.ep.Send(storeAddr, m)
-	if orderMu != nil {
-		orderMu.Unlock()
+	if sent != nil {
+		sent.Unlock()
 	}
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case r := <-ch:
-		return r, nil
-	case <-time.After(p.timeout):
-		return nil, fmt.Errorf("%w after %v (%v to %s)", ErrTimeout, p.timeout, m.Kind, storeAddr)
-	case <-p.done:
-		return nil, ErrClosed
-	}
-}
-
-// recvLoop demultiplexes replies to waiting calls.
-func (p *Proxy) recvLoop() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.done:
-			return
-		case m, ok := <-p.ep.Recv():
-			if !ok {
-				return
-			}
-			p.mu.Lock()
-			ch := p.pending[m.NetSeq]
-			p.mu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- m:
-				default: // duplicate reply; drop
-				}
-			}
+	reply, err := c.Wait(p.timeout)
+	if err != nil {
+		if errors.Is(err, transport.ErrClosed) {
+			err = ErrClosed
 		}
+		return nil, err
 	}
+	if reply.Status != msg.StatusOK {
+		return nil, &RemoteError{reply.Status, reply.Err}
+	}
+	return reply, nil
 }
 
 // Close releases the proxy (but not the endpoint, which the caller owns).
-func (p *Proxy) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.done)
-	p.wg.Wait()
-}
+func (p *Proxy) Close() { p.demux.Stop() }
 
 // Runtime bundles a naming service for convenience in examples and tests.
 type Runtime struct {

@@ -1,6 +1,5 @@
 // Package harness builds and runs the reproduction experiments: one per
-// figure/table of the paper (see DESIGN.md §4 and EXPERIMENTS.md). Each
-// experiment assembles stores and clients over a simulated network, drives
+// figure/table of the paper. Each experiment assembles stores and clients over a simulated network, drives
 // a synthetic workload, and reports a printable table of measured message
 // counts, bytes, latencies, and staleness.
 package harness

@@ -51,10 +51,6 @@ func TestOpenLoopOverMemnet(t *testing.T) {
 	runSmoke(t, memnet.WithSeed(7))
 }
 
-func TestOpenLoopOverMemnetParallelDelivery(t *testing.T) {
-	runSmoke(t, memnet.WithSeed(7), memnet.WithParallelDelivery())
-}
-
 // The same driver over real TCP — the shape of a multi-process deployment
 // run, scaled down. The store listens on an ephemeral loopback port and the
 // generator dials its advertised address.

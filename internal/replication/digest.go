@@ -3,7 +3,6 @@ package replication
 import (
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/msg"
 )
 
@@ -67,32 +66,12 @@ func (o *Object) digestRound() {
 		Object:    o.object,
 		From:      o.addr,
 		Store:     o.self,
-		VVec:      o.digestVec(),
+		VVec:      o.appliedVec(),
 		GlobalSeq: o.engine.Global(),
 	}
 	o.multicast(tos, m)
 	o.stats.DigestsSent += uint64(len(tos))
 }
-
-// digestVec returns the wire-form applied vector for heartbeats, rebuilt
-// only when an apply or state transfer invalidated the cached snapshot
-// (markDigestStale). Idle heartbeats — the steady state the knob is sized
-// for — re-send the cached Vec without re-materialising the applied vector,
-// so the heartbeat path never adds work to, or synchronises with, the apply
-// path beyond sharing the store's event loop.
-func (o *Object) digestVec() msg.Vec {
-	if o.digestStale {
-		o.cachedDigest = o.appliedVec()
-		o.digestStale = false
-	}
-	return o.cachedDigest
-}
-
-// markDigestStale records that applied() advanced since the last snapshot.
-// Called wherever ordered applies or state transfers extend coherence
-// knowledge; cheap enough to call unconditionally (heartbeats disabled just
-// never read the flag).
-func (o *Object) markDigestStale() { o.digestStale = true }
 
 // onDigest handles a heartbeat at a child: when the parent's digest covers
 // writes this replica has not applied, the gap is real (those updates were
@@ -112,10 +91,10 @@ func (o *Object) onDigest(m *msg.Message) {
 		o.subRetries = 0
 		o.sendSubscribe()
 	}
-	// Gap detection mirrors Vec.CoveredBy but tests each entry against the
-	// engine and fetch vectors directly (Engine.Covers): the common case —
-	// a converged child answering "nothing missing" every interval — must
-	// not re-materialise the applied vector per heartbeat.
+	// Gap detection tests each entry against the engine and fetch vectors
+	// directly (coversVec): the common case — a converged child answering
+	// "nothing missing" every interval — must not re-materialise the
+	// applied vector per heartbeat.
 	//
 	// Precision matches the vector representation: under the contiguous
 	// models (sequential, PRAM, causal) a covered component proves every
@@ -125,16 +104,7 @@ func (o *Object) onDigest(m *msg.Message) {
 	// deployments pair the eventual model with full coherence transfer
 	// (snapshots repair content wholesale, as the mirror preset does) or
 	// gossip. See ROADMAP.
-	gap := false
-	m.VVec.Each(func(c ids.ClientID, s uint64) bool {
-		w := ids.WiD{Client: c, Seq: s}
-		if s > 0 && !o.engine.Covers(w) && !o.fetchVec.CoversWrite(w) {
-			gap = true
-			return false
-		}
-		return true
-	})
-	if !gap {
+	if o.coversVec(&m.VVec) {
 		return // nothing missing; stay quiet
 	}
 	if o.demandOutstanding() {

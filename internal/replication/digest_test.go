@@ -220,7 +220,7 @@ func TestDigestAdvertisesLWWLoserComponent(t *testing.T) {
 	loser.Stamp = vclock.Stamp{Time: 10, Client: 1}
 	o.Handle(loser)
 
-	v := o.digestVec()
+	v := o.appliedVec()
 	if !v.CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
 		t.Fatalf("digest misses the LWW loser's component: %+v", v)
 	}

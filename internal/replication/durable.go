@@ -67,12 +67,18 @@ func (o *Object) Recovering() bool { return o.recovering }
 // would lose acknowledged-but-buffered writes across a crash. Updates the
 // engine already covers are not re-logged (the engines deduplicate them
 // anyway), which keeps demand replays and link duplicates out of the log.
+//
+// The cached applied vector is invalidated unconditionally: a Submit can
+// advance it without releasing anything (an eventual-model write losing the
+// LWW race), and replies and digests must advertise that component or
+// children would demand it forever.
 func (o *Object) submitLogged(u *coherence.Update) []*coherence.Update {
 	if o.wal != nil && !o.walReplaying && !o.engine.Covers(u.Write) {
 		if err := o.wal.AppendUpdate(u); err == nil {
 			o.walAfterAppend()
 		}
 	}
+	o.markAppliedStale()
 	return o.engine.Submit(u)
 }
 
@@ -318,7 +324,7 @@ func (o *Object) recover(rec *wal.Recovery) {
 		o.nextGlobal = g
 	}
 	o.stats.WALTornTail += rec.TornTail
-	o.markDigestStale()
+	o.markAppliedStale()
 	o.walReplaying = false
 	o.recoverStart = start
 	o.stats.RecoveryNanos = uint64(o.env.Now().Sub(start))
@@ -428,6 +434,6 @@ func (o *Object) finishRecovery() {
 		o.recoverRetryTimer.Stop()
 	}
 	o.stats.RecoveryNanos = uint64(o.env.Now().Sub(o.recoverStart))
-	o.markDigestStale()
+	o.markAppliedStale()
 	o.reconsiderParked()
 }

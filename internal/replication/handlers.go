@@ -46,7 +46,7 @@ func (o *Object) Handle(m *msg.Message) {
 		// knowledge; otherwise a digest advertising those components would
 		// re-demand every heartbeat forever.
 		m.VVec.MergeInto(o.fetchVec)
-		o.markDigestStale()
+		o.markAppliedStale()
 		o.revalEpoch++
 		o.reconsiderParked()
 	case msg.KindInvalidate:
@@ -109,10 +109,7 @@ func (o *Object) onRead(m *msg.Message) {
 
 // requirementMet checks the read's session-guarantee requirement vector.
 func (o *Object) requirementMet(m *msg.Message) bool {
-	if m.VVec.Len() == 0 {
-		return true
-	}
-	return m.VVec.CoveredBy(o.applied())
+	return o.coversVec(&m.VVec)
 }
 
 // serveOrFetch serves the read locally, fetching missing/invalidated state
@@ -553,12 +550,6 @@ func cloneInv(inv msg.Invocation) msg.Invocation {
 // are not re-applied to semantics — re-applying an incremental append would
 // duplicate content.
 func (o *Object) applyReleased(released []*coherence.Update) {
-	// Unconditional: a Submit can advance the applied vector without
-	// releasing anything (an eventual-model write losing the LWW race), and
-	// the digest must advertise that component or children would demand it
-	// forever. A spurious mark costs one snapshot rebuild at the next
-	// heartbeat, nothing on idle stores.
-	o.markDigestStale()
 	// One clock read covers the whole release set: the propagation-lag
 	// histogram measures network+ordering delay, not intra-batch apply cost.
 	var nowNanos int64
@@ -593,6 +584,43 @@ func (o *Object) applyReleased(released []*coherence.Update) {
 		o.reconsiderParked()
 	}
 	o.maybeCompact()
+}
+
+// staleSnapshot is the one guard every install path runs before replacing
+// content with a state transfer stamped v (of one page, or of the whole
+// object when page is ""). Retries, link duplication and jitter make late
+// and reordered transfers routine, and installing one rolls back whatever
+// arrived since inside an earlier transfer: reapplyBeyond restores only
+// logged ops, and a page's own vector goes on claiming the lost writes, so
+// the ordered updates that would repair them are skipped as covered. A
+// transfer is stale when this replica already knows every write in v —
+// applied, fetched whole, or fetched for that page — and a whole-object
+// transfer also when it predates any page fetched on its own. An empty v is
+// a snapshot from before the first write: what a fresh replica bootstraps
+// from when the parent was seeded with content, so it installs while the
+// replica knows of no write to what it replaces, and is stale from then on.
+func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
+	if page == "" {
+		for _, fetched := range o.pageVec {
+			for c, s := range fetched {
+				if v.Get(c) < s {
+					return true
+				}
+			}
+		}
+	}
+	pv := o.pageVec[page]
+	if v.Len() == 0 {
+		known := o.appliedVec()
+		return known.Len() > 0 || len(pv) > 0
+	}
+	covered := true
+	v.Each(func(c ids.ClientID, s uint64) bool {
+		w := ids.WiD{Client: c, Seq: s}
+		covered = o.covers(w) || pv.CoversWrite(w)
+		return covered
+	})
+	return covered
 }
 
 // reapplyBeyond re-applies logged updates the snapshot vector does not
@@ -881,7 +909,7 @@ func (o *Object) onUpdate(m *msg.Message) {
 	o.revalEpoch++
 	if len(m.Payload) > 0 {
 		// Aggregated full-state update.
-		if m.VVec.Len() > 0 && m.VVec.CoveredBy(o.applied()) {
+		if o.staleSnapshot(&m.VVec, "") {
 			return // stale or duplicate snapshot
 		}
 		if err := o.env.ApplyFull(m.Payload); err != nil {
@@ -891,7 +919,7 @@ func (o *Object) onUpdate(m *msg.Message) {
 		o.reapplyBeyond(&m.VVec, "")
 		m.VVec.MergeInto(o.fetchVec)
 		o.engine.Seed(m.VVec.Version(), m.GlobalSeq)
-		o.markDigestStale()
+		o.markAppliedStale()
 		o.invalid = make(map[string]bool)
 		o.allInvalid = false
 		o.relayFull(m)
@@ -933,8 +961,14 @@ func (o *Object) submitOp(u *coherence.Update) {
 		// A gap was detected. Under object-outdate = demand the store
 		// immediately requests the missing updates — this is how, per
 		// §4.2, "reliability comes as a side-effect of the coherence
-		// model" on unreliable transports.
-		if o.strat.ObjectOutdate == strategy.Demand {
+		// model" on unreliable transports. One demand per arrival: the
+		// reply replays everything beyond our vector, so a batch that
+		// buffers k entries must not ask k times. Each surplus demand is
+		// answered with the same replay, whose already-applied entries
+		// land here while the next reordering has something buffered and
+		// ask again — k replies of k entries each, a storm that feeds on
+		// the backlog it builds at the parent.
+		if o.strat.ObjectOutdate == strategy.Demand && !o.demandOutstanding() {
 			o.demandFromParent()
 		}
 	}
@@ -1249,8 +1283,7 @@ func (o *Object) onStateReply(m *msg.Message) {
 		// leaves the page with a mid-sequence gap readers can observe (an
 		// MW/PRAM violation). An invalidated page is the exception: its local
 		// content is outdated by definition, so the fetch is taken as-is.
-		if m.VVec.Len() > 0 && m.VVec.CoveredBy(o.applied()) &&
-			!o.invalid[page] && !o.allInvalid {
+		if o.staleSnapshot(&m.VVec, page) && !o.invalid[page] && !o.allInvalid {
 			o.reconsiderParked()
 			return
 		}
@@ -1272,7 +1305,7 @@ func (o *Object) onStateReply(m *msg.Message) {
 		o.fetching = false
 		// Same stale-snapshot guard as onSubscribeAck: a delayed reply whose
 		// vector we already cover must not roll semantics content back.
-		if m.VVec.Len() > 0 && m.VVec.CoveredBy(o.applied()) {
+		if o.staleSnapshot(&m.VVec, "") {
 			o.reconsiderParked()
 			return
 		}
@@ -1285,7 +1318,7 @@ func (o *Object) onStateReply(m *msg.Message) {
 		o.allInvalid = false
 		m.VVec.MergeInto(o.fetchVec)
 		o.engine.Seed(m.VVec.Version(), m.GlobalSeq)
-		o.markDigestStale()
+		o.markAppliedStale()
 	}
 	o.reconsiderParked()
 }
@@ -1352,7 +1385,7 @@ func (o *Object) onSubscribeAck(m *msg.Message) {
 		}
 	}
 	o.armParentWatch()
-	if m.VVec.Len() > 0 && m.VVec.CoveredBy(o.applied()) {
+	if o.staleSnapshot(&m.VVec, "") {
 		o.reconsiderParked()
 		return
 	}
@@ -1365,7 +1398,7 @@ func (o *Object) onSubscribeAck(m *msg.Message) {
 	}
 	m.VVec.MergeInto(o.fetchVec)
 	o.engine.Seed(m.VVec.Version(), m.GlobalSeq)
-	o.markDigestStale()
+	o.markAppliedStale()
 	o.reconsiderParked()
 }
 

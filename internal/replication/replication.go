@@ -238,15 +238,11 @@ type Object struct {
 	// Digest heartbeats: every digestInterval (jittered), the store sends
 	// its children a compact applied-vector digest so a child behind silent
 	// tail-loss or a healed partition detects the gap and demands, instead
-	// of staying stale until the next unrelated arrival. cachedDigest is the
-	// wire-form snapshot, rebuilt lazily (digestStale) so idle heartbeats
-	// never re-materialise the applied vector.
+	// of staying stale until the next unrelated arrival.
 	digestInterval time.Duration
 	digestArmed    bool
 	digestTimer    clock.Timer
 	digestRNG      *rand.Rand
-	cachedDigest   msg.Vec
-	digestStale    bool
 	// digestGapDemand marks the open demand cycle as digest-initiated: its
 	// gap has no buffered updates or parked reads to witness it, so the
 	// retry timer must chase it anyway (see retryDemand).
@@ -259,6 +255,10 @@ type Object struct {
 	// fetchVec is coherence knowledge gained by full state transfer rather
 	// than ordered updates.
 	fetchVec ids.VersionVec
+	// cachedApplied is applied() in wire form, rebuilt lazily (appliedStale)
+	// so read replies and idle heartbeats never re-materialise the vector.
+	cachedApplied msg.Vec
+	appliedStale  bool
 	// pageVec tracks knowledge gained by partial (per-page) state transfer:
 	// an op update for page p whose write is covered by pageVec[p] must not
 	// re-apply its content (the fetched page already includes it).
@@ -470,7 +470,6 @@ func New(cfg Config) (*Object, error) {
 		_, _ = h.Write([]byte(cfg.Addr))
 		_, _ = h.Write([]byte(cfg.Object))
 		o.digestRNG = rand.New(rand.NewSource(int64(h.Sum64()) ^ int64(cfg.Self)<<32))
-		o.digestStale = true
 	}
 	if cfg.WAL != nil {
 		o.wal = cfg.WAL
@@ -568,8 +567,39 @@ func (o *Object) applied() ids.VersionVec {
 	return v
 }
 
-// appliedVec is applied in wire (small-vector) form, for message fields.
-func (o *Object) appliedVec() msg.Vec { return msg.VecFrom(o.applied()) }
+// appliedVec is applied in wire (small-vector) form, for message fields. It
+// is rebuilt only after an ordered apply or a state transfer invalidated the
+// cached copy (markAppliedStale), so the read path and idle heartbeats pay a
+// struct copy and no allocation.
+func (o *Object) appliedVec() msg.Vec {
+	if o.appliedStale {
+		o.cachedApplied = msg.VecFrom(o.applied())
+		o.appliedStale = false
+	}
+	return o.cachedApplied
+}
+
+// markAppliedStale records that applied() advanced since appliedVec last
+// materialised it. Called wherever the engine is fed or seeded and wherever
+// state transfer extends fetchVec.
+func (o *Object) markAppliedStale() { o.appliedStale = true }
+
+// covers reports whether write w is part of this store's coherence
+// knowledge — ordered applies or state transfer — by direct lookup.
+func (o *Object) covers(w ids.WiD) bool {
+	return o.engine.Covers(w) || o.fetchVec.CoversWrite(w)
+}
+
+// coversVec reports whether applied() dominates v, entry by entry and
+// without materialising applied().
+func (o *Object) coversVec(v *msg.Vec) bool {
+	ok := true
+	v.Each(func(c ids.ClientID, s uint64) bool {
+		ok = o.covers(ids.WiD{Client: c, Seq: s})
+		return ok
+	})
+	return ok
+}
 
 // Applied exposes the combined applied vector.
 func (o *Object) Applied() ids.VersionVec { return o.applied() }

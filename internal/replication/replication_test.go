@@ -875,3 +875,219 @@ func TestStalePageStateReplyDoesNotRollBackPage(t *testing.T) {
 		t.Fatalf("stale page reply rolled content back:\n before %q\n after  %q", before, after)
 	}
 }
+
+// TestEmptyVectorSnapshotDoesNotRollBack is the regression for the chaos
+// suite's lost update (cache2 holding "c1.2;c1.3;…" against perm's
+// "c1.1;c1.2;…"): a snapshot taken before the object's first write carries an
+// EMPTY vector, and subscribe retries plus link duplication make a second,
+// late copy of it routine. The stale-snapshot guard used to require a
+// non-empty vector, so the late copy installed an empty document over newer
+// content and reapplyBeyond restored only the logged ops — what had arrived
+// inside the earlier snapshot (c1.1) was gone for good, with no digest to
+// flag it. Each install path that takes a snapshot from the parent is
+// driven: the subscribe ack, the full state reply and the per-page one.
+func TestEmptyVectorSnapshotDoesNotRollBack(t *testing.T) {
+	appendUpd := func(seq uint64) *coherence.Update {
+		return &coherence.Update{
+			Write: ids.WiD{Client: 1, Seq: seq}, GlobalSeq: seq,
+			Inv: msg.Invocation{
+				Method: webdoc.MethodAppendPage, Page: "p",
+				Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{
+					Content: []byte(fmt.Sprintf("c1.%d;", seq)),
+				}),
+			},
+		}
+	}
+	// The parent before its first write: page "p" exists and is empty.
+	early := webdoc.New()
+	early.Put("p", nil, "text/html", 1)
+	parent := control.New(early)
+	emptySnap, err := parent.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyEl, err := parent.SnapshotElement("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.ApplyOp(appendUpd(1)); err != nil {
+		t.Fatal(err)
+	}
+	snap1, err := parent.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	late := map[string]*msg.Message{
+		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: emptySnap, GlobalSeq: 1},
+		"full state reply": {Kind: msg.KindStateReply, Payload: emptySnap, GlobalSeq: 1},
+		"page state reply": {Kind: msg.KindStateReply, Payload: emptyEl, Pages: []string{"p"}},
+	}
+	for name, m := range late {
+		t.Run(name, func(t *testing.T) {
+			env := newFakeEnv()
+			o := newObj(t, env, RoleClientInitiated, strategy.Whiteboard(), "parent-store")
+			// The very first bootstrap has an empty vector too — a parent
+			// seeded with content and not yet written to — and must install.
+			first := *m
+			first.Kind, first.Payload, first.Pages = msg.KindSubscribeAck, emptySnap, nil
+			first.Object, first.From = "obj", "parent-store"
+			o.Handle(&first)
+			if _, err := env.ctrl.ServeRead(msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"}); err != nil {
+				t.Fatalf("first bootstrap with an empty vector was not installed: %v", err)
+			}
+			// A retried subscribe's ack brings c1.1 inside a snapshot (never
+			// logged here); c1.2 arrives as an ordered push (logged).
+			o.Handle(&msg.Message{
+				Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
+				Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1}), GlobalSeq: 2,
+			})
+			u := appendUpd(2)
+			o.Handle(&msg.Message{
+				Kind: msg.KindUpdate, Object: "obj", From: "parent-store",
+				Write: u.Write, GlobalSeq: u.GlobalSeq, Inv: u.Inv,
+			})
+			const want = "c1.1;c1.2;"
+			if got := pageTokens(t, env, "p"); got != want {
+				t.Fatalf("setup: page = %q, want %q", got, want)
+			}
+			// The duplicate of the pre-first-write snapshot lands last.
+			dup := *m
+			dup.Object, dup.From = "obj", "parent-store"
+			o.Handle(&dup)
+			if got := pageTokens(t, env, "p"); got != want {
+				t.Fatalf("late empty-vector %s rolled the page back: %q, want %q", name, got, want)
+			}
+		})
+	}
+}
+
+// TestEmptyVectorSnapshotAfterPageFetch: a replica that knows a page only
+// through a per-page fetch (no ordered applies, no full transfer) has an
+// empty applied vector; what it knows lives in that page's own vector. This
+// is a cache whose first read fetched the page before its delayed subscribe
+// ack arrived: the ack, and a late copy of a pre-first-write page reply,
+// carry empty vectors and must not replace the fetched page. The chaos suite
+// lost c1.1 at cache2 this way — the page's vector went on claiming the
+// write, so the pushed update was skipped as already covered.
+func TestEmptyVectorSnapshotAfterPageFetch(t *testing.T) {
+	doc := webdoc.New()
+	doc.Put("p", nil, "text/html", 1)
+	emptyEl, err := doc.SnapshotElement("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptySnap, err := doc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.Put("p", []byte("c1.1;"), "text/html", 2)
+	el1, err := doc.SnapshotElement("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := map[string]*msg.Message{
+		"page state reply": {Kind: msg.KindStateReply, Pages: []string{"p"}, Payload: emptyEl},
+		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: emptySnap, GlobalSeq: 1},
+	}
+	for name, m := range late {
+		t.Run(name, func(t *testing.T) {
+			env := newFakeEnv()
+			o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "parent-store")
+			o.Handle(&msg.Message{
+				Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
+				Pages: []string{"p"}, Payload: el1, VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+			})
+			dup := *m
+			dup.Object, dup.From = "obj", "parent-store"
+			o.Handle(&dup)
+			if got := pageTokens(t, env, "p"); got != "c1.1;" {
+				t.Fatalf("late empty-vector %s replaced the fetched page: %q", name, got)
+			}
+		})
+	}
+}
+
+// TestReorderedSnapshotsDoNotRollBackFetchedPage: a page fetched on its own
+// is known through that page's vector, not the applied vector. An older
+// transfer arriving after it — a jitter-reordered page reply, or a whole
+// snapshot taken earlier — whose vector the applied vector does not cover
+// must still count as stale, or it replaces the page while the page's vector
+// keeps claiming c1.2 and the pushed update is skipped as covered: the chaos
+// suite's "saw seq 3, expected 2" at cache2.
+func TestReorderedSnapshotsDoNotRollBackFetchedPage(t *testing.T) {
+	doc := webdoc.New()
+	doc.Append("p", []byte("c1.1;"), 1)
+	oldEl, err := doc.SnapshotElement("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldSnap, err := doc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.Append("p", []byte("c1.2;"), 2)
+	newEl, err := doc.SnapshotElement("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Client 3 wrote another page in between: its component is in both
+	// vectors and in nothing this replica has applied.
+	oldVec := msg.VecFrom(ids.VersionVec{1: 1, 3: 1})
+	late := map[string]*msg.Message{
+		"page state reply": {Kind: msg.KindStateReply, Pages: []string{"p"}, Payload: oldEl, VVec: oldVec},
+		"full state reply": {Kind: msg.KindStateReply, Payload: oldSnap, VVec: oldVec, GlobalSeq: 3},
+		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: oldSnap, VVec: oldVec, GlobalSeq: 3},
+	}
+	for name, m := range late {
+		t.Run(name, func(t *testing.T) {
+			env := newFakeEnv()
+			o := newObj(t, env, RoleClientInitiated, strategy.Whiteboard(), "parent-store")
+			o.Handle(&msg.Message{
+				Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
+				Pages: []string{"p"}, Payload: newEl, VVec: msg.VecFrom(ids.VersionVec{1: 2, 3: 1}),
+			})
+			old := *m
+			old.Object, old.From = "obj", "parent-store"
+			o.Handle(&old)
+			if got := pageTokens(t, env, "p"); got != "c1.1;c1.2;" {
+				t.Fatalf("older %s replaced the fetched page: %q", name, got)
+			}
+		})
+	}
+}
+
+// TestBufferedBatchDemandsOnce: a batch whose entries all land behind a gap
+// buffers every one of them, and must ask the parent for the missing prefix
+// once. One demand per buffered entry is what turned a reordering into a
+// storm in the chaos suite: every demand is answered with the same replay,
+// and each of its already-applied entries asked again while anything was
+// still buffered.
+func TestBufferedBatchDemandsOnce(t *testing.T) {
+	env := newFakeEnv()
+	o := newObj(t, env, RoleClientInitiated, strategy.Whiteboard(), "parent-store")
+	inv := msg.Invocation{
+		Method: webdoc.MethodAppendPage, Page: "p",
+		Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: []byte("x")}),
+	}
+	batch := &msg.Message{Kind: msg.KindUpdateBatch, Object: "obj", From: "parent-store"}
+	for seq := uint64(3); seq <= 6; seq++ {
+		batch.Batch = append(batch.Batch, msg.BatchUpdate{Write: ids.WiD{Client: 1, Seq: seq}, GlobalSeq: seq, Inv: inv})
+	}
+	o.Handle(batch)
+	if got := o.Engine().Pending(); got != len(batch.Batch) {
+		t.Fatalf("setup: %d updates buffered, want %d", got, len(batch.Batch))
+	}
+	if d := env.takeSent(msg.KindDemandUpdate); len(d) != 1 {
+		t.Fatalf("a batch buffering %d entries sent %d demands, want 1", len(batch.Batch), len(d))
+	}
+	// The next arrival that still finds a gap asks again: suppression is per
+	// arrival, not for as long as the gap stays open.
+	o.Handle(&msg.Message{
+		Kind: msg.KindUpdate, Object: "obj", From: "parent-store",
+		Write: ids.WiD{Client: 1, Seq: 7}, GlobalSeq: 7, Inv: inv,
+	})
+	if d := env.takeSent(msg.KindDemandUpdate); len(d) != 1 {
+		t.Fatalf("a later out-of-order update sent %d demands, want 1", len(d))
+	}
+}

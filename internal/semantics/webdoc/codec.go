@@ -16,7 +16,7 @@ type WriteArgs struct {
 
 // EncodeWriteArgs marshals write arguments.
 func EncodeWriteArgs(a WriteArgs) []byte {
-	var buf []byte
+	buf := make([]byte, 0, 4+len(a.ContentType)+8+4+len(a.Content))
 	buf = appendString(buf, a.ContentType)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(a.ModifiedNanos))
 	buf = appendBytes(buf, a.Content)
@@ -46,9 +46,10 @@ func DecodeWriteArgs(b []byte) (WriteArgs, error) {
 	return a, nil
 }
 
-// EncodePage marshals a page (content, type, version, modified time).
+// EncodePage marshals a page (content, type, version, modified time) into a
+// buffer sized up front: one allocation, the content copied once.
 func EncodePage(p *Page) []byte {
-	var buf []byte
+	buf := make([]byte, 0, 4+len(p.ContentType)+8+8+4+len(p.Content))
 	buf = appendString(buf, p.ContentType)
 	buf = binary.BigEndian.AppendUint64(buf, p.Version)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.ModifiedNanos))

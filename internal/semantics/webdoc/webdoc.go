@@ -77,20 +77,11 @@ func (d *Document) Methods() []semantics.MethodInfo { return methodTable }
 func (d *Document) Invoke(inv msg.Invocation) ([]byte, error) {
 	switch inv.Method {
 	case MethodGetPage:
-		p, err := d.Get(inv.Page)
-		if err != nil {
-			return nil, err
-		}
-		return EncodePage(p), nil
+		return d.encodeStored(inv.Page, true)
 	case MethodListPages:
 		return encodeStrings(d.Pages()), nil
 	case MethodStatPage:
-		p, err := d.Get(inv.Page)
-		if err != nil {
-			return nil, err
-		}
-		stat := &Page{ContentType: p.ContentType, Version: p.Version, ModifiedNanos: p.ModifiedNanos}
-		return EncodePage(stat), nil
+		return d.encodeStored(inv.Page, false)
 	case MethodPutPage:
 		args, err := DecodeWriteArgs(inv.Args)
 		if err != nil {
@@ -124,6 +115,22 @@ func (d *Document) Get(name string) (*Page, error) {
 	cp := *p
 	cp.Content = append([]byte(nil), p.Content...)
 	return &cp, nil
+}
+
+// encodeStored marshals the named page straight from the stored copy, under
+// the read lock: the encoding is the one copy of the content a read makes
+// here. Without content it is the StatPage reply.
+func (d *Document) encodeStored(name string, content bool) ([]byte, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	p, ok := d.pages[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: page %q", semantics.ErrNoElement, name)
+	}
+	if !content {
+		return EncodePage(&Page{ContentType: p.ContentType, Version: p.Version, ModifiedNanos: p.ModifiedNanos}), nil
+	}
+	return EncodePage(p), nil
 }
 
 // Pages returns the sorted page names.
@@ -197,11 +204,7 @@ func (d *Document) Elements() []string { return d.Pages() }
 
 // SnapshotElement implements semantics.Object.
 func (d *Document) SnapshotElement(name string) ([]byte, error) {
-	p, err := d.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return EncodePage(p), nil
+	return d.encodeStored(name, true)
 }
 
 // RestoreElement implements semantics.Object. Restoring an element replaces

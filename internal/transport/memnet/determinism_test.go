@@ -2,7 +2,6 @@ package memnet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -21,10 +20,10 @@ type deliveryLog map[string][]string
 // clock advances, so the schedule (delivery times, shard sequence numbers,
 // loss/dup decisions) is fully determined by the seed; any run-to-run
 // difference in the returned log is a determinism regression.
-func runSeededWorkload(t *testing.T, opts ...Option) deliveryLog {
+func runSeededWorkload(t *testing.T) deliveryLog {
 	t.Helper()
 	fc := clock.NewFake()
-	opts = append([]Option{
+	n := New(
 		WithSeed(1998),
 		WithClock(fc),
 		WithDefaultLink(LinkProfile{
@@ -33,8 +32,7 @@ func runSeededWorkload(t *testing.T, opts ...Option) deliveryLog {
 			Loss:    0.15,
 			Dup:     0.15,
 		}),
-	}, opts...)
-	n := New(opts...)
+	)
 	defer n.Close()
 
 	senders := make([]transport.Endpoint, 3)
@@ -117,82 +115,5 @@ func TestDeterministicModeReproducesDeliveryOrder(t *testing.T) {
 					run, addr, got, strings.Join(seq, ","))
 			}
 		}
-	}
-}
-
-// TestParallelDeliveryMatchesDeterministicSchedule checks the equivalence
-// WithParallelDelivery promises: the same seeded workload delivers the same
-// messages (loss and duplication are sender-side decisions, unaffected by
-// the drain topology), and each (sender, receiver) pair still sees the exact
-// FIFO subsequence the deterministic schedule produced — only the
-// cross-destination interleaving is free to differ.
-func TestParallelDeliveryMatchesDeterministicSchedule(t *testing.T) {
-	det := runSeededWorkload(t)
-	par := runSeededWorkload(t, WithParallelDelivery())
-
-	for addr, want := range det {
-		got := par[addr]
-		// Same multiset of deliveries per receiver.
-		ws, gs := append([]string(nil), want...), append([]string(nil), got...)
-		sort.Strings(ws)
-		sort.Strings(gs)
-		if strings.Join(ws, ",") != strings.Join(gs, ",") {
-			t.Fatalf("%s delivered set diverged:\n got %v\nwant %v", addr, gs, ws)
-		}
-		// Identical per-sender subsequences (per-link FIFO is mode-independent:
-		// a destination maps to one shard and one drainer in either mode).
-		for _, sender := range []string{"s0", "s1", "s2"} {
-			var wantSub, gotSub []string
-			for _, p := range want {
-				if strings.HasPrefix(p, sender) {
-					wantSub = append(wantSub, p)
-				}
-			}
-			for _, p := range got {
-				if strings.HasPrefix(p, sender) {
-					gotSub = append(gotSub, p)
-				}
-			}
-			if strings.Join(wantSub, ",") != strings.Join(gotSub, ",") {
-				t.Fatalf("%s: %s subsequence diverged:\n got %v\nwant %v",
-					addr, sender, gotSub, wantSub)
-			}
-		}
-	}
-}
-
-// TestParallelDeliveryBasics exercises the parallel drainers through the
-// ordinary point-to-point, multicast, and close paths with a real clock.
-func TestParallelDeliveryBasics(t *testing.T) {
-	n := New(WithParallelDelivery(), WithDefaultLink(LinkProfile{Latency: time.Millisecond}))
-	a, _ := n.Endpoint("a")
-	b, _ := n.Endpoint("b")
-	c, _ := n.Endpoint("c")
-	if err := a.Multicast([]string{"b", "c"}, testMsg(msg.KindUpdate, "fan")); err != nil {
-		t.Fatal(err)
-	}
-	const k = 50
-	for i := 0; i < k; i++ {
-		if err := a.Send("b", &msg.Message{Kind: msg.KindUpdate, Object: "o", NetSeq: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := recvOne(t, b); string(got.Payload) != "fan" {
-		t.Fatalf("multicast payload = %q", got.Payload)
-	}
-	if got := recvOne(t, c); string(got.Payload) != "fan" {
-		t.Fatalf("multicast payload = %q", got.Payload)
-	}
-	for i := 0; i < k; i++ {
-		m := recvOne(t, b)
-		if m.NetSeq != uint64(i) {
-			t.Fatalf("out-of-order delivery on same link: got %d want %d", m.NetSeq, i)
-		}
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := <-b.Recv(); ok {
-		t.Fatal("recv channel should be closed after network close")
 	}
 }

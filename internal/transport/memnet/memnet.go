@@ -13,6 +13,21 @@
 // a loss rate models the UDP configuration of §4.2, where reliability is
 // recovered by the coherence protocol rather than the transport.
 //
+// Delivery. Send draws loss, jitter and duplication for the frame from the
+// sender's own seeded RNG, in that order. A frame whose drawn delay is zero,
+// that was not duplicated, and whose destination has nothing waiting in the
+// delivery schedule is decoded and placed in the destination inbox by the
+// sender itself, before Send returns: one goroutine wake-up per hop, the
+// receiver's. Every other frame — delayed, duplicated, behind a scheduled
+// frame for the same destination, or facing a full inbox — goes to the
+// schedule, which one scheduler goroutine drains in (time, enqueue order).
+// Which path a frame takes follows from the link profile and the state of
+// the destination, never from an option. What a seed fixes is therefore the
+// per-sender sequence of draws and the order in which delayed frames arrive;
+// frames on instant links arrive in the order their senders ran. Per
+// (sender, destination) order is FIFO across both paths, and Send never
+// blocks and never runs receiver code on either.
+//
 //globelint:deterministic
 package memnet
 
@@ -96,25 +111,25 @@ func (c *counters) reset() {
 	}
 }
 
+// inboxSize is an endpoint's receive buffer, in frames: room for the bursts
+// a store fans out (a batch relay to every child, a demand replay) without
+// its receivers' loops having to keep pace frame by frame. A frame that finds
+// the buffer full waits in the delivery schedule, never in its sender.
+const inboxSize = 1024
+
 // numShards is the number of delivery-queue shards. Destinations are hashed
 // onto shards, so concurrent senders contend only when they target the same
 // shard; 16 comfortably covers the core counts this simulator runs on.
 const numShards = 16
 
 // shard is one slice of the delivery schedule: a min-heap of pending
-// deliveries with its own lock and FIFO tiebreak sequence. In parallel
-// delivery mode each shard also owns its drainer's wake state (mirroring the
-// Network-level fields the single scheduler uses). The struct is padded out
-// so neighbouring shards do not false-share a cache line.
+// deliveries with its own lock and FIFO tiebreak sequence. The struct is
+// padded out so neighbouring shards do not false-share a cache line.
 type shard struct {
 	mu    sync.Mutex
 	seq   uint64
 	queue deliveryQueue
-	// sleepUntil/wake serve the shard's own drain goroutine in parallel
-	// mode; unused (zero) in deterministic mode.
-	sleepUntil atomic.Int64
-	wake       chan struct{}
-	_          [8]byte
+	_     [24]byte
 }
 
 // Network is a simulated network. Create endpoints with Endpoint, wire their
@@ -125,10 +140,10 @@ type shard struct {
 // read-write mutex that the send path only read-locks; loss/jitter/dup
 // randomness comes from per-endpoint RNGs; and scheduled deliveries live in
 // per-destination shards, so N concurrent senders to distinct destinations
-// share no exclusive lock. By default one scheduler goroutine (the clock
-// driver) drains all shards in timestamp order, which makes seeded runs
-// reproduce their exact delivery order; WithParallelDelivery trades that
-// determinism for one drain goroutine per shard.
+// share no exclusive lock. One scheduler goroutine (the clock driver) drains
+// all shards in timestamp order, which makes seeded runs reproduce the exact
+// delivery order of their delayed frames; instant frames skip it (see the
+// package comment).
 type Network struct {
 	mu        sync.RWMutex
 	endpoints map[string]*endpoint
@@ -141,11 +156,10 @@ type Network struct {
 	parts     map[linkKey]bool
 	closed    bool
 
-	seed     int64
-	clk      clock.Clock
-	parallel bool
-	stats    counters
-	shards   [numShards]shard
+	seed   int64
+	clk    clock.Clock
+	stats  counters
+	shards [numShards]shard
 	// sleepUntil is the scheduler's planned wake time (UnixNano); senders
 	// skip the wake signal when their delivery is not earlier. While the
 	// scheduler is awake (scanning or delivering) it holds MaxInt64, so
@@ -181,21 +195,6 @@ func WithClock(c clock.Clock) Option {
 	return func(n *Network) { n.clk = c }
 }
 
-// WithParallelDelivery replaces the single delivery scheduler with one drain
-// goroutine per shard. Each destination still maps to exactly one shard, so
-// per-(sender,destination) FIFO order and the (time, seq) schedule within a
-// shard are preserved — but deliveries to *different* destinations interleave
-// nondeterministically across drainers, and decode (DecodeAlias) runs
-// concurrently shard-by-shard instead of serialising on one goroutine.
-//
-// Use it for throughput work (load generation, contention benchmarks at
-// GOMAXPROCS>1). Leave it off — the default — wherever a seeded run must
-// reproduce its exact delivery order: the chaos harness and every seeded
-// regression test rely on the deterministic single-drainer schedule.
-func WithParallelDelivery() Option {
-	return func(n *Network) { n.parallel = true }
-}
-
 // New creates a network. By default links are instantaneous and lossless.
 func New(opts ...Option) *Network {
 	n := &Network{
@@ -211,18 +210,8 @@ func New(opts ...Option) *Network {
 		o(n)
 	}
 	n.sleepUntil.Store(math.MaxInt64)
-	if n.parallel {
-		for i := range n.shards {
-			sh := &n.shards[i]
-			sh.wake = make(chan struct{}, 1)
-			sh.sleepUntil.Store(math.MaxInt64)
-			n.wg.Add(1)
-			go n.runShard(sh)
-		}
-	} else {
-		n.wg.Add(1)
-		go n.run()
-	}
+	n.wg.Add(1)
+	go n.run()
 	return n
 }
 
@@ -251,7 +240,7 @@ func (n *Network) Endpoint(addr string) (transport.Endpoint, error) {
 	e := &endpoint{
 		net:   n,
 		addr:  addr,
-		inbox: make(chan *msg.Message, 1024),
+		inbox: make(chan *msg.Message, inboxSize),
 		shard: &n.shards[h%numShards],
 		rng:   rand.New(rand.NewSource(n.seed ^ int64(h))),
 	}
@@ -353,16 +342,17 @@ func (n *Network) resolveLocked(from, to string) (hop, bool) {
 }
 
 // send enqueues a message for delivery, applying the link profile. The
-// topology is only read-locked, so concurrent senders do not serialise.
+// topology is only read-locked, so concurrent senders do not serialise; the
+// lock is held through enqueue so that an inline hand-over can race neither
+// Network.Close closing the inbox nor retire draining it.
 func (n *Network) send(src *endpoint, to string, m *msg.Message) error {
 	wire := msg.Encode(m)
 	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if n.closed {
-		n.mu.RUnlock()
 		return transport.ErrClosed
 	}
 	h, ok := n.resolveLocked(src.addr, to)
-	n.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownAddr, to)
 	}
@@ -386,11 +376,9 @@ func (n *Network) multicast(src *endpoint, tos []string, m *msg.Message) error {
 	}
 	wire := msg.Encode(m)
 	var firstErr error
-	var hopArr [8]hop
-	hops := hopArr[:0]
 	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if n.closed {
-		n.mu.RUnlock()
 		return transport.ErrClosed
 	}
 	for _, to := range tos {
@@ -401,21 +389,19 @@ func (n *Network) multicast(src *endpoint, tos []string, m *msg.Message) error {
 			}
 			continue
 		}
-		hops = append(hops, h)
-	}
-	n.mu.RUnlock()
-	for i := range hops {
-		n.enqueue(src, hops[i], wire)
+		n.enqueue(src, h, wire)
 	}
 	return firstErr
 }
 
-// enqueue applies the link profile and schedules the wire bytes on the
-// destination's shard. The destination endpoint is captured by pointer at
-// enqueue time so a delivery in flight when the endpoint closes is never
-// handed to a fresh endpoint that reuses the address. Loss, jitter, and
-// duplication randomness come from the sender's own RNG, so senders never
-// contend on a shared randomness source.
+// enqueue applies the link profile and hands the wire bytes over: inline to
+// the destination inbox when the frame is instant and nothing is scheduled
+// ahead of it, onto the destination's shard otherwise. Callers hold the
+// topology read lock. The destination endpoint is captured by pointer so a
+// delivery in flight when the endpoint closes is never handed to a fresh
+// endpoint that reuses the address. Loss, jitter, and duplication randomness
+// come from the sender's own RNG, so senders never contend on a shared
+// randomness source.
 func (n *Network) enqueue(src *endpoint, h hop, wire []byte) {
 	n.stats.sent.Add(1)
 	if h.part {
@@ -445,46 +431,48 @@ func (n *Network) enqueue(src *endpoint, h hop, wire []byte) {
 		}
 		src.rngMu.Unlock()
 	}
+	dst := h.dst
+	// The scheduled count is read without the shard lock: this sender's own
+	// earlier frames to dst were counted before their Send returned and are
+	// uncounted only once they sit in the inbox, so a zero here means none of
+	// them can be overtaken. Other senders' frames carry no order promise.
+	if delay == 0 && !dup && dst.scheduled.Load() == 0 && n.deliverOne(dst, wire, false) {
+		return
+	}
 	at := n.clk.Now().Add(delay)
-	sh := h.dst.shard
+	sh := dst.shard
 	sh.mu.Lock()
 	sh.seq++
-	heap.Push(&sh.queue, &delivery{at: at, seq: sh.seq, ep: h.dst, wire: wire})
+	dst.scheduled.Add(1)
+	heap.Push(&sh.queue, &delivery{at: at, seq: sh.seq, ep: dst, wire: wire})
 	if dup {
 		n.stats.duplicated.Add(1)
 		sh.seq++
-		heap.Push(&sh.queue, &delivery{at: at.Add(extra - delay), seq: sh.seq, ep: h.dst, wire: wire})
+		dst.scheduled.Add(1)
+		heap.Push(&sh.queue, &delivery{at: at.Add(extra - delay), seq: sh.seq, ep: dst, wire: wire})
 	}
 	sh.mu.Unlock()
-	// Wake the drainer only when this delivery is due before its planned
-	// wake-up; a sleeping drainer rescans its queue when it wakes, so later
-	// deliveries need no signal. In parallel mode the signal targets the
-	// destination shard's own drainer rather than the global scheduler.
-	if n.parallel {
-		if at.UnixNano() < sh.sleepUntil.Load() {
-			wakeChan(sh.wake)
-		}
-		return
-	}
+	// Wake the scheduler only when this delivery is due before its planned
+	// wake-up; a sleeping scheduler rescans its queues when it wakes, so
+	// later deliveries need no signal.
 	if at.UnixNano() < n.sleepUntil.Load() {
 		n.wakeScheduler()
 	}
 }
 
-func (n *Network) wakeScheduler() { wakeChan(n.wake) }
-
-// wakeChan posts a non-blocking wake token; a full buffer already guarantees
-// the sleeper's next select returns immediately.
-func wakeChan(ch chan struct{}) {
+// wakeScheduler posts a non-blocking wake token; a full buffer already
+// guarantees the scheduler's next select returns immediately.
+func (n *Network) wakeScheduler() {
 	select {
-	case ch <- struct{}{}:
+	case n.wake <- struct{}{}:
 	default:
 	}
 }
 
-// run is the delivery scheduler (the clock driver): it sleeps until the
-// earliest queued delivery across all shards is due, then drains every due
-// delivery into its destination inbox.
+// run is the delivery scheduler (the clock driver), a timer for the frames
+// senders could not hand over themselves: it sleeps until the earliest queued
+// delivery across all shards is due, then drains every due delivery into its
+// destination inbox.
 func (n *Network) run() {
 	defer n.wg.Done()
 	for {
@@ -516,49 +504,9 @@ func (n *Network) run() {
 	}
 }
 
-// runShard is one shard's delivery drainer in parallel mode: the same
-// sleep-until-due loop as run, scoped to a single shard's queue. Decoding
-// happens on this goroutine, so shards decode concurrently; an endpoint
-// inbox at capacity blocks only the shard that owns that destination.
-func (n *Network) runShard(sh *shard) {
-	defer n.wg.Done()
-	for {
-		// Awake: racing enqueues on this shard signal sh.wake, whose
-		// buffered token makes the next select return immediately.
-		sh.sleepUntil.Store(math.MaxInt64)
-		sh.mu.Lock()
-		var next time.Time
-		ok := sh.queue.Len() > 0
-		if ok {
-			next = sh.queue[0].at
-		}
-		sh.mu.Unlock()
-		if !ok {
-			select {
-			case <-n.done:
-				return
-			case <-sh.wake:
-				continue
-			}
-		}
-		wait := next.Sub(n.clk.Now())
-		if wait > 0 {
-			sh.sleepUntil.Store(next.UnixNano())
-			select {
-			case <-n.done:
-				return
-			case <-sh.wake:
-				continue // an earlier delivery may have arrived
-			case <-n.clk.After(wait):
-			}
-		}
-		n.drainShard(sh)
-	}
-}
-
 // drainShard pops and delivers every due message on one shard, in (time,
-// seq) order — the per-destination FIFO promise is unchanged from the
-// single-scheduler path because a destination maps to exactly one shard.
+// seq) order. A delivery stays counted as scheduled until it is in the inbox
+// (or discarded), which is what keeps inline senders behind it.
 func (n *Network) drainShard(sh *shard) {
 	for {
 		sh.mu.Lock()
@@ -568,7 +516,8 @@ func (n *Network) drainShard(sh *shard) {
 		}
 		d := heap.Pop(&sh.queue).(*delivery)
 		sh.mu.Unlock()
-		n.deliverOne(d)
+		n.deliverOne(d.ep, d.wire, true)
+		d.ep.scheduled.Add(-1)
 	}
 }
 
@@ -601,29 +550,53 @@ func (n *Network) deliverDue() {
 	}
 }
 
-// deliverOne decodes and hands one due delivery to its destination inbox.
-func (n *Network) deliverOne(d *delivery) {
-	e := d.ep
-	if e.isClosed() {
-		return
+// deliverOne decodes one frame and places it in its destination inbox. The
+// scheduler passes wait and blocks on a full inbox until there is room or the
+// network shuts down; a sender passes false and gets false back to schedule
+// the frame instead. True means the frame needs no further handling:
+// delivered, or discarded because the endpoint closed.
+func (n *Network) deliverOne(e *endpoint, wire []byte, wait bool) bool {
+	if e.closed.Load() {
+		return true
 	}
-	// Zero-copy decode: the scheduler never reuses a frame, and multicast
-	// frames are shared read-only, so the delivered message may alias the
-	// wire bytes.
-	m, err := msg.DecodeAlias(d.wire)
+	// Zero-copy decode: a frame is never reused, and multicast frames are
+	// shared read-only, so the delivered message may alias the wire bytes.
+	m, err := msg.DecodeAlias(wire)
 	if err != nil {
 		// Encode/Decode are inverses; a failure here is a programming
 		// error surfaced loudly in tests via the dropped counter.
 		n.stats.dropped.Add(1)
-		return
+		return true
 	}
-	if e.deliver(m, n.done) {
-		n.stats.delivered.Add(1)
-		n.stats.bytes.Add(uint64(len(d.wire)))
-		if k := int(m.Kind); k >= 0 && k < msg.KindCount {
-			n.stats.byKind[k].Add(1)
+	if wait {
+		select {
+		case e.inbox <- m:
+		case <-n.done:
+			return true
+		}
+	} else {
+		select {
+		case e.inbox <- m:
+		default:
+			return false
 		}
 	}
+	if e.closed.Load() {
+		// Close raced with the hand-over: retire's drain may already have
+		// run, so scoop a buffered message back out rather than pin it (and
+		// the wire frame it aliases) until the network closes.
+		select {
+		case <-e.inbox:
+		default:
+		}
+		return true
+	}
+	n.stats.delivered.Add(1)
+	n.stats.bytes.Add(uint64(len(wire)))
+	if k := int(m.Kind); k >= 0 && k < msg.KindCount {
+		n.stats.byKind[k].Add(1)
+	}
+	return true
 }
 
 // delivery is one scheduled message hand-off, pinned to the endpoint that
@@ -665,12 +638,14 @@ type endpoint struct {
 	addr  string
 	inbox chan *msg.Message
 	shard *shard
+	// scheduled counts the frames for this endpoint that sit in its shard
+	// or are being delivered from it; senders hand over inline only at zero.
+	scheduled atomic.Int32
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 var _ transport.Endpoint = (*endpoint)(nil)
@@ -681,14 +656,14 @@ var _ transport.Fabric = (*Network)(nil)
 func (e *endpoint) Addr() string { return e.addr }
 
 func (e *endpoint) Send(to string, m *msg.Message) error {
-	if e.isClosed() {
+	if e.closed.Load() {
 		return transport.ErrClosed
 	}
 	return e.net.send(e, to, m)
 }
 
 func (e *endpoint) Multicast(tos []string, m *msg.Message) error {
-	if e.isClosed() {
+	if e.closed.Load() {
 		return transport.ErrClosed
 	}
 	return e.net.multicast(e, tos, m)
@@ -701,14 +676,9 @@ func (e *endpoint) Recv() <-chan *msg.Message { return e.inbox }
 // receive channel stays open (draining nothing) until the network closes,
 // per the Recv contract.
 func (e *endpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
+	if !e.closed.Swap(true) {
+		e.net.retire(e)
 	}
-	e.closed = true
-	e.mu.Unlock()
-	e.net.retire(e)
 	return nil
 }
 
@@ -737,41 +707,10 @@ func (n *Network) retire(e *endpoint) {
 	}
 }
 
-func (e *endpoint) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
-// deliver places m in the inbox, giving up if the network shuts down while
-// the inbox is full. It reports whether the message was delivered.
-func (e *endpoint) deliver(m *msg.Message, done <-chan struct{}) bool {
-	if e.isClosed() {
-		return false
-	}
-	select {
-	case e.inbox <- m:
-		if e.isClosed() {
-			// Close raced with the send: retire's drain may already have
-			// run, so scoop a buffered message back out rather than pin it
-			// (and the wire frame it aliases) until the network closes.
-			select {
-			case <-e.inbox:
-			default:
-			}
-			return false
-		}
-		return true
-	case <-done:
-		return false
-	}
-}
-
-// closeInbox is called exactly once by Network.Close after the scheduler has
-// stopped, so no further sends into the inbox can occur.
+// closeInbox is called exactly once by Network.Close, after the scheduler
+// has stopped and with the network marked closed under the topology lock
+// senders hand over under, so no further sends into the inbox can occur.
 func (e *endpoint) closeInbox() {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
+	e.closed.Store(true)
 	close(e.inbox)
 }

@@ -2,11 +2,13 @@ package memnet
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/transport"
@@ -450,5 +452,204 @@ func TestMulticastBestEffortPastClosedDestination(t *testing.T) {
 		if got := recvOne(t, s); string(got.Payload) != "go" {
 			t.Fatalf("live destination starved: %q", got.Payload)
 		}
+	}
+}
+
+// seqMsg is a frame whose NetSeq records its position in a sender's stream.
+func seqMsg(i int) *msg.Message {
+	return &msg.Message{Kind: msg.KindUpdate, Object: "o", NetSeq: uint64(i)}
+}
+
+// TestFIFOAcrossInlineAndScheduledDelivery: on an instant link a sender hands
+// frames over itself until the inbox fills, the overflow waits in the
+// schedule, and frames sent while the scheduler works that backlog off must
+// queue behind it. The receiver sees the sender's order throughout.
+func TestFIFOAcrossInlineAndScheduledDelivery(t *testing.T) {
+	n := New()
+	defer n.Close()
+	a, _ := n.Endpoint("a")
+	b, _ := n.Endpoint("b")
+	const k = 300
+	next := 0
+	send := func(count int) {
+		for i := 0; i < count; i++ {
+			if err := a.Send("b", seqMsg(next)); err != nil {
+				t.Error(err)
+				return
+			}
+			next++
+		}
+	}
+	send(inboxSize) // handed over inline: nobody is reading
+	if got := len(b.Recv()); got != inboxSize {
+		t.Fatalf("inbox holds %d frames after %d inline sends", got, inboxSize)
+	}
+	send(k) // the inbox is full: these wait in the schedule
+	if got := b.(*endpoint).scheduled.Load(); got != k {
+		t.Fatalf("%d frames scheduled behind a full inbox, want %d", got, k)
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		send(k) // races the scheduler draining the backlog
+	}()
+	for i := 0; i < inboxSize+2*k; i++ {
+		if m := recvOne(t, b); m.NetSeq != uint64(i) {
+			t.Fatalf("frame %d arrived in position %d", m.NetSeq, i)
+		}
+	}
+	<-sent
+}
+
+// TestSendNeverBlocksOnFullInboxes: two endpoints whose inboxes are full send
+// to each other at once, as two store loops relaying to each other would.
+// Neither Send may wait for the other side to read.
+func TestSendNeverBlocksOnFullInboxes(t *testing.T) {
+	n := New()
+	defer n.Close()
+	a, _ := n.Endpoint("a")
+	b, _ := n.Endpoint("b")
+	for i := 0; i < inboxSize; i++ {
+		if err := a.Send("b", seqMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Send("a", seqMsg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const k = 100
+	var wg sync.WaitGroup
+	for _, pair := range [][2]transport.Endpoint{{a, b}, {b, a}} {
+		wg.Add(1)
+		go func(from, to transport.Endpoint) {
+			defer wg.Done()
+			for i := 0; i < k; i++ {
+				if err := from.Send(to.Addr(), seqMsg(inboxSize+i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(pair[0], pair[1])
+	}
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send blocked on a full inbox")
+	}
+	// Both sides read at once: the one scheduler waits on whichever full
+	// inbox it reached first, so draining them in turn could starve the
+	// second of the frames scheduled for it.
+	for _, ep := range []transport.Endpoint{a, b} {
+		wg.Add(1)
+		go func(ep transport.Endpoint) {
+			defer wg.Done()
+			for i := 0; i < inboxSize+k; i++ {
+				select {
+				case m := <-ep.Recv():
+					if m.NetSeq != uint64(i) {
+						t.Errorf("%s: frame %d arrived in position %d", ep.Addr(), m.NetSeq, i)
+						return
+					}
+				case <-time.After(5 * time.Second):
+					t.Errorf("%s: timed out waiting for frame %d", ep.Addr(), i)
+					return
+				}
+			}
+		}(ep)
+	}
+	wg.Wait()
+}
+
+// TestCloseRacingInlineDelivery: an endpoint closes while a sender is handing
+// frames over inline. Whatever the interleaving, the retired inbox ends up
+// empty (no frame pinned until the network closes) and an endpoint created
+// at the same address afterwards receives none of the old traffic.
+func TestCloseRacingInlineDelivery(t *testing.T) {
+	n := New()
+	defer n.Close()
+	a, _ := n.Endpoint("a")
+	for round := 0; round < 200; round++ {
+		b, err := n.Endpoint("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for i := 0; i < 50; i++ {
+				// Unknown-address errors are the close winning the race.
+				_ = a.Send("b", seqMsg(i))
+			}
+		}()
+		if round%2 == 1 {
+			time.Sleep(time.Duration(round) * time.Microsecond / 8)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-sent
+		if got := len(b.(*endpoint).inbox); got != 0 {
+			t.Fatalf("round %d: %d frames left in the retired inbox", round, got)
+		}
+		b2, err := n.Endpoint("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(b2.Recv()); got != 0 {
+			t.Fatalf("round %d: fresh endpoint received %d frames sent to its predecessor", round, got)
+		}
+		if err := b2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStatsSameInlineAndScheduled: the counters do not depend on which path a
+// frame took. The same seeded traffic — unicast, multicast, link loss, a
+// partition — is sent over an instant link (inline hand-over) and over a
+// 1 µs link on a fake clock (every frame through the scheduler).
+func TestStatsSameInlineAndScheduled(t *testing.T) {
+	run := func(latency time.Duration) Stats {
+		fc := clock.NewFake()
+		n := New(WithSeed(42), WithClock(fc), WithDefaultLink(LinkProfile{Latency: latency, Loss: 0.2}))
+		defer n.Close()
+		a, _ := n.Endpoint("a")
+		for _, addr := range []string{"b", "c", "d"} {
+			if _, err := n.Endpoint(addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Partition("a", "d")
+		kinds := []msg.Kind{msg.KindUpdate, msg.KindInvalidate, msg.KindReadReply}
+		for i := 0; i < 120; i++ {
+			m := testMsg(kinds[i%len(kinds)], "payload-"+string(rune('a'+i%7)))
+			var err error
+			if i%4 == 0 {
+				err = a.Multicast([]string{"b", "c", "d"}, m)
+			} else {
+				err = a.Send([]string{"b", "c", "d"}[i%3], m)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for s := n.Stats(); s.Delivered < s.Sent-s.Dropped; s = n.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("delivered %d of %d before deadline", s.Delivered, s.Sent-s.Dropped)
+			}
+			fc.Advance(time.Microsecond)
+			time.Sleep(time.Millisecond)
+		}
+		return n.Stats()
+	}
+	inline, scheduled := run(0), run(time.Microsecond)
+	if inline.Dropped == 0 || inline.Delivered == 0 {
+		t.Fatalf("traffic exercised nothing: %+v", inline)
+	}
+	if !reflect.DeepEqual(inline, scheduled) {
+		t.Fatalf("stats differ by delivery path:\n inline    %+v\n scheduled %+v", inline, scheduled)
 	}
 }

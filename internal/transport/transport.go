@@ -53,7 +53,15 @@ type Endpoint interface {
 	Addr() string
 	// Send transmits m to the endpoint at address to. Delivery may be
 	// delayed, reordered relative to other senders, or dropped, depending
-	// on the transport; Send itself never blocks on delivery.
+	// on the transport; frames from one sender to one destination that do
+	// arrive, arrive in the order sent unless the link itself reorders
+	// (memnet jitter). Send itself never blocks on delivery, and never
+	// runs the receiver's code: the most it does on the caller's goroutine
+	// is place the frame in the destination's receive buffer, which memnet
+	// does for a frame with no delay to wait out (see its package comment;
+	// a full buffer or an earlier frame still in the delivery schedule
+	// hands the frame to the scheduler instead). m is encoded before Send
+	// returns and not retained, so the caller may reuse it.
 	Send(to string, m *msg.Message) error
 	// Multicast transmits m to every address in tos. It is the multicast
 	// facility the paper's Web-server communication object offers in
