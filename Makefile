@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fix check bench
+.PHONY: build test race lint fix check bench loc
 
 build:
 	$(GO) build ./...
@@ -34,3 +34,12 @@ check: build test lint
 # .bench_build/.
 bench:
 	bash bench/run.sh $(ARGS)
+
+# Non-blank, non-comment lines of non-test Go per package: the figure PRs
+# that claim to simplify quote (CHANGES.md), as one command.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
+		printf '%6d  %s\n' $$n $$(realpath --relative-to=. $$d); \
+	done | sort -k2; \
+	printf '%6d  total\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)

@@ -903,8 +903,8 @@ func BenchmarkE2E_LossyTransportRecovery(b *testing.B) {
 // BenchmarkFabric_EndToEndPutGet measures one full public-API round trip —
 // typed-handle Put (write ordered and applied at the store) followed by Get
 // — through the identical deployment code over each fabric. It is the
-// webobj-level end-to-end number the BENCH_<n>.json trajectory tracks: any
-// regression anywhere on the handle → proxy → transport → store event loop
+// webobj-level end-to-end micro row (bench/ gates the same path under a
+// workload): any regression anywhere on the handle → proxy → transport → store event loop
 // → control path shows up here.
 func BenchmarkFabric_EndToEndPutGet(b *testing.B) {
 	for _, fab := range []struct {

@@ -78,7 +78,7 @@ type LatencySummary struct {
 	Max   int64  `json:"max_ns"`
 }
 
-// Report is the outcome of a run, shaped for BENCH_9.json rows.
+// Report is the outcome of a run, in the JSON shape globeload prints.
 type Report struct {
 	Offered     int     `json:"offered_ops"`
 	Completed   uint64  `json:"completed_ops"`

@@ -27,18 +27,14 @@ import (
 // already pending, when heartbeats are disabled, or while the store has no
 // subscribed children to tell.
 func (o *Object) armDigest() {
-	if o.digestArmed || o.closed || o.digestInterval <= 0 || len(o.children) == 0 {
-		return
+	if o.digestInterval > 0 && len(o.children) > 0 && !o.digestTimer.armed() {
+		o.arm(o.digestTimer, o.digestPeriod())
 	}
-	o.digestArmed = true
-	o.digestTimer = o.env.AfterFunc(o.digestPeriod(), func() {
-		o.digestArmed = false
-		if o.closed {
-			return
-		}
-		o.digestRound()
-		o.armDigest()
-	})
+}
+
+func (o *Object) digest() {
+	o.digestRound()
+	o.armDigest()
 }
 
 // digestPeriod is the configured interval plus a deterministic jitter in
@@ -61,14 +57,9 @@ func (o *Object) digestRound() {
 	if len(tos) == 0 {
 		return
 	}
-	m := &msg.Message{
-		Kind:      msg.KindDigest,
-		Object:    o.object,
-		From:      o.addr,
-		Store:     o.self,
-		VVec:      o.appliedVec(),
-		GlobalSeq: o.engine.Global(),
-	}
+	m := o.frame(msg.KindDigest, nil)
+	m.VVec = o.appliedVec()
+	m.GlobalSeq = o.engine.Global()
 	o.multicast(tos, m)
 	o.stats.DigestsSent += uint64(len(tos))
 }
@@ -87,7 +78,7 @@ func (o *Object) onDigest(m *msg.Message) {
 	// bootstrap ack never arrived (lost on the wire, or the retry budget ran
 	// out), re-subscribe now — the fresh ack re-seeds the engine and restores
 	// a replica the send-once protocol would have stranded half-initialised.
-	if o.subWanted && !o.subAcked && !o.subArmed {
+	if o.subWanted && !o.subAcked && !o.subTimer.armed() {
 		o.subRetries = 0
 		o.sendSubscribe()
 	}
@@ -127,5 +118,5 @@ func (o *Object) onDigest(m *msg.Message) {
 // unanswered: its retry timer is armed and no coherence response has arrived
 // since it was sent.
 func (o *Object) demandOutstanding() bool {
-	return o.demandRetryArmed && o.revalEpoch == o.demandEpoch
+	return o.demandRetryTimer.armed() && o.revalEpoch == o.demandEpoch
 }

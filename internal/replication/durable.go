@@ -115,15 +115,15 @@ func (o *Object) walAppendChild(addr string, remove bool) {
 func (o *Object) walAfterAppend() {
 	o.stats.WALAppends++
 	o.obsv.walAppends.Inc()
-	if o.walPolicy == wal.SyncInterval && !o.walSyncArmed && o.walSyncInterval > 0 {
-		o.walSyncArmed = true
-		o.walSyncTimer = o.env.AfterFunc(o.walSyncInterval, func() {
-			o.walSyncArmed = false
-			if o.closed || o.wal == nil {
-				return
-			}
-			_ = o.wal.Sync()
-		})
+	if o.walPolicy == wal.SyncInterval && o.walSyncInterval > 0 {
+		o.arm(o.walSyncTimer, o.walSyncInterval)
+	}
+}
+
+// walSync is the interval policy's periodic flush.
+func (o *Object) walSync() {
+	if o.wal != nil {
+		_ = o.wal.Sync()
 	}
 }
 
@@ -352,11 +352,9 @@ func (o *Object) recover(rec *wal.Recovery) {
 	if grace <= 0 {
 		grace = 2 * time.Second
 	}
-	o.recoverGraceTimer = o.env.AfterFunc(grace, func() {
-		// Children unreachable (maybe they crashed too): serve what disk
-		// had rather than blocking forever.
-		o.finishRecovery()
-	})
+	// Children unreachable (maybe they crashed too): finishRecovery then
+	// serves what disk had rather than blocking forever.
+	o.arm(o.recoverGraceTimer, grace)
 }
 
 // sendRecoveryDemands asks every still-pending child for updates beyond our
@@ -364,37 +362,33 @@ func (o *Object) recover(rec *wal.Recovery) {
 func (o *Object) sendRecoveryDemands() {
 	for c := range o.recoverPending {
 		o.stats.DemandsSent++
-		o.send(c, &msg.Message{
-			Kind:  msg.KindDemandUpdate,
-			From:  o.addr,
-			Store: o.self,
-			VVec:  o.appliedVec(),
-		})
+		d := o.frame(msg.KindDemandUpdate, nil)
+		d.VVec = o.appliedVec()
+		o.send(c, d)
 	}
 }
 
 // armRecoveryRetry re-demands from unanswered children on the demand-retry
 // cadence, bounded like any demand cycle.
 func (o *Object) armRecoveryRetry() {
-	if o.closed || !o.recovering {
-		return
-	}
 	d := o.demandRetry
 	if d <= 0 {
 		d = 50 * time.Millisecond
 	}
-	o.recoverRetryTimer = o.env.AfterFunc(d, func() {
-		if o.closed || !o.recovering {
-			return
-		}
-		o.recoverRetries++
-		if o.recoverRetries > maxDemandRetries {
-			o.finishRecovery()
-			return
-		}
-		o.sendRecoveryDemands()
-		o.armRecoveryRetry()
-	})
+	o.arm(o.recoverRetryTimer, d)
+}
+
+func (o *Object) retryRecovery() {
+	if !o.recovering {
+		return
+	}
+	o.recoverRetries++
+	if o.recoverRetries > maxDemandRetries {
+		o.finishRecovery()
+		return
+	}
+	o.sendRecoveryDemands()
+	o.armRecoveryRetry()
 }
 
 // gateRecovering intercepts traffic while the gate is closed: client reads
@@ -404,7 +398,7 @@ func (o *Object) armRecoveryRetry() {
 func (o *Object) gateRecovering(m *msg.Message) bool {
 	switch m.Kind {
 	case msg.KindReadRequest, msg.KindWriteRequest:
-		o.replyErr(m, msg.StatusRetry, "store recovering from restart")
+		o.refuse(m, msg.StatusRetry, "store recovering from restart")
 		return true
 	case msg.KindUpdate, msg.KindUpdateBatch, msg.KindUpdateAck, msg.KindStateReply:
 		if o.recoverPending[m.From] {
@@ -427,12 +421,8 @@ func (o *Object) finishRecovery() {
 	}
 	o.recovering = false
 	o.recoverPending = nil
-	if o.recoverGraceTimer != nil {
-		o.recoverGraceTimer.Stop()
-	}
-	if o.recoverRetryTimer != nil {
-		o.recoverRetryTimer.Stop()
-	}
+	o.recoverGraceTimer.stop()
+	o.recoverRetryTimer.stop()
 	o.stats.RecoveryNanos = uint64(o.env.Now().Sub(o.recoverStart))
 	o.markAppliedStale()
 	o.reconsiderParked()

@@ -44,37 +44,28 @@ func (o *Object) Peers() []string {
 // armGossip schedules the next anti-entropy round. The lazy interval doubles
 // as the gossip period (both express "how stale may replicas drift").
 func (o *Object) armGossip() {
-	if o.gossipArmed || o.closed || len(o.peers) == 0 {
+	if len(o.peers) == 0 {
 		return
 	}
 	period := o.strat.LazyInterval
 	if period <= 0 {
 		period = o.strat.PullInterval
 	}
-	if period <= 0 {
-		return // no periodic behaviour configured; gossip on demand only
+	if period > 0 { // else no periodic behaviour configured; gossip on demand only
+		o.arm(o.gossipTimer, period)
 	}
-	o.gossipArmed = true
-	o.gossipTimer = o.env.AfterFunc(period, func() {
-		o.gossipArmed = false
-		if o.closed {
-			return
-		}
-		o.gossipRound()
-		o.armGossip()
-	})
+}
+
+func (o *Object) gossip() {
+	o.gossipRound()
+	o.armGossip()
 }
 
 // gossipRound sends this replica's digest to every peer.
 func (o *Object) gossipRound() {
 	for peer := range o.peers {
-		g := &msg.Message{
-			Kind:   msg.KindGossip,
-			Object: o.object,
-			From:   o.addr,
-			Store:  o.self,
-			VVec:   o.appliedVec(),
-		}
+		g := o.frame(msg.KindGossip, nil)
+		g.VVec = o.appliedVec()
 		o.send(peer, g)
 		o.stats.GossipRounds++
 	}
@@ -85,9 +76,7 @@ func (o *Object) gossipRound() {
 // own digest so the exchange is symmetric.
 func (o *Object) onGossip(m *msg.Message) {
 	o.sendUpdates(m.From, o.missingFrom(&m.VVec))
-	r := m.Reply(msg.KindGossipReply)
-	r.From = o.addr
-	r.Store = o.self
+	r := o.frame(msg.KindGossipReply, m)
 	r.VVec = o.appliedVec()
 	o.send(m.From, r)
 }

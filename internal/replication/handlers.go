@@ -49,14 +49,12 @@ func (o *Object) Handle(m *msg.Message) {
 		o.markAppliedStale()
 		o.revalEpoch++
 		o.reconsiderParked()
-	case msg.KindInvalidate:
+	case msg.KindInvalidate, msg.KindNotify:
 		o.onInvalidate(m)
-	case msg.KindNotify:
-		o.onNotify(m)
 	case msg.KindDemandUpdate:
 		o.onDemand(m)
 	case msg.KindStateRequest:
-		o.onStateRequest(m)
+		o.serveState(m, nil)
 	case msg.KindStateReply:
 		o.onStateReply(m)
 	case msg.KindSubscribe:
@@ -78,6 +76,56 @@ func (o *Object) Handle(m *msg.Message) {
 	}
 }
 
+// frame starts an outgoing message of kind k under this replica's header.
+// With re set it is the reply to re: addressed to re's sender, carrying its
+// correlation fields, status OK.
+func (o *Object) frame(k msg.Kind, re *msg.Message) *msg.Message {
+	var m *msg.Message
+	if re != nil {
+		m = re.Reply(k)
+	} else {
+		m = &msg.Message{Kind: k}
+	}
+	m.Object, m.From, m.Store = o.object, o.addr, o.self
+	return m
+}
+
+func (o *Object) send(to string, m *msg.Message) { _ = o.env.Send(to, m) }
+
+func (o *Object) multicast(tos []string, m *msg.Message) { _ = o.env.Multicast(tos, m) }
+
+// relayDown passes a coherence frame from the parent on to this store's own
+// children under this store's header (multi-layer hierarchies, Figure 2).
+// Pull children fetch on their own schedule.
+func (o *Object) relayDown(m *msg.Message) {
+	if len(o.children) == 0 || o.strat.Initiative != strategy.Push {
+		return
+	}
+	fwd := *m
+	fwd.From, fwd.Store = o.addr, o.self
+	o.multicast(o.Children(), &fwd)
+}
+
+// refuse answers a request this replica will not serve with an error status.
+// Only client reads and writes have a reply that carries one; a child's held
+// state request is dropped instead (its own retries and read deadlines bound
+// the wait), since any state reply would be installed as content.
+func (o *Object) refuse(m *msg.Message, st msg.Status, text string) {
+	var r *msg.Message
+	switch m.Kind {
+	case msg.KindReadRequest:
+		o.stats.ReadsFailed++
+		r = o.frame(msg.KindReadReply, m)
+	case msg.KindWriteRequest:
+		r = o.frame(msg.KindWriteReply, m)
+	default:
+		return
+	}
+	r.Status = st
+	r.Err = text
+	o.send(m.From, r)
+}
+
 // --- reads -----------------------------------------------------------------
 
 // onRead implements the access path: check session requirements (client-
@@ -89,22 +137,11 @@ func (o *Object) onRead(m *msg.Message) {
 	// If-Modified-Since pattern from the paper's introduction).
 	if o.strat.Initiative == strategy.Pull && o.strat.PullInterval <= 0 && o.parent != "" {
 		o.demandFromParent()
-		o.parkReval(m)
+		p := o.park(m, nil)
+		p.needsReval, p.epoch = true, o.revalEpoch
 		return
 	}
-	if !o.requirementMet(m) {
-		o.stats.ReqViolations++
-		switch o.strat.ClientOutdate {
-		case strategy.Demand:
-			// §4: "the cache first demands an update from the Web server".
-			o.demandFromParent()
-		case strategy.Wait:
-			// §4: the store "simply waits until a new write arrives".
-		}
-		o.park(m)
-		return
-	}
-	o.serveOrFetch(m)
+	o.serveRead(m, nil)
 }
 
 // requirementMet checks the read's session-guarantee requirement vector.
@@ -112,70 +149,82 @@ func (o *Object) requirementMet(m *msg.Message) bool {
 	return o.coversVec(&m.VVec)
 }
 
-// serveOrFetch serves the read locally, fetching missing/invalidated state
-// from the parent first when needed.
-func (o *Object) serveOrFetch(m *msg.Message) {
-	page := m.Inv.Page
-	if o.allInvalid || (page != "" && o.invalid[page]) {
-		if o.parent != "" {
-			o.parkFetch(m, page)
-			return
+// invalidated reports whether this replica may not hand out page (or, for
+// "", the object as a reader sees it) because a notice from upstream marked
+// it outdated. A store with no parent has nobody to refetch from: what it
+// holds is the object.
+func (o *Object) invalidated(page string) bool {
+	return o.parent != "" && (o.allInvalid || o.invalid[page])
+}
+
+// serveRead answers read m from the local semantics object, or parks it: for
+// coherence when its requirement vector is not covered, for state when the
+// page is invalidated or missing here and a parent can supply it. p is m's
+// parked entry when the read has waited before, nil on arrival. A miss that
+// outlives a completed full state transfer means the parent lacks the element
+// too, so the read fails with not-found rather than livelocking in a fetch →
+// state-reply → reconsider cycle.
+func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
+	if !o.requirementMet(m) {
+		if p == nil {
+			o.stats.ReqViolations++
+			// §4: under demand "the cache first demands an update from the
+			// Web server"; under wait the store "simply waits until a new
+			// write arrives".
+			if o.strat.ClientOutdate == strategy.Demand {
+				o.demandFromParent()
+			}
 		}
-	}
-	payload, err := o.env.ServeRead(m.Inv)
-	if err != nil {
-		// A cold or partially warm replica misses elements it never
-		// fetched; resolve through the parent per the access-transfer type.
-		if errors.Is(err, semantics.ErrNoElement) && o.parent != "" {
-			o.parkFetch(m, page)
-			return
-		}
-		o.stats.ReadsFailed++
-		o.replyErr(m, msg.StatusNotFound, err.Error())
+		o.park(m, p)
 		return
 	}
-	o.stats.ReadsServed++
-	r := m.Reply(msg.KindReadReply)
-	r.From = o.addr
-	r.Store = o.self
-	r.Payload = payload
-	r.VVec = o.appliedVec()
-	o.send(m.From, r)
-}
-
-// park queues a read until coherence or state arrives, with a deadline.
-func (o *Object) park(m *msg.Message) {
-	o.stats.ReadsParked++
-	p := &parkedRead{m: m, deadline: o.env.Now().Add(o.readTimeout)}
-	//globelint:ignore aliasretain parked read pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
-	o.parked = append(o.parked, p)
-	o.env.AfterFunc(o.readTimeout, func() { o.expireParked() })
-}
-
-// parkFetch requests state for a read's page and parks the read, recording
-// the fetch so a completed-but-still-missing full transfer fails the read
-// instead of refetching forever.
-func (o *Object) parkFetch(m *msg.Message, page string) {
-	o.fetch(page)
-	o.park(m)
-	p := o.parked[len(o.parked)-1]
-	p.fetchTried = true
-	p.fetchedAt = o.fullFetches
-}
-
-// parkReval queues a read that must wait for one revalidation response.
-func (o *Object) parkReval(m *msg.Message) {
-	o.stats.ReadsParked++
-	p := &parkedRead{
-		m: m, deadline: o.env.Now().Add(o.readTimeout),
-		needsReval: true, epoch: o.revalEpoch,
+	page := m.Inv.Page
+	invalid := o.invalidated(page)
+	if !invalid {
+		payload, err := o.env.ServeRead(m.Inv)
+		if err == nil {
+			o.stats.ReadsServed++
+			r := o.frame(msg.KindReadReply, m)
+			r.Payload = payload
+			r.VVec = o.appliedVec()
+			o.send(m.From, r)
+			return
+		}
+		// A cold or partially warm replica misses elements it never
+		// fetched; resolve through the parent per the access-transfer type.
+		fetchedInVain := p != nil && p.fetchTried && o.fetchesWhole(page) && o.fullFetches > p.fetchedAt
+		if !errors.Is(err, semantics.ErrNoElement) || o.parent == "" || fetchedInVain {
+			o.refuse(m, msg.StatusNotFound, err.Error())
+			return
+		}
 	}
-	//globelint:ignore aliasretain parked read pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
-	o.parked = append(o.parked, p)
-	o.env.AfterFunc(o.readTimeout, func() { o.expireParked() })
+	p = o.park(m, p)
+	// The fetch for an invalidated page stays in flight until its reply
+	// clears the mark; a miss after a fetch means that fetch did not bring
+	// the element, so ask again.
+	if !invalid || !p.fetchTried {
+		o.fetch(page)
+		p.fetchTried, p.fetchedAt = true, o.fullFetches
+	}
 }
 
-// expireParked fails reads whose deadline passed.
+// park queues request m until coherence or state arrives, with a deadline on
+// its first visit; p is its entry from an earlier visit, or nil.
+func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
+	if p == nil {
+		if m.Kind == msg.KindReadRequest {
+			o.stats.ReadsParked++
+		}
+		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.readTimeout)}
+		o.env.AfterFunc(o.readTimeout, func() { o.expireParked() })
+	}
+	//globelint:ignore aliasretain parked request pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
+	o.parked = append(o.parked, p)
+	return p
+}
+
+// expireParked refuses requests whose deadline passed. A whole-object fetch
+// they waited for is presumed lost with them, so the next one may ask again.
 func (o *Object) expireParked() {
 	if o.closed {
 		return
@@ -187,13 +236,14 @@ func (o *Object) expireParked() {
 			rest = append(rest, p)
 			continue
 		}
-		o.stats.ReadsFailed++
-		o.replyErr(p.m, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
+		o.fetching = false
+		o.refuse(p.m, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
 	}
 	o.parked = rest
 }
 
-// reconsiderParked retries parked reads after local state changed.
+// reconsiderParked retries parked requests after local state changed; each
+// is answered or parks again.
 func (o *Object) reconsiderParked() {
 	if len(o.parked) == 0 {
 		return
@@ -201,56 +251,28 @@ func (o *Object) reconsiderParked() {
 	pending := o.parked
 	o.parked = nil
 	for _, p := range pending {
-		if p.needsReval && p.epoch >= o.revalEpoch {
+		switch {
+		case p.needsReval && p.epoch >= o.revalEpoch:
 			o.parked = append(o.parked, p) // revalidation still in flight
-			continue
+		case p.m.Kind == msg.KindReadRequest:
+			o.serveRead(p.m, p)
+		default:
+			o.serveState(p.m, p)
 		}
-		if !o.requirementMet(p.m) {
-			o.parked = append(o.parked, p)
-			continue
-		}
-		page := p.m.Inv.Page
-		if (o.allInvalid || (page != "" && o.invalid[page])) && o.parent != "" {
-			o.parked = append(o.parked, p)
-			continue
-		}
-		o.serveOrFetchParked(p)
 	}
 }
 
-// serveOrFetchParked is serveOrFetch for an already parked read: on a state
-// miss it re-parks without double-counting. If the miss persists after a
-// full state transfer completed, the element does not exist at the parent
-// either, so the read fails with not-found rather than livelocking in a
-// fetch → state-reply → reconsider cycle.
-func (o *Object) serveOrFetchParked(p *parkedRead) {
-	payload, err := o.env.ServeRead(p.m.Inv)
-	if err != nil {
-		if errors.Is(err, semantics.ErrNoElement) && o.parent != "" {
-			page := p.m.Inv.Page
-			full := o.strat.AccessTransfer == strategy.TransferFull || page == ""
-			if full && p.fetchTried && o.fullFetches > p.fetchedAt {
-				o.stats.ReadsFailed++
-				o.replyErr(p.m, msg.StatusNotFound, err.Error())
-				return
-			}
-			o.fetch(page)
-			p.fetchTried = true
-			p.fetchedAt = o.fullFetches
-			o.parked = append(o.parked, p)
-			return
+// failParkedPage answers parked reads for one page with not-found.
+func (o *Object) failParkedPage(page, errText string) {
+	rest := o.parked[:0]
+	for _, p := range o.parked {
+		if p.m.Inv.Page == page {
+			o.refuse(p.m, msg.StatusNotFound, errText)
+			continue
 		}
-		o.stats.ReadsFailed++
-		o.replyErr(p.m, msg.StatusNotFound, err.Error())
-		return
+		rest = append(rest, p)
 	}
-	o.stats.ReadsServed++
-	r := p.m.Reply(msg.KindReadReply)
-	r.From = o.addr
-	r.Store = o.self
-	r.Payload = payload
-	r.VVec = o.appliedVec()
-	o.send(p.m.From, r)
+	o.parked = rest
 }
 
 // --- writes ----------------------------------------------------------------
@@ -260,110 +282,38 @@ func (o *Object) serveOrFetchParked(p *parkedRead) {
 // §3.1); under the eventual model they additionally apply the write locally
 // first, so a mirror serves its own writes immediately.
 func (o *Object) onWrite(m *msg.Message) {
-	if o.role != RolePermanent {
-		if o.strat.Model == coherence.Eventual {
-			freshAdmission := false
-			if m.Stamp.Zero() {
-				if o.replayedUnstamped(m) {
-					// Already stamped here once; a second stamp would win
-					// LWW and double-apply (see the permanent-store check).
-					// The retry may exist because the ORIGINAL forward (or
-					// the ack) was lost, so re-propagate the logged stamped
-					// form upstream — re-forwarding the unstamped replay
-					// instead would mint a second stamp at the parent and
-					// double-apply on the way back down; an identical stamp
-					// is deduplicated by LWW everywhere.
-					if o.parent != "" {
-						if u := o.loggedWrite(m.Write); u != nil {
-							fwd := *m
-							fwd.To = o.parent
-							fwd.Stamp = u.Stamp
-							fwd.Inv = u.Inv
-							o.stats.WritesForwarded++
-							o.obsv.forwarded.Inc()
-							o.sendRaw(o.parent, &fwd)
-						}
-					}
-					o.ackWrite(m)
-					return
-				}
-				freshAdmission = true
-				m.Stamp = vclock.Stamp{Time: o.lamport.Next(), Client: m.Write.Client}
-				o.obsv.admitted.Inc()
-				if o.traceOn() {
-					o.emit("write_admitted", "wid="+m.Write.String())
-				}
-			} else {
-				o.lamport.Witness(m.Stamp.Time)
-			}
-			u := updateFromMsg(m)
-			o.applyReleased(o.submitLogged(u))
-			if freshAdmission {
-				o.walAppendAdmit(m.Write.Client, m.Write.Seq)
-			}
-			// Ack immediately: eventual coherence promises no more.
-			o.ackWrite(m)
-			// Continue propagation towards the permanent store.
-			if o.parent != "" {
-				fwd := *m
-				fwd.To = o.parent
-				o.stats.WritesForwarded++
-				o.obsv.forwarded.Inc()
-				o.sendRaw(o.parent, &fwd)
-			}
-			o.reconsiderParked()
-			return
-		}
+	if o.role != RolePermanent && o.strat.Model != coherence.Eventual {
 		if o.parent == "" {
-			o.replyErr(m, msg.StatusError, "store has no parent to order writes")
+			o.refuse(m, msg.StatusError, "store has no parent to order writes")
 			return
 		}
-		fwd := *m // preserve the original From so the permanent store acks the client
-		fwd.To = o.parent
-		o.stats.WritesForwarded++
-		o.obsv.forwarded.Inc()
-		o.sendRaw(o.parent, &fwd)
+		o.forward(m)
 		return
 	}
-
 	// Permanent store: enforce the write set.
-	if o.strat.Writers == strategy.SingleWriter {
+	if o.role == RolePermanent && o.strat.Writers == strategy.SingleWriter {
 		if !o.hasWriter {
 			o.hasWriter = true
 			o.writer = m.Write.Client
 		} else if o.writer != m.Write.Client {
 			o.stats.WritesRejected++
-			o.replyErr(m, msg.StatusForbidden, "write set is single; another client owns the object")
+			o.refuse(m, msg.StatusForbidden, "write set is single; another client owns the object")
 			return
 		}
 	}
-
-	// At-most-once admission: a request frame duplicated by the link (the
-	// UDP configuration) or retried after a lost ack must be re-acked, not
-	// admitted again — under the sequential model a second pass would
-	// assign the same WiD a fresh GlobalSeq and apply it twice, and under
-	// the eventual model it would mint a fresh Lamport stamp that wins LWW
-	// against itself. Client-originated requests are exactly the unstamped
-	// ones (only eventual mirrors forward pre-stamped frames, whose
-	// replays carry an identical stamp that LWW drops on its own), and the
-	// watermark+holes record distinguishes a replay from a genuinely new
-	// write that was merely overtaken in flight — the engines' own applied
-	// vectors cannot, since the sequential, FIFO, and eventual ones all
-	// jump per-client gaps.
-	freshAdmission := false
-	if m.Stamp.Zero() {
-		if o.replayedUnstamped(m) {
-			o.ackWrite(m)
-			return
+	fresh, replay := o.admit(m)
+	if replay {
+		// The retry may exist because the ORIGINAL forward (or the ack) was
+		// lost, so a mirror re-propagates the logged stamped form upstream —
+		// re-forwarding the unstamped replay instead would mint a second
+		// stamp at the parent and double-apply on the way back down; an
+		// identical stamp is deduplicated by LWW everywhere.
+		if u := o.loggedWrite(m.Write); u != nil {
+			m.Stamp, m.Inv = u.Stamp, u.Inv
+			o.forward(m)
 		}
-		freshAdmission = true
-		m.Stamp = vclock.Stamp{Time: o.lamport.Next(), Client: m.Write.Client}
-		o.obsv.admitted.Inc()
-		if o.traceOn() {
-			o.emit("write_admitted", "wid="+m.Write.String())
-		}
-	} else {
-		o.lamport.Witness(m.Stamp.Time)
+		o.ackWrite(m)
+		return
 	}
 	u := updateFromMsg(m)
 	if o.strat.Model == coherence.Sequential && u.GlobalSeq == 0 {
@@ -374,9 +324,11 @@ func (o *Object) onWrite(m *msg.Message) {
 			o.emit("write_sequenced", "wid="+u.Write.String()+" gseq="+strconv.FormatUint(u.GlobalSeq, 10))
 		}
 	}
-	o.stats.WritesAccepted++
+	if o.role == RolePermanent {
+		o.stats.WritesAccepted++
+	}
 	released := o.submitLogged(u)
-	if freshAdmission {
+	if fresh {
 		// The admission record lands AFTER its update record (see
 		// walAppendAdmit): a crash between the two appends leaves the
 		// update durable, and recovery seeds the watermark from it.
@@ -387,9 +339,57 @@ func (o *Object) onWrite(m *msg.Message) {
 	}
 	o.applyReleased(released)
 	// Ack the writer (the client learns the store that performed its
-	// write — the (WiD, store) dependency of §4.2).
+	// write — the (WiD, store) dependency of §4.2). A mirror acks at once:
+	// eventual coherence promises no more.
 	o.ackWrite(m)
+	// Continue propagation towards the permanent store.
+	o.forward(m)
 	o.reconsiderParked()
+}
+
+// admit is at-most-once admission. A request frame duplicated by the link
+// (the UDP configuration) or retried after a lost ack must be re-acked, not
+// admitted again — under the sequential model a second pass would assign the
+// same WiD a fresh GlobalSeq and apply it twice, and under the eventual model
+// it would mint a fresh Lamport stamp that wins LWW against itself.
+// Client-originated requests are exactly the unstamped ones (only eventual
+// mirrors forward pre-stamped frames, whose replays carry an identical stamp
+// that LWW drops on its own), and the watermark+holes record distinguishes a
+// replay from a genuinely new write that was merely overtaken in flight — the
+// engines' own applied vectors cannot, since the sequential, FIFO, and
+// eventual ones all jump per-client gaps. A fresh write is stamped here; a
+// stamped one has its stamp witnessed. Fresh admissions are WAL-logged on
+// durable replicas — by the CALLER, after the stamped update record — so the
+// same distinction survives a restart (recovery replays both through
+// admitSeq).
+func (o *Object) admit(m *msg.Message) (fresh, replay bool) {
+	if !m.Stamp.Zero() {
+		o.lamport.Witness(m.Stamp.Time)
+		return false, false
+	}
+	if o.admitSeq(m.Write.Client, m.Write.Seq) {
+		return false, true
+	}
+	m.Stamp = vclock.Stamp{Time: o.lamport.Next(), Client: m.Write.Client}
+	o.obsv.admitted.Inc()
+	if o.traceOn() {
+		o.emit("write_admitted", "wid="+m.Write.String())
+	}
+	return true, false
+}
+
+// forward passes a write request one hop towards the permanent store (a no-op
+// at the root), keeping the client's From so the store that orders the write
+// acks the client directly.
+func (o *Object) forward(m *msg.Message) {
+	if o.parent == "" {
+		return
+	}
+	fwd := *m
+	fwd.To = o.parent
+	o.stats.WritesForwarded++
+	o.obsv.forwarded.Inc()
+	o.send(o.parent, &fwd)
 }
 
 // ackWrite sends the OK write reply for m. On a durable replica under the
@@ -403,9 +403,7 @@ func (o *Object) ackWrite(m *msg.Message) {
 	if o.traceOn() {
 		o.emit("write_acked", "wid="+m.Write.String()+" to="+m.From)
 	}
-	r := m.Reply(msg.KindWriteReply)
-	r.From = o.addr
-	r.Store = o.self
+	r := o.frame(msg.KindWriteReply, m)
 	if o.deferBarrier() {
 		// The ack can sit in ackPending across many handler turns under
 		// group commit; clone the reply address so the parked ack does not
@@ -441,24 +439,14 @@ const maxStampedHoles = 256
 // duplicate still floating from before the eviction — can be re-admitted.
 const maxStampedClients = 4096
 
-// replayedUnstamped reports whether this store already minted a Lamport
-// stamp for the given write, recording the admission otherwise. Only
-// unstamped requests — which come directly from a client session — consult
-// this: a sequence at or below the watermark that is not a recorded hole
-// was stamped here before, so the frame is a link duplicate (or an
-// ack-loss retry) that must not be stamped again; a recorded hole is a
-// genuinely new write that was merely overtaken in flight. Forwarded
-// store-to-store traffic is already stamped and never reaches this check.
-// Fresh admissions are WAL-logged on durable replicas — by the CALLER,
-// after the stamped update record — so the same distinction survives a
-// restart (recovery replays both through admitSeq).
-func (o *Object) replayedUnstamped(m *msg.Message) bool {
-	return o.admitSeq(m.Write.Client, m.Write.Seq)
-}
-
-// admitSeq is the watermark/holes state machine behind replayedUnstamped,
-// shared with WAL recovery (which must re-run admissions without re-logging
-// them).
+// admitSeq is the watermark/holes state machine behind admit, shared with
+// WAL recovery (which must re-run admissions without re-logging them). It
+// reports whether this store already minted a Lamport stamp for the write,
+// recording the admission otherwise: a sequence at or below the watermark
+// that is not a recorded hole was stamped here before, so the frame is a
+// link duplicate (or an ack-loss retry) that must not be stamped again; a
+// recorded hole is a genuinely new write that was merely overtaken in
+// flight.
 func (o *Object) admitSeq(c ids.ClientID, seq uint64) bool {
 	u := o.stamped[c]
 	if u == nil {
@@ -544,6 +532,8 @@ func cloneInv(inv msg.Invocation) msg.Invocation {
 	return out
 }
 
+// --- dissemination ----------------------------------------------------------
+
 // applyReleased applies ordered updates to semantics, logs them, and feeds
 // dissemination. Updates whose effects already arrived via state transfer
 // (full snapshot or a per-page fetch) advance the coherence accounting but
@@ -586,64 +576,6 @@ func (o *Object) applyReleased(released []*coherence.Update) {
 	o.maybeCompact()
 }
 
-// staleSnapshot is the one guard every install path runs before replacing
-// content with a state transfer stamped v (of one page, or of the whole
-// object when page is ""). Retries, link duplication and jitter make late
-// and reordered transfers routine, and installing one rolls back whatever
-// arrived since inside an earlier transfer: reapplyBeyond restores only
-// logged ops, and a page's own vector goes on claiming the lost writes, so
-// the ordered updates that would repair them are skipped as covered. A
-// transfer is stale when this replica already knows every write in v —
-// applied, fetched whole, or fetched for that page — and a whole-object
-// transfer also when it predates any page fetched on its own. An empty v is
-// a snapshot from before the first write: what a fresh replica bootstraps
-// from when the parent was seeded with content, so it installs while the
-// replica knows of no write to what it replaces, and is stale from then on.
-func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
-	if page == "" {
-		for _, fetched := range o.pageVec {
-			for c, s := range fetched {
-				if v.Get(c) < s {
-					return true
-				}
-			}
-		}
-	}
-	pv := o.pageVec[page]
-	if v.Len() == 0 {
-		known := o.appliedVec()
-		return known.Len() > 0 || len(pv) > 0
-	}
-	covered := true
-	v.Each(func(c ids.ClientID, s uint64) bool {
-		w := ids.WiD{Client: c, Seq: s}
-		covered = o.covers(w) || pv.CoversWrite(w)
-		return covered
-	})
-	return covered
-}
-
-// reapplyBeyond re-applies logged updates the snapshot vector does not
-// cover (restricted to one page when page != ""). A state transfer installs
-// the sender's content wholesale; when this replica had already applied
-// ops the snapshot predates — a reply overtaken by later pushes, or a
-// retried subscribe's stale ack — ApplyFull/ApplyElement would silently
-// roll that content back while the engine keeps its newer applied state,
-// and no digest would ever flag the loss. Replaying the log's tail on top
-// of the snapshot reconstructs exactly snapshot ∪ newer-local-ops.
-func (o *Object) reapplyBeyond(v *msg.Vec, page string) {
-	for _, u := range o.log {
-		if page != "" && u.Inv.Page != page {
-			continue
-		}
-		if !v.CoversWrite(u.Write) {
-			if err := o.env.ApplyOp(u); err != nil {
-				o.stats.ReadsFailed++
-			}
-		}
-	}
-}
-
 // coveredByState reports whether u's content effects already arrived via
 // state transfer.
 func (o *Object) coveredByState(u *coherence.Update) bool {
@@ -664,8 +596,6 @@ func (o *Object) appendLog(u *coherence.Update) {
 	}
 }
 
-// --- dissemination ----------------------------------------------------------
-
 // disseminate propagates newly applied updates to subscribed children per
 // the strategy's propagation, initiative, instant, and coherence-transfer
 // parameters. It accepts the whole release set at once so updates that
@@ -674,49 +604,22 @@ func (o *Object) disseminate(ups []*coherence.Update) {
 	if len(ups) == 0 || len(o.children) == 0 || o.strat.Initiative == strategy.Pull {
 		return // pull children fetch on their own schedule
 	}
-	if o.strat.Instant == strategy.Lazy {
-		o.lazyUpdates = append(o.lazyUpdates, ups...)
-		for _, u := range ups {
-			if u.Inv.Page != "" {
-				o.lazyPages[u.Inv.Page] = true
-			}
-		}
-		o.armLazy()
-		return
-	}
-	if o.relayDepth > 0 {
+	switch {
+	case o.strat.Instant == strategy.Lazy:
+		o.lazy = append(o.lazy, ups...)
+		o.arm(o.lazyTimer, o.strat.LazyInterval)
+	case o.relayDepth > 0:
 		// A batch arrival is mid-fan-in: collect the released updates and
 		// relay them as one frame when the whole batch has been processed.
-		o.relayBuf = append(o.relayBuf, ups...)
-		for _, u := range ups {
-			if u.Inv.Page != "" {
-				o.relayPages[u.Inv.Page] = true
-			}
-		}
-		return
+		o.relay = append(o.relay, ups...)
+	default:
+		o.shipNow(ups)
 	}
-	o.shipNow(ups, pageSet(ups))
-}
-
-// pageSet collects the distinct non-empty pages the updates touch.
-func pageSet(ups []*coherence.Update) map[string]bool {
-	pages := make(map[string]bool, len(ups))
-	for _, u := range ups {
-		if u.Inv.Page != "" {
-			pages[u.Inv.Page] = true
-		}
-	}
-	return pages
 }
 
 // beginRelayBatch opens a relay collection scope: released updates are
 // buffered instead of shipped until the matching endRelayBatch.
-func (o *Object) beginRelayBatch() {
-	if o.relayDepth == 0 && o.relayPages == nil {
-		o.relayPages = make(map[string]bool, 4)
-	}
-	o.relayDepth++
-}
+func (o *Object) beginRelayBatch() { o.relayDepth++ }
 
 // endRelayBatch closes the scope and ships everything collected as one
 // coherence transfer (one KindUpdateBatch frame for operation shipping, one
@@ -726,125 +629,96 @@ func (o *Object) endRelayBatch() {
 	if o.relayDepth > 0 {
 		return
 	}
-	ups := o.relayBuf
-	pages := o.relayPages
-	o.relayBuf = nil
-	o.relayPages = nil
-	if len(ups) == 0 {
-		return
-	}
-	o.shipNow(ups, pages)
-}
-
-// armLazy schedules the aggregated flush.
-func (o *Object) armLazy() {
-	if o.lazyArmed {
-		return
-	}
-	o.lazyArmed = true
-	o.lazyTimer = o.env.AfterFunc(o.strat.LazyInterval, func() {
-		o.lazyArmed = false
-		o.flushLazy()
-	})
+	ups := o.relay
+	o.relay = nil
+	o.shipNow(ups)
 }
 
 // flushLazy ships everything aggregated since the last period.
 func (o *Object) flushLazy() {
-	if o.closed || len(o.lazyUpdates) == 0 && len(o.lazyPages) == 0 {
+	if len(o.lazy) == 0 {
 		return
 	}
-	ups := o.lazyUpdates
-	pages := o.lazyPages
-	o.lazyUpdates = nil
-	o.lazyPages = make(map[string]bool)
+	ups := o.lazy
+	o.lazy = nil
 	o.stats.LazyFlushes++
-	o.shipNow(ups, pages)
+	o.shipNow(ups)
 }
 
 // shipNow performs the actual coherence transfer to children.
-func (o *Object) shipNow(ups []*coherence.Update, pages map[string]bool) {
+func (o *Object) shipNow(ups []*coherence.Update) {
 	tos := o.Children()
-	if len(tos) == 0 {
+	if len(ups) == 0 || len(tos) == 0 {
 		return
 	}
 	o.obsv.disseminated.Add(uint64(len(ups)))
 	if o.traceOn() {
 		o.emit("updates_shipped", "n="+strconv.Itoa(len(ups))+" children="+strconv.Itoa(len(tos)))
 	}
-	switch o.strat.Propagation {
-	case strategy.PropagateInvalidate:
-		inv := &msg.Message{
-			Kind:   msg.KindInvalidate,
-			Object: o.object,
-			From:   o.addr,
-			Store:  o.self,
-			Pages:  pageList(pages),
-		}
-		if n := len(ups); n > 0 {
-			inv.Write = ups[n-1].Write
-			inv.WallNanos = ups[n-1].WallNanos
-		}
+	last := ups[len(ups)-1]
+	switch {
+	case o.strat.Propagation == strategy.PropagateInvalidate:
+		inv := o.frame(msg.KindInvalidate, nil)
+		inv.Pages = pagesOf(ups)
+		inv.Write = last.Write
+		inv.WallNanos = last.WallNanos
 		o.multicast(tos, inv)
-		return
-	case strategy.PropagateUpdate:
-		switch o.strat.CoherenceTransfer {
-		case strategy.CoherenceNotification:
-			n := &msg.Message{
-				Kind:   msg.KindNotify,
-				Object: o.object,
-				From:   o.addr,
-				Store:  o.self,
-				Pages:  pageList(pages),
-			}
-			o.multicast(tos, n)
-		case strategy.CoherencePartial:
-			// Operation shipping: a single update travels as its marshalled
-			// write invocation; an aggregated flush ships all N updates in
-			// one KindUpdateBatch frame, amortising the envelope.
-			o.shipOps(ups, func(m *msg.Message) { o.multicast(tos, m) })
-		case strategy.CoherenceFull:
-			// Aggregation pays off here: one snapshot replaces the whole
-			// batch.
-			snap, err := o.env.Snapshot()
-			if err != nil {
-				return
-			}
-			m := &msg.Message{
-				Kind:      msg.KindUpdate,
-				Object:    o.object,
-				From:      o.addr,
-				Store:     o.self,
-				Payload:   snap,
-				VVec:      o.appliedVec(),
-				GlobalSeq: o.engine.Global(),
-				WallNanos: ups[len(ups)-1].WallNanos,
-			}
-			o.multicast(tos, m)
+	case o.strat.CoherenceTransfer == strategy.CoherenceNotification:
+		n := o.frame(msg.KindNotify, nil)
+		n.Pages = pagesOf(ups)
+		o.multicast(tos, n)
+	case o.strat.CoherenceTransfer == strategy.CoherencePartial:
+		// Operation shipping: a single update travels as its marshalled
+		// write invocation; an aggregated flush ships all N updates in
+		// one KindUpdateBatch frame, amortising the envelope.
+		o.shipOps(ups, func(m *msg.Message) { o.multicast(tos, m) })
+	case o.strat.CoherenceTransfer == strategy.CoherenceFull:
+		// Aggregation pays off here: one snapshot replaces the whole
+		// batch.
+		snap, err := o.env.Snapshot()
+		if err != nil {
+			return
+		}
+		m := o.frame(msg.KindUpdate, nil)
+		m.Payload = snap
+		m.VVec = o.appliedVec()
+		m.GlobalSeq = o.engine.Global()
+		m.WallNanos = last.WallNanos
+		o.multicast(tos, m)
+	}
+}
+
+// pagesOf lists the distinct non-empty pages the updates touch.
+func pagesOf(ups []*coherence.Update) []string {
+	seen := make(map[string]bool, len(ups))
+	out := make([]string, 0, len(ups))
+	for _, u := range ups {
+		if p := u.Inv.Page; p != "" && !seen[p] {
+			seen[p] = true
+			out = append(out, p)
 		}
 	}
+	return out
 }
 
 // updateMsg converts an update to its wire form (operation shipping).
 func (o *Object) updateMsg(u *coherence.Update) *msg.Message {
-	return &msg.Message{
-		Kind:      msg.KindUpdate,
-		Object:    o.object,
-		From:      o.addr,
-		Store:     o.self,
-		Write:     u.Write,
-		GlobalSeq: u.GlobalSeq,
-		Stamp:     u.Stamp,
-		Deps:      msg.VecFrom(u.Deps),
-		Inv:       u.Inv,
-		WallNanos: u.WallNanos,
-	}
+	m := o.frame(msg.KindUpdate, nil)
+	m.Write = u.Write
+	m.GlobalSeq = u.GlobalSeq
+	m.Stamp = u.Stamp
+	m.Deps = msg.VecFrom(u.Deps)
+	m.Inv = u.Inv
+	m.WallNanos = u.WallNanos
+	return m
 }
 
 // batchMsg packs N updates into one KindUpdateBatch frame.
 func (o *Object) batchMsg(ups []*coherence.Update) *msg.Message {
-	entries := make([]msg.BatchUpdate, len(ups))
+	m := o.frame(msg.KindUpdateBatch, nil)
+	m.Batch = make([]msg.BatchUpdate, len(ups))
 	for i, u := range ups {
-		entries[i] = msg.BatchUpdate{
+		m.Batch[i] = msg.BatchUpdate{
 			Write:     u.Write,
 			GlobalSeq: u.GlobalSeq,
 			Stamp:     u.Stamp,
@@ -853,13 +727,7 @@ func (o *Object) batchMsg(ups []*coherence.Update) *msg.Message {
 			WallNanos: u.WallNanos,
 		}
 	}
-	return &msg.Message{
-		Kind:   msg.KindUpdateBatch,
-		Object: o.object,
-		From:   o.addr,
-		Store:  o.self,
-		Batch:  entries,
-	}
+	return m
 }
 
 // shipOps hands updates to deliver as wire frames: one KindUpdate for a
@@ -890,43 +758,19 @@ func (o *Object) sendUpdates(to string, ups []*coherence.Update) {
 	o.shipOps(ups, func(m *msg.Message) { o.send(to, m) })
 }
 
-func pageList(pages map[string]bool) []string {
-	out := make([]string, 0, len(pages))
-	for p := range pages {
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// --- update reception --------------------------------------------------------
-
 // onUpdate handles a pushed or demanded coherence update. Full-state
 // updates (Payload set) bypass the engine and merge the sender's vector;
 // operation updates go through the ordering engine.
 func (o *Object) onUpdate(m *msg.Message) {
 	o.revalEpoch++
-	if len(m.Payload) > 0 {
-		// Aggregated full-state update.
-		if o.staleSnapshot(&m.VVec, "") {
-			return // stale or duplicate snapshot
-		}
-		if err := o.env.ApplyFull(m.Payload); err != nil {
-			return
-		}
-		o.fullFetches++
-		o.reapplyBeyond(&m.VVec, "")
-		m.VVec.MergeInto(o.fetchVec)
-		o.engine.Seed(m.VVec.Version(), m.GlobalSeq)
-		o.markAppliedStale()
-		o.invalid = make(map[string]bool)
-		o.allInvalid = false
-		o.relayFull(m)
-		o.reconsiderParked()
+	if len(m.Payload) == 0 {
+		o.submitOp(updateFromMsg(m))
 		return
 	}
-	o.submitOp(updateFromMsg(m))
+	// Aggregated full-state update.
+	if o.install("", &m.VVec, m.GlobalSeq, m.Payload) {
+		o.relayDown(m)
+	}
 }
 
 // onUpdateBatch fans an aggregated KindUpdateBatch frame into the ordering
@@ -980,47 +824,17 @@ func (o *Object) submitOp(u *coherence.Update) {
 	o.applyReleased(released)
 }
 
-// relayFull forwards a full-state update down to this store's own children
-// (multi-layer hierarchies, Figure 2).
-func (o *Object) relayFull(m *msg.Message) {
-	if len(o.children) == 0 || o.strat.Initiative == strategy.Pull {
-		return
-	}
-	fwd := *m
-	fwd.From = o.addr
-	fwd.Store = o.self
-	o.multicast(o.Children(), &fwd)
-}
-
-// onInvalidate marks pages stale; under object-outdate = demand it
-// refreshes immediately, otherwise the next access fetches.
+// onInvalidate handles an invalidation, or a notification — the same
+// machinery, but the message promises no content at all: mark the pages
+// stale, under object-outdate = demand refresh them immediately (otherwise
+// the next access fetches), and relay the notice so lower layers learn of
+// the change too.
 func (o *Object) onInvalidate(m *msg.Message) {
 	o.markInvalid(m.Pages)
 	if o.strat.ObjectOutdate == strategy.Demand {
 		o.refreshInvalid(m.Pages)
 	}
-	// Relay to children so lower layers learn of the change too.
-	if len(o.children) > 0 && o.strat.Initiative == strategy.Push {
-		fwd := *m
-		fwd.From = o.addr
-		fwd.Store = o.self
-		o.multicast(o.Children(), &fwd)
-	}
-}
-
-// onNotify handles notification-only coherence transfer: same invalidation
-// machinery, but the message promises no content at all.
-func (o *Object) onNotify(m *msg.Message) {
-	o.markInvalid(m.Pages)
-	if o.strat.ObjectOutdate == strategy.Demand {
-		o.refreshInvalid(m.Pages)
-	}
-	if len(o.children) > 0 && o.strat.Initiative == strategy.Push {
-		fwd := *m
-		fwd.From = o.addr
-		fwd.Store = o.self
-		o.multicast(o.Children(), &fwd)
-	}
+	o.relayDown(m)
 }
 
 func (o *Object) markInvalid(pages []string) {
@@ -1039,12 +853,8 @@ func (o *Object) markInvalid(pages []string) {
 
 // refreshInvalid fetches fresh state for invalidated pages right away.
 func (o *Object) refreshInvalid(pages []string) {
-	if o.parent == "" {
-		return
-	}
-	if len(pages) == 0 || o.strat.AccessTransfer == strategy.TransferFull {
+	if len(pages) == 0 {
 		o.fetch("")
-		return
 	}
 	for _, p := range pages {
 		o.fetch(p)
@@ -1070,16 +880,13 @@ func (o *Object) demandFromParent() {
 	if o.traceOn() {
 		o.emit("demand_sent", "to="+o.parent)
 	}
-	d := &msg.Message{
-		Kind:   msg.KindDemandUpdate,
-		Object: o.object,
-		From:   o.addr,
-		Store:  o.self,
-		VVec:   o.appliedVec(),
-	}
+	d := o.frame(msg.KindDemandUpdate, nil)
+	d.VVec = o.appliedVec()
 	o.send(o.parent, d)
 	o.demandEpoch = o.revalEpoch
-	o.armDemandRetry()
+	if o.demandRetry > 0 {
+		o.arm(o.demandRetryTimer, o.demandRetry)
+	}
 }
 
 // maxDemandRetries bounds re-requests per unanswered-demand cycle, so a
@@ -1087,26 +894,10 @@ func (o *Object) demandFromParent() {
 // response).
 const maxDemandRetries = 16
 
-// armDemandRetry schedules one retry check; it is a no-op when a check is
-// already pending or retries are disabled.
-func (o *Object) armDemandRetry() {
-	if o.demandRetryArmed || o.closed || o.demandRetry <= 0 {
-		return
-	}
-	o.demandRetryArmed = true
-	o.demandRetryTimer = o.env.AfterFunc(o.demandRetry, func() {
-		o.demandRetryArmed = false
-		o.retryDemand()
-	})
-}
-
 // retryDemand re-sends the demand if no coherence response arrived since it
 // was issued and something is still outstanding (buffered updates awaiting
 // predecessors, or parked reads).
 func (o *Object) retryDemand() {
-	if o.closed {
-		return
-	}
 	if o.revalEpoch != o.demandEpoch {
 		o.demandRetries = 0 // the parent answered; cycle complete
 		o.digestGapDemand = false
@@ -1130,13 +921,20 @@ func (o *Object) retryDemand() {
 	o.demandRetries = retries
 }
 
+// fetchesWhole reports whether fetching page means fetching the whole
+// object: the access-transfer type says so, the request names no page, or a
+// page-less notice outdated everything at once (no page reply lifts that).
+func (o *Object) fetchesWhole(page string) bool {
+	return o.strat.AccessTransfer == strategy.TransferFull || page == "" || o.allInvalid
+}
+
 // fetch requests state per the access-transfer type: one element
 // (partial) or the full document.
 func (o *Object) fetch(page string) {
 	if o.parent == "" {
 		return
 	}
-	full := o.strat.AccessTransfer == strategy.TransferFull || page == ""
+	full := o.fetchesWhole(page)
 	if full {
 		if o.fetching {
 			return
@@ -1148,12 +946,7 @@ func (o *Object) fetch(page string) {
 	if o.traceOn() {
 		o.emit("demand_sent", "to="+o.parent+" state_page="+page)
 	}
-	req := &msg.Message{
-		Kind:   msg.KindStateRequest,
-		Object: o.object,
-		From:   o.addr,
-		Store:  o.self,
-	}
+	req := o.frame(msg.KindStateRequest, nil)
 	if !full {
 		req.Pages = []string{page}
 	}
@@ -1168,25 +961,15 @@ func (o *Object) fetch(page string) {
 // requester mark content it never received as covered.
 func (o *Object) onDemand(m *msg.Message) {
 	if !o.logCovers(&m.VVec) {
-		o.sendFullState(m.From, nil)
+		o.serveState(m, nil)
 		return
 	}
-	missing := make([]*coherence.Update, 0, 8)
-	for _, u := range o.log {
-		if !m.VVec.CoversWrite(u.Write) {
-			missing = append(missing, u)
-		}
-	}
+	missing := o.missingFrom(&m.VVec)
 	if len(missing) == 0 {
 		// Nothing to send: answer anyway so pull-on-access revalidations
 		// complete instead of timing out.
-		ack := &msg.Message{
-			Kind:   msg.KindUpdateAck,
-			Object: o.object,
-			From:   o.addr,
-			Store:  o.self,
-			VVec:   o.appliedVec(),
-		}
+		ack := o.frame(msg.KindUpdateAck, nil)
+		ack.VVec = o.appliedVec()
 		o.send(m.From, ack)
 		return
 	}
@@ -1217,124 +1000,195 @@ func (o *Object) logCovers(v *msg.Vec) bool {
 	return true
 }
 
-// onStateRequest serves partial or full state.
-func (o *Object) onStateRequest(m *msg.Message) {
-	if len(m.Pages) == 0 {
-		o.sendFullState(m.From, m)
+// serveState is the one place state leaves this replica for another: it
+// answers req — a child's state request (one page, or the whole object), a
+// subscribe (the bootstrap ack), or a demand the log cannot answer — and
+// owns the rule for what may be handed out: never a page marked invalid,
+// and nothing whole while any mark is set. The receiver installs what it
+// gets and clears its own mark on it, so state served from behind a mark
+// would leave a whole subtree one version stale with nothing to flag it.
+// While a parent can supply fresh content the request parks behind this
+// replica's own fetch (p is its entry from an earlier visit, nil on arrival):
+// reconsiderParked answers it from what the fetch installs, expireParked
+// drops it at ReadTimeout.
+func (o *Object) serveState(req *msg.Message, p *parkedReq) {
+	page := ""
+	if req.Kind == msg.KindStateRequest && len(req.Pages) > 0 {
+		page = req.Pages[0]
+	}
+	if o.invalidated(page) || (page == "" && o.parent != "" && len(o.invalid) > 0) {
+		if p = o.park(req, p); !p.fetchTried {
+			o.fetch(page)
+			p.fetchTried = true
+		}
 		return
 	}
-	r := m.Reply(msg.KindStateReply)
-	r.From = o.addr
-	r.Store = o.self
+	kind := msg.KindStateReply
+	if req.Kind == msg.KindSubscribe {
+		kind = msg.KindSubscribeAck
+	}
+	r := o.frame(kind, req)
 	r.VVec = o.appliedVec()
-	r.Pages = m.Pages[:1]
-	data, err := o.env.SnapshotElement(m.Pages[0])
-	if err != nil {
-		r.Status = msg.StatusNotFound
-		r.Err = err.Error()
-	} else {
+	if page != "" {
+		r.Pages = req.Pages[:1]
+		data, err := o.env.SnapshotElement(page)
+		if err != nil {
+			r.Status = msg.StatusNotFound
+			r.Err = err.Error()
+		}
 		r.Payload = data
+	} else {
+		snap, err := o.env.Snapshot()
+		if err != nil {
+			return
+		}
+		r.Payload = snap
+		r.GlobalSeq = o.engine.Global()
 	}
-	o.send(m.From, r)
+	o.send(req.From, r)
 }
 
-func (o *Object) sendFullState(to string, req *msg.Message) {
-	snap, err := o.env.Snapshot()
-	if err != nil {
-		return
-	}
-	r := &msg.Message{
-		Kind:      msg.KindStateReply,
-		Object:    o.object,
-		From:      o.addr,
-		Store:     o.self,
-		Payload:   snap,
-		VVec:      o.appliedVec(),
-		GlobalSeq: o.engine.Global(),
-	}
-	if req != nil {
-		r.NetSeq = req.NetSeq
-	}
-	o.send(to, r)
-}
-
-// onStateReply installs fetched state. A partial (per-page) reply only
-// advances that page's knowledge; a full snapshot seeds the ordering engine
-// so pushed op updates the snapshot already reflects are not re-applied.
+// onStateReply installs fetched state: one page's, or the whole object's.
 func (o *Object) onStateReply(m *msg.Message) {
 	o.revalEpoch++
-	if len(m.Pages) > 0 {
-		// Cloned: the name is retained as a pageVec key and a semantics
-		// element key, long past this frame (see cloneInv).
-		page := strings.Clone(m.Pages[0])
-		if m.Status == msg.StatusNotFound {
-			// The parent lacks it too; fail parked reads for that page.
-			o.failParkedPage(page, m.Err)
-			delete(o.invalid, page)
-			return
+	if len(m.Pages) == 0 {
+		o.fetching = false
+		o.install("", &m.VVec, m.GlobalSeq, m.Payload)
+		return
+	}
+	// Cloned: the name is retained as a pageVec key and a semantics
+	// element key, long past this frame (see cloneInv).
+	page := strings.Clone(m.Pages[0])
+	if m.Status == msg.StatusNotFound {
+		// The parent lacks it too; fail parked reads for that page, and
+		// tell children asking for it the same.
+		o.failParkedPage(page, m.Err)
+		delete(o.invalid, page)
+		o.reconsiderParked()
+		return
+	}
+	o.install(page, &m.VVec, m.GlobalSeq, m.Payload)
+}
+
+// install is the one place state from another replica replaces content here:
+// one page's (a page state reply), or the whole object's when page is "" (a
+// pushed snapshot, a full state reply, the subscribe ack). v is the sender's
+// applied vector when it took the state, gseq its sequencer position. It
+// reports whether the state was taken, and retries parked requests either
+// way — a dropped transfer still proves the parent answered.
+//
+// Every transfer first passes the stale guard (staleSnapshot): demand and
+// subscribe retries and link duplication put several transfers in flight,
+// and a late one this replica already covers must not roll content back.
+// reapplyBeyond cannot repair such a rollback — it replays only logged ops,
+// and ops whose effects arrived inside an earlier transfer were never logged
+// — so an unguarded overwrite leaves a mid-sequence gap readers can observe
+// (an MW/PRAM violation) that no digest would ever flag. One exception: a
+// page marked invalid is outdated by definition, and an invalidation advances
+// no vector for the guard to compare, so its fetch is taken as it comes.
+//
+// What a taken transfer does to the invalid marks: a page transfer clears
+// that page's mark; a whole-object transfer clears every mark, the page-less
+// one included, whichever frame carried it — it replaces every page, so no
+// mark describes the content held any longer. This presumes the snapshot is
+// no older than the marks. serveState guarantees the sender was not itself
+// handing out invalidated content, and on an ordered link a snapshot taken
+// before a write arrives before that write's invalidation; a reordering link
+// can deliver one late, and because the guard cannot see invalidations that
+// snapshot passes it. The chaos matrix has no invalidation leg yet (ROADMAP
+// 1(b)) to put a number on that window.
+func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) bool {
+	defer o.reconsiderParked()
+	if o.staleSnapshot(v, page) && !(page != "" && (o.invalid[page] || o.allInvalid)) {
+		return false
+	}
+	if page != "" {
+		if err := o.env.ApplyElement(page, payload); err != nil {
+			return false
 		}
-		// Same stale-snapshot guard as the full branch below and
-		// onSubscribeAck: demand retries and link-level duplication mean
-		// several replies can be in flight, and a late one whose vector this
-		// replica already covers must not roll the page back. reapplyBeyond
-		// cannot fully repair such a rollback — it replays only ops that went
-		// through the log, and ops whose effects arrived inside an earlier
-		// full state transfer were never logged — so an unguarded overwrite
-		// leaves the page with a mid-sequence gap readers can observe (an
-		// MW/PRAM violation). An invalidated page is the exception: its local
-		// content is outdated by definition, so the fetch is taken as-is.
-		if o.staleSnapshot(&m.VVec, page) && !o.invalid[page] && !o.allInvalid {
-			o.reconsiderParked()
-			return
-		}
-		if err := o.env.ApplyElement(page, m.Payload); err != nil {
-			return
-		}
-		// The fetched page is the parent's content at reply time; restore any
-		// locally applied ops the reply predates (reordered replies, a reply
-		// overtaken by pushes) — see reapplyBeyond.
-		o.reapplyBeyond(&m.VVec, page)
+		o.reapplyBeyond(v, page)
 		delete(o.invalid, page)
 		pv, ok := o.pageVec[page]
 		if !ok {
 			pv = ids.NewVersionVec(4)
 			o.pageVec[page] = pv
 		}
-		m.VVec.MergeInto(pv)
-	} else {
-		o.fetching = false
-		// Same stale-snapshot guard as onSubscribeAck: a delayed reply whose
-		// vector we already cover must not roll semantics content back.
-		if o.staleSnapshot(&m.VVec, "") {
-			o.reconsiderParked()
-			return
-		}
-		if err := o.env.ApplyFull(m.Payload); err != nil {
-			return
+		v.MergeInto(pv)
+		return true
+	}
+	// A bare subscribe ack (no payload) still seeds the vectors.
+	if len(payload) > 0 {
+		if err := o.env.ApplyFull(payload); err != nil {
+			return false
 		}
 		o.fullFetches++
-		o.reapplyBeyond(&m.VVec, "")
-		o.invalid = make(map[string]bool)
-		o.allInvalid = false
-		m.VVec.MergeInto(o.fetchVec)
-		o.engine.Seed(m.VVec.Version(), m.GlobalSeq)
-		o.markAppliedStale()
+		o.reapplyBeyond(v, "")
 	}
-	o.reconsiderParked()
+	clear(o.invalid)
+	o.allInvalid = false
+	// The snapshot already reflects every write in v: seed the ordering
+	// engine so pushed op updates it covers are not re-applied.
+	v.MergeInto(o.fetchVec)
+	o.engine.Seed(v.Version(), gseq)
+	o.markAppliedStale()
+	return true
 }
 
-// failParkedPage answers parked reads for one page with not-found.
-func (o *Object) failParkedPage(page, errText string) {
-	rest := o.parked[:0]
-	for _, p := range o.parked {
-		if p.m.Inv.Page == page {
-			o.stats.ReadsFailed++
-			o.replyErr(p.m, msg.StatusNotFound, errText)
+// staleSnapshot is install's guard, run before replacing content with a
+// state transfer stamped v (of one page, or of the whole object when page is
+// ""). Installing a late or reordered transfer rolls back whatever arrived
+// since inside an earlier one: reapplyBeyond restores only logged ops, and a
+// page's own vector goes on claiming the lost writes, so the ordered updates
+// that would repair them are skipped as covered. A transfer is stale when
+// this replica already knows every write in v — applied, fetched whole, or
+// fetched for that page — and a whole-object transfer also when it predates
+// any page fetched on its own. An empty v is a snapshot from before the first
+// write: what a fresh replica bootstraps from when the parent was seeded with
+// content, so it installs while the replica knows of no write to what it
+// replaces, and is stale from then on.
+func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
+	if page == "" {
+		for _, fetched := range o.pageVec {
+			for c, s := range fetched {
+				if v.Get(c) < s {
+					return true
+				}
+			}
+		}
+	}
+	pv := o.pageVec[page]
+	if v.Len() == 0 {
+		known := o.appliedVec()
+		return known.Len() > 0 || len(pv) > 0
+	}
+	covered := true
+	v.Each(func(c ids.ClientID, s uint64) bool {
+		w := ids.WiD{Client: c, Seq: s}
+		covered = o.covers(w) || pv.CoversWrite(w)
+		return covered
+	})
+	return covered
+}
+
+// reapplyBeyond re-applies logged updates the snapshot vector does not
+// cover (restricted to one page when page != ""). A state transfer installs
+// the sender's content wholesale; when this replica had already applied
+// ops the snapshot predates — a reply overtaken by later pushes, or a
+// retried subscribe's stale ack — ApplyFull/ApplyElement would silently
+// roll that content back while the engine keeps its newer applied state,
+// and no digest would ever flag the loss. Replaying the log's tail on top
+// of the snapshot reconstructs exactly snapshot ∪ newer-local-ops.
+func (o *Object) reapplyBeyond(v *msg.Vec, page string) {
+	for _, u := range o.log {
+		if page != "" && u.Inv.Page != page {
 			continue
 		}
-		rest = append(rest, p)
+		if !v.CoversWrite(u.Write) {
+			if err := o.env.ApplyOp(u); err != nil {
+				o.stats.ReadsFailed++
+			}
+		}
 	}
-	o.parked = rest
 }
 
 // --- subscription -------------------------------------------------------------
@@ -1351,28 +1205,13 @@ func (o *Object) onSubscribe(m *msg.Message) {
 		// serving (see recover).
 		o.walAppendChild(child, false)
 	}
-	snap, err := o.env.Snapshot()
-	if err != nil {
-		return
-	}
-	r := m.Reply(msg.KindSubscribeAck)
-	r.From = o.addr
-	r.Store = o.self
-	r.Payload = snap
-	r.VVec = o.appliedVec()
-	r.GlobalSeq = o.engine.Global()
-	o.send(m.From, r)
+	o.serveState(m, nil)
 	o.armDigest()
 }
 
-// onSubscribeAck installs the bootstrap state received from the parent and
-// completes the subscription handshake (stopping the re-send timer).
-//
-// Stale acks are discarded: subscribe retries mean several acks can be in
-// flight, and a late one whose vector this replica already covers must not
-// ApplyFull — replacing newer semantics content with an older snapshot
-// while the engine keeps its newer applied state would silently lose the
-// overwritten updates forever (no digest would ever flag the gap).
+// onSubscribeAck completes the subscription handshake (stopping the re-send
+// timer) and installs the bootstrap state received from the parent. Subscribe
+// retries mean several acks can be in flight; install drops the stale ones.
 func (o *Object) onSubscribeAck(m *msg.Message) {
 	o.subAcked = true
 	o.revalEpoch++
@@ -1385,21 +1224,7 @@ func (o *Object) onSubscribeAck(m *msg.Message) {
 		}
 	}
 	o.armParentWatch()
-	if o.staleSnapshot(&m.VVec, "") {
-		o.reconsiderParked()
-		return
-	}
-	if len(m.Payload) > 0 {
-		if err := o.env.ApplyFull(m.Payload); err != nil {
-			return
-		}
-		o.fullFetches++
-		o.reapplyBeyond(&m.VVec, "")
-	}
-	m.VVec.MergeInto(o.fetchVec)
-	o.engine.Seed(m.VVec.Version(), m.GlobalSeq)
-	o.markAppliedStale()
-	o.reconsiderParked()
+	o.install("", &m.VVec, m.GlobalSeq, m.Payload)
 }
 
 // onUnsubscribe removes a departing child from the children set (the
@@ -1421,9 +1246,7 @@ func (o *Object) SubscribeToParent() {
 	o.subWanted = true
 	o.sendSubscribe()
 	o.armParentWatch()
-	if o.strat.Initiative == strategy.Pull && o.strat.PullInterval > 0 {
-		o.armPoll()
-	}
+	o.armPoll()
 }
 
 // UnsubscribeFromParent tells the parent to stop pushing to this replica
@@ -1433,16 +1256,8 @@ func (o *Object) UnsubscribeFromParent() {
 		return
 	}
 	o.subWanted = false
-	if o.subTimer != nil {
-		o.subTimer.Stop()
-	}
-	u := &msg.Message{
-		Kind:   msg.KindUnsubscribe,
-		Object: o.object,
-		From:   o.addr,
-		Store:  o.self,
-	}
-	o.send(o.parent, u)
+	o.subTimer.stop()
+	o.send(o.parent, o.frame(msg.KindUnsubscribe, nil))
 }
 
 // maxSubscribeRetries bounds one subscribe cycle, so a dead parent is not
@@ -1460,125 +1275,36 @@ const maxSubscribeRetries = 32
 // any full-state transfer).
 func (o *Object) sendSubscribe() {
 	o.stats.SubscribesSent++
-	s := &msg.Message{
-		Kind:   msg.KindSubscribe,
-		Object: o.object,
-		From:   o.addr,
-		Store:  o.self,
-	}
-	o.send(o.parent, s)
-	o.armSubscribeRetry()
-}
-
-// armSubscribeRetry schedules the next subscribe re-send check; a no-op
-// when already armed, acked, disabled (demandRetry <= 0), or exhausted.
-func (o *Object) armSubscribeRetry() {
-	if o.subArmed || o.closed || o.subAcked || o.demandRetry <= 0 {
+	o.send(o.parent, o.frame(msg.KindSubscribe, nil))
+	if o.subAcked || o.demandRetry <= 0 || o.subTimer.armed() {
 		return
 	}
 	if o.subRetries >= maxSubscribeRetries {
 		o.reparent(true)
 		return
 	}
-	o.subArmed = true
-	o.subTimer = o.env.AfterFunc(o.demandRetry, func() {
-		o.subArmed = false
-		if o.closed || o.subAcked || !o.subWanted {
-			return
-		}
-		o.subRetries++
-		o.sendSubscribe()
-	})
+	o.arm(o.subTimer, o.demandRetry)
 }
 
-// armPoll schedules periodic demand pulls (TTL-style refresh).
+// retrySubscribe is the subscribe timer's callback: re-send unless the ack
+// arrived or the subscription was withdrawn meanwhile.
+func (o *Object) retrySubscribe() {
+	if o.subAcked || !o.subWanted {
+		return
+	}
+	o.subRetries++
+	o.sendSubscribe()
+}
+
+// armPoll schedules periodic demand pulls (TTL-style refresh) when the
+// strategy asks for them.
 func (o *Object) armPoll() {
-	if o.pollArmed || o.closed {
-		return
+	if o.strat.Initiative == strategy.Pull && o.strat.PullInterval > 0 && o.parent != "" {
+		o.arm(o.pollTimer, o.strat.PullInterval)
 	}
-	o.pollArmed = true
-	o.pollTimer = o.env.AfterFunc(o.strat.PullInterval, func() {
-		o.pollArmed = false
-		if o.closed {
-			return
-		}
-		o.demandFromParent()
-		o.armPoll()
-	})
 }
 
-// --- small helpers -------------------------------------------------------------
-
-func (o *Object) send(to string, m *msg.Message) {
-	m.Object = o.object
-	if m.From == "" {
-		m.From = o.addr
-	}
-	_ = o.env.Send(to, m)
+func (o *Object) poll() {
+	o.demandFromParent()
+	o.armPoll()
 }
-
-// sendRaw sends without overriding From (used when forwarding client
-// requests so replies go straight back to the client).
-func (o *Object) sendRaw(to string, m *msg.Message) {
-	m.Object = o.object
-	_ = o.env.Send(to, m)
-}
-
-func (o *Object) multicast(tos []string, m *msg.Message) {
-	m.Object = o.object
-	_ = o.env.Multicast(tos, m)
-}
-
-func (o *Object) replyErr(m *msg.Message, st msg.Status, text string) {
-	var r *msg.Message
-	switch m.Kind {
-	case msg.KindReadRequest:
-		r = m.Reply(msg.KindReadReply)
-	case msg.KindWriteRequest:
-		r = m.Reply(msg.KindWriteReply)
-	default:
-		return
-	}
-	r.From = o.addr
-	r.Store = o.self
-	r.Status = st
-	r.Err = text
-	o.send(m.From, r)
-}
-
-// Retune replaces the object's implementation parameters at runtime — the
-// dynamic adaptation §3.3 anticipates ("ideally, the implementation
-// parameters can be modified dynamically as the usage characteristics of an
-// object change"). The coherence model itself is fixed at creation (it
-// defines the object's contract with clients); only the Table 1
-// dissemination parameters may change. Pending lazy buffers are flushed
-// under the old parameters first.
-func (o *Object) Retune(s strategy.Strategy) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if s.Model != o.strat.Model {
-		return errors.New("replication: Retune cannot change the coherence model")
-	}
-	if s.Writers != o.strat.Writers {
-		return errors.New("replication: Retune cannot change the write set")
-	}
-	// Drain aggregation state under the old policy so nothing is stranded.
-	if o.lazyTimer != nil {
-		o.lazyTimer.Stop()
-	}
-	o.lazyArmed = false
-	o.flushLazy()
-	if o.pollTimer != nil {
-		o.pollTimer.Stop()
-	}
-	o.pollArmed = false
-	o.strat = s
-	if s.Initiative == strategy.Pull && s.PullInterval > 0 && o.parent != "" {
-		o.armPoll()
-	}
-	return nil
-}
-
-// Strategy returns the currently active strategy.
-func (o *Object) Strategy() strategy.Strategy { return o.strat }

@@ -11,7 +11,7 @@ import (
 // Every instrument is nil when observability is disabled — the obs types
 // no-op on nil receivers — so the handlers increment unconditionally and
 // the disabled hot path pays one predictable branch per event and zero
-// allocations (pinned by BENCH_10.json). Trace emission is the exception:
+// allocations (pinned by webobj/allocs_test.go). Trace emission is the exception:
 // Detail strings cost real formatting, so call sites gate on traceOn().
 type repObs struct {
 	store string // store ID label value, also the trace Store field

@@ -44,36 +44,26 @@ func (o *Object) noteParentTraffic() {
 // a quarter interval) with slack — so a healthy parent lands at least one
 // digest per period.
 func (o *Object) armParentWatch() {
-	if o.parentWatchArmed || o.closed || o.reparentAfter <= 0 ||
-		o.digestInterval <= 0 || o.parent == "" {
-		return
+	if o.reparentAfter > 0 && o.digestInterval > 0 && o.parent != "" {
+		o.arm(o.parentWatchTimer, o.digestInterval*3/2)
 	}
-	o.parentWatchArmed = true
-	o.parentWatchTimer = o.env.AfterFunc(o.digestInterval*3/2, func() {
-		o.parentWatchArmed = false
-		if o.closed || o.parent == "" {
-			return
-		}
-		if !o.subAcked {
-			// The subscribe retry cycle owns liveness until the bootstrap
-			// ack lands; keep watching without counting.
-			o.parentHeard = false
-			o.armParentWatch()
-			return
-		}
-		if o.parentHeard {
-			o.parentHeard = false
-			o.armParentWatch()
-			return
-		}
+}
+
+// watchParent is one liveness check: count a period with no parent traffic,
+// and declare the parent dead after reparentAfter of them in a row.
+func (o *Object) watchParent() {
+	// Until the bootstrap ack lands the subscribe retry cycle owns
+	// liveness: keep watching without counting.
+	if o.subAcked && !o.parentHeard {
 		o.parentSilent++
 		o.stats.ParentMissedDigests++
 		if o.parentSilent >= o.reparentAfter {
 			o.parentSilent = 0
 			o.reparent(false)
 		}
-		o.armParentWatch()
-	})
+	}
+	o.parentHeard = false
+	o.armParentWatch()
 }
 
 // reparent reacts to a dead parent. With a live alternative it adopts that
@@ -83,7 +73,7 @@ func (o *Object) armParentWatch() {
 // very parent was just exhausted (exhausted=true), so a dead node is not
 // dialled in a tight loop but "same parent, later" still recovers.
 func (o *Object) reparent(exhausted bool) {
-	if o.closed || o.parent == "" || o.reparentArmed {
+	if o.closed || o.parent == "" || o.reparentTimer.armed() {
 		return
 	}
 	if next := o.pickParent(); next != "" {
@@ -129,12 +119,9 @@ func (o *Object) pickParent() string {
 // slow to stop pushing here.
 func (o *Object) adoptParent(addr string) {
 	if old := o.parent; old != "" && old != addr {
-		o.send(old, &msg.Message{Kind: msg.KindUnsubscribe, From: o.addr, Store: o.self})
+		o.send(old, o.frame(msg.KindUnsubscribe, nil))
 	}
-	if o.subTimer != nil {
-		o.subTimer.Stop()
-	}
-	o.subArmed = false
+	o.subTimer.stop()
 	o.subAcked = false
 	o.subRetries = 0
 	o.subWanted = true
@@ -151,15 +138,13 @@ func (o *Object) adoptParent(addr string) {
 // appeared meanwhile is adopted, otherwise the current parent is dialled
 // again with a fresh retry budget.
 func (o *Object) armReparentRetry() {
-	if o.reparentArmed || o.closed || o.demandRetry <= 0 {
-		return
+	if o.demandRetry > 0 {
+		o.arm(o.reparentTimer, o.demandRetry*maxSubscribeRetries/2)
 	}
-	o.reparentArmed = true
-	o.reparentTimer = o.env.AfterFunc(o.demandRetry*maxSubscribeRetries/2, func() {
-		o.reparentArmed = false
-		if o.closed || o.subAcked || !o.subWanted {
-			return
-		}
+}
+
+func (o *Object) retryReparent() {
+	if !o.subAcked && o.subWanted {
 		o.reparent(false)
-	})
+	}
 }

@@ -17,6 +17,7 @@
 package replication
 
 import (
+	"errors"
 	"hash/fnv"
 	"math/rand"
 	"time"
@@ -121,22 +122,64 @@ type Stats struct {
 	RecoveryNanos       uint64 // last restart: replay start to serve gate open
 }
 
-// parkedRead is a read waiting for coherence (requirement vector), state
-// (page fetch), or a revalidation round trip before it can be served.
-type parkedRead struct {
+// parkedReq is a request this replica could not answer yet: a client read
+// waiting for coherence (its requirement vector), for state (a page fetch) or
+// for one revalidation round trip, or a child's request for state this
+// replica holds only in invalidated form (see serveState).
+type parkedReq struct {
 	m        *msg.Message
 	deadline time.Time
 	// needsReval marks pull-on-access reads that must not be served until
 	// the parent has answered one revalidation (epoch advanced past epoch).
 	needsReval bool
 	epoch      uint64
-	// fetchTried/fetchedAt record that this read triggered a state fetch
+	// fetchTried/fetchedAt record that this request triggered a state fetch
 	// and how many full fetches had completed at that point: if a full
 	// fetch completes (fullFetches advances past fetchedAt) and the element
 	// is still missing, the parent does not have it and the read fails
 	// instead of looping fetch → state-reply → reconsider forever.
 	fetchTried bool
 	fetchedAt  uint64
+}
+
+// oneShot is a timer that is idle or armed once: arming it while armed does
+// nothing, and it is idle again when its callback runs. The callback is fixed
+// when the Object is built (Object.timer), so arming allocates nothing.
+// Callbacks reach the event loop through Env.AfterFunc, and an Env may run
+// one early or after stop — bench's stub env fires every callback it was
+// handed on its own schedule — so each re-checks the state it acts on.
+type oneShot struct {
+	fire    func()
+	pending clock.Timer // non-nil while armed
+}
+
+// timer registers f as a one-shot callback that Close will stop.
+func (o *Object) timer(f func()) *oneShot {
+	t := &oneShot{}
+	t.fire = func() {
+		t.pending = nil
+		if !o.closed {
+			f()
+		}
+	}
+	o.timers = append(o.timers, t)
+	return t
+}
+
+// arm schedules t to fire after d unless it is already armed.
+func (o *Object) arm(t *oneShot, d time.Duration) {
+	if t.pending == nil && !o.closed {
+		t.pending = o.env.AfterFunc(d, t.fire)
+	}
+}
+
+func (t *oneShot) armed() bool { return t.pending != nil }
+
+func (t *oneShot) stop() {
+	if t.pending != nil {
+		t.pending.Stop()
+		t.pending = nil
+	}
 }
 
 // Object is the replication sub-object for one distributed shared object at
@@ -184,23 +227,22 @@ type Object struct {
 	// demand requests that predate the log are answered with full state.
 	logPruned bool
 
-	// Lazy-instant aggregation buffers.
-	lazyUpdates []*coherence.Update
-	lazyPages   map[string]bool
-	lazyArmed   bool
-	lazyTimer   clock.Timer
+	// timers lists every oneShot below, for Close.
+	timers []*oneShot
+
+	// lazy aggregates applied updates between lazy-instant flushes.
+	lazy      []*coherence.Update
+	lazyTimer *oneShot
 
 	// Relay re-batching: while a batch arrival is being fanned into the
 	// engine (relayDepth > 0), immediately-disseminated updates collect in
-	// relayBuf and ship as one frame when the fan-in completes, so batching
+	// relay and ship as one frame when the fan-in completes, so batching
 	// survives the full root→leaf path.
 	relayDepth int
-	relayBuf   []*coherence.Update
-	relayPages map[string]bool
+	relay      []*coherence.Update
 
 	// Pull-initiative poller.
-	pollArmed bool
-	pollTimer clock.Timer
+	pollTimer *oneShot
 
 	// Subscription reliability: the subscribe frame used to be send-once,
 	// so one lost frame on a lossy link stranded the replica outside the
@@ -212,8 +254,7 @@ type Object struct {
 	subWanted  bool // SubscribeToParent was requested
 	subAcked   bool // bootstrap ack received
 	subRetries int
-	subArmed   bool
-	subTimer   clock.Timer
+	subTimer   *oneShot
 
 	// Self-healing (see reparent.go): when the parent stops answering —
 	// subscribe retries exhausted, or reparentAfter consecutive digest
@@ -224,24 +265,20 @@ type Object struct {
 	reparentAfter    int
 	parentHeard      bool // parent traffic since the last watch tick
 	parentSilent     int  // consecutive silent watch periods
-	parentWatchArmed bool
-	parentWatchTimer clock.Timer
-	reparentArmed    bool // same-parent-later cooldown in flight
-	reparentTimer    clock.Timer
-	reparenting      bool // a re-parent handshake awaits its ack
+	parentWatchTimer *oneShot
+	reparentTimer    *oneShot // same-parent-later cooldown
+	reparenting      bool     // a re-parent handshake awaits its ack
 
 	// Anti-entropy gossip peers (eventual model, sibling mirrors).
 	peers       map[string]bool
-	gossipArmed bool
-	gossipTimer clock.Timer
+	gossipTimer *oneShot
 
 	// Digest heartbeats: every digestInterval (jittered), the store sends
 	// its children a compact applied-vector digest so a child behind silent
 	// tail-loss or a healed partition detects the gap and demands, instead
 	// of staying stale until the next unrelated arrival.
 	digestInterval time.Duration
-	digestArmed    bool
-	digestTimer    clock.Timer
+	digestTimer    *oneShot
 	digestRNG      *rand.Rand
 	// digestGapDemand marks the open demand cycle as digest-initiated: its
 	// gap has no buffered updates or parked reads to witness it, so the
@@ -275,8 +312,7 @@ type Object struct {
 	// coherence response (revalEpoch unchanged), the demand is re-sent,
 	// bounded by maxDemandRetries per cycle.
 	demandRetry      time.Duration
-	demandRetryArmed bool
-	demandRetryTimer clock.Timer
+	demandRetryTimer *oneShot
 	demandEpoch      uint64
 	demandRetries    int
 
@@ -292,8 +328,7 @@ type Object struct {
 	wal             *wal.Log
 	walPolicy       wal.Policy
 	walSyncInterval time.Duration
-	walSyncArmed    bool
-	walSyncTimer    clock.Timer
+	walSyncTimer    *oneShot
 	walReplaying    bool
 	snapshotEvery   int
 	lastSnapVec     ids.VersionVec
@@ -304,10 +339,10 @@ type Object struct {
 	recoverStart      time.Time
 	recoverRetries    int
 	recoveryGrace     time.Duration
-	recoverGraceTimer clock.Timer
-	recoverRetryTimer clock.Timer
+	recoverGraceTimer *oneShot
+	recoverRetryTimer *oneShot
 
-	parked      []*parkedRead
+	parked      []*parkedReq
 	readTimeout time.Duration
 	// revalEpoch counts coherence responses received from the parent
 	// (updates, state replies, acks); pull-on-access reads wait for it to
@@ -435,14 +470,25 @@ func New(cfg Config) (*Object, error) {
 		children:    make(map[string]bool),
 		nextGlobal:  1,
 		stamped:     make(map[ids.ClientID]*stampedSeqs),
-		lazyPages:   make(map[string]bool),
 		invalid:     make(map[string]bool),
 		fetchVec:    ids.NewVersionVec(4),
 		pageVec:     make(map[string]ids.VersionVec),
 		readTimeout: cfg.ReadTimeout,
 	}
-	// Instruments must exist before recover() below replays the WAL.
+	// Instruments and timers must exist before recover() below replays the
+	// WAL and arms the recovery gate.
 	o.obsv = newRepObs(cfg.Obs, cfg.Self, cfg.Object)
+	o.lazyTimer = o.timer(o.flushLazy)
+	o.pollTimer = o.timer(o.poll)
+	o.subTimer = o.timer(o.retrySubscribe)
+	o.parentWatchTimer = o.timer(o.watchParent)
+	o.reparentTimer = o.timer(o.retryReparent)
+	o.gossipTimer = o.timer(o.gossip)
+	o.digestTimer = o.timer(o.digest)
+	o.demandRetryTimer = o.timer(o.retryDemand)
+	o.walSyncTimer = o.timer(o.walSync)
+	o.recoverGraceTimer = o.timer(o.finishRecovery)
+	o.recoverRetryTimer = o.timer(o.retryRecovery)
 	if o.readTimeout <= 0 {
 		o.readTimeout = 5 * time.Second
 	}
@@ -516,48 +562,47 @@ func (o *Object) Children() []string {
 func (o *Object) Close() {
 	o.FlushAcks()
 	o.closed = true
-	if o.lazyTimer != nil {
-		o.lazyTimer.Stop()
-	}
-	if o.pollTimer != nil {
-		o.pollTimer.Stop()
-	}
-	if o.subTimer != nil {
-		o.subTimer.Stop()
-	}
-	if o.gossipTimer != nil {
-		o.gossipTimer.Stop()
-	}
-	if o.digestTimer != nil {
-		o.digestTimer.Stop()
-	}
-	if o.demandRetryTimer != nil {
-		o.demandRetryTimer.Stop()
-	}
-	if o.walSyncTimer != nil {
-		o.walSyncTimer.Stop()
-	}
-	if o.recoverGraceTimer != nil {
-		o.recoverGraceTimer.Stop()
-	}
-	if o.recoverRetryTimer != nil {
-		o.recoverRetryTimer.Stop()
-	}
-	if o.parentWatchTimer != nil {
-		o.parentWatchTimer.Stop()
-	}
-	if o.reparentTimer != nil {
-		o.reparentTimer.Stop()
+	for _, t := range o.timers {
+		t.stop()
 	}
 	if o.wal != nil {
 		_ = o.wal.Close()
 		o.wal = nil
 	}
 	for _, p := range o.parked {
-		o.replyErr(p.m, msg.StatusRetry, "store closing")
+		o.refuse(p.m, msg.StatusRetry, "store closing")
 	}
 	o.parked = nil
 }
+
+// Retune replaces the object's implementation parameters at runtime — the
+// dynamic adaptation §3.3 anticipates ("ideally, the implementation
+// parameters can be modified dynamically as the usage characteristics of an
+// object change"). The coherence model itself is fixed at creation (it
+// defines the object's contract with clients); only the Table 1
+// dissemination parameters may change. Pending lazy buffers are flushed
+// under the old parameters first.
+func (o *Object) Retune(s strategy.Strategy) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if s.Model != o.strat.Model {
+		return errors.New("replication: Retune cannot change the coherence model")
+	}
+	if s.Writers != o.strat.Writers {
+		return errors.New("replication: Retune cannot change the write set")
+	}
+	// Drain aggregation state under the old policy so nothing is stranded.
+	o.lazyTimer.stop()
+	o.flushLazy()
+	o.pollTimer.stop()
+	o.strat = s
+	o.armPoll()
+	return nil
+}
+
+// Strategy returns the currently active strategy.
+func (o *Object) Strategy() strategy.Strategy { return o.strat }
 
 // applied is the store's total coherence knowledge: ordered applies plus
 // state-transfer knowledge.

@@ -1,8 +1,12 @@
 package store_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -343,6 +347,100 @@ func TestInvalidationMode(t *testing.T) {
 	}
 	if cs.Invalidations == 0 {
 		t.Fatalf("no invalidations recorded: %+v", cs)
+	}
+}
+
+// TestInvalidationThroughMirror is the topology the benchmark's flashcrowd
+// workload avoids: www → mirror → two caches under invalidation, per page and
+// with whole-object access transfer. An invalidated mirror that answers a
+// cache's refetch from the page it holds leaves that cache one version behind
+// for good (the cache clears its invalid mark on the old content), so readers
+// at the caches check that a page never goes backwards and, once the writer
+// stops, that every cache holds www's bytes.
+func TestInvalidationThroughMirror(t *testing.T) {
+	const (
+		obj      = ids.ObjectID("event-page")
+		pages    = 8
+		versions = 200
+	)
+	pageName := func(i int) string { return fmt.Sprintf("p%d", i) }
+	for _, transfer := range []strategy.Transfer{strategy.TransferPartial, strategy.TransferFull} {
+		t.Run(transfer.String(), func(t *testing.T) {
+			r := newRig(t)
+			st := strategy.PopularEventPage()
+			st.AccessTransfer = transfer
+			www := r.store("www", replication.RolePermanent)
+			if err := www.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st}); err != nil {
+				t.Fatal(err)
+			}
+			writer := r.bind("writer", "www", obj)
+			for i := 0; i < pages; i++ {
+				putPage(t, writer, pageName(i), "0")
+			}
+			mirror := r.store("mirror", replication.RoleObjectInitiated)
+			if err := mirror.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st, Parent: "www", Subscribe: true}); err != nil {
+				t.Fatal(err)
+			}
+			caches := make([]*store.Store, 2)
+			var readers sync.WaitGroup
+			stop := make(chan struct{})
+			for c := range caches {
+				addr := fmt.Sprintf("cache%d", c)
+				caches[c] = r.store(addr, replication.RoleClientInitiated)
+				if err := caches[c].Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st, Parent: "mirror", Subscribe: true}); err != nil {
+					t.Fatal(err)
+				}
+				reader := r.bind("reader@"+addr, addr, obj)
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					seen := make([]int, pages)
+					for i := 0; ; i = (i + 1) % pages {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						out, err := reader.Invoke(msg.Invocation{Method: webdoc.MethodGetPage, Page: pageName(i)})
+						if err != nil {
+							t.Errorf("%s: read %s: %v", addr, pageName(i), err)
+							return
+						}
+						pg, err := webdoc.DecodePage(out)
+						if err != nil {
+							t.Errorf("%s: decode %s: %v", addr, pageName(i), err)
+							return
+						}
+						v, err := strconv.Atoi(string(pg.Content))
+						if err != nil || v < seen[i] {
+							t.Errorf("%s: %s went from version %d to %q", addr, pageName(i), seen[i], pg.Content)
+							return
+						}
+						seen[i] = v
+					}
+				}()
+			}
+			for v := 1; v <= versions; v++ {
+				for i := 0; i < pages; i++ {
+					putPage(t, writer, pageName(i), strconv.Itoa(v))
+				}
+			}
+			close(stop)
+			readers.Wait()
+			for i := 0; i < pages; i++ {
+				inv := msg.Invocation{Method: webdoc.MethodGetPage, Page: pageName(i)}
+				want, err := www.ReadLocal(obj, inv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cache := range caches {
+					eventually(t, 3*time.Second, func() bool {
+						got, err := cache.ReadLocal(obj, inv)
+						return err == nil && bytes.Equal(got, want)
+					}, fmt.Sprintf("%s holds www's %s after quiesce", cache.Addr(), pageName(i)))
+				}
+			}
+		})
 	}
 }
 

@@ -258,11 +258,11 @@ func (s *Store) walDir(object ids.ObjectID) string {
 		fmt.Sprintf("store-%d", s.cfg.ID), url.PathEscape(string(object)))
 }
 
-// Unhost removes a hosted replica at runtime: it unsubscribes from the
-// parent (so the parent stops pushing to a dead address), closes the
-// replication object, and forgets the replica. The multi-object daemon's
-// drop-replica control RPC is built on it.
-func (s *Store) Unhost(object ids.ObjectID) error {
+// call runs f against the hosted replica of object on the event loop and
+// waits for its result: ErrNotHosted when the store has no such replica,
+// ErrClosed when the loop is gone before f could be posted.
+func call[T any](s *Store, object ids.ObjectID, f func(*replica) (T, error)) (T, error) {
+	var out T
 	errCh := make(chan error, 1)
 	posted := s.post(func() {
 		r, ok := s.replicas[object]
@@ -270,30 +270,9 @@ func (s *Store) Unhost(object ids.ObjectID) error {
 			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
 			return
 		}
-		r.repl.UnsubscribeFromParent()
-		r.repl.Close()
-		delete(s.replicas, object)
-		s.hosted.Add(-1)
-		errCh <- nil
-	})
-	if !posted {
-		return ErrClosed
-	}
-	return <-errCh
-}
-
-// Stats returns the replication counters of a hosted object.
-func (s *Store) Stats(object ids.ObjectID) (replication.Stats, error) {
-	var out replication.Stats
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		out = r.repl.Stats()
-		errCh <- nil
+		var err error
+		out, err = f(r)
+		errCh <- err
 	})
 	if !posted {
 		return out, ErrClosed
@@ -301,45 +280,43 @@ func (s *Store) Stats(object ids.ObjectID) (replication.Stats, error) {
 	return out, <-errCh
 }
 
+// do is call for operations with no result beyond the error.
+func (s *Store) do(object ids.ObjectID, f func(*replica) error) error {
+	_, err := call(s, object, func(r *replica) (struct{}, error) { return struct{}{}, f(r) })
+	return err
+}
+
+// Unhost removes a hosted replica at runtime: it unsubscribes from the
+// parent (so the parent stops pushing to a dead address), closes the
+// replication object, and forgets the replica. The multi-object daemon's
+// drop-replica control RPC is built on it.
+func (s *Store) Unhost(object ids.ObjectID) error {
+	return s.do(object, func(r *replica) error {
+		r.repl.UnsubscribeFromParent()
+		r.repl.Close()
+		delete(s.replicas, object)
+		s.hosted.Add(-1)
+		return nil
+	})
+}
+
+// Stats returns the replication counters of a hosted object.
+func (s *Store) Stats(object ids.ObjectID) (replication.Stats, error) {
+	return call(s, object, func(r *replica) (replication.Stats, error) { return r.repl.Stats(), nil })
+}
+
 // Applied returns the applied version vector of a hosted object.
 func (s *Store) Applied(object ids.ObjectID) (ids.VersionVec, error) {
-	var out ids.VersionVec
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		out = r.repl.Applied()
-		errCh <- nil
-	})
-	if !posted {
-		return nil, ErrClosed
-	}
-	return out, <-errCh
+	return call(s, object, func(r *replica) (ids.VersionVec, error) { return r.repl.Applied(), nil })
 }
 
 // ReadLocal executes a read invocation directly against the hosted replica
 // (test and metrics support; bypasses the session machinery).
 func (s *Store) ReadLocal(object ids.ObjectID, inv msg.Invocation) ([]byte, error) {
-	var out []byte
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		//globelint:ignore aliasretain inv is caller-owned (not decode output) and the caller blocks on errCh until this closure finishes
-		b, err := r.ctrl.ServeRead(inv)
-		out = b
-		errCh <- err
+	return call(s, object, func(r *replica) ([]byte, error) {
+		//globelint:ignore aliasretain inv is caller-owned (not decode output) and the caller blocks in call until this closure finishes
+		return r.ctrl.ServeRead(inv)
 	})
-	if !posted {
-		return nil, ErrClosed
-	}
-	return out, <-errCh
 }
 
 // Close stops the event loop and closes every replica. It does not close
@@ -379,38 +356,12 @@ func (s *Store) Crash() {
 // Compact forces a snapshot compaction of a durable replica (tests, control
 // surfaces).
 func (s *Store) Compact(object ids.ObjectID) error {
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		errCh <- r.repl.Compact()
-	})
-	if !posted {
-		return ErrClosed
-	}
-	return <-errCh
+	return s.do(object, func(r *replica) error { return r.repl.Compact() })
 }
 
 // Durability reports the durable-store state of a hosted replica.
 func (s *Store) Durability(object ids.ObjectID) (replication.DurabilityInfo, error) {
-	var out replication.DurabilityInfo
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		out = r.repl.Durability()
-		errCh <- nil
-	})
-	if !posted {
-		return out, ErrClosed
-	}
-	return out, <-errCh
+	return call(s, object, func(r *replica) (replication.DurabilityInfo, error) { return r.repl.Durability(), nil })
 }
 
 // post schedules f on the event loop; reports false if the store is closed.
@@ -460,6 +411,7 @@ func (s *Store) loop() {
 }
 
 // drain dispatches messages already queued behind the one just handled.
+//
 //globelint:looponly
 func (s *Store) drain(recv <-chan *msg.Message) {
 	for i := 0; i < maxDrainBatch; i++ {
@@ -477,6 +429,7 @@ func (s *Store) drain(recv <-chan *msg.Message) {
 
 // flushAcks runs the per-batch group commit on every hosted replica (a
 // no-op on replicas with nothing parked).
+//
 //globelint:looponly
 func (s *Store) flushAcks() {
 	for _, r := range s.replicas {
@@ -485,6 +438,7 @@ func (s *Store) flushAcks() {
 }
 
 // dispatch routes one message to the store or its replicas.
+//
 //globelint:looponly
 func (s *Store) dispatch(m *msg.Message) {
 	if m.Kind == msg.KindBindRequest {
@@ -507,6 +461,7 @@ func (s *Store) dispatch(m *msg.Message) {
 // the client's declared semantics type (the bind request's Sem field)
 // matches the replica's. Either side may leave the name empty to skip the
 // check.
+//
 //globelint:looponly
 func (s *Store) onBind(m *msg.Message) {
 	r := m.Reply(msg.KindBindReply)
@@ -593,54 +548,16 @@ func (e *replicaEnv) AfterFunc(d time.Duration, f func()) clock.Timer {
 // Retune swaps a hosted object's implementation parameters at runtime (the
 // paper's dynamic-adaptation hook); the coherence model cannot change.
 func (s *Store) Retune(object ids.ObjectID, strat strategy.Strategy) error {
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		errCh <- r.repl.Retune(strat)
-	})
-	if !posted {
-		return ErrClosed
-	}
-	return <-errCh
+	return s.do(object, func(r *replica) error { return r.repl.Retune(strat) })
 }
 
 // AddPeer registers a sibling replica for anti-entropy gossip (eventual
 // model, leaderless mirror synchronisation).
 func (s *Store) AddPeer(object ids.ObjectID, peerAddr string) error {
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		r.repl.AddPeer(peerAddr)
-		errCh <- nil
-	})
-	if !posted {
-		return ErrClosed
-	}
-	return <-errCh
+	return s.do(object, func(r *replica) error { r.repl.AddPeer(peerAddr); return nil })
 }
 
 // RemovePeer deregisters a gossip peer previously added with AddPeer.
 func (s *Store) RemovePeer(object ids.ObjectID, peerAddr string) error {
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		r, ok := s.replicas[object]
-		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
-		}
-		r.repl.RemovePeer(peerAddr)
-		errCh <- nil
-	})
-	if !posted {
-		return ErrClosed
-	}
-	return <-errCh
+	return s.do(object, func(r *replica) error { r.repl.RemovePeer(peerAddr); return nil })
 }

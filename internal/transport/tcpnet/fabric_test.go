@@ -188,7 +188,7 @@ func TestInboundOutsizedFrame(t *testing.T) {
 // zero-allocation (pooled encode + writev), so the number reported here is
 // the inbound path's: with chunked handoff + DecodeAlias it is the cost of
 // the decoded Message itself plus the amortised chunk, not a per-frame body
-// copy. The BENCH_<n>.json trajectory tracks it.
+// copy.
 func BenchmarkTCPInboundAllocs(b *testing.B) {
 	src, err := Listen("127.0.0.1:0")
 	if err != nil {
