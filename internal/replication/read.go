@@ -1,0 +1,156 @@
+package replication
+
+import (
+	"errors"
+
+	"repro/internal/msg"
+	"repro/internal/semantics"
+	"repro/internal/strategy"
+)
+
+// onRead implements the access path: check session requirements (client-
+// based models, §3.2.2), check replica validity (invalidations, pull mode),
+// then serve from the local semantics object.
+func (o *Object) onRead(m *msg.Message) {
+	// Pull-on-access revalidation: with pull initiative and no periodic
+	// poller, every access first validates against the parent (the
+	// If-Modified-Since pattern from the paper's introduction).
+	if o.strat.Initiative == strategy.Pull && o.strat.PullInterval <= 0 && o.parent != "" {
+		o.demandFromParent()
+		p := o.park(m, nil)
+		p.needsReval, p.epoch = true, o.revalEpoch
+		return
+	}
+	o.serveRead(m, nil)
+}
+
+// requirementMet checks the read's session-guarantee requirement vector.
+func (o *Object) requirementMet(m *msg.Message) bool {
+	return o.coversVec(&m.VVec)
+}
+
+// invalidated reports whether this replica may not hand out page (or, for
+// "", the object as a reader sees it) because a notice from upstream marked
+// it outdated. A store with no parent has nobody to refetch from: what it
+// holds is the object.
+func (o *Object) invalidated(page string) bool {
+	return o.parent != "" && (o.allInvalid || o.invalid[page])
+}
+
+// serveRead answers read m from the local semantics object, or parks it: for
+// coherence when its requirement vector is not covered, for state when the
+// page is invalidated or missing here and a parent can supply it. p is m's
+// parked entry when the read has waited before, nil on arrival. A miss that
+// outlives a completed full state transfer means the parent lacks the element
+// too, so the read fails with not-found rather than livelocking in a fetch →
+// state-reply → reconsider cycle.
+func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
+	if !o.requirementMet(m) {
+		if p == nil {
+			o.stats.ReqViolations++
+			// §4: under demand "the cache first demands an update from the
+			// Web server"; under wait the store "simply waits until a new
+			// write arrives".
+			if o.strat.ClientOutdate == strategy.Demand {
+				o.demandFromParent()
+			}
+		}
+		o.park(m, p)
+		return
+	}
+	page := m.Inv.Page
+	invalid := o.invalidated(page)
+	if !invalid {
+		payload, err := o.env.ServeRead(m.Inv)
+		if err == nil {
+			o.stats.ReadsServed++
+			r := o.frame(msg.KindReadReply, m)
+			r.Payload = payload
+			r.VVec = o.appliedVec()
+			o.send(m.From, r)
+			return
+		}
+		// A cold or partially warm replica misses elements it never
+		// fetched; resolve through the parent per the access-transfer type.
+		fetchedInVain := p != nil && p.fetchTried && o.fetchesWhole(page) && o.fullFetches > p.fetchedAt
+		if !errors.Is(err, semantics.ErrNoElement) || o.parent == "" || fetchedInVain {
+			o.refuse(m, msg.StatusNotFound, err.Error())
+			return
+		}
+	}
+	p = o.park(m, p)
+	// The fetch for an invalidated page stays in flight until its reply
+	// clears the mark; a miss after a fetch means that fetch did not bring
+	// the element, so ask again.
+	if !invalid || !p.fetchTried {
+		o.fetch(page)
+		p.fetchTried, p.fetchedAt = true, o.fullFetches
+	}
+}
+
+// park queues request m until coherence or state arrives, with a deadline on
+// its first visit; p is its entry from an earlier visit, or nil.
+func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
+	if p == nil {
+		if m.Kind == msg.KindReadRequest {
+			o.stats.ReadsParked++
+		}
+		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.readTimeout)}
+		o.env.AfterFunc(o.readTimeout, func() { o.expireParked() })
+	}
+	//globelint:ignore aliasretain parked request pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
+	o.parked = append(o.parked, p)
+	return p
+}
+
+// expireParked refuses requests whose deadline passed. A whole-object fetch
+// they waited for is presumed lost with them, so the next one may ask again.
+func (o *Object) expireParked() {
+	if o.closed {
+		return
+	}
+	now := o.env.Now()
+	rest := o.parked[:0]
+	for _, p := range o.parked {
+		if now.Before(p.deadline) {
+			rest = append(rest, p)
+			continue
+		}
+		o.fetching = false
+		o.refuse(p.m, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
+	}
+	o.parked = rest
+}
+
+// reconsiderParked retries parked requests after local state changed; each
+// is answered or parks again.
+func (o *Object) reconsiderParked() {
+	if len(o.parked) == 0 {
+		return
+	}
+	pending := o.parked
+	o.parked = nil
+	for _, p := range pending {
+		switch {
+		case p.needsReval && p.epoch >= o.revalEpoch:
+			o.parked = append(o.parked, p) // revalidation still in flight
+		case p.m.Kind == msg.KindReadRequest:
+			o.serveRead(p.m, p)
+		default:
+			o.serveState(p.m, p)
+		}
+	}
+}
+
+// failParkedPage answers parked reads for one page with not-found.
+func (o *Object) failParkedPage(page, errText string) {
+	rest := o.parked[:0]
+	for _, p := range o.parked {
+		if p.m.Inv.Page == page {
+			o.refuse(p.m, msg.StatusNotFound, errText)
+			continue
+		}
+		rest = append(rest, p)
+	}
+	o.parked = rest
+}

@@ -1,0 +1,337 @@
+package replication
+
+import (
+	"strings"
+
+	"repro/internal/ids"
+	"repro/internal/msg"
+	"repro/internal/strategy"
+)
+
+// demandFromParent asks the parent for every update beyond our applied
+// vector, and arms the retry timer so a lost demand (or lost reply) on an
+// otherwise quiet object re-requests after a bounded delay instead of
+// stranding until the next arrival.
+func (o *Object) demandFromParent() {
+	if o.parent == "" {
+		return
+	}
+	// Every direct call opens a fresh retry cycle; an exhausted earlier
+	// cycle must not leave retries permanently disabled (retryDemand
+	// restores its own count after this reset).
+	o.demandRetries = 0
+	o.stats.DemandsSent++
+	o.obsv.demands.Inc()
+	if o.traceOn() {
+		o.emit("demand_sent", "to="+o.parent)
+	}
+	d := o.frame(msg.KindDemandUpdate, nil)
+	d.VVec = o.appliedVec()
+	o.send(o.parent, d)
+	o.demandEpoch = o.revalEpoch
+	if o.demandRetry > 0 {
+		o.arm(o.demandRetryTimer, o.demandRetry)
+	}
+}
+
+// maxDemandRetries bounds re-requests per unanswered-demand cycle, so a
+// dead parent is not hammered forever (the cycle resets on any coherence
+// response).
+const maxDemandRetries = 16
+
+// retryDemand re-sends the demand if no coherence response arrived since it
+// was issued and something is still outstanding (buffered updates awaiting
+// predecessors, or parked reads).
+func (o *Object) retryDemand() {
+	if o.revalEpoch != o.demandEpoch {
+		o.demandRetries = 0 // the parent answered; cycle complete
+		o.digestGapDemand = false
+		return
+	}
+	// A digest-initiated demand chases a silent gap: nothing is buffered
+	// and no read is parked, yet the demand (or its reply) may have been
+	// lost — without the flag this check would end the cycle and recovery
+	// would wait a whole extra heartbeat.
+	if o.engine.Pending() == 0 && len(o.parked) == 0 && !o.digestGapDemand {
+		o.demandRetries = 0 // nothing outstanding to chase
+		return
+	}
+	if o.demandRetries >= maxDemandRetries {
+		return
+	}
+	// demandFromParent starts a fresh cycle (resetting the counter), so
+	// carry the retry count across the re-send explicitly.
+	retries := o.demandRetries + 1
+	o.demandFromParent()
+	o.demandRetries = retries
+}
+
+// fetchesWhole reports whether fetching page means fetching the whole
+// object: the access-transfer type says so, the request names no page, or a
+// page-less notice outdated everything at once (no page reply lifts that).
+func (o *Object) fetchesWhole(page string) bool {
+	return o.strat.AccessTransfer == strategy.TransferFull || page == "" || o.allInvalid
+}
+
+// fetch requests state per the access-transfer type: one element
+// (partial) or the full document.
+func (o *Object) fetch(page string) {
+	if o.parent == "" {
+		return
+	}
+	full := o.fetchesWhole(page)
+	if full {
+		if o.fetching {
+			return
+		}
+		o.fetching = true
+	}
+	o.stats.DemandsSent++
+	o.obsv.demands.Inc()
+	if o.traceOn() {
+		o.emit("demand_sent", "to="+o.parent+" state_page="+page)
+	}
+	req := o.frame(msg.KindStateRequest, nil)
+	if !full {
+		req.Pages = []string{page}
+	}
+	o.send(o.parent, req)
+}
+
+// onDemand serves a child's demand-update: replay logged updates it lacks,
+// or fall back to full state when the log genuinely cannot bring the
+// requester up to date — because history was pruned, or because this
+// store's own knowledge arrived by state transfer (seeded writes are never
+// logged). Answering "nothing missing" in that situation would let the
+// requester mark content it never received as covered.
+func (o *Object) onDemand(m *msg.Message) {
+	if !o.logCovers(&m.VVec) {
+		o.serveState(m, nil)
+		return
+	}
+	missing := o.missingFrom(&m.VVec)
+	if len(missing) == 0 {
+		// Nothing to send: answer anyway so pull-on-access revalidations
+		// complete instead of timing out.
+		ack := o.frame(msg.KindUpdateAck, nil)
+		ack.VVec = o.appliedVec()
+		o.send(m.From, ack)
+		return
+	}
+	// Replay as one batch frame instead of one message per logged update.
+	o.sendUpdates(m.From, missing)
+}
+
+// logCovers reports whether the retained log suffices to bring a requester
+// with vector v up to date: for every client, the requester must already
+// know everything older than the log's earliest retained write from that
+// client.
+func (o *Object) logCovers(v *msg.Vec) bool {
+	minSeq := make(map[ids.ClientID]uint64, 4)
+	for _, u := range o.log {
+		if s, ok := minSeq[u.Write.Client]; !ok || u.Write.Seq < s {
+			minSeq[u.Write.Client] = u.Write.Seq
+		}
+	}
+	for c, applied := range o.applied() {
+		need := applied // client absent from log: requester must know it all
+		if s, ok := minSeq[c]; ok {
+			need = s - 1
+		}
+		if v.Get(c) < need {
+			return false
+		}
+	}
+	return true
+}
+
+// serveState is the one place state leaves this replica for another: it
+// answers req — a child's state request (one page, or the whole object), a
+// subscribe (the bootstrap ack), or a demand the log cannot answer — and
+// owns the rule for what may be handed out: never a page marked invalid,
+// and nothing whole while any mark is set. The receiver installs what it
+// gets and clears its own mark on it, so state served from behind a mark
+// would leave a whole subtree one version stale with nothing to flag it.
+// While a parent can supply fresh content the request parks behind this
+// replica's own fetch (p is its entry from an earlier visit, nil on arrival):
+// reconsiderParked answers it from what the fetch installs, expireParked
+// drops it at ReadTimeout.
+func (o *Object) serveState(req *msg.Message, p *parkedReq) {
+	page := ""
+	if req.Kind == msg.KindStateRequest && len(req.Pages) > 0 {
+		page = req.Pages[0]
+	}
+	if o.invalidated(page) || (page == "" && o.parent != "" && len(o.invalid) > 0) {
+		if p = o.park(req, p); !p.fetchTried {
+			o.fetch(page)
+			p.fetchTried = true
+		}
+		return
+	}
+	kind := msg.KindStateReply
+	if req.Kind == msg.KindSubscribe {
+		kind = msg.KindSubscribeAck
+	}
+	r := o.frame(kind, req)
+	r.VVec = o.appliedVec()
+	if page != "" {
+		r.Pages = req.Pages[:1]
+		data, err := o.env.SnapshotElement(page)
+		if err != nil {
+			r.Status = msg.StatusNotFound
+			r.Err = err.Error()
+		}
+		r.Payload = data
+	} else {
+		snap, err := o.env.Snapshot()
+		if err != nil {
+			return
+		}
+		r.Payload = snap
+		r.GlobalSeq = o.engine.Global()
+	}
+	o.send(req.From, r)
+}
+
+// onStateReply installs fetched state: one page's, or the whole object's.
+func (o *Object) onStateReply(m *msg.Message) {
+	o.revalEpoch++
+	if len(m.Pages) == 0 {
+		o.fetching = false
+		o.install("", &m.VVec, m.GlobalSeq, m.Payload)
+		return
+	}
+	// Cloned: the name is retained as a pageVec key and a semantics
+	// element key, long past this frame (see cloneInv).
+	page := strings.Clone(m.Pages[0])
+	if m.Status == msg.StatusNotFound {
+		// The parent lacks it too; fail parked reads for that page, and
+		// tell children asking for it the same.
+		o.failParkedPage(page, m.Err)
+		delete(o.invalid, page)
+		o.reconsiderParked()
+		return
+	}
+	o.install(page, &m.VVec, m.GlobalSeq, m.Payload)
+}
+
+// install is the one place state from another replica replaces content here:
+// one page's (a page state reply), or the whole object's when page is "" (a
+// pushed snapshot, a full state reply, the subscribe ack). v is the sender's
+// applied vector when it took the state, gseq its sequencer position. It
+// reports whether the state was taken, and retries parked requests either
+// way — a dropped transfer still proves the parent answered.
+//
+// Every transfer first passes the stale guard (staleSnapshot): demand and
+// subscribe retries and link duplication put several transfers in flight,
+// and a late one this replica already covers must not roll content back.
+// reapplyBeyond cannot repair such a rollback — it replays only logged ops,
+// and ops whose effects arrived inside an earlier transfer were never logged
+// — so an unguarded overwrite leaves a mid-sequence gap readers can observe
+// (an MW/PRAM violation) that no digest would ever flag. One exception: a
+// page marked invalid is outdated by definition, and an invalidation advances
+// no vector for the guard to compare, so its fetch is taken as it comes.
+//
+// What a taken transfer does to the invalid marks: a page transfer clears
+// that page's mark; a whole-object transfer clears every mark, the page-less
+// one included, whichever frame carried it — it replaces every page, so no
+// mark describes the content held any longer. This presumes the snapshot is
+// no older than the marks. serveState guarantees the sender was not itself
+// handing out invalidated content, and on an ordered link a snapshot taken
+// before a write arrives before that write's invalidation; a reordering link
+// can deliver one late, and because the guard cannot see invalidations that
+// snapshot passes it. The chaos matrix has no invalidation leg yet (ROADMAP
+// 1(b)) to put a number on that window.
+func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) bool {
+	defer o.reconsiderParked()
+	if o.staleSnapshot(v, page) && !(page != "" && (o.invalid[page] || o.allInvalid)) {
+		return false
+	}
+	if page != "" {
+		if err := o.env.ApplyElement(page, payload); err != nil {
+			return false
+		}
+		o.reapplyBeyond(v, page)
+		delete(o.invalid, page)
+		pv, ok := o.pageVec[page]
+		if !ok {
+			pv = ids.NewVersionVec(4)
+			o.pageVec[page] = pv
+		}
+		v.MergeInto(pv)
+		return true
+	}
+	// A bare subscribe ack (no payload) still seeds the vectors.
+	if len(payload) > 0 {
+		if err := o.env.ApplyFull(payload); err != nil {
+			return false
+		}
+		o.fullFetches++
+		o.reapplyBeyond(v, "")
+	}
+	clear(o.invalid)
+	o.allInvalid = false
+	// The snapshot already reflects every write in v: seed the ordering
+	// engine so pushed op updates it covers are not re-applied.
+	v.MergeInto(o.fetchVec)
+	o.engine.Seed(v.Version(), gseq)
+	o.markAppliedStale()
+	return true
+}
+
+// staleSnapshot is install's guard, run before replacing content with a
+// state transfer stamped v (of one page, or of the whole object when page is
+// ""). Installing a late or reordered transfer rolls back whatever arrived
+// since inside an earlier one: reapplyBeyond restores only logged ops, and a
+// page's own vector goes on claiming the lost writes, so the ordered updates
+// that would repair them are skipped as covered. A transfer is stale when
+// this replica already knows every write in v — applied, fetched whole, or
+// fetched for that page — and a whole-object transfer also when it predates
+// any page fetched on its own. An empty v is a snapshot from before the first
+// write: what a fresh replica bootstraps from when the parent was seeded with
+// content, so it installs while the replica knows of no write to what it
+// replaces, and is stale from then on.
+func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
+	if page == "" {
+		for _, fetched := range o.pageVec {
+			for c, s := range fetched {
+				if v.Get(c) < s {
+					return true
+				}
+			}
+		}
+	}
+	pv := o.pageVec[page]
+	if v.Len() == 0 {
+		known := o.appliedVec()
+		return known.Len() > 0 || len(pv) > 0
+	}
+	covered := true
+	v.Each(func(c ids.ClientID, s uint64) bool {
+		w := ids.WiD{Client: c, Seq: s}
+		covered = o.covers(w) || pv.CoversWrite(w)
+		return covered
+	})
+	return covered
+}
+
+// reapplyBeyond re-applies logged updates the snapshot vector does not
+// cover (restricted to one page when page != ""). A state transfer installs
+// the sender's content wholesale; when this replica had already applied
+// ops the snapshot predates — a reply overtaken by later pushes, or a
+// retried subscribe's stale ack — ApplyFull/ApplyElement would silently
+// roll that content back while the engine keeps its newer applied state,
+// and no digest would ever flag the loss. Replaying the log's tail on top
+// of the snapshot reconstructs exactly snapshot ∪ newer-local-ops.
+func (o *Object) reapplyBeyond(v *msg.Vec, page string) {
+	for _, u := range o.log {
+		if page != "" && u.Inv.Page != page {
+			continue
+		}
+		if !v.CoversWrite(u.Write) {
+			if err := o.env.ApplyOp(u); err != nil {
+				o.stats.ReadsFailed++
+			}
+		}
+	}
+}
