@@ -38,8 +38,6 @@ bench:
 # Non-blank, non-comment lines of non-test Go per package: the figure PRs
 # that claim to simplify quote (CHANGES.md), as one command.
 loc:
-	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
-		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
-		printf '%6d  %s\n' $$n $$(realpath --relative-to=. $$d); \
-	done | sort -k2; \
-	printf '%6d  total\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)
+	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
+		printf '%6d  %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l) $$(realpath --relative-to=. $$d); \
+	done | awk '{print; n += $$1} END {printf "%6d  total\n", n}'

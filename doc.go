@@ -310,6 +310,36 @@
 // negative control that demonstrably stalls with re-parenting off) and by
 // scripts/smoke_e2e.sh part 4 over real TCP processes.
 //
+// # The replication object: five jobs, one place each
+//
+// internal/replication is Figure 1's replication sub-object, one per replica,
+// a deterministic state machine on its store's event loop. It does five
+// jobs and each protocol decision lives in exactly one function, so a rule
+// cannot hold on one path and be missing on its copy (the two consistency
+// bugs the chaos suite and the benchmark found were both a missing copy):
+//
+//   - read / park (read.go): serveRead answers a read from local semantics or
+//     parks it — for its session requirement vector, or for state when the
+//     page is invalidated or missing — and park holds every waiting request,
+//     a child's held state request included, under one ReadTimeout deadline.
+//   - admit / forward (write.go): admit is at-most-once admission (stamp a
+//     client's write once, witness a forwarded stamp); forward passes a write
+//     one hop towards the permanent store.
+//   - disseminate (disseminate.go): applied updates go to children at once,
+//     lazily aggregated, or re-batched hop by hop, as operations, snapshots,
+//     invalidations or notifications; relayDown passes a parent's frame on.
+//   - install / serve (transfer.go): install is the only place another
+//     replica's state replaces content here, behind the one stale-snapshot
+//     guard, and states what a transfer does to the invalid marks; serveState
+//     is the only place state leaves, and never hands out a page marked
+//     invalid — it holds the request behind this replica's own fetch.
+//   - subscribe / reparent (subscribe.go, reparent.go, digest.go): the
+//     retried subscribe handshake, digest heartbeats, and adoption of a new
+//     parent when the old one goes silent.
+//
+// Every outgoing frame starts from one constructor (frame) and every timer
+// is one oneShot value that Close stops in a loop.
+//
 // # Invariants and static analysis
 //
 // The protocol rests on invariants that no test exercises directly:

@@ -75,7 +75,8 @@ func (o *Object) gossipRound() {
 // single batch frame when more than one update is due), and answer with our
 // own digest so the exchange is symmetric.
 func (o *Object) onGossip(m *msg.Message) {
-	o.sendUpdates(m.From, o.missingFrom(&m.VVec))
+	var few [8]*coherence.Update
+	o.sendUpdates(m.From, o.missingFrom(&m.VVec, few[:0]))
 	r := o.frame(msg.KindGossipReply, m)
 	r.VVec = o.appliedVec()
 	o.send(m.From, r)
@@ -84,18 +85,20 @@ func (o *Object) onGossip(m *msg.Message) {
 // onGossipReply closes the loop: ship the peer anything the reply digest
 // shows it still lacks (our writes that arrived after its gossip was sent).
 func (o *Object) onGossipReply(m *msg.Message) {
-	o.sendUpdates(m.From, o.missingFrom(&m.VVec))
+	var few [8]*coherence.Update
+	o.sendUpdates(m.From, o.missingFrom(&m.VVec, few[:0]))
 }
 
-// missingFrom collects the logged updates a peer with digest v lacks.
-func (o *Object) missingFrom(v *msg.Vec) []*coherence.Update {
-	var missing []*coherence.Update
+// missingFrom appends to buf the logged updates a peer with digest v lacks
+// (demand replay, gossip deltas). Callers pass a small array of their own:
+// the usual answer is none or a few, and then nothing is allocated.
+func (o *Object) missingFrom(v *msg.Vec, buf []*coherence.Update) []*coherence.Update {
 	for _, u := range o.log {
 		if !v.CoversWrite(u.Write) {
-			missing = append(missing, u)
+			buf = append(buf, u)
 		}
 	}
-	return missing
+	return buf
 }
 
 // validGossipStrategy reports whether gossip handling applies (defensive:

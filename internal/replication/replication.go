@@ -4,6 +4,13 @@
 // Strategy (Table 1 of the paper) and drives an ordering engine
 // (internal/coherence) that realises the object-based coherence model.
 //
+// The Object does five jobs, each decided in one place: read/park (read.go:
+// serveRead, park), admit/forward (write.go), disseminate (disseminate.go:
+// shipNow, relayDown), install/serve (transfer.go: install is the only way
+// another replica's state comes in, serveState the only way state goes out),
+// and subscribe/reparent (subscribe.go, reparent.go, digest.go).
+// handlers.go holds the dispatch switch and the frame constructor.
+//
 // The Object is a deterministic state machine: every handler runs on the
 // owning store's single event-loop goroutine, and all I/O is performed
 // through the injected Env, so the protocol can be unit-tested with fake

@@ -3,6 +3,7 @@ package replication
 import (
 	"strings"
 
+	"repro/internal/coherence"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/strategy"
@@ -109,7 +110,8 @@ func (o *Object) onDemand(m *msg.Message) {
 		o.serveState(m, nil)
 		return
 	}
-	missing := o.missingFrom(&m.VVec)
+	var few [8]*coherence.Update
+	missing := o.missingFrom(&m.VVec, few[:0])
 	if len(missing) == 0 {
 		// Nothing to send: answer anyway so pull-on-access revalidations
 		// complete instead of timing out.

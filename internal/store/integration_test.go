@@ -377,10 +377,21 @@ func TestInvalidationThroughMirror(t *testing.T) {
 			for i := 0; i < pages; i++ {
 				putPage(t, writer, pageName(i), "0")
 			}
+			// Each layer subscribes once the one above holds the seeded pages:
+			// the test is about invalidation, not about a replica bootstrapped
+			// from a parent that is itself still waiting for its bootstrap.
+			bootstrapped := func(s *store.Store) {
+				t.Helper()
+				eventually(t, 3*time.Second, func() bool {
+					_, err := s.ReadLocal(obj, msg.Invocation{Method: webdoc.MethodGetPage, Page: pageName(pages - 1)})
+					return err == nil
+				}, s.Addr()+" holds the seeded pages")
+			}
 			mirror := r.store("mirror", replication.RoleObjectInitiated)
 			if err := mirror.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st, Parent: "www", Subscribe: true}); err != nil {
 				t.Fatal(err)
 			}
+			bootstrapped(mirror)
 			caches := make([]*store.Store, 2)
 			var readers sync.WaitGroup
 			stop := make(chan struct{})
@@ -390,6 +401,7 @@ func TestInvalidationThroughMirror(t *testing.T) {
 				if err := caches[c].Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st, Parent: "mirror", Subscribe: true}); err != nil {
 					t.Fatal(err)
 				}
+				bootstrapped(caches[c])
 				reader := r.bind("reader@"+addr, addr, obj)
 				readers.Add(1)
 				go func() {
