@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fix check bench loc
+.PHONY: build test race lint fix check bench loc loc-gate
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,7 @@ lint:
 fix:
 	$(GO) run ./cmd/globelint -fix ./...
 
-check: build test lint
+check: build test lint loc-gate
 
 # The end-to-end benchmark BENCHMARK.json gates: four workloads, nine
 # client-visible metrics each (`make bench ARGS='-trace 1'` for the per-layer
@@ -41,3 +41,8 @@ loc:
 	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
 		printf '%6d  %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l) $$(realpath --relative-to=. $$d); \
 	done | awk '{print; n += $$1} END {printf "%6d  total\n", n}'
+
+# The tree may shrink freely and grow only by raising scripts/loc.baseline
+# in the same PR, with a CHANGES.md line saying why.
+loc-gate:
+	./scripts/loc_gate.sh

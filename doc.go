@@ -190,10 +190,9 @@
 // last flush of a burst, or a partition swallowing everything), no later
 // arrival exists, and a replica that nobody reads stays stale indefinitely.
 //
-// Digest heartbeats close that window. When enabled (replication
-// Config.DigestInterval; store Config.DigestInterval;
-// webobj.WithDigestInterval / WithStoreDigestInterval; globed -digest),
-// every store periodically multicasts its subscribed children one
+// Digest heartbeats close that window. When enabled
+// (replication.Tuning.DigestInterval: webobj.WithDigestInterval, globed
+// -digest), every store periodically multicasts its subscribed children one
 // KindDigest frame per hosted object carrying its applied version vector —
 // a few dozen bytes. A child whose own applied vector does not cover the
 // digest has provably missed updates and requests them through the
@@ -339,6 +338,26 @@
 //
 // Every outgoing frame starts from one constructor (frame) and every timer
 // is one oneShot value that Close stops in a loop.
+//
+// Its knobs are one struct, replication.Tuning (ReadTimeout, DemandRetry,
+// DigestInterval, ReparentAfter, Durability), whose withDefaults is the only
+// place a default is spelled; webobj.System fills one from its options and
+// hands it by value to store.Config, which hands it to every replica's
+// replication.Config. The README's Tuning table maps each field to its
+// option, flag and manifest key.
+//
+// # Observability
+//
+// Each protocol event is counted by one statement into one field of
+// replication.Stats. ctl stats prints that struct; with webobj.WithMetrics
+// every Stats field is also a {store, object} series in the internal/obs
+// registry — named by the field's obs tag, globe_*_total for counters — that
+// reads the same word at scrape time, so the two cannot disagree, and a
+// replica dropped and hosted again takes its series with it. Beside the
+// counters there are three histograms (globe_propagation_lag_seconds,
+// globe_wal_sync_seconds, globe_wal_group_commit_size) and an optional trace
+// ring of write-lifecycle events (webobj.WithTrace); both cost a nil check
+// when off.
 //
 // # Invariants and static analysis
 //

@@ -155,9 +155,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		s := store.New(store.Config{
 			ID: ns.NextStore(), Role: role, Endpoint: ep,
-			ReadTimeout:    300 * time.Millisecond,
-			DigestInterval: cfg.DigestInterval,
-			Obs:            ob,
+			Tuning: replication.Tuning{ReadTimeout: 300 * time.Millisecond, DigestInterval: cfg.DigestInterval},
+			Obs:    ob,
 		})
 		stores[addr] = s
 		return s, nil

@@ -156,14 +156,13 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 	newPerm := func(ep transport.Endpoint) *store.Store {
 		return store.New(store.Config{
 			ID: permID, Role: replication.RolePermanent, Endpoint: ep,
-			ReadTimeout:    300 * time.Millisecond,
-			DigestInterval: cfg.DigestInterval,
-			DataDir:        cfg.DataDir,
-			Durability: store.Durability{
-				Fsync:         cfg.Fsync,
-				RecoveryGrace: cfg.RecoveryGrace,
+			Tuning: replication.Tuning{
+				ReadTimeout:    300 * time.Millisecond,
+				DigestInterval: cfg.DigestInterval,
+				Durability:     replication.Durability{Fsync: cfg.Fsync, RecoveryGrace: cfg.RecoveryGrace},
 			},
-			Obs: ob,
+			DataDir: cfg.DataDir,
+			Obs:     ob,
 		})
 	}
 	hostPerm := func(s *store.Store) error {
@@ -207,9 +206,8 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 		}
 		s := store.New(store.Config{
 			ID: nextID, Role: role, Endpoint: ep,
-			ReadTimeout:    300 * time.Millisecond,
-			DigestInterval: cfg.DigestInterval,
-			Obs:            ob,
+			Tuning: replication.Tuning{ReadTimeout: 300 * time.Millisecond, DigestInterval: cfg.DigestInterval},
+			Obs:    ob,
 		})
 		nextID++
 		stores[addr] = s

@@ -112,10 +112,12 @@ func RunReparent(cfg ReparentConfig) (*ReparentResult, error) {
 		}
 		s := store.New(store.Config{
 			ID: ns.NextStore(), Role: role, Endpoint: ep,
-			ReadTimeout:    300 * time.Millisecond,
-			DigestInterval: cfg.DigestInterval,
-			ReparentAfter:  cfg.ReparentAfter,
-			Obs:            ob,
+			Tuning: replication.Tuning{
+				ReadTimeout:    300 * time.Millisecond,
+				DigestInterval: cfg.DigestInterval,
+				ReparentAfter:  cfg.ReparentAfter,
+			},
+			Obs: ob,
 			ResolveParent: func(object ids.ObjectID) []replication.ParentCandidate {
 				r, ok := ns.Record(object)
 				if !ok {

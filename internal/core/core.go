@@ -1,11 +1,8 @@
-// Package core is the distributed-shared-object runtime: it ties the naming
-// service, stores, and client proxies together into the worldwide object
-// model of §2 of the paper. A Runtime creates distributed Web objects (their
-// permanent stores), installs object-initiated and client-initiated
-// replicas, and binds client processes to whichever replica they choose —
-// yielding a Proxy, the client-side local object whose only job is to
+// Package core is the client side of the distributed-shared-object runtime
+// of §2 of the paper: Bind attaches a client process to whichever replica it
+// chose, yielding a Proxy — the client-side local object whose only job is to
 // "translate method calls to messages" (§4.2), decorated with the client's
-// session-guarantee state.
+// session-guarantee state. Stores and naming are assembled by webobj.
 package core
 
 import (
@@ -17,7 +14,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/ids"
 	"repro/internal/msg"
-	"repro/internal/naming"
 	"repro/internal/semantics"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -292,11 +288,3 @@ func (p *Proxy) roundTrip(req msg.Message, sent *sync.Mutex) (*msg.Message, erro
 
 // Close releases the proxy (but not the endpoint, which the caller owns).
 func (p *Proxy) Close() { p.demux.Stop() }
-
-// Runtime bundles a naming service for convenience in examples and tests.
-type Runtime struct {
-	Naming *naming.Service
-}
-
-// NewRuntime creates a runtime with a fresh naming service.
-func NewRuntime() *Runtime { return &Runtime{Naming: naming.New()} }

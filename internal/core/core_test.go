@@ -32,7 +32,7 @@ func TestFullStackOverTCP(t *testing.T) {
 	defer serverEP.Close()
 	server := store.New(store.Config{
 		ID: ns.NextStore(), Role: replication.RolePermanent,
-		Endpoint: serverEP, ReadTimeout: 2 * time.Second,
+		Endpoint: serverEP, Tuning: replication.Tuning{ReadTimeout: 2 * time.Second},
 	})
 	defer server.Close()
 	if err := server.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st}); err != nil {
@@ -46,7 +46,7 @@ func TestFullStackOverTCP(t *testing.T) {
 	defer cacheEP.Close()
 	cache := store.New(store.Config{
 		ID: ns.NextStore(), Role: replication.RoleClientInitiated,
-		Endpoint: cacheEP, ReadTimeout: 2 * time.Second,
+		Endpoint: cacheEP, Tuning: replication.Tuning{ReadTimeout: 2 * time.Second},
 	})
 	defer cache.Close()
 	if err := cache.Host(store.HostConfig{

@@ -41,7 +41,7 @@ func TestWriteGapRepairOnSharedHandle(t *testing.T) {
 	}
 	server := store.New(store.Config{
 		ID: ns.NextStore(), Role: replication.RolePermanent,
-		Endpoint: serverEP, ReadTimeout: 2 * time.Second,
+		Endpoint: serverEP, Tuning: replication.Tuning{ReadTimeout: 2 * time.Second},
 	})
 	defer server.Close()
 	if err := server.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: strategy.Conference(time.Hour)}); err != nil {

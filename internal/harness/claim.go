@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/ids"
-	"repro/internal/metrics"
 	"repro/internal/replication"
 	"repro/internal/semantics/webdoc"
 	"repro/internal/store"
@@ -121,7 +120,7 @@ func tailored(c workload.Class) strategy.Strategy {
 
 // runClass drives one document class under one strategy and measures
 // traffic and staleness.
-func runClass(cls workload.Class, st strategy.Strategy, ops int) (uint64, uint64, metrics.Report) {
+func runClass(cls workload.Class, st strategy.Strategy, ops int) (uint64, uint64, Report) {
 	if err := st.Validate(); err != nil {
 		panic(err)
 	}
@@ -146,7 +145,7 @@ func runClass(cls workload.Class, st strategy.Strategy, ops int) (uint64, uint64
 	reader := r.mustBind("reader", "cache", obj, 2*time.Second)
 	defer reader.Close()
 
-	stale := metrics.NewStaleness()
+	stale := NewStaleness()
 	rng := rand.New(rand.NewSource(23))
 	for p := 0; p < cfg.Pages; p++ {
 		if err := putContent(writer, workload.PageName(p), []byte("v0")); err != nil {

@@ -119,7 +119,7 @@ func (r *rig) mustStore(addr string, role replication.Role, timeout time.Duratio
 		panic(err)
 	}
 	return store.New(store.Config{
-		ID: r.ns.NextStore(), Role: role, Endpoint: ep, ReadTimeout: timeout,
+		ID: r.ns.NextStore(), Role: role, Endpoint: ep, Tuning: replication.Tuning{ReadTimeout: timeout},
 	})
 }
 

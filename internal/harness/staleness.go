@@ -1,9 +1,4 @@
-// Package metrics provides the staleness tracker the experiment harness
-// reports: it compares versions read against an oracle of versions written.
-// Latency histograms live in internal/obs (HDR log-linear, shared with the
-// load generator and the metrics registry); the sorted-slice Histogram that
-// used to live here is retired in its favor.
-package metrics
+package harness
 
 import (
 	"sync"
@@ -11,8 +6,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Staleness tracks how far reads lag behind writes, in versions. The
-// harness bumps the oracle on every write and observes on every read.
+// Staleness tracks how far reads lag behind writes, in versions: it compares
+// versions read against an oracle of versions written. The harness bumps the
+// oracle on every write and observes on every read.
 // Safe for concurrent use.
 type Staleness struct {
 	mu     sync.Mutex
@@ -28,15 +24,6 @@ type Staleness struct {
 // NewStaleness creates a tracker.
 func NewStaleness() *Staleness {
 	return &Staleness{latest: make(map[string]uint64)}
-}
-
-// WroteVersion records that the page now has the given version globally.
-func (s *Staleness) WroteVersion(page string, version uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.latest[page] < version {
-		s.latest[page] = version
-	}
 }
 
 // Wrote records one more write to the page (version = count of writes).

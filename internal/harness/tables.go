@@ -7,7 +7,6 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/semantics/webdoc"
@@ -63,7 +62,7 @@ func Table1Sweep(o Options) *Table {
 }
 
 func runSweep(prop strategy.Propagation, init strategy.Initiative, instant strategy.Instant,
-	ct strategy.CoherenceTransfer, writeRatio float64, ops int) (uint64, uint64, metrics.Report) {
+	ct strategy.CoherenceTransfer, writeRatio float64, ops int) (uint64, uint64, Report) {
 	r := newRigH(memnet.WithSeed(3))
 	defer r.close()
 	const obj = ids.ObjectID("t1-doc")
@@ -100,7 +99,7 @@ func runSweep(prop strategy.Propagation, init strategy.Initiative, instant strat
 	reader := r.mustBind("reader", "cache", obj, 2*time.Second)
 	defer reader.Close()
 
-	stale := metrics.NewStaleness()
+	stale := NewStaleness()
 	rng := rand.New(rand.NewSource(7))
 	const pages = 4
 	// Pre-populate pages so reads never cold-miss.

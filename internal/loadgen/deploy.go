@@ -26,11 +26,10 @@ func Deploy(f transport.Fabric, addr string, obj ids.ObjectID) (*store.Store, er
 	st.Writers = strategy.MultipleWriters
 	st.ObjectOutdate = strategy.Demand
 	s := store.New(store.Config{
-		ID:             1,
-		Role:           replication.RolePermanent,
-		Endpoint:       ep,
-		ReadTimeout:    300 * time.Millisecond,
-		DigestInterval: 100 * time.Millisecond,
+		ID:       1,
+		Role:     replication.RolePermanent,
+		Endpoint: ep,
+		Tuning:   replication.Tuning{ReadTimeout: 300 * time.Millisecond, DigestInterval: 100 * time.Millisecond},
 	})
 	err = s.Host(store.HostConfig{
 		Object: obj, Semantics: webdoc.New(), Strat: st,

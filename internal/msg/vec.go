@@ -2,7 +2,6 @@ package msg
 
 import (
 	"repro/internal/ids"
-	"repro/internal/vclock"
 )
 
 // VecInline is the number of version-vector entries a Vec stores inline.
@@ -32,8 +31,8 @@ type Vec struct {
 	spill  map[ids.ClientID]uint64 // non-nil iff the vector outgrew the array
 }
 
-// VecFrom builds a Vec from a map-typed vector (ids.VersionVec, vclock.VC,
-// or any map[ids.ClientID]uint64). The map is copied, never aliased.
+// VecFrom builds a Vec from a map-typed vector (ids.VersionVec or any
+// map[ids.ClientID]uint64). The map is copied, never aliased.
 func VecFrom(m map[ids.ClientID]uint64) Vec {
 	var v Vec
 	if len(m) > VecInline {
@@ -158,16 +157,6 @@ func (v *Vec) Version() ids.VersionVec {
 		return nil
 	}
 	out := ids.NewVersionVec(v.Len())
-	v.MergeInto(out)
-	return out
-}
-
-// VC materialises the vector as a vclock.VC (nil when empty).
-func (v *Vec) VC() vclock.VC {
-	if v.Len() == 0 {
-		return nil
-	}
-	out := make(vclock.VC, v.Len())
 	v.MergeInto(out)
 	return out
 }

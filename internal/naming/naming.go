@@ -290,15 +290,6 @@ func (s *Service) LookupRole(obj ids.ObjectID, r replication.Role) []Entry {
 	return out
 }
 
-// Permanent returns the first permanent contact point or an error.
-func (s *Service) Permanent(obj ids.ObjectID) (Entry, error) {
-	perms := s.LookupRole(obj, replication.RolePermanent)
-	if len(perms) == 0 {
-		return Entry{}, fmt.Errorf("naming: object %q has no permanent store", obj)
-	}
-	return perms[0], nil
-}
-
 func layerRank(r replication.Role) int {
 	switch r {
 	case replication.RoleClientInitiated:

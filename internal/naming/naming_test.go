@@ -56,8 +56,8 @@ func TestDeregister(t *testing.T) {
 
 func TestLookupRoleAndPermanent(t *testing.T) {
 	s := New()
-	if _, err := s.Permanent("o"); err == nil {
-		t.Fatalf("Permanent on empty service should fail")
+	if got := s.LookupRole("o", replication.RolePermanent); len(got) != 0 {
+		t.Fatalf("LookupRole on empty service returned %+v", got)
 	}
 	s.Register("o", Entry{Addr: "perm", Store: 1, Role: replication.RolePermanent})
 	s.Register("o", Entry{Addr: "cache", Store: 2, Role: replication.RoleClientInitiated})
@@ -65,9 +65,8 @@ func TestLookupRoleAndPermanent(t *testing.T) {
 	if len(caches) != 1 || caches[0].Addr != "cache" {
 		t.Fatalf("LookupRole wrong: %+v", caches)
 	}
-	p, err := s.Permanent("o")
-	if err != nil || p.Addr != "perm" {
-		t.Fatalf("Permanent wrong: %+v %v", p, err)
+	if perms := s.LookupRole("o", replication.RolePermanent); len(perms) != 1 || perms[0].Addr != "perm" {
+		t.Fatalf("LookupRole(permanent) wrong: %+v", perms)
 	}
 }
 

@@ -14,9 +14,10 @@
 //
 // Metric names are validated at registration: snake_case
 // ([a-z][a-z0-9_]*), and a (name, label-set) pair resolves to exactly one
-// instrument — re-registering the same pair returns the existing instrument
-// (so re-hosting an object is idempotent), while reusing a name with a
-// different kind panics.
+// series — re-registering the same pair returns the existing instrument, or
+// for a func-backed series replaces the func (so after re-hosting an object
+// its series read the new replica), while reusing a name with a different
+// kind panics.
 package obs
 
 import (
@@ -119,8 +120,10 @@ type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Hist
-	scale   float64        // hist exposition scale: 1e-9 for ns→seconds, 1 for raw values
-	fn      func() float64 // func-backed counter/gauge, read at scrape time
+	scale   float64 // hist exposition scale: 1e-9 for ns→seconds, 1 for raw values
+	// fn backs a func-backed counter/gauge, read at scrape time. Atomic:
+	// re-registration swaps it while a scrape may be reading.
+	fn atomic.Pointer[func() float64]
 }
 
 // Registry holds registered metrics in registration order. All methods are
@@ -219,18 +222,22 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape time
-// — the bridge for pre-existing atomic stats (transports, nameserv) without
-// double accounting. fn must be safe to call from any goroutine.
+// — the bridge for counters that live elsewhere (replication.Stats,
+// transports, nameserv) without double accounting. fn must be safe to call
+// from any goroutine. Registering the series again replaces fn: the series
+// follows its latest source.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.registerFunc(name, help, kindCounter, fn, labels)
+}
+
+func (r *Registry) registerFunc(name, help string, k kind, fn func() float64, labels []Label) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, fresh := r.register(name, help, kindCounter, labels)
-	if fresh {
-		m.fn = fn
-	}
+	m, _ := r.register(name, help, k, labels)
+	m.fn.Store(&fn)
 }
 
 // Gauge registers (or fetches) a gauge series.
@@ -247,17 +254,9 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return m.gauge
 }
 
-// GaugeFunc registers a gauge read by fn at scrape time.
+// GaugeFunc registers a gauge read by fn at scrape time; see CounterFunc.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, fresh := r.register(name, help, kindGauge, labels)
-	if fresh {
-		m.fn = fn
-	}
+	r.registerFunc(name, help, kindGauge, fn, labels)
 }
 
 // Hist registers (or fetches) a histogram over raw int64 values (sizes,
@@ -315,9 +314,9 @@ func (r *Registry) Snapshot() []Point {
 				p.Labels[l.Key] = l.Value
 			}
 		}
-		switch {
-		case m.fn != nil:
-			p.Value = m.fn()
+		switch fn := m.fn.Load(); {
+		case fn != nil:
+			p.Value = (*fn)()
 		case m.counter != nil:
 			p.Value = float64(m.counter.Value())
 		case m.gauge != nil:

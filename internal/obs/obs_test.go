@@ -102,6 +102,12 @@ func TestFuncMetrics(t *testing.T) {
 	if p := r.Find("bridged_depth"); p == nil || p.Value != -9 {
 		t.Fatalf("gauge: got %+v, want -9", p)
 	}
+	// Registering the series again replaces its source (a re-hosted replica)
+	// without adding a second line.
+	r.CounterFunc("bridged_total", "bridged", func() float64 { return 1 }, L("fabric", "memnet"))
+	if p := r.Find("bridged_total"); p.Value != 1 || len(r.Snapshot()) != 2 {
+		t.Fatalf("re-registered: got %v in %d series, want 1 in 2", p.Value, len(r.Snapshot()))
+	}
 }
 
 // Concurrent register / observe / scrape must be clean under -race: this is

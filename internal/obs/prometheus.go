@@ -58,9 +58,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 }
 
 func (m *metric) scalarValue() string {
-	switch {
-	case m.fn != nil:
-		return formatFloat(m.fn())
+	switch fn := m.fn.Load(); {
+	case fn != nil:
+		return formatFloat((*fn)())
 	case m.counter != nil:
 		return strconv.FormatUint(m.counter.Value(), 10)
 	case m.gauge != nil:

@@ -27,7 +27,7 @@ import (
 // already pending, when heartbeats are disabled, or while the store has no
 // subscribed children to tell.
 func (o *Object) armDigest() {
-	if o.digestInterval > 0 && len(o.children) > 0 && !o.digestTimer.armed() {
+	if o.tune.DigestInterval > 0 && len(o.children) > 0 && !o.digestTimer.armed() {
 		o.arm(o.digestTimer, o.digestPeriod())
 	}
 }
@@ -42,7 +42,7 @@ func (o *Object) digest() {
 // not heartbeat in lockstep (and a child is never more than 1.25 intervals
 // behind its parent's next digest).
 func (o *Object) digestPeriod() time.Duration {
-	d := o.digestInterval
+	d := o.tune.DigestInterval
 	if quarter := int64(d / 4); quarter > 0 {
 		d += time.Duration(o.digestRNG.Int63n(quarter))
 	}
@@ -61,7 +61,7 @@ func (o *Object) digestRound() {
 	m.VVec = o.appliedVec()
 	m.GlobalSeq = o.engine.Global()
 	o.multicast(tos, m)
-	o.stats.DigestsSent += uint64(len(tos))
+	add(&o.stats.DigestsSent, uint64(len(tos)))
 }
 
 // onDigest handles a heartbeat at a child: when the parent's digest covers
@@ -70,7 +70,7 @@ func (o *Object) digestRound() {
 // anyone but the configured parent are ignored — the demand path runs up
 // the hierarchy only.
 func (o *Object) onDigest(m *msg.Message) {
-	o.stats.DigestsRecv++
+	inc(&o.stats.DigestsRecv)
 	if o.parent == "" || m.From != o.parent {
 		return
 	}
@@ -101,8 +101,7 @@ func (o *Object) onDigest(m *msg.Message) {
 	if o.demandOutstanding() {
 		return // the demand-retry timer owns re-requests for this gap
 	}
-	o.stats.DigestDemands++
-	o.obsv.digestGaps.Inc()
+	inc(&o.stats.DigestDemands)
 	if o.traceOn() {
 		o.emit("digest_gap", "parent digest advertised writes this replica is missing")
 	}

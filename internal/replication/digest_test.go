@@ -20,8 +20,8 @@ func newDigestObj(t *testing.T, env Env, role Role, st strategy.Strategy, parent
 	t.Helper()
 	o, err := New(Config{
 		Env: env, Object: "obj", Self: 1, Addr: "self", Role: role,
-		Parent: parent, Strat: st, ReadTimeout: time.Second,
-		DigestInterval: interval,
+		Parent: parent, Strat: st,
+		Tuning: Tuning{ReadTimeout: time.Second, DigestInterval: interval},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,13 +187,13 @@ func TestDigestGapDemandIsRetried(t *testing.T) {
 		t.Fatalf("precondition: the gap must be silent (no pending, no parked)")
 	}
 	// The demand (or its reply) is lost; the retry timer must chase it.
-	env.clk.Advance(o.demandRetry)
+	env.clk.Advance(o.tune.DemandRetry)
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 1 {
 		t.Fatalf("lost digest demand not retried: %+v", dem)
 	}
 	// The parent finally answers; the cycle completes and retries stop.
 	o.Handle(&msg.Message{Kind: msg.KindUpdateAck, Object: "obj", From: "parent-store"})
-	env.clk.Advance(10 * o.demandRetry)
+	env.clk.Advance(10 * o.tune.DemandRetry)
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 0 {
 		t.Fatalf("retries continued after the parent answered: %+v", dem)
 	}
@@ -207,8 +207,8 @@ func TestDigestAdvertisesLWWLoserComponent(t *testing.T) {
 	env := newFakeEnv()
 	o, err := New(Config{
 		Env: env, Object: "obj", Self: 1, Addr: "self", Role: RolePermanent,
-		Strat: strategy.MirroredSite(time.Hour), ReadTimeout: time.Second,
-		DigestInterval: 50 * time.Millisecond,
+		Strat:  strategy.MirroredSite(time.Hour),
+		Tuning: Tuning{ReadTimeout: time.Second, DigestInterval: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

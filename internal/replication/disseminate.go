@@ -22,15 +22,7 @@ func (o *Object) applyReleased(released []*coherence.Update) {
 		nowNanos = o.env.Now().UnixNano()
 	}
 	for _, u := range released {
-		if !o.coveredByState(u) {
-			if err := o.env.ApplyOp(u); err != nil {
-				// Semantics rejected the op (e.g. malformed args);
-				// coherence-wise it is applied — record and continue.
-				o.stats.ReadsFailed++
-			}
-		}
-		o.stats.UpdatesApplied++
-		o.obsv.applied.Inc()
+		o.apply(u, o.coveredByState(u))
 		if u.WallNanos > 0 {
 			// The headline metric: update age at apply, from the origin's
 			// wall-clock stamp. On one machine (memnet, tests) the clocks
@@ -42,13 +34,32 @@ func (o *Object) applyReleased(released []*coherence.Update) {
 			o.emit("update_applied", "wid="+u.Write.String()+" page="+u.Inv.Page+
 				" lag="+strconv.FormatInt(nowNanos-u.WallNanos, 10)+"ns")
 		}
-		o.appendLog(u)
 	}
 	o.disseminate(released)
 	if len(released) > 0 {
 		o.reconsiderParked()
 	}
 	o.maybeCompact()
+}
+
+// apply takes one update the engine released: into semantics unless state
+// transfer (or a recovered snapshot) already brought its content, into the
+// count, and into the log.
+func (o *Object) apply(u *coherence.Update, covered bool) {
+	if !covered {
+		o.applyOp(u)
+	}
+	inc(&o.stats.UpdatesApplied)
+	o.appendLog(u)
+}
+
+// applyOp hands one ordered operation to the semantics object. One it
+// rejects (malformed arguments, say) is applied as far as coherence goes:
+// count it and carry on.
+func (o *Object) applyOp(u *coherence.Update) {
+	if err := o.env.ApplyOp(u); err != nil {
+		inc(&o.stats.ApplyFailed)
+	}
 }
 
 // coveredByState reports whether u's content effects already arrived via
@@ -63,10 +74,14 @@ func (o *Object) coveredByState(u *coherence.Update) bool {
 	return o.pageVec[u.Inv.Page].CoversWrite(u.Write)
 }
 
+// logLimit caps the demand-serving log; a demand that reaches further back is
+// answered with full state (logCovers).
+const logLimit = 4096
+
 func (o *Object) appendLog(u *coherence.Update) {
 	o.log = append(o.log, u)
-	if len(o.log) > o.logLimit {
-		o.log = o.log[len(o.log)-o.logLimit:]
+	if len(o.log) > logLimit {
+		o.log = o.log[len(o.log)-logLimit:]
 		o.logPruned = true
 	}
 }
@@ -116,7 +131,7 @@ func (o *Object) flushLazy() {
 	}
 	ups := o.lazy
 	o.lazy = nil
-	o.stats.LazyFlushes++
+	inc(&o.stats.LazyFlushes)
 	o.shipNow(ups)
 }
 
@@ -126,7 +141,7 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 	if len(ups) == 0 || len(tos) == 0 {
 		return
 	}
-	o.obsv.disseminated.Add(uint64(len(ups)))
+	add(&o.stats.UpdatesDisseminated, uint64(len(ups)))
 	if o.traceOn() {
 		o.emit("updates_shipped", "n="+strconv.Itoa(len(ups))+" children="+strconv.Itoa(len(tos)))
 	}
@@ -221,8 +236,8 @@ func (o *Object) shipOps(ups []*coherence.Update, deliver func(*msg.Message)) {
 			deliver(o.updateMsg(chunk[0]))
 			continue
 		}
-		o.stats.BatchesSent++
-		o.stats.BatchedUpdates += uint64(len(chunk))
+		inc(&o.stats.BatchesSent)
+		add(&o.stats.BatchedUpdates, uint64(len(chunk)))
 		deliver(o.batchMsg(chunk))
 	}
 }
@@ -263,7 +278,7 @@ func (o *Object) onUpdateBatch(m *msg.Message) {
 		o.submitOp(&coherence.Update{
 			Write:     e.Write,
 			GlobalSeq: e.GlobalSeq,
-			Deps:      e.Deps.VC(),
+			Deps:      e.Deps.Version(),
 			Stamp:     e.Stamp,
 			Inv:       cloneInv(e.Inv),
 			WallNanos: e.WallNanos,
@@ -276,7 +291,6 @@ func (o *Object) onUpdateBatch(m *msg.Message) {
 func (o *Object) submitOp(u *coherence.Update) {
 	released := o.submitLogged(u)
 	if len(released) == 0 && o.engine.Pending() > 0 {
-		o.stats.UpdatesBuffered++
 		// A gap was detected. Under object-outdate = demand the store
 		// immediately requests the missing updates — this is how, per
 		// §4.2, "reliability comes as a side-effect of the coherence
@@ -313,16 +327,13 @@ func (o *Object) onInvalidate(m *msg.Message) {
 }
 
 func (o *Object) markInvalid(pages []string) {
-	if len(pages) == 0 {
-		o.allInvalid = true
-		o.stats.Invalidations++
-		return
-	}
+	// A page-less notice outdates everything at once and counts as one.
+	o.allInvalid = o.allInvalid || len(pages) == 0
+	add(&o.stats.Invalidations, uint64(max(len(pages), 1)))
 	for _, p := range pages {
 		// Page names arrive zero-copy decoded; the invalid set may hold
 		// them past the frame's lifetime, so clone (see cloneInv).
 		o.invalid[strings.Clone(p)] = true
-		o.stats.Invalidations++
 	}
 }
 

@@ -3,7 +3,7 @@ package replication
 import (
 	"errors"
 	"strconv"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/coherence"
 	"repro/internal/ids"
@@ -79,7 +79,11 @@ func (o *Object) submitLogged(u *coherence.Update) []*coherence.Update {
 		}
 	}
 	o.markAppliedStale()
-	return o.engine.Submit(u)
+	released := o.engine.Submit(u)
+	if len(released) == 0 && o.engine.Pending() > 0 {
+		inc(&o.stats.UpdatesBuffered)
+	}
+	return released
 }
 
 // walAppendAdmit logs one admission decision (watermark/holes transition),
@@ -113,10 +117,9 @@ func (o *Object) walAppendChild(addr string, remove bool) {
 // walAfterAppend is the common post-append accounting: stats and the
 // interval-fsync timer.
 func (o *Object) walAfterAppend() {
-	o.stats.WALAppends++
-	o.obsv.walAppends.Inc()
-	if o.walPolicy == wal.SyncInterval && o.walSyncInterval > 0 {
-		o.arm(o.walSyncTimer, o.walSyncInterval)
+	inc(&o.stats.WALAppends)
+	if o.tune.Durability.Fsync == wal.SyncInterval {
+		o.arm(o.walSyncTimer, o.tune.Durability.SyncInterval)
 	}
 }
 
@@ -127,18 +130,17 @@ func (o *Object) walSync() {
 	}
 }
 
-// walBarrier makes every appended record stable before an ack leaves, under
-// the always policy. Called on the ack path; a no-op otherwise.
+// walBarrier makes every appended record stable before the parked acks
+// leave. Acks park only under the always policy (deferBarrier), so the sync
+// is unconditional.
 func (o *Object) walBarrier() {
-	if o.wal != nil && o.walPolicy == wal.SyncAlways {
-		if o.obsv.walSync != nil {
-			start := o.env.Now()
-			_ = o.wal.Sync()
-			o.obsv.walSync.Record(o.env.Now().Sub(start))
-			return
-		}
+	if o.obsv.walSync == nil {
 		_ = o.wal.Sync()
+		return
 	}
+	start := o.env.Now()
+	_ = o.wal.Sync()
+	o.obsv.walSync.Record(o.env.Now().Sub(start))
 }
 
 // --- group commit ------------------------------------------------------------
@@ -149,24 +151,12 @@ type pendingAck struct {
 	r  *msg.Message
 }
 
-// SetGroupCommit switches the replica between the synchronous barrier (the
-// default: every ack fsyncs on its own, as direct Handle callers expect) and
-// batch mode, where acks park until the owning store's event loop calls
-// FlushAcks after draining its queue. The loop plays the tcpnet writev
-// leader: it flushes the whole queue with one fdatasync, so N concurrent
-// writers admitted in one drain pay one disk barrier instead of N.
-func (o *Object) SetGroupCommit(on bool) {
-	if !on {
-		o.FlushAcks()
-	}
-	o.groupCommit = on
-}
-
-// deferBarrier reports whether acks should park for a batched barrier
-// instead of syncing inline. Only the always policy has a barrier to
-// coalesce; other policies keep their (cheaper) inline path.
+// deferBarrier reports whether acks park for a batched barrier instead of
+// going out inline. Only the always policy has a barrier to coalesce; the
+// owning loop calls FlushAcks after every event and every drained batch, and
+// so does whoever drives Handle directly.
 func (o *Object) deferBarrier() bool {
-	return o.groupCommit && o.wal != nil && o.walPolicy == wal.SyncAlways
+	return o.wal != nil && o.tune.Durability.Fsync == wal.SyncAlways
 }
 
 // FlushAcks syncs the log once and releases every parked write ack — the
@@ -178,7 +168,7 @@ func (o *Object) FlushAcks() {
 	o.walBarrier()
 	o.obsv.commitSize.Observe(int64(len(o.ackPending)))
 	if len(o.ackPending) > 1 {
-		o.stats.GroupCommits++
+		inc(&o.stats.GroupCommits)
 	}
 	pend := o.ackPending
 	o.ackPending = nil
@@ -193,10 +183,11 @@ func (o *Object) FlushAcks() {
 // nothing is buffered (a buffered update's only durable copy is the log, so
 // truncating under it would lose it).
 func (o *Object) maybeCompact() {
-	if o.wal == nil || o.walReplaying || o.snapshotEvery <= 0 {
+	every := o.tune.Durability.SnapshotEvery
+	if o.wal == nil || o.walReplaying || every <= 0 {
 		return
 	}
-	if o.wal.Appends() < uint64(o.snapshotEvery) || o.engine.Pending() > 0 {
+	if o.wal.Appends() < uint64(every) || o.engine.Pending() > 0 {
 		return
 	}
 	_ = o.compact()
@@ -239,7 +230,7 @@ func (o *Object) compact() error {
 		return err
 	}
 	o.lastSnapVec = snap.Applied.Clone()
-	o.stats.WALSnapshots++
+	inc(&o.stats.WALSnapshots)
 	return nil
 }
 
@@ -296,15 +287,9 @@ func (o *Object) recover(rec *wal.Recovery) {
 				o.nextGlobal = u.GlobalSeq + 1
 			}
 			for _, ru := range o.engine.Submit(u) {
-				if !snapVec.CoversWrite(ru.Write) {
-					if err := o.env.ApplyOp(ru); err != nil {
-						o.stats.ReadsFailed++
-					}
-				}
-				o.stats.UpdatesApplied++
-				o.appendLog(ru)
+				o.apply(ru, snapVec.CoversWrite(ru.Write))
 			}
-			o.stats.WALReplayed++
+			inc(&o.stats.WALReplayed)
 		case r.Admit != nil:
 			// Re-run the original admission so the watermark/holes state —
 			// including the not-yet-logged-as-update case (crash between
@@ -323,12 +308,12 @@ func (o *Object) recover(rec *wal.Recovery) {
 	if g := o.engine.Global(); g > o.nextGlobal {
 		o.nextGlobal = g
 	}
-	o.stats.WALTornTail += rec.TornTail
+	add(&o.stats.WALTornTail, rec.TornTail)
 	o.markAppliedStale()
 	o.walReplaying = false
 	o.recoverStart = start
-	o.stats.RecoveryNanos = uint64(o.env.Now().Sub(start))
-	o.obsv.recoveries.Inc()
+	atomic.StoreUint64(&o.stats.RecoveryNanos, uint64(o.env.Now().Sub(start)))
+	inc(&o.stats.Recoveries)
 	if o.traceOn() {
 		o.emit("recovered", "replayed="+strconv.FormatUint(o.stats.WALReplayed, 10)+
 			" torn_tail="+strconv.FormatUint(o.stats.WALTornTail, 10)+
@@ -348,32 +333,25 @@ func (o *Object) recover(rec *wal.Recovery) {
 	}
 	o.sendRecoveryDemands()
 	o.armRecoveryRetry()
-	grace := o.recoveryGrace
-	if grace <= 0 {
-		grace = 2 * time.Second
-	}
 	// Children unreachable (maybe they crashed too): finishRecovery then
 	// serves what disk had rather than blocking forever.
-	o.arm(o.recoverGraceTimer, grace)
+	o.arm(o.recoverGraceTimer, o.tune.Durability.RecoveryGrace)
 }
 
 // sendRecoveryDemands asks every still-pending child for updates beyond our
 // recovered applied vector, through the ordinary demand path.
 func (o *Object) sendRecoveryDemands() {
 	for c := range o.recoverPending {
-		o.stats.DemandsSent++
-		d := o.frame(msg.KindDemandUpdate, nil)
-		d.VVec = o.appliedVec()
-		o.send(c, d)
+		o.sendDemand(c)
 	}
 }
 
 // armRecoveryRetry re-demands from unanswered children on the demand-retry
 // cadence, bounded like any demand cycle.
 func (o *Object) armRecoveryRetry() {
-	d := o.demandRetry
+	d := o.tune.DemandRetry
 	if d <= 0 {
-		d = 50 * time.Millisecond
+		d = defaultDemandRetry
 	}
 	o.arm(o.recoverRetryTimer, d)
 }
@@ -423,7 +401,7 @@ func (o *Object) finishRecovery() {
 	o.recoverPending = nil
 	o.recoverGraceTimer.stop()
 	o.recoverRetryTimer.stop()
-	o.stats.RecoveryNanos = uint64(o.env.Now().Sub(o.recoverStart))
+	atomic.StoreUint64(&o.stats.RecoveryNanos, uint64(o.env.Now().Sub(o.recoverStart)))
 	o.markAppliedStale()
 	o.reconsiderParked()
 }

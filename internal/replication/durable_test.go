@@ -26,8 +26,11 @@ func openDurable(t *testing.T, env Env, dir string, grace time.Duration) *Object
 	}
 	o, err := New(Config{
 		Env: env, Object: "obj", Self: 1, Addr: "self", Role: RolePermanent,
-		Strat: strategy.Conference(time.Hour), ReadTimeout: time.Second,
-		WAL: wlog, Recovered: rec, WALSync: wal.SyncAlways, RecoveryGrace: grace,
+		Strat: strategy.Conference(time.Hour), WAL: wlog, Recovered: rec,
+		Tuning: Tuning{
+			ReadTimeout: time.Second,
+			Durability:  Durability{Fsync: wal.SyncAlways, RecoveryGrace: grace},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +57,11 @@ func TestDurableRestartReplayNoDuplicateApply(t *testing.T) {
 	o1 := openDurable(t, env1, dir, time.Hour)
 	o1.Handle(writeMsg(1, 1, "p", "hello"))
 	o1.Handle(writeMsg(1, 2, "p", "world"))
+	o1.FlushAcks() // the store loop's per-batch barrier
 	if acks := env1.takeSent(msg.KindWriteReply); len(acks) != 2 || acks[0].Status != msg.StatusOK {
 		t.Fatalf("acks before crash: %+v", acks)
 	}
-	// kill -9: no Close, no final flush beyond the per-ack barrier.
+	// kill -9: no Close, no final flush beyond that barrier.
 
 	env2 := newFakeEnv()
 	o2 := openDurable(t, env2, dir, time.Hour)
@@ -75,6 +79,7 @@ func TestDurableRestartReplayNoDuplicateApply(t *testing.T) {
 
 	// The client retries the acked-but-maybe-lost write: re-ack, no re-apply.
 	o2.Handle(writeMsg(1, 1, "p", "hello"))
+	o2.FlushAcks()
 	if acks := env2.takeSent(msg.KindWriteReply); len(acks) != 1 || acks[0].Status != msg.StatusOK {
 		t.Fatalf("replay ack: %+v", acks)
 	}
@@ -125,6 +130,7 @@ func TestDurableUpdateWithoutAdmitIsReplayAfterRestart(t *testing.T) {
 		t.Fatalf("durable update not replayed: UpdatesApplied = %d", got)
 	}
 	o.Handle(writeMsg(9, 1, "p", "ghost"))
+	o.FlushAcks()
 	if acks := env.takeSent(msg.KindWriteReply); len(acks) != 1 || acks[0].Status != msg.StatusOK {
 		t.Fatalf("retry of sequenced-but-unacked write not re-acked: %+v", acks)
 	}
@@ -242,6 +248,7 @@ func TestDurableRecoveryGate(t *testing.T) {
 		t.Fatal("gate still closed after every pending child answered")
 	}
 	o.Handle(writeMsg(2, 1, "p", "after"))
+	o.FlushAcks()
 	if acks := env.takeSent(msg.KindWriteReply); len(acks) != 1 || acks[0].Status != msg.StatusOK {
 		t.Fatalf("write after gate opened: %+v", acks)
 	}

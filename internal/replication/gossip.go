@@ -67,7 +67,7 @@ func (o *Object) gossipRound() {
 		g := o.frame(msg.KindGossip, nil)
 		g.VVec = o.appliedVec()
 		o.send(peer, g)
-		o.stats.GossipRounds++
+		inc(&o.stats.GossipRounds)
 	}
 }
 

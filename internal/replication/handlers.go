@@ -106,7 +106,7 @@ func (o *Object) refuse(m *msg.Message, st msg.Status, text string) {
 	var r *msg.Message
 	switch m.Kind {
 	case msg.KindReadRequest:
-		o.stats.ReadsFailed++
+		inc(&o.stats.ReadsFailed)
 		r = o.frame(msg.KindReadReply, m)
 	case msg.KindWriteRequest:
 		r = o.frame(msg.KindWriteReply, m)

@@ -1,47 +1,46 @@
 package replication
 
 import (
+	"reflect"
 	"strconv"
+	"strings"
+	"sync/atomic"
 
-	"repro/internal/ids"
 	"repro/internal/obs"
 )
 
-// repObs holds the observability instruments one replication object feeds.
-// Every instrument is nil when observability is disabled — the obs types
-// no-op on nil receivers — so the handlers increment unconditionally and
-// the disabled hot path pays one predictable branch per event and zero
-// allocations (pinned by webobj/allocs_test.go). Trace emission is the exception:
-// Detail strings cost real formatting, so call sites gate on traceOn().
+// inc and add are the only writers of Stats fields: one call per protocol
+// event. The add is atomic because a metrics scrape reads the same word from
+// another goroutine; on the owning event loop, the one writer, Stats() may
+// copy the struct plainly.
+func inc(field *uint64) { atomic.AddUint64(field, 1) }
+
+func add(field *uint64, n uint64) { atomic.AddUint64(field, n) }
+
+// repObs holds what observability adds beyond the counters in Stats: three
+// histograms and the trace ring. Each is nil when observability is off — the
+// obs types no-op on nil receivers — so the disabled hot path pays one
+// predictable branch per event and zero allocations (pinned by
+// webobj/allocs_test.go). Trace emission is the exception: Detail strings
+// cost real formatting, so call sites gate on traceOn().
 type repObs struct {
 	store string // store ID label value, also the trace Store field
 	obj   string
 
-	admitted     *obs.Counter
-	sequenced    *obs.Counter
-	forwarded    *obs.Counter
-	acked        *obs.Counter
-	disseminated *obs.Counter
-	applied      *obs.Counter
-	demands      *obs.Counter
-	digestGaps   *obs.Counter
-	reparents    *obs.Counter
-	recoveries   *obs.Counter
-	lag          *obs.Hist
-	walAppends   *obs.Counter
-	walSync      *obs.Hist
-	commitSize   *obs.Hist
-	tr           *obs.Trace
+	lag        *obs.Hist
+	walSync    *obs.Hist
+	commitSize *obs.Hist
+	tr         *obs.Trace
 }
 
-// newRepObs registers (or re-fetches, on re-host) this replica's series.
-// All series carry {store, object} labels so one daemon hosting many
-// objects exposes one line per replica — the per-replica propagation-lag
-// view the paper's consistency/latency tradeoff needs.
-func newRepObs(ob *obs.Observer, self ids.StoreID, object ids.ObjectID) repObs {
+// newRepObs registers this replica's series. All carry {store, object} labels
+// so one daemon hosting many objects exposes one line per replica — the
+// per-replica propagation-lag view the paper's consistency/latency tradeoff
+// needs.
+func (o *Object) newRepObs(ob *obs.Observer) repObs {
 	r := repObs{
-		store: strconv.FormatUint(uint64(self), 10),
-		obj:   string(object),
+		store: strconv.FormatUint(uint64(o.self), 10),
+		obj:   string(o.object),
 		tr:    ob.Tracer(),
 	}
 	reg := ob.Registry()
@@ -49,35 +48,32 @@ func newRepObs(ob *obs.Observer, self ids.StoreID, object ids.ObjectID) repObs {
 		return r
 	}
 	ls := []obs.Label{obs.L("store", r.store), obs.L("object", r.obj)}
-	r.admitted = reg.Counter("globe_writes_admitted_total",
-		"client writes admitted (stamped) at this replica", ls...)
-	r.sequenced = reg.Counter("globe_writes_sequenced_total",
-		"writes assigned a global sequence by this sequencer", ls...)
-	r.forwarded = reg.Counter("globe_writes_forwarded_total",
-		"write requests forwarded towards the permanent store", ls...)
-	r.acked = reg.Counter("globe_writes_acked_total",
-		"write acknowledgements issued to clients", ls...)
-	r.disseminated = reg.Counter("globe_updates_disseminated_total",
-		"coherence transfers shipped to subscribed children (updates, invalidations, notifications)", ls...)
-	r.applied = reg.Counter("globe_updates_applied_total",
-		"ordered updates applied to local semantics", ls...)
-	r.demands = reg.Counter("globe_demands_sent_total",
-		"demand-update and state requests issued upstream", ls...)
-	r.digestGaps = reg.Counter("globe_digest_gap_demands_total",
-		"demands triggered by a digest heartbeat gap", ls...)
-	r.reparents = reg.Counter("globe_reparents_total",
-		"completed re-parent handshakes (new parent acked)", ls...)
-	r.recoveries = reg.Counter("globe_recoveries_total",
-		"WAL recoveries performed at startup", ls...)
+	o.registerStats(reg, ls)
 	r.lag = reg.HistDuration("globe_propagation_lag_seconds",
 		"age of an update at local apply, measured from its origin wall-clock stamp", ls...)
-	r.walAppends = reg.Counter("globe_wal_appends_total",
-		"records appended to the write-ahead log", ls...)
 	r.walSync = reg.HistDuration("globe_wal_sync_seconds",
 		"write-ahead log fsync barrier latency", ls...)
 	r.commitSize = reg.Hist("globe_wal_group_commit_size",
 		"write acks retired per group-commit barrier", ls...)
 	return r
+}
+
+// registerStats exposes every Stats field as the series its obs tag names,
+// read at scrape time from the word inc/add write. Registering again under
+// the same labels — the object dropped and hosted again — points the series
+// at the new replica's Stats, so they restart from zero together.
+func (o *Object) registerStats(reg *obs.Registry, ls []obs.Label) {
+	v := reflect.ValueOf(o.stats).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		tag := v.Type().Field(i).Tag
+		word := v.Field(i).Addr().Interface().(*uint64)
+		read := func() float64 { return float64(atomic.LoadUint64(word)) }
+		if name := tag.Get("obs"); strings.HasSuffix(name, "_total") {
+			reg.CounterFunc(name, tag.Get("help"), read, ls...)
+		} else {
+			reg.GaugeFunc(name, tag.Get("help"), read, ls...)
+		}
+	}
 }
 
 // traceOn gates trace emission so Detail formatting is skipped entirely

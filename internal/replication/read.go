@@ -47,7 +47,7 @@ func (o *Object) invalidated(page string) bool {
 func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 	if !o.requirementMet(m) {
 		if p == nil {
-			o.stats.ReqViolations++
+			inc(&o.stats.ReqViolations)
 			// §4: under demand "the cache first demands an update from the
 			// Web server"; under wait the store "simply waits until a new
 			// write arrives".
@@ -63,7 +63,7 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 	if !invalid {
 		payload, err := o.env.ServeRead(m.Inv)
 		if err == nil {
-			o.stats.ReadsServed++
+			inc(&o.stats.ReadsServed)
 			r := o.frame(msg.KindReadReply, m)
 			r.Payload = payload
 			r.VVec = o.appliedVec()
@@ -93,10 +93,10 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 	if p == nil {
 		if m.Kind == msg.KindReadRequest {
-			o.stats.ReadsParked++
+			inc(&o.stats.ReadsParked)
 		}
-		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.readTimeout)}
-		o.env.AfterFunc(o.readTimeout, func() { o.expireParked() })
+		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.tune.ReadTimeout)}
+		o.env.AfterFunc(o.tune.ReadTimeout, func() { o.expireParked() })
 	}
 	//globelint:ignore aliasretain parked request pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
 	o.parked = append(o.parked, p)

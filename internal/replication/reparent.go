@@ -44,8 +44,8 @@ func (o *Object) noteParentTraffic() {
 // a quarter interval) with slack — so a healthy parent lands at least one
 // digest per period.
 func (o *Object) armParentWatch() {
-	if o.reparentAfter > 0 && o.digestInterval > 0 && o.parent != "" {
-		o.arm(o.parentWatchTimer, o.digestInterval*3/2)
+	if o.tune.ReparentAfter > 0 && o.tune.DigestInterval > 0 && o.parent != "" {
+		o.arm(o.parentWatchTimer, o.tune.DigestInterval*3/2)
 	}
 }
 
@@ -56,8 +56,8 @@ func (o *Object) watchParent() {
 	// liveness: keep watching without counting.
 	if o.subAcked && !o.parentHeard {
 		o.parentSilent++
-		o.stats.ParentMissedDigests++
-		if o.parentSilent >= o.reparentAfter {
+		inc(&o.stats.ParentMissedDigests)
+		if o.parentSilent >= o.tune.ReparentAfter {
 			o.parentSilent = 0
 			o.reparent(false)
 		}
@@ -138,8 +138,8 @@ func (o *Object) adoptParent(addr string) {
 // appeared meanwhile is adopted, otherwise the current parent is dialled
 // again with a fresh retry budget.
 func (o *Object) armReparentRetry() {
-	if o.demandRetry > 0 {
-		o.arm(o.reparentTimer, o.demandRetry*maxSubscribeRetries/2)
+	if o.tune.DemandRetry > 0 {
+		o.arm(o.reparentTimer, o.tune.DemandRetry*maxSubscribeRetries/2)
 	}
 }
 

@@ -15,9 +15,11 @@ func newReparentObj(t *testing.T, env Env, parent string, resolve func() []Paren
 	t.Helper()
 	o, err := New(Config{
 		Env: env, Object: "obj", Self: 7, Addr: "self", Role: RoleClientInitiated,
-		Parent: parent, Strat: strategy.Conference(time.Hour), ReadTimeout: time.Second,
-		DemandRetry: 50 * time.Millisecond, DigestInterval: interval,
-		ResolveParent: resolve, ReparentAfter: after,
+		Parent: parent, Strat: strategy.Conference(time.Hour), ResolveParent: resolve,
+		Tuning: Tuning{
+			ReadTimeout: time.Second, DemandRetry: 50 * time.Millisecond,
+			DigestInterval: interval, ReparentAfter: after,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +157,8 @@ func TestParentDigestsKeepWatchQuiet(t *testing.T) {
 	}
 }
 
-// Group commit: with batch mode on, acks park until FlushAcks pays one
-// barrier for the whole batch; durability semantics (records stable before
-// the ack leaves) are unchanged.
+// Group commit: under the always policy acks park until FlushAcks pays one
+// barrier for the whole batch; records are stable before any ack leaves.
 func TestGroupCommitBatchesAcks(t *testing.T) {
 	dir := t.TempDir()
 	env := newFakeEnv()
@@ -167,14 +168,13 @@ func TestGroupCommitBatchesAcks(t *testing.T) {
 	}
 	o, err := New(Config{
 		Env: env, Object: "obj", Self: 1, Addr: "self", Role: RolePermanent,
-		Strat: strategy.Conference(time.Hour), ReadTimeout: time.Second,
-		WAL: wlog, Recovered: rec, WALSync: wal.SyncAlways,
+		Strat: strategy.Conference(time.Hour), WAL: wlog, Recovered: rec,
+		Tuning: Tuning{ReadTimeout: time.Second, Durability: Durability{Fsync: wal.SyncAlways}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	o.SetGroupCommit(true)
 
 	o.Handle(writeMsg(1, 1, "p", "a"))
 	o.Handle(writeMsg(1, 2, "p", "b"))
@@ -189,15 +189,13 @@ func TestGroupCommitBatchesAcks(t *testing.T) {
 		t.Fatalf("GroupCommits = %d, want 1", s.GroupCommits)
 	}
 
-	// Turning batch mode off flushes anything parked and restores the
-	// synchronous per-ack barrier.
+	// A batch of one is a barrier too, but not a group commit.
 	o.Handle(writeMsg(1, 3, "p", "c"))
-	o.SetGroupCommit(false)
+	o.FlushAcks()
 	if acks := env.takeSent(msg.KindWriteReply); len(acks) != 1 {
-		t.Fatalf("acks after disabling batch mode: %+v", acks)
+		t.Fatalf("single flushed ack: %+v", acks)
 	}
-	o.Handle(writeMsg(1, 4, "p", "d"))
-	if acks := env.takeSent(msg.KindWriteReply); len(acks) != 1 {
-		t.Fatalf("synchronous ack after disable: %+v", acks)
+	if s := o.Stats(); s.GroupCommits != 1 || s.WritesAcked != 3 {
+		t.Fatalf("after a batch of one: GroupCommits = %d, WritesAcked = %d, want 1 and 3", s.GroupCommits, s.WritesAcked)
 	}
 }

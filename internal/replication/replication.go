@@ -98,35 +98,46 @@ type Env interface {
 	AfterFunc(d time.Duration, f func()) clock.Timer
 }
 
-// Stats counts protocol events for the experiment harness.
+// Stats counts protocol events. Each field is incremented by exactly one
+// statement (inc/add, obs.go), and each is also a {store, object} series in
+// the metrics registry when the replica was built with one: the registry reads
+// the very word Stats() copies (registerStats), so ctl stats, /metrics and
+// bench -trace cannot disagree. The obs tag is the series name — a counter
+// when it ends in _total, a gauge otherwise — and help its description.
 type Stats struct {
-	ReadsServed         uint64 // reads answered from local state
-	ReadsParked         uint64 // reads that had to wait or trigger a fetch
-	ReadsFailed         uint64 // reads answered with an error status
-	WritesAccepted      uint64 // write requests accepted (permanent store)
-	WritesForwarded     uint64 // write requests passed towards the permanent store
-	WritesRejected      uint64 // write-set violations
-	UpdatesApplied      uint64 // ordered updates applied to semantics
-	UpdatesBuffered     uint64 // updates buffered by the ordering engine
-	DemandsSent         uint64 // demand-update / state requests issued
-	Invalidations       uint64 // pages invalidated locally
-	LazyFlushes         uint64 // aggregated dissemination rounds
-	ReqViolations       uint64 // reads whose session requirement was not met locally
-	GossipRounds        uint64 // anti-entropy digests sent to peers
-	BatchesSent         uint64 // KindUpdateBatch frames shipped
-	BatchedUpdates      uint64 // updates carried inside batch frames
-	DigestsSent         uint64 // heartbeat digests sent to children
-	DigestsRecv         uint64 // heartbeat digests received
-	DigestDemands       uint64 // demands triggered by a heartbeat gap
-	SubscribesSent      uint64 // subscribe frames sent (1 + retries + re-subscribes)
-	ReparentsDone       uint64 // completed re-parent handshakes (new parent acked)
-	ParentMissedDigests uint64 // watch periods that saw no parent traffic
-	GroupCommits        uint64 // fsync barriers that covered more than one ack
-	WALAppends          uint64 // records appended to the write-ahead log
-	WALSnapshots        uint64 // snapshot compactions written
-	WALReplayed         uint64 // update records replayed from disk on recovery
-	WALTornTail         uint64 // corrupt WAL tails truncated on recovery
-	RecoveryNanos       uint64 // last restart: replay start to serve gate open
+	ReadsServed         uint64 `obs:"globe_reads_served_total" help:"reads answered from local state"`
+	ReadsParked         uint64 `obs:"globe_reads_parked_total" help:"reads that had to wait or trigger a fetch"`
+	ReadsFailed         uint64 `obs:"globe_reads_failed_total" help:"reads answered with an error status"`
+	ReqViolations       uint64 `obs:"globe_read_requirement_misses_total" help:"reads whose session requirement was not met locally"`
+	WritesAdmitted      uint64 `obs:"globe_writes_admitted_total" help:"client writes admitted (stamped) at this replica"`
+	WritesSequenced     uint64 `obs:"globe_writes_sequenced_total" help:"writes assigned a global sequence by this sequencer"`
+	WritesAccepted      uint64 `obs:"globe_writes_accepted_total" help:"write requests accepted at the permanent store"`
+	WritesForwarded     uint64 `obs:"globe_writes_forwarded_total" help:"write requests forwarded towards the permanent store"`
+	WritesRejected      uint64 `obs:"globe_writes_rejected_total" help:"write-set violations"`
+	WritesAcked         uint64 `obs:"globe_writes_acked_total" help:"write acknowledgements issued to clients"`
+	UpdatesApplied      uint64 `obs:"globe_updates_applied_total" help:"ordered updates applied to local semantics"`
+	UpdatesBuffered     uint64 `obs:"globe_updates_buffered_total" help:"updates buffered by the ordering engine"`
+	UpdatesDisseminated uint64 `obs:"globe_updates_disseminated_total" help:"coherence transfers shipped to subscribed children (updates, invalidations, notifications)"`
+	ApplyFailed         uint64 `obs:"globe_apply_failed_total" help:"ordered operations the semantics object rejected"`
+	DemandsSent         uint64 `obs:"globe_demands_sent_total" help:"demand-update and state requests issued"`
+	Invalidations       uint64 `obs:"globe_invalidations_total" help:"pages invalidated locally"`
+	LazyFlushes         uint64 `obs:"globe_lazy_flushes_total" help:"aggregated dissemination rounds"`
+	GossipRounds        uint64 `obs:"globe_gossip_rounds_total" help:"anti-entropy digests sent to peers"`
+	BatchesSent         uint64 `obs:"globe_batches_sent_total" help:"KindUpdateBatch frames shipped"`
+	BatchedUpdates      uint64 `obs:"globe_batched_updates_total" help:"updates carried inside batch frames"`
+	DigestsSent         uint64 `obs:"globe_digests_sent_total" help:"heartbeat digests sent to children"`
+	DigestsRecv         uint64 `obs:"globe_digests_received_total" help:"heartbeat digests received"`
+	DigestDemands       uint64 `obs:"globe_digest_gap_demands_total" help:"demands triggered by a digest heartbeat gap"`
+	SubscribesSent      uint64 `obs:"globe_subscribes_sent_total" help:"subscribe frames sent (1 + retries + re-subscribes)"`
+	ReparentsDone       uint64 `obs:"globe_reparents_total" help:"completed re-parent handshakes (new parent acked)"`
+	ParentMissedDigests uint64 `obs:"globe_parent_missed_digests_total" help:"watch periods that saw no parent traffic"`
+	GroupCommits        uint64 `obs:"globe_wal_group_commits_total" help:"fsync barriers that covered more than one ack"`
+	WALAppends          uint64 `obs:"globe_wal_appends_total" help:"records appended to the write-ahead log"`
+	WALSnapshots        uint64 `obs:"globe_wal_snapshots_total" help:"snapshot compactions written"`
+	WALReplayed         uint64 `obs:"globe_wal_replayed_total" help:"update records replayed from disk on recovery"`
+	WALTornTail         uint64 `obs:"globe_wal_torn_tails_total" help:"corrupt WAL tails truncated on recovery"`
+	Recoveries          uint64 `obs:"globe_recoveries_total" help:"WAL recoveries performed at startup"`
+	RecoveryNanos       uint64 `obs:"globe_last_recovery_nanoseconds" help:"last restart: replay start to serve gate open"`
 }
 
 // parkedReq is a request this replica could not answer yet: a client read
@@ -196,6 +207,7 @@ func (t *oneShot) stop() {
 //globelint:looponly
 type Object struct {
 	env    Env
+	tune   Tuning // with defaults resolved
 	object ids.ObjectID
 	self   ids.StoreID
 	role   Role
@@ -228,8 +240,7 @@ type Object struct {
 
 	// log keeps applied updates in application order for demand-serving
 	// and child relaying; logLimit caps its length (oldest pruned first).
-	log      []*coherence.Update
-	logLimit int
+	log []*coherence.Update
 	// logPruned records whether any entries were dropped, in which case
 	// demand requests that predate the log are answered with full state.
 	logPruned bool
@@ -264,12 +275,11 @@ type Object struct {
 	subTimer   *oneShot
 
 	// Self-healing (see reparent.go): when the parent stops answering —
-	// subscribe retries exhausted, or reparentAfter consecutive digest
+	// subscribe retries exhausted, or tune.ReparentAfter consecutive digest
 	// periods with no parent traffic — the child re-resolves the object
 	// through resolveParent, adopts a live replica closer to the root, and
 	// re-runs the subscribe handshake there.
 	resolveParent    func() []ParentCandidate
-	reparentAfter    int
 	parentHeard      bool // parent traffic since the last watch tick
 	parentSilent     int  // consecutive silent watch periods
 	parentWatchTimer *oneShot
@@ -280,13 +290,12 @@ type Object struct {
 	peers       map[string]bool
 	gossipTimer *oneShot
 
-	// Digest heartbeats: every digestInterval (jittered), the store sends
+	// Digest heartbeats: every tune.DigestInterval (jittered), the store sends
 	// its children a compact applied-vector digest so a child behind silent
 	// tail-loss or a healed partition detects the gap and demands, instead
 	// of staying stale until the next unrelated arrival.
-	digestInterval time.Duration
-	digestTimer    *oneShot
-	digestRNG      *rand.Rand
+	digestTimer *oneShot
+	digestRNG   *rand.Rand
 	// digestGapDemand marks the open demand cycle as digest-initiated: its
 	// gap has no buffered updates or parked reads to witness it, so the
 	// retry timer must chase it anyway (see retryDemand).
@@ -315,49 +324,44 @@ type Object struct {
 	fullFetches uint64
 
 	// Demand-retry: a demand whose reply is lost would otherwise strand the
-	// store until the next arrival (tail-loss). After demandRetry with no
+	// store until the next arrival (tail-loss). After tune.DemandRetry with no
 	// coherence response (revalEpoch unchanged), the demand is re-sent,
 	// bounded by maxDemandRetries per cycle.
-	demandRetry      time.Duration
 	demandRetryTimer *oneShot
 	demandEpoch      uint64
 	demandRetries    int
 
-	// Group commit (see durable.go): when the owning store enables batch
-	// mode, acks under the always policy park in ackPending and the loop
-	// releases them with FlushAcks — one fsync per drained batch, the same
-	// leader-flushes-the-whole-queue shape tcpnet uses for writev.
-	groupCommit bool
-	ackPending  []pendingAck
+	// Group commit (see durable.go): acks under the always policy park in
+	// ackPending and the owning loop releases them with FlushAcks — one fsync
+	// per drained batch, the same leader-flushes-the-whole-queue shape tcpnet
+	// uses for writev.
+	ackPending []pendingAck
 
 	// Durability (permanent stores with a data dir; see durable.go). wal
 	// is nil on memory-only replicas and every hook is a no-op.
-	wal             *wal.Log
-	walPolicy       wal.Policy
-	walSyncInterval time.Duration
-	walSyncTimer    *oneShot
-	walReplaying    bool
-	snapshotEvery   int
-	lastSnapVec     ids.VersionVec
+	wal          *wal.Log
+	walSyncTimer *oneShot
+	walReplaying bool
+	lastSnapVec  ids.VersionVec
 
 	// Recover-then-serve gate state (see recover/gateRecovering).
 	recovering        bool
 	recoverPending    map[string]bool
 	recoverStart      time.Time
 	recoverRetries    int
-	recoveryGrace     time.Duration
 	recoverGraceTimer *oneShot
 	recoverRetryTimer *oneShot
 
-	parked      []*parkedReq
-	readTimeout time.Duration
+	parked []*parkedReq
 	// revalEpoch counts coherence responses received from the parent
 	// (updates, state replies, acks); pull-on-access reads wait for it to
 	// advance.
 	revalEpoch uint64
 
-	stats Stats
-	// obsv holds the observability instruments (internal/obs); all nil —
+	// stats is allocated on its own: registered series read its words from
+	// the scraper's goroutine and may outlive the replica (see registerStats).
+	stats *Stats
+	// obsv holds the histograms and the trace ring (internal/obs); all nil —
 	// and free — when the store was built without an Observer.
 	obsv repObs
 
@@ -374,21 +378,9 @@ type Config struct {
 	Parent  string
 	Strat   strategy.Strategy
 	Session []coherence.ClientModel // client models requested at bind time
-	// ReadTimeout bounds how long a read may stay parked before it is
-	// answered with StatusRetry (default 5s).
-	ReadTimeout time.Duration
-	// LogLimit caps the demand-serving log (default 4096 updates).
-	LogLimit int
-	// DemandRetry is the delay after which an unanswered demand-update is
-	// re-sent while updates stay buffered or reads stay parked (default
-	// 50ms; negative disables retries).
-	DemandRetry time.Duration
-	// DigestInterval enables digest heartbeats: every interval (plus a
-	// deterministic jitter of up to a quarter interval) the store sends its
-	// subscribed children a KindDigest frame carrying its applied vector.
-	// Zero or negative disables heartbeats (the default — benchmarks and
-	// lossless deployments pay nothing).
-	DigestInterval time.Duration
+	// Tuning holds the timeouts, retry and heartbeat cadences and the WAL
+	// policy; its zero value is the default deployment.
+	Tuning Tuning
 	// ResolveParent, when set, lets the replica pick a replacement parent
 	// after declaring the configured one dead: it returns the object's
 	// currently resolvable replicas (typically from the name service). It
@@ -396,37 +388,21 @@ type Config struct {
 	// replica still recovers from retry exhaustion, but only by re-dialling
 	// the same parent after a cooldown.
 	ResolveParent func() []ParentCandidate
-	// ReparentAfter declares the parent dead after this many consecutive
-	// digest periods with no parent traffic (requires DigestInterval > 0).
-	// Zero disables the liveness watch (the default); subscribe-retry
-	// exhaustion still triggers re-parenting regardless.
-	ReparentAfter int
 
 	// WAL, when set, makes the replica durable: stamped updates, admission
-	// decisions, and children changes are logged before acks, and snapshot
-	// compaction runs every SnapshotEvery records. The object owns the log
-	// from here on (Close closes it).
+	// decisions, and children changes are logged before acks under
+	// Tuning.Durability. The object owns the log from here on (Close closes
+	// it).
 	WAL *wal.Log
 	// Recovered is the state wal.Open reconstructed from disk; New replays
 	// it before the replica sees any traffic.
 	Recovered *wal.Recovery
-	// WALSync is the fsync policy (default wal.SyncOff).
-	WALSync wal.Policy
-	// WALSyncInterval is the flush cadence under wal.SyncInterval
-	// (default 100ms).
-	WALSyncInterval time.Duration
-	// SnapshotEvery is the WAL record count that triggers compaction
-	// (default 1024).
-	SnapshotEvery int
-	// RecoveryGrace bounds the recover-then-serve gate when recovered
-	// children never answer the anti-entropy demands (default 2s).
-	RecoveryGrace time.Duration
 
-	// Obs, when set, wires the replica into the observability layer:
-	// lifecycle counters and the propagation-lag histogram registered under
+	// Obs, when set, wires the replica into the observability layer: every
+	// Stats field and the propagation-lag and WAL histograms registered under
 	// {store, object} labels, and (when the observer carries a trace ring)
-	// structured protocol events. Nil disables everything at zero hot-path
-	// cost.
+	// structured protocol events. Counting itself is unconditional; nil only
+	// means nobody scrapes it.
 	Obs *obs.Observer
 }
 
@@ -466,25 +442,28 @@ func New(cfg Config) (*Object, error) {
 		eng = coherence.NewDepGuard(eng)
 	}
 	o := &Object{
-		env:         cfg.Env,
-		object:      cfg.Object,
-		self:        cfg.Self,
-		addr:        cfg.Addr,
-		role:        cfg.Role,
-		parent:      cfg.Parent,
-		strat:       cfg.Strat,
-		engine:      eng,
-		children:    make(map[string]bool),
-		nextGlobal:  1,
-		stamped:     make(map[ids.ClientID]*stampedSeqs),
-		invalid:     make(map[string]bool),
-		fetchVec:    ids.NewVersionVec(4),
-		pageVec:     make(map[string]ids.VersionVec),
-		readTimeout: cfg.ReadTimeout,
+		env:           cfg.Env,
+		tune:          cfg.Tuning.withDefaults(),
+		object:        cfg.Object,
+		self:          cfg.Self,
+		addr:          cfg.Addr,
+		role:          cfg.Role,
+		parent:        cfg.Parent,
+		strat:         cfg.Strat,
+		engine:        eng,
+		children:      make(map[string]bool),
+		nextGlobal:    1,
+		stamped:       make(map[ids.ClientID]*stampedSeqs),
+		invalid:       make(map[string]bool),
+		fetchVec:      ids.NewVersionVec(4),
+		pageVec:       make(map[string]ids.VersionVec),
+		resolveParent: cfg.ResolveParent,
+		wal:           cfg.WAL,
+		stats:         new(Stats),
 	}
 	// Instruments and timers must exist before recover() below replays the
 	// WAL and arms the recovery gate.
-	o.obsv = newRepObs(cfg.Obs, cfg.Self, cfg.Object)
+	o.obsv = o.newRepObs(cfg.Obs)
 	o.lazyTimer = o.timer(o.flushLazy)
 	o.pollTimer = o.timer(o.poll)
 	o.subTimer = o.timer(o.retrySubscribe)
@@ -496,24 +475,7 @@ func New(cfg Config) (*Object, error) {
 	o.walSyncTimer = o.timer(o.walSync)
 	o.recoverGraceTimer = o.timer(o.finishRecovery)
 	o.recoverRetryTimer = o.timer(o.retryRecovery)
-	if o.readTimeout <= 0 {
-		o.readTimeout = 5 * time.Second
-	}
-	o.logLimit = cfg.LogLimit
-	if o.logLimit <= 0 {
-		o.logLimit = 4096
-	}
-	o.resolveParent = cfg.ResolveParent
-	o.reparentAfter = cfg.ReparentAfter
-	o.demandRetry = cfg.DemandRetry
-	if o.demandRetry == 0 {
-		o.demandRetry = 50 * time.Millisecond
-	}
-	if o.demandRetry < 0 {
-		o.demandRetry = 0 // disabled
-	}
-	if cfg.DigestInterval > 0 {
-		o.digestInterval = cfg.DigestInterval
+	if o.tune.DigestInterval > 0 {
 		// Per-object deterministic jitter source: seeded from the store's
 		// address, the object, and the store ID, so a fleet sharing one
 		// interval — and the N objects co-hosted on one store — all
@@ -524,27 +486,14 @@ func New(cfg Config) (*Object, error) {
 		_, _ = h.Write([]byte(cfg.Object))
 		o.digestRNG = rand.New(rand.NewSource(int64(h.Sum64()) ^ int64(cfg.Self)<<32))
 	}
-	if cfg.WAL != nil {
-		o.wal = cfg.WAL
-		o.walPolicy = cfg.WALSync
-		o.walSyncInterval = cfg.WALSyncInterval
-		if o.walSyncInterval <= 0 {
-			o.walSyncInterval = 100 * time.Millisecond
-		}
-		o.snapshotEvery = cfg.SnapshotEvery
-		if o.snapshotEvery == 0 {
-			o.snapshotEvery = 1024
-		}
-		o.recoveryGrace = cfg.RecoveryGrace
-		if cfg.Recovered != nil {
-			o.recover(cfg.Recovered)
-		}
+	if cfg.WAL != nil && cfg.Recovered != nil {
+		o.recover(cfg.Recovered)
 	}
 	return o, nil
 }
 
 // Stats returns a copy of the protocol counters.
-func (o *Object) Stats() Stats { return o.stats }
+func (o *Object) Stats() Stats { return *o.stats }
 
 // Engine exposes the ordering engine (tests, metrics).
 func (o *Object) Engine() coherence.Engine { return o.engine }

@@ -73,7 +73,7 @@ func newObj(t *testing.T, env Env, role Role, st strategy.Strategy, parent strin
 	t.Helper()
 	o, err := New(Config{
 		Env: env, Object: "obj", Self: 1, Addr: "self", Role: role,
-		Parent: parent, Strat: st, Session: models, ReadTimeout: time.Second,
+		Parent: parent, Strat: st, Session: models, Tuning: Tuning{ReadTimeout: time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,19 +333,14 @@ func TestDemandNothingMissingSendsAck(t *testing.T) {
 
 func TestDemandAfterLogPruneFallsBackToFullState(t *testing.T) {
 	env := newFakeEnv()
-	o, err := New(Config{
-		Env: env, Object: "obj", Self: 1, Addr: "self", Role: RolePermanent,
-		Strat: strategy.Conference(time.Hour), ReadTimeout: time.Second, LogLimit: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5; i++ {
+	o := newObj(t, env, RolePermanent, strategy.Conference(time.Hour), "")
+	for i := 1; i <= logLimit+3; i++ {
 		o.Handle(writeMsg(1, uint64(i), "p", "x"))
 	}
 	env.sent = nil
-	// Child knows nothing; the log only holds writes 4-5, but writes 2-3
-	// are gone — the paper's protocol must fall back to full state.
+	// Child knows nothing; the log holds only the newest logLimit writes and
+	// the first three are gone — the paper's protocol must fall back to full
+	// state.
 	o.Handle(&msg.Message{Kind: msg.KindDemandUpdate, Object: "obj", From: "child-1"})
 	ups := env.takeSent(msg.KindUpdate)
 	states := env.takeSent(msg.KindStateReply)

@@ -31,8 +31,7 @@ func (o *Object) onSubscribeAck(m *msg.Message) {
 	o.revalEpoch++
 	if o.reparenting {
 		o.reparenting = false
-		o.stats.ReparentsDone++
-		o.obsv.reparents.Inc()
+		inc(&o.stats.ReparentsDone)
 		if o.traceOn() {
 			o.emit("reparent_done", "parent="+m.From)
 		}
@@ -83,21 +82,21 @@ const maxSubscribeRetries = 32
 
 // sendSubscribe transmits one subscribe frame and arms the retry timer: a
 // subscribe (or its ack) lost on a lossy link must not strand the replica
-// outside the children set, so the child re-sends every demandRetry until
+// outside the children set, so the child re-sends every DemandRetry until
 // the bootstrap ack arrives. Duplicate subscribes are idempotent at the
 // parent (children is a set; the extra bootstrap snapshot is absorbed like
 // any full-state transfer).
 func (o *Object) sendSubscribe() {
-	o.stats.SubscribesSent++
+	inc(&o.stats.SubscribesSent)
 	o.send(o.parent, o.frame(msg.KindSubscribe, nil))
-	if o.subAcked || o.demandRetry <= 0 || o.subTimer.armed() {
+	if o.subAcked || o.tune.DemandRetry <= 0 || o.subTimer.armed() {
 		return
 	}
 	if o.subRetries >= maxSubscribeRetries {
 		o.reparent(true)
 		return
 	}
-	o.arm(o.subTimer, o.demandRetry)
+	o.arm(o.subTimer, o.tune.DemandRetry)
 }
 
 // retrySubscribe is the subscribe timer's callback: re-send unless the ack

@@ -21,18 +21,23 @@ func (o *Object) demandFromParent() {
 	// cycle must not leave retries permanently disabled (retryDemand
 	// restores its own count after this reset).
 	o.demandRetries = 0
-	o.stats.DemandsSent++
-	o.obsv.demands.Inc()
+	o.sendDemand(o.parent)
+	o.demandEpoch = o.revalEpoch
+	if o.tune.DemandRetry > 0 {
+		o.arm(o.demandRetryTimer, o.tune.DemandRetry)
+	}
+}
+
+// sendDemand asks to — the parent, or after a restart a child that outlived
+// it — for every update beyond this replica's applied vector.
+func (o *Object) sendDemand(to string) {
+	inc(&o.stats.DemandsSent)
 	if o.traceOn() {
-		o.emit("demand_sent", "to="+o.parent)
+		o.emit("demand_sent", "to="+to)
 	}
 	d := o.frame(msg.KindDemandUpdate, nil)
 	d.VVec = o.appliedVec()
-	o.send(o.parent, d)
-	o.demandEpoch = o.revalEpoch
-	if o.demandRetry > 0 {
-		o.arm(o.demandRetryTimer, o.demandRetry)
-	}
+	o.send(to, d)
 }
 
 // maxDemandRetries bounds re-requests per unanswered-demand cycle, so a
@@ -87,8 +92,7 @@ func (o *Object) fetch(page string) {
 		}
 		o.fetching = true
 	}
-	o.stats.DemandsSent++
-	o.obsv.demands.Inc()
+	inc(&o.stats.DemandsSent)
 	if o.traceOn() {
 		o.emit("demand_sent", "to="+o.parent+" state_page="+page)
 	}
@@ -331,9 +335,7 @@ func (o *Object) reapplyBeyond(v *msg.Vec, page string) {
 			continue
 		}
 		if !v.CoversWrite(u.Write) {
-			if err := o.env.ApplyOp(u); err != nil {
-				o.stats.ReadsFailed++
-			}
+			o.applyOp(u)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func (o *Object) onWrite(m *msg.Message) {
 			o.hasWriter = true
 			o.writer = m.Write.Client
 		} else if o.writer != m.Write.Client {
-			o.stats.WritesRejected++
+			inc(&o.stats.WritesRejected)
 			o.refuse(m, msg.StatusForbidden, "write set is single; another client owns the object")
 			return
 		}
@@ -53,13 +53,13 @@ func (o *Object) onWrite(m *msg.Message) {
 	if o.strat.Model == coherence.Sequential && u.GlobalSeq == 0 {
 		u.GlobalSeq = o.nextGlobal
 		o.nextGlobal++
-		o.obsv.sequenced.Inc()
+		inc(&o.stats.WritesSequenced)
 		if o.traceOn() {
 			o.emit("write_sequenced", "wid="+u.Write.String()+" gseq="+strconv.FormatUint(u.GlobalSeq, 10))
 		}
 	}
 	if o.role == RolePermanent {
-		o.stats.WritesAccepted++
+		inc(&o.stats.WritesAccepted)
 	}
 	released := o.submitLogged(u)
 	if fresh {
@@ -67,9 +67,6 @@ func (o *Object) onWrite(m *msg.Message) {
 		// walAppendAdmit): a crash between the two appends leaves the
 		// update durable, and recovery seeds the watermark from it.
 		o.walAppendAdmit(m.Write.Client, m.Write.Seq)
-	}
-	if len(released) == 0 && o.engine.Pending() > 0 {
-		o.stats.UpdatesBuffered++
 	}
 	o.applyReleased(released)
 	// Ack the writer (the client learns the store that performed its
@@ -105,7 +102,7 @@ func (o *Object) admit(m *msg.Message) (fresh, replay bool) {
 		return false, true
 	}
 	m.Stamp = vclock.Stamp{Time: o.lamport.Next(), Client: m.Write.Client}
-	o.obsv.admitted.Inc()
+	inc(&o.stats.WritesAdmitted)
 	if o.traceOn() {
 		o.emit("write_admitted", "wid="+m.Write.String())
 	}
@@ -121,31 +118,28 @@ func (o *Object) forward(m *msg.Message) {
 	}
 	fwd := *m
 	fwd.To = o.parent
-	o.stats.WritesForwarded++
-	o.obsv.forwarded.Inc()
+	inc(&o.stats.WritesForwarded)
 	o.send(o.parent, &fwd)
 }
 
 // ackWrite sends the OK write reply for m. On a durable replica under the
 // always policy, everything logged for this write reaches disk first: an
 // acknowledged write survives even kill -9 between ack and the next flush.
-// With group commit enabled the ack parks instead and FlushAcks pays one
-// barrier for the whole drained batch (durability unchanged: the ack still
-// never leaves before its records are stable).
+// There the ack parks and FlushAcks pays one barrier for every ack parked
+// since the last one — the whole batch the owning loop drained.
 func (o *Object) ackWrite(m *msg.Message) {
-	o.obsv.acked.Inc()
+	inc(&o.stats.WritesAcked)
 	if o.traceOn() {
 		o.emit("write_acked", "wid="+m.Write.String()+" to="+m.From)
 	}
 	r := o.frame(msg.KindWriteReply, m)
 	if o.deferBarrier() {
-		// The ack can sit in ackPending across many handler turns under
-		// group commit; clone the reply address so the parked ack does not
-		// pin the request frame's chunk until the next flush.
+		// The ack can sit in ackPending across many handler turns; clone
+		// the reply address so the parked ack does not pin the request
+		// frame's chunk until the next flush.
 		o.ackPending = append(o.ackPending, pendingAck{to: strings.Clone(m.From), r: r})
 		return
 	}
-	o.walBarrier()
 	o.send(m.From, r)
 }
 
@@ -245,7 +239,7 @@ func updateFromMsg(m *msg.Message) *coherence.Update {
 	return &coherence.Update{
 		Write:     m.Write,
 		GlobalSeq: m.GlobalSeq,
-		Deps:      m.Deps.VC(),
+		Deps:      m.Deps.Version(),
 		Stamp:     m.Stamp,
 		Inv:       cloneInv(m.Inv),
 		WallNanos: m.WallNanos,

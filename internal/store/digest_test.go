@@ -30,11 +30,10 @@ func (r *rig) storeWithDigest(addr string, role replication.Role, digest time.Du
 		r.t.Fatal(err)
 	}
 	s := store.New(store.Config{
-		ID:             r.ns.NextStore(),
-		Role:           role,
-		Endpoint:       ep,
-		ReadTimeout:    2 * time.Second,
-		DigestInterval: digest,
+		ID:       r.ns.NextStore(),
+		Role:     role,
+		Endpoint: ep,
+		Tuning:   replication.Tuning{ReadTimeout: 2 * time.Second, DigestInterval: digest},
 	})
 	r.t.Cleanup(func() { _ = s.Close() })
 	return s
@@ -170,11 +169,10 @@ func (r *tcpRig) endpoint() *tcpnet.Endpoint {
 func (r *tcpRig) store(id uint32, role replication.Role, ep *tcpnet.Endpoint, digest time.Duration) *store.Store {
 	r.t.Helper()
 	s := store.New(store.Config{
-		ID:             ids.StoreID(id),
-		Role:           role,
-		Endpoint:       ep,
-		ReadTimeout:    2 * time.Second,
-		DigestInterval: digest,
+		ID:       ids.StoreID(id),
+		Role:     role,
+		Endpoint: ep,
+		Tuning:   replication.Tuning{ReadTimeout: 2 * time.Second, DigestInterval: digest},
 	})
 	r.t.Cleanup(func() { _ = s.Close() })
 	return s

@@ -19,12 +19,12 @@ import (
 // durableStore builds a permanent store with a WAL at dir on an existing
 // endpoint — restarts reuse the crashed store's endpoint, whose receive
 // loop died with it. Close is registered for cleanup (a no-op after Crash).
-func (r *rig) durableStore(ep transport.Endpoint, dir string, id ids.StoreID, d store.Durability) *store.Store {
+func (r *rig) durableStore(ep transport.Endpoint, dir string, id ids.StoreID, d replication.Durability) *store.Store {
 	r.t.Helper()
 	s := store.New(store.Config{
 		ID: id, Role: replication.RolePermanent, Endpoint: ep,
-		ReadTimeout: 2 * time.Second,
-		DataDir:     dir, Durability: d,
+		Tuning:  replication.Tuning{ReadTimeout: 2 * time.Second, Durability: d},
+		DataDir: dir,
 	})
 	r.t.Cleanup(func() { _ = s.Close() })
 	return s
@@ -50,7 +50,7 @@ func TestStoreCrashRestartServesRecoveredState(t *testing.T) {
 	st := strategy.Conference(50 * time.Millisecond)
 
 	permEp := r.endpoint("perm")
-	s1 := r.durableStore(permEp, dir, 7, store.Durability{Fsync: wal.SyncAlways})
+	s1 := r.durableStore(permEp, dir, 7, replication.Durability{Fsync: wal.SyncAlways})
 	if err := s1.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStoreCrashRestartServesRecoveredState(t *testing.T) {
 	p1.Close()
 	s1.Crash() // kill -9: no flush beyond the per-ack barrier, no WAL close
 
-	s2 := r.durableStore(permEp, dir, 7, store.Durability{Fsync: wal.SyncAlways})
+	s2 := r.durableStore(permEp, dir, 7, replication.Durability{Fsync: wal.SyncAlways})
 	if err := s2.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestStoreCompactionThenCrash(t *testing.T) {
 	st := strategy.Conference(50 * time.Millisecond)
 
 	permEp := r.endpoint("perm")
-	s1 := r.durableStore(permEp, dir, 3, store.Durability{Fsync: wal.SyncAlways})
+	s1 := r.durableStore(permEp, dir, 3, replication.Durability{Fsync: wal.SyncAlways})
 	if err := s1.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStoreCompactionThenCrash(t *testing.T) {
 	p1.Close()
 	s1.Crash()
 
-	s2 := r.durableStore(permEp, dir, 3, store.Durability{Fsync: wal.SyncAlways})
+	s2 := r.durableStore(permEp, dir, 3, replication.Durability{Fsync: wal.SyncAlways})
 	if err := s2.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestStoreBindRetriesWhileRecovering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := r.durableStore(r.endpoint("perm"), dir, 7, store.Durability{
+	s := r.durableStore(r.endpoint("perm"), dir, 7, replication.Durability{
 		Fsync: wal.SyncAlways, RecoveryGrace: 250 * time.Millisecond,
 	})
 	if err := s.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(),

@@ -43,10 +43,10 @@ func (r *rig) store(addr string, role replication.Role) *store.Store {
 		r.t.Fatal(err)
 	}
 	s := store.New(store.Config{
-		ID:          r.ns.NextStore(),
-		Role:        role,
-		Endpoint:    ep,
-		ReadTimeout: 2 * time.Second,
+		ID:       r.ns.NextStore(),
+		Role:     role,
+		Endpoint: ep,
+		Tuning:   replication.Tuning{ReadTimeout: 2 * time.Second},
 	})
 	r.t.Cleanup(func() { _ = s.Close() })
 	return s

@@ -47,29 +47,19 @@ type Config struct {
 	Role     replication.Role
 	Endpoint transport.Endpoint
 	Clock    clock.Clock
-	// ReadTimeout bounds parked reads (default 5s, tests shrink it).
-	ReadTimeout time.Duration
-	// DemandRetry is the per-replica unanswered-demand re-request delay
-	// (default 50ms; negative disables retries).
-	DemandRetry time.Duration
-	// DigestInterval enables anti-entropy digest heartbeats for every
-	// replica this store hosts: each interval (jittered) the store sends
-	// its subscribed children a compact applied-vector digest, so a child
-	// behind silent tail-loss or a healed partition demands the gap instead
-	// of waiting for new traffic. Zero disables heartbeats (the default).
-	DigestInterval time.Duration
+	// Tuning is handed, whole, to every replica this store hosts: timeouts,
+	// the demand-retry and digest-heartbeat cadences, the parent liveness
+	// watch, and (when DataDir is set) the WAL policy.
+	Tuning replication.Tuning
 	// ResolveParent, when set, gives every hosted replica the resolver seam
 	// for self-healing: on parent death (subscribe-retry exhaustion, or
-	// ReparentAfter silent digest periods) the replica calls it to list the
-	// object's live replicas and re-subscribes at one closer to the root.
+	// Tuning.ReparentAfter silent digest periods) the replica calls it to
+	// list the object's live replicas and re-subscribes at one closer to
+	// the root.
 	// Called on the store's event loop during a re-parent pick (a rare
 	// event); a slow resolver stalls the store for the duration, so keep
 	// lookups bounded by a call timeout.
 	ResolveParent func(object ids.ObjectID) []replication.ParentCandidate
-	// ReparentAfter is the consecutive silent digest periods after which a
-	// replica declares its parent dead (0 disables the liveness watch;
-	// requires DigestInterval).
-	ReparentAfter int
 	// DataDir, when set on a permanent store, makes every hosted replica
 	// durable: a per-object write-ahead log + snapshot under
 	// <DataDir>/store-<ID>/<object>/, replayed on restart. Only the
@@ -78,27 +68,11 @@ type Config struct {
 	// a planned follow-on — their recovery gate must reconcile replayed
 	// state against a parent that kept moving).
 	DataDir string
-	// Durability tunes the WAL when DataDir is set.
-	Durability Durability
 	// Obs, when set, wires every hosted replica into the observability
-	// layer (internal/obs): per-replica lifecycle counters, the
+	// layer (internal/obs): every replication.Stats field as a series, the
 	// propagation-lag histogram, and — when the observer carries a trace
-	// ring — structured protocol events. Nil (the default) disables all of
-	// it at zero hot-path cost.
+	// ring — structured protocol events. Nil is the default.
 	Obs *obs.Observer
-}
-
-// Durability tunes a durable store's write-ahead log.
-type Durability struct {
-	// Fsync is the flush policy (wal.SyncOff / SyncInterval / SyncAlways).
-	Fsync wal.Policy
-	// SyncInterval is the flush cadence under SyncInterval (default 100ms).
-	SyncInterval time.Duration
-	// SnapshotEvery is the WAL record count between snapshot compactions
-	// (default 1024; negative disables compaction).
-	SnapshotEvery int
-	// RecoveryGrace bounds the restart anti-entropy gate (default 2s).
-	RecoveryGrace time.Duration
 }
 
 // replica is one hosted local object.
@@ -183,72 +157,56 @@ func (s *Store) Host(hc HostConfig) error {
 			s.cfg.ID, s.cfg.DataDir, s.cfg.Role)
 	}
 	ctrl := control.New(hc.Semantics)
-	errCh := make(chan error, 1)
-	posted := s.post(func() {
-		if _, exists := s.replicas[hc.Object]; exists {
-			errCh <- fmt.Errorf("store %d: object %q already hosted", s.cfg.ID, hc.Object)
-			return
-		}
-		env := &replicaEnv{store: s, ctrl: ctrl}
-		rc := replication.Config{
-			Env:            env,
-			Object:         hc.Object,
-			Self:           s.cfg.ID,
-			Addr:           s.Addr(),
-			Role:           s.cfg.Role,
-			Parent:         hc.Parent,
-			Strat:          hc.Strat,
-			Session:        hc.Session,
-			ReadTimeout:    s.cfg.ReadTimeout,
-			DemandRetry:    s.cfg.DemandRetry,
-			DigestInterval: s.cfg.DigestInterval,
-			ReparentAfter:  s.cfg.ReparentAfter,
-			Obs:            s.cfg.Obs,
-		}
-		if resolve := s.cfg.ResolveParent; resolve != nil {
-			rc.ResolveParent = func() []replication.ParentCandidate {
-				return resolve(hc.Object)
-			}
-		}
-		if s.cfg.DataDir != "" && s.cfg.Role == replication.RolePermanent {
-			wlog, recovered, err := wal.Open(s.walDir(hc.Object))
-			if err != nil {
-				errCh <- fmt.Errorf("store %d: opening wal for %q: %w", s.cfg.ID, hc.Object, err)
-				return
-			}
-			d := s.cfg.Durability
-			rc.WAL = wlog
-			rc.Recovered = recovered
-			rc.WALSync = d.Fsync
-			rc.WALSyncInterval = d.SyncInterval
-			rc.SnapshotEvery = d.SnapshotEvery
-			rc.RecoveryGrace = d.RecoveryGrace
-		}
-		ro, err := replication.New(rc)
-		if err != nil {
-			if rc.WAL != nil {
-				_ = rc.WAL.Close()
-			}
-			errCh <- err
-			return
-		}
-		if rc.WAL != nil {
-			// The event loop drains messages in batches and flushes parked
-			// acks once per batch (see loop): one fsync covers every write
-			// the batch admitted — the group commit.
-			ro.SetGroupCommit(true)
-		}
-		s.replicas[hc.Object] = &replica{ctrl: ctrl, repl: ro, sem: hc.SemName}
-		s.hosted.Add(1)
-		if hc.Subscribe {
-			ro.SubscribeToParent()
-		}
-		errCh <- nil
-	})
-	if !posted {
-		return ErrClosed
+	var walDir string
+	if s.cfg.DataDir != "" {
+		walDir = s.walDir(hc.Object)
 	}
-	return <-errCh
+	return s.onLoop(func() error { return s.host(hc, ctrl, walDir) })
+}
+
+// host is the loop side of Host; walDir is empty for a memory-only replica.
+//
+//globelint:looponly
+func (s *Store) host(hc HostConfig, ctrl *control.Control, walDir string) error {
+	if _, exists := s.replicas[hc.Object]; exists {
+		return fmt.Errorf("store %d: object %q already hosted", s.cfg.ID, hc.Object)
+	}
+	rc := replication.Config{
+		Env:     &replicaEnv{store: s, ctrl: ctrl},
+		Object:  hc.Object,
+		Self:    s.cfg.ID,
+		Addr:    s.Addr(),
+		Role:    s.cfg.Role,
+		Parent:  hc.Parent,
+		Strat:   hc.Strat,
+		Session: hc.Session,
+		Tuning:  s.cfg.Tuning,
+		Obs:     s.cfg.Obs,
+	}
+	if resolve := s.cfg.ResolveParent; resolve != nil {
+		rc.ResolveParent = func() []replication.ParentCandidate {
+			return resolve(hc.Object)
+		}
+	}
+	if walDir != "" {
+		var err error
+		if rc.WAL, rc.Recovered, err = wal.Open(walDir); err != nil {
+			return fmt.Errorf("store %d: opening wal for %q: %w", s.cfg.ID, hc.Object, err)
+		}
+	}
+	ro, err := replication.New(rc)
+	if err != nil {
+		if rc.WAL != nil {
+			_ = rc.WAL.Close()
+		}
+		return err
+	}
+	s.replicas[hc.Object] = &replica{ctrl: ctrl, repl: ro, sem: hc.SemName}
+	s.hosted.Add(1)
+	if hc.Subscribe {
+		ro.SubscribeToParent()
+	}
+	return nil
 }
 
 // walDir is the durable directory for one replica:
@@ -258,26 +216,28 @@ func (s *Store) walDir(object ids.ObjectID) string {
 		fmt.Sprintf("store-%d", s.cfg.ID), url.PathEscape(string(object)))
 }
 
-// call runs f against the hosted replica of object on the event loop and
-// waits for its result: ErrNotHosted when the store has no such replica,
-// ErrClosed when the loop is gone before f could be posted.
-func call[T any](s *Store, object ids.ObjectID, f func(*replica) (T, error)) (T, error) {
-	var out T
+// onLoop runs f on the event loop and waits for it: ErrClosed when the loop
+// is gone before f could be posted.
+func (s *Store) onLoop(f func() error) error {
 	errCh := make(chan error, 1)
-	posted := s.post(func() {
+	if !s.post(func() { errCh <- f() }) {
+		return ErrClosed
+	}
+	return <-errCh
+}
+
+// call runs f against the hosted replica of object on the event loop and
+// waits for its result: ErrNotHosted when the store has no such replica.
+func call[T any](s *Store, object ids.ObjectID, f func(*replica) (T, error)) (out T, err error) {
+	err = s.onLoop(func() (err error) {
 		r, ok := s.replicas[object]
 		if !ok {
-			errCh <- fmt.Errorf("%w: %q", ErrNotHosted, object)
-			return
+			return fmt.Errorf("%w: %q", ErrNotHosted, object)
 		}
-		var err error
 		out, err = f(r)
-		errCh <- err
+		return err
 	})
-	if !posted {
-		return out, ErrClosed
-	}
-	return out, <-errCh
+	return out, err
 }
 
 // do is call for operations with no result beyond the error.
@@ -385,10 +345,10 @@ func (s *Store) post(f func()) bool {
 const maxDrainBatch = 128
 
 // loop is the store's single event goroutine. Incoming messages are drained
-// in bounded batches; after each batch the loop releases the write acks the
-// batch parked (replication.FlushAcks), so N writes admitted in one drain
-// share one fsync barrier — the loop plays the tcpnet writev leader, the
-// queue is the batch.
+// in bounded batches; after each batch (and each posted event) the loop
+// releases the write acks it parked (replication.FlushAcks), so N writes
+// admitted in one drain share one fsync barrier — the loop plays the tcpnet
+// writev leader, the queue is the batch.
 func (s *Store) loop() {
 	defer s.wg.Done()
 	recv := s.cfg.Endpoint.Recv()

@@ -11,8 +11,6 @@ package vclock
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/ids"
@@ -45,60 +43,25 @@ func (o Ordering) String() string {
 	}
 }
 
-// VC is a vector clock: one logical-event counter per client. The zero value
-// (nil map) is a valid, empty clock for read operations; use New or Clone
-// before mutating.
-type VC map[ids.ClientID]uint64
+// VC is a vector clock: one logical-event counter per client. It is the same
+// type as ids.VersionVec (Get, Set, Clone, Merge, Covers and String are
+// declared there); this package adds what only a clock needs, Tick and
+// Compare, as functions — Go allows no new methods on another package's type.
+// The zero value (nil map) is a valid, empty clock for read operations; use
+// New or Clone before mutating.
+type VC = ids.VersionVec
 
 // New returns an empty vector clock.
 func New() VC { return make(VC) }
 
-// Tick increments the component for client c and returns the new value.
-func (v VC) Tick(c ids.ClientID) uint64 {
+// Tick increments v's component for client c and returns the new value.
+func Tick(v VC, c ids.ClientID) uint64 {
 	v[c]++
 	return v[c]
 }
 
-// Get returns the component for client c (zero if absent).
-func (v VC) Get(c ids.ClientID) uint64 { return v[c] }
-
-// Set stores component seq for client c.
-func (v VC) Set(c ids.ClientID, seq uint64) { v[c] = seq }
-
-// Clone returns an independent copy; Clone of nil returns an empty clock.
-func (v VC) Clone() VC {
-	out := make(VC, len(v))
-	for c, s := range v {
-		out[c] = s
-	}
-	return out
-}
-
-// Merge folds o into v component-wise (join: max of each component).
-func (v VC) Merge(o VC) {
-	for c, s := range o {
-		if v[c] < s {
-			v[c] = s
-		}
-	}
-}
-
-// Covers reports whether every component of o is <= the matching component
-// of v (zero components of o are ignored).
-func (v VC) Covers(o VC) bool {
-	for c, s := range o {
-		if s == 0 {
-			continue
-		}
-		if v[c] < s {
-			return false
-		}
-	}
-	return true
-}
-
 // Compare classifies the relation between v and o.
-func (v VC) Compare(o VC) Ordering {
+func Compare(v, o VC) Ordering {
 	vCovers := v.Covers(o)
 	oCovers := o.Covers(v)
 	switch {
@@ -111,31 +74,6 @@ func (v VC) Compare(o VC) Ordering {
 	default:
 		return Concurrent
 	}
-}
-
-// HappensBefore reports whether v strictly precedes o.
-func (v VC) HappensBefore(o VC) bool { return v.Compare(o) == Before }
-
-// String renders the clock deterministically, sorted by client ID.
-func (v VC) String() string {
-	if len(v) == 0 {
-		return "[]"
-	}
-	clients := make([]ids.ClientID, 0, len(v))
-	for c := range v {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, c := range clients {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "c%d:%d", c, v[c])
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // Lamport is a thread-safe Lamport clock. The zero value is ready to use.

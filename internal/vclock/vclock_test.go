@@ -11,33 +11,33 @@ import (
 func TestCompareBasics(t *testing.T) {
 	a := VC{1: 1}
 	b := VC{1: 2}
-	if got := a.Compare(b); got != Before {
-		t.Fatalf("a.Compare(b) = %v, want Before", got)
+	if got := Compare(a, b); got != Before {
+		t.Fatalf("Compare(a, b) = %v, want Before", got)
 	}
-	if got := b.Compare(a); got != After {
-		t.Fatalf("b.Compare(a) = %v, want After", got)
+	if got := Compare(b, a); got != After {
+		t.Fatalf("Compare(b, a) = %v, want After", got)
 	}
-	if got := a.Compare(a.Clone()); got != Equal {
+	if got := Compare(a, a.Clone()); got != Equal {
 		t.Fatalf("equal clocks compare %v, want Equal", got)
 	}
 	c := VC{2: 1}
-	if got := a.Compare(c); got != Concurrent {
+	if got := Compare(a, c); got != Concurrent {
 		t.Fatalf("disjoint clocks compare %v, want Concurrent", got)
 	}
 }
 
 func TestTickAndHappensBefore(t *testing.T) {
 	v := New()
-	if got := v.Tick(1); got != 1 {
+	if got := Tick(v, 1); got != 1 {
 		t.Fatalf("first tick = %d, want 1", got)
 	}
 	w := v.Clone()
-	w.Tick(1)
-	if !v.HappensBefore(w) {
-		t.Fatalf("v should happen before its successor")
+	Tick(w, 1)
+	if got := Compare(v, w); got != Before {
+		t.Fatalf("v should happen before its successor, got %v", got)
 	}
-	if w.HappensBefore(v) {
-		t.Fatalf("successor must not happen before predecessor")
+	if got := Compare(w, v); got != After {
+		t.Fatalf("successor must come after its predecessor, got %v", got)
 	}
 }
 
@@ -57,11 +57,11 @@ func TestOrderingString(t *testing.T) {
 
 func TestVCString(t *testing.T) {
 	v := VC{2: 3, 1: 1}
-	if got, want := v.String(), "[c1:1 c2:3]"; got != want {
+	if got, want := v.String(), "{c1:1 c2:3}"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
-	if got := (VC)(nil).String(); got != "[]" {
-		t.Fatalf("nil String() = %q, want []", got)
+	if got := (VC)(nil).String(); got != "{}" {
+		t.Fatalf("nil String() = %q, want {}", got)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestVCString(t *testing.T) {
 func TestCompareAntisymmetric(t *testing.T) {
 	f := func(xa, xb map[uint8]uint16) bool {
 		a, b := mkVC(xa), mkVC(xb)
-		x, y := a.Compare(b), b.Compare(a)
+		x, y := Compare(a, b), Compare(b, a)
 		switch x {
 		case Equal:
 			return y == Equal

@@ -252,7 +252,7 @@ func decodeRecord(typ byte, payload []byte) (Record, error) {
 		return Record{Update: &coherence.Update{
 			Write:     m.Write,
 			GlobalSeq: m.GlobalSeq,
-			Deps:      m.Deps.VC(),
+			Deps:      m.Deps.Version(),
 			Stamp:     m.Stamp,
 			Inv:       m.Inv,
 			WallNanos: m.WallNanos,

@@ -98,33 +98,3 @@ func TestWithDigestIntervalRecoversPartitionedCache(t *testing.T) {
 		t.Fatalf("post-recovery read: %q, %v", pg, err)
 	}
 }
-
-// TestWithStoreDigestIntervalOverride: the per-store option wins over the
-// system default, including turning heartbeats off for one store.
-func TestWithStoreDigestIntervalOverride(t *testing.T) {
-	sys := webobj.NewSystem(
-		webobj.WithFabric(webobj.NewMemFabric(memnet.WithSeed(12))),
-		webobj.WithDigestInterval(50*time.Millisecond),
-	)
-	t.Cleanup(func() { _ = sys.Close() })
-
-	server, err := sys.NewServer("www", webobj.WithStoreDigestInterval(0)) // off here
-	if err != nil {
-		t.Fatal(err)
-	}
-	const obj = webobj.ObjectID("quiet-doc")
-	if err := sys.Publish(server, obj, webobj.WebDoc(), webobj.ConferenceStrategy(5*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	cache, err := sys.NewCache("proxy", server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Replicate(cache, obj); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(150 * time.Millisecond)
-	if s := sys.Network().Stats(); s.ByKind[msg.KindDigest] != 0 {
-		t.Fatalf("server with digest override 0 still heartbeated: %+v", s.ByKind)
-	}
-}

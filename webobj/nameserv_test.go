@@ -262,7 +262,7 @@ func TestReusedIdentityResumesPastLaggingReplica(t *testing.T) {
 // digest-triggered re-subscribe) must get the replica into the children set
 // and converged without any clean-network warm-up.
 func TestSubscribeSurvivesLoss(t *testing.T) {
-	sys := NewSystemWithNetwork(memnet.WithSeed(1))
+	sys := NewSystem(WithFabric(NewMemFabric(memnet.WithSeed(1))), WithDigestInterval(25*time.Millisecond))
 	defer sys.Close()
 	net := sys.Network()
 	// Hostile from the very first frame — the subscribe itself runs under
@@ -273,7 +273,7 @@ func TestSubscribeSurvivesLoss(t *testing.T) {
 		Loss:    0.6,
 	})
 
-	server, err := sys.NewServer("www", WithStoreDigestInterval(25*time.Millisecond))
+	server, err := sys.NewServer("www")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSubscribeSurvivesLoss(t *testing.T) {
 	if err := doWrite(sys, obj, server, "p", "hello;"); err != nil {
 		t.Fatal(err)
 	}
-	cache, err := sys.NewCache("proxy", server, WithStoreDigestInterval(25*time.Millisecond))
+	cache, err := sys.NewCache("proxy", server)
 	if err != nil {
 		t.Fatal(err)
 	}

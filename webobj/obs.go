@@ -23,10 +23,10 @@ type MetricPoint = obs.Point
 type TraceEvent = obs.Event
 
 // WithMetrics turns on the metrics registry for this system: every store it
-// creates registers per-replica replication, WAL, and propagation-lag
-// series, and the fabric's and name-service client's traffic counters are
-// bridged in at scrape time. Off by default — the instrumented hot paths
-// then cost one nil check and zero allocations per event.
+// creates registers each replica's Stats fields and its WAL and
+// propagation-lag histograms, and the fabric's and name-service client's
+// traffic counters are bridged in at scrape time. Off by default — the
+// histograms then cost one nil check and nothing allocates per event.
 func WithMetrics() SystemOption {
 	return func(s *System) { s.metricsOn = true }
 }

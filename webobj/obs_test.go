@@ -2,6 +2,7 @@ package webobj_test
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -140,4 +141,75 @@ func TestObservabilityDisabled(t *testing.T) {
 	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("disabled exposition Content-Type = %q", ct)
 	}
+}
+
+// TestRehostedReplicaSeriesFollowLiveObject: after Drop and a second
+// Replicate of the same object at the same store, the {store, object} series
+// must read the new replica — not keep the dropped one's totals — so every
+// one of them equals the matching Stats field.
+func TestRehostedReplicaSeriesFollowLiveObject(t *testing.T) {
+	sys := webobj.NewSystem(webobj.WithMetrics())
+	t.Cleanup(func() { _ = sys.Close() })
+	const obj = "rehost-doc"
+	server, err := sys.NewServer("www")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(server, obj, webobj.WebDoc(), webobj.ConferenceStrategy(5*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := sys.NewCache("proxy", server, webobj.WithStoreID(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sys.Open(obj, webobj.At(server))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	hostAndWrite := func(writes int, wantApplied uint64) {
+		t.Helper()
+		if err := sys.Replicate(cache, obj); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < writes; i++ {
+			if err := d.Append("p", []byte("v;")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, func() bool {
+			s, err := cache.Stats(obj)
+			return err == nil && s.UpdatesApplied == wantApplied
+		}, "pushed updates applied at the cache")
+	}
+	hostAndWrite(3, 3)
+	if err := sys.Drop(cache, obj); err != nil {
+		t.Fatal(err)
+	}
+	// The bootstrap snapshot carries the first three writes; only the new one
+	// is applied as an update, and the counters restart with the replica.
+	hostAndWrite(1, 1)
+
+	waitFor(t, func() bool {
+		before, _ := cache.Stats(obj)
+		pts := sys.MetricsSnapshot()
+		after, _ := cache.Stats(obj)
+		if before != after {
+			return false // a timer moved a counter mid-comparison; look again
+		}
+		stats := reflect.ValueOf(after)
+		for i := 0; i < stats.NumField(); i++ {
+			name := stats.Type().Field(i).Tag.Get("obs")
+			var got *webobj.MetricPoint
+			for j := range pts {
+				if pts[j].Name == name && pts[j].Labels["object"] == obj && pts[j].Labels["store"] == "42" {
+					got = &pts[j]
+				}
+			}
+			if got == nil || uint64(got.Value) != stats.Field(i).Uint() {
+				t.Fatalf("%s = %+v, Stats.%s = %d", name, got, stats.Type().Field(i).Name, stats.Field(i).Uint())
+			}
+		}
+		return true
+	}, "a quiet moment to compare the two views")
 }

@@ -40,15 +40,17 @@
 //
 // # Observability
 //
-// WithMetrics turns on the metrics registry (atomic counters/gauges and
-// HDR log-linear histograms, all carrying {store, object} labels — the
-// headline series is globe_propagation_lag_seconds, the age of each
-// update at local apply); WithTrace(n) additionally keeps the last n
-// write-lifecycle events in a lock-free ring. Read them in-process with
-// MetricsSnapshot and TraceEvents, serve Prometheus text with
-// MetricsHandler, or fetch either over the control port ("metrics" and
-// "trace" ops; see globectl). Both are off by default and then cost one
-// nil-check branch and zero allocations on the hot path. Caveat:
+// WithMetrics turns on the metrics registry: every field of a replica's
+// Stats as a counter series plus HDR log-linear histograms, all carrying
+// {store, object} labels — the headline series is
+// globe_propagation_lag_seconds, the age of each update at local apply;
+// WithTrace(n) additionally keeps the last n write-lifecycle events in a
+// lock-free ring. Read them in-process with MetricsSnapshot and
+// TraceEvents, serve Prometheus text with MetricsHandler, or fetch either
+// over the control port ("metrics" and "trace" ops; see globectl). Both are
+// off by default; the counters count regardless (Store.Stats reads them),
+// histograms and trace then cost one nil-check branch, and nothing
+// allocates on the hot path either way. Caveat:
 // latency-valued series (WAL sync, propagation lag) measured on a 1-vCPU
 // host include scheduler interleaving — compare shapes and relative
 // shifts there, not absolute values.
@@ -217,27 +219,24 @@ type objectInfo struct {
 // System is one deployment of the framework over a Fabric. Safe for
 // concurrent use.
 type System struct {
-	mu          sync.Mutex
-	fabric      Fabric
-	ns          *naming.Service
-	res         Resolver
-	nsAddrs     []string // name-server addresses (WithNameServer)
-	stores      map[string]*Store
-	parents     map[string]string // store name -> parent store name
-	objects     map[ObjectID]objectInfo
-	ctlEps      []transport.Endpoint   // control listeners (ServeControl)
-	digest      time.Duration          // default DigestInterval for stores in this system
-	demandRetry time.Duration          // default DemandRetry for stores in this system
-	dataDir     string                 // WAL root for permanent stores (WithDataDir)
-	durability  Durability             // WAL tuning (WithDurability)
-	reparent    int                    // ReparentAfter for stores (WithReparenting)
-	failover    FailoverConfig         // client retry tuning (WithFailover)
-	leaseRenew  time.Duration          // contact-lease heartbeat period (WithLeaseRenewal)
-	regs        map[string][]regRecord // addr -> registrations, replayed when a lease lapses
-	renewDone   chan struct{}
-	renewWG     sync.WaitGroup
-	nextEP      int
-	closed      bool
+	mu         sync.Mutex
+	fabric     Fabric
+	ns         *naming.Service
+	res        Resolver
+	nsAddrs    []string // name-server addresses (WithNameServer)
+	stores     map[string]*Store
+	parents    map[string]string // store name -> parent store name
+	objects    map[ObjectID]objectInfo
+	ctlEps     []transport.Endpoint   // control listeners (ServeControl)
+	tuning     replication.Tuning     // handed whole to every store this system creates
+	dataDir    string                 // WAL root for permanent stores (WithDataDir)
+	failover   FailoverConfig         // client retry tuning (WithFailover)
+	leaseRenew time.Duration          // contact-lease heartbeat period (WithLeaseRenewal)
+	regs       map[string][]regRecord // addr -> registrations, replayed when a lease lapses
+	renewDone  chan struct{}
+	renewWG    sync.WaitGroup
+	nextEP     int
+	closed     bool
 
 	// Observability (WithMetrics / WithTrace). obsv stays nil when both are
 	// off; every downstream consumer is nil-safe.
@@ -283,41 +282,32 @@ func WithNameServer(addrs ...string) SystemOption {
 // it well below the digest interval: the retry chases a demand whose frame
 // or reply was lost, the heartbeat exposes gaps nobody knows about.
 func WithDemandRetry(d time.Duration) SystemOption {
-	return func(s *System) { s.demandRetry = d }
+	return func(s *System) { s.tuning.DemandRetry = d }
 }
 
 // FsyncPolicy selects when a durable store's write-ahead log reaches stable
 // storage.
-type FsyncPolicy int
+type FsyncPolicy = wal.Policy
 
 const (
 	// FsyncOff leaves flushing to the OS page cache: fastest, but writes
 	// acknowledged since the last snapshot/close can be lost to a machine
 	// (not process) crash.
-	FsyncOff FsyncPolicy = iota
+	FsyncOff = wal.SyncOff
 	// FsyncInterval flushes on a timer (default 100ms): bounds loss to one
 	// interval of acknowledged writes.
-	FsyncInterval
+	FsyncInterval = wal.SyncInterval
 	// FsyncAlways flushes before every write acknowledgement: zero
-	// acknowledged-write loss even under kill -9, at one fsync per write.
-	FsyncAlways
+	// acknowledged-write loss even under kill -9, at one fsync per drained
+	// batch of writes.
+	FsyncAlways = wal.SyncAlways
 )
 
-// Durability tunes the write-ahead log of durable stores (WithDataDir).
-// The zero value means FsyncOff, 100ms interval, snapshot every 1024
-// records, 2s recovery grace.
-type Durability struct {
-	// Fsync is the log flush policy.
-	Fsync FsyncPolicy
-	// SyncInterval is the flush cadence under FsyncInterval.
-	SyncInterval time.Duration
-	// SnapshotEvery is the log record count between snapshot compactions
-	// (negative disables compaction).
-	SnapshotEvery int
-	// RecoveryGrace bounds how long a restarted store waits for its
-	// children's anti-entropy answers before serving anyway.
-	RecoveryGrace time.Duration
-}
+// Durability tunes the write-ahead log of durable stores (WithDataDir):
+// fsync policy, flush cadence, snapshot period, recovery grace. The zero
+// value means FsyncOff, 100ms interval, snapshot every 1024 records, 2s
+// recovery grace.
+type Durability = replication.Durability
 
 // WithDataDir makes every permanent store this system creates durable: each
 // hosted object keeps a write-ahead log and periodic snapshot under
@@ -331,38 +321,12 @@ func WithDataDir(dir string) SystemOption {
 
 // WithDurability tunes the WAL of stores made durable by WithDataDir.
 func WithDurability(d Durability) SystemOption {
-	return func(s *System) { s.durability = d }
-}
-
-// storeDurability maps the public tuning onto the store layer's knobs.
-func (s *System) storeDurability() store.Durability {
-	d := store.Durability{
-		SyncInterval:  s.durability.SyncInterval,
-		SnapshotEvery: s.durability.SnapshotEvery,
-		RecoveryGrace: s.durability.RecoveryGrace,
-	}
-	switch s.durability.Fsync {
-	case FsyncInterval:
-		d.Fsync = wal.SyncInterval
-	case FsyncAlways:
-		d.Fsync = wal.SyncAlways
-	}
-	return d
+	return func(s *System) { s.tuning.Durability = d }
 }
 
 // ParseFsyncPolicy resolves a flag/manifest fsync value: "off", "interval",
 // or "always".
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch s {
-	case "", "off":
-		return FsyncOff, nil
-	case "interval":
-		return FsyncInterval, nil
-	case "always":
-		return FsyncAlways, nil
-	}
-	return FsyncOff, fmt.Errorf("webobj: unknown fsync policy %q (want off|interval|always)", s)
-}
+func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s) }
 
 // WithReparenting turns on the store-level liveness watch for every replica
 // this system creates: a child that misses `after` consecutive expected
@@ -373,7 +337,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // liveness signal. Choose `after` ≥ 2 so one jittered or lost heartbeat
 // does not trigger a spurious re-parent.
 func WithReparenting(after int) SystemOption {
-	return func(s *System) { s.reparent = after }
+	return func(s *System) { s.tuning.ReparentAfter = after }
 }
 
 // WithLeaseRenewal starts a background heartbeat that renews this system's
@@ -392,10 +356,9 @@ func WithLeaseRenewal(d time.Duration) SystemOption {
 // detects a gap demands the missing updates — so a replica behind silent
 // tail-loss or a healed partition converges within about one heartbeat
 // instead of waiting for new traffic. Zero (the default) disables
-// heartbeats. Individual stores can override with the store-level
-// WithStoreDigestInterval.
+// heartbeats.
 func WithDigestInterval(d time.Duration) SystemOption {
-	return func(s *System) { s.digest = d }
+	return func(s *System) { s.tuning.DigestInterval = d }
 }
 
 // NewSystem creates a deployment. By default it runs over an
@@ -536,10 +499,8 @@ func (s *System) ResolveName(object ObjectID) (NameRecord, error) {
 type StoreOption func(*storeCfg)
 
 type storeCfg struct {
-	id        ids.StoreID
-	listen    string
-	digest    time.Duration
-	digestSet bool
+	id     ids.StoreID
+	listen string
 }
 
 // WithListenAddr pins the store's transport address independently of its
@@ -556,12 +517,6 @@ func WithListenAddr(addr string) StoreOption {
 // deployment-unique IDs.
 func WithStoreID(id uint32) StoreOption {
 	return func(c *storeCfg) { c.id = ids.StoreID(id) }
-}
-
-// WithStoreDigestInterval overrides the system's digest-heartbeat interval
-// for one store (zero disables heartbeats at that store).
-func WithStoreDigestInterval(d time.Duration) StoreOption {
-	return func(c *storeCfg) { c.digest, c.digestSet = d, true }
 }
 
 // NewServer creates a permanent store (a Web server). Over a TCP fabric a
@@ -628,19 +583,13 @@ func (s *System) newStore(name string, role replication.Role, parent *Store, opt
 			}
 		}
 	}
-	digest := s.digest
-	if cfg.digestSet {
-		digest = cfg.digest
-	}
 	scfg := store.Config{
-		ID:             id,
-		Role:           role,
-		Endpoint:       ep,
-		DemandRetry:    s.demandRetry,
-		DigestInterval: digest,
-		ReparentAfter:  s.reparent,
-		ResolveParent:  s.parentCandidates,
-		Obs:            s.obsv,
+		ID:            id,
+		Role:          role,
+		Endpoint:      ep,
+		Tuning:        s.tuning,
+		ResolveParent: s.parentCandidates,
+		Obs:           s.obsv,
 	}
 	if role == replication.RolePermanent {
 		// WithDataDir is a system-wide knob scoped to the stores that can
@@ -649,7 +598,6 @@ func (s *System) newStore(name string, role replication.Role, parent *Store, opt
 		// follow-on), so mirrors and caches of a durable system are created
 		// without one rather than failing the whole deployment.
 		scfg.DataDir = s.dataDir
-		scfg.Durability = s.storeDurability()
 	}
 	st := store.New(scfg)
 	h := &Store{name: name, st: st, role: role}
