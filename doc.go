@@ -181,6 +181,25 @@
 // while a gap persists, so a lost batch frame on a quiet object re-requests
 // instead of stranding until the next arrival.
 //
+// # The client-outdate reaction, and what answers a demand
+//
+// A read whose session requirement the replica does not cover parks, and
+// under "demand" (§3.2.2, §4) the replica asks its parent at once — except
+// for writes this replica itself forwarded upstream under immediate push
+// (Initiative Push, Instant Immediate, updates not invalidations,
+// subscription acknowledged). Their update is already on its way down — the
+// writer's ack is one hop, the push two, so the writer's next read usually
+// arrives first — and the read just waits for it, with the demand kept as
+// the DemandRetry fallback for a lost forward or push. Lazy push, pull,
+// invalidation and a requirement naming a write that went up some other way
+// demand immediately, as the paper has it.
+//
+// A demand is answered from the retained update log — the last 4096 applied
+// updates and a per-client index of what it still holds: O(writers) to
+// judge, O(updates missing) to replay, whatever the log's length — or with
+// full state when the requester predates it. replication.updateLog's
+// comment is the retention contract.
+//
 // # Anti-entropy: digest heartbeats
 //
 // The paper's UDP configuration (§4.2) recovers lost updates through the
@@ -336,8 +355,9 @@
 //     retried subscribe handshake, digest heartbeats, and adoption of a new
 //     parent when the old one goes silent.
 //
-// Every outgoing frame starts from one constructor (frame) and every timer
-// is one oneShot value that Close stops in a loop.
+// Every outgoing frame starts from one constructor (frame), every timer is
+// one oneShot value that Close stops in a loop, and the retained update log
+// is one type (updateLog, updatelog.go) — the only code that walks it.
 //
 // Its knobs are one struct, replication.Tuning (ReadTimeout, DemandRetry,
 // DigestInterval, ReparentAfter, Durability), whose withDefaults is the only

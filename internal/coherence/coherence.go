@@ -114,7 +114,8 @@ type Engine interface {
 	// Submit offers an update. It returns the updates that became
 	// applicable, in application order: nil if the update was buffered,
 	// dropped, or a duplicate; possibly several if it unblocked buffered
-	// predecessors' successors.
+	// predecessors' successors. The slice is the engine's own and good
+	// until the next Submit: the caller applies or copies it before then.
 	Submit(u *Update) []*Update
 	// Applied returns the version vector of writes applied so far. Under
 	// FIFO and eventual models the vector records the newest write per
@@ -125,6 +126,9 @@ type Engine interface {
 	// materialising the vector — per-write admission checks (at-most-once
 	// replay suppression) sit on the hot path and must not allocate.
 	Covers(w ids.WiD) bool
+	// MergeApplied folds the applied vector into dst, likewise without a
+	// copy: how the store rebuilds what it advertises after every apply.
+	MergeApplied(dst ids.VersionVec)
 	// Pending reports how many updates are buffered awaiting predecessors.
 	Pending() int
 	// Seed fast-forwards the engine past writes whose effects arrived via

@@ -16,6 +16,7 @@ import (
 type DepGuard struct {
 	inner  Engine
 	buffer []*Update
+	out    []*Update // Submit's result, reused (the inner engine reuses its own)
 }
 
 var _ Engine = (*DepGuard)(nil)
@@ -35,8 +36,11 @@ func (g *DepGuard) Submit(u *Update) []*Update {
 		g.buffer = append(g.buffer, u)
 		return nil
 	}
-	out := g.inner.Submit(u)
-	return append(out, g.drain()...)
+	g.out = g.drain(append(g.out[:0], g.inner.Submit(u)...))
+	if len(g.out) == 0 {
+		return nil
+	}
+	return g.out
 }
 
 // satisfied checks coverage of u's non-self dependencies.
@@ -53,8 +57,9 @@ func (g *DepGuard) satisfied(u *Update) bool {
 	return true
 }
 
-func (g *DepGuard) drain() []*Update {
-	var out []*Update
+// drain appends to out what the buffered updates whose dependencies are now
+// covered release.
+func (g *DepGuard) drain(out []*Update) []*Update {
 	for progress := true; progress; {
 		progress = false
 		rest := g.buffer[:0]
@@ -76,6 +81,9 @@ func (g *DepGuard) Applied() ids.VersionVec { return g.inner.Applied() }
 
 // Covers implements Engine.
 func (g *DepGuard) Covers(w ids.WiD) bool { return g.inner.Covers(w) }
+
+// MergeApplied implements Engine.
+func (g *DepGuard) MergeApplied(dst ids.VersionVec) { g.inner.MergeApplied(dst) }
 
 // Pending counts both guard-buffered and inner-buffered updates.
 func (g *DepGuard) Pending() int { return len(g.buffer) + g.inner.Pending() }

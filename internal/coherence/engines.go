@@ -7,6 +7,21 @@ import (
 	"repro/internal/vclock"
 )
 
+// appliedSet is the applied vector every engine keeps, and the three ways the
+// Engine interface reads it.
+type appliedSet struct{ applied ids.VersionVec }
+
+func newAppliedSet() appliedSet { return appliedSet{applied: ids.NewVersionVec(4)} }
+
+// Applied implements Engine: a copy the caller may keep or change.
+func (a *appliedSet) Applied() ids.VersionVec { return a.applied.Clone() }
+
+// Covers implements Engine: a direct lookup on the live vector, no clone.
+func (a *appliedSet) Covers(w ids.WiD) bool { return a.applied.CoversWrite(w) }
+
+// MergeApplied implements Engine.
+func (a *appliedSet) MergeApplied(dst ids.VersionVec) { dst.Merge(a.applied) }
+
 // pramEngine applies each client's writes in per-client sequence order,
 // buffering out-of-order arrivals. This is exactly the protocol of §4.2:
 // "the sequence number of the incoming update's WiD is compared to the
@@ -15,12 +30,13 @@ import (
 // performed as well. Otherwise, the update request is buffered and the
 // store waits until the next one."
 type pramEngine struct {
-	applied ids.VersionVec
-	buffer  map[ids.WiD]*Update
+	appliedSet
+	buffer map[ids.WiD]*Update
+	out    []*Update // Submit's result, reused
 }
 
 func newPRAMEngine() *pramEngine {
-	return &pramEngine{applied: ids.NewVersionVec(4), buffer: make(map[ids.WiD]*Update)}
+	return &pramEngine{appliedSet: newAppliedSet(), buffer: make(map[ids.WiD]*Update)}
 }
 
 func (e *pramEngine) Model() Model { return PRAM }
@@ -32,17 +48,18 @@ func (e *pramEngine) Submit(u *Update) []*Update {
 		return nil // duplicate or already superseded by contiguous apply
 	case u.Write.Seq == e.applied.Get(c)+1:
 		e.applied.Set(c, u.Write.Seq)
-		out := []*Update{u}
-		return append(out, e.drain()...)
+		e.out = e.drain(append(e.out[:0], u))
+		return e.out
 	default:
 		e.buffer[u.Write] = u
 		return nil
 	}
 }
 
-// drain repeatedly releases buffered updates that have become contiguous.
-func (e *pramEngine) drain() []*Update {
-	var out []*Update
+// drain appends to out the buffered updates that have become contiguous,
+// repeatedly.
+func (e *pramEngine) drain(out []*Update) []*Update {
+	first := len(out)
 	for progress := true; progress; {
 		progress = false
 		for w, u := range e.buffer {
@@ -57,12 +74,13 @@ func (e *pramEngine) drain() []*Update {
 	// Map iteration above is nondeterministic across clients (legal: PRAM
 	// orders only per-client), but tests want stable output: sort released
 	// updates by (client, seq) — per-client order is preserved by Seq.
-	sort.Slice(out, func(i, j int) bool { return out[i].Write.Less(out[j].Write) })
+	if drained := out[first:]; len(drained) > 1 {
+		sort.Slice(drained, func(i, j int) bool { return drained[i].Write.Less(drained[j].Write) })
+	}
 	return out
 }
 
-func (e *pramEngine) Applied() ids.VersionVec { return e.applied.Clone() }
-func (e *pramEngine) Pending() int            { return len(e.buffer) }
+func (e *pramEngine) Pending() int { return len(e.buffer) }
 
 // fifoEngine is the paper's FIFO optimisation of PRAM: "a write request
 // from a client is honored if it is more recent than the latest write from
@@ -70,10 +88,11 @@ func (e *pramEngine) Pending() int            { return len(e.buffer) }
 // supersede missing intermediates, so nothing is ever buffered — suited to
 // clients that overwrite a document rather than update it incrementally.
 type fifoEngine struct {
-	applied ids.VersionVec
+	appliedSet
+	out [1]*Update // Submit's result, reused
 }
 
-func newFIFOEngine() *fifoEngine { return &fifoEngine{applied: ids.NewVersionVec(4)} }
+func newFIFOEngine() *fifoEngine { return &fifoEngine{appliedSet: newAppliedSet()} }
 
 func (e *fifoEngine) Model() Model { return FIFO }
 
@@ -82,11 +101,11 @@ func (e *fifoEngine) Submit(u *Update) []*Update {
 		return nil // stale: superseded by a newer write from the same client
 	}
 	e.applied.Set(u.Write.Client, u.Write.Seq)
-	return []*Update{u}
+	e.out[0] = u
+	return e.out[:]
 }
 
-func (e *fifoEngine) Applied() ids.VersionVec { return e.applied.Clone() }
-func (e *fifoEngine) Pending() int            { return 0 }
+func (e *fifoEngine) Pending() int { return 0 }
 
 // causalEngine delivers updates respecting happens-before: an update from
 // client c with dependency vector D is applicable when D[c] == applied[c]+1
@@ -95,11 +114,12 @@ func (e *fifoEngine) Pending() int            { return 0 }
 // the stores they read (see Session), which realises the paper's Web-forum
 // example: a reaction is applied only after the message that triggered it.
 type causalEngine struct {
-	applied vclock.VC
-	buffer  []*Update
+	appliedSet
+	buffer []*Update
+	out    []*Update // Submit's result, reused
 }
 
-func newCausalEngine() *causalEngine { return &causalEngine{applied: vclock.New()} }
+func newCausalEngine() *causalEngine { return &causalEngine{appliedSet: newAppliedSet()} }
 
 func (e *causalEngine) Model() Model { return Causal }
 
@@ -112,8 +132,8 @@ func (e *causalEngine) Submit(u *Update) []*Update {
 		return nil
 	}
 	e.applied.Set(u.Write.Client, u.Write.Seq)
-	out := []*Update{u}
-	return append(out, e.drain()...)
+	e.out = e.drain(append(e.out[:0], u))
+	return e.out
 }
 
 // deliverable checks the causal delivery condition for u.
@@ -133,8 +153,8 @@ func (e *causalEngine) deliverable(u *Update) bool {
 	return true
 }
 
-func (e *causalEngine) drain() []*Update {
-	var out []*Update
+// drain appends to out the buffered updates that have become deliverable.
+func (e *causalEngine) drain(out []*Update) []*Update {
 	for progress := true; progress; {
 		progress = false
 		rest := e.buffer[:0]
@@ -155,9 +175,6 @@ func (e *causalEngine) drain() []*Update {
 	return out
 }
 
-func (e *causalEngine) Applied() ids.VersionVec {
-	return ids.VersionVec(e.applied).Clone()
-}
 func (e *causalEngine) Pending() int { return len(e.buffer) }
 
 // sequentialEngine applies updates in the single total order chosen by the
@@ -165,15 +182,16 @@ func (e *causalEngine) Pending() int { return len(e.buffer) }
 // the write). Every replica applies the identical sequence, giving
 // Lamport's sequential consistency; gaps are buffered.
 type sequentialEngine struct {
+	appliedSet
 	nextGlobal uint64 // next expected GlobalSeq (starts at 1)
-	applied    ids.VersionVec
 	buffer     map[uint64]*Update
+	out        []*Update // Submit's result, reused
 }
 
 func newSequentialEngine() *sequentialEngine {
 	return &sequentialEngine{
+		appliedSet: newAppliedSet(),
 		nextGlobal: 1,
-		applied:    ids.NewVersionVec(4),
 		buffer:     make(map[uint64]*Update),
 	}
 }
@@ -190,7 +208,7 @@ func (e *sequentialEngine) Submit(u *Update) []*Update {
 		e.buffer[u.GlobalSeq] = u
 		return nil
 	}
-	out := []*Update{u}
+	e.out = append(e.out[:0], u)
 	e.apply(u)
 	for {
 		nxt, ok := e.buffer[e.nextGlobal]
@@ -199,9 +217,9 @@ func (e *sequentialEngine) Submit(u *Update) []*Update {
 		}
 		delete(e.buffer, e.nextGlobal)
 		e.apply(nxt)
-		out = append(out, nxt)
+		e.out = append(e.out, nxt)
 	}
-	return out
+	return e.out
 }
 
 func (e *sequentialEngine) apply(u *Update) {
@@ -209,8 +227,7 @@ func (e *sequentialEngine) apply(u *Update) {
 	e.applied.Bump(u.Write.Client, u.Write.Seq)
 }
 
-func (e *sequentialEngine) Applied() ids.VersionVec { return e.applied.Clone() }
-func (e *sequentialEngine) Pending() int            { return len(e.buffer) }
+func (e *sequentialEngine) Pending() int { return len(e.buffer) }
 
 // NextGlobal exposes the sequencer position; the permanent store's
 // replication object uses it to assign GlobalSeq to fresh writes.
@@ -221,15 +238,16 @@ func (e *sequentialEngine) NextGlobal() uint64 { return e.nextGlobal }
 // last-writer-wins on the (Lamport stamp, client) total order. Replicas that
 // receive the same update set in any order converge to identical state.
 type eventualEngine struct {
-	applied ids.VersionVec
+	appliedSet
 	// stamps records the winning stamp per element (invocation page).
 	stamps map[string]vclock.Stamp
+	out    [1]*Update // Submit's result, reused
 }
 
 func newEventualEngine() *eventualEngine {
 	return &eventualEngine{
-		applied: ids.NewVersionVec(4),
-		stamps:  make(map[string]vclock.Stamp),
+		appliedSet: newAppliedSet(),
+		stamps:     make(map[string]vclock.Stamp),
 	}
 }
 
@@ -246,7 +264,8 @@ func (e *eventualEngine) Submit(u *Update) []*Update {
 		return nil // lost the LWW race for this element
 	}
 	e.stamps[u.Inv.Page] = u.Stamp
-	return []*Update{u}
+	e.out[0] = u
+	return e.out[:]
 }
 
 // newerStamp reports whether u's stamp beats the current winner for its
@@ -259,8 +278,7 @@ func (e *eventualEngine) newerStamp(u *Update) bool {
 	return cur.Less(u.Stamp)
 }
 
-func (e *eventualEngine) Applied() ids.VersionVec { return e.applied.Clone() }
-func (e *eventualEngine) Pending() int            { return 0 }
+func (e *eventualEngine) Pending() int { return 0 }
 
 // Stamps returns a copy of the per-element winning stamps (used by
 // anti-entropy digests).
@@ -271,16 +289,6 @@ func (e *eventualEngine) Stamps() map[string]vclock.Stamp {
 	}
 	return out
 }
-
-// --- allocation-free cover checks ---------------------------------------------
-
-// Covers implements Engine for each ordering engine: a direct lookup on the
-// live applied vector, no clone.
-func (e *pramEngine) Covers(w ids.WiD) bool       { return e.applied.CoversWrite(w) }
-func (e *fifoEngine) Covers(w ids.WiD) bool       { return e.applied.CoversWrite(w) }
-func (e *causalEngine) Covers(w ids.WiD) bool     { return ids.VersionVec(e.applied).CoversWrite(w) }
-func (e *sequentialEngine) Covers(w ids.WiD) bool { return e.applied.CoversWrite(w) }
-func (e *eventualEngine) Covers(w ids.WiD) bool   { return e.applied.CoversWrite(w) }
 
 // --- state-transfer seeding ---------------------------------------------------
 

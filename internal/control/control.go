@@ -42,7 +42,10 @@ func (c *Control) ServeRead(inv msg.Invocation) ([]byte, error) {
 	return c.sem.Invoke(inv)
 }
 
-// ApplyOp applies an ordered write update to the semantics object.
+// ApplyOp applies an ordered write update to the semantics object. The update
+// is the replica's own (the replication object copied it off its frame, or
+// read it from its log) and stays unchanged from here on, so the semantics
+// object may keep u.Inv.Args as state instead of copying them.
 func (c *Control) ApplyOp(u *coherence.Update) error {
 	if u.Inv.Method == semantics.MethodNoop {
 		// A gap-seal no-op (see semantics.MethodNoop): it exists only to

@@ -53,7 +53,7 @@ func (o *Object) digestPeriod() time.Duration {
 // GlobalSeq rides along so sequentially-coherent children could compare
 // sequencer positions too; the vector alone is what gap detection uses.
 func (o *Object) digestRound() {
-	tos := o.Children()
+	tos := o.fanout()
 	if len(tos) == 0 {
 		return
 	}

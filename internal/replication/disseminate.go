@@ -50,7 +50,7 @@ func (o *Object) apply(u *coherence.Update, covered bool) {
 		o.applyOp(u)
 	}
 	inc(&o.stats.UpdatesApplied)
-	o.appendLog(u)
+	o.log.append(u)
 }
 
 // applyOp hands one ordered operation to the semantics object. One it
@@ -72,18 +72,6 @@ func (o *Object) coveredByState(u *coherence.Update) bool {
 		return false
 	}
 	return o.pageVec[u.Inv.Page].CoversWrite(u.Write)
-}
-
-// logLimit caps the demand-serving log; a demand that reaches further back is
-// answered with full state (logCovers).
-const logLimit = 4096
-
-func (o *Object) appendLog(u *coherence.Update) {
-	o.log = append(o.log, u)
-	if len(o.log) > logLimit {
-		o.log = o.log[len(o.log)-logLimit:]
-		o.logPruned = true
-	}
 }
 
 // disseminate propagates newly applied updates to subscribed children per
@@ -137,7 +125,7 @@ func (o *Object) flushLazy() {
 
 // shipNow performs the actual coherence transfer to children.
 func (o *Object) shipNow(ups []*coherence.Update) {
-	tos := o.Children()
+	tos := o.fanout()
 	if len(ups) == 0 || len(tos) == 0 {
 		return
 	}

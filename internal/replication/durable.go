@@ -308,6 +308,7 @@ func (o *Object) recover(rec *wal.Recovery) {
 	if g := o.engine.Global(); g > o.nextGlobal {
 		o.nextGlobal = g
 	}
+	o.fanoutList = nil
 	add(&o.stats.WALTornTail, rec.TornTail)
 	o.markAppliedStale()
 	o.walReplaying = false

@@ -76,7 +76,7 @@ func (o *Object) gossipRound() {
 // own digest so the exchange is symmetric.
 func (o *Object) onGossip(m *msg.Message) {
 	var few [8]*coherence.Update
-	o.sendUpdates(m.From, o.missingFrom(&m.VVec, few[:0]))
+	o.sendUpdates(m.From, o.log.since(&m.VVec, few[:0]))
 	r := o.frame(msg.KindGossipReply, m)
 	r.VVec = o.appliedVec()
 	o.send(m.From, r)
@@ -86,19 +86,7 @@ func (o *Object) onGossip(m *msg.Message) {
 // shows it still lacks (our writes that arrived after its gossip was sent).
 func (o *Object) onGossipReply(m *msg.Message) {
 	var few [8]*coherence.Update
-	o.sendUpdates(m.From, o.missingFrom(&m.VVec, few[:0]))
-}
-
-// missingFrom appends to buf the logged updates a peer with digest v lacks
-// (demand replay, gossip deltas). Callers pass a small array of their own:
-// the usual answer is none or a few, and then nothing is allocated.
-func (o *Object) missingFrom(v *msg.Vec, buf []*coherence.Update) []*coherence.Update {
-	for _, u := range o.log {
-		if !v.CoversWrite(u.Write) {
-			buf = append(buf, u)
-		}
-	}
-	return buf
+	o.sendUpdates(m.From, o.log.since(&m.VVec, few[:0]))
 }
 
 // validGossipStrategy reports whether gossip handling applies (defensive:

@@ -2,7 +2,9 @@ package replication
 
 import (
 	"errors"
+	"time"
 
+	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/semantics"
 	"repro/internal/strategy"
@@ -29,6 +31,29 @@ func (o *Object) requirementMet(m *msg.Message) bool {
 	return o.coversVec(&m.VVec)
 }
 
+// awaitsForwarded is the wait-or-demand decision for a read whose requirement
+// req this replica does not cover: wait when the answer is already on its way
+// down. That is so when the parent pushes every update the moment it applies
+// it (a lazy push, a pull or an invalidation brings nothing by itself), this
+// replica is subscribed to those pushes, and each write req still lacks went
+// upstream through this replica — the parent acks the writer one hop away and
+// pushes here in the same turn, so the writer's next read mostly beats its
+// own update by a few microseconds. A requirement naming any other write (a
+// client that rebound from another cache, a monotonic read ahead of this
+// replica) says nothing about what is in flight, and demands.
+func (o *Object) awaitsForwarded(req *msg.Vec) bool {
+	if o.strat.Initiative != strategy.Push || o.strat.Instant != strategy.Immediate ||
+		o.strat.Propagation == strategy.PropagateInvalidate || !o.subAcked {
+		return false
+	}
+	ok := true
+	req.Each(func(c ids.ClientID, s uint64) bool {
+		ok = o.forwarded[c] >= s || o.covers(ids.WiD{Client: c, Seq: s})
+		return ok
+	})
+	return ok
+}
+
 // invalidated reports whether this replica may not hand out page (or, for
 // "", the object as a reader sees it) because a notice from upstream marked
 // it outdated. A store with no parent has nobody to refetch from: what it
@@ -50,9 +75,15 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 			inc(&o.stats.ReqViolations)
 			// §4: under demand "the cache first demands an update from the
 			// Web server"; under wait the store "simply waits until a new
-			// write arrives".
+			// write arrives" — as it does for writes it forwarded itself
+			// when their updates are pushed at once, with the demand left
+			// as the retry timer's fallback for a lost forward or push.
 			if o.strat.ClientOutdate == strategy.Demand {
-				o.demandFromParent()
+				if o.awaitsForwarded(&m.VVec) {
+					o.openDemandCycle()
+				} else {
+					o.demandFromParent()
+				}
 			}
 		}
 		o.park(m, p)
@@ -96,7 +127,7 @@ func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 			inc(&o.stats.ReadsParked)
 		}
 		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.tune.ReadTimeout)}
-		o.env.AfterFunc(o.tune.ReadTimeout, func() { o.expireParked() })
+		o.arm(o.parkTimer, o.tune.ReadTimeout)
 	}
 	//globelint:ignore aliasretain parked request pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
 	o.parked = append(o.parked, p)
@@ -105,21 +136,27 @@ func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 
 // expireParked refuses requests whose deadline passed. A whole-object fetch
 // they waited for is presumed lost with them, so the next one may ask again.
+// It is parkTimer's callback: one timer serves every parked request, armed by
+// the first to park and re-armed here for the earliest deadline still ahead.
 func (o *Object) expireParked() {
-	if o.closed {
-		return
-	}
 	now := o.env.Now()
+	var next time.Time
 	rest := o.parked[:0]
 	for _, p := range o.parked {
 		if now.Before(p.deadline) {
 			rest = append(rest, p)
+			if next.IsZero() || p.deadline.Before(next) {
+				next = p.deadline
+			}
 			continue
 		}
 		o.fetching = false
 		o.refuse(p.m, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
 	}
 	o.parked = rest
+	if len(rest) > 0 {
+		o.arm(o.parkTimer, next.Sub(now))
+	}
 }
 
 // reconsiderParked retries parked requests after local state changed; each

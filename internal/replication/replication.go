@@ -9,7 +9,8 @@
 // shipNow, relayDown), install/serve (transfer.go: install is the only way
 // another replica's state comes in, serveState the only way state goes out),
 // and subscribe/reparent (subscribe.go, reparent.go, digest.go).
-// handlers.go holds the dispatch switch and the frame constructor.
+// handlers.go holds the dispatch switch and the frame constructor,
+// updatelog.go the retained update log every demand is answered from.
 //
 // The Object is a deterministic state machine: every handler runs on the
 // owning store's single event-loop goroutine, and all I/O is performed
@@ -86,6 +87,10 @@ type Env interface {
 	Send(to string, m *msg.Message) error
 	Multicast(tos []string, m *msg.Message) error
 
+	// ApplyOp applies an ordered write. u is owned by the replica — cloneInv
+	// took it off its frame, and the log holds it unchanged for as long as it
+	// is retained — so the semantics object may keep u.Inv.Args (webdoc's
+	// Put keeps the content window) rather than copy them.
 	ApplyOp(u *coherence.Update) error
 	ApplyFull(snapshot []byte) error
 	ApplyElement(name string, data []byte) error
@@ -218,8 +223,10 @@ type Object struct {
 	addr string
 	// parent is the next store up the hierarchy ("" at permanent stores).
 	parent string
-	// children are subscribed lower-layer stores.
-	children map[string]bool
+	// children are subscribed lower-layer stores; fanoutList is the same set
+	// as the slice every push is addressed to, nil after the set changed.
+	children   map[string]bool
+	fanoutList []string
 
 	// Write-set enforcement (permanent store, write set = single).
 	writer    ids.ClientID
@@ -238,12 +245,9 @@ type Object struct {
 	// sequences below its watermark.
 	stamped map[ids.ClientID]*stampedSeqs
 
-	// log keeps applied updates in application order for demand-serving
-	// and child relaying; logLimit caps its length (oldest pruned first).
-	log []*coherence.Update
-	// logPruned records whether any entries were dropped, in which case
-	// demand requests that predate the log are answered with full state.
-	logPruned bool
+	// log keeps applied updates in application order for demand-serving,
+	// replays and the re-apply after a state transfer (updatelog.go).
+	log updateLog
 
 	// timers lists every oneShot below, for Close.
 	timers []*oneShot
@@ -310,8 +314,9 @@ type Object struct {
 	fetchVec ids.VersionVec
 	// cachedApplied is applied() in wire form, rebuilt lazily (appliedStale)
 	// so read replies and idle heartbeats never re-materialise the vector.
-	cachedApplied msg.Vec
-	appliedStale  bool
+	cachedApplied  msg.Vec
+	appliedStale   bool
+	appliedScratch ids.VersionVec // the map appliedVec rebuilds through
 	// pageVec tracks knowledge gained by partial (per-page) state transfer:
 	// an op update for page p whose write is covered by pageVec[p] must not
 	// re-apply its content (the fetched page already includes it).
@@ -322,6 +327,10 @@ type Object struct {
 	// full-state updates, subscribe bootstraps); parked reads use it to
 	// detect "a full fetch finished and the element still is not here".
 	fullFetches uint64
+
+	// forwarded is the highest write sequence per client this replica passed
+	// upstream (forward): the writes whose updates it can expect back.
+	forwarded ids.VersionVec
 
 	// Demand-retry: a demand whose reply is lost would otherwise strand the
 	// store until the next arrival (tail-loss). After tune.DemandRetry with no
@@ -352,7 +361,8 @@ type Object struct {
 	recoverGraceTimer *oneShot
 	recoverRetryTimer *oneShot
 
-	parked []*parkedReq
+	parked    []*parkedReq
+	parkTimer *oneShot // fires expireParked at the earliest deadline
 	// revalEpoch counts coherence responses received from the parent
 	// (updates, state replies, acks); pull-on-access reads wait for it to
 	// advance.
@@ -442,24 +452,26 @@ func New(cfg Config) (*Object, error) {
 		eng = coherence.NewDepGuard(eng)
 	}
 	o := &Object{
-		env:           cfg.Env,
-		tune:          cfg.Tuning.withDefaults(),
-		object:        cfg.Object,
-		self:          cfg.Self,
-		addr:          cfg.Addr,
-		role:          cfg.Role,
-		parent:        cfg.Parent,
-		strat:         cfg.Strat,
-		engine:        eng,
-		children:      make(map[string]bool),
-		nextGlobal:    1,
-		stamped:       make(map[ids.ClientID]*stampedSeqs),
-		invalid:       make(map[string]bool),
-		fetchVec:      ids.NewVersionVec(4),
-		pageVec:       make(map[string]ids.VersionVec),
-		resolveParent: cfg.ResolveParent,
-		wal:           cfg.WAL,
-		stats:         new(Stats),
+		env:            cfg.Env,
+		tune:           cfg.Tuning.withDefaults(),
+		object:         cfg.Object,
+		self:           cfg.Self,
+		addr:           cfg.Addr,
+		role:           cfg.Role,
+		parent:         cfg.Parent,
+		strat:          cfg.Strat,
+		engine:         eng,
+		children:       make(map[string]bool),
+		nextGlobal:     1,
+		stamped:        make(map[ids.ClientID]*stampedSeqs),
+		invalid:        make(map[string]bool),
+		fetchVec:       ids.NewVersionVec(4),
+		forwarded:      ids.NewVersionVec(4),
+		appliedScratch: ids.NewVersionVec(4),
+		pageVec:        make(map[string]ids.VersionVec),
+		resolveParent:  cfg.ResolveParent,
+		wal:            cfg.WAL,
+		stats:          new(Stats),
 	}
 	// Instruments and timers must exist before recover() below replays the
 	// WAL and arms the recovery gate.
@@ -472,6 +484,7 @@ func New(cfg Config) (*Object, error) {
 	o.gossipTimer = o.timer(o.gossip)
 	o.digestTimer = o.timer(o.digest)
 	o.demandRetryTimer = o.timer(o.retryDemand)
+	o.parkTimer = o.timer(o.expireParked)
 	o.walSyncTimer = o.timer(o.walSync)
 	o.recoverGraceTimer = o.timer(o.finishRecovery)
 	o.recoverRetryTimer = o.timer(o.retryRecovery)
@@ -511,6 +524,14 @@ func (o *Object) Children() []string {
 		out = append(out, c)
 	}
 	return out
+}
+
+// fanout is Children for the send path: built once per change of the set.
+func (o *Object) fanout() []string {
+	if o.fanoutList == nil {
+		o.fanoutList = o.Children()
+	}
+	return o.fanoutList
 }
 
 // Close cancels timers and fails parked reads. Acks parked for a group
@@ -570,11 +591,15 @@ func (o *Object) applied() ids.VersionVec {
 
 // appliedVec is applied in wire (small-vector) form, for message fields. It
 // is rebuilt only after an ordered apply or a state transfer invalidated the
-// cached copy (markAppliedStale), so the read path and idle heartbeats pay a
-// struct copy and no allocation.
+// cached copy (markAppliedStale), and then through a map it keeps, so the
+// read path, the write path and idle heartbeats pay a struct copy and no
+// allocation.
 func (o *Object) appliedVec() msg.Vec {
 	if o.appliedStale {
-		o.cachedApplied = msg.VecFrom(o.applied())
+		clear(o.appliedScratch)
+		o.engine.MergeApplied(o.appliedScratch)
+		o.appliedScratch.Merge(o.fetchVec)
+		o.cachedApplied = msg.VecFrom(o.appliedScratch)
 		o.appliedStale = false
 	}
 	return o.cachedApplied

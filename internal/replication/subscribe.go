@@ -14,6 +14,7 @@ func (o *Object) onSubscribe(m *msg.Message) {
 	// handoff chunks, memnet wire buffers) for that long.
 	if child := strings.Clone(m.From); !o.children[child] {
 		o.children[child] = true
+		o.fanoutList = nil
 		// Durable stores log the children set: a restarted permanent store
 		// anti-entropies the tail from exactly these addresses before
 		// serving (see recover).
@@ -45,6 +46,7 @@ func (o *Object) onSubscribeAck(m *msg.Message) {
 func (o *Object) onUnsubscribe(m *msg.Message) {
 	if o.children[m.From] {
 		delete(o.children, m.From)
+		o.fanoutList = nil
 		o.walAppendChild(m.From, true)
 	}
 }

@@ -17,11 +17,17 @@ func (o *Object) demandFromParent() {
 	if o.parent == "" {
 		return
 	}
-	// Every direct call opens a fresh retry cycle; an exhausted earlier
-	// cycle must not leave retries permanently disabled (retryDemand
-	// restores its own count after this reset).
-	o.demandRetries = 0
 	o.sendDemand(o.parent)
+	o.openDemandCycle()
+}
+
+// openDemandCycle starts a fresh retry cycle: unless the parent is heard from
+// within DemandRetry, retryDemand asks it (again, after demandFromParent; for
+// the first time, when a read waits for a write this replica forwarded). An
+// exhausted earlier cycle must not leave retries permanently disabled, so the
+// count restarts (retryDemand restores its own after this reset).
+func (o *Object) openDemandCycle() {
+	o.demandRetries = 0
 	o.demandEpoch = o.revalEpoch
 	if o.tune.DemandRetry > 0 {
 		o.arm(o.demandRetryTimer, o.tune.DemandRetry)
@@ -110,12 +116,13 @@ func (o *Object) fetch(page string) {
 // logged). Answering "nothing missing" in that situation would let the
 // requester mark content it never received as covered.
 func (o *Object) onDemand(m *msg.Message) {
-	if !o.logCovers(&m.VVec) {
+	known := o.appliedVec()
+	if !o.log.covers(&m.VVec, &known) {
 		o.serveState(m, nil)
 		return
 	}
 	var few [8]*coherence.Update
-	missing := o.missingFrom(&m.VVec, few[:0])
+	missing := o.log.since(&m.VVec, few[:0])
 	if len(missing) == 0 {
 		// Nothing to send: answer anyway so pull-on-access revalidations
 		// complete instead of timing out.
@@ -126,29 +133,6 @@ func (o *Object) onDemand(m *msg.Message) {
 	}
 	// Replay as one batch frame instead of one message per logged update.
 	o.sendUpdates(m.From, missing)
-}
-
-// logCovers reports whether the retained log suffices to bring a requester
-// with vector v up to date: for every client, the requester must already
-// know everything older than the log's earliest retained write from that
-// client.
-func (o *Object) logCovers(v *msg.Vec) bool {
-	minSeq := make(map[ids.ClientID]uint64, 4)
-	for _, u := range o.log {
-		if s, ok := minSeq[u.Write.Client]; !ok || u.Write.Seq < s {
-			minSeq[u.Write.Client] = u.Write.Seq
-		}
-	}
-	for c, applied := range o.applied() {
-		need := applied // client absent from log: requester must know it all
-		if s, ok := minSeq[c]; ok {
-			need = s - 1
-		}
-		if v.Get(c) < need {
-			return false
-		}
-	}
-	return true
 }
 
 // serveState is the one place state leaves this replica for another: it
@@ -330,11 +314,10 @@ func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
 // and no digest would ever flag the loss. Replaying the log's tail on top
 // of the snapshot reconstructs exactly snapshot ∪ newer-local-ops.
 func (o *Object) reapplyBeyond(v *msg.Vec, page string) {
-	for _, u := range o.log {
-		if page != "" && u.Inv.Page != page {
-			continue
-		}
-		if !v.CoversWrite(u.Write) {
+	var few [8]*coherence.Update
+	newer := o.log.since(v, few[:0])
+	for _, u := range newer {
+		if page == "" || u.Inv.Page == page {
 			o.applyOp(u)
 		}
 	}

@@ -42,7 +42,7 @@ func (o *Object) onWrite(m *msg.Message) {
 		// re-forwarding the unstamped replay instead would mint a second
 		// stamp at the parent and double-apply on the way back down; an
 		// identical stamp is deduplicated by LWW everywhere.
-		if u := o.loggedWrite(m.Write); u != nil {
+		if u := o.log.find(m.Write); u != nil {
 			m.Stamp, m.Inv = u.Stamp, u.Inv
 			o.forward(m)
 		}
@@ -111,15 +111,19 @@ func (o *Object) admit(m *msg.Message) (fresh, replay bool) {
 
 // forward passes a write request one hop towards the permanent store (a no-op
 // at the root), keeping the client's From so the store that orders the write
-// acks the client directly.
+// acks the client directly. It notes the write as forwarded: its update comes
+// back down by itself under immediate push (see awaitsForwarded). The frame is
+// the handler's, so it is re-addressed in place for the send.
 func (o *Object) forward(m *msg.Message) {
 	if o.parent == "" {
 		return
 	}
-	fwd := *m
-	fwd.To = o.parent
+	o.forwarded.Bump(m.Write.Client, m.Write.Seq)
 	inc(&o.stats.WritesForwarded)
-	o.send(o.parent, &fwd)
+	to := m.To
+	m.To = o.parent
+	o.send(o.parent, m)
+	m.To = to
 }
 
 // ackWrite sends the OK write reply for m. On a durable replica under the
@@ -223,17 +227,6 @@ func (o *Object) admitSeq(c ids.ClientID, seq uint64) bool {
 	}
 }
 
-// loggedWrite finds the applied update with the given write ID in the
-// retained log (newest first — replays chase recent writes).
-func (o *Object) loggedWrite(w ids.WiD) *coherence.Update {
-	for i := len(o.log) - 1; i >= 0; i-- {
-		if o.log[i].Write == w {
-			return o.log[i]
-		}
-	}
-	return nil
-}
-
 // updateFromMsg builds the engine-level update from a wire message.
 func updateFromMsg(m *msg.Message) *coherence.Update {
 	return &coherence.Update{
@@ -251,7 +244,9 @@ func updateFromMsg(m *msg.Message) *coherence.Update {
 // up inside semantics state — so retaining the zero-copy decoded fields
 // would pin whole transport buffers (tcpnet handoff chunks, memnet frames)
 // for the replica's lifetime. One copy per write restores the footprint of
-// the old copying decode while reads stay zero-copy end to end.
+// the old copying decode while reads stay zero-copy end to end, and it is the
+// only one: the copy is the update's own and never changes again, which is
+// what lets Env.ApplyOp hand Args to the semantics object to keep.
 func cloneInv(inv msg.Invocation) msg.Invocation {
 	out := msg.Invocation{Method: inv.Method, Page: strings.Clone(inv.Page)}
 	if inv.Args != nil {

@@ -69,7 +69,8 @@ type Object interface {
 	// Methods returns the object's method table.
 	Methods() []MethodInfo
 	// Invoke executes a marshalled invocation and returns the marshalled
-	// result.
+	// result. A write's Args pass to the object, which may keep them as
+	// state: the caller neither changes nor reuses them afterwards.
 	Invoke(inv msg.Invocation) ([]byte, error)
 
 	// Snapshot returns the full marshalled state (transfer type "full").

@@ -23,38 +23,52 @@ func EncodeWriteArgs(a WriteArgs) []byte {
 	return buf
 }
 
-// DecodeWriteArgs unmarshals write arguments.
+// DecodeWriteArgs unmarshals write arguments into a record of its own.
 func DecodeWriteArgs(b []byte) (WriteArgs, error) {
-	var a WriteArgs
-	var err error
-	a.ContentType, b, err = takeString(b)
+	contentType, content, modifiedNanos, err := splitWriteArgs(b)
 	if err != nil {
-		return a, err
+		return WriteArgs{}, err
 	}
-	if len(b) < 8 {
-		return a, fmt.Errorf("webdoc: short write args")
-	}
-	a.ModifiedNanos = int64(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	a.Content, b, err = takeBytes(b)
-	if err != nil {
-		return a, err
-	}
-	if len(b) != 0 {
-		return a, fmt.Errorf("webdoc: %d trailing write-arg bytes", len(b))
+	a := WriteArgs{ContentType: string(contentType), ModifiedNanos: modifiedNanos}
+	if len(content) > 0 {
+		a.Content = append([]byte(nil), content...)
 	}
 	return a, nil
+}
+
+// splitWriteArgs parses write arguments in place: contentType and content
+// are windows of b.
+func splitWriteArgs(b []byte) (contentType, content []byte, modifiedNanos int64, err error) {
+	if contentType, b, err = takeField(b, "string"); err != nil {
+		return nil, nil, 0, err
+	}
+	if len(b) < 8 {
+		return nil, nil, 0, fmt.Errorf("webdoc: short write args")
+	}
+	modifiedNanos = int64(binary.BigEndian.Uint64(b))
+	if content, b, err = takeField(b[8:], "bytes"); err != nil {
+		return nil, nil, 0, err
+	}
+	if len(b) != 0 {
+		return nil, nil, 0, fmt.Errorf("webdoc: %d trailing write-arg bytes", len(b))
+	}
+	return contentType, content, modifiedNanos, nil
 }
 
 // EncodePage marshals a page (content, type, version, modified time) into a
 // buffer sized up front: one allocation, the content copied once.
 func EncodePage(p *Page) []byte {
-	buf := make([]byte, 0, 4+len(p.ContentType)+8+8+4+len(p.Content))
+	return appendPage(make([]byte, 0, pageSize(p)), p)
+}
+
+// pageSize is the length of p's encoding.
+func pageSize(p *Page) int { return 4 + len(p.ContentType) + 8 + 8 + 4 + len(p.Content) }
+
+func appendPage(buf []byte, p *Page) []byte {
 	buf = appendString(buf, p.ContentType)
 	buf = binary.BigEndian.AppendUint64(buf, p.Version)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.ModifiedNanos))
-	buf = appendBytes(buf, p.Content)
-	return buf
+	return appendBytes(buf, p.Content)
 }
 
 // DecodePage unmarshals a page.
@@ -91,33 +105,31 @@ func appendBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-func takeString(b []byte) (string, []byte, error) {
+// takeField splits one length-prefixed field off b without copying it; what
+// names the field's kind in the error.
+func takeField(b []byte, what string) (field, rest []byte, err error) {
 	if len(b) < 4 {
-		return "", nil, fmt.Errorf("webdoc: short string")
+		return nil, nil, fmt.Errorf("webdoc: short %s", what)
 	}
 	n := binary.BigEndian.Uint32(b)
 	b = b[4:]
 	if uint32(len(b)) < n {
-		return "", nil, fmt.Errorf("webdoc: short string body")
+		return nil, nil, fmt.Errorf("webdoc: short %s body", what)
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
+}
+
+func takeString(b []byte) (string, []byte, error) {
+	f, rest, err := takeField(b, "string")
+	return string(f), rest, err
 }
 
 func takeBytes(b []byte) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("webdoc: short bytes")
+	f, rest, err := takeField(b, "bytes")
+	if len(f) == 0 {
+		return nil, rest, err
 	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return nil, nil, fmt.Errorf("webdoc: short bytes body")
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out, b[n:], nil
+	return append([]byte(nil), f...), rest, nil
 }
 
 // encodeStrings marshals a string list (ListPages reply).

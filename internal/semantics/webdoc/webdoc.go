@@ -73,7 +73,8 @@ func Factory() semantics.Factory {
 func (d *Document) Methods() []semantics.MethodInfo { return methodTable }
 
 // Invoke implements semantics.Object by dispatching on the method ID.
-// Write arguments are the encoding produced by EncodeWriteArgs.
+// Write arguments are the encoding produced by EncodeWriteArgs; they are the
+// document's to keep (semantics.Object), and PutPage keeps them.
 func (d *Document) Invoke(inv msg.Invocation) ([]byte, error) {
 	switch inv.Method {
 	case MethodGetPage:
@@ -83,12 +84,7 @@ func (d *Document) Invoke(inv msg.Invocation) ([]byte, error) {
 	case MethodStatPage:
 		return d.encodeStored(inv.Page, false)
 	case MethodPutPage:
-		args, err := DecodeWriteArgs(inv.Args)
-		if err != nil {
-			return nil, err
-		}
-		d.Put(inv.Page, args.Content, args.ContentType, args.ModifiedNanos)
-		return nil, nil
+		return nil, d.putOwned(inv.Page, inv.Args)
 	case MethodAppendPage:
 		args, err := DecodeWriteArgs(inv.Args)
 		if err != nil {
@@ -145,10 +141,56 @@ func (d *Document) Pages() []string {
 	return names
 }
 
-// Put replaces (or creates) a page.
+// Put replaces (or creates) a page. The caller keeps content; the page
+// stores a copy.
 func (d *Document) Put(name string, content []byte, contentType string, modifiedNanos int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	p := d.page(name)
+	p.Content = append([]byte(nil), content...)
+	if contentType != "" {
+		p.ContentType = contentType
+	}
+	p.written(modifiedNanos)
+}
+
+// putOwned is Put for marshalled arguments the document owns (Invoke): they
+// are split in place and the page keeps the content window itself, so an
+// applied write copies its content nowhere. The window's capacity is clamped
+// to its length: a later Append must grow a new buffer, never write into
+// args, which the replica's update log still holds.
+func (d *Document) putOwned(name string, args []byte) error {
+	contentType, content, modifiedNanos, err := splitWriteArgs(args)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p := d.page(name)
+	p.Content = nil
+	if len(content) > 0 {
+		p.Content = content[:len(content):len(content)]
+	}
+	if len(contentType) > 0 && string(contentType) != p.ContentType {
+		p.ContentType = string(contentType)
+	}
+	p.written(modifiedNanos)
+	return nil
+}
+
+// Append adds content to the end of a page, creating it if absent. This is
+// the incremental-update operation of the paper's conference-page example.
+func (d *Document) Append(name string, content []byte, modifiedNanos int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p := d.page(name)
+	p.Content = append(p.Content, content...)
+	p.written(modifiedNanos)
+}
+
+// page returns the named page, created empty if absent. Callers hold the
+// write lock.
+func (d *Document) page(name string) *Page {
 	if d.pages == nil {
 		d.pages = make(map[string]*Page)
 	}
@@ -157,30 +199,14 @@ func (d *Document) Put(name string, content []byte, contentType string, modified
 		p = &Page{}
 		d.pages[name] = p
 	}
-	p.Content = append([]byte(nil), content...)
-	if contentType != "" {
-		p.ContentType = contentType
-	} else if p.ContentType == "" {
-		p.ContentType = "text/html"
-	}
-	p.Version++
-	p.ModifiedNanos = modifiedNanos
+	return p
 }
 
-// Append adds content to the end of a page, creating it if absent. This is
-// the incremental-update operation of the paper's conference-page example.
-func (d *Document) Append(name string, content []byte, modifiedNanos int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.pages == nil {
-		d.pages = make(map[string]*Page)
+// written stamps one applied write on the page.
+func (p *Page) written(modifiedNanos int64) {
+	if p.ContentType == "" {
+		p.ContentType = "text/html"
 	}
-	p, ok := d.pages[name]
-	if !ok {
-		p = &Page{ContentType: "text/html"}
-		d.pages[name] = p
-	}
-	p.Content = append(p.Content, content...)
 	p.Version++
 	p.ModifiedNanos = modifiedNanos
 }
@@ -233,11 +259,17 @@ func (d *Document) Snapshot() ([]byte, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
+	// Sized up front and filled in place: one allocation for the snapshot,
+	// each page's content copied once.
+	size := 4
+	for _, n := range names {
+		size += 4 + len(n) + 4 + pageSize(d.pages[n])
+	}
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(names)))
 	for _, n := range names {
 		buf = appendString(buf, n)
-		buf = appendBytes(buf, EncodePage(d.pages[n]))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(pageSize(d.pages[n])))
+		buf = appendPage(buf, d.pages[n])
 	}
 	return buf, nil
 }

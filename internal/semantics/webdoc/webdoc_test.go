@@ -293,3 +293,46 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		t.Fatalf("short write args accepted")
 	}
 }
+
+// An invoked Put keeps its arguments' content window as the page: a later
+// Append must grow a buffer of its own and leave the arguments — which the
+// replica's update log still holds — and whatever follows them in their
+// buffer exactly as they were. The exported Put copies, so its caller's
+// buffer stays the caller's.
+func TestAppendAfterOwnedPutLeavesLoggedArgsUntouched(t *testing.T) {
+	enc := EncodeWriteArgs(WriteArgs{Content: []byte("first"), ContentType: "text/plain", ModifiedNanos: 7})
+	// The arguments sit inside a larger buffer, as a size-class-rounded copy
+	// does: spare capacity right behind the content.
+	buf := append(append([]byte(nil), enc...), "spare-capacity-behind-the-args"...)
+	args, want := buf[:len(enc)], append([]byte(nil), buf...)
+
+	d := New()
+	if _, err := d.Invoke(msg.Invocation{Method: MethodPutPage, Page: "p", Args: args}); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := d.Invoke(msg.Invocation{Method: MethodPutPage, Page: "p", Args: args}); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("an invoked Put of a known page and content type allocates %.0f times, want 0", a)
+	}
+	more := EncodeWriteArgs(WriteArgs{Content: []byte("+second"), ModifiedNanos: 8})
+	if _, err := d.Invoke(msg.Invocation{Method: MethodAppendPage, Page: "p", Args: more}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := d.Get("p")
+	if err != nil || string(p.Content) != "first+second" || p.ContentType != "text/plain" || p.ModifiedNanos != 8 {
+		t.Fatalf("page after Put and Append: %+v, %v", p, err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("Append wrote into the Put's argument buffer:\n got %q\nwant %q", buf, want)
+	}
+
+	mine := []byte("caller's")
+	d.Put("q", mine, "", 9)
+	mine[0] = 'X'
+	if q, _ := d.Get("q"); string(q.Content) != "caller's" {
+		t.Fatalf("exported Put kept the caller's buffer: %q", q.Content)
+	}
+}

@@ -19,11 +19,12 @@ const (
 	// reply struct, the one page encoding at the store, and the page
 	// struct, content type and content copy DecodePage hands the caller.
 	getAllocBudget = 9 + 2
-	// A Put measures 14: the same round trip, plus the argument encoding,
-	// the dependency vector at the client, and at the store the update with
-	// its cloned invocation and vector, the engine's release slice, the
-	// decoded arguments and the stored content.
-	putAllocBudget = 14 + 2
+	// A Put measures 10: the same round trip, plus the argument encoding,
+	// the dependency vector at the client, and at the store the update and
+	// its cloned invocation (page name and arguments). The arguments are the
+	// stored content; the engine's release slice and the applied vector are
+	// reused.
+	putAllocBudget = 10 + 2
 )
 
 func TestAllocationBudgets(t *testing.T) {
