@@ -190,9 +190,11 @@
 // subscription acknowledged). Their update is already on its way down — the
 // writer's ack is one hop, the push two, so the writer's next read usually
 // arrives first — and the read just waits for it, with the demand kept as
-// the DemandRetry fallback for a lost forward or push. Lazy push, pull,
-// invalidation and a requirement naming a write that went up some other way
-// demand immediately, as the paper has it.
+// the DemandRetry fallback for a lost forward or push: if the read is still
+// unserved when the timer fires it is demanded then, whatever else the parent
+// sent meanwhile (no timer, no wait: with DemandRetry disabled the read
+// demands at once). Lazy push, pull, invalidation and a requirement naming a
+// write that went up some other way demand immediately, as the paper has it.
 //
 // A demand is answered from the retained update log — the last 4096 applied
 // updates and a per-client index of what it still holds: O(writers) to

@@ -53,7 +53,7 @@ func (o *Object) digestPeriod() time.Duration {
 // GlobalSeq rides along so sequentially-coherent children could compare
 // sequencer positions too; the vector alone is what gap detection uses.
 func (o *Object) digestRound() {
-	tos := o.fanout()
+	tos := o.children
 	if len(tos) == 0 {
 		return
 	}
@@ -114,8 +114,8 @@ func (o *Object) onDigest(m *msg.Message) {
 }
 
 // demandOutstanding reports whether a previously issued demand is still
-// unanswered: its retry timer is armed and no coherence response has arrived
-// since it was sent.
+// unanswered: its retry timer is armed (by that demand, not by a read waiting
+// for a push) and no coherence response has arrived since it was sent.
 func (o *Object) demandOutstanding() bool {
-	return o.demandRetryTimer.armed() && o.revalEpoch == o.demandEpoch
+	return o.demandRetryTimer.armed() && !o.awaitingPush && o.revalEpoch == o.demandEpoch
 }

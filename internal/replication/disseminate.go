@@ -125,7 +125,7 @@ func (o *Object) flushLazy() {
 
 // shipNow performs the actual coherence transfer to children.
 func (o *Object) shipNow(ups []*coherence.Update) {
-	tos := o.fanout()
+	tos := o.children
 	if len(ups) == 0 || len(tos) == 0 {
 		return
 	}

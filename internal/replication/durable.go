@@ -271,13 +271,16 @@ func (o *Object) recover(rec *wal.Recovery) {
 			o.stamped[a.Client] = sr
 		}
 		for _, c := range s.Children {
-			o.children[c] = true
+			o.addChild(c)
 		}
 	}
 	for _, r := range rec.Records {
 		switch {
 		case r.Update != nil:
 			u := r.Update
+			// The decoded record aliases the whole log file's image; the
+			// replica must own what it applies and retains (see Env.ApplyOp).
+			u.Inv = cloneInv(u.Inv)
 			// Every durable update implies its own admission (the separate
 			// admit record may have missed the crash), so the watermark
 			// classifies post-restart retries of it as replays.
@@ -297,9 +300,9 @@ func (o *Object) recover(rec *wal.Recovery) {
 			o.admitSeq(r.Admit.Client, r.Admit.Seq)
 		case r.Child != nil:
 			if r.Child.Remove {
-				delete(o.children, r.Child.Addr)
+				o.removeChild(r.Child.Addr)
 			} else {
-				o.children[r.Child.Addr] = true
+				o.addChild(r.Child.Addr)
 			}
 		}
 	}
@@ -308,7 +311,6 @@ func (o *Object) recover(rec *wal.Recovery) {
 	if g := o.engine.Global(); g > o.nextGlobal {
 		o.nextGlobal = g
 	}
-	o.fanoutList = nil
 	add(&o.stats.WALTornTail, rec.TornTail)
 	o.markAppliedStale()
 	o.walReplaying = false
@@ -329,7 +331,7 @@ func (o *Object) recover(rec *wal.Recovery) {
 	// Demand the tail from every known child behind a StatusRetry gate.
 	o.recovering = true
 	o.recoverPending = make(map[string]bool, len(o.children))
-	for c := range o.children {
+	for _, c := range o.children {
 		o.recoverPending[c] = true
 	}
 	o.sendRecoveryDemands()

@@ -100,6 +100,46 @@ func TestDurableRestartReplayNoDuplicateApply(t *testing.T) {
 	}
 }
 
+// Replayed updates are the replica's own, like live ones (Env.ApplyOp): the
+// page keeps a window of their args, so they must not alias the log file's
+// image the records were decoded from.
+func TestDurableReplayOwnsItsUpdates(t *testing.T) {
+	dir := t.TempDir()
+	o1 := openDurable(t, newFakeEnv(), dir, time.Hour)
+	put := writeMsg(1, 1, "p", "hello")
+	put.Inv.Method = webdoc.MethodPutPage
+	o1.Handle(put)
+	o1.FlushAcks()
+
+	wlog, rec, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image [][]byte
+	for _, r := range rec.Records {
+		if r.Update != nil {
+			image = append(image, r.Update.Inv.Args)
+		}
+	}
+	env := newFakeEnv()
+	o2, err := New(Config{
+		Env: env, Object: "obj", Self: 1, Addr: "self", Role: RolePermanent,
+		Strat: strategy.Conference(time.Hour), WAL: wlog, Recovered: rec,
+		Tuning: Tuning{ReadTimeout: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o2.Close()
+	if len(image) != 1 {
+		t.Fatalf("%d update records, want 1", len(image))
+	}
+	clear(image[0])
+	if got := pageContent(t, env, "p"); !bytes.Contains(got, []byte("hello")) {
+		t.Fatalf("page content follows the log file's image: %q", got)
+	}
+}
+
 // Crash between sequencing a write (its stamped update record hit the log)
 // and logging its admission record: recovery must seed the admission
 // watermark from the update itself, so the client's retry — the ack never

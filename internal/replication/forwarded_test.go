@@ -14,11 +14,15 @@ import (
 // newSubscribedCache is a cache below "parent" whose subscription is
 // acknowledged, with a 50ms demand retry.
 func newSubscribedCache(t *testing.T, env Env, st strategy.Strategy) *Object {
+	return newSubscribedCacheRetrying(t, env, st, 50*time.Millisecond)
+}
+
+func newSubscribedCacheRetrying(t *testing.T, env Env, st strategy.Strategy, demandRetry time.Duration) *Object {
 	t.Helper()
 	o, err := New(Config{
 		Env: env, Object: "obj", Self: 3, Addr: "self", Role: RoleClientInitiated, Parent: "parent",
 		Strat: st, Session: []coherence.ClientModel{coherence.ReadYourWrites},
-		Tuning: Tuning{ReadTimeout: time.Second, DemandRetry: 50 * time.Millisecond},
+		Tuning: Tuning{ReadTimeout: time.Second, DemandRetry: demandRetry},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +98,52 @@ func TestReadOfForwardedWriteDemandsAfterRetryWhenPushIsLost(t *testing.T) {
 	o.Handle(pushed(1, 1, 1))
 	if r := env.takeSent(msg.KindReadReply); len(r) != 1 || r[0].Status != msg.StatusOK {
 		t.Fatalf("demanded update did not release the parked read: %+v", r)
+	}
+}
+
+// The push is lost on a busy board: another client's push lands inside the
+// retry window. It says nothing about the write the read waits for, so the
+// fallback demand still goes out — once, at DemandRetry.
+func TestReadOfForwardedWriteDemandsDespiteUnrelatedPush(t *testing.T) {
+	env := newFakeEnv()
+	o := newSubscribedCache(t, env, strategy.Whiteboard())
+	defer o.Close()
+	o.Handle(writeMsg(1, 1, "p", "x"))
+	o.Handle(rywRead(1, 1))
+	env.clk.Advance(10 * time.Millisecond)
+	o.Handle(pushed(2, 1, 1))
+	if r := env.takeSent(msg.KindReadReply); len(r) != 0 {
+		t.Fatalf("another client's push released the read: %+v", r)
+	}
+	env.clk.Advance(39 * time.Millisecond)
+	if d := env.takeSent(msg.KindDemandUpdate); len(d) != 0 {
+		t.Fatalf("demand sent before DemandRetry: %+v", d)
+	}
+	env.clk.Advance(time.Millisecond)
+	d := env.takeSent(msg.KindDemandUpdate)
+	if len(d) != 1 || d[0].To != "parent" || o.Stats().DemandsSent != 1 {
+		t.Fatalf("after DemandRetry: %d demands (%+v), DemandsSent %d; want exactly one to the parent", len(d), d, o.Stats().DemandsSent)
+	}
+	o.Handle(pushed(1, 1, 2))
+	if r := env.takeSent(msg.KindReadReply); len(r) != 1 || r[0].Status != msg.StatusOK {
+		t.Fatalf("demanded update did not release the parked read: %+v", r)
+	}
+	env.clk.Advance(50 * time.Millisecond)
+	if n := o.Stats().DemandsSent; n != 1 {
+		t.Fatalf("DemandsSent = %d once the read was served, want 1", n)
+	}
+}
+
+// With demand retries switched off a wait would have no fallback, so the
+// read of a forwarded write demands at once.
+func TestReadOfForwardedWriteDemandsAtOnceWithoutRetry(t *testing.T) {
+	env := newFakeEnv()
+	o := newSubscribedCacheRetrying(t, env, strategy.Whiteboard(), -1)
+	defer o.Close()
+	o.Handle(writeMsg(1, 1, "p", "x"))
+	o.Handle(rywRead(1, 1))
+	if d := env.takeSent(msg.KindDemandUpdate); len(d) != 1 || d[0].To != "parent" {
+		t.Fatalf("demands: %+v, want one to the parent at once", d)
 	}
 }
 

@@ -95,7 +95,7 @@ func (o *Object) relayDown(m *msg.Message) {
 	}
 	fwd := *m
 	fwd.From, fwd.Store = o.addr, o.self
-	o.multicast(o.fanout(), &fwd)
+	o.multicast(o.children, &fwd)
 }
 
 // refuse answers a request this replica will not serve with an error status.

@@ -40,10 +40,13 @@ func (o *Object) requirementMet(m *msg.Message) bool {
 // pushes here in the same turn, so the writer's next read mostly beats its
 // own update by a few microseconds. A requirement naming any other write (a
 // client that rebound from another cache, a monotonic read ahead of this
-// replica) says nothing about what is in flight, and demands.
+// replica) says nothing about what is in flight, and demands; so does every
+// read when DemandRetry is off, since a wait with no fallback would strand it
+// behind a lost push.
 func (o *Object) awaitsForwarded(req *msg.Vec) bool {
 	if o.strat.Initiative != strategy.Push || o.strat.Instant != strategy.Immediate ||
-		o.strat.Propagation == strategy.PropagateInvalidate || !o.subAcked {
+		o.strat.Propagation == strategy.PropagateInvalidate || !o.subAcked ||
+		o.tune.DemandRetry <= 0 {
 		return false
 	}
 	ok := true
@@ -77,10 +80,11 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 			// Web server"; under wait the store "simply waits until a new
 			// write arrives" — as it does for writes it forwarded itself
 			// when their updates are pushed at once, with the demand left
-			// as the retry timer's fallback for a lost forward or push.
+			// to retryDemand as the fallback for a lost forward or push.
 			if o.strat.ClientOutdate == strategy.Demand {
 				if o.awaitsForwarded(&m.VVec) {
-					o.openDemandCycle()
+					o.awaitingPush = true
+					o.arm(o.demandRetryTimer, o.tune.DemandRetry)
 				} else {
 					o.demandFromParent()
 				}

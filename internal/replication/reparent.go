@@ -1,6 +1,10 @@
 package replication
 
-import "repro/internal/msg"
+import (
+	"slices"
+
+	"repro/internal/msg"
+)
 
 // Self-healing re-parenting: the replica tree of Figure 2 must survive the
 // loss of an interior node. Two signals declare the configured parent dead —
@@ -101,7 +105,7 @@ func (o *Object) pickParent() string {
 	for _, c := range o.resolveParent() {
 		d := roleDepth(c.Role)
 		if c.Addr == "" || c.Addr == o.addr || c.Addr == o.parent ||
-			o.children[c.Addr] || d >= self {
+			slices.Contains(o.children, c.Addr) || d >= self {
 			continue
 		}
 		if d > bestDepth || (d == bestDepth && c.Addr < best) {

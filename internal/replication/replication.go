@@ -28,6 +28,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -223,10 +224,9 @@ type Object struct {
 	addr string
 	// parent is the next store up the hierarchy ("" at permanent stores).
 	parent string
-	// children are subscribed lower-layer stores; fanoutList is the same set
-	// as the slice every push is addressed to, nil after the set changed.
-	children   map[string]bool
-	fanoutList []string
+	// children are subscribed lower-layer stores, sorted: the list every
+	// push is addressed to. addChild and removeChild are its only writers.
+	children []string
 
 	// Write-set enforcement (permanent store, write set = single).
 	writer    ids.ClientID
@@ -331,6 +331,10 @@ type Object struct {
 	// forwarded is the highest write sequence per client this replica passed
 	// upstream (forward): the writes whose updates it can expect back.
 	forwarded ids.VersionVec
+	// awaitingPush marks the armed retry timer as (also) a read's wait for
+	// such an update: set when serveRead parks the read without demanding,
+	// consumed by retryDemand, which demands if the read is still unserved.
+	awaitingPush bool
 
 	// Demand-retry: a demand whose reply is lost would otherwise strand the
 	// store until the next arrival (tail-loss). After tune.DemandRetry with no
@@ -461,7 +465,6 @@ func New(cfg Config) (*Object, error) {
 		parent:         cfg.Parent,
 		strat:          cfg.Strat,
 		engine:         eng,
-		children:       make(map[string]bool),
 		nextGlobal:     1,
 		stamped:        make(map[ids.ClientID]*stampedSeqs),
 		invalid:        make(map[string]bool),
@@ -517,21 +520,25 @@ func (o *Object) Role() Role { return o.role }
 // Parent returns the configured parent address.
 func (o *Object) Parent() string { return o.parent }
 
-// Children returns the subscribed child addresses (sorted not guaranteed).
-func (o *Object) Children() []string {
-	out := make([]string, 0, len(o.children))
-	for c := range o.children {
-		out = append(out, c)
+// Children returns the subscribed child addresses, sorted.
+func (o *Object) Children() []string { return slices.Clone(o.children) }
+
+// addChild and removeChild report whether the set changed. Each change makes
+// a new slice, so one handed to a transport earlier is never written under it.
+func (o *Object) addChild(addr string) bool {
+	i, found := slices.BinarySearch(o.children, addr)
+	if !found {
+		o.children = slices.Insert(slices.Clone(o.children), i, addr)
 	}
-	return out
+	return !found
 }
 
-// fanout is Children for the send path: built once per change of the set.
-func (o *Object) fanout() []string {
-	if o.fanoutList == nil {
-		o.fanoutList = o.Children()
+func (o *Object) removeChild(addr string) bool {
+	i, found := slices.BinarySearch(o.children, addr)
+	if found {
+		o.children = slices.Delete(slices.Clone(o.children), i, i+1)
 	}
-	return o.fanoutList
+	return found
 }
 
 // Close cancels timers and fails parked reads. Acks parked for a group

@@ -12,9 +12,7 @@ func (o *Object) onSubscribe(m *msg.Message) {
 	// The child address is retained for the replica's lifetime; clone it so
 	// a zero-copy decoded string does not pin its transport frame (tcpnet
 	// handoff chunks, memnet wire buffers) for that long.
-	if child := strings.Clone(m.From); !o.children[child] {
-		o.children[child] = true
-		o.fanoutList = nil
+	if child := strings.Clone(m.From); o.addChild(child) {
 		// Durable stores log the children set: a restarted permanent store
 		// anti-entropies the tail from exactly these addresses before
 		// serving (see recover).
@@ -44,9 +42,7 @@ func (o *Object) onSubscribeAck(m *msg.Message) {
 // onUnsubscribe removes a departing child from the children set (the
 // drop-replica control path); further dissemination skips it.
 func (o *Object) onUnsubscribe(m *msg.Message) {
-	if o.children[m.From] {
-		delete(o.children, m.From)
-		o.fanoutList = nil
+	if o.removeChild(m.From) {
 		o.walAppendChild(m.From, true)
 	}
 }

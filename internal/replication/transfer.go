@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/coherence"
@@ -17,17 +18,11 @@ func (o *Object) demandFromParent() {
 	if o.parent == "" {
 		return
 	}
-	o.sendDemand(o.parent)
-	o.openDemandCycle()
-}
-
-// openDemandCycle starts a fresh retry cycle: unless the parent is heard from
-// within DemandRetry, retryDemand asks it (again, after demandFromParent; for
-// the first time, when a read waits for a write this replica forwarded). An
-// exhausted earlier cycle must not leave retries permanently disabled, so the
-// count restarts (retryDemand restores its own after this reset).
-func (o *Object) openDemandCycle() {
+	// Every direct call opens a fresh retry cycle; an exhausted earlier
+	// cycle must not leave retries permanently disabled (retryDemand
+	// restores its own count after this reset).
 	o.demandRetries = 0
+	o.sendDemand(o.parent)
 	o.demandEpoch = o.revalEpoch
 	if o.tune.DemandRetry > 0 {
 		o.arm(o.demandRetryTimer, o.tune.DemandRetry)
@@ -51,10 +46,21 @@ func (o *Object) sendDemand(to string) {
 // response).
 const maxDemandRetries = 16
 
-// retryDemand re-sends the demand if no coherence response arrived since it
-// was issued and something is still outstanding (buffered updates awaiting
+// retryDemand is the retry timer's callback. A read that waited for a write
+// this replica forwarded (awaitingPush) gets its demand now if it is still
+// unserved: other writers' pushes advance revalEpoch without bringing the one
+// it waits for, so the epoch says nothing about that wait. Otherwise it
+// re-sends the demand if no coherence response arrived since it was issued
+// and something is still outstanding (buffered updates awaiting
 // predecessors, or parked reads).
 func (o *Object) retryDemand() {
+	if o.awaitingPush {
+		o.awaitingPush = false
+		if o.readLacksWrite() {
+			o.demandFromParent()
+			return
+		}
+	}
 	if o.revalEpoch != o.demandEpoch {
 		o.demandRetries = 0 // the parent answered; cycle complete
 		o.digestGapDemand = false
@@ -76,6 +82,13 @@ func (o *Object) retryDemand() {
 	retries := o.demandRetries + 1
 	o.demandFromParent()
 	o.demandRetries = retries
+}
+
+// readLacksWrite reports whether a parked read's requirement is still unmet.
+func (o *Object) readLacksWrite() bool {
+	return slices.ContainsFunc(o.parked, func(p *parkedReq) bool {
+		return p.m.Kind == msg.KindReadRequest && !o.requirementMet(p.m)
+	})
 }
 
 // fetchesWhole reports whether fetching page means fetching the whole
