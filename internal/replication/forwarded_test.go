@@ -197,38 +197,3 @@ func TestReadOfForwardedWriteRetriesAtNewParent(t *testing.T) {
 		t.Fatalf("retry after re-parent: %+v, want one demand to new-parent", d)
 	}
 }
-
-// One timer serves every parked read: parking arms it once, and it re-arms
-// itself for the earliest deadline still ahead.
-func TestParkedReadsShareOneExpiryTimer(t *testing.T) {
-	env := newFakeEnv()
-	st := strategy.Whiteboard()
-	st.ClientOutdate = strategy.Wait
-	o := newObj(t, env, RolePermanent, st, "")
-	defer o.Close()
-	o.Handle(rywRead(1, 1))
-	first := o.parkTimer.pending
-	env.clk.Advance(400 * time.Millisecond)
-	o.Handle(rywRead(2, 1))
-	if first == nil || o.parkTimer.pending != first {
-		t.Fatalf("second parked read re-armed the expiry timer (was %v, now %v)", first, o.parkTimer.pending)
-	}
-	env.clk.Advance(600 * time.Millisecond) // the first read's deadline
-	if r := env.takeSent(msg.KindReadReply); len(r) != 1 || r[0].Status != msg.StatusRetry || r[0].Client != 1 {
-		t.Fatalf("at the first deadline: %+v, want client 1 refused with retry", r)
-	}
-	if !o.parkTimer.armed() {
-		t.Fatal("expiry timer idle with a read still parked")
-	}
-	env.clk.Advance(399 * time.Millisecond)
-	if r := env.takeSent(msg.KindReadReply); len(r) != 0 {
-		t.Fatalf("second read refused %v early: %+v", time.Millisecond, r)
-	}
-	env.clk.Advance(time.Millisecond)
-	if r := env.takeSent(msg.KindReadReply); len(r) != 1 || r[0].Status != msg.StatusRetry || r[0].Client != 2 {
-		t.Fatalf("at the second deadline: %+v, want client 2 refused with retry", r)
-	}
-	if o.parkTimer.armed() {
-		t.Fatal("expiry timer still armed with nothing parked")
-	}
-}

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
@@ -131,7 +130,7 @@ func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 			inc(&o.stats.ReadsParked)
 		}
 		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.tune.ReadTimeout)}
-		o.arm(o.parkTimer, o.tune.ReadTimeout)
+		o.env.AfterFunc(o.tune.ReadTimeout, func() { o.expireParked() })
 	}
 	//globelint:ignore aliasretain parked request pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
 	o.parked = append(o.parked, p)
@@ -140,27 +139,21 @@ func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 
 // expireParked refuses requests whose deadline passed. A whole-object fetch
 // they waited for is presumed lost with them, so the next one may ask again.
-// It is parkTimer's callback: one timer serves every parked request, armed by
-// the first to park and re-armed here for the earliest deadline still ahead.
 func (o *Object) expireParked() {
+	if o.closed {
+		return
+	}
 	now := o.env.Now()
-	var next time.Time
 	rest := o.parked[:0]
 	for _, p := range o.parked {
 		if now.Before(p.deadline) {
 			rest = append(rest, p)
-			if next.IsZero() || p.deadline.Before(next) {
-				next = p.deadline
-			}
 			continue
 		}
 		o.fetching = false
 		o.refuse(p.m, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
 	}
 	o.parked = rest
-	if len(rest) > 0 {
-		o.arm(o.parkTimer, next.Sub(now))
-	}
 }
 
 // reconsiderParked retries parked requests after local state changed; each

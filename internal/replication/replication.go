@@ -365,8 +365,7 @@ type Object struct {
 	recoverGraceTimer *oneShot
 	recoverRetryTimer *oneShot
 
-	parked    []*parkedReq
-	parkTimer *oneShot // fires expireParked at the earliest deadline
+	parked []*parkedReq
 	// revalEpoch counts coherence responses received from the parent
 	// (updates, state replies, acks); pull-on-access reads wait for it to
 	// advance.
@@ -487,7 +486,6 @@ func New(cfg Config) (*Object, error) {
 	o.gossipTimer = o.timer(o.gossip)
 	o.digestTimer = o.timer(o.digest)
 	o.demandRetryTimer = o.timer(o.retryDemand)
-	o.parkTimer = o.timer(o.expireParked)
 	o.walSyncTimer = o.timer(o.walSync)
 	o.recoverGraceTimer = o.timer(o.finishRecovery)
 	o.recoverRetryTimer = o.timer(o.retryRecovery)

@@ -58,17 +58,12 @@ func splitWriteArgs(b []byte) (contentType, content []byte, modifiedNanos int64,
 // EncodePage marshals a page (content, type, version, modified time) into a
 // buffer sized up front: one allocation, the content copied once.
 func EncodePage(p *Page) []byte {
-	return appendPage(make([]byte, 0, pageSize(p)), p)
-}
-
-// pageSize is the length of p's encoding.
-func pageSize(p *Page) int { return 4 + len(p.ContentType) + 8 + 8 + 4 + len(p.Content) }
-
-func appendPage(buf []byte, p *Page) []byte {
+	buf := make([]byte, 0, 4+len(p.ContentType)+8+8+4+len(p.Content))
 	buf = appendString(buf, p.ContentType)
 	buf = binary.BigEndian.AppendUint64(buf, p.Version)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.ModifiedNanos))
-	return appendBytes(buf, p.Content)
+	buf = appendBytes(buf, p.Content)
+	return buf
 }
 
 // DecodePage unmarshals a page.

@@ -259,17 +259,11 @@ func (d *Document) Snapshot() ([]byte, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// Sized up front and filled in place: one allocation for the snapshot,
-	// each page's content copied once.
-	size := 4
-	for _, n := range names {
-		size += 4 + len(n) + 4 + pageSize(d.pages[n])
-	}
-	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(names)))
+	var buf []byte
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
 	for _, n := range names {
 		buf = appendString(buf, n)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(pageSize(d.pages[n])))
-		buf = appendPage(buf, d.pages[n])
+		buf = appendBytes(buf, EncodePage(d.pages[n]))
 	}
 	return buf, nil
 }
