@@ -340,8 +340,12 @@
 //
 //   - read / park (read.go): serveRead answers a read from local semantics or
 //     parks it — for its session requirement vector, or for state when the
-//     page is invalidated or missing — and park holds every waiting request,
+//     page is not current or missing — and park holds every waiting request,
 //     a child's held state request included, under one ReadTimeout deadline.
+//     A page is current when K(page), the replica's applied vector merged
+//     with the vector of the last transfer of that page, covers the writes
+//     its invalid marks name; each invalidation or notification merges its
+//     write into the mark, and nothing else ever touches it.
 //   - admit / forward (write.go): admit is at-most-once admission (stamp a
 //     client's write once, witness a forwarded stamp); forward passes a write
 //     one hop towards the permanent store.
@@ -349,10 +353,13 @@
 //     lazily aggregated, or re-batched hop by hop, as operations, snapshots,
 //     invalidations or notifications; relayDown passes a parent's frame on.
 //   - install / serve (transfer.go): install is the only place another
-//     replica's state replaces content here, behind the one stale-snapshot
-//     guard, and states what a transfer does to the invalid marks; serveState
-//     is the only place state leaves, and never hands out a page marked
-//     invalid — it holds the request behind this replica's own fetch.
+//     replica's state replaces content here, and takes a transfer only when
+//     K(page) does not already cover its vector; serveState is the only place
+//     state leaves, hands out a page only while it is current (holding the
+//     request behind this replica's own fetch otherwise), and stamps a page
+//     reply with K(page). Stale guard and marks ask the same question of the
+//     same vector (knows), so a late transfer can neither roll a page back
+//     nor pass for a write it predates.
 //   - subscribe / reparent (subscribe.go, reparent.go, digest.go): the
 //     retried subscribe handshake, digest heartbeats, and adoption of a new
 //     parent when the old one goes silent.

@@ -48,10 +48,12 @@ type Config struct {
 	// Seed drives the fault schedule and workload choices. Equal seeds give
 	// equal schedules (delivery timing still depends on the scheduler).
 	Seed int64
-	// Model is the object-based coherence model: coherence.PRAM (default,
-	// replicas converge to the same token set; interleavings may differ) or
-	// coherence.Sequential (replicas must converge byte-identically).
-	Model coherence.Model
+	// Strategy is the object's replication strategy at every store; the zero
+	// value is the PRAM conference preset (pramConference). Its Model decides
+	// what converged means: byte-identical pages under the sequential model,
+	// identical token sets otherwise (PRAM permits different interleavings of
+	// different clients' writes).
+	Strategy strategy.Strategy
 	// Loss is the per-frame drop probability on store↔store links.
 	Loss float64
 	// Dup is the per-frame duplication probability on store↔store links.
@@ -60,21 +62,16 @@ type Config struct {
 	OpsPerWriter int
 	// DigestInterval is the anti-entropy heartbeat period (0 disables).
 	DigestInterval time.Duration
-	// LazyInterval is the dissemination aggregation period (PRAM model).
-	LazyInterval time.Duration
 	// ConvergeWithin bounds the post-heal convergence wait.
 	ConvergeWithin time.Duration
 }
 
 func (c *Config) defaults() {
-	if c.Model == 0 {
-		c.Model = coherence.PRAM
+	if c.Strategy.Model == 0 {
+		c.Strategy = pramConference(10 * time.Millisecond)
 	}
 	if c.OpsPerWriter == 0 {
 		c.OpsPerWriter = 30
-	}
-	if c.LazyInterval == 0 {
-		c.LazyInterval = 10 * time.Millisecond
 	}
 	if c.ConvergeWithin == 0 {
 		c.ConvergeWithin = 5 * time.Second
@@ -141,7 +138,7 @@ func Run(cfg Config) (*Result, error) {
 		net.SetLinkBoth(p[0], p[1], prof)
 	}
 
-	st := baseStrategy(cfg)
+	st := cfg.Strategy
 	session := []coherence.ClientModel{
 		coherence.ReadYourWrites, coherence.MonotonicReads,
 		coherence.MonotonicWrites, coherence.WritesFollowReads,
@@ -311,7 +308,7 @@ func Run(cfg Config) (*Result, error) {
 	hardCap := healed.Add(4 * cfg.ConvergeWithin)
 	lastDiag := ""
 	for {
-		diag := convergedState(stores, obj, cfg.Model, rec)
+		diag := convergedState(stores, obj, st.Model, rec)
 		if diag == "" {
 			res.Converged = true
 			res.ConvergeIn = time.Since(healed)
@@ -356,15 +353,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// baseStrategy maps the configured model onto a Table 1 parameter set that
-// exercises the interesting machinery: aggregated lazy partial pushes under
-// PRAM (batch frames to lose), immediate pushes under sequential (ordering
-// gaps to fill), demand reactions on both.
-func baseStrategy(cfg Config) strategy.Strategy {
-	if cfg.Model == coherence.Sequential {
-		return strategy.Whiteboard()
-	}
-	st := strategy.Conference(cfg.LazyInterval)
+// pramConference is the harnesses' default strategy: the conference preset
+// opened to every writer, with aggregated lazy partial pushes (batch frames to
+// lose) and a demand reaction to the gaps their loss leaves.
+func pramConference(lazy time.Duration) strategy.Strategy {
+	st := strategy.Conference(lazy)
 	st.Writers = strategy.MultipleWriters
 	st.ObjectOutdate = strategy.Demand
 	return st

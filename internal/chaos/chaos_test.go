@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/coherence"
+	"repro/internal/strategy"
 )
 
 // lossRates returns the loss-rate matrix. CI pins a single rate per job via
@@ -77,7 +77,7 @@ func TestConvergenceUnderLossSequential(t *testing.T) {
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
 			res, err := Run(Config{
 				Seed:           424242,
-				Model:          coherence.Sequential,
+				Strategy:       strategy.Whiteboard(),
 				Loss:           loss,
 				Dup:            0.02,
 				DigestInterval: 100 * time.Millisecond,
@@ -97,8 +97,13 @@ func TestConvergenceSeedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep skipped in -short")
 	}
-	// Honour the CI loss matrix so the two legs sweep different fault
-	// intensities instead of running byte-identically.
+	seedSweep(t, strategy.Strategy{})
+}
+
+// seedSweep runs st over the sweep's seeds. It honours the CI loss matrix so
+// the two legs sweep different fault intensities instead of running
+// byte-identically.
+func seedSweep(t *testing.T, st strategy.Strategy) {
 	loss := 0.05
 	if os.Getenv("CHAOS_LOSS") != "" {
 		loss = lossRates(t)[0]
@@ -107,6 +112,7 @@ func TestConvergenceSeedSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d/loss=%g", seed, loss), func(t *testing.T) {
 			res, err := Run(Config{
 				Seed:           seed,
+				Strategy:       st,
 				Loss:           loss,
 				Dup:            0.01,
 				OpsPerWriter:   15,
@@ -116,6 +122,40 @@ func TestConvergenceSeedSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			report(t, res)
+		})
+	}
+}
+
+// TestConvergenceUnderLossInvalidate is the invalidation leg: the popular
+// event page opened to every writer, so every write reaches the caches as an
+// invalidation and its content only by a fetch — page by page (partial) or
+// whole (full). It runs the main schedule at each loss rate and the seed
+// sweep; cache2 fetches through the mirror, so a page the mirror hands out
+// must carry what it holds.
+func TestConvergenceUnderLossInvalidate(t *testing.T) {
+	for _, transfer := range []strategy.Transfer{strategy.TransferPartial, strategy.TransferFull} {
+		st := strategy.PopularEventPage()
+		st.Writers = strategy.MultipleWriters
+		st.AccessTransfer = transfer
+		t.Run(transfer.String(), func(t *testing.T) {
+			for _, loss := range lossRates(t) {
+				t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
+					res, err := Run(Config{
+						Seed:           1998,
+						Strategy:       st,
+						Loss:           loss,
+						Dup:            0.02,
+						DigestInterval: 100 * time.Millisecond,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					report(t, res)
+				})
+			}
+			if !testing.Short() {
+				seedSweep(t, st)
+			}
 		})
 	}
 }

@@ -136,7 +136,7 @@ func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 	fab := tcpnet.NewFabric("")
 	defer fab.Close()
 
-	st := baseStrategy(Config{Model: coherence.PRAM, LazyInterval: cfg.LazyInterval})
+	st := pramConference(cfg.LazyInterval)
 	session := []coherence.ClientModel{
 		coherence.ReadYourWrites, coherence.MonotonicReads,
 		coherence.MonotonicWrites, coherence.WritesFollowReads,

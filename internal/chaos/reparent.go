@@ -18,7 +18,6 @@ import (
 	"repro/internal/replication"
 	"repro/internal/semantics/webdoc"
 	"repro/internal/store"
-	"repro/internal/strategy"
 	"repro/internal/transport/memnet"
 )
 
@@ -93,9 +92,7 @@ func RunReparent(cfg ReparentConfig) (*ReparentResult, error) {
 	// The re-parented subscription runs over this link once the mirror dies.
 	net.SetLinkBoth("perm", "cache2", prof)
 
-	st := strategy.Conference(10 * time.Millisecond)
-	st.Writers = strategy.MultipleWriters
-	st.ObjectOutdate = strategy.Demand
+	st := pramConference(10 * time.Millisecond)
 	session := []coherence.ClientModel{
 		coherence.ReadYourWrites, coherence.MonotonicReads,
 		coherence.MonotonicWrites, coherence.WritesFollowReads,

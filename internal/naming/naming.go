@@ -179,8 +179,11 @@ func (s *Service) SetMeta(obj ids.ObjectID, m Meta) {
 	s.meta[obj] = m
 }
 
-// Record returns the full name record of obj (entries sorted as Lookup
-// sorts them). ok is false when the service knows nothing about obj.
+// Record returns the full name record of obj, its entries lowest store layer
+// first (client-initiated, then object-initiated, then permanent): "it is
+// generally up to the client to decide to which replica he will bind", and
+// closer layers are usually preferable. ok is false when the service knows
+// nothing about obj.
 func (s *Service) Record(obj ids.ObjectID) (Record, bool) {
 	s.mu.Lock()
 	entries := append([]Entry(nil), s.objects[obj]...)
@@ -216,20 +219,6 @@ func (s *Service) ClientSeqFloor(id ids.ClientID) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.floors[id]
-}
-
-// Lookup returns every contact point of obj, lowest store layer first
-// (client-initiated, then object-initiated, then permanent): "it is
-// generally up to the client to decide to which replica he will bind", and
-// closer layers are usually preferable.
-func (s *Service) Lookup(obj ids.ObjectID) []Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries := append([]Entry(nil), s.objects[obj]...)
-	sort.SliceStable(entries, func(i, j int) bool {
-		return layerRank(entries[i].Role) < layerRank(entries[j].Role)
-	})
-	return entries
 }
 
 // Pick returns the default contact point for a client that expressed no
@@ -277,17 +266,6 @@ func pickLess(a, b Entry) bool {
 		return ia < ib
 	}
 	return a.Addr < b.Addr
-}
-
-// LookupRole returns the contact points with a given role.
-func (s *Service) LookupRole(obj ids.ObjectID, r replication.Role) []Entry {
-	var out []Entry
-	for _, e := range s.Lookup(obj) {
-		if e.Role == r {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 func layerRank(r replication.Role) int {

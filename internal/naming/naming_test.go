@@ -22,7 +22,8 @@ func TestRegisterLookupOrder(t *testing.T) {
 	s.Register("o", Entry{Addr: "perm", Store: 1, Role: replication.RolePermanent})
 	s.Register("o", Entry{Addr: "cache", Store: 2, Role: replication.RoleClientInitiated})
 	s.Register("o", Entry{Addr: "mirror", Store: 3, Role: replication.RoleObjectInitiated})
-	got := s.Lookup("o")
+	r, _ := s.Record("o")
+	got := r.Entries
 	if len(got) != 3 {
 		t.Fatalf("lookup returned %d entries", len(got))
 	}
@@ -36,7 +37,8 @@ func TestRegisterReplacesSameAddr(t *testing.T) {
 	s := New()
 	s.Register("o", Entry{Addr: "a", Store: 1, Role: replication.RolePermanent})
 	s.Register("o", Entry{Addr: "a", Store: 9, Role: replication.RolePermanent})
-	got := s.Lookup("o")
+	r, _ := s.Record("o")
+	got := r.Entries
 	if len(got) != 1 || got[0].Store != 9 {
 		t.Fatalf("replacement failed: %+v", got)
 	}
@@ -47,33 +49,18 @@ func TestDeregister(t *testing.T) {
 	s.Register("o", Entry{Addr: "a", Store: 1, Role: replication.RolePermanent})
 	s.Register("o", Entry{Addr: "b", Store: 2, Role: replication.RoleClientInitiated})
 	s.Deregister("o", "a")
-	got := s.Lookup("o")
+	r, _ := s.Record("o")
+	got := r.Entries
 	if len(got) != 1 || got[0].Addr != "b" {
 		t.Fatalf("deregister failed: %+v", got)
 	}
 	s.Deregister("o", "missing") // no-op
 }
 
-func TestLookupRoleAndPermanent(t *testing.T) {
-	s := New()
-	if got := s.LookupRole("o", replication.RolePermanent); len(got) != 0 {
-		t.Fatalf("LookupRole on empty service returned %+v", got)
-	}
-	s.Register("o", Entry{Addr: "perm", Store: 1, Role: replication.RolePermanent})
-	s.Register("o", Entry{Addr: "cache", Store: 2, Role: replication.RoleClientInitiated})
-	caches := s.LookupRole("o", replication.RoleClientInitiated)
-	if len(caches) != 1 || caches[0].Addr != "cache" {
-		t.Fatalf("LookupRole wrong: %+v", caches)
-	}
-	if perms := s.LookupRole("o", replication.RolePermanent); len(perms) != 1 || perms[0].Addr != "perm" {
-		t.Fatalf("LookupRole(permanent) wrong: %+v", perms)
-	}
-}
-
 func TestLookupUnknownObject(t *testing.T) {
 	s := New()
-	if got := s.Lookup("nothing"); len(got) != 0 {
-		t.Fatalf("unknown object returned entries: %+v", got)
+	if r, ok := s.Record("nothing"); ok || len(r.Entries) != 0 {
+		t.Fatalf("unknown object returned a record: %+v", r)
 	}
 }
 

@@ -83,7 +83,7 @@ func (o *Object) onDigest(m *msg.Message) {
 		o.sendSubscribe()
 	}
 	// Gap detection tests each entry against the engine and fetch vectors
-	// directly (coversVec): the common case — a converged child answering
+	// directly (knows): the common case — a converged child answering
 	// "nothing missing" every interval — must not re-materialise the
 	// applied vector per heartbeat.
 	//
@@ -95,7 +95,7 @@ func (o *Object) onDigest(m *msg.Message) {
 	// deployments pair the eventual model with full coherence transfer
 	// (snapshots repair content wholesale, as the mirror preset does) or
 	// gossip. See ROADMAP.
-	if o.coversVec(&m.VVec) {
+	if o.knows("", &m.VVec) {
 		return // nothing missing; stay quiet
 	}
 	if o.demandOutstanding() {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/coherence"
+	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/strategy"
 )
@@ -144,6 +145,7 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 	case o.strat.CoherenceTransfer == strategy.CoherenceNotification:
 		n := o.frame(msg.KindNotify, nil)
 		n.Pages = pagesOf(ups)
+		n.Write = last.Write
 		o.multicast(tos, n)
 	case o.strat.CoherenceTransfer == strategy.CoherencePartial:
 		// Operation shipping: a single update travels as its marshalled
@@ -293,44 +295,45 @@ func (o *Object) submitOp(u *coherence.Update) {
 			o.demandFromParent()
 		}
 	}
-	for _, r := range released {
-		if p := r.Inv.Page; p != "" {
-			delete(o.invalid, p)
-		}
-	}
 	o.applyReleased(released)
 }
 
 // onInvalidate handles an invalidation, or a notification — the same
-// machinery, but the message promises no content at all: mark the pages
-// stale, under object-outdate = demand refresh them immediately (otherwise
-// the next access fetches), and relay the notice so lower layers learn of
-// the change too.
+// machinery, but the message promises no content at all: mark each page (or,
+// for a page-less notice, every page) with the write it names, and relay the
+// notice so lower layers learn of the change too. A page-less notice counts
+// as one invalidation.
 func (o *Object) onInvalidate(m *msg.Message) {
-	o.markInvalid(m.Pages)
-	if o.strat.ObjectOutdate == strategy.Demand {
-		o.refreshInvalid(m.Pages)
+	add(&o.stats.Invalidations, uint64(max(len(m.Pages), 1)))
+	if len(m.Pages) == 0 {
+		o.require("", m.Write)
+	}
+	for _, p := range m.Pages {
+		o.require(p, m.Write)
 	}
 	o.relayDown(m)
 }
 
-func (o *Object) markInvalid(pages []string) {
-	// A page-less notice outdates everything at once and counts as one.
-	o.allInvalid = o.allInvalid || len(pages) == 0
-	add(&o.stats.Invalidations, uint64(max(len(pages), 1)))
-	for _, p := range pages {
-		// Page names arrive zero-copy decoded; the invalid set may hold
-		// them past the frame's lifetime, so clone (see cloneInv).
-		o.invalid[strings.Clone(p)] = true
+// require merges write w into page's invalid mark ("" marks every page), and
+// under object-outdate = demand refetches the page at once unless K(page)
+// already covers the mark (otherwise the next access fetches). A notice that
+// names no write marks nothing. The mark is made once per page and reused by
+// every later notice.
+func (o *Object) require(page string, w ids.WiD) {
+	if w.Zero() {
+		return
 	}
-}
-
-// refreshInvalid fetches fresh state for invalidated pages right away.
-func (o *Object) refreshInvalid(pages []string) {
-	if len(pages) == 0 {
-		o.fetch("")
+	r := o.invalid[page]
+	if r == nil {
+		// Page names arrive zero-copy decoded; the mark outlives the frame,
+		// so clone (see cloneInv).
+		r = new(msg.Vec)
+		o.invalid[strings.Clone(page)] = r
 	}
-	for _, p := range pages {
-		o.fetch(p)
+	if r.Get(w.Client) < w.Seq {
+		r.Set(w.Client, w.Seq)
+	}
+	if o.strat.ObjectOutdate == strategy.Demand && !o.current(page) {
+		o.fetch(page)
 	}
 }

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -214,7 +215,7 @@ func (o *Object) compact() error {
 		Applied:    o.applied(),
 		NextGlobal: o.nextGlobal,
 		Lamport:    o.lamport.Now(),
-		Children:   o.Children(),
+		Children:   slices.Clone(o.children),
 	}
 	if g := o.engine.Global(); g > snap.NextGlobal {
 		snap.NextGlobal = g

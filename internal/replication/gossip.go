@@ -32,15 +32,6 @@ func (o *Object) RemovePeer(addr string) {
 	delete(o.peers, addr)
 }
 
-// Peers returns the registered gossip peers.
-func (o *Object) Peers() []string {
-	out := make([]string, 0, len(o.peers))
-	for p := range o.peers {
-		out = append(out, p)
-	}
-	return out
-}
-
 // armGossip schedules the next anti-entropy round. The lazy interval doubles
 // as the gossip period (both express "how stale may replicas drift").
 func (o *Object) armGossip() {
@@ -71,27 +62,16 @@ func (o *Object) gossipRound() {
 	}
 }
 
-// onGossip handles a peer's digest: ship whatever the peer is missing (as a
-// single batch frame when more than one update is due), and answer with our
-// own digest so the exchange is symmetric.
+// onGossip handles a peer's digest, or its reply to ours: ship whatever the
+// peer is missing (as a single batch frame when more than one update is due).
+// A digest is answered with our own, so the exchange is symmetric; the reply
+// closes the loop (our writes that arrived after the peer's gossip was sent).
 func (o *Object) onGossip(m *msg.Message) {
 	var few [8]*coherence.Update
 	o.sendUpdates(m.From, o.log.since(&m.VVec, few[:0]))
-	r := o.frame(msg.KindGossipReply, m)
-	r.VVec = o.appliedVec()
-	o.send(m.From, r)
-}
-
-// onGossipReply closes the loop: ship the peer anything the reply digest
-// shows it still lacks (our writes that arrived after its gossip was sent).
-func (o *Object) onGossipReply(m *msg.Message) {
-	var few [8]*coherence.Update
-	o.sendUpdates(m.From, o.log.since(&m.VVec, few[:0]))
-}
-
-// validGossipStrategy reports whether gossip handling applies (defensive:
-// gossip messages for non-eventual objects are ignored — ordering models
-// synchronise through the store hierarchy instead).
-func (o *Object) validGossipStrategy() bool {
-	return o.strat.Model == coherence.Eventual
+	if m.Kind == msg.KindGossip {
+		r := o.frame(msg.KindGossipReply, m)
+		r.VVec = o.appliedVec()
+		o.send(m.From, r)
+	}
 }

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"repro/internal/coherence"
 	"repro/internal/msg"
 	"repro/internal/strategy"
 )
@@ -55,13 +56,11 @@ func (o *Object) Handle(m *msg.Message) {
 		o.onSubscribeAck(m)
 	case msg.KindUnsubscribe:
 		o.onUnsubscribe(m)
-	case msg.KindGossip:
-		if o.validGossipStrategy() {
+	case msg.KindGossip, msg.KindGossipReply:
+		// Only the eventual model gossips; ordering models synchronise
+		// through the store hierarchy.
+		if o.strat.Model == coherence.Eventual {
 			o.onGossip(m)
-		}
-	case msg.KindGossipReply:
-		if o.validGossipStrategy() {
-			o.onGossipReply(m)
 		}
 	case msg.KindDigest:
 		o.onDigest(m)

@@ -25,11 +25,6 @@ func (o *Object) onRead(m *msg.Message) {
 	o.serveRead(m, nil)
 }
 
-// requirementMet checks the read's session-guarantee requirement vector.
-func (o *Object) requirementMet(m *msg.Message) bool {
-	return o.coversVec(&m.VVec)
-}
-
 // awaitsForwarded is the wait-or-demand decision for a read whose requirement
 // req this replica does not cover: wait when the answer is already on its way
 // down. That is so when the parent pushes every update the moment it applies
@@ -56,23 +51,40 @@ func (o *Object) awaitsForwarded(req *msg.Vec) bool {
 	return ok
 }
 
-// invalidated reports whether this replica may not hand out page (or, for
-// "", the object as a reader sees it) because a notice from upstream marked
-// it outdated. A store with no parent has nobody to refetch from: what it
-// holds is the object.
-func (o *Object) invalidated(page string) bool {
-	return o.parent != "" && (o.allInvalid || o.invalid[page])
+// current reports whether this replica may serve or hand out page: K(page)
+// covers the page's invalid mark and the page-less one. A store with no
+// parent has nobody to refetch from: what it holds is the object.
+func (o *Object) current(page string) bool {
+	return o.parent == "" || (o.meets(page, page) && o.meets(page, ""))
+}
+
+// currentWhole reports whether the whole object may be handed out: every
+// mark is met by its own page's knowledge (the page-less one by applied(),
+// which every page's knowledge includes).
+func (o *Object) currentWhole() bool {
+	for page := range o.invalid {
+		if !o.current(page) {
+			return false
+		}
+	}
+	return true
+}
+
+// meets reports whether K(page) covers the invalid mark kept under mark.
+func (o *Object) meets(page, mark string) bool {
+	r := o.invalid[mark]
+	return r == nil || o.knows(page, r)
 }
 
 // serveRead answers read m from the local semantics object, or parks it: for
 // coherence when its requirement vector is not covered, for state when the
-// page is invalidated or missing here and a parent can supply it. p is m's
+// page is not current or missing here and a parent can supply it. p is m's
 // parked entry when the read has waited before, nil on arrival. A miss that
 // outlives a completed full state transfer means the parent lacks the element
 // too, so the read fails with not-found rather than livelocking in a fetch →
 // state-reply → reconsider cycle.
 func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
-	if !o.requirementMet(m) {
+	if !o.knows("", &m.VVec) {
 		if p == nil {
 			inc(&o.stats.ReqViolations)
 			// §4: under demand "the cache first demands an update from the
@@ -93,8 +105,8 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 		return
 	}
 	page := m.Inv.Page
-	invalid := o.invalidated(page)
-	if !invalid {
+	current := o.current(page)
+	if current {
 		payload, err := o.env.ServeRead(m.Inv)
 		if err == nil {
 			inc(&o.stats.ReadsServed)
@@ -113,10 +125,11 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 		}
 	}
 	p = o.park(m, p)
-	// The fetch for an invalidated page stays in flight until its reply
-	// clears the mark; a miss after a fetch means that fetch did not bring
-	// the element, so ask again.
-	if !invalid || !p.fetchTried {
+	// The fetch for a page that is not current stays in flight until its
+	// reply lands (onStateReply asks again if that did not meet the mark); a
+	// miss after a fetch means that fetch did not bring the element, so ask
+	// again.
+	if current || !p.fetchTried {
 		o.fetch(page)
 		p.fetchTried, p.fetchedAt = true, o.fullFetches
 	}

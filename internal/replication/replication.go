@@ -305,10 +305,14 @@ type Object struct {
 	// retry timer must chase it anyway (see retryDemand).
 	digestGapDemand bool
 
-	// Cache validity: pages invalidated by Invalidate/Notify messages, and
-	// allInvalid set by a page-less notification.
-	invalid    map[string]bool
-	allInvalid bool
+	// invalid holds the invalid marks: per page, the writes an invalidation
+	// or notification from upstream named, which the page must include before
+	// it is served or handed out again (current). The "" entry is the
+	// page-less mark every page must meet as well. A mark is met once the
+	// page's knowledge covers it (knows), whichever transfer or op brought
+	// that, so nothing clears it and a stale transfer cannot; the entry stays
+	// for the next notice to merge into.
+	invalid map[string]*msg.Vec
 	// fetchVec is coherence knowledge gained by full state transfer rather
 	// than ordered updates.
 	fetchVec ids.VersionVec
@@ -466,7 +470,7 @@ func New(cfg Config) (*Object, error) {
 		engine:         eng,
 		nextGlobal:     1,
 		stamped:        make(map[ids.ClientID]*stampedSeqs),
-		invalid:        make(map[string]bool),
+		invalid:        make(map[string]*msg.Vec),
 		fetchVec:       ids.NewVersionVec(4),
 		forwarded:      ids.NewVersionVec(4),
 		appliedScratch: ids.NewVersionVec(4),
@@ -512,14 +516,8 @@ func (o *Object) Stats() Stats { return *o.stats }
 // Engine exposes the ordering engine (tests, metrics).
 func (o *Object) Engine() coherence.Engine { return o.engine }
 
-// Role returns the store role hosting this object.
-func (o *Object) Role() Role { return o.role }
-
 // Parent returns the configured parent address.
 func (o *Object) Parent() string { return o.parent }
-
-// Children returns the subscribed child addresses, sorted.
-func (o *Object) Children() []string { return slices.Clone(o.children) }
 
 // addChild and removeChild report whether the set changed. Each change makes
 // a new slice, so one handed to a transport earlier is never written under it.
@@ -583,9 +581,6 @@ func (o *Object) Retune(s strategy.Strategy) error {
 	return nil
 }
 
-// Strategy returns the currently active strategy.
-func (o *Object) Strategy() strategy.Strategy { return o.strat }
-
 // applied is the store's total coherence knowledge: ordered applies plus
 // state-transfer knowledge.
 func (o *Object) applied() ids.VersionVec {
@@ -621,15 +616,34 @@ func (o *Object) covers(w ids.WiD) bool {
 	return o.engine.Covers(w) || o.fetchVec.CoversWrite(w)
 }
 
-// coversVec reports whether applied() dominates v, entry by entry and
-// without materialising applied().
-func (o *Object) coversVec(v *msg.Vec) bool {
+// knows is the one coverage question: does K(page) dominate v, entry by entry
+// and without materialising it? K(page) is what this replica knows page to
+// hold: applied() merged with pageVec[page], the vectors of the transfers
+// that brought page on its own. For "" it is applied() alone. install's stale
+// guard, the invalid marks (current) and a read's session requirement all ask
+// it.
+func (o *Object) knows(page string, v *msg.Vec) bool {
+	pv := o.pageVec[page]
 	ok := true
 	v.Each(func(c ids.ClientID, s uint64) bool {
-		ok = o.covers(ids.WiD{Client: c, Seq: s})
+		w := ids.WiD{Client: c, Seq: s}
+		ok = o.covers(w) || pv.CoversWrite(w)
 		return ok
 	})
 	return ok
+}
+
+// knowledge is K(page) in wire form. A page reply carries it, so the
+// receiver's pageVec records what the page holds and not only what this
+// replica has applied. Only a page fetched on its own pays for the merge.
+func (o *Object) knowledge(page string) msg.Vec {
+	pv := o.pageVec[page]
+	if len(pv) == 0 {
+		return o.appliedVec()
+	}
+	k := o.applied()
+	k.Merge(pv)
+	return msg.VecFrom(k)
 }
 
 // Applied exposes the combined applied vector.

@@ -220,7 +220,7 @@ func TestNotifyTriggersDemandWhenReactionIsDemand(t *testing.T) {
 	st := strategy.Conference(time.Hour)
 	st.ObjectOutdate = strategy.Demand
 	o := newObj(t, env, RoleClientInitiated, st, "parent-store")
-	o.Handle(&msg.Message{Kind: msg.KindNotify, Object: "obj", From: "parent-store", Pages: []string{"p"}})
+	o.Handle(&msg.Message{Kind: msg.KindNotify, Object: "obj", From: "parent-store", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 1}})
 	// Access transfer full -> full state request.
 	reqs := env.takeSent(msg.KindStateRequest)
 	if len(reqs) != 1 || reqs[0].To != "parent-store" {
@@ -247,7 +247,7 @@ func TestInvalidateWaitDefersUntilAccess(t *testing.T) {
 		Pages: []string{"p"}, Payload: el, VVec: msg.VecFrom(ids.VersionVec{1: 1}),
 	})
 	// Invalidation arrives; wait reaction -> no traffic yet.
-	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "parent-store", Pages: []string{"p"}})
+	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "parent-store", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
 	if reqs := env.takeSent(msg.KindStateRequest); len(reqs) != 0 {
 		t.Fatalf("wait reaction fetched eagerly: %+v", reqs)
 	}

@@ -1,9 +1,11 @@
 package replication
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/coherence"
 	"repro/internal/control"
 	"repro/internal/ids"
 	"repro/internal/msg"
@@ -72,7 +74,7 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 			if acks := env.takeSent(msg.KindSubscribeAck); len(acks) != 1 || transferredPage(t, acks[0], "p") != "v1" {
 				t.Fatalf("setup: bootstrap acks %+v", acks)
 			}
-			o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}})
+			o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
 			if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 || fetches[0].To != "www" {
 				t.Fatalf("setup: the invalidated mirror sent %+v upstream, want one fetch", fetches)
 			}
@@ -114,10 +116,10 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 	}
 }
 
-// TestWholeObjectInstallClearsInvalidMarks pins install's rule for the marks:
-// a whole-object transfer replaces every page, so it clears every page's mark
-// and the page-less one, whichever frame carried it. (The subscribe ack used
-// not to, and its reader refetched content it had just been handed.)
+// TestWholeObjectInstallClearsInvalidMarks: a whole-object transfer taken at
+// the marked write replaces every page, so it meets every page's mark and the
+// page-less one, whichever frame carried it. (The subscribe ack used not to,
+// and its reader refetched content it had just been handed.)
 func TestWholeObjectInstallClearsInvalidMarks(t *testing.T) {
 	doc := webdoc.New()
 	doc.Put("p", []byte("v1"), "", 1)
@@ -144,8 +146,9 @@ func TestWholeObjectInstallClearsInvalidMarks(t *testing.T) {
 				Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
 				Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1}), GlobalSeq: 2,
 			})
-			o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "parent-store", Pages: []string{"p"}})
-			o.Handle(&msg.Message{Kind: msg.KindNotify, Object: "obj", From: "parent-store"})
+			w := ids.WiD{Client: 1, Seq: 2}
+			o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "parent-store", Pages: []string{"p"}, Write: w})
+			o.Handle(&msg.Message{Kind: msg.KindNotify, Object: "obj", From: "parent-store", Write: w})
 			o.Handle(&msg.Message{
 				Kind: kind, Object: "obj", From: "parent-store",
 				Payload: snap2, VVec: msg.VecFrom(ids.VersionVec{1: 2}), GlobalSeq: 3,
@@ -166,5 +169,187 @@ func TestWholeObjectInstallClearsInvalidMarks(t *testing.T) {
 				t.Fatalf("served %q, %v; want v2", pg.Content, err)
 			}
 		})
+	}
+}
+
+// readPage reads page at o as a session-less client and returns what it was
+// served, with ok false when no read reply went out.
+func readPage(t *testing.T, env *fakeEnv, o *Object, page string) (content string, ok bool) {
+	t.Helper()
+	o.Handle(&msg.Message{
+		Kind: msg.KindReadRequest, Object: "obj", From: "reader-ep", Client: 9,
+		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: page},
+	})
+	replies := env.takeSent(msg.KindReadReply)
+	if len(replies) == 0 {
+		return "", false
+	}
+	if len(replies) != 1 || replies[0].Status != msg.StatusOK {
+		t.Fatalf("read replies: %+v", replies)
+	}
+	pg, err := webdoc.DecodePage(replies[0].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(pg.Content), true
+}
+
+// TestWholeReplyTakenBeforeAMarkKeepsIt: a cache that fetches the whole
+// object for c2#1 hears c1#2 invalidate p before that fetch's reply lands.
+// The reply was taken before c1#2, so it must not meet p's mark: the cache
+// used to clear every mark on any whole install and serve p = v1 with no
+// fetch outstanding, stale until the next write.
+func TestWholeReplyTakenBeforeAMarkKeepsIt(t *testing.T) {
+	doc := webdoc.New()
+	doc.Put("p", []byte("v1"), "", 1)
+	doc.Put("q", []byte("q0"), "", 1)
+	boot, _ := doc.Snapshot()
+	doc.Put("q", []byte("q1"), "", 2)
+	early, _ := doc.Snapshot()
+	doc.Put("p", []byte("v2"), "", 2)
+	fresh, _ := doc.Snapshot()
+
+	env := newFakeEnv()
+	st := strategy.PopularEventPage()
+	st.Writers = strategy.MultipleWriters
+	st.AccessTransfer = strategy.TransferFull
+	o := newObj(t, env, RoleClientInitiated, st, "www")
+	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: boot, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
+	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"q"}, Write: ids.WiD{Client: 2, Seq: 1}})
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
+		t.Fatalf("setup: invalidating q sent %d fetches, want 1", len(fetches))
+	}
+	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: early, VVec: msg.VecFrom(ids.VersionVec{1: 1, 2: 1})})
+	env.sent = nil
+
+	if got, ok := readPage(t, env, o, "p"); ok {
+		t.Fatalf("served p = %q from a snapshot taken before c1#2", got)
+	}
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
+		t.Fatalf("parked read of stale p sent %d fetches, want 1", len(fetches))
+	}
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: fresh, VVec: msg.VecFrom(ids.VersionVec{1: 2, 2: 1})})
+	replies := env.takeSent(msg.KindReadReply)
+	if len(replies) != 1 {
+		t.Fatalf("parked read got %d replies after the fresh snapshot, want 1", len(replies))
+	}
+	if pg, err := webdoc.DecodePage(replies[0].Payload); err != nil || string(pg.Content) != "v2" {
+		t.Fatalf("served %q, %v; want v2", pg.Content, err)
+	}
+}
+
+// TestOldPageReplyLeavesMarkSet: under partial transfer with object-outdate
+// wait, a page reply taken before the invalidating write but delivered after
+// its invalidation is installed and still leaves the page marked: the parked
+// read is not served the old content, and the page is fetched again.
+func TestOldPageReplyLeavesMarkSet(t *testing.T) {
+	doc := webdoc.New()
+	doc.Put("p", []byte("v1"), "", 1)
+	el1, _ := doc.SnapshotElement("p")
+	doc.Put("p", []byte("v2"), "", 2)
+	el2, _ := doc.SnapshotElement("p")
+
+	env := newFakeEnv()
+	st := strategy.PopularEventPage()
+	st.ObjectOutdate = strategy.Wait
+	o := newObj(t, env, RoleClientInitiated, st, "www")
+	if got, ok := readPage(t, env, o, "p"); ok {
+		t.Fatalf("cold cache served %q", got)
+	}
+	env.takeSent(msg.KindStateRequest)
+	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el1, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
+	if replies := env.takeSent(msg.KindReadReply); len(replies) != 0 {
+		pg, _ := webdoc.DecodePage(replies[0].Payload)
+		t.Fatalf("old page reply met the mark: read served %q", pg.Content)
+	}
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 || fetches[0].Pages[0] != "p" {
+		t.Fatalf("old page reply was not followed by a refetch: %+v", fetches)
+	}
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2})})
+	replies := env.takeSent(msg.KindReadReply)
+	if len(replies) != 1 {
+		t.Fatalf("parked read got %d replies after the fresh page, want 1", len(replies))
+	}
+	if pg, err := webdoc.DecodePage(replies[0].Payload); err != nil || string(pg.Content) != "v2" {
+		t.Fatalf("served %q, %v; want v2", pg.Content, err)
+	}
+}
+
+// TestMirrorPageReplyCarriesPageVector: a mirror that fetched p at c1#2 while
+// its applied vector stayed at c1#1 must say so in the page reply it hands a
+// cache. The reply used to carry only the applied vector, so the cache's
+// page vector understated p and the replayed op c1#2 was appended a second
+// time — the chaos suite's "c4.14; c4.15; c4.14; c4.15" at cache2.
+func TestMirrorPageReplyCarriesPageVector(t *testing.T) {
+	appendUpd := func(seq uint64) *coherence.Update {
+		return &coherence.Update{
+			Write: ids.WiD{Client: 1, Seq: seq}, GlobalSeq: seq,
+			Inv: msg.Invocation{
+				Method: webdoc.MethodAppendPage, Page: "p",
+				Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: []byte(fmt.Sprintf("c1.%d;", seq))}),
+			},
+		}
+	}
+	www := control.New(webdoc.New())
+	if err := www.ApplyOp(appendUpd(1)); err != nil {
+		t.Fatal(err)
+	}
+	snap1, _ := www.Snapshot()
+	if err := www.ApplyOp(appendUpd(2)); err != nil {
+		t.Fatal(err)
+	}
+	el2, _ := www.SnapshotElement("p")
+	inv := func(from string) *msg.Message {
+		return &msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: from, Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}}
+	}
+
+	st := strategy.PopularEventPage()
+	mirrorEnv := newFakeEnv()
+	mirror := newObj(t, mirrorEnv, RoleObjectInitiated, st, "www")
+	mirror.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
+	mirror.Handle(inv("www"))
+	mirror.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2})})
+
+	cacheEnv := newFakeEnv()
+	cache := newObj(t, cacheEnv, RoleClientInitiated, st, "mirror")
+	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
+	cache.Handle(inv("mirror"))
+	mirrorEnv.sent = nil
+	mirror.Handle(&msg.Message{Kind: msg.KindStateRequest, Object: "obj", From: "cache", Pages: []string{"p"}})
+	replies := mirrorEnv.takeSent(msg.KindStateReply)
+	if len(replies) != 1 {
+		t.Fatalf("mirror sent %d page replies, want 1", len(replies))
+	}
+	reply := replies[0]
+	reply.From = "mirror"
+	cache.Handle(reply)
+	// The same write replayed as an op, as a demand answered from the
+	// mirror's log would bring it.
+	u := appendUpd(2)
+	cache.Handle(&msg.Message{Kind: msg.KindUpdate, Object: "obj", From: "mirror", Write: u.Write, GlobalSeq: u.GlobalSeq, Inv: u.Inv})
+	if got := pageTokens(t, cacheEnv, "p"); got != "c1.1;c1.2;" {
+		t.Fatalf("cache page = %q, want c1.1;c1.2;", got)
+	}
+}
+
+// TestCoveredInvalidationFetchesNothing: an invalidation that arrives after a
+// transfer already brought its write (the link reordered them) leaves the page
+// current — no refetch, and a read is served at once.
+func TestCoveredInvalidationFetchesNothing(t *testing.T) {
+	doc := webdoc.New()
+	doc.Put("p", []byte("v2"), "", 2)
+	el2, _ := doc.SnapshotElement("p")
+	env := newFakeEnv()
+	o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "www")
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2})})
+	env.sent = nil
+	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 0 {
+		t.Fatalf("late invalidation of a covered write fetched: %+v", fetches)
+	}
+	if got, ok := readPage(t, env, o, "p"); !ok || got != "v2" {
+		t.Fatalf("read served %q (ok %v), want v2 at once", got, ok)
 	}
 }

@@ -87,15 +87,14 @@ func (o *Object) retryDemand() {
 // readLacksWrite reports whether a parked read's requirement is still unmet.
 func (o *Object) readLacksWrite() bool {
 	return slices.ContainsFunc(o.parked, func(p *parkedReq) bool {
-		return p.m.Kind == msg.KindReadRequest && !o.requirementMet(p.m)
+		return p.m.Kind == msg.KindReadRequest && !o.knows("", &p.m.VVec)
 	})
 }
 
 // fetchesWhole reports whether fetching page means fetching the whole
-// object: the access-transfer type says so, the request names no page, or a
-// page-less notice outdated everything at once (no page reply lifts that).
+// object: the access-transfer type says so, or the request names no page.
 func (o *Object) fetchesWhole(page string) bool {
-	return o.strat.AccessTransfer == strategy.TransferFull || page == "" || o.allInvalid
+	return o.strat.AccessTransfer == strategy.TransferFull || page == ""
 }
 
 // fetch requests state per the access-transfer type: one element
@@ -150,13 +149,13 @@ func (o *Object) onDemand(m *msg.Message) {
 
 // serveState is the one place state leaves this replica for another: it
 // answers req — a child's state request (one page, or the whole object), a
-// subscribe (the bootstrap ack), or a demand the log cannot answer — and
-// owns the rule for what may be handed out: never a page marked invalid,
-// and nothing whole while any mark is set. The receiver installs what it
-// gets and clears its own mark on it, so state served from behind a mark
-// would leave a whole subtree one version stale with nothing to flag it.
-// While a parent can supply fresh content the request parks behind this
-// replica's own fetch (p is its entry from an earlier visit, nil on arrival):
+// subscribe (the bootstrap ack), or a demand the log cannot answer. It hands
+// out a page only while K(page) covers the page's invalid marks (current),
+// and the whole object only while every page's does, so nothing it sends is
+// older than a write it has been told of. A page reply carries K(page), the
+// whole object applied(): the vector of what the receiver installs. While a
+// parent can supply fresh content the request parks behind this replica's
+// own fetch (p is its entry from an earlier visit, nil on arrival):
 // reconsiderParked answers it from what the fetch installs, expireParked
 // drops it at ReadTimeout.
 func (o *Object) serveState(req *msg.Message, p *parkedReq) {
@@ -164,7 +163,7 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 	if req.Kind == msg.KindStateRequest && len(req.Pages) > 0 {
 		page = req.Pages[0]
 	}
-	if o.invalidated(page) || (page == "" && o.parent != "" && len(o.invalid) > 0) {
+	if !o.current(page) || (page == "" && !o.currentWhole()) {
 		if p = o.park(req, p); !p.fetchTried {
 			o.fetch(page)
 			p.fetchTried = true
@@ -176,7 +175,7 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 		kind = msg.KindSubscribeAck
 	}
 	r := o.frame(kind, req)
-	r.VVec = o.appliedVec()
+	r.VVec = o.knowledge(page)
 	if page != "" {
 		r.Pages = req.Pages[:1]
 		data, err := o.env.SnapshotElement(page)
@@ -216,38 +215,33 @@ func (o *Object) onStateReply(m *msg.Message) {
 		return
 	}
 	o.install(page, &m.VVec, m.GlobalSeq, m.Payload)
+	if !o.current(page) {
+		// Taken before the write the page's mark names: ask again.
+		o.fetch(page)
+	}
 }
 
 // install is the one place state from another replica replaces content here:
 // one page's (a page state reply), or the whole object's when page is "" (a
-// pushed snapshot, a full state reply, the subscribe ack). v is the sender's
-// applied vector when it took the state, gseq its sequencer position. It
-// reports whether the state was taken, and retries parked requests either
-// way — a dropped transfer still proves the parent answered.
+// pushed snapshot, a full state reply, the subscribe ack). v is the vector of
+// what the sender held — K(page) for a page, its applied vector for the whole
+// object — and gseq its sequencer position. It reports whether the state was
+// taken, and retries parked requests either way — a dropped transfer still
+// proves the parent answered.
 //
-// Every transfer first passes the stale guard (staleSnapshot): demand and
-// subscribe retries and link duplication put several transfers in flight,
-// and a late one this replica already covers must not roll content back.
-// reapplyBeyond cannot repair such a rollback — it replays only logged ops,
-// and ops whose effects arrived inside an earlier transfer were never logged
-// — so an unguarded overwrite leaves a mid-sequence gap readers can observe
-// (an MW/PRAM violation) that no digest would ever flag. One exception: a
-// page marked invalid is outdated by definition, and an invalidation advances
-// no vector for the guard to compare, so its fetch is taken as it comes.
-//
-// What a taken transfer does to the invalid marks: a page transfer clears
-// that page's mark; a whole-object transfer clears every mark, the page-less
-// one included, whichever frame carried it — it replaces every page, so no
-// mark describes the content held any longer. This presumes the snapshot is
-// no older than the marks. serveState guarantees the sender was not itself
-// handing out invalidated content, and on an ordered link a snapshot taken
-// before a write arrives before that write's invalidation; a reordering link
-// can deliver one late, and because the guard cannot see invalidations that
-// snapshot passes it. The chaos matrix has no invalidation leg yet (ROADMAP
-// 1(b)) to put a number on that window.
+// A transfer is taken only if K(page) does not already cover v (the stale
+// guard, staleSnapshot): demand and subscribe retries and link duplication
+// put several transfers in flight, and a late one this replica already
+// covers must not roll content back. reapplyBeyond cannot repair such a
+// rollback — it replays only logged ops, and ops whose effects arrived inside
+// an earlier transfer were never logged — so an unguarded overwrite leaves a
+// mid-sequence gap readers can observe (an MW/PRAM violation) that no digest
+// would ever flag. Installing v grows K(page), and that alone meets the
+// invalid marks v covers: a transfer taken before a mark's write, however
+// late it arrives, leaves the mark unmet.
 func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) bool {
 	defer o.reconsiderParked()
-	if o.staleSnapshot(v, page) && !(page != "" && (o.invalid[page] || o.allInvalid)) {
+	if o.staleSnapshot(v, page) {
 		return false
 	}
 	if page != "" {
@@ -255,7 +249,6 @@ func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) b
 			return false
 		}
 		o.reapplyBeyond(v, page)
-		delete(o.invalid, page)
 		pv, ok := o.pageVec[page]
 		if !ok {
 			pv = ids.NewVersionVec(4)
@@ -272,8 +265,6 @@ func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) b
 		o.fullFetches++
 		o.reapplyBeyond(v, "")
 	}
-	clear(o.invalid)
-	o.allInvalid = false
 	// The snapshot already reflects every write in v: seed the ordering
 	// engine so pushed op updates it covers are not re-applied.
 	v.MergeInto(o.fetchVec)
@@ -288,12 +279,11 @@ func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) b
 // since inside an earlier one: reapplyBeyond restores only logged ops, and a
 // page's own vector goes on claiming the lost writes, so the ordered updates
 // that would repair them are skipped as covered. A transfer is stale when
-// this replica already knows every write in v — applied, fetched whole, or
-// fetched for that page — and a whole-object transfer also when it predates
-// any page fetched on its own. An empty v is a snapshot from before the first
-// write: what a fresh replica bootstraps from when the parent was seeded with
-// content, so it installs while the replica knows of no write to what it
-// replaces, and is stale from then on.
+// K(page) already covers v, and a whole-object transfer also when it
+// predates any page fetched on its own. An empty v is a snapshot from before
+// the first write: what a fresh replica bootstraps from when the parent was
+// seeded with content, so it installs while the replica knows of no write to
+// what it replaces, and is stale from then on.
 func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
 	if page == "" {
 		for _, fetched := range o.pageVec {
@@ -304,18 +294,11 @@ func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
 			}
 		}
 	}
-	pv := o.pageVec[page]
 	if v.Len() == 0 {
 		known := o.appliedVec()
-		return known.Len() > 0 || len(pv) > 0
+		return known.Len() > 0 || len(o.pageVec[page]) > 0
 	}
-	covered := true
-	v.Each(func(c ids.ClientID, s uint64) bool {
-		w := ids.WiD{Client: c, Seq: s}
-		covered = o.covers(w) || pv.CoversWrite(w)
-		return covered
-	})
-	return covered
+	return o.knows(page, v)
 }
 
 // reapplyBeyond re-applies logged updates the snapshot vector does not

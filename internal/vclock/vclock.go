@@ -10,71 +10,19 @@
 package vclock
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/ids"
 )
 
-// Ordering is the result of comparing two vector clocks.
-type Ordering int
-
-// The four possible relations between two vector clocks.
-const (
-	Equal Ordering = iota + 1
-	Before
-	After
-	Concurrent
-)
-
-// String names the ordering.
-func (o Ordering) String() string {
-	switch o {
-	case Equal:
-		return "equal"
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	case Concurrent:
-		return "concurrent"
-	default:
-		return fmt.Sprintf("Ordering(%d)", int(o))
-	}
-}
-
 // VC is a vector clock: one logical-event counter per client. It is the same
-// type as ids.VersionVec (Get, Set, Clone, Merge, Covers and String are
-// declared there); this package adds what only a clock needs, Tick and
-// Compare, as functions — Go allows no new methods on another package's type.
-// The zero value (nil map) is a valid, empty clock for read operations; use
-// New or Clone before mutating.
+// type as ids.VersionVec, which declares everything a clock needs (Get, Set,
+// Clone, Merge, Covers and String). The zero value (nil map) is a valid,
+// empty clock for read operations; use New or Clone before mutating.
 type VC = ids.VersionVec
 
 // New returns an empty vector clock.
 func New() VC { return make(VC) }
-
-// Tick increments v's component for client c and returns the new value.
-func Tick(v VC, c ids.ClientID) uint64 {
-	v[c]++
-	return v[c]
-}
-
-// Compare classifies the relation between v and o.
-func Compare(v, o VC) Ordering {
-	vCovers := v.Covers(o)
-	oCovers := o.Covers(v)
-	switch {
-	case vCovers && oCovers:
-		return Equal
-	case oCovers:
-		return Before
-	case vCovers:
-		return After
-	default:
-		return Concurrent
-	}
-}
 
 // Lamport is a thread-safe Lamport clock. The zero value is ready to use.
 type Lamport struct {

@@ -8,53 +8,6 @@ import (
 	"repro/internal/ids"
 )
 
-func TestCompareBasics(t *testing.T) {
-	a := VC{1: 1}
-	b := VC{1: 2}
-	if got := Compare(a, b); got != Before {
-		t.Fatalf("Compare(a, b) = %v, want Before", got)
-	}
-	if got := Compare(b, a); got != After {
-		t.Fatalf("Compare(b, a) = %v, want After", got)
-	}
-	if got := Compare(a, a.Clone()); got != Equal {
-		t.Fatalf("equal clocks compare %v, want Equal", got)
-	}
-	c := VC{2: 1}
-	if got := Compare(a, c); got != Concurrent {
-		t.Fatalf("disjoint clocks compare %v, want Concurrent", got)
-	}
-}
-
-func TestTickAndHappensBefore(t *testing.T) {
-	v := New()
-	if got := Tick(v, 1); got != 1 {
-		t.Fatalf("first tick = %d, want 1", got)
-	}
-	w := v.Clone()
-	Tick(w, 1)
-	if got := Compare(v, w); got != Before {
-		t.Fatalf("v should happen before its successor, got %v", got)
-	}
-	if got := Compare(w, v); got != After {
-		t.Fatalf("successor must come after its predecessor, got %v", got)
-	}
-}
-
-func TestOrderingString(t *testing.T) {
-	cases := map[Ordering]string{
-		Equal: "equal", Before: "before", After: "after", Concurrent: "concurrent",
-	}
-	for o, want := range cases {
-		if got := o.String(); got != want {
-			t.Fatalf("Ordering(%d).String() = %q, want %q", int(o), got, want)
-		}
-	}
-	if got := Ordering(99).String(); got != "Ordering(99)" {
-		t.Fatalf("unknown ordering String() = %q", got)
-	}
-}
-
 func TestVCString(t *testing.T) {
 	v := VC{2: 3, 1: 1}
 	if got, want := v.String(), "{c1:1 c2:3}"; got != want {
@@ -62,29 +15,6 @@ func TestVCString(t *testing.T) {
 	}
 	if got := (VC)(nil).String(); got != "{}" {
 		t.Fatalf("nil String() = %q, want {}", got)
-	}
-}
-
-// Property: Compare is antisymmetric — swapping operands flips Before/After,
-// preserves Equal/Concurrent.
-func TestCompareAntisymmetric(t *testing.T) {
-	f := func(xa, xb map[uint8]uint16) bool {
-		a, b := mkVC(xa), mkVC(xb)
-		x, y := Compare(a, b), Compare(b, a)
-		switch x {
-		case Equal:
-			return y == Equal
-		case Concurrent:
-			return y == Concurrent
-		case Before:
-			return y == After
-		case After:
-			return y == Before
-		}
-		return false
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -186,7 +186,8 @@ func TestNetworkAndNamingAccessors(t *testing.T) {
 	if server.Name() != "www" {
 		t.Fatalf("store name %q", server.Name())
 	}
-	entries := sys.Naming().Lookup("doc")
+	rec, _ := sys.Naming().Record("doc")
+	entries := rec.Entries
 	if len(entries) != 1 || !strings.Contains(entries[0].Addr, "www") {
 		t.Fatalf("naming entries %+v", entries)
 	}
