@@ -224,6 +224,42 @@ func BenchmarkMicro_OnDemand(b *testing.B) {
 	}
 }
 
+// --- micro: serving a read (the replica's share of every Get) -----------------
+
+// A permanent replica answers a 4 KiB page read: the reply is written into
+// the request and carries the page version's one shared encoding, so the
+// replica allocates nothing per read. Handle owns the request it answers in,
+// so each iteration hands it a fresh copy.
+func BenchmarkMicro_ServeRead(b *testing.B) {
+	env := &demandEnv{Control: control.New(webdoc.New())}
+	obj, err := replication.New(replication.Config{
+		Env: env, Object: "doc", Self: 1, Addr: "www", Role: replication.RolePermanent,
+		Strat: strategy.Conference(time.Hour),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer obj.Close()
+	obj.Handle(&msg.Message{
+		Kind: msg.KindWriteRequest, Object: "doc", From: "client", Client: 1, Write: ids.WiD{Client: 1, Seq: 1},
+		Inv: msg.Invocation{Method: webdoc.MethodPutPage, Page: "index.html",
+			Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: make([]byte, 4096)})},
+	})
+	read := msg.Message{Kind: msg.KindReadRequest, Object: "doc", From: "client", Client: 2,
+		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "index.html"}}
+	var req msg.Message
+	env.sent = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req = read
+		obj.Handle(&req)
+	}
+	if env.sent != b.N || req.Kind != msg.KindReadReply || req.Status != msg.StatusOK {
+		b.Fatalf("%d reads drew %d replies, the last %v %v", b.N, env.sent, req.Kind, req.Status)
+	}
+}
+
 // --- shared scenario helpers --------------------------------------------------
 
 type benchSys struct {

@@ -368,6 +368,20 @@
 // one oneShot value that Close stops in a loop, and the retained update log
 // is one type (updateLog, updatelog.go) — the only code that walks it.
 //
+// A hop allocates only the bytes it ships. frame returns a value built on
+// the handler's stack. A reply (a read reply, a refusal, a write or demand
+// ack, a state reply, a gossip reply) is written into the request it answers
+// (answer): Handle owns its message, and every transport hands each frame
+// over as a struct of its own. Every other frame leaves from one envelope per
+// replica (send, multicast), which the Env encodes before returning and does
+// not retain. A write ack parked for a group commit is kept by value with its
+// own copy of the address, so it pins nothing of the request's frame. A read
+// result is shared: webdoc encodes each page version once, on the first
+// GetPage or SnapshotElement after a write, and every later read returns that
+// slice until the next write; the transport copies it into the reply frame.
+// At the client, DecodePage makes two allocations: the page, which holds a
+// short content type as well, and the content.
+//
 // Its knobs are one struct, replication.Tuning (ReadTimeout, DemandRetry,
 // DigestInterval, ReparentAfter, Durability), whose withDefaults is the only
 // place a default is spelled; webobj.System fills one from its options and

@@ -101,16 +101,20 @@ func (s *Session) NextWrite() (ids.WiD, vclock.VC) {
 }
 
 // depsForLocked builds the dependency vector a write with sequence seq must
-// carry under the enabled models. Callers hold s.mu.
+// carry under the enabled models: nil when none asks for one, so a write
+// under RYW or MR alone allocates no vector. Callers hold s.mu.
 func (s *Session) depsForLocked(seq uint64) vclock.VC {
+	wfr := s.models[WritesFollowReads]
+	own := seq > 1 && (wfr || s.models[MonotonicWrites])
+	if !own && !wfr {
+		return nil
+	}
 	deps := vclock.New()
-	if s.models[WritesFollowReads] {
+	if wfr {
 		deps.Merge(s.readVC)
 	}
-	if s.models[MonotonicWrites] || s.models[WritesFollowReads] {
-		if seq > 1 {
-			deps.Set(s.client, seq-1)
-		}
+	if own {
+		deps.Set(s.client, seq-1)
 	}
 	return deps
 }

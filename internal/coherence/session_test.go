@@ -215,3 +215,36 @@ func TestSessionReallocationAbsorbsHole(t *testing.T) {
 		t.Fatalf("stale hole survived reallocation: %v", hs)
 	}
 }
+
+// A write carries a dependency vector only when Monotonic Writes or Writes
+// Follow Reads asks for one: under Read Your Writes and Monotonic Reads alone
+// NextWrite allocates nothing, while the MW and WFR vectors stay as they were.
+func TestSessionDepsOnlyWhenAModelAsks(t *testing.T) {
+	s := NewSession(3, ReadYourWrites, MonotonicReads)
+	s.ReadDone(ids.VersionVec{1: 4})
+	if a := testing.AllocsPerRun(100, func() {
+		if _, deps := s.NextWrite(); deps != nil {
+			t.Fatalf("RYW+MR write carries deps %v", deps)
+		}
+	}); a != 0 {
+		t.Fatalf("NextWrite under RYW+MR allocates %.0f times, want 0", a)
+	}
+
+	mw := NewSession(5, MonotonicWrites)
+	mw.ReadDone(ids.VersionVec{1: 4})
+	if _, deps := mw.NextWrite(); deps != nil {
+		t.Fatalf("first MW write carries deps %v", deps)
+	}
+	if _, deps := mw.NextWrite(); !deps.Equal(ids.VersionVec{5: 1}) {
+		t.Fatalf("second MW write deps = %v, want own previous write only", deps)
+	}
+
+	wfr := NewSession(4, WritesFollowReads)
+	wfr.ReadDone(ids.VersionVec{1: 7})
+	if _, deps := wfr.NextWrite(); !deps.Equal(ids.VersionVec{1: 7}) {
+		t.Fatalf("first WFR write deps = %v, want read history", deps)
+	}
+	if _, deps := wfr.SealWrite(2); !deps.Equal(ids.VersionVec{1: 7, 4: 1}) {
+		t.Fatalf("WFR seal deps = %v, want read history and own previous write", deps)
+	}
+}

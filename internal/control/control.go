@@ -34,7 +34,9 @@ func (c *Control) IsWrite(method uint16) bool { return c.table.IsWrite(method) }
 
 // ServeRead executes a read invocation against the local semantics object.
 // Write methods are rejected: they must travel through the replication
-// object's ordering machinery.
+// object's ordering machinery. The result may be shared with other reads
+// until the next write (semantics.Object): send or decode it, never modify
+// it.
 func (c *Control) ServeRead(inv msg.Invocation) ([]byte, error) {
 	if c.table.IsWrite(inv.Method) {
 		return nil, fmt.Errorf("control: method %d is a write, not servable as read", inv.Method)

@@ -60,7 +60,7 @@ func (o *Object) digestRound() {
 	m := o.frame(msg.KindDigest, nil)
 	m.VVec = o.appliedVec()
 	m.GlobalSeq = o.engine.Global()
-	o.multicast(tos, m)
+	o.multicast(tos, &m)
 	add(&o.stats.DigestsSent, uint64(len(tos)))
 }
 

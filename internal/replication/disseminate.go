@@ -141,17 +141,17 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 		inv.Pages = pagesOf(ups)
 		inv.Write = last.Write
 		inv.WallNanos = last.WallNanos
-		o.multicast(tos, inv)
+		o.multicast(tos, &inv)
 	case o.strat.CoherenceTransfer == strategy.CoherenceNotification:
 		n := o.frame(msg.KindNotify, nil)
 		n.Pages = pagesOf(ups)
 		n.Write = last.Write
-		o.multicast(tos, n)
+		o.multicast(tos, &n)
 	case o.strat.CoherenceTransfer == strategy.CoherencePartial:
 		// Operation shipping: a single update travels as its marshalled
 		// write invocation; an aggregated flush ships all N updates in
 		// one KindUpdateBatch frame, amortising the envelope.
-		o.shipOps(ups, func(m *msg.Message) { o.multicast(tos, m) })
+		o.shipOps(ups, tos)
 	case o.strat.CoherenceTransfer == strategy.CoherenceFull:
 		// Aggregation pays off here: one snapshot replaces the whole
 		// batch.
@@ -164,7 +164,7 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 		m.VVec = o.appliedVec()
 		m.GlobalSeq = o.engine.Global()
 		m.WallNanos = last.WallNanos
-		o.multicast(tos, m)
+		o.multicast(tos, &m)
 	}
 }
 
@@ -182,7 +182,7 @@ func pagesOf(ups []*coherence.Update) []string {
 }
 
 // updateMsg converts an update to its wire form (operation shipping).
-func (o *Object) updateMsg(u *coherence.Update) *msg.Message {
+func (o *Object) updateMsg(u *coherence.Update) msg.Message {
 	m := o.frame(msg.KindUpdate, nil)
 	m.Write = u.Write
 	m.GlobalSeq = u.GlobalSeq
@@ -194,7 +194,7 @@ func (o *Object) updateMsg(u *coherence.Update) *msg.Message {
 }
 
 // batchMsg packs N updates into one KindUpdateBatch frame.
-func (o *Object) batchMsg(ups []*coherence.Update) *msg.Message {
+func (o *Object) batchMsg(ups []*coherence.Update) msg.Message {
 	m := o.frame(msg.KindUpdateBatch, nil)
 	m.Batch = make([]msg.BatchUpdate, len(ups))
 	for i, u := range ups {
@@ -210,32 +210,36 @@ func (o *Object) batchMsg(ups []*coherence.Update) *msg.Message {
 	return m
 }
 
-// shipOps hands updates to deliver as wire frames: one KindUpdate for a
-// single update, one KindUpdateBatch for several, split across frames when
-// a flush exceeds the wire format's per-frame entry count (the codec would
-// otherwise silently truncate the tail). Every batching decision (and its
-// stats accounting) funnels through here.
-func (o *Object) shipOps(ups []*coherence.Update, deliver func(*msg.Message)) {
+// shipOps sends updates to tos as wire frames: one KindUpdate for a single
+// update, one KindUpdateBatch for several, split across frames when a flush
+// exceeds the wire format's per-frame entry count (the codec would otherwise
+// silently truncate the tail). Every batching decision (and its stats
+// accounting) funnels through here.
+func (o *Object) shipOps(ups []*coherence.Update, tos []string) {
 	for len(ups) > 0 {
 		chunk := ups
 		if len(chunk) > msg.MaxBatch {
 			chunk = chunk[:msg.MaxBatch]
 		}
 		ups = ups[len(chunk):]
+		var m msg.Message
 		if len(chunk) == 1 {
-			deliver(o.updateMsg(chunk[0]))
-			continue
+			m = o.updateMsg(chunk[0])
+		} else {
+			inc(&o.stats.BatchesSent)
+			add(&o.stats.BatchedUpdates, uint64(len(chunk)))
+			m = o.batchMsg(chunk)
 		}
-		inc(&o.stats.BatchesSent)
-		add(&o.stats.BatchedUpdates, uint64(len(chunk)))
-		deliver(o.batchMsg(chunk))
+		o.multicast(tos, &m)
 	}
 }
 
 // sendUpdates ships updates to one destination, batching when more than one
 // is pending (demand replay, gossip deltas).
 func (o *Object) sendUpdates(to string, ups []*coherence.Update) {
-	o.shipOps(ups, func(m *msg.Message) { o.send(to, m) })
+	if len(ups) > 0 {
+		o.shipOps(ups, []string{to})
+	}
 }
 
 // onUpdate handles a pushed or demanded coherence update. Full-state

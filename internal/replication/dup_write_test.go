@@ -78,8 +78,8 @@ func TestDuplicateWriteRequestPRAM(t *testing.T) {
 	env := newFakeEnv()
 	o := newObj(t, env, RolePermanent, strategy.Conference(time.Hour), "")
 	w := writeMsg(1, 1, "p", "x")
+	dup := *w // Handle owns w and answers in it
 	o.Handle(w)
-	dup := *w
 	o.Handle(&dup)
 	if acks := env.takeSent(msg.KindWriteReply); len(acks) != 2 {
 		t.Fatalf("want 2 acks, got %d", len(acks))
@@ -104,8 +104,8 @@ func TestDuplicateWriteRequestEventual(t *testing.T) {
 		}
 		o := newObj(t, env, role, st, parent)
 		w := writeMsg(1, 1, "p", "x")
+		dup := *w // Handle owns w and answers in it
 		o.Handle(w)
-		dup := *w
 		dup.Stamp = vclock.Stamp{} // the wire replay is identical: unstamped
 		o.Handle(&dup)
 		if acks := env.takeSent(msg.KindWriteReply); len(acks) != 2 {

@@ -146,12 +146,6 @@ func (o *Object) walBarrier() {
 
 // --- group commit ------------------------------------------------------------
 
-// pendingAck is a write reply parked for the batch barrier.
-type pendingAck struct {
-	to string
-	r  *msg.Message
-}
-
 // deferBarrier reports whether acks park for a batched barrier instead of
 // going out inline. Only the always policy has a barrier to coalesce; the
 // owning loop calls FlushAcks after every event and every drained batch, and
@@ -172,10 +166,11 @@ func (o *Object) FlushAcks() {
 		inc(&o.stats.GroupCommits)
 	}
 	pend := o.ackPending
-	o.ackPending = nil
 	for i := range pend {
-		o.send(pend[i].to, pend[i].r)
+		o.send(pend[i].To, &pend[i])
 	}
+	clear(pend)
+	o.ackPending = pend[:0]
 }
 
 // --- snapshot compaction -----------------------------------------------------

@@ -323,3 +323,57 @@ func TestDurableRecoveryGraceExpires(t *testing.T) {
 		t.Fatal("grace expiry did not open the gate")
 	}
 }
+
+// wireEnv is a fakeEnv that records each frame as a transport puts it on the
+// wire — encoded before Send returns — beside the address it was sent to.
+type wireEnv struct {
+	*fakeEnv
+	dests  []string
+	frames []*msg.Message
+}
+
+func (e *wireEnv) Send(to string, m *msg.Message) error {
+	f, err := msg.Decode(msg.Encode(m))
+	if err != nil {
+		return err
+	}
+	e.dests, e.frames = append(e.dests, to), append(e.frames, f)
+	return nil
+}
+
+func (e *wireEnv) Multicast(tos []string, m *msg.Message) error {
+	for _, to := range tos {
+		if err := e.Send(to, m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// An ack parked for the group commit outlives its request's frame, whose
+// buffer the transport may reuse before FlushAcks: the parked reply must own
+// its address, on the wire as well as in the Send call.
+func TestParkedAckOwnsItsAddress(t *testing.T) {
+	env := &wireEnv{fakeEnv: newFakeEnv()}
+	o := openDurable(t, env, t.TempDir(), time.Hour)
+	defer o.Close()
+	wire := msg.Encode(writeMsg(1, 1, "p", "x"))
+	req, err := msg.DecodeAlias(wire) // From aliases wire, as a transport delivers it
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Handle(req)
+	if len(env.frames) != 0 {
+		t.Fatalf("ack left before the barrier: %+v", env.frames)
+	}
+	for i := range wire {
+		wire[i] = 'X' // the transport reuses the frame's buffer
+	}
+	o.FlushAcks()
+	if len(env.frames) != 1 || env.frames[0].Kind != msg.KindWriteReply {
+		t.Fatalf("frames after FlushAcks: %+v", env.frames)
+	}
+	if env.dests[0] != "client-ep" || env.frames[0].To != "client-ep" {
+		t.Fatalf("parked ack sent to %q addressed %q, want client-ep", env.dests[0], env.frames[0].To)
+	}
+}

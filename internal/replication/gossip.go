@@ -57,7 +57,7 @@ func (o *Object) gossipRound() {
 	for peer := range o.peers {
 		g := o.frame(msg.KindGossip, nil)
 		g.VVec = o.appliedVec()
-		o.send(peer, g)
+		o.send(peer, &g)
 		inc(&o.stats.GossipRounds)
 	}
 }
@@ -72,6 +72,6 @@ func (o *Object) onGossip(m *msg.Message) {
 	if m.Kind == msg.KindGossip {
 		r := o.frame(msg.KindGossipReply, m)
 		r.VVec = o.appliedVec()
-		o.send(m.From, r)
+		o.answer(m, &r)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"repro/internal/strategy"
 )
 
-// Handle dispatches one incoming message for this object. Unknown kinds are
-// ignored (forward compatibility). The exempt list names the kinds a
+// Handle dispatches one incoming message for this object. Handle owns m from
+// here on: it may answer in m's own struct (answer) or park it, so the caller
+// must not read or reuse m afterwards. Unknown kinds are ignored (forward
+// compatibility). The exempt list names the kinds a
 // replication object never receives: client-side replies, bind traffic the
 // store answers before replication sees it, and the name-service/control
 // protocols that have their own servers.
@@ -67,23 +69,44 @@ func (o *Object) Handle(m *msg.Message) {
 	}
 }
 
-// frame starts an outgoing message of kind k under this replica's header.
-// With re set it is the reply to re: addressed to re's sender, carrying its
-// correlation fields, status OK.
-func (o *Object) frame(k msg.Kind, re *msg.Message) *msg.Message {
-	var m *msg.Message
+// frame starts an outgoing message of kind k under this replica's header. With
+// re set it is the reply to re: addressed to re's sender, carrying its
+// correlation fields, status OK. It is a value: the caller fills it on the
+// stack and hands it to send, multicast or answer, none of which keeps it.
+func (o *Object) frame(k msg.Kind, re *msg.Message) msg.Message {
+	m := msg.Message{Kind: k, Object: o.object, From: o.addr, Store: o.self}
 	if re != nil {
-		m = re.Reply(k)
-	} else {
-		m = &msg.Message{Kind: k}
+		m.To, m.NetSeq, m.Client, m.Write, m.Status = re.From, re.NetSeq, re.Client, re.Write, msg.StatusOK
 	}
-	m.Object, m.From, m.Store = o.object, o.addr, o.self
 	return m
 }
 
-func (o *Object) send(to string, m *msg.Message) { _ = o.env.Send(to, m) }
+// send and multicast hand m to the transport from o.out, the replica's one
+// envelope: Env encodes the frame before returning and keeps nothing, so a
+// frame built on the stack never moves to the heap, and the envelope is
+// zeroed again so it pins none of m's slices between sends.
+func (o *Object) send(to string, m *msg.Message) {
+	//globelint:ignore aliasretain the envelope holds m only for the Env call below and is zeroed before send returns
+	o.out = *m
+	_ = o.env.Send(to, &o.out)
+	o.out = msg.Message{}
+}
 
-func (o *Object) multicast(tos []string, m *msg.Message) { _ = o.env.Multicast(tos, m) }
+func (o *Object) multicast(tos []string, m *msg.Message) {
+	//globelint:ignore aliasretain the envelope holds m only for the Env call below and is zeroed before multicast returns
+	o.out = *m
+	_ = o.env.Multicast(tos, &o.out)
+	o.out = msg.Message{}
+}
+
+// answer sends reply r to the sender of req in req's own struct, which the
+// handler owns (Handle): no reply is allocated and none shares the envelope.
+// It must be the handler's last use of req, whose fields are r's from here on.
+func (o *Object) answer(req, r *msg.Message) {
+	to := req.From
+	*req = *r
+	_ = o.env.Send(to, req)
+}
 
 // relayDown passes a coherence frame from the parent on to this store's own
 // children under this store's header (multi-layer hierarchies, Figure 2).
@@ -102,7 +125,7 @@ func (o *Object) relayDown(m *msg.Message) {
 // state request is dropped instead (its own retries and read deadlines bound
 // the wait), since any state reply would be installed as content.
 func (o *Object) refuse(m *msg.Message, st msg.Status, text string) {
-	var r *msg.Message
+	var r msg.Message
 	switch m.Kind {
 	case msg.KindReadRequest:
 		inc(&o.stats.ReadsFailed)
@@ -114,5 +137,5 @@ func (o *Object) refuse(m *msg.Message, st msg.Status, text string) {
 	}
 	r.Status = st
 	r.Err = text
-	o.send(m.From, r)
+	o.answer(m, &r)
 }

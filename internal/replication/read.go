@@ -113,7 +113,7 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 			r := o.frame(msg.KindReadReply, m)
 			r.Payload = payload
 			r.VVec = o.appliedVec()
-			o.send(m.From, r)
+			o.answer(m, &r)
 			return
 		}
 		// A cold or partially warm replica misses elements it never

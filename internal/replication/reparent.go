@@ -123,7 +123,8 @@ func (o *Object) pickParent() string {
 // slow to stop pushing here.
 func (o *Object) adoptParent(addr string) {
 	if old := o.parent; old != "" && old != addr {
-		o.send(old, o.frame(msg.KindUnsubscribe, nil))
+		u := o.frame(msg.KindUnsubscribe, nil)
+		o.send(old, &u)
 	}
 	o.subTimer.stop()
 	o.subAcked = false

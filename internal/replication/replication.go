@@ -85,6 +85,10 @@ func (r Role) InScope(s strategy.StoreScope) bool {
 // Snapshot*), and timers. Implementations must dispatch timer callbacks
 // back onto the store's event loop.
 type Env interface {
+	// Send and Multicast encode m before they return and do not retain it,
+	// as transport.Endpoint promises: the replica sends every frame that is
+	// not a reply from one reused envelope, and a reply from the request it
+	// answers.
 	Send(to string, m *msg.Message) error
 	Multicast(tos []string, m *msg.Message) error
 
@@ -97,6 +101,8 @@ type Env interface {
 	ApplyElement(name string, data []byte) error
 	Snapshot() ([]byte, error)
 	SnapshotElement(name string) ([]byte, error)
+	// ServeRead's result, like SnapshotElement's, may be shared with every
+	// other read until the next write: it is sent, never modified.
 	ServeRead(inv msg.Invocation) ([]byte, error)
 
 	Now() time.Time
@@ -222,6 +228,9 @@ type Object struct {
 
 	// addr is this store's transport address (for From fields).
 	addr string
+	// out is the envelope every frame that is not a reply leaves in (send,
+	// multicast); it is zero between sends.
+	out msg.Message
 	// parent is the next store up the hierarchy ("" at permanent stores).
 	parent string
 	// children are subscribed lower-layer stores, sorted: the list every
@@ -348,11 +357,11 @@ type Object struct {
 	demandEpoch      uint64
 	demandRetries    int
 
-	// Group commit (see durable.go): acks under the always policy park in
-	// ackPending and the owning loop releases them with FlushAcks — one fsync
-	// per drained batch, the same leader-flushes-the-whole-queue shape tcpnet
-	// uses for writev.
-	ackPending []pendingAck
+	// Group commit (see durable.go): write replies under the always policy
+	// park in ackPending, each addressed by its own To, and the owning loop
+	// releases them with FlushAcks — one fsync per drained batch, the same
+	// leader-flushes-the-whole-queue shape tcpnet uses for writev.
+	ackPending []msg.Message
 
 	// Durability (permanent stores with a data dir; see durable.go). wal
 	// is nil on memory-only replicas and every hook is a no-op.

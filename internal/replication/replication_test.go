@@ -108,6 +108,29 @@ func TestPermanentAcceptsAndAcksWrite(t *testing.T) {
 	}
 }
 
+// An eventual mirror applies and acks a client's write itself and forwards it
+// too. The ack is written into the request, so the forward must go first: the
+// parent gets the client's write request, invocation intact, and the client
+// its ack.
+func TestEventualMirrorForwardsTheWriteBeforeAcking(t *testing.T) {
+	env := newFakeEnv()
+	o := newObj(t, env, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "parent-store")
+	w := writeMsg(1, 1, "p", "x")
+	inv := w.Inv
+	o.Handle(w)
+	fwd := env.takeSent(msg.KindWriteRequest)
+	if len(fwd) != 1 || fwd[0].To != "parent-store" || fwd[0].From != "client-ep" || fwd[0].Write != (ids.WiD{Client: 1, Seq: 1}) {
+		t.Fatalf("forward: %+v", fwd)
+	}
+	if got := fwd[0].Inv; got.Method != inv.Method || got.Page != inv.Page || string(got.Args) != string(inv.Args) {
+		t.Fatalf("forwarded invocation %+v, want %+v", got, inv)
+	}
+	acks := env.takeSent(msg.KindWriteReply)
+	if len(acks) != 1 || acks[0].To != "client-ep" || acks[0].Status != msg.StatusOK {
+		t.Fatalf("acks: %+v", acks)
+	}
+}
+
 func TestWriteSetSingleRejectsSecondWriter(t *testing.T) {
 	env := newFakeEnv()
 	o := newObj(t, env, RolePermanent, strategy.Conference(time.Hour), "")

@@ -68,7 +68,8 @@ func (o *Object) UnsubscribeFromParent() {
 	}
 	o.subWanted = false
 	o.subTimer.stop()
-	o.send(o.parent, o.frame(msg.KindUnsubscribe, nil))
+	u := o.frame(msg.KindUnsubscribe, nil)
+	o.send(o.parent, &u)
 }
 
 // maxSubscribeRetries bounds one subscribe cycle, so a dead parent is not
@@ -86,7 +87,8 @@ const maxSubscribeRetries = 32
 // any full-state transfer).
 func (o *Object) sendSubscribe() {
 	inc(&o.stats.SubscribesSent)
-	o.send(o.parent, o.frame(msg.KindSubscribe, nil))
+	sub := o.frame(msg.KindSubscribe, nil)
+	o.send(o.parent, &sub)
 	if o.subAcked || o.tune.DemandRetry <= 0 || o.subTimer.armed() {
 		return
 	}

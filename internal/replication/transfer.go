@@ -38,7 +38,7 @@ func (o *Object) sendDemand(to string) {
 	}
 	d := o.frame(msg.KindDemandUpdate, nil)
 	d.VVec = o.appliedVec()
-	o.send(to, d)
+	o.send(to, &d)
 }
 
 // maxDemandRetries bounds re-requests per unanswered-demand cycle, so a
@@ -118,7 +118,7 @@ func (o *Object) fetch(page string) {
 	if !full {
 		req.Pages = []string{page}
 	}
-	o.send(o.parent, req)
+	o.send(o.parent, &req)
 }
 
 // onDemand serves a child's demand-update: replay logged updates it lacks,
@@ -140,7 +140,7 @@ func (o *Object) onDemand(m *msg.Message) {
 		// complete instead of timing out.
 		ack := o.frame(msg.KindUpdateAck, nil)
 		ack.VVec = o.appliedVec()
-		o.send(m.From, ack)
+		o.answer(m, &ack)
 		return
 	}
 	// Replay as one batch frame instead of one message per logged update.
@@ -192,7 +192,7 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 		r.Payload = snap
 		r.GlobalSeq = o.engine.Global()
 	}
-	o.send(req.From, r)
+	o.answer(req, &r)
 }
 
 // onStateReply installs fetched state: one page's, or the whole object's.

@@ -69,12 +69,12 @@ func (o *Object) onWrite(m *msg.Message) {
 		o.walAppendAdmit(m.Write.Client, m.Write.Seq)
 	}
 	o.applyReleased(released)
-	// Ack the writer (the client learns the store that performed its
-	// write — the (WiD, store) dependency of §4.2). A mirror acks at once:
-	// eventual coherence promises no more.
-	o.ackWrite(m)
-	// Continue propagation towards the permanent store.
+	// Continue propagation towards the permanent store, then ack the writer
+	// (the client learns the store that performed its write — the (WiD,
+	// store) dependency of §4.2). A mirror acks at once: eventual coherence
+	// promises no more. The ack comes last because it is written into m.
 	o.forward(m)
+	o.ackWrite(m)
 	o.reconsiderParked()
 }
 
@@ -126,11 +126,11 @@ func (o *Object) forward(m *msg.Message) {
 	m.To = to
 }
 
-// ackWrite sends the OK write reply for m. On a durable replica under the
-// always policy, everything logged for this write reaches disk first: an
-// acknowledged write survives even kill -9 between ack and the next flush.
-// There the ack parks and FlushAcks pays one barrier for every ack parked
-// since the last one — the whole batch the owning loop drained.
+// ackWrite sends the OK write reply for m, in m (answer). On a durable
+// replica under the always policy, everything logged for this write reaches
+// disk first: an acknowledged write survives even kill -9 between ack and the
+// next flush. There the ack parks and FlushAcks pays one barrier for every ack
+// parked since the last one — the whole batch the owning loop drained.
 func (o *Object) ackWrite(m *msg.Message) {
 	inc(&o.stats.WritesAcked)
 	if o.traceOn() {
@@ -138,13 +138,14 @@ func (o *Object) ackWrite(m *msg.Message) {
 	}
 	r := o.frame(msg.KindWriteReply, m)
 	if o.deferBarrier() {
-		// The ack can sit in ackPending across many handler turns; clone
-		// the reply address so the parked ack does not pin the request
+		// The ack can sit in ackPending across many handler turns; it parks
+		// by value with a cloned address, so nothing in it pins the request
 		// frame's chunk until the next flush.
-		o.ackPending = append(o.ackPending, pendingAck{to: strings.Clone(m.From), r: r})
+		r.To = strings.Clone(m.From)
+		o.ackPending = append(o.ackPending, r)
 		return
 	}
-	o.send(m.From, r)
+	o.answer(m, &r)
 }
 
 // stampedSeqs is one client's unstamped-write admission record: the highest

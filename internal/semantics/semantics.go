@@ -70,7 +70,9 @@ type Object interface {
 	Methods() []MethodInfo
 	// Invoke executes a marshalled invocation and returns the marshalled
 	// result. A write's Args pass to the object, which may keep them as
-	// state: the caller neither changes nor reuses them afterwards.
+	// state: the caller neither changes nor reuses them afterwards. A read's
+	// result may be shared with every other read until the next write (webdoc
+	// encodes each page version once), so the caller must not modify it.
 	Invoke(inv msg.Invocation) ([]byte, error)
 
 	// Snapshot returns the full marshalled state (transfer type "full").
@@ -81,7 +83,8 @@ type Object interface {
 	// Elements lists the names of independently transferable state parts
 	// (the pages of a Web document; transfer type "partial").
 	Elements() []string
-	// SnapshotElement marshals one element.
+	// SnapshotElement marshals one element. Like a read's result, it may be
+	// shared until the next write and must not be modified.
 	SnapshotElement(name string) ([]byte, error)
 	// RestoreElement replaces one element from SnapshotElement data.
 	RestoreElement(name string, data []byte) error

@@ -3,6 +3,8 @@ package webdoc
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
+	"unsafe"
 )
 
 // WriteArgs is the argument record of PutPage/AppendPage invocations, kept
@@ -66,26 +68,57 @@ func EncodePage(p *Page) []byte {
 	return buf
 }
 
-// DecodePage unmarshals a page.
+// decoded is a Page allocated together with room for a short content type.
+type decoded struct {
+	Page
+	ct [24]byte
+}
+
+// DecodePage unmarshals a page into two allocations: the page, which holds a
+// content type of up to 24 bytes too, and its content. One buffer for type
+// and content would cost a page-sized read a larger size class than the
+// content alone (a 4 KiB page then takes 4 864 bytes, not 4 096).
 func DecodePage(b []byte) (*Page, error) {
-	p := &Page{}
-	var err error
-	p.ContentType, b, err = takeString(b)
+	v, err := viewPage(b)
 	if err != nil {
 		return nil, err
+	}
+	d := &decoded{Page: Page{Version: v.Version, ModifiedNanos: v.ModifiedNanos}}
+	if n := copy(d.ct[:], v.ContentType); n == len(v.ContentType) && n > 0 {
+		d.ContentType = unsafe.String(&d.ct[0], n)
+	} else {
+		d.ContentType = strings.Clone(v.ContentType)
+	}
+	if len(v.Content) > 0 {
+		d.Content = append([]byte(nil), v.Content...)
+	}
+	return &d.Page, nil
+}
+
+// viewPage parses a page encoding without copying: ContentType is a string
+// over b and Content a window of b with its capacity clamped (nil when
+// empty), so b must never change afterwards.
+func viewPage(b []byte) (Page, error) {
+	contentType, b, err := takeField(b, "string")
+	if err != nil {
+		return Page{}, err
 	}
 	if len(b) < 16 {
-		return nil, fmt.Errorf("webdoc: short page encoding")
+		return Page{}, fmt.Errorf("webdoc: short page encoding")
 	}
-	p.Version = binary.BigEndian.Uint64(b)
-	p.ModifiedNanos = int64(binary.BigEndian.Uint64(b[8:]))
-	b = b[16:]
-	p.Content, b, err = takeBytes(b)
+	p := Page{Version: binary.BigEndian.Uint64(b), ModifiedNanos: int64(binary.BigEndian.Uint64(b[8:]))}
+	content, b, err := takeField(b[16:], "bytes")
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("webdoc: %d trailing page bytes", len(b))
+		return Page{}, fmt.Errorf("webdoc: %d trailing page bytes", len(b))
+	}
+	if len(contentType) > 0 {
+		p.ContentType = unsafe.String(&contentType[0], len(contentType))
+	}
+	if len(content) > 0 {
+		p.Content = content[:len(content):len(content)]
 	}
 	return p, nil
 }
@@ -117,14 +150,6 @@ func takeField(b []byte, what string) (field, rest []byte, err error) {
 func takeString(b []byte) (string, []byte, error) {
 	f, rest, err := takeField(b, "string")
 	return string(f), rest, err
-}
-
-func takeBytes(b []byte) ([]byte, []byte, error) {
-	f, rest, err := takeField(b, "bytes")
-	if len(f) == 0 {
-		return nil, rest, err
-	}
-	return append([]byte(nil), f...), rest, nil
 }
 
 // encodeStrings marshals a string list (ListPages reply).

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/msg"
 	"repro/internal/semantics"
@@ -56,7 +57,19 @@ type Page struct {
 // is an empty document ready for use.
 type Document struct {
 	mu    sync.RWMutex
-	pages map[string]*Page
+	pages map[string]*stored
+}
+
+// stored is a page as the document keeps it: the Page, and enc, the encoding
+// of its current version. The first GetPage or SnapshotElement after a write
+// builds enc (encoded), and every read returns that same slice until the next
+// write drops it. Once enc exists the page's content and content type are
+// windows of it, so the page keeps one copy of its content, not two (after an
+// Append the type still points into the old encoding until the next read
+// builds a new one).
+type stored struct {
+	Page
+	enc []byte
 }
 
 var _ semantics.Object = (*Document)(nil)
@@ -78,11 +91,11 @@ func (d *Document) Methods() []semantics.MethodInfo { return methodTable }
 func (d *Document) Invoke(inv msg.Invocation) ([]byte, error) {
 	switch inv.Method {
 	case MethodGetPage:
-		return d.encodeStored(inv.Page, true)
+		return d.encoded(inv.Page)
 	case MethodListPages:
 		return encodeStrings(d.Pages()), nil
 	case MethodStatPage:
-		return d.encodeStored(inv.Page, false)
+		return d.stat(inv.Page)
 	case MethodPutPage:
 		return nil, d.putOwned(inv.Page, inv.Args)
 	case MethodAppendPage:
@@ -106,27 +119,57 @@ func (d *Document) Get(name string) (*Page, error) {
 	defer d.mu.RUnlock()
 	p, ok := d.pages[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: page %q", semantics.ErrNoElement, name)
+		return nil, noPage(name)
 	}
-	cp := *p
+	cp := p.Page
 	cp.Content = append([]byte(nil), p.Content...)
 	return &cp, nil
 }
 
-// encodeStored marshals the named page straight from the stored copy, under
-// the read lock: the encoding is the one copy of the content a read makes
-// here. Without content it is the StatPage reply.
-func (d *Document) encodeStored(name string, content bool) ([]byte, error) {
+func noPage(name string) error {
+	return fmt.Errorf("%w: page %q", semantics.ErrNoElement, name)
+}
+
+// encoded returns the encoding of the named page's current version, shared
+// with every other read until the next write: callers send it and must not
+// modify it. The first read after a write builds it under the write lock,
+// checking again there, since another reader may have built it meanwhile.
+func (d *Document) encoded(name string) ([]byte, error) {
+	d.mu.RLock()
+	p := d.pages[name]
+	var enc []byte
+	if p != nil {
+		enc = p.enc
+	}
+	d.mu.RUnlock()
+	if enc != nil {
+		return enc, nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p = d.pages[name]
+	if p == nil {
+		return nil, noPage(name)
+	}
+	if p.enc == nil {
+		enc := EncodePage(&p.Page)
+		// Point the page at the encoding's bytes (it cannot fail to parse: it
+		// was just built), so the content the page held before can go.
+		p.Page, _ = viewPage(enc)
+		p.enc = enc
+	}
+	return p.enc, nil
+}
+
+// stat is the StatPage reply: the named page's encoding without content.
+func (d *Document) stat(name string) ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	p, ok := d.pages[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: page %q", semantics.ErrNoElement, name)
+		return nil, noPage(name)
 	}
-	if !content {
-		return EncodePage(&Page{ContentType: p.ContentType, Version: p.Version, ModifiedNanos: p.ModifiedNanos}), nil
-	}
-	return EncodePage(p), nil
+	return EncodePage(&Page{ContentType: p.ContentType, Version: p.Version, ModifiedNanos: p.ModifiedNanos}), nil
 }
 
 // Pages returns the sorted page names.
@@ -158,7 +201,8 @@ func (d *Document) Put(name string, content []byte, contentType string, modified
 // are split in place and the page keeps the content window itself, so an
 // applied write copies its content nowhere. The window's capacity is clamped
 // to its length: a later Append must grow a new buffer, never write into
-// args, which the replica's update log still holds.
+// args, which the replica's update log still holds. The content type is a
+// string over args too, so the page holds nothing of its previous version.
 func (d *Document) putOwned(name string, args []byte) error {
 	contentType, content, modifiedNanos, err := splitWriteArgs(args)
 	if err != nil {
@@ -171,8 +215,8 @@ func (d *Document) putOwned(name string, args []byte) error {
 	if len(content) > 0 {
 		p.Content = content[:len(content):len(content)]
 	}
-	if len(contentType) > 0 && string(contentType) != p.ContentType {
-		p.ContentType = string(contentType)
+	if len(contentType) > 0 {
+		p.ContentType = unsafe.String(&contentType[0], len(contentType))
 	}
 	p.written(modifiedNanos)
 	return nil
@@ -190,25 +234,27 @@ func (d *Document) Append(name string, content []byte, modifiedNanos int64) {
 
 // page returns the named page, created empty if absent. Callers hold the
 // write lock.
-func (d *Document) page(name string) *Page {
+func (d *Document) page(name string) *stored {
 	if d.pages == nil {
-		d.pages = make(map[string]*Page)
+		d.pages = make(map[string]*stored)
 	}
 	p, ok := d.pages[name]
 	if !ok {
-		p = &Page{}
+		p = &stored{}
 		d.pages[name] = p
 	}
 	return p
 }
 
-// written stamps one applied write on the page.
-func (p *Page) written(modifiedNanos int64) {
+// written stamps one applied write on the page and drops the old version's
+// encoding (readers that hold it keep theirs).
+func (p *stored) written(modifiedNanos int64) {
 	if p.ContentType == "" {
 		p.ContentType = "text/html"
 	}
 	p.Version++
 	p.ModifiedNanos = modifiedNanos
+	p.enc = nil
 }
 
 // Delete removes a page (idempotent).
@@ -228,26 +274,38 @@ func (d *Document) Len() int {
 // Elements implements semantics.Object: pages are the transfer units.
 func (d *Document) Elements() []string { return d.Pages() }
 
-// SnapshotElement implements semantics.Object.
+// SnapshotElement implements semantics.Object: the page's shared encoding,
+// as GetPage returns it.
 func (d *Document) SnapshotElement(name string) ([]byte, error) {
-	return d.encodeStored(name, true)
+	return d.encoded(name)
 }
 
 // RestoreElement implements semantics.Object. Restoring an element replaces
 // the page wholesale, including its version counter, so replicas converge
 // on identical page metadata.
 func (d *Document) RestoreElement(name string, data []byte) error {
-	p, err := DecodePage(data)
+	p, err := restored(data)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.pages == nil {
-		d.pages = make(map[string]*Page)
+		d.pages = make(map[string]*stored)
 	}
 	d.pages[name] = p
 	return nil
+}
+
+// restored makes a page record from a page encoding the caller keeps: one
+// copy of it, which is the record's encoding and holds its content and type.
+func restored(data []byte) (*stored, error) {
+	enc := append([]byte(nil), data...)
+	p, err := viewPage(enc)
+	if err != nil {
+		return nil, err
+	}
+	return &stored{Page: p, enc: enc}, nil
 }
 
 // Snapshot implements semantics.Object (full state transfer).
@@ -263,7 +321,12 @@ func (d *Document) Snapshot() ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
 	for _, n := range names {
 		buf = appendString(buf, n)
-		buf = appendBytes(buf, EncodePage(d.pages[n]))
+		p := d.pages[n]
+		enc := p.enc
+		if enc == nil {
+			enc = EncodePage(&p.Page)
+		}
+		buf = appendBytes(buf, enc)
 	}
 	return buf, nil
 }
@@ -275,7 +338,7 @@ func (d *Document) Restore(data []byte) error {
 	}
 	n := binary.BigEndian.Uint32(data)
 	data = data[4:]
-	pages := make(map[string]*Page, n)
+	pages := make(map[string]*stored, n)
 	for i := uint32(0); i < n; i++ {
 		var name string
 		var err error
@@ -284,11 +347,11 @@ func (d *Document) Restore(data []byte) error {
 			return err
 		}
 		var pb []byte
-		pb, data, err = takeBytes(data)
+		pb, data, err = takeField(data, "bytes")
 		if err != nil {
 			return err
 		}
-		p, err := DecodePage(pb)
+		p, err := restored(pb)
 		if err != nil {
 			return err
 		}

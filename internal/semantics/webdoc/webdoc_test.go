@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -230,6 +231,25 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// A decoded page owns its bytes: the frame it came from may be reused, for a
+// content type that fits inside the page's own allocation and for one that
+// does not.
+func TestDecodePageOwnsItsBytes(t *testing.T) {
+	for _, ctype := range []string{"text/html", "application/vnd.example+json; charset=utf-8"} {
+		enc := EncodePage(&Page{Content: []byte("body"), ContentType: ctype, Version: 2})
+		p, err := DecodePage(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range enc {
+			enc[i] = 'X'
+		}
+		if p.ContentType != ctype || string(p.Content) != "body" || p.Version != 2 {
+			t.Fatalf("decoded page changed with its input: %q %q v%d", p.ContentType, p.Content, p.Version)
+		}
+	}
+}
+
 // Property: write-args encode/decode round-trips.
 func TestWriteArgsCodecRoundTrip(t *testing.T) {
 	f := func(content []byte, ctype string, modified int64) bool {
@@ -335,4 +355,155 @@ func TestAppendAfterOwnedPutLeavesLoggedArgsUntouched(t *testing.T) {
 	if q, _ := d.Get("q"); string(q.Content) != "caller's" {
 		t.Fatalf("exported Put kept the caller's buffer: %q", q.Content)
 	}
+}
+
+// getPage decodes what GetPage and SnapshotElement return for name; both must
+// agree.
+func getPage(t *testing.T, d *Document, name string) *Page {
+	t.Helper()
+	out, err := d.Invoke(msg.Invocation{Method: MethodGetPage, Page: name})
+	if err != nil {
+		t.Fatalf("GetPage %q: %v", name, err)
+	}
+	el, err := d.SnapshotElement(name)
+	if err != nil || !bytes.Equal(out, el) {
+		t.Fatalf("SnapshotElement %q = %q, %v; GetPage = %q", name, el, err, out)
+	}
+	p, err := DecodePage(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// A page version is encoded once and shared, so every way of changing the page
+// must drop that encoding: the read after each mutation sees the new version.
+func TestEveryMutationDropsTheSharedEncoding(t *testing.T) {
+	d := New()
+	d.Put("p", []byte("v1"), "text/plain", 1)
+	want := func(content string, version uint64) {
+		t.Helper()
+		p := getPage(t, d, "p")
+		if string(p.Content) != content || p.Version != version {
+			t.Fatalf("page = %q v%d, want %q v%d", p.Content, p.Version, content, version)
+		}
+	}
+	want("v1", 1)
+
+	args := EncodeWriteArgs(WriteArgs{Content: []byte("v2"), ModifiedNanos: 2})
+	if _, err := d.Invoke(msg.Invocation{Method: MethodPutPage, Page: "p", Args: args}); err != nil {
+		t.Fatal(err)
+	}
+	want("v2", 2)
+
+	d.Put("p", []byte("v3"), "", 3)
+	want("v3", 3)
+
+	d.Append("p", []byte("+"), 4)
+	want("v3+", 4)
+
+	old, _ := d.SnapshotElement("p")
+	snap, _ := d.Snapshot()
+	d.Put("p", []byte("v5"), "", 5)
+	want("v5", 5)
+
+	if err := d.RestoreElement("p", old); err != nil {
+		t.Fatal(err)
+	}
+	want("v3+", 4)
+
+	d.Put("p", []byte("v5"), "", 5)
+	want("v5", 5)
+	if err := d.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	want("v3+", 4)
+
+	d.Delete("p")
+	if _, err := d.Invoke(msg.Invocation{Method: MethodGetPage, Page: "p"}); !errors.Is(err, semantics.ErrNoElement) {
+		t.Fatalf("GetPage after Delete: %v", err)
+	}
+	if _, err := d.SnapshotElement("p"); !errors.Is(err, semantics.ErrNoElement) {
+		t.Fatalf("SnapshotElement after Delete: %v", err)
+	}
+}
+
+// Reading an unchanged page again returns the very bytes the first read
+// built, and allocates nothing.
+func TestRepeatedGetPageSharesOneEncoding(t *testing.T) {
+	d := New()
+	d.Put("p", bytes.Repeat([]byte("x"), 4096), "text/html", 1)
+	get := msg.Invocation{Method: MethodGetPage, Page: "p"}
+	first, err := d.Invoke(get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again []byte
+	if a := testing.AllocsPerRun(100, func() { again, _ = d.Invoke(get) }); a != 0 {
+		t.Errorf("GetPage of an unchanged page allocates %.0f times, want 0", a)
+	}
+	if &again[0] != &first[0] || !bytes.Equal(again, first) {
+		t.Fatalf("GetPage of an unchanged page returned other bytes")
+	}
+	// The page now keeps its content inside that encoding, and what the read
+	// handed out stays as it was across the next write.
+	keep := append([]byte(nil), first...)
+	d.Append("p", []byte("!"), 2)
+	if !bytes.Equal(first, keep) {
+		t.Fatalf("a write changed the encoding an earlier read returned")
+	}
+	if p := getPage(t, d, "p"); len(p.Content) != 4097 || p.Version != 2 {
+		t.Fatalf("page after Append: %d bytes v%d", len(p.Content), p.Version)
+	}
+}
+
+// Readers filling the shared encoding race writers replacing it: run under
+// -race, every read must decode to a consistent version.
+func TestConcurrentReadersAndWriters(t *testing.T) {
+	d := New()
+	d.Put("p", []byte("v0"), "", 0)
+	snap, _ := d.Snapshot()
+	el, _ := d.SnapshotElement("p")
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				out, err := d.Invoke(msg.Invocation{Method: MethodGetPage, Page: "p"})
+				if err != nil {
+					continue // deleted just now
+				}
+				if _, err := DecodePage(out); err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = d.SnapshotElement("p")
+				_, _ = d.Snapshot()
+				_, _ = d.Get("p")
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			switch i % 6 {
+			case 0:
+				args := EncodeWriteArgs(WriteArgs{Content: []byte("put"), ModifiedNanos: int64(i)})
+				_, _ = d.Invoke(msg.Invocation{Method: MethodPutPage, Page: "p", Args: args})
+			case 1:
+				d.Put("p", []byte("copy"), "text/plain", int64(i))
+			case 2:
+				d.Append("p", []byte("+"), int64(i))
+			case 3:
+				_ = d.RestoreElement("p", el)
+			case 4:
+				_ = d.Restore(snap)
+			case 5:
+				d.Delete("p")
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -568,6 +568,9 @@ func (n *Network) deliverOne(e *endpoint, wire []byte, wait bool) bool {
 		n.stats.dropped.Add(1)
 		return true
 	}
+	// Once m is in the inbox it is the receiver's, which may answer in it
+	// (replication.Object.Handle): read what the counters need first.
+	kind := int(m.Kind)
 	if wait {
 		select {
 		case e.inbox <- m:
@@ -593,8 +596,8 @@ func (n *Network) deliverOne(e *endpoint, wire []byte, wait bool) bool {
 	}
 	n.stats.delivered.Add(1)
 	n.stats.bytes.Add(uint64(len(wire)))
-	if k := int(m.Kind); k >= 0 && k < msg.KindCount {
-		n.stats.byKind[k].Add(1)
+	if kind >= 0 && kind < msg.KindCount {
+		n.stats.byKind[kind].Add(1)
 	}
 	return true
 }

@@ -15,16 +15,18 @@ import (
 // two; a change that allocates more on these paths fails here, in tier-1,
 // and not only in bench/'s allocs_per_op.
 const (
-	// A Get measures 9: an encode buffer and a decoded frame each way, the
-	// reply struct, the one page encoding at the store, and the page
-	// struct, content type and content copy DecodePage hands the caller.
-	getAllocBudget = 9 + 2
-	// A Put measures 10: the same round trip, plus the argument encoding,
-	// the dependency vector at the client, and at the store the update and
-	// its cloned invocation (page name and arguments). The arguments are the
-	// stored content; the engine's release slice and the applied vector are
-	// reused.
-	putAllocBudget = 10 + 2
+	// A Get measures 6: an encode buffer and a decoded frame each way, and
+	// the page (its content type inside it) and content copy DecodePage
+	// hands the caller. The store answers in the request's own struct and
+	// serves the page version's one shared encoding.
+	getAllocBudget = 6 + 2
+	// A Put measures 8: the same round trip, plus the argument encoding, and
+	// at the store the update and its cloned invocation (page name and
+	// arguments). The arguments are the stored content; the engine's release
+	// slice and the applied vector are reused, the ack is written into the
+	// request, and a writer with no session model carries no dependency
+	// vector.
+	putAllocBudget = 8 + 2
 )
 
 func TestAllocationBudgets(t *testing.T) {
