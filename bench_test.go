@@ -35,7 +35,7 @@ func BenchmarkMicro_MessageEncode(b *testing.B) {
 	m := &msg.Message{
 		Kind: msg.KindUpdate, Object: "doc", From: "a", To: "b",
 		Write: ids.WiD{Client: 3, Seq: 17},
-		VVec:  msg.VecFrom(ids.VersionVec{1: 5, 2: 9, 3: 17}),
+		VVec:  vecOf(1, 5, 2, 9, 3, 17),
 		Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 512)},
 	}
 	b.ReportAllocs()
@@ -48,7 +48,7 @@ func BenchmarkMicro_MessageDecode(b *testing.B) {
 	wire := msg.Encode(&msg.Message{
 		Kind: msg.KindUpdate, Object: "doc", From: "a", To: "b",
 		Write: ids.WiD{Client: 3, Seq: 17},
-		VVec:  msg.VecFrom(ids.VersionVec{1: 5, 2: 9, 3: 17}),
+		VVec:  vecOf(1, 5, 2, 9, 3, 17),
 		Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 512)},
 	})
 	b.ReportAllocs()
@@ -65,7 +65,7 @@ func BenchmarkMicro_MessageEncodePooled(b *testing.B) {
 	m := &msg.Message{
 		Kind: msg.KindUpdate, Object: "doc", From: "a", To: "b",
 		Write: ids.WiD{Client: 3, Seq: 17},
-		VVec:  msg.VecFrom(ids.VersionVec{1: 5, 2: 9, 3: 17}),
+		VVec:  vecOf(1, 5, 2, 9, 3, 17),
 		Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 512)},
 	}
 	b.ReportAllocs()
@@ -81,7 +81,7 @@ func BenchmarkMicro_MessageDecodeAlias(b *testing.B) {
 	wire := msg.Encode(&msg.Message{
 		Kind: msg.KindUpdate, Object: "doc", From: "a", To: "b",
 		Write: ids.WiD{Client: 3, Seq: 17},
-		VVec:  msg.VecFrom(ids.VersionVec{1: 5, 2: 9, 3: 17}),
+		VVec:  vecOf(1, 5, 2, 9, 3, 17),
 		Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 512)},
 	})
 	b.ReportAllocs()
@@ -151,11 +151,12 @@ func BenchmarkMicro_EngineSubmit(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				deps := vecOf(1, uint64(i+1))
 				u := &coherence.Update{
 					Write:     ids.WiD{Client: 1, Seq: uint64(i + 1)},
 					GlobalSeq: uint64(i + 1),
 					Stamp:     vclock.Stamp{Time: uint64(i + 1), Client: 1},
-					Deps:      vclock.VC{1: uint64(i + 1)},
+					Deps:      &deps,
 					Inv:       msg.Invocation{Method: 1, Page: "p"},
 				}
 				eng.Submit(u)
@@ -208,9 +209,10 @@ func BenchmarkMicro_OnDemand(b *testing.B) {
 				})
 			}
 			behind := obj.Applied()
-			behind[ids.ClientID(1+(n-1)%3)]--
-			behind[ids.ClientID(1+(n-2)%3)]--
-			demand := &msg.Message{Kind: msg.KindDemandUpdate, Object: "doc", From: "child", VVec: msg.VecFrom(behind)}
+			for _, c := range []ids.ClientID{ids.ClientID(1 + (n-1)%3), ids.ClientID(1 + (n-2)%3)} {
+				behind.Set(c, behind.Get(c)-1)
+			}
+			demand := &msg.Message{Kind: msg.KindDemandUpdate, Object: "doc", From: "child", VVec: behind}
 			env.sent = 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -703,7 +705,7 @@ func BenchmarkGossip_AntiEntropy(b *testing.B) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			got, err := m2.Applied(obj)
-			if err == nil && got.Covers(want) {
+			if err == nil && got.Covers(&want) {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -774,7 +776,7 @@ func BenchmarkContention_MemnetMulticast(b *testing.B) {
 					m := &msg.Message{
 						Kind: msg.KindUpdate, Object: "doc", From: fmt.Sprintf("src%d", i),
 						Write: ids.WiD{Client: ids.ClientID(i + 1), Seq: 1},
-						VVec:  msg.VecFrom(msgVVec(i)),
+						VVec:  msgVVec(i),
 						Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 64)},
 					}
 					for k := 0; k < ops; k++ {
@@ -938,8 +940,15 @@ func BenchmarkRelay_DeepHierarchyBatch(b *testing.B) {
 }
 
 // msgVVec builds a small distinct version vector per sender.
-func msgVVec(i int) ids.VersionVec {
-	return ids.VersionVec{1: uint64(i + 1), 2: 9, 3: 17}
+func msgVVec(i int) msg.Vec { return vecOf(1, uint64(i+1), 2, 9, 3, 17) }
+
+// vecOf builds a vector from client, seq pairs.
+func vecOf(kv ...uint64) msg.Vec {
+	var v msg.Vec
+	for i := 0; i+1 < len(kv); i += 2 {
+		v.Set(ids.ClientID(kv[i]), kv[i+1])
+	}
+	return v
 }
 
 // waitCovers blocks until dst's applied vector covers src's.
@@ -952,7 +961,7 @@ func waitCovers(b *testing.B, sys *webobj.System, dst *webobj.Store, obj webobj.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		got, err := dst.Applied(obj)
-		if err == nil && got.Covers(want) {
+		if err == nil && got.Covers(&want) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -1157,7 +1166,7 @@ func BenchmarkDigest_ConvergenceAfterHeal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if v[cid] >= seq {
+			if v.Get(cid) >= seq {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -1560,7 +1569,7 @@ func BenchmarkContention_MemnetDelivery(b *testing.B) {
 			m := &msg.Message{
 				Kind: msg.KindUpdate, Object: "doc",
 				Write: ids.WiD{Client: ids.ClientID(i + 1), Seq: 1},
-				VVec:  msg.VecFrom(msgVVec(i)),
+				VVec:  msgVVec(i),
 				Inv:   msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 64)},
 			}
 			for k := 0; k < ops; k++ {

@@ -115,11 +115,16 @@
 // deployment ship from this tree, so no cross-version compatibility shim is
 // kept; bump wireVersion again on any layout change.
 //
-// Version vectors inside frames (Message.VVec, Message.Deps, and per-entry
-// batch dependencies) use msg.Vec, a small-vector representation: up to
-// VecInline entries live in a sorted inline array and decode without
-// allocating; larger vectors spill to a map. The wire layout is unchanged —
-// Vec is purely an in-memory representation.
+// msg.Vec is the one version vector, in frames and out of them: a frame's
+// VVec and Deps (and each batch entry's Deps), an engine's applied vector,
+// a session's read vector, a replica's fetch, page and forwarded vectors,
+// a WAL snapshot's vector, and the vector Store.Applied and the stats
+// control reply report. Up to VecInline entries live in a sorted inline
+// array, so a vector moves and decodes without allocating; larger vectors
+// spill to a map. A copy of a spilled vector shares that map, so whoever
+// keeps a vector it goes on changing hands out Clone()s. A write's
+// coherence.Update holds Deps as a *msg.Vec, nil when the write has none.
+// The wire layout is unchanged: Vec is an in-memory representation.
 //
 // # Transport concurrency model
 //

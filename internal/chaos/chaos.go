@@ -608,7 +608,7 @@ func convergedState(stores map[string]*store.Store, obj ids.ObjectID, model cohe
 		if err != nil {
 			return err.Error()
 		}
-		if !v.Equal(permVec) {
+		if !v.Equal(&permVec) {
 			return fmt.Sprintf("%s applied vector %v, perm has %v", addr, v, permVec)
 		}
 	}

@@ -94,8 +94,10 @@ type Update struct {
 	// store; meaningful only under the sequential model.
 	GlobalSeq uint64
 	// Deps is the causal/session dependency vector: the update may be
-	// applied only at stores whose applied vector covers it.
-	Deps vclock.VC
+	// applied only at stores whose applied vector covers it. Nil when the
+	// write carries none, which keeps Update in its size class; never
+	// changed once the update is built.
+	Deps *msg.Vec
 	// Stamp is the Lamport stamp used by the eventual model's
 	// last-writer-wins rule.
 	Stamp vclock.Stamp
@@ -117,18 +119,15 @@ type Engine interface {
 	// predecessors' successors. The slice is the engine's own and good
 	// until the next Submit: the caller applies or copies it before then.
 	Submit(u *Update) []*Update
-	// Applied returns the version vector of writes applied so far. Under
-	// FIFO and eventual models the vector records the newest write per
-	// client (earlier ones may have been superseded), which still upper-
-	// bounds what a session guarantee can demand.
-	Applied() ids.VersionVec
+	// Applied returns a copy of the version vector of writes applied so
+	// far, the caller's to keep or change. Under FIFO and eventual models
+	// the vector records the newest write per client (earlier ones may
+	// have been superseded), which still upper-bounds what a session
+	// guarantee can demand.
+	Applied() msg.Vec
 	// Covers reports whether the applied vector covers write w, without
-	// materialising the vector — per-write admission checks (at-most-once
-	// replay suppression) sit on the hot path and must not allocate.
+	// copying the vector.
 	Covers(w ids.WiD) bool
-	// MergeApplied folds the applied vector into dst, likewise without a
-	// copy: how the store rebuilds what it advertises after every apply.
-	MergeApplied(dst ids.VersionVec)
 	// Pending reports how many updates are buffered awaiting predecessors.
 	Pending() int
 	// Seed fast-forwards the engine past writes whose effects arrived via
@@ -136,11 +135,21 @@ type Engine interface {
 	// version vector and global the sequencer position it reflects (zero
 	// when the model is not sequential). Updates covered by a seed are
 	// treated as already applied.
-	Seed(v ids.VersionVec, global uint64)
+	Seed(v *msg.Vec, global uint64)
 	// Global reports the sequencer position (next expected total-order
 	// sequence) under the sequential model, and zero otherwise; it rides
 	// along with full state transfers so receivers can Seed correctly.
 	Global() uint64
+}
+
+// DepsOf is the Deps of an update whose frame carries dependency vector v: a
+// copy of v, or nil when v is empty.
+func DepsOf(v *msg.Vec) *msg.Vec {
+	if v.Len() == 0 {
+		return nil
+	}
+	d := v.Clone()
+	return &d
 }
 
 // NewEngine constructs the ordering engine for a model.

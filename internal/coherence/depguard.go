@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"repro/internal/ids"
+	"repro/internal/msg"
 )
 
 // DepGuard wraps an ordering engine and additionally enforces explicit
@@ -45,16 +46,13 @@ func (g *DepGuard) Submit(u *Update) []*Update {
 
 // satisfied checks coverage of u's non-self dependencies.
 func (g *DepGuard) satisfied(u *Update) bool {
-	applied := g.inner.Applied()
-	for c, s := range u.Deps {
-		if c == u.Write.Client {
-			continue // own-component ordering is the inner engine's job
-		}
-		if applied.Get(c) < s {
-			return false
-		}
-	}
-	return true
+	ok := true
+	u.Deps.Each(func(c ids.ClientID, s uint64) bool {
+		// Own-component ordering is the inner engine's job.
+		ok = c == u.Write.Client || g.inner.Covers(ids.WiD{Client: c, Seq: s})
+		return ok
+	})
+	return ok
 }
 
 // drain appends to out what the buffered updates whose dependencies are now
@@ -77,20 +75,17 @@ func (g *DepGuard) drain(out []*Update) []*Update {
 }
 
 // Applied reports the inner engine's applied vector.
-func (g *DepGuard) Applied() ids.VersionVec { return g.inner.Applied() }
+func (g *DepGuard) Applied() msg.Vec { return g.inner.Applied() }
 
 // Covers implements Engine.
 func (g *DepGuard) Covers(w ids.WiD) bool { return g.inner.Covers(w) }
-
-// MergeApplied implements Engine.
-func (g *DepGuard) MergeApplied(dst ids.VersionVec) { g.inner.MergeApplied(dst) }
 
 // Pending counts both guard-buffered and inner-buffered updates.
 func (g *DepGuard) Pending() int { return len(g.buffer) + g.inner.Pending() }
 
 // Seed implements Engine by delegating to the inner engine and releasing
 // buffered updates whose dependencies the seed covers.
-func (g *DepGuard) Seed(v ids.VersionVec, global uint64) {
+func (g *DepGuard) Seed(v *msg.Vec, global uint64) {
 	g.inner.Seed(v, global)
 	// Seeding can satisfy buffered dependencies, but releasing updates here
 	// would bypass the caller's applyReleased path; callers always Seed
@@ -98,7 +93,7 @@ func (g *DepGuard) Seed(v ids.VersionVec, global uint64) {
 	// Submit. Drop only updates the seed itself made stale.
 	rest := g.buffer[:0]
 	for _, u := range g.buffer {
-		if u.Write.Seq > g.inner.Applied().Get(u.Write.Client) {
+		if !g.inner.Covers(u.Write) {
 			rest = append(rest, u)
 		}
 	}

@@ -4,23 +4,19 @@ import (
 	"sort"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/vclock"
 )
 
-// appliedSet is the applied vector every engine keeps, and the three ways the
+// appliedSet is the applied vector every engine keeps, and the two ways the
 // Engine interface reads it.
-type appliedSet struct{ applied ids.VersionVec }
-
-func newAppliedSet() appliedSet { return appliedSet{applied: ids.NewVersionVec(4)} }
+type appliedSet struct{ applied msg.Vec }
 
 // Applied implements Engine: a copy the caller may keep or change.
-func (a *appliedSet) Applied() ids.VersionVec { return a.applied.Clone() }
+func (a *appliedSet) Applied() msg.Vec { return a.applied.Clone() }
 
-// Covers implements Engine: a direct lookup on the live vector, no clone.
+// Covers implements Engine: a direct lookup on the live vector, no copy.
 func (a *appliedSet) Covers(w ids.WiD) bool { return a.applied.CoversWrite(w) }
-
-// MergeApplied implements Engine.
-func (a *appliedSet) MergeApplied(dst ids.VersionVec) { dst.Merge(a.applied) }
 
 // pramEngine applies each client's writes in per-client sequence order,
 // buffering out-of-order arrivals. This is exactly the protocol of §4.2:
@@ -36,7 +32,7 @@ type pramEngine struct {
 }
 
 func newPRAMEngine() *pramEngine {
-	return &pramEngine{appliedSet: newAppliedSet(), buffer: make(map[ids.WiD]*Update)}
+	return &pramEngine{buffer: make(map[ids.WiD]*Update)}
 }
 
 func (e *pramEngine) Model() Model { return PRAM }
@@ -92,7 +88,7 @@ type fifoEngine struct {
 	out [1]*Update // Submit's result, reused
 }
 
-func newFIFOEngine() *fifoEngine { return &fifoEngine{appliedSet: newAppliedSet()} }
+func newFIFOEngine() *fifoEngine { return &fifoEngine{} }
 
 func (e *fifoEngine) Model() Model { return FIFO }
 
@@ -119,7 +115,7 @@ type causalEngine struct {
 	out    []*Update // Submit's result, reused
 }
 
-func newCausalEngine() *causalEngine { return &causalEngine{appliedSet: newAppliedSet()} }
+func newCausalEngine() *causalEngine { return &causalEngine{} }
 
 func (e *causalEngine) Model() Model { return Causal }
 
@@ -142,15 +138,12 @@ func (e *causalEngine) deliverable(u *Update) bool {
 	if u.Write.Seq != e.applied.Get(c)+1 {
 		return false
 	}
-	for j, s := range u.Deps {
-		if j == c {
-			continue
-		}
-		if e.applied.Get(j) < s {
-			return false
-		}
-	}
-	return true
+	ok := true
+	u.Deps.Each(func(j ids.ClientID, s uint64) bool {
+		ok = j == c || e.applied.Get(j) >= s
+		return ok
+	})
+	return ok
 }
 
 // drain appends to out the buffered updates that have become deliverable.
@@ -190,7 +183,6 @@ type sequentialEngine struct {
 
 func newSequentialEngine() *sequentialEngine {
 	return &sequentialEngine{
-		appliedSet: newAppliedSet(),
 		nextGlobal: 1,
 		buffer:     make(map[uint64]*Update),
 	}
@@ -245,10 +237,7 @@ type eventualEngine struct {
 }
 
 func newEventualEngine() *eventualEngine {
-	return &eventualEngine{
-		appliedSet: newAppliedSet(),
-		stamps:     make(map[string]vclock.Stamp),
-	}
+	return &eventualEngine{stamps: make(map[string]vclock.Stamp)}
 }
 
 func (e *eventualEngine) Model() Model { return Eventual }
@@ -294,7 +283,7 @@ func (e *eventualEngine) Stamps() map[string]vclock.Stamp {
 
 // Seed implements Engine: contiguous models merge the vector (state covers
 // every write up to it) and drop buffered updates the seed covers.
-func (e *pramEngine) Seed(v ids.VersionVec, _ uint64) {
+func (e *pramEngine) Seed(v *msg.Vec, _ uint64) {
 	e.applied.Merge(v)
 	for w := range e.buffer {
 		if e.applied.CoversWrite(w) {
@@ -307,18 +296,14 @@ func (e *pramEngine) Seed(v ids.VersionVec, _ uint64) {
 func (e *pramEngine) Global() uint64 { return 0 }
 
 // Seed implements Engine.
-func (e *fifoEngine) Seed(v ids.VersionVec, _ uint64) { e.applied.Merge(v) }
+func (e *fifoEngine) Seed(v *msg.Vec, _ uint64) { e.applied.Merge(v) }
 
 // Global implements Engine.
 func (e *fifoEngine) Global() uint64 { return 0 }
 
 // Seed implements Engine.
-func (e *causalEngine) Seed(v ids.VersionVec, _ uint64) {
-	for c, s := range v {
-		if e.applied.Get(c) < s {
-			e.applied.Set(c, s)
-		}
-	}
+func (e *causalEngine) Seed(v *msg.Vec, _ uint64) {
+	e.applied.Merge(v)
 	rest := e.buffer[:0]
 	for _, u := range e.buffer {
 		if u.Write.Seq > e.applied.Get(u.Write.Client) {
@@ -333,7 +318,7 @@ func (e *causalEngine) Global() uint64 { return 0 }
 
 // Seed implements Engine: fast-forward both the applied vector and the
 // total-order position.
-func (e *sequentialEngine) Seed(v ids.VersionVec, global uint64) {
+func (e *sequentialEngine) Seed(v *msg.Vec, global uint64) {
 	e.applied.Merge(v)
 	if global > e.nextGlobal {
 		e.nextGlobal = global
@@ -351,7 +336,7 @@ func (e *sequentialEngine) Global() uint64 { return e.nextGlobal }
 // Seed implements Engine. Snapshot state is authoritative for its vector;
 // per-element stamps are unknown, so LWW continues from the stamps seen in
 // subsequent updates.
-func (e *eventualEngine) Seed(v ids.VersionVec, _ uint64) { e.applied.Merge(v) }
+func (e *eventualEngine) Seed(v *msg.Vec, _ uint64) { e.applied.Merge(v) }
 
 // Global implements Engine.
 func (e *eventualEngine) Global() uint64 { return 0 }

@@ -3,6 +3,7 @@ package coherence
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
@@ -220,9 +221,9 @@ func TestFIFOPrefixMaximaProperty(t *testing.T) {
 	}
 }
 
-func causalUpd(c ids.ClientID, seq uint64, deps vclock.VC) *Update {
+func causalUpd(c ids.ClientID, seq uint64, deps msg.Vec) *Update {
 	u := upd(c, seq)
-	u.Deps = deps.Clone()
+	u.Deps = &deps
 	u.Deps.Set(c, seq)
 	return u
 }
@@ -230,14 +231,14 @@ func causalUpd(c ids.ClientID, seq uint64, deps vclock.VC) *Update {
 func TestCausalWaitsForDependency(t *testing.T) {
 	e := newCausalEngine()
 	// Client 2 reacts to client 1's first post.
-	reaction := causalUpd(2, 1, vclock.VC{1: 1})
+	reaction := causalUpd(2, 1, vecOf(1, 1))
 	if got := e.Submit(reaction); got != nil {
 		t.Fatalf("reaction applied before trigger: %v", collectWiDs(got))
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
-	trigger := causalUpd(1, 1, vclock.New())
+	trigger := causalUpd(1, 1, vecOf())
 	got := e.Submit(trigger)
 	if len(got) != 2 {
 		t.Fatalf("apply after trigger: %v", collectWiDs(got))
@@ -250,17 +251,17 @@ func TestCausalWaitsForDependency(t *testing.T) {
 func TestCausalIndependentConcurrent(t *testing.T) {
 	e := newCausalEngine()
 	// Two concurrent posts: no mutual dependency, either order fine.
-	if got := e.Submit(causalUpd(2, 1, vclock.New())); len(got) != 1 {
+	if got := e.Submit(causalUpd(2, 1, vecOf())); len(got) != 1 {
 		t.Fatalf("concurrent write blocked")
 	}
-	if got := e.Submit(causalUpd(1, 1, vclock.New())); len(got) != 1 {
+	if got := e.Submit(causalUpd(1, 1, vecOf())); len(got) != 1 {
 		t.Fatalf("concurrent write blocked")
 	}
 }
 
 func TestCausalDuplicateDropped(t *testing.T) {
 	e := newCausalEngine()
-	u := causalUpd(1, 1, vclock.New())
+	u := causalUpd(1, 1, vecOf())
 	e.Submit(u)
 	if got := e.Submit(u); got != nil {
 		t.Fatalf("duplicate applied")
@@ -277,10 +278,7 @@ func TestCausalRandomDeliveryProperty(t *testing.T) {
 		// depends on everything its client has "seen" (its own VC snapshot).
 		clients := 2 + rng.Intn(3)
 		steps := 5 + rng.Intn(15)
-		seen := make([]vclock.VC, clients+1)
-		for c := 1; c <= clients; c++ {
-			seen[c] = vclock.New()
-		}
+		seen := make([]msg.Vec, clients+1)
 		seqs := make([]uint64, clients+1)
 		var pool []*Update
 		for i := 0; i < steps; i++ {
@@ -289,30 +287,28 @@ func TestCausalRandomDeliveryProperty(t *testing.T) {
 			// (models a read), creating a cross-client dependency.
 			if rng.Intn(2) == 0 {
 				o := 1 + rng.Intn(clients)
-				seen[c].Merge(seen[o])
+				seen[c].Merge(&seen[o])
 			}
 			seqs[c]++
-			u := causalUpd(ids.ClientID(c), seqs[c], seen[c])
+			u := causalUpd(ids.ClientID(c), seqs[c], seen[c].Clone())
 			seen[c].Set(ids.ClientID(c), seqs[c])
 			pool = append(pool, u)
 		}
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 
 		e := newCausalEngine()
-		applied := vclock.New()
+		var applied msg.Vec
 		count := 0
 		for _, u := range pool {
 			for _, a := range e.Submit(u) {
 				// Dependency check: everything a depends on (other than its
 				// own entry) must already be applied.
-				for c, s := range a.Deps {
-					if c == a.Write.Client {
-						continue
-					}
-					if applied.Get(c) < s {
+				a.Deps.Each(func(c ids.ClientID, s uint64) bool {
+					if c != a.Write.Client && applied.Get(c) < s {
 						t.Fatalf("trial %d: %v applied before dep c%d:%d", trial, a.Write, c, s)
 					}
-				}
+					return true
+				})
 				if a.Write.Seq != applied.Get(a.Write.Client)+1 {
 					t.Fatalf("trial %d: per-client order violated for %v", trial, a.Write)
 				}
@@ -481,7 +477,8 @@ func TestDepGuardBuffersUntilCovered(t *testing.T) {
 	}
 	// Write by client 2 depends on client 1's write 1 (WFR).
 	dep := stampUpd(2, 1, 20, "p")
-	dep.Deps = vclock.VC{1: 1}
+	dep.Deps = &msg.Vec{}
+	dep.Deps.Set(1, 1)
 	if got := g.Submit(dep); got != nil {
 		t.Fatalf("dependent write applied early")
 	}
@@ -504,11 +501,21 @@ func TestDepGuardBuffersUntilCovered(t *testing.T) {
 func TestDepGuardIgnoresSelfDependency(t *testing.T) {
 	g := NewDepGuard(newPRAMEngine())
 	u := upd(1, 1)
-	u.Deps = vclock.VC{1: 1} // own component: inner engine's business
+	u.Deps = &msg.Vec{}
+	u.Deps.Set(1, 1) // own component: inner engine's business
 	if got := g.Submit(u); len(got) != 1 {
 		t.Fatalf("self-dependency blocked the write")
 	}
-	if !g.Applied().CoversWrite(u.Write) {
+	if applied := g.Applied(); !applied.CoversWrite(u.Write) {
 		t.Fatalf("applied vector missing write")
+	}
+}
+
+// An Update is allocated per applied write on every replica, and kept in the
+// retained log: Deps stays a pointer, so the struct stays in the 112-byte
+// size class instead of carrying an inline vector.
+func TestUpdateSize(t *testing.T) {
+	if got := unsafe.Sizeof(Update{}); got != 104 {
+		t.Fatalf("unsafe.Sizeof(Update{}) = %d, want 104", got)
 	}
 }

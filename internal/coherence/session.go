@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/msg"
-	"repro/internal/vclock"
 )
 
 // Session is the client-side state for the client-based coherence models of
@@ -24,11 +23,11 @@ type Session struct {
 	// store it was performed on.
 	lastWrite ids.Dependency
 	// readVec is the merged applied vector of every store state this client
-	// has read (Monotonic Reads requirement).
-	readVec ids.VersionVec
-	// readVC is the causal variant of readVec, attached as write
-	// dependencies under Writes Follow Reads.
-	readVC vclock.VC
+	// has read: a read's requirement under Monotonic Reads and a write's
+	// dependencies under Writes Follow Reads. The client's own entry in it
+	// is never consulted for a write: the engines and DepGuard order a
+	// writer's own writes themselves.
+	readVec msg.Vec
 	// holes records sequence numbers of aborted writes that could NOT be
 	// rolled back (a newer allocation already existed): permanent gaps in
 	// the client's write order until sealed. Under ordered models such a
@@ -41,12 +40,7 @@ type Session struct {
 // NewSession creates a session for client c with the given client-based
 // models enabled.
 func NewSession(c ids.ClientID, models ...ClientModel) *Session {
-	s := &Session{
-		client:  c,
-		models:  make(map[ClientModel]bool, len(models)),
-		readVec: ids.NewVersionVec(4),
-		readVC:  vclock.New(),
-	}
+	s := &Session{client: c, models: make(map[ClientModel]bool, len(models))}
 	for _, m := range models {
 		s.models[m] = true
 	}
@@ -89,7 +83,7 @@ func (s *Session) SeedSeq(seq uint64) {
 // Reads, everything the client has read; under Monotonic Writes, the
 // client's own previous write. The causal object model composes both
 // automatically; for weaker models a DepGuard at the store enforces them.
-func (s *Session) NextWrite() (ids.WiD, vclock.VC) {
+func (s *Session) NextWrite() (ids.WiD, *msg.Vec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
@@ -103,15 +97,15 @@ func (s *Session) NextWrite() (ids.WiD, vclock.VC) {
 // depsForLocked builds the dependency vector a write with sequence seq must
 // carry under the enabled models: nil when none asks for one, so a write
 // under RYW or MR alone allocates no vector. Callers hold s.mu.
-func (s *Session) depsForLocked(seq uint64) vclock.VC {
+func (s *Session) depsForLocked(seq uint64) *msg.Vec {
 	wfr := s.models[WritesFollowReads]
 	own := seq > 1 && (wfr || s.models[MonotonicWrites])
-	if !own && !wfr {
+	if !own && (!wfr || s.readVec.Len() == 0) {
 		return nil
 	}
-	deps := vclock.New()
+	deps := new(msg.Vec)
 	if wfr {
-		deps.Merge(s.readVC)
+		*deps = s.readVec.Clone()
 	}
 	if own {
 		deps.Set(s.client, seq-1)
@@ -180,7 +174,7 @@ func (s *Session) Holes() []uint64 {
 // SealWrite returns the write identifier and dependency vector for a no-op
 // write that seals the recorded hole at seq. It does not touch the write
 // counter: the hole's number is already allocated.
-func (s *Session) SealWrite(seq uint64) (ids.WiD, vclock.VC) {
+func (s *Session) SealWrite(seq uint64) (ids.WiD, *msg.Vec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return ids.WiD{Client: s.client, Seq: seq}, s.depsForLocked(seq)
@@ -198,7 +192,6 @@ func (s *Session) WriteDone(w ids.WiD, st ids.StoreID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastWrite = ids.Dependency{Write: w, Store: st}
-	s.readVC.Set(s.client, w.Seq) // own writes are part of causal history
 }
 
 // ReadRequirementVec returns the requirement vector and RYW dependency a read
@@ -216,41 +209,30 @@ func (s *Session) ReadRequirementVec() (msg.Vec, ids.Dependency) {
 		dep = s.lastWrite
 	}
 	if s.models[MonotonicReads] {
-		for c, q := range s.readVec {
-			if req.Get(c) < q {
-				req.Set(c, q)
-			}
-		}
+		req.Merge(&s.readVec)
 	}
 	return req, dep
 }
 
 // ReadRequirement is ReadRequirementVec with the vector as a map.
-func (s *Session) ReadRequirement() (ids.VersionVec, ids.Dependency) {
+//
+// Deprecated: bench/ladder.go only; goes with ROADMAP item 7.
+func (s *Session) ReadRequirement() (map[ids.ClientID]uint64, ids.Dependency) {
 	req, dep := s.ReadRequirementVec()
-	out := ids.NewVersionVec(req.Len())
-	req.MergeInto(out)
+	out := make(map[ids.ClientID]uint64, req.Len())
+	req.Each(func(c ids.ClientID, q uint64) bool {
+		out[c] = q
+		return true
+	})
 	return out, dep
 }
 
-// ReadDoneVec folds the applied vector returned by the serving store, in
-// the wire form the reply carries it in, into the session's read state.
-func (s *Session) ReadDoneVec(storeApplied *msg.Vec) {
+// ReadDone folds the applied vector returned by the serving store into the
+// session's read state.
+func (s *Session) ReadDone(storeApplied msg.Vec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	storeApplied.Each(func(c ids.ClientID, q uint64) bool {
-		s.readVec.Bump(c, q)
-		if s.readVC.Get(c) < q {
-			s.readVC.Set(c, q)
-		}
-		return true
-	})
-}
-
-// ReadDone is ReadDoneVec for a map-typed vector.
-func (s *Session) ReadDone(storeApplied ids.VersionVec) {
-	v := msg.VecFrom(storeApplied)
-	s.ReadDoneVec(&v)
+	s.readVec.Merge(&storeApplied)
 }
 
 // LastWrite returns the RYW dependency (zero if the client has not written).

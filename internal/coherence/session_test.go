@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 )
 
 func TestSessionWiDsAreSequential(t *testing.T) {
@@ -21,11 +22,11 @@ func TestSessionWiDsAreSequential(t *testing.T) {
 func TestSessionNoModelsNoConstraints(t *testing.T) {
 	s := NewSession(1)
 	_, deps := s.NextWrite()
-	if len(deps) != 0 {
+	if deps != nil {
 		t.Fatalf("unrequested deps: %v", deps)
 	}
-	req, dep := s.ReadRequirement()
-	if len(req) != 0 || !dep.Zero() {
+	req, dep := s.ReadRequirementVec()
+	if req.Len() != 0 || !dep.Zero() {
 		t.Fatalf("unrequested requirement: %v %v", req, dep)
 	}
 }
@@ -33,13 +34,13 @@ func TestSessionNoModelsNoConstraints(t *testing.T) {
 func TestSessionRYWRequirement(t *testing.T) {
 	s := NewSession(3, ReadYourWrites)
 	// Before any write, reads are unconstrained.
-	req, dep := s.ReadRequirement()
-	if len(req) != 0 || !dep.Zero() {
+	req, dep := s.ReadRequirementVec()
+	if req.Len() != 0 || !dep.Zero() {
 		t.Fatalf("requirement before write: %v", req)
 	}
 	w, _ := s.NextWrite()
 	s.WriteDone(w, 9)
-	req, dep = s.ReadRequirement()
+	req, dep = s.ReadRequirementVec()
 	if req.Get(3) != 1 {
 		t.Fatalf("RYW requirement = %v", req)
 	}
@@ -50,11 +51,11 @@ func TestSessionRYWRequirement(t *testing.T) {
 
 func TestSessionMonotonicReads(t *testing.T) {
 	s := NewSession(2, MonotonicReads)
-	s.ReadDone(ids.VersionVec{1: 5, 4: 2})
-	s.ReadDone(ids.VersionVec{1: 3, 6: 1}) // older component must not regress
-	req, _ := s.ReadRequirement()
-	want := ids.VersionVec{1: 5, 4: 2, 6: 1}
-	if !req.Equal(want) {
+	s.ReadDone(vecOf(1, 5, 4, 2))
+	s.ReadDone(vecOf(1, 3, 6, 1)) // older component must not regress
+	req, _ := s.ReadRequirementVec()
+	want := vecOf(1, 5, 4, 2, 6, 1)
+	if !req.Equal(&want) {
 		t.Fatalf("MR requirement = %v, want %v", req, want)
 	}
 }
@@ -62,7 +63,7 @@ func TestSessionMonotonicReads(t *testing.T) {
 func TestSessionMonotonicWritesDeps(t *testing.T) {
 	s := NewSession(5, MonotonicWrites)
 	_, deps1 := s.NextWrite()
-	if len(deps1) != 0 {
+	if deps1 != nil {
 		t.Fatalf("first write has deps: %v", deps1)
 	}
 	_, deps2 := s.NextWrite()
@@ -73,7 +74,7 @@ func TestSessionMonotonicWritesDeps(t *testing.T) {
 
 func TestSessionWritesFollowReadsDeps(t *testing.T) {
 	s := NewSession(4, WritesFollowReads)
-	s.ReadDone(ids.VersionVec{1: 7}) // read someone's post
+	s.ReadDone(vecOf(1, 7)) // read someone's post
 	w, deps := s.NextWrite()
 	if deps.Get(1) != 7 {
 		t.Fatalf("WFR deps = %v, want read history", deps)
@@ -101,8 +102,8 @@ func TestSessionCombinedRYWAndMR(t *testing.T) {
 	s := NewSession(2, ReadYourWrites, MonotonicReads)
 	w, _ := s.NextWrite()
 	s.WriteDone(w, 1)
-	s.ReadDone(ids.VersionVec{9: 3})
-	req, dep := s.ReadRequirement()
+	s.ReadDone(vecOf(9, 3))
+	req, dep := s.ReadRequirementVec()
 	if req.Get(2) != 1 || req.Get(9) != 3 {
 		t.Fatalf("combined requirement = %v", req)
 	}
@@ -128,15 +129,14 @@ func TestSessionRYWAgainstPRAMStore(t *testing.T) {
 	// Server pushed only the first update to the cache so far.
 	cacheEngine.Submit(upd(1, 1))
 
-	req, _ := master.ReadRequirement()
-	if cacheEngine.Applied().Covers(req) {
-		t.Fatalf("RYW violation undetected: cache %v, requirement %v",
-			cacheEngine.Applied(), req)
+	req, _ := master.ReadRequirementVec()
+	if applied := cacheEngine.Applied(); applied.Covers(&req) {
+		t.Fatalf("RYW violation undetected: cache %v, requirement %v", applied, req)
 	}
 
 	// Cache demands the missing update (client-outdate reaction = demand).
 	cacheEngine.Submit(upd(1, 2))
-	if !cacheEngine.Applied().Covers(req) {
+	if applied := cacheEngine.Applied(); !applied.Covers(&req) {
 		t.Fatalf("requirement still unsatisfied after demand")
 	}
 }
@@ -221,7 +221,7 @@ func TestSessionReallocationAbsorbsHole(t *testing.T) {
 // NextWrite allocates nothing, while the MW and WFR vectors stay as they were.
 func TestSessionDepsOnlyWhenAModelAsks(t *testing.T) {
 	s := NewSession(3, ReadYourWrites, MonotonicReads)
-	s.ReadDone(ids.VersionVec{1: 4})
+	s.ReadDone(vecOf(1, 4))
 	if a := testing.AllocsPerRun(100, func() {
 		if _, deps := s.NextWrite(); deps != nil {
 			t.Fatalf("RYW+MR write carries deps %v", deps)
@@ -231,20 +231,29 @@ func TestSessionDepsOnlyWhenAModelAsks(t *testing.T) {
 	}
 
 	mw := NewSession(5, MonotonicWrites)
-	mw.ReadDone(ids.VersionVec{1: 4})
+	mw.ReadDone(vecOf(1, 4))
 	if _, deps := mw.NextWrite(); deps != nil {
 		t.Fatalf("first MW write carries deps %v", deps)
 	}
-	if _, deps := mw.NextWrite(); !deps.Equal(ids.VersionVec{5: 1}) {
+	if _, deps := mw.NextWrite(); deps.String() != "{c5:1}" {
 		t.Fatalf("second MW write deps = %v, want own previous write only", deps)
 	}
 
 	wfr := NewSession(4, WritesFollowReads)
-	wfr.ReadDone(ids.VersionVec{1: 7})
-	if _, deps := wfr.NextWrite(); !deps.Equal(ids.VersionVec{1: 7}) {
+	wfr.ReadDone(vecOf(1, 7))
+	if _, deps := wfr.NextWrite(); deps.String() != "{c1:7}" {
 		t.Fatalf("first WFR write deps = %v, want read history", deps)
 	}
-	if _, deps := wfr.SealWrite(2); !deps.Equal(ids.VersionVec{1: 7, 4: 1}) {
+	if _, deps := wfr.SealWrite(2); deps.String() != "{c1:7 c4:1}" {
 		t.Fatalf("WFR seal deps = %v, want read history and own previous write", deps)
 	}
+}
+
+// vecOf builds a vector from client, seq pairs.
+func vecOf(kv ...uint64) msg.Vec {
+	var v msg.Vec
+	for i := 0; i+1 < len(kv); i += 2 {
+		v.Set(ids.ClientID(kv[i]), kv[i+1])
+	}
+	return v
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/semantics"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 )
 
 // ErrTimeout reports a call that received no reply in time; it is the shared
@@ -181,7 +180,7 @@ func (p *Proxy) invokeRead(inv msg.Invocation) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.session.ReadDoneVec(&reply.VVec)
+	p.session.ReadDone(reply.VVec)
 	return reply.Payload, nil
 }
 
@@ -216,13 +215,13 @@ func (p *Proxy) invokeWrite(inv msg.Invocation) ([]byte, error) {
 // was applied and admits it if it never arrived, so the ambiguity usually
 // resolves without abandoning the write ID (which a subsequent different
 // write would reuse and have silently absorbed as a replay).
-func (p *Proxy) write(w ids.WiD, deps vclock.VC, inv msg.Invocation, sent *sync.Mutex) (*msg.Message, error) {
+func (p *Proxy) write(w ids.WiD, deps *msg.Vec, inv msg.Invocation, sent *sync.Mutex) (*msg.Message, error) {
 	req := msg.Message{
 		Kind:      msg.KindWriteRequest,
 		Object:    p.object,
 		Client:    p.client,
 		Write:     w,
-		Deps:      msg.VecFrom(deps),
+		Deps:      deps.Clone(),
 		Inv:       inv,
 		WallNanos: time.Now().UnixNano(),
 	}

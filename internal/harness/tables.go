@@ -272,12 +272,16 @@ func ModelsObjectBased(o Options) *Table {
 				lat.Record(time.Since(start))
 			}
 		}
-		totalWrites := uint64(perWriter * len(writers))
 		converged := settle(3*time.Second, func() bool {
 			for _, c := range caches {
 				v, err := c.Applied(obj)
-				if err != nil || v.Total() < totalWrites {
+				if err != nil {
 					return false
+				}
+				for _, w := range writers {
+					if v.Get(w.Client()) < uint64(perWriter) {
+						return false
+					}
 				}
 			}
 			return true
@@ -288,7 +292,7 @@ func ModelsObjectBased(o Options) *Table {
 			buffered += cs.UpdatesBuffered
 		}
 		ns := r.net.Stats()
-		t.AddRow(model.String(), f("%d", totalWrites), f("%v", converged),
+		t.AddRow(model.String(), f("%d", perWriter*len(writers)), f("%v", converged),
 			f("%d", buffered), f("%d", ns.Sent), f("%d", ns.Bytes), f("%.0f", histMeanMicros(&lat)))
 		for _, w := range writers {
 			w.Close()

@@ -1,17 +1,11 @@
 // Package ids defines the identifier types shared by every layer of the
 // framework: object, client, and store identifiers, write identifiers
 // (WiD = client ID + per-client sequence number, exactly as in §4.2 of the
-// paper), version vectors holding the per-client expected-write counters a
-// store maintains, and read dependencies (WiD, store) used by the
-// Read-Your-Writes session guarantee.
+// paper), and read dependencies (WiD, store) used by the Read-Your-Writes
+// session guarantee. The version vector built from them is msg.Vec.
 package ids
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // ObjectID names a distributed shared Web object (one per Web document).
 type ObjectID string
@@ -69,104 +63,8 @@ func (d Dependency) String() string {
 	return d.Write.String() + "@s" + strconv.FormatUint(uint64(d.Store), 10)
 }
 
-// VersionVec is a version vector mapping each client to the sequence number
-// of that client's most recent write known/applied. It is the paper's
-// "expected_write[client]" state generalised to all clients. The zero value
-// is an empty vector ready for use (callers must Clone before mutating a
-// shared vector).
+// VersionVec is a version vector as a map. msg.Vec is the one vector type;
+// this name remains for one caller.
+//
+// Deprecated: bench/ladder.go only; goes with ROADMAP item 7.
 type VersionVec map[ClientID]uint64
-
-// NewVersionVec returns an empty version vector with room for n clients.
-func NewVersionVec(n int) VersionVec { return make(VersionVec, n) }
-
-// Get returns the sequence recorded for client c (zero if absent).
-func (v VersionVec) Get(c ClientID) uint64 { return v[c] }
-
-// Set records seq for client c, growing the vector if needed.
-func (v VersionVec) Set(c ClientID, seq uint64) { v[c] = seq }
-
-// Bump records seq for client c if it is newer than the current entry.
-func (v VersionVec) Bump(c ClientID, seq uint64) {
-	if v[c] < seq {
-		v[c] = seq
-	}
-}
-
-// Clone returns an independent copy of v. Clone of nil returns an empty,
-// usable vector.
-func (v VersionVec) Clone() VersionVec {
-	out := make(VersionVec, len(v))
-	for c, s := range v {
-		out[c] = s
-	}
-	return out
-}
-
-// Merge folds o into v entry-wise, keeping the maximum of each component.
-func (v VersionVec) Merge(o VersionVec) {
-	for c, s := range o {
-		if v[c] < s {
-			v[c] = s
-		}
-	}
-}
-
-// Covers reports whether v dominates o: every entry of o is <= the
-// corresponding entry of v. An empty o is covered by anything.
-func (v VersionVec) Covers(o VersionVec) bool {
-	for c, s := range o {
-		if s == 0 {
-			continue
-		}
-		if v[c] < s {
-			return false
-		}
-	}
-	return true
-}
-
-// CoversWrite reports whether v includes write w (i.e. v[w.Client] >= w.Seq).
-// The zero WiD is always covered.
-func (v VersionVec) CoversWrite(w WiD) bool {
-	if w.Zero() {
-		return true
-	}
-	return v[w.Client] >= w.Seq
-}
-
-// Equal reports whether v and o contain the same non-zero entries.
-func (v VersionVec) Equal(o VersionVec) bool {
-	return v.Covers(o) && o.Covers(v)
-}
-
-// Total returns the sum of all components — a scalar progress measure used
-// by metrics (number of writes covered).
-func (v VersionVec) Total() uint64 {
-	var t uint64
-	for _, s := range v {
-		t += s
-	}
-	return t
-}
-
-// String renders the vector deterministically, sorted by client ID.
-func (v VersionVec) String() string {
-	if len(v) == 0 {
-		return "{}"
-	}
-	clients := make([]ClientID, 0, len(v))
-	for c := range v {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, c := range clients {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "c%d:%d", c, v[c])
-	}
-	b.WriteByte('}')
-	return b.String()
-}

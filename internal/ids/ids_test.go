@@ -1,9 +1,6 @@
 package ids
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestWiDZero(t *testing.T) {
 	var w WiD
@@ -51,172 +48,5 @@ func TestDependencyZeroAndString(t *testing.T) {
 	}
 	if got, want := d.String(), "c3#9@s4"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestVersionVecBasics(t *testing.T) {
-	v := NewVersionVec(2)
-	if got := v.Get(1); got != 0 {
-		t.Fatalf("empty vector Get = %d, want 0", got)
-	}
-	v.Set(1, 5)
-	if got := v.Get(1); got != 5 {
-		t.Fatalf("Get after Set = %d, want 5", got)
-	}
-	v.Bump(1, 3) // lower: must not regress
-	if got := v.Get(1); got != 5 {
-		t.Fatalf("Bump regressed: %d, want 5", got)
-	}
-	v.Bump(1, 9)
-	if got := v.Get(1); got != 9 {
-		t.Fatalf("Bump did not advance: %d, want 9", got)
-	}
-}
-
-func TestVersionVecCloneIndependence(t *testing.T) {
-	v := VersionVec{1: 2, 3: 4}
-	c := v.Clone()
-	c.Set(1, 100)
-	if v.Get(1) != 2 {
-		t.Fatalf("Clone is not independent: original mutated to %d", v.Get(1))
-	}
-	var nilVec VersionVec
-	c2 := nilVec.Clone()
-	c2.Set(9, 9) // must not panic
-	if c2.Get(9) != 9 {
-		t.Fatalf("clone of nil vector unusable")
-	}
-}
-
-func TestVersionVecCovers(t *testing.T) {
-	v := VersionVec{1: 5, 2: 3}
-	if !v.Covers(VersionVec{1: 5}) {
-		t.Fatalf("equal component should be covered")
-	}
-	if !v.Covers(VersionVec{1: 4, 2: 3}) {
-		t.Fatalf("smaller components should be covered")
-	}
-	if v.Covers(VersionVec{1: 6}) {
-		t.Fatalf("larger component must not be covered")
-	}
-	if !v.Covers(nil) {
-		t.Fatalf("nil vector must be covered by anything")
-	}
-	if !v.Covers(VersionVec{7: 0}) {
-		t.Fatalf("zero entries must be ignored by Covers")
-	}
-}
-
-func TestVersionVecCoversWrite(t *testing.T) {
-	v := VersionVec{1: 5}
-	if !v.CoversWrite(WiD{Client: 1, Seq: 5}) {
-		t.Fatalf("exact write should be covered")
-	}
-	if v.CoversWrite(WiD{Client: 1, Seq: 6}) {
-		t.Fatalf("future write must not be covered")
-	}
-	if !v.CoversWrite(WiD{}) {
-		t.Fatalf("zero WiD must always be covered")
-	}
-	if v.CoversWrite(WiD{Client: 2, Seq: 1}) {
-		t.Fatalf("unknown client's write must not be covered")
-	}
-}
-
-func TestVersionVecMergeIsLUB(t *testing.T) {
-	a := VersionVec{1: 5, 2: 1}
-	b := VersionVec{1: 2, 2: 7, 3: 1}
-	m := a.Clone()
-	m.Merge(b)
-	if !m.Covers(a) || !m.Covers(b) {
-		t.Fatalf("merge %v does not cover inputs %v, %v", m, a, b)
-	}
-	want := VersionVec{1: 5, 2: 7, 3: 1}
-	if !m.Equal(want) {
-		t.Fatalf("merge = %v, want %v", m, want)
-	}
-}
-
-func TestVersionVecString(t *testing.T) {
-	v := VersionVec{2: 7, 1: 5}
-	if got, want := v.String(), "{c1:5 c2:7}"; got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	var empty VersionVec
-	if got := empty.String(); got != "{}" {
-		t.Fatalf("empty String() = %q, want {}", got)
-	}
-}
-
-func TestVersionVecTotal(t *testing.T) {
-	v := VersionVec{1: 5, 2: 7}
-	if got := v.Total(); got != 12 {
-		t.Fatalf("Total = %d, want 12", got)
-	}
-}
-
-// Property: Merge is commutative, associative, and idempotent (join of the
-// version-vector lattice), and the result covers both inputs.
-func TestVersionVecMergeLatticeLaws(t *testing.T) {
-	mk := func(xs map[uint8]uint16) VersionVec {
-		v := NewVersionVec(len(xs))
-		for c, s := range xs {
-			if s > 0 {
-				v.Set(ClientID(c), uint64(s))
-			}
-		}
-		return v
-	}
-	merge := func(a, b VersionVec) VersionVec {
-		m := a.Clone()
-		m.Merge(b)
-		return m
-	}
-	f := func(xa, xb, xc map[uint8]uint16) bool {
-		a, b, c := mk(xa), mk(xb), mk(xc)
-		ab, ba := merge(a, b), merge(b, a)
-		if !ab.Equal(ba) {
-			return false
-		}
-		if !merge(merge(a, b), c).Equal(merge(a, merge(b, c))) {
-			return false
-		}
-		if !merge(a, a).Equal(a) {
-			return false
-		}
-		return ab.Covers(a) && ab.Covers(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Covers is a partial order — reflexive, transitive, antisymmetric
-// (up to Equal).
-func TestVersionVecCoversPartialOrder(t *testing.T) {
-	mk := func(xs map[uint8]uint16) VersionVec {
-		v := NewVersionVec(len(xs))
-		for c, s := range xs {
-			if s > 0 {
-				v.Set(ClientID(c), uint64(s))
-			}
-		}
-		return v
-	}
-	f := func(xa, xb, xc map[uint8]uint16) bool {
-		a, b, c := mk(xa), mk(xb), mk(xc)
-		if !a.Covers(a) {
-			return false
-		}
-		if a.Covers(b) && b.Covers(c) && !a.Covers(c) {
-			return false
-		}
-		if a.Covers(b) && b.Covers(a) && !a.Equal(b) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 
 	"repro/internal/ids"
@@ -44,58 +43,13 @@ func (w *writer) inv(inv *Invocation) {
 	w.bytes(inv.Args)
 }
 
-// vecV encodes a Vec: inline entries are already sorted by client, so they
-// stream straight out; spilled vectors fall back to the sorted-map path.
+// vecV encodes a Vec sorted by client, so equal vectors encode alike.
 func (w *writer) vecV(v *Vec) {
-	if v.spill != nil {
-		w.vec(v.spill)
-		return
-	}
-	w.u16(uint16(v.n))
-	for i := 0; i < v.n; i++ {
-		w.u32(uint32(v.inline[i].Client))
-		w.u64(v.inline[i].Seq)
-	}
-}
-
-// smallVec is the map size up to which vec emits sorted entries by repeated
-// selection (O(n²) but allocation-free) instead of building a sort slice.
-// Version vectors in practice hold a handful of clients.
-const smallVec = 16
-
-// vec encodes a client->seq map deterministically (sorted by client).
-func (w *writer) vec(v map[ids.ClientID]uint64) {
-	w.u16(uint16(len(v)))
-	if len(v) == 0 {
-		return
-	}
-	if len(v) <= smallVec {
-		var keys [smallVec]ids.ClientID
-		n := 0
-		for c := range v {
-			keys[n] = c
-			n++
-		}
-		ks := keys[:n]
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-				ks[j], ks[j-1] = ks[j-1], ks[j]
-			}
-		}
-		for _, c := range ks {
-			w.u32(uint32(c))
-			w.u64(v[c])
-		}
-		return
-	}
-	clients := make([]ids.ClientID, 0, len(v))
-	for c := range v {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	for _, c := range clients {
-		w.u32(uint32(c))
-		w.u64(v[c])
+	es := v.entries()
+	w.u16(uint16(len(es)))
+	for _, e := range es {
+		w.u32(uint32(e.Client))
+		w.u64(e.Seq)
 	}
 }
 

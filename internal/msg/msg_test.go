@@ -23,8 +23,8 @@ func sampleMessage() *Message {
 		Write:     ids.WiD{Client: 7, Seq: 19},
 		GlobalSeq: 101,
 		Stamp:     vclock.Stamp{Time: 55, Client: 7},
-		VVec:      VecFrom(ids.VersionVec{7: 19, 2: 4}),
-		Deps:      VecFrom(vclock.VC{2: 4}),
+		VVec:      vecOf(7, 19, 2, 4),
+		Deps:      vecOf(2, 4),
 		ReadDep:   ids.Dependency{Write: ids.WiD{Client: 7, Seq: 18}, Store: 3},
 		Inv:       Invocation{Method: 2, Page: "program.html", Args: []byte("<h1>v19</h1>")},
 		Payload:   []byte{0x01, 0x02, 0x03},
@@ -251,7 +251,7 @@ func sampleBatchMessage() *Message {
 			Write:     ids.WiD{Client: 7, Seq: uint64(i)},
 			GlobalSeq: uint64(100 + i),
 			Stamp:     vclock.Stamp{Time: uint64(50 + i), Client: 7},
-			Deps:      VecFrom(vclock.VC{2: uint64(i)}),
+			Deps:      vecOf(2, uint64(i)),
 			Inv:       Invocation{Method: 2, Page: "program.html", Args: []byte("delta")},
 			WallNanos: int64(1000 + i),
 		})

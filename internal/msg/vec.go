@@ -1,6 +1,12 @@
 package msg
 
 import (
+	"cmp"
+	"encoding/json"
+	"slices"
+	"strconv"
+	"strings"
+
 	"repro/internal/ids"
 )
 
@@ -16,32 +22,29 @@ type VecEntry struct {
 	Seq    uint64
 }
 
-// Vec is the wire-level representation of a version or dependency vector: a
-// small array of entries kept sorted by client, spilling to a map only above
-// VecInline entries. It replaces per-frame map allocations on the decode
-// path — a frame whose vectors fit inline decodes them with zero
-// allocations.
+// Vec is the one version vector: for each client, the sequence number of its
+// newest write covered. It is the paper's expected_write[client] (§4.2)
+// generalised to all clients, and it serves as a store's applied vector, a
+// read's requirement, a write's dependencies and a frame's VVec alike. Entries
+// live in a small array sorted by client, spilling to a map only above
+// VecInline entries, so a vector that fits moves and decodes without
+// allocating.
 //
-// The zero value is an empty, usable vector. Vec has value semantics for the
-// inline representation; a spilled Vec shares its map across copies, so
-// treat a Vec as immutable once it has been placed in a Message.
+// The zero value is an empty, usable vector, and a nil *Vec reads as empty.
+// Assignment copies inline entries but shares a spilled map: whoever keeps a
+// vector it goes on changing hands out Clone()s of it.
 type Vec struct {
 	n      int
 	inline [VecInline]VecEntry     // inline[:n], sorted by Client
 	spill  map[ids.ClientID]uint64 // non-nil iff the vector outgrew the array
 }
 
-// VecFrom builds a Vec from a map-typed vector (ids.VersionVec or any
-// map[ids.ClientID]uint64). The map is copied, never aliased.
+// VecFrom builds a Vec from a map-typed vector. The map is copied, never
+// aliased.
+//
+// Deprecated: bench/ladder.go only; goes with ROADMAP item 7.
 func VecFrom(m map[ids.ClientID]uint64) Vec {
 	var v Vec
-	if len(m) > VecInline {
-		v.spill = make(map[ids.ClientID]uint64, len(m))
-		for c, s := range m {
-			v.spill[c] = s
-		}
-		return v
-	}
 	for c, s := range m {
 		v.Set(c, s)
 	}
@@ -50,7 +53,10 @@ func VecFrom(m map[ids.ClientID]uint64) Vec {
 
 // Len returns the number of entries.
 func (v *Vec) Len() int {
-	if v.spill != nil {
+	switch {
+	case v == nil:
+		return 0
+	case v.spill != nil:
 		return len(v.spill)
 	}
 	return v.n
@@ -58,7 +64,10 @@ func (v *Vec) Len() int {
 
 // Get returns the sequence recorded for client c (zero if absent).
 func (v *Vec) Get(c ids.ClientID) uint64 {
-	if v.spill != nil {
+	switch {
+	case v == nil:
+		return 0
+	case v.spill != nil:
 		return v.spill[c]
 	}
 	for i := 0; i < v.n; i++ {
@@ -99,10 +108,20 @@ func (v *Vec) Set(c ids.ClientID, seq uint64) {
 	v.n++
 }
 
+// Bump records seq for client c if it is newer than the current entry.
+func (v *Vec) Bump(c ids.ClientID, seq uint64) {
+	if v.Get(c) < seq {
+		v.Set(c, seq)
+	}
+}
+
 // Each calls fn for every entry until fn returns false. Inline entries are
 // visited in client order; spilled entries in map order.
 func (v *Vec) Each(fn func(c ids.ClientID, seq uint64) bool) {
-	if v.spill != nil {
+	switch {
+	case v == nil:
+		return
+	case v.spill != nil:
 		for c, s := range v.spill {
 			if !fn(c, s) {
 				return
@@ -117,46 +136,106 @@ func (v *Vec) Each(fn func(c ids.ClientID, seq uint64) bool) {
 	}
 }
 
-// CoversWrite reports whether the vector includes write w (v[w.Client] >=
-// w.Seq); the zero WiD is always covered.
-func (v *Vec) CoversWrite(w ids.WiD) bool {
-	if w.Zero() {
-		return true
+// entries returns the entries sorted by client: the inline array itself, or
+// a sorted copy of the spilled map.
+func (v *Vec) entries() []VecEntry {
+	if v.spill == nil {
+		return v.inline[:v.n]
 	}
-	return v.Get(w.Client) >= w.Seq
+	out := make([]VecEntry, 0, len(v.spill))
+	for c, s := range v.spill {
+		out = append(out, VecEntry{Client: c, Seq: s})
+	}
+	slices.SortFunc(out, func(a, b VecEntry) int { return cmp.Compare(a.Client, b.Client) })
+	return out
 }
 
-// CoveredBy reports whether every non-zero entry of v is <= the matching
-// component of the map-typed vector applied — i.e. applied dominates v.
-func (v *Vec) CoveredBy(applied map[ids.ClientID]uint64) bool {
-	ok := true
-	v.Each(func(c ids.ClientID, s uint64) bool {
-		if s > 0 && applied[c] < s {
-			ok = false
-			return false
-		}
+// Clone returns an independent copy of v: a plain struct copy while it fits
+// inline. Clone of nil is an empty vector.
+func (v *Vec) Clone() Vec {
+	switch {
+	case v == nil:
+		return Vec{}
+	case v.spill == nil:
+		return *v
+	}
+	var out Vec
+	out.spill = make(map[ids.ClientID]uint64, len(v.spill))
+	for c, s := range v.spill {
+		out.spill[c] = s
+	}
+	return out
+}
+
+// Merge folds o into v entry-wise, keeping the maximum of each component: the
+// join of the version-vector lattice.
+func (v *Vec) Merge(o *Vec) {
+	o.Each(func(c ids.ClientID, s uint64) bool {
+		v.Bump(c, s)
 		return true
+	})
+}
+
+// Covers reports whether v dominates o: every entry of o is <= the matching
+// entry of v. An empty o is covered by anything.
+func (v *Vec) Covers(o *Vec) bool {
+	ok := true
+	o.Each(func(c ids.ClientID, s uint64) bool {
+		ok = v.Get(c) >= s
+		return ok
 	})
 	return ok
 }
 
-// MergeInto folds v into the map-typed vector dst entry-wise, keeping the
-// maximum of each component.
-func (v *Vec) MergeInto(dst map[ids.ClientID]uint64) {
-	v.Each(func(c ids.ClientID, s uint64) bool {
-		if dst[c] < s {
-			dst[c] = s
-		}
-		return true
-	})
+// CoveredBy is applied.Covers(v).
+func (v *Vec) CoveredBy(applied Vec) bool { return applied.Covers(v) }
+
+// CoversWrite reports whether the vector includes write w (v[w.Client] >=
+// w.Seq); the zero WiD is always covered.
+func (v *Vec) CoversWrite(w ids.WiD) bool {
+	return w.Zero() || v.Get(w.Client) >= w.Seq
 }
 
-// Version materialises the vector as an ids.VersionVec (nil when empty).
-func (v *Vec) Version() ids.VersionVec {
-	if v.Len() == 0 {
-		return nil
+// Equal reports whether v and o hold the same non-zero entries.
+func (v *Vec) Equal(o *Vec) bool { return v.Covers(o) && o.Covers(v) }
+
+// String renders the vector sorted by client, as {c1:5 c2:3}.
+func (v Vec) String() string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, e := range v.entries() {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteByte('c')
+		b.WriteString(strconv.FormatUint(uint64(e.Client), 10))
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatUint(e.Seq, 10))
 	}
-	out := ids.NewVersionVec(v.Len())
-	v.MergeInto(out)
-	return out
+	b.WriteByte('}')
+	return b.String()
+}
+
+// MarshalJSON renders the vector as a JSON object from client to sequence,
+// {"1":5,"2":3}: the shape a map-typed vector has.
+func (v Vec) MarshalJSON() ([]byte, error) {
+	m := make(map[ids.ClientID]uint64, v.Len())
+	v.Each(func(c ids.ClientID, s uint64) bool {
+		m[c] = s
+		return true
+	})
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (v *Vec) UnmarshalJSON(b []byte) error {
+	var m map[ids.ClientID]uint64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*v = Vec{}
+	for c, s := range m {
+		v.Set(c, s)
+	}
+	return nil
 }

@@ -14,7 +14,7 @@ import (
 // zero-copy decoder.
 
 // vecEqualsMap reports whether v holds exactly the entries of want.
-func vecEqualsMap(v *Vec, want ids.VersionVec) bool {
+func vecEqualsMap(v *Vec, want map[ids.ClientID]uint64) bool {
 	if v.Len() != len(want) {
 		return false
 	}
@@ -35,16 +35,19 @@ func vecEqualsMap(v *Vec, want ids.VersionVec) bool {
 // path is exercised in the same run.
 func TestDigestVecRoundTripProperty(t *testing.T) {
 	f := func(entries map[uint32]uint64, spillPad uint8) bool {
-		vv := ids.NewVersionVec(len(entries))
+		vv := make(map[ids.ClientID]uint64, len(entries))
+		var v Vec
 		for c, s := range entries {
 			vv[ids.ClientID(c)] = s
+			v.Set(ids.ClientID(c), s)
 		}
 		for i := 0; i < int(spillPad%(2*VecInline)); i++ {
 			vv[ids.ClientID(1_000_000+i)] = uint64(i + 1)
+			v.Set(ids.ClientID(1_000_000+i), uint64(i+1))
 		}
 		m := &Message{
 			Kind: KindDigest, Object: "o", From: "store/parent", Store: 3,
-			VVec: VecFrom(vv), GlobalSeq: 42,
+			VVec: v, GlobalSeq: 42,
 		}
 		wire := Encode(m)
 		for _, decode := range []func([]byte) (*Message, error){Decode, DecodeAlias} {
@@ -72,11 +75,11 @@ func TestDigestVecRoundTripProperty(t *testing.T) {
 // depends on: CoversWrite/CoveredBy answers are identical before and after a
 // round trip, for a vector big enough to be map-spilled (> VecInline).
 func TestDigestVecSpillSemanticsSurviveWire(t *testing.T) {
-	vv := ids.NewVersionVec(3 * VecInline)
+	var vv Vec
 	for i := 1; i <= 3*VecInline; i++ {
-		vv[ids.ClientID(i)] = uint64(10 * i)
+		vv.Set(ids.ClientID(i), uint64(10*i))
 	}
-	m := &Message{Kind: KindDigest, Object: "o", VVec: VecFrom(vv)}
+	m := &Message{Kind: KindDigest, Object: "o", VVec: vv.Clone()}
 	got, err := Decode(Encode(m))
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +99,11 @@ func TestDigestVecSpillSemanticsSurviveWire(t *testing.T) {
 			t.Fatalf("client %d: decode inflated the vector", i)
 		}
 	}
-	applied := ids.NewVersionVec(3 * VecInline)
-	for c, s := range vv {
-		applied[c] = s
-	}
+	applied := vv.Clone()
 	if !got.VVec.CoveredBy(applied) {
 		t.Fatalf("round-tripped digest not covered by its own source vector")
 	}
-	applied[ids.ClientID(1)] = 9 // one component behind: a gap
+	applied.Set(1, 9) // one component behind: a gap
 	if got.VVec.CoveredBy(applied) {
 		t.Fatalf("gap not detected after round trip")
 	}

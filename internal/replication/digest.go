@@ -58,7 +58,7 @@ func (o *Object) digestRound() {
 		return
 	}
 	m := o.frame(msg.KindDigest, nil)
-	m.VVec = o.appliedVec()
+	m.VVec = o.applied()
 	m.GlobalSeq = o.engine.Global()
 	o.multicast(tos, &m)
 	add(&o.stats.DigestsSent, uint64(len(tos)))

@@ -85,7 +85,7 @@ func TestDigestGapTriggersDemand(t *testing.T) {
 	// A digest announcing writes we lack must trigger exactly one demand.
 	o.Handle(&msg.Message{
 		Kind: msg.KindDigest, Object: "obj", From: "parent-store",
-		VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+		VVec: vecOf(1, 3),
 	})
 	dem := env.takeSent(msg.KindDemandUpdate)
 	if len(dem) != 1 || dem[0].To != "parent-store" {
@@ -107,7 +107,7 @@ func TestDigestCoveredStaysQuiet(t *testing.T) {
 	env.sent = nil
 	o.Handle(&msg.Message{
 		Kind: msg.KindDigest, Object: "obj", From: "parent-store",
-		VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		VVec: vecOf(1, 1),
 	})
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 0 {
 		t.Fatalf("covered digest triggered demand: %+v", dem)
@@ -122,7 +122,7 @@ func TestDigestIgnoresNonParentSender(t *testing.T) {
 	o := newObj(t, env, RoleClientInitiated, strategy.Conference(time.Hour), "parent-store")
 	o.Handle(&msg.Message{
 		Kind: msg.KindDigest, Object: "obj", From: "someone-else",
-		VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+		VVec: vecOf(1, 3),
 	})
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 0 {
 		t.Fatalf("non-parent digest triggered demand: %+v", dem)
@@ -144,7 +144,7 @@ func TestDigestDoesNotDuplicateOutstandingDemand(t *testing.T) {
 	}
 	o.Handle(&msg.Message{
 		Kind: msg.KindDigest, Object: "obj", From: "parent-store",
-		VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+		VVec: vecOf(1, 3),
 	})
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 0 {
 		t.Fatalf("digest duplicated an outstanding demand: %+v", dem)
@@ -157,7 +157,7 @@ func TestDigestDoesNotDuplicateOutstandingDemand(t *testing.T) {
 	o.Handle(&msg.Message{Kind: msg.KindUpdateAck, Object: "obj", From: "parent-store"})
 	o.Handle(&msg.Message{
 		Kind: msg.KindDigest, Object: "obj", From: "parent-store",
-		VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+		VVec: vecOf(1, 3),
 	})
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 1 {
 		t.Fatalf("post-answer gap digest should demand: %+v", dem)
@@ -178,7 +178,7 @@ func TestDigestGapDemandIsRetried(t *testing.T) {
 
 	o.Handle(&msg.Message{
 		Kind: msg.KindDigest, Object: "obj", From: "parent-store",
-		VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+		VVec: vecOf(1, 3),
 	})
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 1 {
 		t.Fatalf("initial digest demand: %+v", dem)
@@ -220,7 +220,7 @@ func TestDigestAdvertisesLWWLoserComponent(t *testing.T) {
 	loser.Stamp = vclock.Stamp{Time: 10, Client: 1}
 	o.Handle(loser)
 
-	v := o.appliedVec()
+	v := o.applied()
 	if !v.CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
 		t.Fatalf("digest misses the LWW loser's component: %+v", v)
 	}
@@ -237,7 +237,7 @@ func TestUpdateAckClosesUndisseminatableGap(t *testing.T) {
 
 	gapDigest := &msg.Message{
 		Kind: msg.KindDigest, Object: "obj", From: "parent-store",
-		VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+		VVec: vecOf(1, 3),
 	}
 	o.Handle(gapDigest)
 	if dem := env.takeSent(msg.KindDemandUpdate); len(dem) != 1 {
@@ -247,7 +247,7 @@ func TestUpdateAckClosesUndisseminatableGap(t *testing.T) {
 	// before dissemination) and acks with its applied vector.
 	o.Handle(&msg.Message{
 		Kind: msg.KindUpdateAck, Object: "obj", From: "parent-store",
-		VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+		VVec: vecOf(1, 3),
 	})
 	// The same digest again: the gap is closed, no demand loop.
 	o.Handle(gapDigest)
@@ -283,9 +283,9 @@ func TestDemandFromSeededStoreSendsFullState(t *testing.T) {
 	}
 	o.Handle(&msg.Message{
 		Kind: msg.KindSubscribeAck, Object: "obj", From: "up",
-		Payload: snap, VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		Payload: snap, VVec: vecOf(1, 1),
 	})
-	if !o.Applied().CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
+	if applied := o.Applied(); !applied.CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
 		t.Fatalf("seed did not take: %+v", o.Applied())
 	}
 

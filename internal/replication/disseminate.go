@@ -161,7 +161,7 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 		}
 		m := o.frame(msg.KindUpdate, nil)
 		m.Payload = snap
-		m.VVec = o.appliedVec()
+		m.VVec = o.applied()
 		m.GlobalSeq = o.engine.Global()
 		m.WallNanos = last.WallNanos
 		o.multicast(tos, &m)
@@ -187,7 +187,7 @@ func (o *Object) updateMsg(u *coherence.Update) msg.Message {
 	m.Write = u.Write
 	m.GlobalSeq = u.GlobalSeq
 	m.Stamp = u.Stamp
-	m.Deps = msg.VecFrom(u.Deps)
+	m.Deps = u.Deps.Clone()
 	m.Inv = u.Inv
 	m.WallNanos = u.WallNanos
 	return m
@@ -202,7 +202,7 @@ func (o *Object) batchMsg(ups []*coherence.Update) msg.Message {
 			Write:     u.Write,
 			GlobalSeq: u.GlobalSeq,
 			Stamp:     u.Stamp,
-			Deps:      msg.VecFrom(u.Deps),
+			Deps:      u.Deps.Clone(),
 			Inv:       u.Inv,
 			WallNanos: u.WallNanos,
 		}
@@ -272,7 +272,7 @@ func (o *Object) onUpdateBatch(m *msg.Message) {
 		o.submitOp(&coherence.Update{
 			Write:     e.Write,
 			GlobalSeq: e.GlobalSeq,
-			Deps:      e.Deps.Version(),
+			Deps:      coherence.DepsOf(&e.Deps),
 			Stamp:     e.Stamp,
 			Inv:       cloneInv(e.Inv),
 			WallNanos: e.WallNanos,

@@ -28,7 +28,7 @@ type DurabilityInfo struct {
 	WALRecords uint64 `json:"wal_records"`
 	// LastSnapshot is the applied vector at the last compaction point (nil
 	// before the first snapshot).
-	LastSnapshot ids.VersionVec `json:"last_snapshot,omitempty"`
+	LastSnapshot *msg.Vec `json:"last_snapshot,omitempty"`
 	// Recovering reports whether the recover-then-serve gate is closed.
 	Recovering bool `json:"recovering"`
 	// RecoveryNanos is how long the last restart took from replay start to
@@ -52,7 +52,8 @@ func (o *Object) Durability() DurabilityInfo {
 		info.WALRecords = o.wal.Appends()
 	}
 	if o.lastSnapVec != nil {
-		info.LastSnapshot = o.lastSnapVec.Clone()
+		v := o.lastSnapVec.Clone()
+		info.LastSnapshot = &v
 	}
 	return info
 }
@@ -69,10 +70,10 @@ func (o *Object) Recovering() bool { return o.recovering }
 // engine already covers are not re-logged (the engines deduplicate them
 // anyway), which keeps demand replays and link duplicates out of the log.
 //
-// The cached applied vector is invalidated unconditionally: a Submit can
-// advance it without releasing anything (an eventual-model write losing the
-// LWW race), and replies and digests must advertise that component or
-// children would demand it forever.
+// applied() is marked stale unconditionally: a Submit can advance the engine
+// without releasing anything (an eventual-model write losing the LWW race),
+// and replies and digests must advertise that component or children would
+// demand it forever.
 func (o *Object) submitLogged(u *coherence.Update) []*coherence.Update {
 	if o.wal != nil && !o.walReplaying && !o.engine.Covers(u.Write) {
 		if err := o.wal.AppendUpdate(u); err == nil {
@@ -225,7 +226,7 @@ func (o *Object) compact() error {
 	if err := o.wal.WriteSnapshot(snap); err != nil {
 		return err
 	}
-	o.lastSnapVec = snap.Applied.Clone()
+	o.lastSnapVec = &snap.Applied
 	inc(&o.stats.WALSnapshots)
 	return nil
 }
@@ -243,15 +244,15 @@ func (o *Object) compact() error {
 func (o *Object) recover(rec *wal.Recovery) {
 	start := o.env.Now()
 	o.walReplaying = true
-	var snapVec msg.Vec
+	var snapVec *msg.Vec
 	if s := rec.Snapshot; s != nil {
 		if len(s.State) > 0 {
 			_ = o.env.ApplyFull(s.State)
 		}
-		o.engine.Seed(s.Applied, s.NextGlobal)
-		o.fetchVec.Merge(s.Applied)
-		snapVec = msg.VecFrom(s.Applied)
-		o.lastSnapVec = s.Applied.Clone()
+		snapVec = &s.Applied
+		o.engine.Seed(snapVec, s.NextGlobal)
+		o.fetchVec.Merge(snapVec)
+		o.lastSnapVec = snapVec
 		o.lamport.Witness(s.Lamport)
 		if s.NextGlobal > o.nextGlobal {
 			o.nextGlobal = s.NextGlobal
@@ -401,6 +402,5 @@ func (o *Object) finishRecovery() {
 	o.recoverGraceTimer.stop()
 	o.recoverRetryTimer.stop()
 	atomic.StoreUint64(&o.stats.RecoveryNanos, uint64(o.env.Now().Sub(o.recoverStart)))
-	o.markAppliedStale()
 	o.reconsiderParked()
 }

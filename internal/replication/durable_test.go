@@ -73,7 +73,7 @@ func TestDurableRestartReplayNoDuplicateApply(t *testing.T) {
 	if st.WALReplayed != 2 || st.UpdatesApplied != 2 {
 		t.Fatalf("replay stats: %+v", st)
 	}
-	if !o2.Applied().CoversWrite(ids.WiD{Client: 1, Seq: 2}) {
+	if applied := o2.Applied(); !applied.CoversWrite(ids.WiD{Client: 1, Seq: 2}) {
 		t.Fatalf("recovered applied vector %v misses the acked writes", o2.Applied())
 	}
 
@@ -220,7 +220,7 @@ func TestDurableSnapshotRacingLiveWrites(t *testing.T) {
 	if st.WALReplayed != 2 || st.UpdatesApplied != 2 {
 		t.Fatalf("only the post-snapshot tail should re-apply: %+v", st)
 	}
-	if !o2.Applied().CoversWrite(ids.WiD{Client: 1, Seq: 5}) {
+	if applied := o2.Applied(); !applied.CoversWrite(ids.WiD{Client: 1, Seq: 5}) {
 		t.Fatalf("recovered applied vector %v misses the tail", o2.Applied())
 	}
 	content := pageContent(t, env2, "p")

@@ -36,7 +36,7 @@ func newSubscribedCacheRetrying(t *testing.T, env Env, st strategy.Strategy, dem
 func rywRead(c ids.ClientID, seq uint64) *msg.Message {
 	return &msg.Message{
 		Kind: msg.KindReadRequest, Object: "obj", From: "client-ep", Client: c,
-		VVec: msg.VecFrom(ids.VersionVec{c: seq}),
+		VVec: vecOf(uint64(c), seq),
 		Inv:  msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"},
 	}
 }

@@ -56,7 +56,7 @@ func (o *Object) gossip() {
 func (o *Object) gossipRound() {
 	for peer := range o.peers {
 		g := o.frame(msg.KindGossip, nil)
-		g.VVec = o.appliedVec()
+		g.VVec = o.applied()
 		o.send(peer, &g)
 		inc(&o.stats.GossipRounds)
 	}
@@ -71,7 +71,7 @@ func (o *Object) onGossip(m *msg.Message) {
 	o.sendUpdates(m.From, o.log.since(&m.VVec, few[:0]))
 	if m.Kind == msg.KindGossip {
 		r := o.frame(msg.KindGossipReply, m)
-		r.VVec = o.appliedVec()
+		r.VVec = o.applied()
 		o.answer(m, &r)
 	}
 }

@@ -40,7 +40,7 @@ func (o *Object) Handle(m *msg.Message) {
 		// losers superseded before dissemination — so fold it into fetch
 		// knowledge; otherwise a digest advertising those components would
 		// re-demand every heartbeat forever.
-		m.VVec.MergeInto(o.fetchVec)
+		o.fetchVec.Merge(&m.VVec)
 		o.markAppliedStale()
 		o.revalEpoch++
 		o.reconsiderParked()

@@ -45,7 +45,7 @@ func (o *Object) awaitsForwarded(req *msg.Vec) bool {
 	}
 	ok := true
 	req.Each(func(c ids.ClientID, s uint64) bool {
-		ok = o.forwarded[c] >= s || o.covers(ids.WiD{Client: c, Seq: s})
+		ok = o.forwarded.Get(c) >= s || o.covers(ids.WiD{Client: c, Seq: s})
 		return ok
 	})
 	return ok
@@ -60,10 +60,18 @@ func (o *Object) current(page string) bool {
 
 // currentWhole reports whether the whole object may be handed out: every
 // mark is met by its own page's knowledge (the page-less one by applied(),
-// which every page's knowledge includes).
+// which every page's knowledge includes), and applied() covers what each page
+// fetched on its own holds. A whole transfer carries applied() alone, so a
+// page beyond it would reach the receiver as state it was not told of, and
+// the replayed op would be applied to it a second time.
 func (o *Object) currentWhole() bool {
 	for page := range o.invalid {
 		if !o.current(page) {
+			return false
+		}
+	}
+	for _, pv := range o.pageVec {
+		if o.parent != "" && !o.knows("", pv) {
 			return false
 		}
 	}
@@ -112,7 +120,7 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 			inc(&o.stats.ReadsServed)
 			r := o.frame(msg.KindReadReply, m)
 			r.Payload = payload
-			r.VVec = o.appliedVec()
+			r.VVec = o.applied()
 			o.answer(m, &r)
 			return
 		}

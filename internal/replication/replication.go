@@ -324,16 +324,16 @@ type Object struct {
 	invalid map[string]*msg.Vec
 	// fetchVec is coherence knowledge gained by full state transfer rather
 	// than ordered updates.
-	fetchVec ids.VersionVec
-	// cachedApplied is applied() in wire form, rebuilt lazily (appliedStale)
-	// so read replies and idle heartbeats never re-materialise the vector.
-	cachedApplied  msg.Vec
-	appliedStale   bool
-	appliedScratch ids.VersionVec // the map appliedVec rebuilds through
+	fetchVec msg.Vec
+	// appliedCache is applied(), rebuilt only once the engine was fed or
+	// seeded or fetchVec grew since (markAppliedStale), so a read reply or a
+	// heartbeat copies the vector instead of rebuilding it.
+	appliedCache msg.Vec
+	appliedStale bool
 	// pageVec tracks knowledge gained by partial (per-page) state transfer:
 	// an op update for page p whose write is covered by pageVec[p] must not
 	// re-apply its content (the fetched page already includes it).
-	pageVec map[string]ids.VersionVec
+	pageVec map[string]*msg.Vec
 	// fetching de-duplicates concurrent full-state fetches.
 	fetching bool
 	// fullFetches counts completed full state transfers (state replies,
@@ -343,7 +343,7 @@ type Object struct {
 
 	// forwarded is the highest write sequence per client this replica passed
 	// upstream (forward): the writes whose updates it can expect back.
-	forwarded ids.VersionVec
+	forwarded msg.Vec
 	// awaitingPush marks the armed retry timer as (also) a read's wait for
 	// such an update: set when serveRead parks the read without demanding,
 	// consumed by retryDemand, which demands if the read is still unserved.
@@ -368,7 +368,7 @@ type Object struct {
 	wal          *wal.Log
 	walSyncTimer *oneShot
 	walReplaying bool
-	lastSnapVec  ids.VersionVec
+	lastSnapVec  *msg.Vec
 
 	// Recover-then-serve gate state (see recover/gateRecovering).
 	recovering        bool
@@ -468,25 +468,22 @@ func New(cfg Config) (*Object, error) {
 		eng = coherence.NewDepGuard(eng)
 	}
 	o := &Object{
-		env:            cfg.Env,
-		tune:           cfg.Tuning.withDefaults(),
-		object:         cfg.Object,
-		self:           cfg.Self,
-		addr:           cfg.Addr,
-		role:           cfg.Role,
-		parent:         cfg.Parent,
-		strat:          cfg.Strat,
-		engine:         eng,
-		nextGlobal:     1,
-		stamped:        make(map[ids.ClientID]*stampedSeqs),
-		invalid:        make(map[string]*msg.Vec),
-		fetchVec:       ids.NewVersionVec(4),
-		forwarded:      ids.NewVersionVec(4),
-		appliedScratch: ids.NewVersionVec(4),
-		pageVec:        make(map[string]ids.VersionVec),
-		resolveParent:  cfg.ResolveParent,
-		wal:            cfg.WAL,
-		stats:          new(Stats),
+		env:           cfg.Env,
+		tune:          cfg.Tuning.withDefaults(),
+		object:        cfg.Object,
+		self:          cfg.Self,
+		addr:          cfg.Addr,
+		role:          cfg.Role,
+		parent:        cfg.Parent,
+		strat:         cfg.Strat,
+		engine:        eng,
+		nextGlobal:    1,
+		stamped:       make(map[ids.ClientID]*stampedSeqs),
+		invalid:       make(map[string]*msg.Vec),
+		pageVec:       make(map[string]*msg.Vec),
+		resolveParent: cfg.ResolveParent,
+		wal:           cfg.WAL,
+		stats:         new(Stats),
 	}
 	// Instruments and timers must exist before recover() below replays the
 	// WAL and arms the recovery gate.
@@ -591,32 +588,19 @@ func (o *Object) Retune(s strategy.Strategy) error {
 }
 
 // applied is the store's total coherence knowledge: ordered applies plus
-// state-transfer knowledge.
-func (o *Object) applied() ids.VersionVec {
-	v := o.engine.Applied()
-	v.Merge(o.fetchVec)
-	return v
-}
-
-// appliedVec is applied in wire (small-vector) form, for message fields. It
-// is rebuilt only after an ordered apply or a state transfer invalidated the
-// cached copy (markAppliedStale), and then through a map it keeps, so the
-// read path, the write path and idle heartbeats pay a struct copy and no
-// allocation.
-func (o *Object) appliedVec() msg.Vec {
+// state-transfer knowledge. It is a copy, the caller's to keep: what replies,
+// digests and demands carry.
+func (o *Object) applied() msg.Vec {
 	if o.appliedStale {
-		clear(o.appliedScratch)
-		o.engine.MergeApplied(o.appliedScratch)
-		o.appliedScratch.Merge(o.fetchVec)
-		o.cachedApplied = msg.VecFrom(o.appliedScratch)
+		o.appliedCache = o.engine.Applied()
+		o.appliedCache.Merge(&o.fetchVec)
 		o.appliedStale = false
 	}
-	return o.cachedApplied
+	return o.appliedCache.Clone()
 }
 
-// markAppliedStale records that applied() advanced since appliedVec last
-// materialised it. Called wherever the engine is fed or seeded and wherever
-// state transfer extends fetchVec.
+// markAppliedStale records that applied() may have advanced: called wherever
+// the engine is fed or seeded and wherever fetchVec grows.
 func (o *Object) markAppliedStale() { o.appliedStale = true }
 
 // covers reports whether write w is part of this store's coherence
@@ -642,18 +626,13 @@ func (o *Object) knows(page string, v *msg.Vec) bool {
 	return ok
 }
 
-// knowledge is K(page) in wire form. A page reply carries it, so the
-// receiver's pageVec records what the page holds and not only what this
-// replica has applied. Only a page fetched on its own pays for the merge.
+// knowledge is K(page). A page reply carries it, so the receiver's pageVec
+// records what the page holds and not only what this replica has applied.
 func (o *Object) knowledge(page string) msg.Vec {
-	pv := o.pageVec[page]
-	if len(pv) == 0 {
-		return o.appliedVec()
-	}
 	k := o.applied()
-	k.Merge(pv)
-	return msg.VecFrom(k)
+	k.Merge(o.pageVec[page])
+	return k
 }
 
-// Applied exposes the combined applied vector.
-func (o *Object) Applied() ids.VersionVec { return o.applied() }
+// Applied exposes the combined applied vector (a copy).
+func (o *Object) Applied() msg.Vec { return o.applied() }

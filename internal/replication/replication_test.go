@@ -103,7 +103,7 @@ func TestPermanentAcceptsAndAcksWrite(t *testing.T) {
 	if got := o.Stats(); got.WritesAccepted != 1 || got.UpdatesApplied != 1 {
 		t.Fatalf("stats: %+v", got)
 	}
-	if !o.Applied().CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
+	if applied := o.Applied(); !applied.CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
 		t.Fatalf("applied vector missing write")
 	}
 }
@@ -267,7 +267,7 @@ func TestInvalidateWaitDefersUntilAccess(t *testing.T) {
 	el, _ := doc.SnapshotElement("p")
 	o.Handle(&msg.Message{
 		Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
-		Pages: []string{"p"}, Payload: el, VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		Pages: []string{"p"}, Payload: el, VVec: vecOf(1, 1),
 	})
 	// Invalidation arrives; wait reaction -> no traffic yet.
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "parent-store", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
@@ -287,7 +287,7 @@ func TestInvalidateWaitDefersUntilAccess(t *testing.T) {
 	el2, _ := doc.SnapshotElement("p")
 	o.Handle(&msg.Message{
 		Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
-		Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2}),
+		Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2),
 	})
 	replies := env.takeSent(msg.KindReadReply)
 	if len(replies) != 1 || replies[0].Status != msg.StatusOK {
@@ -310,7 +310,7 @@ func TestDemandServedFromLog(t *testing.T) {
 	// aggregated batch frame.
 	o.Handle(&msg.Message{
 		Kind: msg.KindDemandUpdate, Object: "obj", From: "child-1",
-		VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		VVec: vecOf(1, 1),
 	})
 	batches := env.takeSent(msg.KindUpdateBatch)
 	if len(batches) != 1 {
@@ -331,7 +331,7 @@ func TestDemandSingleMissingUpdateShipsUnbatched(t *testing.T) {
 	env.sent = nil
 	o.Handle(&msg.Message{
 		Kind: msg.KindDemandUpdate, Object: "obj", From: "child-1",
-		VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		VVec: vecOf(1, 1),
 	})
 	ups := env.takeSent(msg.KindUpdate)
 	if len(ups) != 1 || ups[0].Write.Seq != 2 {
@@ -346,7 +346,7 @@ func TestDemandNothingMissingSendsAck(t *testing.T) {
 	env.sent = nil
 	o.Handle(&msg.Message{
 		Kind: msg.KindDemandUpdate, Object: "obj", From: "child-1",
-		VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		VVec: vecOf(1, 1),
 	})
 	acks := env.takeSent(msg.KindUpdateAck)
 	if len(acks) != 1 || acks[0].To != "child-1" {
@@ -383,7 +383,7 @@ func TestReadParkedUntilRequirementMet(t *testing.T) {
 	// RYW requirement for a write that has not arrived yet.
 	o.Handle(&msg.Message{
 		Kind: msg.KindReadRequest, Object: "obj", From: "m-ep", Client: 1,
-		VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		VVec: vecOf(1, 1),
 		Inv:  msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"},
 	})
 	if replies := env.takeSent(msg.KindReadReply); len(replies) != 0 {
@@ -407,7 +407,7 @@ func TestReadTimesOutWithRetryStatus(t *testing.T) {
 	o := newObj(t, env, RolePermanent, st, "")
 	o.Handle(&msg.Message{
 		Kind: msg.KindReadRequest, Object: "obj", From: "m-ep", Client: 1,
-		VVec: msg.VecFrom(ids.VersionVec{1: 99}),
+		VVec: vecOf(1, 99),
 		Inv:  msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"},
 	})
 	env.clk.Advance(2 * time.Second)
@@ -473,7 +473,7 @@ func TestCloseFailsParkedReads(t *testing.T) {
 	o := newObj(t, env, RolePermanent, st, "")
 	o.Handle(&msg.Message{
 		Kind: msg.KindReadRequest, Object: "obj", From: "m-ep", Client: 1,
-		VVec: msg.VecFrom(ids.VersionVec{1: 9}),
+		VVec: vecOf(1, 9),
 		Inv:  msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"},
 	})
 	o.Close()
@@ -553,7 +553,7 @@ func TestUpdateBatchFanIn(t *testing.T) {
 	if s := o.Stats(); s.UpdatesApplied != 3 {
 		t.Fatalf("updates applied: %+v", s)
 	}
-	if !o.Applied().CoversWrite(ids.WiD{Client: 1, Seq: 3}) {
+	if applied := o.Applied(); !applied.CoversWrite(ids.WiD{Client: 1, Seq: 3}) {
 		t.Fatalf("applied vector missing batched writes: %v", o.Applied())
 	}
 	got, err := env.ctrl.ServeRead(msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"})
@@ -604,7 +604,7 @@ func TestGossipShipsBatch(t *testing.T) {
 	env.sent = nil
 	o.Handle(&msg.Message{
 		Kind: msg.KindGossip, Object: "obj", From: "peer-1",
-		VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		VVec: vecOf(1, 1),
 	})
 	batches := env.takeSent(msg.KindUpdateBatch)
 	if len(batches) != 1 || len(batches[0].Batch) != 3 {
@@ -758,7 +758,7 @@ func TestDemandRetryAfterLostReply(t *testing.T) {
 			{Write: ids.WiD{Client: 1, Seq: 2}, Inv: appendInv},
 		},
 	})
-	if !o.Applied().CoversWrite(ids.WiD{Client: 1, Seq: 3}) {
+	if applied := o.Applied(); !applied.CoversWrite(ids.WiD{Client: 1, Seq: 3}) {
 		t.Fatalf("gap not filled: %v", o.Applied())
 	}
 	// No further retries once recovered.
@@ -866,7 +866,7 @@ func TestStalePageStateReplyDoesNotRollBackPage(t *testing.T) {
 	// Bootstrap: tokens 1-3 arrive via full state transfer (never logged).
 	o.Handle(&msg.Message{
 		Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
-		Payload: snap, VVec: msg.VecFrom(ids.VersionVec{1: 3}), GlobalSeq: 4,
+		Payload: snap, VVec: vecOf(1, 3), GlobalSeq: 4,
 	})
 	// Tokens 4-5 arrive as ordered pushes (these ARE logged).
 	for seq := uint64(4); seq <= 5; seq++ {
@@ -887,7 +887,7 @@ func TestStalePageStateReplyDoesNotRollBackPage(t *testing.T) {
 	o.Handle(&msg.Message{
 		Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
 		Pages: []string{"p"}, Payload: staleEl,
-		VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+		VVec: vecOf(1, 1),
 	})
 	if after := pageTokens(t, env, "p"); after != before {
 		t.Fatalf("stale page reply rolled content back:\n before %q\n after  %q", before, after)
@@ -958,7 +958,7 @@ func TestEmptyVectorSnapshotDoesNotRollBack(t *testing.T) {
 			// logged here); c1.2 arrives as an ordered push (logged).
 			o.Handle(&msg.Message{
 				Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
-				Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1}), GlobalSeq: 2,
+				Payload: snap1, VVec: vecOf(1, 1), GlobalSeq: 2,
 			})
 			u := appendUpd(2)
 			o.Handle(&msg.Message{
@@ -1014,7 +1014,7 @@ func TestEmptyVectorSnapshotAfterPageFetch(t *testing.T) {
 			o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "parent-store")
 			o.Handle(&msg.Message{
 				Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
-				Pages: []string{"p"}, Payload: el1, VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+				Pages: []string{"p"}, Payload: el1, VVec: vecOf(1, 1),
 			})
 			dup := *m
 			dup.Object, dup.From = "obj", "parent-store"
@@ -1051,7 +1051,7 @@ func TestReorderedSnapshotsDoNotRollBackFetchedPage(t *testing.T) {
 	}
 	// Client 3 wrote another page in between: its component is in both
 	// vectors and in nothing this replica has applied.
-	oldVec := msg.VecFrom(ids.VersionVec{1: 1, 3: 1})
+	oldVec := vecOf(1, 1, 3, 1)
 	late := map[string]*msg.Message{
 		"page state reply": {Kind: msg.KindStateReply, Pages: []string{"p"}, Payload: oldEl, VVec: oldVec},
 		"full state reply": {Kind: msg.KindStateReply, Payload: oldSnap, VVec: oldVec, GlobalSeq: 3},
@@ -1063,7 +1063,7 @@ func TestReorderedSnapshotsDoNotRollBackFetchedPage(t *testing.T) {
 			o := newObj(t, env, RoleClientInitiated, strategy.Whiteboard(), "parent-store")
 			o.Handle(&msg.Message{
 				Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
-				Pages: []string{"p"}, Payload: newEl, VVec: msg.VecFrom(ids.VersionVec{1: 2, 3: 1}),
+				Pages: []string{"p"}, Payload: newEl, VVec: vecOf(1, 2, 3, 1),
 			})
 			old := *m
 			old.Object, old.From = "obj", "parent-store"
@@ -1108,4 +1108,13 @@ func TestBufferedBatchDemandsOnce(t *testing.T) {
 	if d := env.takeSent(msg.KindDemandUpdate); len(d) != 1 {
 		t.Fatalf("a later out-of-order update sent %d demands, want 1", len(d))
 	}
+}
+
+// vecOf builds a vector from client, seq pairs.
+func vecOf(kv ...uint64) msg.Vec {
+	var v msg.Vec
+	for i := 0; i+1 < len(kv); i += 2 {
+		v.Set(ids.ClientID(kv[i]), kv[i+1])
+	}
+	return v
 }

@@ -57,6 +57,10 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap2, err := doc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	requests := map[string]*msg.Message{
 		"page request":    {Kind: msg.KindStateRequest, Pages: []string{"p"}},
 		"whole request":   {Kind: msg.KindStateRequest},
@@ -68,7 +72,7 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 			o := newObj(t, env, RoleObjectInitiated, strategy.PopularEventPage(), "www")
 			o.Handle(&msg.Message{
 				Kind: msg.KindStateReply, Object: "obj", From: "www",
-				Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1}), GlobalSeq: 2,
+				Payload: snap1, VVec: vecOf(1, 1), GlobalSeq: 2,
 			})
 			o.Handle(&msg.Message{Kind: msg.KindSubscribe, Object: "obj", From: "cache"})
 			if acks := env.takeSent(msg.KindSubscribeAck); len(acks) != 1 || transferredPage(t, acks[0], "p") != "v1" {
@@ -90,8 +94,16 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 			env, o := setup(t)
 			o.Handle(&msg.Message{
 				Kind: msg.KindStateReply, Object: "obj", From: "www",
-				Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2}),
+				Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2),
 			})
+			if len(req.Pages) == 0 {
+				// p alone is now beyond applied(): the whole object waits
+				// for the whole fetch the request sent.
+				if early := env.takeSent(msg.KindStateReply); len(early) != 0 {
+					t.Fatalf("whole state left with p beyond applied(): %+v", early)
+				}
+				o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: snap2, VVec: vecOf(1, 2), GlobalSeq: 3})
+			}
 			replies := env.takeSent(msg.KindStateReply)
 			if len(replies) != 1 || replies[0].To != "cache" {
 				t.Fatalf("held request got %+v, want one reply to the cache", replies)
@@ -144,14 +156,14 @@ func TestWholeObjectInstallClearsInvalidMarks(t *testing.T) {
 			o := newObj(t, env, RoleClientInitiated, st, "parent-store")
 			o.Handle(&msg.Message{
 				Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
-				Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1}), GlobalSeq: 2,
+				Payload: snap1, VVec: vecOf(1, 1), GlobalSeq: 2,
 			})
 			w := ids.WiD{Client: 1, Seq: 2}
 			o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "parent-store", Pages: []string{"p"}, Write: w})
 			o.Handle(&msg.Message{Kind: msg.KindNotify, Object: "obj", From: "parent-store", Write: w})
 			o.Handle(&msg.Message{
 				Kind: kind, Object: "obj", From: "parent-store",
-				Payload: snap2, VVec: msg.VecFrom(ids.VersionVec{1: 2}), GlobalSeq: 3,
+				Payload: snap2, VVec: vecOf(1, 2), GlobalSeq: 3,
 			})
 			env.sent = nil
 			o.Handle(&msg.Message{
@@ -214,13 +226,13 @@ func TestWholeReplyTakenBeforeAMarkKeepsIt(t *testing.T) {
 	st.Writers = strategy.MultipleWriters
 	st.AccessTransfer = strategy.TransferFull
 	o := newObj(t, env, RoleClientInitiated, st, "www")
-	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: boot, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
+	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: boot, VVec: vecOf(1, 1)})
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"q"}, Write: ids.WiD{Client: 2, Seq: 1}})
 	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
 		t.Fatalf("setup: invalidating q sent %d fetches, want 1", len(fetches))
 	}
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
-	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: early, VVec: msg.VecFrom(ids.VersionVec{1: 1, 2: 1})})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: early, VVec: vecOf(1, 1, 2, 1)})
 	env.sent = nil
 
 	if got, ok := readPage(t, env, o, "p"); ok {
@@ -229,7 +241,7 @@ func TestWholeReplyTakenBeforeAMarkKeepsIt(t *testing.T) {
 	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
 		t.Fatalf("parked read of stale p sent %d fetches, want 1", len(fetches))
 	}
-	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: fresh, VVec: msg.VecFrom(ids.VersionVec{1: 2, 2: 1})})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: fresh, VVec: vecOf(1, 2, 2, 1)})
 	replies := env.takeSent(msg.KindReadReply)
 	if len(replies) != 1 {
 		t.Fatalf("parked read got %d replies after the fresh snapshot, want 1", len(replies))
@@ -259,7 +271,7 @@ func TestOldPageReplyLeavesMarkSet(t *testing.T) {
 	}
 	env.takeSent(msg.KindStateRequest)
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
-	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el1, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el1, VVec: vecOf(1, 1)})
 	if replies := env.takeSent(msg.KindReadReply); len(replies) != 0 {
 		pg, _ := webdoc.DecodePage(replies[0].Payload)
 		t.Fatalf("old page reply met the mark: read served %q", pg.Content)
@@ -267,7 +279,7 @@ func TestOldPageReplyLeavesMarkSet(t *testing.T) {
 	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 || fetches[0].Pages[0] != "p" {
 		t.Fatalf("old page reply was not followed by a refetch: %+v", fetches)
 	}
-	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2})})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2)})
 	replies := env.takeSent(msg.KindReadReply)
 	if len(replies) != 1 {
 		t.Fatalf("parked read got %d replies after the fresh page, want 1", len(replies))
@@ -277,46 +289,59 @@ func TestOldPageReplyLeavesMarkSet(t *testing.T) {
 	}
 }
 
+// appendUpd is client 1's write number seq, an append of "c1.<seq>;" to p.
+func appendUpd(seq uint64) *coherence.Update {
+	return &coherence.Update{
+		Write: ids.WiD{Client: 1, Seq: seq}, GlobalSeq: seq,
+		Inv: msg.Invocation{
+			Method: webdoc.MethodAppendPage, Page: "p",
+			Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: []byte(fmt.Sprintf("c1.%d;", seq))}),
+		},
+	}
+}
+
+// mirrorAheadOnPage builds www → mirror under the popular-event-page strategy,
+// with the mirror bootstrapped at c1#1 and then invalidated and refetched
+// page p at c1#2: p holds a write its applied vector does not. It returns the
+// mirror and www's whole snapshots at c1#1 and c1#2.
+func mirrorAheadOnPage(t *testing.T) (mirror *Object, env *fakeEnv, snap1, snap2 []byte) {
+	www := control.New(webdoc.New())
+	if err := www.ApplyOp(appendUpd(1)); err != nil {
+		t.Fatal(err)
+	}
+	snap1, _ = www.Snapshot()
+	if err := www.ApplyOp(appendUpd(2)); err != nil {
+		t.Fatal(err)
+	}
+	el2, _ := www.SnapshotElement("p")
+	snap2, _ = www.Snapshot()
+	env = newFakeEnv()
+	mirror = newObj(t, env, RoleObjectInitiated, strategy.PopularEventPage(), "www")
+	mirror.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: snap1, VVec: vecOf(1, 1)})
+	mirror.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
+	mirror.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2)})
+	env.sent = nil
+	return mirror, env, snap1, snap2
+}
+
+// replayed hands cache client 1's write number seq as a pushed op, as a demand
+// answered from a log would bring it.
+func replayed(cache *Object, seq uint64) {
+	u := appendUpd(seq)
+	cache.Handle(&msg.Message{Kind: msg.KindUpdate, Object: "obj", From: "mirror", Write: u.Write, GlobalSeq: u.GlobalSeq, Inv: u.Inv})
+}
+
 // TestMirrorPageReplyCarriesPageVector: a mirror that fetched p at c1#2 while
 // its applied vector stayed at c1#1 must say so in the page reply it hands a
 // cache. The reply used to carry only the applied vector, so the cache's
 // page vector understated p and the replayed op c1#2 was appended a second
 // time — the chaos suite's "c4.14; c4.15; c4.14; c4.15" at cache2.
 func TestMirrorPageReplyCarriesPageVector(t *testing.T) {
-	appendUpd := func(seq uint64) *coherence.Update {
-		return &coherence.Update{
-			Write: ids.WiD{Client: 1, Seq: seq}, GlobalSeq: seq,
-			Inv: msg.Invocation{
-				Method: webdoc.MethodAppendPage, Page: "p",
-				Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: []byte(fmt.Sprintf("c1.%d;", seq))}),
-			},
-		}
-	}
-	www := control.New(webdoc.New())
-	if err := www.ApplyOp(appendUpd(1)); err != nil {
-		t.Fatal(err)
-	}
-	snap1, _ := www.Snapshot()
-	if err := www.ApplyOp(appendUpd(2)); err != nil {
-		t.Fatal(err)
-	}
-	el2, _ := www.SnapshotElement("p")
-	inv := func(from string) *msg.Message {
-		return &msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: from, Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}}
-	}
-
-	st := strategy.PopularEventPage()
-	mirrorEnv := newFakeEnv()
-	mirror := newObj(t, mirrorEnv, RoleObjectInitiated, st, "www")
-	mirror.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
-	mirror.Handle(inv("www"))
-	mirror.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2})})
-
+	mirror, mirrorEnv, snap1, _ := mirrorAheadOnPage(t)
 	cacheEnv := newFakeEnv()
-	cache := newObj(t, cacheEnv, RoleClientInitiated, st, "mirror")
-	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: snap1, VVec: msg.VecFrom(ids.VersionVec{1: 1})})
-	cache.Handle(inv("mirror"))
-	mirrorEnv.sent = nil
+	cache := newObj(t, cacheEnv, RoleClientInitiated, strategy.PopularEventPage(), "mirror")
+	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: snap1, VVec: vecOf(1, 1)})
+	cache.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "mirror", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
 	mirror.Handle(&msg.Message{Kind: msg.KindStateRequest, Object: "obj", From: "cache", Pages: []string{"p"}})
 	replies := mirrorEnv.takeSent(msg.KindStateReply)
 	if len(replies) != 1 {
@@ -325,12 +350,36 @@ func TestMirrorPageReplyCarriesPageVector(t *testing.T) {
 	reply := replies[0]
 	reply.From = "mirror"
 	cache.Handle(reply)
-	// The same write replayed as an op, as a demand answered from the
-	// mirror's log would bring it.
-	u := appendUpd(2)
-	cache.Handle(&msg.Message{Kind: msg.KindUpdate, Object: "obj", From: "mirror", Write: u.Write, GlobalSeq: u.GlobalSeq, Inv: u.Inv})
+	replayed(cache, 2)
 	if got := pageTokens(t, cacheEnv, "p"); got != "c1.1;c1.2;" {
 		t.Fatalf("cache page = %q, want c1.1;c1.2;", got)
+	}
+}
+
+// TestMirrorWholeReplyCoversFetchedPages is ROADMAP 1(a)'s residual for whole
+// transfers: a mirror holding p at c1#2 past its applied vector c1#1 used to
+// answer a cache's subscribe with the whole object under c1#1, so the cache
+// took p's c1#2 as state it had not been told of and appended the replayed op
+// c1#2 a second time. A whole reply carries no per-page vectors, so the
+// mirror fetches the whole object before it serves it whole.
+func TestMirrorWholeReplyCoversFetchedPages(t *testing.T) {
+	mirror, mirrorEnv, _, snap2 := mirrorAheadOnPage(t)
+	mirror.Handle(&msg.Message{Kind: msg.KindSubscribe, Object: "obj", From: "cache"})
+	if fetches := mirrorEnv.takeSent(msg.KindStateRequest); len(fetches) == 1 && len(fetches[0].Pages) == 0 {
+		mirror.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: snap2, VVec: vecOf(1, 2)})
+	}
+	acks := mirrorEnv.takeSent(msg.KindSubscribeAck)
+	if len(acks) != 1 {
+		t.Fatalf("mirror sent %d subscribe acks, want 1", len(acks))
+	}
+	ack := acks[0]
+	ack.From = "mirror"
+	cacheEnv := newFakeEnv()
+	cache := newObj(t, cacheEnv, RoleClientInitiated, strategy.PopularEventPage(), "mirror")
+	cache.Handle(ack)
+	replayed(cache, 2)
+	if got := pageTokens(t, cacheEnv, "p"); got != "c1.1;c1.2;" {
+		t.Fatalf("cache page = %q after a whole transfer under %v, want c1.1;c1.2;", got, ack.VVec)
 	}
 }
 
@@ -343,7 +392,7 @@ func TestCoveredInvalidationFetchesNothing(t *testing.T) {
 	el2, _ := doc.SnapshotElement("p")
 	env := newFakeEnv()
 	o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "www")
-	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: msg.VecFrom(ids.VersionVec{1: 2})})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2)})
 	env.sent = nil
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
 	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 0 {

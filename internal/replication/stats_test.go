@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/coherence"
-	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/semantics/webdoc"
@@ -87,7 +86,7 @@ func TestStatsAndSeriesAgree(t *testing.T) {
 			o := cache(env, ob, Tuning{}, nil)
 			o.Handle(&msg.Message{
 				Kind: msg.KindReadRequest, Object: "obj", From: "reader", Client: 1,
-				VVec: msg.VecFrom(ids.VersionVec{1: 1}),
+				VVec: vecOf(1, 1),
 				Inv:  msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"},
 			})
 			up := writeMsg(1, 1, "p", "x")
@@ -101,7 +100,7 @@ func TestStatsAndSeriesAgree(t *testing.T) {
 			o := cache(env, ob, Tuning{}, nil)
 			o.Handle(&msg.Message{
 				Kind: msg.KindDigest, Object: "obj", From: "mirror",
-				VVec: msg.VecFrom(ids.VersionVec{1: 3}),
+				VVec: vecOf(1, 3),
 			})
 			return o
 		}, func(s Stats) bool { return s.DigestDemands == 1 && s.DemandsSent == 1 }},

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/coherence"
-	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/strategy"
 )
@@ -37,7 +36,7 @@ func (o *Object) sendDemand(to string) {
 		o.emit("demand_sent", "to="+to)
 	}
 	d := o.frame(msg.KindDemandUpdate, nil)
-	d.VVec = o.appliedVec()
+	d.VVec = o.applied()
 	o.send(to, &d)
 }
 
@@ -128,7 +127,7 @@ func (o *Object) fetch(page string) {
 // logged). Answering "nothing missing" in that situation would let the
 // requester mark content it never received as covered.
 func (o *Object) onDemand(m *msg.Message) {
-	known := o.appliedVec()
+	known := o.applied()
 	if !o.log.covers(&m.VVec, &known) {
 		o.serveState(m, nil)
 		return
@@ -139,7 +138,7 @@ func (o *Object) onDemand(m *msg.Message) {
 		// Nothing to send: answer anyway so pull-on-access revalidations
 		// complete instead of timing out.
 		ack := o.frame(msg.KindUpdateAck, nil)
-		ack.VVec = o.appliedVec()
+		ack.VVec = known
 		o.answer(m, &ack)
 		return
 	}
@@ -249,12 +248,12 @@ func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) b
 			return false
 		}
 		o.reapplyBeyond(v, page)
-		pv, ok := o.pageVec[page]
-		if !ok {
-			pv = ids.NewVersionVec(4)
+		pv := o.pageVec[page]
+		if pv == nil {
+			pv = new(msg.Vec)
 			o.pageVec[page] = pv
 		}
-		v.MergeInto(pv)
+		pv.Merge(v)
 		return true
 	}
 	// A bare subscribe ack (no payload) still seeds the vectors.
@@ -267,8 +266,8 @@ func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) b
 	}
 	// The snapshot already reflects every write in v: seed the ordering
 	// engine so pushed op updates it covers are not re-applied.
-	v.MergeInto(o.fetchVec)
-	o.engine.Seed(v.Version(), gseq)
+	o.fetchVec.Merge(v)
+	o.engine.Seed(v, gseq)
 	o.markAppliedStale()
 	return true
 }
@@ -287,16 +286,14 @@ func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) b
 func (o *Object) staleSnapshot(v *msg.Vec, page string) bool {
 	if page == "" {
 		for _, fetched := range o.pageVec {
-			for c, s := range fetched {
-				if v.Get(c) < s {
-					return true
-				}
+			if !v.Covers(fetched) {
+				return true
 			}
 		}
 	}
 	if v.Len() == 0 {
-		known := o.appliedVec()
-		return known.Len() > 0 || len(o.pageVec[page]) > 0
+		known := o.applied()
+		return known.Len() > 0 || o.pageVec[page].Len() > 0
 	}
 	return o.knows(page, v)
 }

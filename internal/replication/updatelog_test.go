@@ -26,23 +26,22 @@ func (r *refLog) append(u *coherence.Update) {
 	}
 }
 
-func (r *refLog) logCovers(applied ids.VersionVec, v *msg.Vec) bool {
+func (r *refLog) logCovers(applied msg.Vec, v *msg.Vec) bool {
 	minSeq := make(map[ids.ClientID]uint64, 4)
 	for _, u := range r.log {
 		if s, ok := minSeq[u.Write.Client]; !ok || u.Write.Seq < s {
 			minSeq[u.Write.Client] = u.Write.Seq
 		}
 	}
-	for c, applied := range applied {
-		need := applied // client absent from log: requester must know it all
-		if s, ok := minSeq[c]; ok {
+	ok := true
+	applied.Each(func(c ids.ClientID, need uint64) bool { // need: client absent from log, requester must know it all
+		if s, logged := minSeq[c]; logged {
 			need = s - 1
 		}
-		if v.Get(c) < need {
-			return false
-		}
-	}
-	return true
+		ok = v.Get(c) >= need
+		return ok
+	})
+	return ok
 }
 
 func (r *refLog) missingFrom(v *msg.Vec, buf []*coherence.Update) []*coherence.Update {
@@ -148,20 +147,20 @@ func (h *logHistory) seed() {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.handle(&msg.Message{Kind: msg.KindUpdate, Payload: snap, VVec: msg.VecFrom(h.seq), GlobalSeq: h.global + 1})
+	h.handle(&msg.Message{Kind: msg.KindUpdate, Payload: snap, VVec: vecFromMap(h.seq), GlobalSeq: h.global + 1})
 }
 
 // caughtUp replays missing over a requester that holds every write up to v,
 // as the contiguous engines would, and reports whether it ends where the
 // replica is: what a sound "the log covers v" promises.
 func (h *logHistory) caughtUp(v *msg.Vec, missing []*coherence.Update) bool {
-	have := v.Version().Clone()
+	have, applied := v.Clone(), h.o.applied()
 	for _, u := range missing {
-		if u.Write.Seq == have[u.Write.Client]+1 {
-			have[u.Write.Client]++
+		if u.Write.Seq == have.Get(u.Write.Client)+1 {
+			have.Set(u.Write.Client, u.Write.Seq)
 		}
 	}
-	return have.Covers(h.o.applied())
+	return have.Covers(&applied)
 }
 
 // probe asks both logs about one requester vector.
@@ -170,14 +169,14 @@ func (h *logHistory) probe(v msg.Vec) {
 	want := h.ref.missingFrom(&v, nil)
 	got := h.o.log.since(&v, nil)
 	if len(got) != len(want) {
-		h.t.Fatalf("%v: since(%v) = %d updates, the scan finds %d", h.model, v.Version(), len(got), len(want))
+		h.t.Fatalf("%v: since(%v) = %d updates, the scan finds %d", h.model, v, len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			h.t.Fatalf("%v: since(%v)[%d] = %v, the scan has %v", h.model, v.Version(), i, got[i].Write, want[i].Write)
+			h.t.Fatalf("%v: since(%v)[%d] = %v, the scan has %v", h.model, v, i, got[i].Write, want[i].Write)
 		}
 	}
-	known := h.o.appliedVec()
+	known := h.o.applied()
 	covers, ref := h.o.log.covers(&v, &known), h.ref.logCovers(h.o.applied(), &v)
 	sound := h.caughtUp(&v, want)
 	// The index may differ from the scan in one way only: refusing a
@@ -190,33 +189,33 @@ func (h *logHistory) probe(v msg.Vec) {
 	}
 	if covers != ref && (covers || sound) {
 		h.t.Fatalf("%v: covers(%v) = %v, the scan says %v, replay catches up: %v (applied %v)",
-			h.model, v.Version(), covers, ref, sound, h.o.applied())
+			h.model, v, covers, ref, sound, h.o.applied())
 	}
 	if covers && !sound {
-		h.t.Fatalf("%v: covers(%v) but the replay leaves the requester short of %v", h.model, v.Version(), h.o.applied())
+		h.t.Fatalf("%v: covers(%v) but the replay leaves the requester short of %v", h.model, v, h.o.applied())
 	}
 }
 
 // requester draws a vector the way children are: mostly a few writes behind,
 // now and then far behind, at the log's edge, ahead, or without the client.
 func (h *logHistory) requester() msg.Vec {
-	v := ids.NewVersionVec(4)
+	var v msg.Vec
 	applied := h.o.applied()
 	for _, c := range h.writers { // in a fixed order: a seed replays exactly
-		s := applied[c]
+		s := applied.Get(c)
 		switch r := h.rng.Intn(10); {
 		case r < 5:
-			v[c] = s - min(s, uint64(h.rng.Intn(4)))
+			v.Set(c, s-min(s, uint64(h.rng.Intn(4))))
 		case r < 7:
-			v[c] = uint64(h.rng.Int63n(int64(s) + 1))
+			v.Set(c, uint64(h.rng.Int63n(int64(s)+1)))
 		case r < 8: // at the edge of what the log still holds of c
-			v[c] = h.o.log.runs[c].floor + uint64(h.rng.Intn(3))
-			v[c] -= min(v[c], 1)
+			e := h.o.log.runs[c].floor + uint64(h.rng.Intn(3))
+			v.Set(c, e-min(e, 1))
 		case r < 9:
-			v[c] = s + 1
+			v.Set(c, s+1)
 		}
 	}
-	return msg.VecFrom(v)
+	return v
 }
 
 // TestUpdateLogMatchesWholeLogScans is the equivalence the rewrite rests on:
@@ -236,7 +235,7 @@ func TestUpdateLogMatchesWholeLogScans(t *testing.T) {
 				case r == 0 && seeds:
 					h.seed()
 				case r == 1:
-					h.handle(&msg.Message{Kind: msg.KindUpdateAck, VVec: msg.VecFrom(h.o.applied())})
+					h.handle(&msg.Message{Kind: msg.KindUpdateAck, VVec: h.o.applied()})
 				default:
 					h.write()
 				}
@@ -277,17 +276,17 @@ func TestUpdateLogOutOfOrderIsConservative(t *testing.T) {
 		l.append(u)
 		ref.append(u)
 	}
-	known := msg.VecFrom(ids.VersionVec{1: 4, 2: 1})
+	known := vecOf(1, 4, 2, 1)
 	for _, tc := range []struct {
-		v      ids.VersionVec
+		v      msg.Vec
 		covers bool
 	}{
-		{ids.VersionVec{1: 4, 2: 1}, true},
-		{ids.VersionVec{1: 3, 2: 0}, true},  // above the reordering: the run (3, 4] is whole
-		{ids.VersionVec{1: 2, 2: 1}, false}, // the scan would say yes; the index no longer can
-		{ids.VersionVec{}, false},
+		{vecOf(1, 4, 2, 1), true},
+		{vecOf(1, 3, 2, 0), true},  // above the reordering: the run (3, 4] is whole
+		{vecOf(1, 2, 2, 1), false}, // the scan would say yes; the index no longer can
+		{msg.Vec{}, false},
 	} {
-		v := msg.VecFrom(tc.v)
+		v := tc.v
 		if got := l.covers(&v, &known); got != tc.covers {
 			t.Errorf("covers(%v) = %v, want %v", tc.v, got, tc.covers)
 		}
@@ -312,10 +311,11 @@ func demandObj(t testing.TB, n int) (*Object, *fakeEnv, *msg.Message) {
 		o.Handle(m)
 	}
 	behind := o.applied()
-	behind[ids.ClientID(1+(n-1)%3)]--
-	behind[ids.ClientID(1+(n-2)%3)]--
+	for _, c := range []ids.ClientID{ids.ClientID(1 + (n-1)%3), ids.ClientID(1 + (n-2)%3)} {
+		behind.Set(c, behind.Get(c)-1)
+	}
 	env.sent = nil
-	return o, env, &msg.Message{Kind: msg.KindDemandUpdate, Object: "obj", From: "child", VVec: msg.VecFrom(behind)}
+	return o, env, &msg.Message{Kind: msg.KindDemandUpdate, Object: "obj", From: "child", VVec: behind}
 }
 
 // TestDemandCostIndependentOfLogLength is the scaling claim: a child two
@@ -330,7 +330,7 @@ func TestDemandCostIndependentOfLogLength(t *testing.T) {
 		if ups := env.takeSent(msg.KindUpdateBatch); len(ups) != 1 || len(ups[0].Batch) != 2 {
 			t.Fatalf("log of %d: demand answered with %+v, want one batch of 2", n, env.sent)
 		}
-		known := o.appliedVec()
+		known := o.applied()
 		var few [8]*coherence.Update
 		if a := testing.AllocsPerRun(100, func() {
 			if !o.log.covers(&demand.VVec, &known) || len(o.log.since(&demand.VVec, few[:0])) != 2 {
@@ -357,4 +357,12 @@ func TestDemandCostIndependentOfLogLength(t *testing.T) {
 		t.Errorf("demand against a log of %d costs %v, %.1fx the %v against a log of 64; want within 4x",
 			logLimit, large, float64(large)/float64(small), small)
 	}
+}
+
+func vecFromMap(m map[ids.ClientID]uint64) msg.Vec {
+	var v msg.Vec
+	for c, s := range m {
+		v.Set(c, s)
+	}
+	return v
 }

@@ -233,7 +233,7 @@ func updateFromMsg(m *msg.Message) *coherence.Update {
 	return &coherence.Update{
 		Write:     m.Write,
 		GlobalSeq: m.GlobalSeq,
-		Deps:      m.Deps.Version(),
+		Deps:      coherence.DepsOf(&m.Deps),
 		Stamp:     m.Stamp,
 		Inv:       cloneInv(m.Inv),
 		WallNanos: m.WallNanos,

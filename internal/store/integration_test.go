@@ -591,7 +591,7 @@ func TestStoreAPIBasics(t *testing.T) {
 	cl := r.bind("c", "perm", obj)
 	putPage(t, cl, "p", "x")
 	v, err := perm.Applied(obj)
-	if err != nil || v.Total() != 1 {
+	if err != nil || v.Len() != 1 || v.Get(cl.Client()) != 1 {
 		t.Fatalf("Applied = %v, %v", v, err)
 	}
 	stats, err := perm.Stats(obj)

@@ -266,8 +266,8 @@ func (s *Store) Stats(object ids.ObjectID) (replication.Stats, error) {
 }
 
 // Applied returns the applied version vector of a hosted object.
-func (s *Store) Applied(object ids.ObjectID) (ids.VersionVec, error) {
-	return call(s, object, func(r *replica) (ids.VersionVec, error) { return r.repl.Applied(), nil })
+func (s *Store) Applied(object ids.ObjectID) (msg.Vec, error) {
+	return call(s, object, func(r *replica) (msg.Vec, error) { return r.repl.Applied(), nil })
 }
 
 // ReadLocal executes a read invocation directly against the hosted replica
@@ -446,7 +446,7 @@ func (s *Store) onBind(m *msg.Message) {
 		// The reply carries the replica's applied vector so the client's
 		// session can seed its write counter past writes this deployment
 		// already applied under its client ID (see coherence.SeedSeq).
-		r.VVec = msg.VecFrom(rep.repl.Applied())
+		r.VVec = rep.repl.Applied()
 	}
 	_ = s.cfg.Endpoint.Send(m.From, r)
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/transport"
 )
@@ -60,7 +59,8 @@ func TestMessagesAreDeepCopies(t *testing.T) {
 	defer n.Close()
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
-	orig := &msg.Message{Kind: msg.KindUpdate, Object: "o", VVec: msg.VecFrom(ids.VersionVec{1: 1}), Payload: []byte("x")}
+	orig := &msg.Message{Kind: msg.KindUpdate, Object: "o", Payload: []byte("x")}
+	orig.VVec.Set(1, 1)
 	if err := a.Send("b", orig); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
-// Package vclock implements vector clocks and Lamport clocks.
-//
-// Vector clocks drive the causal coherence model (§3.2.1 of the paper) and
-// the Writes-Follow-Reads session guarantee: an update is applicable at a
-// store only when the store's applied vector covers the update's dependency
-// vector. Lamport clocks provide the total tiebreak used by the eventual
-// model's last-writer-wins convergence rule.
+// Package vclock implements Lamport clocks and stamps: the total tiebreak used
+// by the eventual model's last-writer-wins convergence rule. The vector clock
+// that drives the causal model and the session guarantees is msg.Vec.
 //
 //globelint:deterministic
 package vclock
@@ -14,15 +10,6 @@ import (
 
 	"repro/internal/ids"
 )
-
-// VC is a vector clock: one logical-event counter per client. It is the same
-// type as ids.VersionVec, which declares everything a clock needs (Get, Set,
-// Clone, Merge, Covers and String). The zero value (nil map) is a valid,
-// empty clock for read operations; use New or Clone before mutating.
-type VC = ids.VersionVec
-
-// New returns an empty vector clock.
-func New() VC { return make(VC) }
 
 // Lamport is a thread-safe Lamport clock. The zero value is ready to use.
 type Lamport struct {

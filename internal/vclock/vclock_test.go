@@ -8,46 +8,6 @@ import (
 	"repro/internal/ids"
 )
 
-func TestVCString(t *testing.T) {
-	v := VC{2: 3, 1: 1}
-	if got, want := v.String(), "{c1:1 c2:3}"; got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	if got := (VC)(nil).String(); got != "{}" {
-		t.Fatalf("nil String() = %q, want {}", got)
-	}
-}
-
-// Property: merged clock is the least upper bound: it covers both inputs,
-// and any clock covering both inputs covers the merge.
-func TestMergeIsLeastUpperBound(t *testing.T) {
-	f := func(xa, xb, xc map[uint8]uint16) bool {
-		a, b, c := mkVC(xa), mkVC(xb), mkVC(xc)
-		m := a.Clone()
-		m.Merge(b)
-		if !m.Covers(a) || !m.Covers(b) {
-			return false
-		}
-		if c.Covers(a) && c.Covers(b) && !c.Covers(m) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mkVC(xs map[uint8]uint16) VC {
-	v := New()
-	for c, s := range xs {
-		if s > 0 {
-			v.Set(ids.ClientID(c), uint64(s))
-		}
-	}
-	return v
-}
-
 func TestLamportMonotonic(t *testing.T) {
 	var l Lamport
 	prev := uint64(0)

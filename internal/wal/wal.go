@@ -126,7 +126,7 @@ type Snapshot struct {
 	// State is the semantics object's full snapshot (Env.Snapshot()).
 	State []byte
 	// Applied is the replica's applied version vector at snapshot time.
-	Applied ids.VersionVec
+	Applied msg.Vec
 	// NextGlobal is the sequential-model sequencer position.
 	NextGlobal uint64
 	// Lamport is the Lamport clock reading.
@@ -252,7 +252,7 @@ func decodeRecord(typ byte, payload []byte) (Record, error) {
 		return Record{Update: &coherence.Update{
 			Write:     m.Write,
 			GlobalSeq: m.GlobalSeq,
-			Deps:      m.Deps.Version(),
+			Deps:      coherence.DepsOf(&m.Deps),
 			Stamp:     m.Stamp,
 			Inv:       m.Inv,
 			WallNanos: m.WallNanos,
@@ -305,7 +305,7 @@ func (l *Log) AppendUpdate(u *coherence.Update) error {
 		Write:     u.Write,
 		GlobalSeq: u.GlobalSeq,
 		Stamp:     u.Stamp,
-		Deps:      msg.VecFrom(u.Deps),
+		Deps:      u.Deps.Clone(),
 		Inv:       u.Inv,
 		WallNanos: u.WallNanos,
 	})
@@ -423,11 +423,12 @@ func encodeSnapshot(s *Snapshot) []byte {
 	b := append([]byte(nil), snapMagic...)
 	b = binary.LittleEndian.AppendUint64(b, s.NextGlobal)
 	b = binary.LittleEndian.AppendUint64(b, s.Lamport)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Applied)))
-	for c, seq := range s.Applied {
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.Applied.Len()))
+	s.Applied.Each(func(c ids.ClientID, seq uint64) bool {
 		b = binary.LittleEndian.AppendUint32(b, uint32(c))
 		b = binary.LittleEndian.AppendUint64(b, seq)
-	}
+		return true
+	})
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Stamped)))
 	for _, a := range s.Stamped {
 		b = binary.LittleEndian.AppendUint32(b, uint32(a.Client))
@@ -482,10 +483,9 @@ func decodeSnapshot(data []byte) (*Snapshot, bool) {
 	if r.bad || n > maxRecord {
 		return nil, false
 	}
-	s.Applied = ids.NewVersionVec(int(n))
 	for i := uint32(0); i < n; i++ {
 		c := ids.ClientID(r.u32())
-		s.Applied[c] = r.u64()
+		s.Applied.Set(c, r.u64())
 	}
 	n = r.u32()
 	if r.bad || n > maxRecord {

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,11 +14,13 @@ import (
 )
 
 func mkUpdate(c ids.ClientID, seq uint64) *coherence.Update {
+	deps := new(msg.Vec)
+	deps.Set(c, seq)
 	return &coherence.Update{
 		Write:     ids.WiD{Client: c, Seq: seq},
 		GlobalSeq: seq,
 		Stamp:     vclock.Stamp{Time: seq * 10, Client: c},
-		Deps:      vclock.VC{c: seq},
+		Deps:      deps,
 		Inv:       msg.Invocation{Method: 4, Page: "p", Args: []byte("x")},
 		WallNanos: 42,
 	}
@@ -74,7 +78,7 @@ func TestRoundTrip(t *testing.T) {
 	want := mkUpdate(3, 1)
 	if u.Write != want.Write || u.GlobalSeq != want.GlobalSeq || u.Stamp != want.Stamp ||
 		u.Inv.Page != want.Inv.Page || string(u.Inv.Args) != string(want.Inv.Args) ||
-		u.Deps[3] != 1 || u.WallNanos != 42 {
+		u.Deps.Get(3) != 1 || u.WallNanos != 42 {
 		t.Fatalf("update round-trip mismatch: %+v", u)
 	}
 	if c := rec2.Records[2].Child; c == nil || c.Addr != "store/1.2.3.4:99" || c.Remove {
@@ -188,7 +192,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	snap := &Snapshot{
 		State:      []byte("full-state"),
-		Applied:    ids.VersionVec{2: 5},
+		Applied:    vecOf(2, 5),
 		NextGlobal: 6,
 		Lamport:    50,
 		Stamped:    []ClientAdmission{{Client: 2, Max: 5, Holes: []uint64{3}}},
@@ -216,7 +220,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	if s == nil {
 		t.Fatal("snapshot not recovered")
 	}
-	if string(s.State) != "full-state" || s.Applied[2] != 5 || s.NextGlobal != 6 || s.Lamport != 50 {
+	if string(s.State) != "full-state" || s.Applied.Get(2) != 5 || s.NextGlobal != 6 || s.Lamport != 50 {
 		t.Fatalf("snapshot mismatch: %+v", s)
 	}
 	if len(s.Stamped) != 1 || s.Stamped[0].Max != 5 || len(s.Stamped[0].Holes) != 1 {
@@ -238,7 +242,7 @@ func TestCorruptSnapshotIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(&Snapshot{State: []byte("s"), Applied: ids.VersionVec{1: 1}}); err != nil {
+	if err := l.WriteSnapshot(&Snapshot{State: []byte("s"), Applied: vecOf(1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendAdmit(1, 2); err != nil {
@@ -265,5 +269,53 @@ func TestCorruptSnapshotIgnored(t *testing.T) {
 	}
 	if rec.TornTail != 1 || len(rec.Records) != 1 {
 		t.Fatalf("torn=%d records=%d, want 1/1", rec.TornTail, len(rec.Records))
+	}
+}
+
+// vecOf builds a vector from client, seq pairs.
+func vecOf(kv ...uint64) msg.Vec {
+	var v msg.Vec
+	for i := 0; i+1 < len(kv); i += 2 {
+		v.Set(ids.ClientID(kv[i]), kv[i+1])
+	}
+	return v
+}
+
+// A snapshot written when the applied vector was a map lists its entries in
+// map-iteration order, so the decoder must take them in any order. The
+// hand-built files below list them in descending client order, once within
+// msg.VecInline entries and once beyond it.
+func TestSnapshotWithUnsortedVectorDecodes(t *testing.T) {
+	for _, n := range []int{msg.VecInline, 3 * msg.VecInline} {
+		b := append([]byte(nil), snapMagic...)
+		b = binary.LittleEndian.AppendUint64(b, 6) // NextGlobal
+		b = binary.LittleEndian.AppendUint64(b, 9) // Lamport
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+		for c := n; c >= 1; c-- {
+			b = binary.LittleEndian.AppendUint32(b, uint32(c))
+			b = binary.LittleEndian.AppendUint64(b, uint64(100+c))
+		}
+		b = binary.LittleEndian.AppendUint32(b, 0) // no admissions
+		b = binary.LittleEndian.AppendUint32(b, 0) // no children
+		b = binary.LittleEndian.AppendUint32(b, 1)
+		b = append(b, 's')
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+
+		s, ok := decodeSnapshot(b)
+		if !ok {
+			t.Fatalf("%d entries: hand-built snapshot rejected", n)
+		}
+		if s.Applied.Len() != n || s.NextGlobal != 6 || s.Lamport != 9 || string(s.State) != "s" {
+			t.Fatalf("%d entries: decoded %v, next %d, lamport %d", n, s.Applied, s.NextGlobal, s.Lamport)
+		}
+		for c := 1; c <= n; c++ {
+			if got := s.Applied.Get(ids.ClientID(c)); got != uint64(100+c) {
+				t.Fatalf("%d entries: client %d at %d, want %d", n, c, got, 100+c)
+			}
+		}
+		again, ok := decodeSnapshot(encodeSnapshot(s))
+		if !ok || !again.Applied.Equal(&s.Applied) {
+			t.Fatalf("%d entries: re-encoded snapshot decodes to %v", n, again.Applied)
+		}
 	}
 }

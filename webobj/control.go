@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/nameserv"
 	"repro/internal/obs"
@@ -109,7 +108,7 @@ type ControlStats struct {
 	Object     string                     `json:"object"`
 	Stats      replication.Stats          `json:"stats"`
 	Durability replication.DurabilityInfo `json:"durability"`
-	Applied    ids.VersionVec             `json:"applied,omitempty"`
+	Applied    msg.Vec                    `json:"applied,omitzero"`
 	// Naming carries the daemon's name-service client counters
 	// (lease renewals sent, resolve cache hits/misses, directory records
 	// expired); nil when the daemon resolves in-process.

@@ -54,7 +54,7 @@ func TestWithDigestIntervalRecoversPartitionedCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v[cid] >= seq {
+			if v.Get(cid) >= seq {
 				return
 			}
 			if time.Now().After(deadline) {

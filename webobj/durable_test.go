@@ -1,6 +1,7 @@
 package webobj_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -56,7 +57,7 @@ func TestSystemRestartRecoversFromDataDir(t *testing.T) {
 	if !stats.Durability.Durable || stats.Durability.WALRecords == 0 {
 		t.Fatalf("control stats report no durability: %+v", stats.Durability)
 	}
-	if stats.Stats.WALAppends == 0 || stats.Applied[77] != 2 {
+	if stats.Stats.WALAppends == 0 || stats.Applied.Get(77) != 2 {
 		t.Fatalf("control stats: %+v", stats)
 	}
 	d1.Close()
@@ -180,5 +181,73 @@ func TestDurableSystemStillCreatesMirrorsAndCaches(t *testing.T) {
 	defer d.Close()
 	if err := d.Append("p", []byte("durable root, volatile edge")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The stats control reply carries vectors in the JSON shape of a map from
+// client to sequence: "applied" and "durability"."last_snapshot" are
+// {"<client>": seq} objects, and last_snapshot is left out until the first
+// snapshot is written.
+func TestControlStatsVectorJSONShape(t *testing.T) {
+	for _, snapshotEvery := range []int{1 << 20, 2} {
+		mf := webobj.NewMemFabric()
+		sys := webobj.NewSystem(
+			webobj.WithFabric(mf),
+			webobj.WithDataDir(t.TempDir()),
+			webobj.WithDurability(webobj.Durability{Fsync: webobj.FsyncAlways, SnapshotEvery: snapshotEvery}),
+		)
+		server, err := sys.NewServer("www")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Publish(server, "doc", webobj.WebDoc(), webobj.ConferenceStrategy(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		d, err := sys.Open("doc", webobj.AsClient(77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{"a.", "b.", "c."} {
+			if err := d.Append("p", []byte(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctlAddr, err := sys.ServeControl("ctl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := webobj.NewControl(mf, ctlAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ctl.CallPayload(webobj.ControlRequest{Op: "stats", Object: "doc"})
+		_ = ctl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct {
+			Applied    map[string]uint64 `json:"applied"`
+			Durability map[string]json.RawMessage
+		}
+		if err := json.Unmarshal(payload, &reply); err != nil {
+			t.Fatalf("stats reply %s: %v", payload, err)
+		}
+		if len(reply.Applied) != 1 || reply.Applied["77"] != 3 {
+			t.Fatalf("applied = %v in %s, want {\"77\": 3}", reply.Applied, payload)
+		}
+		raw, ok := reply.Durability["last_snapshot"]
+		if snapshotEvery > 3 {
+			if ok {
+				t.Fatalf("last_snapshot %s present before any snapshot", raw)
+			}
+		} else {
+			var snap map[string]uint64
+			if err := json.Unmarshal(raw, &snap); err != nil || snap["77"] == 0 {
+				t.Fatalf("last_snapshot = %s (%v), want a {\"77\": seq} object", raw, err)
+			}
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

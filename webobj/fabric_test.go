@@ -19,7 +19,7 @@ func waitCovers(t *testing.T, from, at *webobj.Store, object webobj.ObjectID) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		got, err := at.Applied(object)
-		if err == nil && got.Covers(want) {
+		if err == nil && got.Covers(&want) {
 			return
 		}
 		if time.Now().After(deadline) {

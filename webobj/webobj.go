@@ -67,6 +67,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/nameserv"
 	"repro/internal/naming"
 	"repro/internal/obs"
@@ -203,9 +204,9 @@ func (s *Store) Stats(object ObjectID) (replication.Stats, error) {
 }
 
 // Applied returns the store's applied version vector for one hosted object.
-func (s *Store) Applied(object ObjectID) (ids.VersionVec, error) {
+func (s *Store) Applied(object ObjectID) (msg.Vec, error) {
 	if s.st == nil {
-		return nil, ErrRemoteStore
+		return msg.Vec{}, ErrRemoteStore
 	}
 	return s.st.Applied(ids.ObjectID(object))
 }

@@ -281,7 +281,7 @@ func TestDeepHierarchyPreservesBatches(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			got, err := cache.Applied(obj)
-			if err == nil && got.Covers(want) {
+			if err == nil && got.Covers(&want) {
 				return
 			}
 			if time.Now().After(deadline) {
