@@ -14,9 +14,11 @@ test:
 
 # The chaos fault schedules run for minutes and CI races them in their own
 # job; the race gate covers everything else, including the chaos package's
-# fast checker tests (same exclusion CI uses).
+# fast checker tests (same exclusion CI uses). The second run poisons
+# released frames (leasecheck), so a use after Release fails.
 race:
 	$(GO) test -race -skip 'Convergence|CrashRestart|MirrorKill' ./...
+	$(GO) test -race -tags leasecheck -skip 'Convergence|CrashRestart|MirrorKill' ./...
 
 lint:
 	./scripts/lint.sh

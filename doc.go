@@ -104,26 +104,42 @@
 //   - DecodeAlias offers a zero-copy decode that aliases the frame for
 //     Args/Payload — and, via unsafe.String over the immutable frame, for
 //     every string field, so a small-vector frame decodes with a single
-//     allocation (the Message itself). Both transports use it: memnet
-//     frames are immutable after delivery, and tcpnet readers carve frames
-//     out of handoff chunks that are abandoned, never rewritten (see
-//     below). Receivers treat Args/Payload as immutable; code that retains
-//     a decoded string for the lifetime of a replica (e.g. subscriber
-//     addresses) clones it so it does not pin its frame's chunk.
+//     allocation (the Message itself). Receivers treat Args/Payload as
+//     immutable; code that retains a decoded string for the lifetime of a
+//     replica (e.g. subscriber addresses) clones it.
+//
+// A received frame is leased, not allocated. memnet encodes each frame into
+// a pooled, reference-counted msg.WireBuf, and both transports decode into a
+// pooled Message (msg.DecodeLeased) that aliases the frame: memnet's buffer,
+// one reference per delivery (a multicast's receivers and a duplicated
+// delivery share it), or tcpnet's handoff chunk, which is abandoned, never
+// rewritten. The consumer calls Release when done: replication.Object.Handle
+// once it has answered (in the request's own struct) or, for a parked
+// request, when it leaves the queue; the store loop for what it answers
+// itself; the client proxy once the typed handle has decoded the reply
+// (core.Proxy.Call). The buffer returns with its last reference. A consumer
+// that never releases — the name and control servers, tests — leaves both to
+// the collector, so releasing is opt-in and only the code that clones what it
+// keeps takes part. aliasretain flags a use after Release, and the
+// leasecheck build tag poisons released messages and frames instead of
+// reusing them; CI runs the chaos harness and the lease tests under it.
+// Message.Deps is a *Vec, nil when empty, which keeps the struct at 464 bytes
+// (TestMessageSize).
 //
 // Version-1 frames are rejected with ErrBadVersion. Both ends of every
 // deployment ship from this tree, so no cross-version compatibility shim is
 // kept; bump wireVersion again on any layout change.
 //
 // msg.Vec is the one version vector, in frames and out of them: a frame's
-// VVec and Deps (and each batch entry's Deps), an engine's applied vector,
-// a session's read vector, a replica's fetch, page and forwarded vectors,
-// a WAL snapshot's vector, and the vector Store.Applied and the stats
-// control reply report. Up to VecInline entries live in a sorted inline
-// array, so a vector moves and decodes without allocating; larger vectors
-// spill to a map. A copy of a spilled vector shares that map, so whoever
-// keeps a vector it goes on changing hands out Clone()s. A write's
-// coherence.Update holds Deps as a *msg.Vec, nil when the write has none.
+// VVec and Deps (and each batch entry's Deps; a Deps is nil when empty), an
+// engine's applied vector, a session's read vector, a replica's fetch, page
+// and forwarded vectors, a WAL snapshot's vector, and the vector
+// Store.Applied and the stats control reply report. Up to VecInline entries
+// live in a sorted inline array, so a vector moves and decodes without
+// allocating; larger vectors spill to a map. A copy of a spilled vector
+// shares that map, so whoever keeps a vector it goes on changing hands out
+// Clone()s. A write's coherence.Update holds Deps as a *msg.Vec, nil when
+// the write has none.
 // The wire layout is unchanged: Vec is an in-memory representation.
 //
 // # Transport concurrency model
@@ -162,7 +178,7 @@
 // after the caller's bytes are on the socket.
 //
 // The inbound path mirrors this: each connection's reader carves frame
-// bodies out of a 64 KiB handoff chunk and hands them to msg.DecodeAlias
+// bodies out of a 64 KiB handoff chunk and hands them to msg.DecodeLeased
 // without copying. A chunk is abandoned when the next frame does not fit
 // and lives exactly as long as the messages aliasing it — one allocation
 // per ~64 KiB of traffic instead of one body copy per frame

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -125,6 +126,7 @@ func (p *Proxy) bind() error {
 	// persistent client ID must not re-issue write IDs the deployment
 	// already applied (they would be deduplicated as replays).
 	p.session.SeedSeq(reply.VVec.Get(p.client))
+	reply.Release()
 	return nil
 }
 
@@ -159,15 +161,27 @@ func (p *Proxy) Rebind(storeAddr string) error {
 }
 
 // Invoke performs one marshalled method call on the distributed object,
-// transparently attaching and maintaining session-guarantee metadata.
+// transparently attaching and maintaining session-guarantee metadata, and
+// returns the reply payload, which the caller may keep.
 func (p *Proxy) Invoke(inv msg.Invocation) ([]byte, error) {
+	reply, err := p.Call(inv)
+	if err != nil {
+		return nil, err
+	}
+	return reply.Payload, nil // never released: the frame stays the payload's
+}
+
+// Call is Invoke returning the whole reply. The caller releases it
+// (msg.Message.Release) once it has copied what it keeps of the payload, and
+// the reply's frame goes back to the transport instead of to the collector.
+func (p *Proxy) Call(inv msg.Invocation) (*msg.Message, error) {
 	if p.table.IsWrite(inv.Method) {
 		return p.invokeWrite(inv)
 	}
 	return p.invokeRead(inv)
 }
 
-func (p *Proxy) invokeRead(inv msg.Invocation) ([]byte, error) {
+func (p *Proxy) invokeRead(inv msg.Invocation) (*msg.Message, error) {
 	req, dep := p.session.ReadRequirementVec()
 	reply, err := p.roundTrip(msg.Message{
 		Kind:    msg.KindReadRequest,
@@ -181,10 +195,10 @@ func (p *Proxy) invokeRead(inv msg.Invocation) ([]byte, error) {
 		return nil, err
 	}
 	p.session.ReadDone(reply.VVec)
-	return reply.Payload, nil
+	return reply, nil
 }
 
-func (p *Proxy) invokeWrite(inv msg.Invocation) ([]byte, error) {
+func (p *Proxy) invokeWrite(inv msg.Invocation) (*msg.Message, error) {
 	// Serialise writes so per-client sequence numbers leave in order: the
 	// lock spans write-ID allocation THROUGH transport hand-off (released
 	// inside roundTrip), otherwise two concurrent writers could allocate
@@ -206,7 +220,7 @@ func (p *Proxy) invokeWrite(inv msg.Invocation) ([]byte, error) {
 		return nil, err
 	}
 	p.session.WriteDone(w, reply.Store)
-	return reply.Payload, nil
+	return reply, nil
 }
 
 // write sends one write request under identifier w and, when its outcome is
@@ -221,7 +235,7 @@ func (p *Proxy) write(w ids.WiD, deps *msg.Vec, inv msg.Invocation, sent *sync.M
 		Object:    p.object,
 		Client:    p.client,
 		Write:     w,
-		Deps:      deps.Clone(),
+		Deps:      deps,
 		Inv:       inv,
 		WallNanos: time.Now().UnixNano(),
 	}
@@ -244,17 +258,20 @@ func (p *Proxy) write(w ids.WiD, deps *msg.Vec, inv msg.Invocation, sent *sync.M
 func (p *Proxy) sealHoles() error {
 	for _, seq := range p.session.Holes() {
 		w, deps := p.session.SealWrite(seq)
-		if _, err := p.write(w, deps, msg.Invocation{Method: semantics.MethodNoop}, nil); err != nil {
+		reply, err := p.write(w, deps, msg.Invocation{Method: semantics.MethodNoop}, nil)
+		if err != nil {
 			return fmt.Errorf("core: sealing write gap %v: %w", w, err)
 		}
+		reply.Release()
 		p.session.SealDone(seq)
 	}
 	return nil
 }
 
 // roundTrip stages req in a call slot (so the request itself is not
-// allocated), sends it to the bound store and awaits the correlated reply; a
-// non-OK status comes back as a RemoteError. sent, when non-nil, is a
+// allocated), sends it to the bound store and awaits the correlated reply,
+// which the caller releases; a non-OK status comes back as a RemoteError
+// instead. sent, when non-nil, is a
 // departure lock the caller holds: it is released as soon as the frame has
 // been handed to the transport — waiting for the reply happens outside it,
 // so ordered departure costs no reply-latency serialisation.
@@ -280,7 +297,9 @@ func (p *Proxy) roundTrip(req msg.Message, sent *sync.Mutex) (*msg.Message, erro
 		return nil, err
 	}
 	if reply.Status != msg.StatusOK {
-		return nil, &RemoteError{reply.Status, reply.Err}
+		err := &RemoteError{reply.Status, strings.Clone(reply.Err)}
+		reply.Release()
+		return nil, err
 	}
 	return reply, nil
 }

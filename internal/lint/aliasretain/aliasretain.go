@@ -24,6 +24,12 @@
 // For string-typed sinks the analyzer offers a mechanical fix: wrap the
 // retained expression in strings.Clone and add the import.
 //
+// A leased message (msg.DecodeLeased) ends its lease with Release, after
+// which the struct and its frame go to other receivers. In every package,
+// marked or not, the analyzer flags a use of a message later in the same
+// statement list as its x.Release() call, unless x was assigned anew in
+// between: copy what is needed first, then release.
+//
 // The invariant dates to PR 1, which introduced the zero-copy DecodeAlias
 // path, and PR 3, which made decoded string fields alias transport frames
 // (unsafe.String over tcpnet handoff chunks) and established the
@@ -34,6 +40,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"repro/internal/lint/lintkit"
@@ -46,22 +53,115 @@ const msgPath = "repro/internal/msg"
 var Analyzer = &lintkit.Analyzer{
 	Name: "aliasretain",
 	Doc: "flags aliased decode output (msg.Message fields in //globelint:aliased-input packages) escaping " +
-		"into long-lived state without a clone; offers strings.Clone fixes for string sinks",
+		"into long-lived state without a clone, and any use of a message after its Release; " +
+		"offers strings.Clone fixes for string sinks",
 	Run: run,
 }
 
 func run(pass *lintkit.Pass) error {
-	if !pass.HasPackageDirective("aliased-input") {
-		return nil
-	}
+	retention := pass.HasPackageDirective("aliased-input")
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkFunc(pass, f, fd)
+				if retention {
+					checkFunc(pass, f, fd)
+				}
+				checkReleases(pass, fd.Body)
 			}
 		}
 	}
 	return nil
+}
+
+// checkReleases flags, in every statement list under body, a use of a
+// message after the statement that releases it.
+func checkReleases(pass *lintkit.Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		var list []ast.Stmt
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			list = n.List
+		case *ast.CaseClause:
+			list = n.Body
+		case *ast.CommClause:
+			list = n.Body
+		default:
+			return true
+		}
+		for i, st := range list {
+			if x := releasedMsg(pass, st); x != nil {
+				usedAfterRelease(pass, x, list[i+1:])
+			}
+		}
+		return true
+	})
+}
+
+// releasedMsg returns x when st is the statement x.Release() on a message.
+func releasedMsg(pass *lintkit.Pass, st ast.Stmt) ast.Expr {
+	es, ok := st.(*ast.ExprStmt)
+	if !ok {
+		return nil
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Release" || !isMessage(pass.Info.Types[sel.X].Type) {
+		return nil
+	}
+	return sel.X
+}
+
+// isMessage reports whether t is (a pointer to) msg.Message.
+func isMessage(t types.Type) bool {
+	return isMsgType(t) && strings.HasSuffix(types.TypeString(t, nil), ".Message")
+}
+
+// usedAfterRelease reports the first use of released x in the statements
+// that follow its Release, stopping where x is assigned anew.
+func usedAfterRelease(pass *lintkit.Pass, x ast.Expr, rest []ast.Stmt) {
+	key := exprString(x)
+	root := rootIdent(pass, x)
+	if root == nil {
+		return // not a variable or a field path: nothing to follow
+	}
+	same := func(e ast.Expr) bool {
+		return exprString(e) == key && rootIdent(pass, e) == root
+	}
+	for _, st := range rest {
+		if as, ok := st.(*ast.AssignStmt); ok && slices.ContainsFunc(as.Lhs, same) {
+			return
+		}
+		var use ast.Expr
+		ast.Inspect(st, func(n ast.Node) bool {
+			if e, ok := n.(ast.Expr); ok && use == nil && same(e) {
+				use = e
+			}
+			return use == nil
+		})
+		if use != nil {
+			pass.Reportf(use.Pos(), "aliasretain: %s used after %s.Release(): the message and the frame it aliases may already belong to another receiver — copy what is needed, then release", key, key)
+			return
+		}
+	}
+}
+
+// rootIdent is the object of the identifier an lvalue chain starts from.
+func rootIdent(pass *lintkit.Pass, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return pass.Info.Uses[x]
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 // checker carries one function's forward taint state.

@@ -35,3 +35,7 @@ func TestFixWrapsStringSinksInClone(t *testing.T) {
 		t.Errorf("fix must not wrap []byte sinks in strings.Clone:\n%s", got)
 	}
 }
+
+func TestUseAfterReleaseIsFlagged(t *testing.T) {
+	lintkit.RunGolden(t, Analyzer, "testdata/src/released")
+}

@@ -43,7 +43,8 @@ func (w *writer) inv(inv *Invocation) {
 	w.bytes(inv.Args)
 }
 
-// vecV encodes a Vec sorted by client, so equal vectors encode alike.
+// vecV encodes a Vec sorted by client, so equal vectors encode alike; a nil
+// vector encodes as an empty one.
 func (w *writer) vecV(v *Vec) {
 	es := v.entries()
 	w.u16(uint16(len(es)))
@@ -183,6 +184,23 @@ func (r *reader) vecInto(v *Vec) error {
 		v.Set(ids.ClientID(c), s)
 	}
 	return nil
+}
+
+// vecPtr decodes a vector that is nil when empty (Deps): an empty one
+// allocates nothing, any other a fresh Vec.
+func (r *reader) vecPtr() (*Vec, error) {
+	if err := r.need(2); err != nil {
+		return nil, err
+	}
+	if binary.BigEndian.Uint16(r.buf[r.off:]) == 0 {
+		r.off += 2
+		return nil, nil
+	}
+	v := new(Vec)
+	if err := r.vecInto(v); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 func (r *reader) empty() bool    { return r.off == len(r.buf) }

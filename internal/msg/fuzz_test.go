@@ -48,17 +48,17 @@ func FuzzDecode(f *testing.F) {
 // a wire vector that names a client twice decodes spilled and comes back
 // inline, so the representations may differ where the entries do not.
 func sameMessage(a, b *Message) bool {
-	if !sameEntries(&a.VVec, &b.VVec) || !sameEntries(&a.Deps, &b.Deps) || len(a.Batch) != len(b.Batch) {
+	if !sameEntries(&a.VVec, &b.VVec) || !sameEntries(a.Deps, b.Deps) || len(a.Batch) != len(b.Batch) {
 		return false
 	}
 	x, y := *a, *b
-	x.VVec, x.Deps, y.VVec, y.Deps = Vec{}, Vec{}, Vec{}, Vec{}
+	x.VVec, x.Deps, y.VVec, y.Deps = Vec{}, nil, Vec{}, nil
 	x.Batch, y.Batch = slices.Clone(a.Batch), slices.Clone(b.Batch)
 	for i := range x.Batch {
-		if !sameEntries(&x.Batch[i].Deps, &y.Batch[i].Deps) {
+		if !sameEntries(x.Batch[i].Deps, y.Batch[i].Deps) {
 			return false
 		}
-		x.Batch[i].Deps, y.Batch[i].Deps = Vec{}, Vec{}
+		x.Batch[i].Deps, y.Batch[i].Deps = nil, nil
 	}
 	return reflect.DeepEqual(x, y)
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/vclock"
@@ -166,7 +165,7 @@ type BatchUpdate struct {
 	Write     ids.WiD
 	GlobalSeq uint64
 	Stamp     vclock.Stamp
-	Deps      Vec
+	Deps      *Vec // nil when empty, as Message.Deps
 	Inv       Invocation
 	WallNanos int64
 }
@@ -207,8 +206,10 @@ type Message struct {
 	VVec Vec
 	// Deps is the causal dependency vector (causal model, WFR guarantee):
 	// the update may be applied only at stores whose applied vector covers
-	// Deps.
-	Deps Vec
+	// Deps. It is nil when empty, which it is unless a session asks for
+	// Monotonic Writes or Writes Follow Reads, so the vector costs a frame
+	// nothing until then.
+	Deps *Vec
 	// ReadDep is the Read-Your-Writes dependency (last write + store where
 	// performed) transmitted with read requests, per §4.2.
 	ReadDep ids.Dependency
@@ -234,12 +235,18 @@ type Message struct {
 
 	// Status and Err report the outcome in replies.
 	Status Status
+	// leased marks a message decoded into a pooled struct (DecodeLeased).
+	// It is not on the wire, and sits beside Status to fill padding.
+	leased bool
 	Err    string
 
 	// Sem names the semantics type of the object ("webdoc", "kvstore",
 	// "applog") in bind requests; stores hosting the object under a
 	// different type reject the bind. Empty skips the check.
 	Sem string
+
+	// wire is the pooled frame a leased message aliases, if any.
+	wire *WireBuf
 }
 
 // Reply constructs a reply envelope of kind k addressed back to m's sender,
@@ -289,7 +296,7 @@ var EncodeHook func(*Message)
 // names the fixed-size fields whose bytes appear as constant terms rather
 // than field references.
 //
-//globelint:wiresym fields=Message role=size exempt=Kind,NetSeq,Client,Store,Write,GlobalSeq,Stamp,ReadDep,WallNanos,Status
+//globelint:wiresym fields=Message role=size exempt=Kind,NetSeq,Client,Store,Write,GlobalSeq,Stamp,ReadDep,WallNanos,Status,leased,wire
 func wireSize(m *Message) int {
 	n := 2 // version, kind
 	n += 2 + strLen(string(m.Object))
@@ -362,7 +369,7 @@ func capBatch(batch []BatchUpdate) []BatchUpdate {
 // that know the target buffer (pooled or pre-sized) avoid every intermediate
 // allocation; Encode and EncodePooled are both built on it.
 //
-//globelint:wiresym fields=Message role=encode
+//globelint:wiresym fields=Message role=encode exempt=leased,wire
 func AppendEncode(dst []byte, m *Message) []byte {
 	if EncodeHook != nil {
 		EncodeHook(m)
@@ -382,7 +389,7 @@ func AppendEncode(dst []byte, m *Message) []byte {
 	w.u64(m.Stamp.Time)
 	w.u32(uint32(m.Stamp.Client))
 	w.vecV(&m.VVec)
-	w.vecV(&m.Deps)
+	w.vecV(m.Deps)
 	w.u32(uint32(m.ReadDep.Write.Client))
 	w.u64(m.ReadDep.Write.Seq)
 	w.u32(uint32(m.ReadDep.Store))
@@ -406,7 +413,7 @@ func AppendEncode(dst []byte, m *Message) []byte {
 		w.u64(e.GlobalSeq)
 		w.u64(e.Stamp.Time)
 		w.u32(uint32(e.Stamp.Client))
-		w.vecV(&e.Deps)
+		w.vecV(e.Deps)
 		w.inv(&e.Inv)
 		w.u64(uint64(e.WallNanos))
 	}
@@ -417,45 +424,6 @@ func AppendEncode(dst []byte, m *Message) []byte {
 // frame.
 func Encode(m *Message) []byte {
 	return AppendEncode(make([]byte, 0, wireSize(m)), m)
-}
-
-// WireBuf is a pooled encode buffer handed out by EncodePooled. The caller
-// owns Bytes() until Release; after Release the contents must not be
-// touched.
-type WireBuf struct {
-	b []byte
-}
-
-// Bytes returns the encoded frame.
-func (w *WireBuf) Bytes() []byte { return w.b }
-
-// wirePool recycles encode buffers across frames.
-var wirePool = sync.Pool{New: func() any { return new(WireBuf) }}
-
-// maxPooledBuf bounds the capacity retained by the pool so one huge
-// snapshot frame does not pin memory forever.
-const maxPooledBuf = 1 << 20
-
-// EncodePooled serialises m into a buffer drawn from a package-level pool.
-// It is the transports' zero-steady-state-allocation fast path: call Release
-// exactly once when the wire bytes have been fully consumed (written to the
-// socket or copied).
-func EncodePooled(m *Message) *WireBuf {
-	w := wirePool.Get().(*WireBuf)
-	need := wireSize(m)
-	if cap(w.b) < need {
-		w.b = make([]byte, 0, need)
-	}
-	w.b = AppendEncode(w.b[:0], m)
-	return w
-}
-
-// Release returns the buffer to the pool.
-func (w *WireBuf) Release() {
-	if cap(w.b) > maxPooledBuf {
-		w.b = nil // let the outsized backing array go
-	}
-	wirePool.Put(w)
 }
 
 // Decode parses a wire message produced by Encode. Variable-length content
@@ -473,135 +441,145 @@ func DecodeAlias(b []byte) (*Message, error) {
 	return decode(b, true)
 }
 
-//globelint:wiresym fields=Message role=decode
 func decode(b []byte, alias bool) (*Message, error) {
+	m := &Message{}
+	if err := decodeInto(m, b, alias); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeInto parses frame b into m, which must be zero. On error m holds a
+// partial decode.
+//
+//globelint:wiresym fields=Message role=decode exempt=leased,wire
+func decodeInto(m *Message, b []byte, alias bool) error {
 	r := reader{buf: b, alias: alias}
 	v, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if v != wireVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	m := &Message{}
 	k, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Kind = Kind(k)
 	if !m.Kind.Valid() {
-		return nil, fmt.Errorf("%w: invalid kind %d", ErrShortMessage, k)
+		return fmt.Errorf("%w: invalid kind %d", ErrShortMessage, k)
 	}
 	obj, err := r.str()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Object = ids.ObjectID(obj)
 	if m.From, err = r.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.To, err = r.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.NetSeq, err = r.u64(); err != nil {
-		return nil, err
+		return err
 	}
 	cl, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Client = ids.ClientID(cl)
 	st, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Store = ids.StoreID(st)
 	wc, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ws, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Write = ids.WiD{Client: ids.ClientID(wc), Seq: ws}
 	if m.GlobalSeq, err = r.u64(); err != nil {
-		return nil, err
+		return err
 	}
 	stime, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sclient, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Stamp = vclock.Stamp{Time: stime, Client: ids.ClientID(sclient)}
 	if err := r.vecInto(&m.VVec); err != nil {
-		return nil, err
+		return err
 	}
-	if err := r.vecInto(&m.Deps); err != nil {
-		return nil, err
+	if m.Deps, err = r.vecPtr(); err != nil {
+		return err
 	}
 	rdc, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rds, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rdst, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.ReadDep = ids.Dependency{
 		Write: ids.WiD{Client: ids.ClientID(rdc), Seq: rds},
 		Store: ids.StoreID(rdst),
 	}
 	if m.Inv.Method, err = r.u16(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Inv.Page, err = r.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Inv.Args, err = r.bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Payload, err = r.bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	np, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if np > 0 {
 		m.Pages = make([]string, np)
 		for i := range m.Pages {
 			if m.Pages[i], err = r.str(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	wn, err := r.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.WallNanos = int64(wn)
 	sb, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Status = Status(sb)
 	if m.Err, err = r.str(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Sem, err = r.str(); err != nil {
-		return nil, err
+		return err
 	}
 	nb, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nb > 0 {
 		// Don't let a corrupt count amplify into a huge allocation: every
@@ -619,47 +597,47 @@ func decode(b []byte, alias bool) (*Message, error) {
 			e := &m.Batch[len(m.Batch)-1]
 			bc, err := r.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if e.Write.Seq, err = r.u64(); err != nil {
-				return nil, err
+				return err
 			}
 			e.Write.Client = ids.ClientID(bc)
 			if e.GlobalSeq, err = r.u64(); err != nil {
-				return nil, err
+				return err
 			}
 			bst, err := r.u64()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			bsc, err := r.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.Stamp = vclock.Stamp{Time: bst, Client: ids.ClientID(bsc)}
-			if err := r.vecInto(&e.Deps); err != nil {
-				return nil, err
+			if e.Deps, err = r.vecPtr(); err != nil {
+				return err
 			}
 			if e.Inv.Method, err = r.u16(); err != nil {
-				return nil, err
+				return err
 			}
 			if e.Inv.Page, err = r.str(); err != nil {
-				return nil, err
+				return err
 			}
 			if e.Inv.Args, err = r.bytes(); err != nil {
-				return nil, err
+				return err
 			}
 			bwn, err := r.u64()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.WallNanos = int64(bwn)
 		}
 	}
 	if !r.empty() {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrShortMessage, r.remaining())
+		return fmt.Errorf("%w: %d trailing bytes", ErrShortMessage, r.remaining())
 	}
-	return m, nil
+	return nil
 }
 
 // WireSize returns the encoded size of m in bytes without encoding; used by

@@ -24,7 +24,7 @@ func sampleMessage() *Message {
 		GlobalSeq: 101,
 		Stamp:     vclock.Stamp{Time: 55, Client: 7},
 		VVec:      vecOf(7, 19, 2, 4),
-		Deps:      vecOf(2, 4),
+		Deps:      depsOf(2, 4),
 		ReadDep:   ids.Dependency{Write: ids.WiD{Client: 7, Seq: 18}, Store: 3},
 		Inv:       Invocation{Method: 2, Page: "program.html", Args: []byte("<h1>v19</h1>")},
 		Payload:   []byte{0x01, 0x02, 0x03},
@@ -251,7 +251,7 @@ func sampleBatchMessage() *Message {
 			Write:     ids.WiD{Client: 7, Seq: uint64(i)},
 			GlobalSeq: uint64(100 + i),
 			Stamp:     vclock.Stamp{Time: uint64(50 + i), Client: 7},
-			Deps:      vecOf(2, uint64(i)),
+			Deps:      depsOf(2, uint64(i)),
 			Inv:       Invocation{Method: 2, Page: "program.html", Args: []byte("delta")},
 			WallNanos: int64(1000 + i),
 		})

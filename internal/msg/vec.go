@@ -139,6 +139,9 @@ func (v *Vec) Each(fn func(c ids.ClientID, seq uint64) bool) {
 // entries returns the entries sorted by client: the inline array itself, or
 // a sorted copy of the spilled map.
 func (v *Vec) entries() []VecEntry {
+	if v == nil {
+		return nil
+	}
 	if v.spill == nil {
 		return v.inline[:v.n]
 	}

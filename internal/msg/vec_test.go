@@ -20,6 +20,12 @@ func vecOf(kv ...uint64) Vec {
 	return v
 }
 
+// depsOf is vecOf for a nil-when-empty vector such as Deps.
+func depsOf(kv ...uint64) *Vec {
+	v := vecOf(kv...)
+	return &v
+}
+
 func TestVecGetSetBump(t *testing.T) {
 	var v Vec
 	if got := v.Get(1); got != 0 {

@@ -187,7 +187,7 @@ func (o *Object) updateMsg(u *coherence.Update) msg.Message {
 	m.Write = u.Write
 	m.GlobalSeq = u.GlobalSeq
 	m.Stamp = u.Stamp
-	m.Deps = u.Deps.Clone()
+	m.Deps = u.Deps
 	m.Inv = u.Inv
 	m.WallNanos = u.WallNanos
 	return m
@@ -202,7 +202,7 @@ func (o *Object) batchMsg(ups []*coherence.Update) msg.Message {
 			Write:     u.Write,
 			GlobalSeq: u.GlobalSeq,
 			Stamp:     u.Stamp,
-			Deps:      u.Deps.Clone(),
+			Deps:      u.Deps,
 			Inv:       u.Inv,
 			WallNanos: u.WallNanos,
 		}
@@ -272,7 +272,7 @@ func (o *Object) onUpdateBatch(m *msg.Message) {
 		o.submitOp(&coherence.Update{
 			Write:     e.Write,
 			GlobalSeq: e.GlobalSeq,
-			Deps:      coherence.DepsOf(&e.Deps),
+			Deps:      coherence.DepsOf(e.Deps),
 			Stamp:     e.Stamp,
 			Inv:       cloneInv(e.Inv),
 			WallNanos: e.WallNanos,

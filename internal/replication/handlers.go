@@ -7,15 +7,26 @@ import (
 )
 
 // Handle dispatches one incoming message for this object. Handle owns m from
-// here on: it may answer in m's own struct (answer) or park it, so the caller
-// must not read or reuse m afterwards. Unknown kinds are ignored (forward
-// compatibility). The exempt list names the kinds a
-// replication object never receives: client-side replies, bind traffic the
-// store answers before replication sees it, and the name-service/control
-// protocols that have their own servers.
+// here on: it may answer in m's own struct (answer) or park it, and it
+// releases m (msg.Message.Release) once done with it — at once, or when a
+// parked request leaves the queue — so the caller must not read or reuse m
+// afterwards.
+func (o *Object) Handle(m *msg.Message) {
+	o.held = false
+	o.dispatch(m)
+	if !o.held {
+		m.Release()
+	}
+}
+
+// dispatch routes m by kind. Unknown kinds are ignored (forward
+// compatibility). The exempt list names the kinds a replication object never
+// receives: client-side replies, bind traffic the store answers before
+// replication sees it, and the name-service/control protocols that have
+// their own servers.
 //
 //globelint:wiresym type=msg.Kind role=dispatch exempt=KindBindRequest,KindBindReply,KindReadReply,KindWriteReply,KindNameRegister,KindNameDeregister,KindNameResolve,KindNameLease,KindNameReply,KindNameDigest,KindNameSync,KindCtrlRequest,KindCtrlReply
-func (o *Object) Handle(m *msg.Message) {
+func (o *Object) dispatch(m *msg.Message) {
 	if o.closed {
 		return
 	}
@@ -104,7 +115,7 @@ func (o *Object) multicast(tos []string, m *msg.Message) {
 // It must be the handler's last use of req, whose fields are r's from here on.
 func (o *Object) answer(req, r *msg.Message) {
 	to := req.From
-	*req = *r
+	req.Overwrite(r)
 	_ = o.env.Send(to, req)
 }
 

@@ -144,7 +144,9 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 }
 
 // park queues request m until coherence or state arrives, with a deadline on
-// its first visit; p is its entry from an earlier visit, or nil.
+// its first visit; p is its entry from an earlier visit, or nil. A parked
+// request keeps its frame leased (Handle does not release it) until it
+// leaves the queue for good: answered on a retry, refused, or expired.
 func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 	if p == nil {
 		if m.Kind == msg.KindReadRequest {
@@ -152,10 +154,18 @@ func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 		}
 		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.tune.ReadTimeout)}
 		o.env.AfterFunc(o.tune.ReadTimeout, func() { o.expireParked() })
+		o.held = true
 	}
-	//globelint:ignore aliasretain parked request pins its frame by design: transports never reuse frames and expireParked bounds the hold to readTimeout
+	p.queued = true
+	//globelint:ignore aliasretain a parked request holds its frame's lease, released only when it leaves the queue (reconsiderParked, refuseParked); expireParked bounds the hold to ReadTimeout
 	o.parked = append(o.parked, p)
 	return p
+}
+
+// refuseParked refuses parked request p with st and ends its lease.
+func (o *Object) refuseParked(p *parkedReq, st msg.Status, text string) {
+	o.refuse(p.m, st, text)
+	p.m.Release()
 }
 
 // expireParked refuses requests whose deadline passed. A whole-object fetch
@@ -172,13 +182,13 @@ func (o *Object) expireParked() {
 			continue
 		}
 		o.fetching = false
-		o.refuse(p.m, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
+		o.refuseParked(p, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
 	}
 	o.parked = rest
 }
 
 // reconsiderParked retries parked requests after local state changed; each
-// is answered or parks again.
+// is answered, and its lease ended, or parks again.
 func (o *Object) reconsiderParked() {
 	if len(o.parked) == 0 {
 		return
@@ -186,13 +196,17 @@ func (o *Object) reconsiderParked() {
 	pending := o.parked
 	o.parked = nil
 	for _, p := range pending {
+		p.queued = false
 		switch {
 		case p.needsReval && p.epoch >= o.revalEpoch:
-			o.parked = append(o.parked, p) // revalidation still in flight
+			o.park(p.m, p) // revalidation still in flight
 		case p.m.Kind == msg.KindReadRequest:
 			o.serveRead(p.m, p)
 		default:
 			o.serveState(p.m, p)
+		}
+		if !p.queued {
+			p.m.Release()
 		}
 	}
 }
@@ -202,7 +216,7 @@ func (o *Object) failParkedPage(page, errText string) {
 	rest := o.parked[:0]
 	for _, p := range o.parked {
 		if p.m.Inv.Page == page {
-			o.refuse(p.m, msg.StatusNotFound, errText)
+			o.refuseParked(p, msg.StatusNotFound, errText)
 			continue
 		}
 		rest = append(rest, p)

@@ -170,6 +170,8 @@ type parkedReq struct {
 	// instead of looping fetch → state-reply → reconsider forever.
 	fetchTried bool
 	fetchedAt  uint64
+	// queued is set while the request sits in Object.parked.
+	queued bool
 }
 
 // oneShot is a timer that is idle or armed once: arming it while armed does
@@ -379,6 +381,9 @@ type Object struct {
 	recoverRetryTimer *oneShot
 
 	parked []*parkedReq
+	// held reports that the message Handle is dispatching was parked, so
+	// Handle leaves its release to the parked queue.
+	held bool
 	// revalEpoch counts coherence responses received from the parent
 	// (updates, state replies, acks); pull-on-access reads wait for it to
 	// advance.
@@ -556,7 +561,7 @@ func (o *Object) Close() {
 		o.wal = nil
 	}
 	for _, p := range o.parked {
-		o.refuse(p.m, msg.StatusRetry, "store closing")
+		o.refuseParked(p, msg.StatusRetry, "store closing")
 	}
 	o.parked = nil
 }

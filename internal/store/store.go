@@ -397,24 +397,25 @@ func (s *Store) flushAcks() {
 	}
 }
 
-// dispatch routes one message to the store or its replicas.
+// dispatch routes one message to the store or its replicas, and sees that
+// its frame is released: a replica's Handle does that itself, possibly only
+// once a parked request is answered.
 //
 //globelint:looponly
 func (s *Store) dispatch(m *msg.Message) {
-	if m.Kind == msg.KindBindRequest {
-		s.onBind(m)
-		return
-	}
 	r, ok := s.replicas[m.Object]
-	if !ok {
+	switch {
+	case m.Kind == msg.KindBindRequest:
+		s.onBind(m)
+	case ok:
+		r.repl.Handle(m)
+		return
+	case m.Kind == msg.KindReadRequest || m.Kind == msg.KindWriteRequest:
 		// Reads/writes for unhosted objects get an explicit error so
 		// clients fail fast instead of timing out.
-		if m.Kind == msg.KindReadRequest || m.Kind == msg.KindWriteRequest {
-			s.replyUnhosted(m)
-		}
-		return
+		s.replyUnhosted(m)
 	}
-	r.repl.Handle(m)
+	m.Release()
 }
 
 // onBind answers a client bind request: success if the object is hosted and

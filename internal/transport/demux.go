@@ -62,7 +62,8 @@ func NewDemux(ep Endpoint) *Demux {
 // recvLoop hands each reply to the slot registered under its NetSeq. Match
 // and hand-over happen under the same lock that retires slots, so a late or
 // duplicated reply can never complete a slot that has since been recycled
-// for another call: its NetSeq is simply no longer pending.
+// for another call: its NetSeq is simply no longer pending. A reply nobody
+// waits for is released here, since nobody else will see it.
 func (d *Demux) recvLoop() {
 	defer d.wg.Done()
 	for {
@@ -77,10 +78,12 @@ func (d *Demux) recvLoop() {
 			if s := d.pending[m.NetSeq]; s != nil {
 				select {
 				case s.reply <- m:
+					m = nil
 				default: // duplicate reply; drop
 				}
 			}
 			d.mu.Unlock()
+			m.Release()
 		}
 	}
 }
@@ -123,6 +126,8 @@ func (s *Slot) Send(addr string, m *msg.Message) error {
 }
 
 // Wait awaits the correlated reply for at most timeout and ends the call.
+// The reply is the caller's: it may keep it, or Release it once it has
+// copied what it keeps (see msg.DecodeLeased).
 func (s *Slot) Wait(timeout time.Duration) (*msg.Message, error) {
 	if s.timer == nil {
 		s.timer = time.NewTimer(timeout)
@@ -154,7 +159,8 @@ func (s *Slot) retire() {
 	d.mu.Lock()
 	delete(d.pending, s.seq)
 	select {
-	case <-s.reply:
+	case r := <-s.reply:
+		r.Release()
 	default:
 	}
 	d.free = append(d.free, s)
@@ -162,7 +168,7 @@ func (s *Slot) retire() {
 }
 
 // Call sends m to addr (filling From and NetSeq) and awaits the correlated
-// reply for at most timeout.
+// reply for at most timeout; the reply is the caller's, as from Wait.
 func (d *Demux) Call(addr string, m *msg.Message, timeout time.Duration) (*msg.Message, error) {
 	s, err := d.Begin()
 	if err != nil {

@@ -4,14 +4,17 @@
 //
 // It substitutes for the Internet testbed of the paper's prototype. Messages
 // are fully encoded and re-decoded on every hop, so wire sizes are real and
-// senders never share mutable state with receivers. Delivered messages are
-// produced by msg.DecodeAlias over the immutable wire frame — a multicast's
-// receivers (and duplicate deliveries) alias one shared read-only backing
-// array for Args/Payload, so receivers must treat those byte slices as
-// immutable, exactly as they would data read from a socket buffer they do
-// not own. A lossless network models the paper's TCP configuration; setting
-// a loss rate models the UDP configuration of §4.2, where reliability is
-// recovered by the coherence protocol rather than the transport.
+// senders never share mutable state with receivers. A frame is leased, not
+// allocated: it is encoded into a pooled msg.WireBuf, and each delivery
+// decodes it into a pooled message aliasing that buffer (msg.DecodeLeased).
+// A multicast's receivers and a duplicated delivery share the one buffer,
+// each holding a reference, so receivers treat its strings and byte slices
+// as read-only. A receiver that calls Release hands its message back, and
+// the buffer goes back with the last reference; one that never does leaves
+// both to the collector. A lossless network models the paper's TCP
+// configuration; setting a loss rate models the UDP configuration of §4.2,
+// where reliability is recovered by the coherence protocol rather than the
+// transport.
 //
 // Delivery. Send draws loss, jitter and duplication for the frame from the
 // sender's own seeded RNG, in that order. A frame whose drawn delay is zero,
@@ -346,25 +349,26 @@ func (n *Network) resolveLocked(from, to string) (hop, bool) {
 // lock is held through enqueue so that an inline hand-over can race neither
 // Network.Close closing the inbox nor retire draining it.
 func (n *Network) send(src *endpoint, to string, m *msg.Message) error {
-	wire := msg.Encode(m)
+	w := msg.EncodePooled(m)
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if n.closed {
+		w.Release()
 		return transport.ErrClosed
 	}
 	h, ok := n.resolveLocked(src.addr, to)
 	if !ok {
+		w.Release()
 		return fmt.Errorf("%w: %q", transport.ErrUnknownAddr, to)
 	}
-	n.enqueue(src, h, wire)
+	n.enqueue(src, h, w)
 	return nil
 }
 
 // multicast is the encode-once fan-out fast path: the frame is serialised a
-// single time and the resulting wire bytes are shared by every scheduled
-// delivery. Receivers each decode their own Message struct but alias the
-// shared read-only frame for Args/Payload (see the package doc's
-// immutability contract).
+// single time and the resulting buffer is shared by every delivery, each
+// holding its own reference. Receivers each decode their own Message struct
+// but alias the shared read-only frame (see the package doc).
 //
 // Fan-out is best-effort: an unknown destination (e.g. a child whose
 // endpoint closed and freed its address) must not starve the remaining
@@ -374,7 +378,8 @@ func (n *Network) multicast(src *endpoint, tos []string, m *msg.Message) error {
 	if len(tos) == 0 {
 		return nil
 	}
-	wire := msg.Encode(m)
+	w := msg.EncodePooled(m)
+	defer w.Release() // the encoder's reference
 	var firstErr error
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -389,23 +394,25 @@ func (n *Network) multicast(src *endpoint, tos []string, m *msg.Message) error {
 			}
 			continue
 		}
-		n.enqueue(src, h, wire)
+		w.Retain()
+		n.enqueue(src, h, w)
 	}
 	return firstErr
 }
 
-// enqueue applies the link profile and hands the wire bytes over: inline to
-// the destination inbox when the frame is instant and nothing is scheduled
-// ahead of it, onto the destination's shard otherwise. Callers hold the
-// topology read lock. The destination endpoint is captured by pointer so a
-// delivery in flight when the endpoint closes is never handed to a fresh
-// endpoint that reuses the address. Loss, jitter, and duplication randomness
-// come from the sender's own RNG, so senders never contend on a shared
-// randomness source.
-func (n *Network) enqueue(src *endpoint, h hop, wire []byte) {
+// enqueue applies the link profile and hands the frame over: inline to the
+// destination inbox when the frame is instant and nothing is scheduled ahead
+// of it, onto the destination's shard otherwise. It takes over one reference
+// on w from the caller. Callers hold the topology read lock. The destination
+// endpoint is captured by pointer so a delivery in flight when the endpoint
+// closes is never handed to a fresh endpoint that reuses the address. Loss,
+// jitter, and duplication randomness come from the sender's own RNG, so
+// senders never contend on a shared randomness source.
+func (n *Network) enqueue(src *endpoint, h hop, w *msg.WireBuf) {
 	n.stats.sent.Add(1)
 	if h.part {
 		n.stats.dropped.Add(1)
+		w.Release()
 		return // partitions drop silently, like the real network
 	}
 	prof := h.prof
@@ -417,6 +424,7 @@ func (n *Network) enqueue(src *endpoint, h hop, wire []byte) {
 		if prof.Loss > 0 && src.rng.Float64() < prof.Loss {
 			src.rngMu.Unlock()
 			n.stats.dropped.Add(1)
+			w.Release()
 			return
 		}
 		if prof.Jitter > 0 {
@@ -436,7 +444,7 @@ func (n *Network) enqueue(src *endpoint, h hop, wire []byte) {
 	// earlier frames to dst were counted before their Send returned and are
 	// uncounted only once they sit in the inbox, so a zero here means none of
 	// them can be overtaken. Other senders' frames carry no order promise.
-	if delay == 0 && !dup && dst.scheduled.Load() == 0 && n.deliverOne(dst, wire, false) {
+	if delay == 0 && !dup && dst.scheduled.Load() == 0 && n.deliverOne(dst, w, false) {
 		return
 	}
 	at := n.clk.Now().Add(delay)
@@ -444,12 +452,13 @@ func (n *Network) enqueue(src *endpoint, h hop, wire []byte) {
 	sh.mu.Lock()
 	sh.seq++
 	dst.scheduled.Add(1)
-	heap.Push(&sh.queue, &delivery{at: at, seq: sh.seq, ep: dst, wire: wire})
+	heap.Push(&sh.queue, &delivery{at: at, seq: sh.seq, ep: dst, wire: w})
 	if dup {
 		n.stats.duplicated.Add(1)
 		sh.seq++
 		dst.scheduled.Add(1)
-		heap.Push(&sh.queue, &delivery{at: at.Add(extra - delay), seq: sh.seq, ep: dst, wire: wire})
+		w.Retain()
+		heap.Push(&sh.queue, &delivery{at: at.Add(extra - delay), seq: sh.seq, ep: dst, wire: w})
 	}
 	sh.mu.Unlock()
 	// Wake the scheduler only when this delivery is due before its planned
@@ -550,52 +559,59 @@ func (n *Network) deliverDue() {
 	}
 }
 
-// deliverOne decodes one frame and places it in its destination inbox. The
+// deliverOne decodes one frame into a leased message, which takes over the
+// caller's reference on w, and places it in its destination inbox. The
 // scheduler passes wait and blocks on a full inbox until there is room or the
-// network shuts down; a sender passes false and gets false back to schedule
-// the frame instead. True means the frame needs no further handling:
-// delivered, or discarded because the endpoint closed.
-func (n *Network) deliverOne(e *endpoint, wire []byte, wait bool) bool {
+// network shuts down; a sender passes false and gets false back, still
+// holding its reference, to schedule the frame instead. True means the frame
+// needs no further handling: delivered, or discarded because the endpoint
+// closed.
+func (n *Network) deliverOne(e *endpoint, w *msg.WireBuf, wait bool) bool {
 	if e.closed.Load() {
+		w.Release()
 		return true
 	}
-	// Zero-copy decode: a frame is never reused, and multicast frames are
-	// shared read-only, so the delivered message may alias the wire bytes.
-	m, err := msg.DecodeAlias(wire)
+	m, err := msg.DecodeLeased(w.Bytes(), w)
 	if err != nil {
 		// Encode/Decode are inverses; a failure here is a programming
 		// error surfaced loudly in tests via the dropped counter.
 		n.stats.dropped.Add(1)
+		w.Release()
 		return true
 	}
 	// Once m is in the inbox it is the receiver's, which may answer in it
-	// (replication.Object.Handle): read what the counters need first.
-	kind := int(m.Kind)
+	// (replication.Object.Handle) or release it: read what the counters need
+	// first.
+	kind, size := int(m.Kind), len(w.Bytes())
 	if wait {
 		select {
 		case e.inbox <- m:
 		case <-n.done:
+			m.Release()
 			return true
 		}
 	} else {
 		select {
 		case e.inbox <- m:
 		default:
+			w.Retain() // the reference m gives back stays the caller's
+			m.Release()
 			return false
 		}
 	}
 	if e.closed.Load() {
 		// Close raced with the hand-over: retire's drain may already have
 		// run, so scoop a buffered message back out rather than pin it (and
-		// the wire frame it aliases) until the network closes.
+		// the frame it aliases) until the network closes.
 		select {
-		case <-e.inbox:
+		case old := <-e.inbox:
+			old.Release()
 		default:
 		}
 		return true
 	}
 	n.stats.delivered.Add(1)
-	n.stats.bytes.Add(uint64(len(wire)))
+	n.stats.bytes.Add(uint64(size))
 	if kind >= 0 && kind < msg.KindCount {
 		n.stats.byKind[kind].Add(1)
 	}
@@ -608,7 +624,7 @@ type delivery struct {
 	at   time.Time
 	seq  uint64
 	ep   *endpoint
-	wire []byte
+	wire *msg.WireBuf // one reference, handed to deliverOne
 }
 
 // deliveryQueue is a min-heap ordered by (time, enqueue sequence).
@@ -703,7 +719,8 @@ func (n *Network) retire(e *endpoint) {
 	// until the network closes their channels.
 	for {
 		select {
-		case <-e.inbox:
+		case m := <-e.inbox:
+			m.Release()
 		default:
 			return
 		}

@@ -8,10 +8,10 @@
 // Frames are a 4-byte big-endian length followed by a msg.Encode body.
 // Outbound frames ship as one gathered writev from pooled encode buffers;
 // inbound frames are carved out of per-connection handoff chunks and
-// decoded zero-copy (msg.DecodeAlias), so both directions run with a
-// near-zero steady-state allocation rate. Received messages alias their
-// frame: receivers must treat Args/Payload as immutable, exactly as with
-// memnet delivery.
+// decoded zero-copy into leased messages (msg.DecodeLeased), so both
+// directions run with a near-zero steady-state allocation rate. Received
+// messages alias their frame: receivers must treat Args/Payload as
+// immutable, exactly as with memnet delivery.
 package tcpnet
 
 import (
@@ -463,10 +463,11 @@ const readChunk = 64 << 10
 // readLoop decodes frames from one inbound connection into the inbox.
 //
 // The read path hands frames off without copying: each frame body is read
-// into a slice carved from the reader's current chunk, and msg.DecodeAlias
-// aliases those bytes for Args/Payload instead of copying them (the same
-// contract memnet delivery uses — receivers treat message byte slices as
-// immutable). A chunk is never reused: when the next frame does not fit,
+// into a slice carved from the reader's current chunk, and msg.DecodeLeased
+// decodes it into a pooled message that aliases those bytes instead of
+// copying them (the same contract memnet delivery uses — receivers treat
+// message byte slices as immutable, and may Release the message when done).
+// A chunk is never reused: when the next frame does not fit,
 // the reader starts a fresh chunk and the old one stays alive exactly as
 // long as the messages aliasing it, then is collected. Steady state is one
 // chunk allocation per ~readChunk bytes of traffic instead of one body copy
@@ -510,7 +511,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, body); err != nil {
 			return
 		}
-		m, err := msg.DecodeAlias(body)
+		m, err := msg.DecodeLeased(body, nil)
 		if err != nil {
 			if errors.Is(err, msg.ErrShortMessage) || errors.Is(err, msg.ErrBadVersion) {
 				continue // skip corrupt frame, keep the stream
@@ -522,6 +523,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		select {
 		case e.inbox <- m:
 		case <-e.done:
+			m.Release()
 			return
 		}
 	}

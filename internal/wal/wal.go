@@ -252,7 +252,7 @@ func decodeRecord(typ byte, payload []byte) (Record, error) {
 		return Record{Update: &coherence.Update{
 			Write:     m.Write,
 			GlobalSeq: m.GlobalSeq,
-			Deps:      coherence.DepsOf(&m.Deps),
+			Deps:      coherence.DepsOf(m.Deps),
 			Stamp:     m.Stamp,
 			Inv:       m.Inv,
 			WallNanos: m.WallNanos,
@@ -305,7 +305,7 @@ func (l *Log) AppendUpdate(u *coherence.Update) error {
 		Write:     u.Write,
 		GlobalSeq: u.GlobalSeq,
 		Stamp:     u.Stamp,
-		Deps:      u.Deps.Clone(),
+		Deps:      u.Deps,
 		Inv:       u.Inv,
 		WallNanos: u.WallNanos,
 	})

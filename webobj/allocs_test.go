@@ -15,21 +15,29 @@ import (
 // two; a change that allocates more on these paths fails here, in tier-1,
 // and not only in bench/'s allocs_per_op.
 const (
-	// A Get measures 6: an encode buffer and a decoded frame each way, and
-	// the page (its content type inside it) and content copy DecodePage
-	// hands the caller. The store answers in the request's own struct and
-	// serves the page version's one shared encoding.
-	getAllocBudget = 6 + 2
-	// A Put measures 8: the same round trip, plus the argument encoding, and
-	// at the store the update and its cloned invocation (page name and
-	// arguments). The arguments are the stored content; the engine's release
-	// slice and the applied vector are reused, the ack is written into the
-	// request, and a writer with no session model carries no dependency
-	// vector.
-	putAllocBudget = 8 + 2
+	// A Get measures 2: the page (its content type inside it) and content
+	// copy DecodePage hands the caller. The frames each way are leased: the
+	// encode buffer and the decoded message come from memnet's pools and go
+	// back when the store loop and the handle release them. The store
+	// answers in the request's own struct and serves the page version's one
+	// shared encoding.
+	getAllocBudget = 2 + 2
+	// A Put measures 4: the argument encoding, and at the store the update
+	// and its cloned invocation (page name and arguments). The arguments are
+	// the stored content; the engine's release slice and the applied vector
+	// are reused, the ack is written into the request, and a writer with no
+	// session model carries no dependency vector.
+	putAllocBudget = 4 + 2
 )
 
+// leaseCheck is set under the leasecheck build tag, which poisons released
+// frames instead of reusing them, so the budgets above do not apply.
+var leaseCheck bool
+
 func TestAllocationBudgets(t *testing.T) {
+	if leaseCheck {
+		t.Skip("leasecheck never reuses a released frame")
+	}
 	sys := newSys(t)
 	www, err := sys.NewServer("www")
 	if err != nil {

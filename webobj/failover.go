@@ -151,9 +151,10 @@ func jitterDelay(max time.Duration) time.Duration {
 // from a recovering store) under the system's FailoverConfig, re-resolving
 // and rebinding to another live replica when the bound one stops
 // answering. Writes are safe to re-issue: write identifiers are
-// deduplicated at-most-once by every store on the path.
-func (b *binding) invoke(inv msg.Invocation) ([]byte, error) {
-	out, err := b.proxy.Invoke(inv)
+// deduplicated at-most-once by every store on the path. The reply is the
+// caller's to decode and then Release.
+func (b *binding) invoke(inv msg.Invocation) (*msg.Message, error) {
+	out, err := b.proxy.Call(inv)
 	if err == nil || b.sys == nil {
 		return out, err
 	}
@@ -169,7 +170,7 @@ func (b *binding) invoke(inv msg.Invocation) ([]byte, error) {
 		if v == verdictRetryElsewhere {
 			b.rebindElsewhere()
 		}
-		out, err = b.proxy.Invoke(inv)
+		out, err = b.proxy.Call(inv)
 		if err == nil {
 			return out, nil
 		}

@@ -62,22 +62,33 @@ type Document struct {
 	*binding
 }
 
+// do invokes inv for its outcome alone.
+func (b *binding) do(inv msg.Invocation) error {
+	r, err := b.invoke(inv)
+	r.Release()
+	return err
+}
+
+// decode invokes inv and decodes the reply payload with dec before the
+// reply's frame is released; dec must copy whatever it returns.
+func decode[T any](b *binding, inv msg.Invocation, dec func([]byte) (T, error)) (T, error) {
+	r, err := b.invoke(inv)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer r.Release()
+	return dec(r.Payload)
+}
+
 // Get retrieves a page.
 func (d *Document) Get(page string) (*Page, error) {
-	out, err := d.invoke(msg.Invocation{Method: webdoc.MethodGetPage, Page: page})
-	if err != nil {
-		return nil, err
-	}
-	return webdoc.DecodePage(out)
+	return decode(d.binding, msg.Invocation{Method: webdoc.MethodGetPage, Page: page}, webdoc.DecodePage)
 }
 
 // Stat retrieves page metadata without content.
 func (d *Document) Stat(page string) (*Page, error) {
-	out, err := d.invoke(msg.Invocation{Method: webdoc.MethodStatPage, Page: page})
-	if err != nil {
-		return nil, err
-	}
-	return webdoc.DecodePage(out)
+	return decode(d.binding, msg.Invocation{Method: webdoc.MethodStatPage, Page: page}, webdoc.DecodePage)
 }
 
 // Put replaces a page.
@@ -85,8 +96,7 @@ func (d *Document) Put(page string, content []byte, contentType string) error {
 	args := webdoc.EncodeWriteArgs(webdoc.WriteArgs{
 		Content: content, ContentType: contentType, ModifiedNanos: time.Now().UnixNano(),
 	})
-	_, err := d.invoke(msg.Invocation{Method: webdoc.MethodPutPage, Page: page, Args: args})
-	return err
+	return d.do(msg.Invocation{Method: webdoc.MethodPutPage, Page: page, Args: args})
 }
 
 // Append adds content to a page (the paper's incremental update).
@@ -94,23 +104,17 @@ func (d *Document) Append(page string, content []byte) error {
 	args := webdoc.EncodeWriteArgs(webdoc.WriteArgs{
 		Content: content, ModifiedNanos: time.Now().UnixNano(),
 	})
-	_, err := d.invoke(msg.Invocation{Method: webdoc.MethodAppendPage, Page: page, Args: args})
-	return err
+	return d.do(msg.Invocation{Method: webdoc.MethodAppendPage, Page: page, Args: args})
 }
 
 // Delete removes a page.
 func (d *Document) Delete(page string) error {
-	_, err := d.invoke(msg.Invocation{Method: webdoc.MethodDeletePage, Page: page})
-	return err
+	return d.do(msg.Invocation{Method: webdoc.MethodDeletePage, Page: page})
 }
 
 // Pages lists page names.
 func (d *Document) Pages() ([]string, error) {
-	out, err := d.invoke(msg.Invocation{Method: webdoc.MethodListPages})
-	if err != nil {
-		return nil, err
-	}
-	return webdoc.DecodeStrings(out)
+	return decode(d.binding, msg.Invocation{Method: webdoc.MethodListPages}, webdoc.DecodeStrings)
 }
 
 // Map is a typed client binding to a KV object: a distributed key-value
@@ -119,34 +123,27 @@ type Map struct {
 	*binding
 }
 
+// copyBytes is the decoder of a reply that is a value itself.
+func copyBytes(b []byte) ([]byte, error) { return append([]byte(nil), b...), nil }
+
 // Get returns the value stored under key.
 func (m *Map) Get(key string) ([]byte, error) {
-	out, err := m.invoke(msg.Invocation{Method: kvstore.MethodGet, Page: key})
-	// Copied before return: the reply payload may alias a shared transport
-	// buffer, which a caller retaining the value would otherwise pin. The
-	// other read methods decode into fresh memory already.
-	return append([]byte(nil), out...), err
+	return decode(m.binding, msg.Invocation{Method: kvstore.MethodGet, Page: key}, copyBytes)
 }
 
 // Put stores value under key.
 func (m *Map) Put(key string, value []byte) error {
-	_, err := m.invoke(msg.Invocation{Method: kvstore.MethodPut, Page: key, Args: value})
-	return err
+	return m.do(msg.Invocation{Method: kvstore.MethodPut, Page: key, Args: value})
 }
 
 // Delete removes key.
 func (m *Map) Delete(key string) error {
-	_, err := m.invoke(msg.Invocation{Method: kvstore.MethodDelete, Page: key})
-	return err
+	return m.do(msg.Invocation{Method: kvstore.MethodDelete, Page: key})
 }
 
 // Keys lists the sorted key set.
 func (m *Map) Keys() ([]string, error) {
-	out, err := m.invoke(msg.Invocation{Method: kvstore.MethodKeys})
-	if err != nil {
-		return nil, err
-	}
-	return kvstore.DecodeKeys(out)
+	return decode(m.binding, msg.Invocation{Method: kvstore.MethodKeys}, kvstore.DecodeKeys)
 }
 
 // Log is a typed client binding to an AppLog object: a distributed
@@ -157,31 +154,20 @@ type Log struct {
 
 // Append adds an entry to the log.
 func (l *Log) Append(payload []byte) error {
-	_, err := l.invoke(msg.Invocation{Method: applog.MethodAppend, Args: payload})
-	return err
+	return l.do(msg.Invocation{Method: applog.MethodAppend, Args: payload})
 }
 
 // Len returns the number of entries.
 func (l *Log) Len() (int, error) {
-	out, err := l.invoke(msg.Invocation{Method: applog.MethodLen})
-	if err != nil {
-		return 0, err
-	}
-	return applog.DecodeLen(out)
+	return decode(l.binding, msg.Invocation{Method: applog.MethodLen}, applog.DecodeLen)
 }
 
 // Entry returns the i-th entry.
 func (l *Log) Entry(i int) ([]byte, error) {
-	out, err := l.invoke(msg.Invocation{Method: applog.MethodEntry, Args: applog.EncodeIndex(i)})
-	// Copied before return; see Map.Get.
-	return append([]byte(nil), out...), err
+	return decode(l.binding, msg.Invocation{Method: applog.MethodEntry, Args: applog.EncodeIndex(i)}, copyBytes)
 }
 
 // Suffix returns all entries from index i on.
 func (l *Log) Suffix(i int) ([][]byte, error) {
-	out, err := l.invoke(msg.Invocation{Method: applog.MethodSuffix, Args: applog.EncodeIndex(i)})
-	if err != nil {
-		return nil, err
-	}
-	return applog.DecodeEntries(out)
+	return decode(l.binding, msg.Invocation{Method: applog.MethodSuffix, Args: applog.EncodeIndex(i)}, applog.DecodeEntries)
 }
