@@ -112,8 +112,8 @@
 // a pooled, reference-counted msg.WireBuf, and both transports decode into a
 // pooled Message (msg.DecodeLeased) that aliases the frame: memnet's buffer,
 // one reference per delivery (a multicast's receivers and a duplicated
-// delivery share it), or tcpnet's handoff chunk, which is abandoned, never
-// rewritten. The consumer calls Release when done: replication.Object.Handle
+// delivery share it), or tcpnet's pooled receive chunk (msg.LeaseChunk), one
+// reference per frame carved from it and one for the reader filling it. The consumer calls Release when done: replication.Object.Handle
 // once it has answered (in the request's own struct) or, for a parked
 // request, when it leaves the queue; the store loop for what it answers
 // itself; the client proxy once the typed handle has decoded the reply
@@ -177,19 +177,23 @@
 // without a background flusher goroutine, and writeFrame still returns only
 // after the caller's bytes are on the socket.
 //
-// The inbound path mirrors this: each connection's reader carves frame
-// bodies out of a 64 KiB handoff chunk and hands them to msg.DecodeLeased
-// without copying. A chunk is abandoned when the next frame does not fit
-// and lives exactly as long as the messages aliasing it — one allocation
-// per ~64 KiB of traffic instead of one body copy per frame
-// (BenchmarkTCPInboundAllocs tracks the rate). Frames larger than a chunk
-// get a dedicated buffer.
+// The inbound path mirrors this: each connection's reader fills a pooled
+// 64 KiB receive chunk with one read of whatever the socket has ready, and
+// hands every whole frame in it to msg.DecodeLeased without copying. The
+// reader never rewrites bytes a frame was carved from: when the next frame
+// does not fit, it copies the part already read into a fresh chunk and drops
+// its reference to the old one, which goes back to the pool with the last
+// Release of a message carved from it. A frame sent, received and released
+// allocates nothing in steady state (TestTCPFrameRoundTripAllocs). Frames
+// larger than a chunk get a dedicated buffer. Because a received address
+// aliases its chunk, the outbound connection cache keys a copy of it.
 //
 // Inbound frames are budgeted per peer: a connection announcing a frame
 // larger than the endpoint's budget (tcpnet.ListenLimit /
 // webobj.WithMaxInboundFrame / globed -max-frame; absolute cap 16 MiB) is
-// dropped after the 4-byte header, before any body allocation — the
-// non-loopback hardening ROADMAP called for.
+// dropped once its 4-byte header is read, before any allocation sized by the
+// announcement — the non-loopback hardening ROADMAP called for. A buffered
+// read may already have pulled some of the body into the pooled chunk.
 //
 // # Relay re-batching invariant
 //

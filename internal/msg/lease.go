@@ -5,10 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// A received frame is leased, not allocated. Transports encode into a pooled
-// WireBuf and decode into a pooled Message (DecodeLeased) that aliases the
-// buffer; the consumer calls Release when it is done with the message, and
-// both go back to their pools once every message decoded from the buffer is
+// A received frame is leased, not allocated. memnet encodes into a pooled
+// WireBuf and tcpnet reads into a pooled receive chunk (LeaseChunk); both
+// decode into a pooled Message (DecodeLeased) that aliases the buffer. The
+// consumer calls Release when it is done with the message, and both go
+// back to their pools once every message decoded from the buffer is
 // released. A message nobody releases is simply collected, buffer and all,
 // so only a consumer that knows it keeps nothing of the frame opts in: the
 // store loop, through replication.Object.Handle, and the client proxy.
@@ -19,12 +20,14 @@ import (
 // so a use after release reads garbage and fails loudly in tests.
 
 // WireBuf is a pooled, reference-counted frame buffer handed out by
-// EncodePooled. The encoder holds the first reference; every holder calls
-// Release exactly once, and the buffer returns to the pool with the last.
-// After its Release a holder must not touch Bytes again.
+// EncodePooled, or a receive chunk handed out by LeaseChunk. The first
+// holder holds the first reference; every holder calls Release exactly
+// once, and the buffer returns to its pool with the last. After its Release
+// a holder must not touch Bytes again.
 type WireBuf struct {
-	b    []byte
-	refs atomic.Int32
+	b     []byte
+	refs  atomic.Int32
+	chunk bool // a receive chunk, recycled through chunkPool
 }
 
 // Bytes returns the encoded frame.
@@ -44,6 +47,10 @@ func (w *WireBuf) Release() {
 	}
 	if leaseCheck {
 		poisonBytes(w.b[:cap(w.b)])
+		return
+	}
+	if w.chunk {
+		chunkPool.Put(w)
 		return
 	}
 	if cap(w.b) > maxPooledBuf {
@@ -72,13 +79,36 @@ func EncodePooled(m *Message) *WireBuf {
 	return w
 }
 
+// ChunkSize is the length of a receive chunk (LeaseChunk).
+const ChunkSize = 64 << 10
+
+// chunkPool recycles receive chunks. They are kept apart from wirePool's
+// frame-sized encode buffers, so that neither side keeps reallocating at the
+// other's size.
+var chunkPool = sync.Pool{New: func() any {
+	return &WireBuf{b: make([]byte, ChunkSize), chunk: true}
+}}
+
+// LeaseChunk returns a pooled receive buffer of ChunkSize bytes, holding one
+// reference, with whatever bytes its last holder left. A transport reads
+// frames into it and decodes each with DecodeLeased after a Retain, so the
+// chunk goes back to the pool once the transport has moved on to the next
+// chunk and every message carved from it is released. Bytes that a
+// message was carved from must not be rewritten.
+func LeaseChunk() *WireBuf {
+	w := chunkPool.Get().(*WireBuf)
+	w.refs.Store(1)
+	return w
+}
+
 // msgPool recycles leased messages.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // DecodeLeased decodes b as DecodeAlias does, into a pooled message. w is
-// the pooled buffer b lies in, or nil when b's owner never rewrites it
-// (tcpnet's handoff chunks). On success the message takes over the caller's
-// reference on w and gives it back on Release; on error the caller keeps it.
+// the pooled buffer b lies in (an encode buffer or a receive chunk), or nil
+// when b is a buffer of its own that nothing rewrites (tcpnet's outsized
+// frames). On success the message takes over the caller's reference on w
+// and gives it back on Release; on error the caller keeps it.
 func DecodeLeased(b []byte, w *WireBuf) (*Message, error) {
 	m := msgPool.Get().(*Message)
 	if err := decodeInto(m, b, true); err != nil {

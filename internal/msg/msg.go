@@ -434,9 +434,8 @@ func Decode(b []byte) (*Message, error) {
 
 // DecodeAlias parses like Decode but aliases b for Args and Payload instead
 // of copying. It is safe only when the frame is immutable for the lifetime
-// of the message — true for memnet, whose scheduler never reuses a
-// delivered frame, and for tcpnet, whose readers carve each frame out of a
-// handoff chunk that is abandoned (never rewritten) once full.
+// of the message. The transports decode with DecodeLeased instead, whose
+// lease says when that lifetime ends.
 func DecodeAlias(b []byte) (*Message, error) {
 	return decode(b, true)
 }

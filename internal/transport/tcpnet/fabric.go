@@ -34,7 +34,8 @@ type FabricOption func(*Fabric)
 
 // WithMaxInboundFrame sets the per-peer inbound frame budget for every
 // endpoint the fabric mints: a peer announcing a larger frame is
-// disconnected before any allocation (see ListenLimit). Non-loopback
+// disconnected before any allocation sized by the announcement (see
+// ListenLimit). Non-loopback
 // deployments should set this to a small multiple of their largest
 // snapshot.
 func WithMaxInboundFrame(n int) FabricOption {

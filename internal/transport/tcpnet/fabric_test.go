@@ -102,54 +102,72 @@ func TestFabricEndpointCloseDeregisters(t *testing.T) {
 }
 
 // TestInboundHandoffKeepsEarlierFrames drives enough traffic through one
-// connection to roll the reader's handoff chunk over several times while
-// retaining every delivered message, then checks each message still carries
-// its own payload — the aliasing contract: a chunk is never rewritten, so
-// later frames cannot corrupt earlier ones.
+// connection to roll the reader's receive chunk over several times, then
+// checks every message still held carries its own payload — the aliasing
+// contract: bytes a frame was carved from are never rewritten, so later
+// frames cannot corrupt earlier ones. The second leg releases every other
+// message as it arrives, so chunks are shared between held and released
+// messages; under the leasecheck tag a chunk recycled while a held message
+// still aliases it is poisoned, and the check fails.
 func TestInboundHandoffKeepsEarlierFrames(t *testing.T) {
-	a := listen(t)
-	b := listen(t)
-	const frames = 300
-	payload := make([]byte, 1024) // ~5 chunk rollovers at 64 KiB
-	var got []*msg.Message
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < frames; i++ {
-			select {
-			case m := <-b.Recv():
-				got = append(got, m)
-			case <-time.After(5 * time.Second):
-				return
+	for _, leg := range []struct {
+		name         string
+		releaseEvery int // release message i when i%releaseEvery == 1; 0 holds all
+	}{{"hold all", 0}, {"release every other", 2}} {
+		t.Run(leg.name, func(t *testing.T) {
+			a := listen(t)
+			b := listen(t)
+			const frames = 300
+			payload := make([]byte, 1024) // ~5 chunk rollovers at 64 KiB
+			var got []*msg.Message
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < frames; i++ {
+					select {
+					case m := <-b.Recv():
+						if leg.releaseEvery > 0 && i%leg.releaseEvery == 1 {
+							m.Release()
+							continue
+						}
+						got = append(got, m)
+					case <-time.After(5 * time.Second):
+						return
+					}
+				}
+			}()
+			for i := 0; i < frames; i++ {
+				for j := range payload {
+					payload[j] = byte(i)
+				}
+				m := &msg.Message{
+					Kind:    msg.KindUpdate,
+					Object:  "o",
+					NetSeq:  uint64(i),
+					Payload: payload,
+					From:    a.Addr(),
+				}
+				if err := a.Send(b.Addr(), m); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}()
-	for i := 0; i < frames; i++ {
-		for j := range payload {
-			payload[j] = byte(i)
-		}
-		m := &msg.Message{
-			Kind:    msg.KindUpdate,
-			Object:  "o",
-			NetSeq:  uint64(i),
-			Payload: payload,
-			From:    a.Addr(),
-		}
-		if err := a.Send(b.Addr(), m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-done
-	if len(got) != frames {
-		t.Fatalf("delivered %d of %d frames", len(got), frames)
-	}
-	for _, m := range got {
-		want := byte(m.NetSeq)
-		for _, bb := range m.Payload {
-			if bb != want {
-				t.Fatalf("frame %d corrupted: byte %d, want %d", m.NetSeq, bb, want)
+			<-done
+			want := frames
+			if leg.releaseEvery > 0 {
+				want -= frames / leg.releaseEvery
 			}
-		}
+			if len(got) != want {
+				t.Fatalf("held %d of %d frames, want %d", len(got), frames, want)
+			}
+			for _, m := range got {
+				want := byte(m.NetSeq)
+				for _, bb := range m.Payload {
+					if bb != want {
+						t.Fatalf("frame %d corrupted: byte %d, want %d", m.NetSeq, bb, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -183,12 +201,12 @@ func TestInboundOutsizedFrame(t *testing.T) {
 	}
 }
 
-// BenchmarkTCPInboundAllocs measures the whole send+receive round's
-// allocations per delivered frame. The outbound path is already
-// zero-allocation (pooled encode + writev), so the number reported here is
-// the inbound path's: with chunked handoff + DecodeAlias it is the cost of
-// the decoded Message itself plus the amortised chunk, not a per-frame body
-// copy.
+// BenchmarkTCPInboundAllocs measures the whole send+receive+Release round's
+// allocations per delivered frame. Outbound, the frame is encoded into a
+// pooled buffer and written with one writev; inbound, it is carved out of a
+// pooled receive chunk and decoded into a pooled message, and both go back
+// on Release, so steady state allocates nothing
+// (TestTCPFrameRoundTripAllocs pins it).
 func BenchmarkTCPInboundAllocs(b *testing.B) {
 	src, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -201,23 +219,16 @@ func BenchmarkTCPInboundAllocs(b *testing.B) {
 	}
 	defer dst.Close()
 
-	m := &msg.Message{
-		Kind:   msg.KindUpdate,
-		Object: "bench-doc",
-		From:   src.Addr(),
-		Inv:    msg.Invocation{Method: 4, Page: "index.html", Args: make([]byte, 256)},
-	}
-	m.VVec.Set(1, 7)
-	m.VVec.Set(2, 9)
-	m.VVec.Set(3, 4)
-
+	m := updateFrame(src.Addr())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < b.N; i++ {
-			if _, ok := <-dst.Recv(); !ok {
+			m, ok := <-dst.Recv()
+			if !ok {
 				return
 			}
+			m.Release()
 		}
 	}()
 	b.ReportAllocs()

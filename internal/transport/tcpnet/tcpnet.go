@@ -7,11 +7,14 @@
 // Each endpoint owns one listener plus a cache of outbound connections.
 // Frames are a 4-byte big-endian length followed by a msg.Encode body.
 // Outbound frames ship as one gathered writev from pooled encode buffers;
-// inbound frames are carved out of per-connection handoff chunks and
-// decoded zero-copy into leased messages (msg.DecodeLeased), so both
-// directions run with a near-zero steady-state allocation rate. Received
-// messages alias their frame: receivers must treat Args/Payload as
-// immutable, exactly as with memnet delivery.
+// inbound frames are carved out of pooled, reference-counted receive chunks
+// (msg.LeaseChunk) and decoded zero-copy into leased messages
+// (msg.DecodeLeased), so a frame sent, received and released allocates
+// nothing in steady state. Received messages alias their chunk: receivers
+// must treat Args/Payload as immutable, exactly as with memnet delivery,
+// and may Release a message when done, which returns the chunk to its pool
+// once the reader has moved on and every message carved from it is
+// released.
 package tcpnet
 
 import (
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 
 	"repro/internal/msg"
@@ -30,9 +34,9 @@ import (
 // protecting against corrupt length prefixes. Deployments facing
 // non-loopback peers should configure a much tighter per-peer budget
 // (WithMaxInboundFrame / ListenLimit): the budget is enforced on the
-// length prefix BEFORE any body allocation, so an adversarial or corrupt
-// peer cannot make a daemon allocate gigabytes — the connection is
-// dropped instead.
+// length prefix before any allocation sized by the announcement, so an
+// adversarial or corrupt peer cannot make a daemon allocate gigabytes — the
+// connection is dropped instead.
 const maxFrame = 16 << 20
 
 // flushHook, when non-nil, is invoked once per connection flush with the
@@ -63,10 +67,13 @@ type peerConn struct {
 	// wmu serialises flushes on the connection; batches are flushed in
 	// acquisition order, which preserves the per-connection byte stream.
 	wmu sync.Mutex
-	// hdr and direct are scratch for the uncontended single-frame fast
-	// path; they may only be touched while holding wmu.
+	// hdr, direct and bufs are scratch for the uncontended single-frame
+	// fast path; they may only be touched while holding wmu. bufs is the
+	// view of direct that the gathered write consumes; kept here, it costs
+	// the frame no allocation.
 	hdr    [4]byte
 	direct [2][]byte
+	bufs   net.Buffers
 }
 
 // Endpoint is a TCP-backed communication object.
@@ -99,8 +106,8 @@ func Listen(addr string) (*Endpoint, error) { return ListenLimit(addr, 0) }
 
 // ListenLimit creates an endpoint whose inbound frames are budgeted: a
 // peer announcing a frame larger than maxInbound bytes is disconnected
-// before any body allocation happens. Zero (or anything above the absolute
-// cap) means the 16 MiB default.
+// before any allocation sized by the announcement. Zero (or anything above
+// the absolute cap) means the 16 MiB default.
 func ListenLimit(addr string, maxInbound int) (*Endpoint, error) {
 	return listenShared(addr, maxInbound, nil)
 }
@@ -293,14 +300,13 @@ func (e *Endpoint) flushFrame(to string, pc *peerConn, body []byte) error {
 		pc.qmu.Unlock()
 		if !pending {
 			binary.BigEndian.PutUint32(pc.hdr[:], uint32(len(body)))
-			pc.direct[0] = pc.hdr[:]
-			pc.direct[1] = body
-			bufs := net.Buffers(pc.direct[:])
+			pc.direct = [2][]byte{pc.hdr[:], body}
+			pc.bufs = pc.direct[:]
 			if flushHook != nil {
 				flushHook(1)
 			}
-			_, werr := bufs.WriteTo(pc.c)
-			pc.direct = [2][]byte{}
+			_, werr := pc.bufs.WriteTo(pc.c)
+			pc.direct, pc.bufs = [2][]byte{}, nil
 			pc.wmu.Unlock()
 			if werr != nil {
 				e.dropConn(to, pc)
@@ -364,7 +370,7 @@ func (e *Endpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	e.severLocked() // unblock reader goroutines stuck in ReadFull
+	e.severLocked() // unblock reader goroutines stuck in Read
 	ln := e.ln
 	e.ln = nil
 	e.mu.Unlock()
@@ -414,7 +420,10 @@ func (e *Endpoint) conn(to string) (*peerConn, error) {
 		return existing, nil
 	}
 	pc := &peerConn{c: c}
-	e.conns[to] = pc
+	// to is often a received message's From, which aliases a receive
+	// chunk that goes back to its pool on Release: the key keeps its own
+	// copy.
+	e.conns[strings.Clone(to)] = pc
 	return pc, nil
 }
 
@@ -454,77 +463,107 @@ func (e *Endpoint) acceptLoop(ln net.Listener) {
 	}
 }
 
-// readChunk is the size of the shared inbound buffer each reader carves
-// frame bodies out of. Amortising one allocation over ~readChunk bytes of
-// frames is what keeps the steady-state read path nearly allocation-free;
-// frames larger than a chunk get a dedicated buffer.
-const readChunk = 64 << 10
+// readChunk is the size of the pooled receive chunk each reader carves
+// frames out of; frames larger than a chunk get a dedicated buffer.
+const readChunk = msg.ChunkSize
 
 // readLoop decodes frames from one inbound connection into the inbox.
 //
-// The read path hands frames off without copying: each frame body is read
-// into a slice carved from the reader's current chunk, and msg.DecodeLeased
-// decodes it into a pooled message that aliases those bytes instead of
-// copying them (the same contract memnet delivery uses — receivers treat
-// message byte slices as immutable, and may Release the message when done).
-// A chunk is never reused: when the next frame does not fit,
-// the reader starts a fresh chunk and the old one stays alive exactly as
-// long as the messages aliasing it, then is collected. Steady state is one
-// chunk allocation per ~readChunk bytes of traffic instead of one body copy
-// per frame — the inbound counterpart of the pooled writev outbound path
-// (asserted by BenchmarkTCPInboundAllocs).
+// The reader fills a pooled receive chunk with one Read of whatever the
+// socket has ready and hands every complete frame in it to
+// msg.DecodeLeased without copying: each frame takes a reference on the
+// chunk, and its message aliases the chunk's bytes (the same contract
+// memnet delivery uses — receivers treat message byte slices as immutable,
+// and may Release the message when done). The reader never rewrites bytes
+// a frame was carved from. When the next frame does not fit in what is
+// left of the chunk, the reader copies the part it has read into a fresh
+// chunk and drops its own reference to the old one, which goes back to the
+// pool with the last Release of a message carved from it. A frame larger
+// than a chunk is read into a buffer of its own. In steady state a frame
+// costs no allocation (TestTCPFrameRoundTripAllocs).
 func (e *Endpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
+	chunk := msg.LeaseChunk()
 	defer func() {
+		chunk.Release()
 		_ = conn.Close()
 		e.mu.Lock()
 		delete(e.inConns, conn)
 		e.mu.Unlock()
 	}()
-	var hdr [4]byte
-	var chunk []byte // current handoff buffer; frames alias it, never reused
-	var off int      // next free byte in chunk
+	buf := chunk.Bytes()
+	var start, end int // buf[start:end] is read but not yet delivered
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		want := 4 // bytes from start the next frame needs: its header, at least
+		if end-start >= 4 {
+			n := binary.BigEndian.Uint32(buf[start:])
+			if n > uint32(e.maxIn) {
+				// Budget exceeded: drop the connection before any
+				// allocation sized by the announcement. A well-behaved
+				// peer redials; a misbehaving one costs at most what one
+				// read put in the chunk.
+				return
+			}
+			want = 4 + int(n)
+			switch {
+			case want <= end-start:
+				body := buf[start+4 : start+want : start+want]
+				start += want
+				chunk.Retain()
+				if !e.deliver(body, chunk) {
+					return
+				}
+				continue
+			case want > len(buf):
+				body := make([]byte, want-4) // outsized frame: its own buffer
+				got := copy(body, buf[start+4:end])
+				start = end
+				if _, err := io.ReadFull(conn, body[got:]); err != nil {
+					return
+				}
+				if !e.deliver(body, nil) {
+					return
+				}
+				continue
+			}
+		}
+		if start+want > len(buf) {
+			// The frame does not fit what is left: move its start to a
+			// fresh chunk, leaving the frames carved from this one intact.
+			next := msg.LeaseChunk()
+			end = copy(next.Bytes(), buf[start:end])
+			start = 0
+			chunk.Release()
+			chunk, buf = next, next.Bytes()
+		}
+		n, err := conn.Read(buf[end:])
+		end += n
+		if err != nil {
 			return // peer closed or endpoint shutting down
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > uint32(e.maxIn) {
-			// Budget exceeded: drop the connection before allocating or
-			// reading a single body byte. A well-behaved peer redials; a
-			// misbehaving one cannot cost more than the 4-byte header.
-			return
+	}
+}
+
+// deliver decodes one frame body into the inbox. owner is the chunk body
+// lies in, whose reference the message takes over, or nil for a frame with
+// a buffer of its own. deliver reports whether the reader should go on: it
+// skips a corrupt frame and keeps the stream, and stops on any other decode
+// error or when the endpoint closes.
+func (e *Endpoint) deliver(body []byte, owner *msg.WireBuf) bool {
+	m, err := msg.DecodeLeased(body, owner)
+	if err != nil {
+		if owner != nil {
+			owner.Release()
 		}
-		need := int(n)
-		var body []byte
-		switch {
-		case need > readChunk:
-			body = make([]byte, need) // outsized frame: dedicated buffer
-		default:
-			if off+need > len(chunk) {
-				chunk = make([]byte, readChunk)
-				off = 0
-			}
-			body = chunk[off : off+need : off+need]
-			off += need
-		}
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
-		}
-		m, err := msg.DecodeLeased(body, nil)
-		if err != nil {
-			if errors.Is(err, msg.ErrShortMessage) || errors.Is(err, msg.ErrBadVersion) {
-				continue // skip corrupt frame, keep the stream
-			}
-			return
-		}
-		e.st.framesRecv.Add(1)
-		e.st.bytesRecv.Add(uint64(need) + 4)
-		select {
-		case e.inbox <- m:
-		case <-e.done:
-			m.Release()
-			return
-		}
+		return errors.Is(err, msg.ErrShortMessage) || errors.Is(err, msg.ErrBadVersion)
+	}
+	e.st.framesRecv.Add(1)
+	e.st.bytesRecv.Add(uint64(len(body)) + 4)
+	select {
+	case e.inbox <- m:
+		return true
+	case <-e.done:
+		m.Release()
+		return false
 	}
 }

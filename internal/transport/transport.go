@@ -61,14 +61,16 @@ type Endpoint interface {
 	// does for a frame with no delay to wait out (see its package comment;
 	// a full buffer or an earlier frame still in the delivery schedule
 	// hands the frame to the scheduler instead). m is encoded before Send
-	// returns and not retained, so the caller may reuse it.
+	// returns and not retained, so the caller may reuse it. Nothing of to
+	// is kept either, so it may alias a received frame (a reply addressed
+	// to a request's From) that is released right after.
 	Send(to string, m *msg.Message) error
 	// Multicast transmits m to every address in tos. It is the multicast
 	// facility the paper's Web-server communication object offers in
 	// addition to point-to-point messaging. Implementations encode the
 	// frame once and fan the wire bytes out best-effort: every address is
 	// attempted even if some fail, and the first failure is returned after
-	// the sweep.
+	// the sweep. As with Send, neither m nor tos nor its strings are kept.
 	Multicast(tos []string, m *msg.Message) error
 	// Recv returns the endpoint's delivery channel. After Close no further
 	// messages are delivered; the channel itself is closed once the

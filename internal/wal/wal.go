@@ -155,9 +155,10 @@ type Log struct {
 	dir     string
 	f       *os.File
 	size    int64
-	appends uint64 // records appended since the last snapshot
-	dirty   bool   // appended since the last Sync
-	scratch []byte
+	appends uint64      // records appended since the last snapshot
+	dirty   bool        // appended since the last Sync
+	scratch []byte      // the record being written
+	m       msg.Message // the frame AppendUpdate encodes into scratch
 }
 
 const (
@@ -278,15 +279,20 @@ func decodeRecord(typ byte, payload []byte) (Record, error) {
 	}
 }
 
-// append frames and writes one record.
-func (l *Log) append(typ byte, payload []byte) error {
+// record starts a record of type typ in the log's scratch buffer, with its
+// length still zero; the caller appends the payload and hands the result
+// to write.
+func (l *Log) record(typ byte) []byte {
+	return append(l.scratch[:0], typ, 0, 0, 0, 0)
+}
+
+// write patches the payload length into a record begun by record, appends
+// the CRC and writes the record.
+func (l *Log) write(b []byte) error {
 	if l.f == nil {
 		return errors.New("wal: closed")
 	}
-	b := l.scratch[:0]
-	b = append(b, typ)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
+	binary.LittleEndian.PutUint32(b[1:5], uint32(len(b)-5))
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	l.scratch = b[:0]
 	if _, err := l.f.Write(b); err != nil {
@@ -298,9 +304,11 @@ func (l *Log) append(typ byte, payload []byte) error {
 	return nil
 }
 
-// AppendUpdate logs one stamped update in its wire form.
+// AppendUpdate logs one stamped update in its wire form, a KindUpdate
+// frame encoded straight into the record. The frame is built in the log's
+// own message, so a durable write allocates nothing here.
 func (l *Log) AppendUpdate(u *coherence.Update) error {
-	wire := msg.AppendEncode(l.scratch[:0], &msg.Message{
+	l.m = msg.Message{
 		Kind:      msg.KindUpdate,
 		Write:     u.Write,
 		GlobalSeq: u.GlobalSeq,
@@ -308,29 +316,25 @@ func (l *Log) AppendUpdate(u *coherence.Update) error {
 		Deps:      u.Deps,
 		Inv:       u.Inv,
 		WallNanos: u.WallNanos,
-	})
-	// append reuses l.scratch; hand it an independent payload view.
-	payload := append([]byte(nil), wire...)
-	l.scratch = wire[:0]
-	return l.append(recUpdate, payload)
+	}
+	b := msg.AppendEncode(l.record(recUpdate), &l.m)
+	l.m = msg.Message{} // keep nothing of u
+	return l.write(b)
 }
 
 // AppendAdmit logs one unstamped-write admission.
 func (l *Log) AppendAdmit(c ids.ClientID, seq uint64) error {
-	var p [12]byte
-	binary.LittleEndian.PutUint32(p[:4], uint32(c))
-	binary.LittleEndian.PutUint64(p[4:], seq)
-	return l.append(recAdmit, p[:])
+	b := binary.LittleEndian.AppendUint32(l.record(recAdmit), uint32(c))
+	return l.write(binary.LittleEndian.AppendUint64(b, seq))
 }
 
 // AppendChild logs a child subscription change.
 func (l *Log) AppendChild(addr string, remove bool) error {
-	p := make([]byte, 1+len(addr))
+	var flag byte
 	if remove {
-		p[0] = 1
+		flag = 1
 	}
-	copy(p[1:], addr)
-	return l.append(recChild, p)
+	return l.write(append(append(l.record(recChild), flag), addr...))
 }
 
 // Sync flushes appended records to stable storage; a no-op when nothing was

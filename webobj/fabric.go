@@ -25,8 +25,8 @@ func NewMemFabric(opts ...memnet.Option) *memnet.Network { return memnet.New(opt
 type TCPOption = tcpnet.FabricOption
 
 // WithMaxInboundFrame bounds the frames a TCP endpoint accepts from any
-// peer: a larger announced frame drops the connection before any body
-// allocation. Deployments reachable from beyond loopback should set it to
+// peer: a larger announced frame drops the connection before any
+// allocation sized by the announcement. Deployments reachable from beyond loopback should set it to
 // a small multiple of their largest expected snapshot.
 func WithMaxInboundFrame(n int) TCPOption { return tcpnet.WithMaxInboundFrame(n) }
 
