@@ -405,7 +405,9 @@
 // GetPage or SnapshotElement after a write, and every later read returns that
 // slice until the next write; the transport copies it into the reply frame.
 // At the client, DecodePage makes two allocations: the page, which holds a
-// short content type as well, and the content.
+// short content type as well, and the content. A received update is one
+// allocation: newUpdate copies its page name and arguments into one block
+// (cloneInv) and takes its struct from a per-replica slab of 32.
 //
 // Its knobs are one struct, replication.Tuning (ReadTimeout, DemandRetry,
 // DigestInterval, ReparentAfter, Durability), whose withDefaults is the only

@@ -248,7 +248,7 @@ func (o *Object) sendUpdates(to string, ups []*coherence.Update) {
 func (o *Object) onUpdate(m *msg.Message) {
 	o.revalEpoch++
 	if len(m.Payload) == 0 {
-		o.submitOp(updateFromMsg(m))
+		o.submitOp(o.updateFromMsg(m))
 		return
 	}
 	// Aggregated full-state update.
@@ -268,15 +268,7 @@ func (o *Object) onUpdateBatch(m *msg.Message) {
 	o.beginRelayBatch()
 	defer o.endRelayBatch()
 	for i := range m.Batch {
-		e := &m.Batch[i]
-		o.submitOp(&coherence.Update{
-			Write:     e.Write,
-			GlobalSeq: e.GlobalSeq,
-			Deps:      coherence.DepsOf(e.Deps),
-			Stamp:     e.Stamp,
-			Inv:       cloneInv(e.Inv),
-			WallNanos: e.WallNanos,
-		})
+		o.submitOp(o.newUpdate(&m.Batch[i]))
 	}
 }
 

@@ -93,9 +93,11 @@ type Env interface {
 	Multicast(tos []string, m *msg.Message) error
 
 	// ApplyOp applies an ordered write. u is owned by the replica — cloneInv
-	// took it off its frame, and the log holds it unchanged for as long as it
-	// is retained — so the semantics object may keep u.Inv.Args (webdoc's
-	// Put keeps the content window) rather than copy them.
+	// copied its page name and arguments off the frame into one block, and
+	// the log holds it unchanged for as long as it is retained — so the
+	// semantics object may keep u.Inv.Args (webdoc's Put keeps the content
+	// window) rather than copy them. A map keyed by u.Inv.Page must clone
+	// the key, or it pins the whole block.
 	ApplyOp(u *coherence.Update) error
 	ApplyFull(snapshot []byte) error
 	ApplyElement(name string, data []byte) error
@@ -259,6 +261,8 @@ type Object struct {
 	// log keeps applied updates in application order for demand-serving,
 	// replays and the re-apply after a state transfer (updatelog.go).
 	log updateLog
+	// slab is what is left of the block newUpdate takes update structs from.
+	slab []coherence.Update
 
 	// timers lists every oneShot below, for Close.
 	timers []*oneShot

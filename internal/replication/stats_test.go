@@ -122,7 +122,7 @@ func TestStatsAndSeriesAgree(t *testing.T) {
 			if err := wlog.AppendChild("kid", false); err != nil {
 				t.Fatal(err)
 			}
-			if err := wlog.AppendUpdate(updateFromMsg(writeMsg(1, 1, "p", "x"))); err != nil {
+			if err := wlog.AppendUpdate(new(Object).updateFromMsg(writeMsg(1, 1, "p", "x"))); err != nil {
 				t.Fatal(err)
 			}
 			if err := wlog.Close(); err != nil {

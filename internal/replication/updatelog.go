@@ -37,6 +37,9 @@ const logLimit = 4096
 type updateLog struct {
 	entries []*coherence.Update
 	runs    map[ids.ClientID]logRun
+	// arena is the one backing array of 2×logLimit that entries slides
+	// within once the log has filled (append).
+	arena []*coherence.Update
 }
 
 // logRun is one client's indexed span of the log; see updateLog.
@@ -58,6 +61,18 @@ func (l *updateLog) append(u *coherence.Update) {
 		r.floor = r.top
 	}
 	l.runs[c] = r
+	if n := len(l.entries); n == logLimit && (n == cap(l.entries) || l.arena == nil) {
+		// The log is full and entries is at the end of its array, or not yet
+		// in the arena: move the live window to the arena's front, so append
+		// never reallocates and a full log costs one copy of it every
+		// logLimit updates.
+		if l.arena == nil {
+			l.arena = make([]*coherence.Update, 2*logLimit)
+		}
+		copy(l.arena, l.entries)
+		clear(l.arena[n:])
+		l.entries = l.arena[:n]
+	}
 	l.entries = append(l.entries, u)
 	if len(l.entries) > logLimit {
 		old := l.entries[0].Write

@@ -3,6 +3,7 @@ package replication
 import (
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/coherence"
 	"repro/internal/ids"
@@ -49,7 +50,7 @@ func (o *Object) onWrite(m *msg.Message) {
 		o.ackWrite(m)
 		return
 	}
-	u := updateFromMsg(m)
+	u := o.updateFromMsg(m)
 	if o.strat.Model == coherence.Sequential && u.GlobalSeq == 0 {
 		u.GlobalSeq = o.nextGlobal
 		o.nextGlobal++
@@ -229,29 +230,64 @@ func (o *Object) admitSeq(c ids.ClientID, seq uint64) bool {
 }
 
 // updateFromMsg builds the engine-level update from a wire message.
-func updateFromMsg(m *msg.Message) *coherence.Update {
-	return &coherence.Update{
+func (o *Object) updateFromMsg(m *msg.Message) *coherence.Update {
+	return o.newUpdate(&msg.BatchUpdate{
 		Write:     m.Write,
 		GlobalSeq: m.GlobalSeq,
-		Deps:      coherence.DepsOf(m.Deps),
+		Deps:      m.Deps,
 		Stamp:     m.Stamp,
-		Inv:       cloneInv(m.Inv),
+		Inv:       m.Inv,
 		WallNanos: m.WallNanos,
+	})
+}
+
+// updateSlab is how many updates newUpdate carves from one allocation.
+const updateSlab = 32
+
+// newUpdate builds the engine-level update for one write taken off a frame
+// (a request, a push, or one entry of a batch); it is the only place one is
+// built. The struct comes from a slab of updateSlab that the replica refills
+// when it is empty, so a received update costs one allocation, the block
+// cloneInv copies its invocation into. A slab stays alive while any of its
+// updates is held, which only the log, an engine buffer, lazy or relay do:
+// the pin is bounded by what the replica retains anyway.
+func (o *Object) newUpdate(e *msg.BatchUpdate) *coherence.Update {
+	if len(o.slab) == 0 {
+		o.slab = make([]coherence.Update, updateSlab)
 	}
+	u := &o.slab[0]
+	o.slab = o.slab[1:]
+	*u = coherence.Update{
+		Write:     e.Write,
+		GlobalSeq: e.GlobalSeq,
+		Deps:      coherence.DepsOf(e.Deps),
+		Stamp:     e.Stamp,
+		Inv:       cloneInv(e.Inv),
+		WallNanos: e.WallNanos,
+	}
+	return u
 }
 
 // cloneInv deep-copies an invocation taken from a wire message. Updates
 // outlive their frame — they sit in the update log and their Page/Args end
 // up inside semantics state — so retaining the zero-copy decoded fields
-// would pin whole transport buffers (tcpnet handoff chunks, memnet frames)
-// for the replica's lifetime. One copy per write restores the footprint of
-// the old copying decode while reads stay zero-copy end to end, and it is the
-// only one: the copy is the update's own and never changes again, which is
-// what lets Env.ApplyOp hand Args to the semantics object to keep.
+// would pin whole transport buffers (tcpnet receive chunks, memnet frames)
+// for the replica's lifetime. The page name and the arguments are copied
+// into one block: Page is a string over its prefix and Args the suffix, so a
+// semantics append grows a buffer of its own and never writes into the name.
+// The block is the update's own and never changes again, which is what lets
+// Env.ApplyOp hand Args to the semantics object to keep; a map keyed by Page
+// must clone the key, or it pins the whole block (arguments included) for
+// the key's life. Empty Args stay nil.
 func cloneInv(inv msg.Invocation) msg.Invocation {
-	out := msg.Invocation{Method: inv.Method, Page: strings.Clone(inv.Page)}
-	if inv.Args != nil {
-		out.Args = append([]byte(nil), inv.Args...)
+	out := msg.Invocation{Method: inv.Method}
+	n := len(inv.Page)
+	b := append(append(make([]byte, 0, n+len(inv.Args)), inv.Page...), inv.Args...)
+	if n > 0 {
+		out.Page = unsafe.String(&b[0], n)
+	}
+	if len(inv.Args) > 0 {
+		out.Args = b[n:]
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/msg"
 	"repro/internal/semantics"
@@ -83,14 +84,22 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// Put stores a copy of value under key.
+// Put stores a copy of value under key. The key is copied with it, into one
+// block: key may share a block with a write's arguments (a replica's
+// update), and a map assignment stores the key it is given even when the key
+// is present, so an uncloned key would pin that block until the key's next
+// write. The copy is the one Put always made, so a new key costs nothing
+// extra.
 func (s *Store) Put(key string, value []byte) {
+	b := make([]byte, len(key)+len(value))
+	copy(b, key)
+	copy(b[len(key):], value)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.data == nil {
 		s.data = make(map[string][]byte)
 	}
-	s.data[key] = append([]byte(nil), value...)
+	s.data[unsafe.String(unsafe.SliceData(b), len(key))] = b[len(key):]
 }
 
 // Delete removes key (idempotent).

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/msg"
 	"repro/internal/semantics"
@@ -139,4 +141,32 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 	if err := New().Restore(append(snap, 1)); err == nil {
 		t.Fatalf("trailing bytes accepted")
 	}
+}
+
+// TestKeyOwnsItsName: a key is a copy of the invocation's string, on the
+// first Put and on every overwrite (a map assignment stores the key it is
+// given even when the key is present). A replica carves that string from the
+// same block as the write's arguments, which an uncloned key would pin.
+func TestKeyOwnsItsName(t *testing.T) {
+	s := New()
+	for i, v := range []string{"first", "second"} {
+		inv := msg.Invocation{Method: MethodPut, Page: strings.Clone("key"), Args: []byte(v)}
+		if _, err := s.Invoke(inv); err != nil {
+			t.Fatal(err)
+		}
+		for k := range s.data {
+			if pointsInto(k, inv.Page) {
+				t.Fatalf("put %d: key %q points into the invocation's name", i, k)
+			}
+		}
+		if got, _ := s.Get("key"); string(got) != v {
+			t.Fatalf("put %d: Get = %q, want %q", i, got, v)
+		}
+	}
+}
+
+// pointsInto reports whether s's bytes start inside name's.
+func pointsInto(s, name string) bool {
+	off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(unsafe.StringData(name)))
+	return off < uintptr(len(name))
 }

@@ -3,6 +3,7 @@ package webdoc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"unsafe"
 )
@@ -17,12 +18,15 @@ type WriteArgs struct {
 }
 
 // EncodeWriteArgs marshals write arguments.
-func EncodeWriteArgs(a WriteArgs) []byte {
-	buf := make([]byte, 0, 4+len(a.ContentType)+8+4+len(a.Content))
-	buf = appendString(buf, a.ContentType)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.ModifiedNanos))
-	buf = appendBytes(buf, a.Content)
-	return buf
+func EncodeWriteArgs(a WriteArgs) []byte { return AppendWriteArgs(nil, a) }
+
+// AppendWriteArgs appends the encoding of write arguments to dst, growing it
+// at most once.
+func AppendWriteArgs(dst []byte, a WriteArgs) []byte {
+	dst = slices.Grow(dst, 4+len(a.ContentType)+8+4+len(a.Content))
+	dst = appendString(dst, a.ContentType)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(a.ModifiedNanos))
+	return appendBytes(dst, a.Content)
 }
 
 // DecodeWriteArgs unmarshals write arguments into a record of its own.

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -203,6 +204,9 @@ func (d *Document) Put(name string, content []byte, contentType string, modified
 // to its length: a later Append must grow a new buffer, never write into
 // args, which the replica's update log still holds. The content type is a
 // string over args too, so the page holds nothing of its previous version.
+// At a replica args are the tail of the update's one block, after the page
+// name: the page keeps that block, and its map key is a clone (page), so no
+// older write's block outlives its version.
 func (d *Document) putOwned(name string, args []byte) error {
 	contentType, content, modifiedNanos, err := splitWriteArgs(args)
 	if err != nil {
@@ -233,7 +237,10 @@ func (d *Document) Append(name string, content []byte, modifiedNanos int64) {
 }
 
 // page returns the named page, created empty if absent. Callers hold the
-// write lock.
+// write lock. A new page's key is a clone: name may share one block with a
+// write's arguments (a replica's update), which the key would otherwise pin
+// for the page's life. Only creation assigns the key, so this is never paid
+// per write.
 func (d *Document) page(name string) *stored {
 	if d.pages == nil {
 		d.pages = make(map[string]*stored)
@@ -241,7 +248,7 @@ func (d *Document) page(name string) *stored {
 	p, ok := d.pages[name]
 	if !ok {
 		p = &stored{}
-		d.pages[name] = p
+		d.pages[strings.Clone(name)] = p
 	}
 	return p
 }

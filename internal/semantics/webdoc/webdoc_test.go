@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/msg"
 	"repro/internal/semantics"
@@ -506,4 +508,30 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestPageKeyOwnsItsName: a page is keyed by a copy of its name, never by the
+// invocation's string. A replica carves that string from the same block as
+// the write's arguments, so a key over it would pin the block, a whole old
+// version of the page's content, for the page's life.
+func TestPageKeyOwnsItsName(t *testing.T) {
+	d := New()
+	for i, m := range []uint16{MethodPutPage, MethodPutPage, MethodAppendPage} {
+		inv := msg.Invocation{Method: m, Page: strings.Clone("index.html"),
+			Args: EncodeWriteArgs(WriteArgs{Content: []byte("body"), ModifiedNanos: int64(i)})}
+		if _, err := d.Invoke(inv); err != nil {
+			t.Fatal(err)
+		}
+		for k := range d.pages {
+			if pointsInto(k, inv.Page) {
+				t.Fatalf("write %d: page key %q points into the invocation's name", i, k)
+			}
+		}
+	}
+}
+
+// pointsInto reports whether s's bytes start inside name's.
+func pointsInto(s, name string) bool {
+	off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(unsafe.StringData(name)))
+	return off < uintptr(len(name))
 }

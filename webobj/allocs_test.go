@@ -22,12 +22,13 @@ const (
 	// answers in the request's own struct and serves the page version's one
 	// shared encoding.
 	getAllocBudget = 2 + 2
-	// A Put measures 4: the argument encoding, and at the store the update
-	// and its cloned invocation (page name and arguments). The arguments are
-	// the stored content; the engine's release slice and the applied vector
-	// are reused, the ack is written into the request, and a writer with no
-	// session model carries no dependency vector.
-	putAllocBudget = 4 + 2
+	// A Put measures 1: at the store, the one block the update's page name
+	// and arguments are copied into, which the page keeps as its content.
+	// The update's struct comes from a slab of 32, and the arguments are
+	// encoded into a pooled buffer; the engine's release slice and the
+	// applied vector are reused, the ack is written into the request, and a
+	// writer with no session model carries no dependency vector.
+	putAllocBudget = 1 + 2
 )
 
 // leaseCheck is set under the leasecheck build tag, which poisons released

@@ -93,18 +93,31 @@ func (d *Document) Stat(page string) (*Page, error) {
 
 // Put replaces a page.
 func (d *Document) Put(page string, content []byte, contentType string) error {
-	args := webdoc.EncodeWriteArgs(webdoc.WriteArgs{
+	return d.write(webdoc.MethodPutPage, page, webdoc.WriteArgs{
 		Content: content, ContentType: contentType, ModifiedNanos: time.Now().UnixNano(),
 	})
-	return d.do(msg.Invocation{Method: webdoc.MethodPutPage, Page: page, Args: args})
 }
 
 // Append adds content to a page (the paper's incremental update).
 func (d *Document) Append(page string, content []byte) error {
-	args := webdoc.EncodeWriteArgs(webdoc.WriteArgs{
+	return d.write(webdoc.MethodAppendPage, page, webdoc.WriteArgs{
 		Content: content, ModifiedNanos: time.Now().UnixNano(),
 	})
-	return d.do(msg.Invocation{Method: webdoc.MethodAppendPage, Page: page, Args: args})
+}
+
+// argsPool holds the buffers write encodes arguments into.
+var argsPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// write invokes a page write with its arguments encoded into a pooled
+// buffer. The proxy encodes the request frame, and retries that identical
+// frame, inside do, so nothing holds the arguments once do returns and the
+// buffer goes back to the pool.
+func (d *Document) write(method uint16, page string, a webdoc.WriteArgs) error {
+	buf := argsPool.Get().(*[]byte)
+	*buf = webdoc.AppendWriteArgs((*buf)[:0], a)
+	err := d.do(msg.Invocation{Method: method, Page: page, Args: *buf})
+	argsPool.Put(buf)
+	return err
 }
 
 // Delete removes a page.

@@ -1,7 +1,10 @@
 package webobj_test
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -349,5 +352,52 @@ func TestDeepHierarchyPreservesBatches(t *testing.T) {
 	}
 	if pg.Version != gap+2 {
 		t.Fatalf("cache page version = %d, want %d", pg.Version, gap+2)
+	}
+}
+
+// TestConcurrentPutsShareOneHandle: goroutines sharing one Document encode
+// their arguments into pooled buffers; a buffer goes back only once its write
+// was sent (and acked), so every page ends with exactly its own writer's
+// bytes. Run it under -race.
+func TestConcurrentPutsShareOneHandle(t *testing.T) {
+	sys := newSys(t)
+	www, err := sys.NewServer("www")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Publish(www, "doc", webobj.WebDoc(), webobj.WhiteboardStrategy()); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := sys.Open("doc", webobj.At(www))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer doc.Close()
+	const writers, puts = 8, 20
+	content := func(g, i int) []byte {
+		return bytes.Repeat([]byte{byte('a' + g)}, 64*(1+(g+i)%writers))
+	}
+	var wg sync.WaitGroup
+	for g := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range puts {
+				if err := doc.Put(fmt.Sprintf("page%d", g), content(g, i), "text/plain"); err != nil {
+					t.Errorf("writer %d put %d: %v", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range writers {
+		pg, err := doc.Get(fmt.Sprintf("page%d", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := content(g, puts-1); !bytes.Equal(pg.Content, want) {
+			t.Errorf("page%d holds %d bytes starting %q, want %d bytes of %q", g, len(pg.Content), pg.Content[:min(len(pg.Content), 8)], len(want), want[:1])
+		}
 	}
 }
