@@ -281,7 +281,7 @@ func newBenchSys(b *testing.B, strat webobj.Strategy, session ...webobj.ClientMo
 // where a different client must be the single registered writer.
 func newBenchSysSeeded(b *testing.B, strat webobj.Strategy, seed bool, session ...webobj.ClientModel) *benchSys {
 	b.Helper()
-	sys := webobj.NewSystemWithNetwork(memnet.WithSeed(1))
+	sys := webobj.NewSystem(webobj.WithFabric(webobj.NewMemFabric(memnet.WithSeed(1))))
 	server, err := sys.NewServer("www")
 	if err != nil {
 		b.Fatal(err)
@@ -373,7 +373,7 @@ func BenchmarkFigure1_Binding(b *testing.B) {
 func BenchmarkFigure2_StoreLayers(b *testing.B) {
 	st := strategy.PopularEventPage()
 	st.Scope = strategy.ScopeAll
-	sys := webobj.NewSystemWithNetwork()
+	sys := webobj.NewSystem(webobj.WithFabric(webobj.NewMemFabric()))
 	server, err := sys.NewServer("www")
 	if err != nil {
 		b.Fatal(err)
@@ -655,7 +655,7 @@ func BenchmarkClaim_PerObjectVsUniform(b *testing.B) {
 // partitioned from the permanent store so gossip is its only source of
 // updates. Deltas ship as one batch frame per round.
 func BenchmarkGossip_AntiEntropy(b *testing.B) {
-	sys := webobj.NewSystemWithNetwork(memnet.WithSeed(1))
+	sys := webobj.NewSystem(webobj.WithFabric(webobj.NewMemFabric(memnet.WithSeed(1))))
 	server, err := sys.NewServer("www")
 	if err != nil {
 		b.Fatal(err)
@@ -883,7 +883,7 @@ func BenchmarkRelay_DeepHierarchyBatch(b *testing.B) {
 	if err := st.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	sys := webobj.NewSystemWithNetwork(memnet.WithSeed(1))
+	sys := webobj.NewSystem(webobj.WithFabric(webobj.NewMemFabric(memnet.WithSeed(1))))
 	server, err := sys.NewServer("www")
 	if err != nil {
 		b.Fatal(err)

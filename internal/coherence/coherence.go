@@ -4,9 +4,14 @@
 // feeds every arriving write (local or remote) to its engine, which decides
 // whether the write is applicable now, must be buffered until its
 // predecessors arrive, or must be dropped (FIFO supersession, eventual LWW).
-// The five engines — sequential, PRAM, FIFO, causal, eventual — share one
-// interface so replication objects can host any model, which is exactly the
-// paper's "standard interfaces for all replication objects" requirement.
+// The four engines — sequential, PRAM, FIFO, eventual — and DepGuard, which
+// holds a write until its dependencies are applied, share one interface so
+// replication objects can host any model, which is exactly the paper's
+// "standard interfaces for all replication objects" requirement. Causal is
+// DepGuard over PRAM: per-client order plus applied dependencies. Clients
+// accumulate their dependency vectors from the stores they read (see
+// Session), which realises the paper's Web-forum example: a reaction is
+// applied only after the message that triggered it.
 //
 // Client-based models (§3.2.2) — Read Your Writes, Monotonic Reads,
 // client-PRAM (Monotonic Writes), client-causal (Writes Follow Reads) — are
@@ -162,7 +167,7 @@ func NewEngine(m Model) (Engine, error) {
 	case FIFO:
 		return newFIFOEngine(), nil
 	case Causal:
-		return newCausalEngine(), nil
+		return &DepGuard{inner: newPRAMEngine(), model: Causal}, nil
 	case Eventual:
 		return newEventualEngine(), nil
 	default:

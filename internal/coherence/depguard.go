@@ -11,33 +11,41 @@ import (
 // a store and requests support for some client-based coherence model, the
 // replication subobject of the store is easily augmented to integrate the
 // implementation of the new coherence model": stores whose object-based
-// model is too weak to order dependent writes (FIFO, eventual) are wrapped
-// with a DepGuard when a client asks for client-causal (Writes Follow
-// Reads) or client-PRAM (Monotonic Writes) support.
+// model is too weak to order dependent writes are wrapped with a DepGuard
+// when a client asks for client-causal (Writes Follow Reads) or client-PRAM
+// (Monotonic Writes) support. NewEngine builds the causal model the same
+// way, as a DepGuard over PRAM.
 type DepGuard struct {
 	inner  Engine
+	model  Model
 	buffer []*Update
 	out    []*Update // Submit's result, reused (the inner engine reuses its own)
 }
 
 var _ Engine = (*DepGuard)(nil)
 
-// NewDepGuard wraps inner with dependency enforcement.
-func NewDepGuard(inner Engine) *DepGuard { return &DepGuard{inner: inner} }
+// NewDepGuard wraps inner with dependency enforcement, reporting inner's
+// model.
+func NewDepGuard(inner Engine) *DepGuard { return &DepGuard{inner: inner, model: inner.Model()} }
 
-// Model reports the inner engine's model.
-func (g *DepGuard) Model() Model { return g.inner.Model() }
+// Model reports the guarded model.
+func (g *DepGuard) Model() Model { return g.model }
 
 // Submit holds u until the inner engine's applied vector covers u's
 // dependency vector (excluding the writer's own component, which the inner
-// engine orders itself), then forwards it. Applying one update may release
-// buffered ones.
+// engine orders itself), then forwards it. Every forwarded update drains the
+// buffer, released or not: an eventual write that loses its LWW race covers
+// its WiD without being released, and a Seed covers dependencies silently.
 func (g *DepGuard) Submit(u *Update) []*Update {
 	if !g.satisfied(u) {
 		g.buffer = append(g.buffer, u)
 		return nil
 	}
-	g.out = g.drain(append(g.out[:0], g.inner.Submit(u)...))
+	released := g.inner.Submit(u)
+	if len(g.buffer) == 0 {
+		return released
+	}
+	g.out = g.drain(append(g.out[:0], released...))
 	if len(g.out) == 0 {
 		return nil
 	}
@@ -83,14 +91,12 @@ func (g *DepGuard) Covers(w ids.WiD) bool { return g.inner.Covers(w) }
 // Pending counts both guard-buffered and inner-buffered updates.
 func (g *DepGuard) Pending() int { return len(g.buffer) + g.inner.Pending() }
 
-// Seed implements Engine by delegating to the inner engine and releasing
-// buffered updates whose dependencies the seed covers.
+// Seed implements Engine by delegating to the inner engine. Buffered updates
+// whose dependencies the seed covers go out with the next forwarded Submit:
+// releasing them here would bypass the caller's apply path. Seed drops only
+// the updates it made stale.
 func (g *DepGuard) Seed(v *msg.Vec, global uint64) {
 	g.inner.Seed(v, global)
-	// Seeding can satisfy buffered dependencies, but releasing updates here
-	// would bypass the caller's applyReleased path; callers always Seed
-	// before submitting further updates, and drain() runs on the next
-	// Submit. Drop only updates the seed itself made stale.
 	rest := g.buffer[:0]
 	for _, u := range g.buffer {
 		if !g.inner.Covers(u.Write) {

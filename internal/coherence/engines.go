@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"sort"
-
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/vclock"
@@ -28,7 +26,10 @@ func (a *appliedSet) Covers(w ids.WiD) bool { return a.applied.CoversWrite(w) }
 type pramEngine struct {
 	appliedSet
 	buffer map[ids.WiD]*Update
-	out    []*Update // Submit's result, reused
+	// ready names buffered writes a Seed made next in line; the next
+	// release releases them too.
+	ready []ids.WiD
+	out   []*Update // Submit's result, reused
 }
 
 func newPRAMEngine() *pramEngine {
@@ -38,42 +39,33 @@ func newPRAMEngine() *pramEngine {
 func (e *pramEngine) Model() Model { return PRAM }
 
 func (e *pramEngine) Submit(u *Update) []*Update {
-	c := u.Write.Client
-	switch {
-	case u.Write.Seq <= e.applied.Get(c):
+	switch next := e.applied.Get(u.Write.Client) + 1; {
+	case u.Write.Seq < next:
 		return nil // duplicate or already superseded by contiguous apply
-	case u.Write.Seq == e.applied.Get(c)+1:
-		e.applied.Set(c, u.Write.Seq)
-		e.out = e.drain(append(e.out[:0], u))
-		return e.out
-	default:
+	case u.Write.Seq > next:
 		e.buffer[u.Write] = u
 		return nil
 	}
-}
-
-// drain appends to out the buffered updates that have become contiguous,
-// repeatedly.
-func (e *pramEngine) drain(out []*Update) []*Update {
-	first := len(out)
-	for progress := true; progress; {
-		progress = false
-		for w, u := range e.buffer {
-			if w.Seq == e.applied.Get(w.Client)+1 {
-				e.applied.Set(w.Client, w.Seq)
-				delete(e.buffer, w)
-				out = append(out, u)
-				progress = true
-			}
+	e.out = e.out[:0]
+	e.release(u)
+	for _, w := range e.ready {
+		if r := e.buffer[w]; r != nil {
+			e.release(r)
 		}
 	}
-	// Map iteration above is nondeterministic across clients (legal: PRAM
-	// orders only per-client), but tests want stable output: sort released
-	// updates by (client, seq) — per-client order is preserved by Seq.
-	if drained := out[first:]; len(drained) > 1 {
-		sort.Slice(drained, func(i, j int) bool { return drained[i].Write.Less(drained[j].Write) })
+	e.ready = e.ready[:0]
+	return e.out
+}
+
+// release hands out u, then walks its client's buffered writes from u's
+// successor on, handing out each until the first gap.
+func (e *pramEngine) release(u *Update) {
+	for w := u.Write; u != nil; u = e.buffer[w] {
+		delete(e.buffer, w)
+		e.applied.Set(w.Client, w.Seq)
+		e.out = append(e.out, u)
+		w.Seq++
 	}
-	return out
 }
 
 func (e *pramEngine) Pending() int { return len(e.buffer) }
@@ -102,73 +94,6 @@ func (e *fifoEngine) Submit(u *Update) []*Update {
 }
 
 func (e *fifoEngine) Pending() int { return 0 }
-
-// causalEngine delivers updates respecting happens-before: an update from
-// client c with dependency vector D is applicable when D[c] == applied[c]+1
-// and D[j] <= applied[j] for every other client j (the standard causal
-// broadcast condition). Clients accumulate their dependency vectors from
-// the stores they read (see Session), which realises the paper's Web-forum
-// example: a reaction is applied only after the message that triggered it.
-type causalEngine struct {
-	appliedSet
-	buffer []*Update
-	out    []*Update // Submit's result, reused
-}
-
-func newCausalEngine() *causalEngine { return &causalEngine{} }
-
-func (e *causalEngine) Model() Model { return Causal }
-
-func (e *causalEngine) Submit(u *Update) []*Update {
-	if u.Write.Seq <= e.applied.Get(u.Write.Client) {
-		return nil // duplicate
-	}
-	if !e.deliverable(u) {
-		e.buffer = append(e.buffer, u)
-		return nil
-	}
-	e.applied.Set(u.Write.Client, u.Write.Seq)
-	e.out = e.drain(append(e.out[:0], u))
-	return e.out
-}
-
-// deliverable checks the causal delivery condition for u.
-func (e *causalEngine) deliverable(u *Update) bool {
-	c := u.Write.Client
-	if u.Write.Seq != e.applied.Get(c)+1 {
-		return false
-	}
-	ok := true
-	u.Deps.Each(func(j ids.ClientID, s uint64) bool {
-		ok = j == c || e.applied.Get(j) >= s
-		return ok
-	})
-	return ok
-}
-
-// drain appends to out the buffered updates that have become deliverable.
-func (e *causalEngine) drain(out []*Update) []*Update {
-	for progress := true; progress; {
-		progress = false
-		rest := e.buffer[:0]
-		for _, u := range e.buffer {
-			switch {
-			case u.Write.Seq <= e.applied.Get(u.Write.Client):
-				progress = true // duplicate flushed
-			case e.deliverable(u):
-				e.applied.Set(u.Write.Client, u.Write.Seq)
-				out = append(out, u)
-				progress = true
-			default:
-				rest = append(rest, u)
-			}
-		}
-		e.buffer = rest
-	}
-	return out
-}
-
-func (e *causalEngine) Pending() int { return len(e.buffer) }
 
 // sequentialEngine applies updates in the single total order chosen by the
 // object's permanent store (which assigns GlobalSeq when it first accepts
@@ -269,21 +194,19 @@ func (e *eventualEngine) newerStamp(u *Update) bool {
 
 func (e *eventualEngine) Pending() int { return 0 }
 
-// Stamps returns a copy of the per-element winning stamps (used by
-// anti-entropy digests).
-func (e *eventualEngine) Stamps() map[string]vclock.Stamp {
-	out := make(map[string]vclock.Stamp, len(e.stamps))
-	for k, v := range e.stamps {
-		out[k] = v
-	}
-	return out
-}
-
 // --- state-transfer seeding ---------------------------------------------------
 
 // Seed implements Engine: contiguous models merge the vector (state covers
 // every write up to it) and drop buffered updates the seed covers.
+// A buffered write the seed makes next in line waits in ready for the next
+// release: releasing it here would bypass the caller's apply path.
 func (e *pramEngine) Seed(v *msg.Vec, _ uint64) {
+	v.Each(func(c ids.ClientID, s uint64) bool {
+		if w := (ids.WiD{Client: c, Seq: s + 1}); s > e.applied.Get(c) && e.buffer[w] != nil {
+			e.ready = append(e.ready, w)
+		}
+		return true
+	})
 	e.applied.Merge(v)
 	for w := range e.buffer {
 		if e.applied.CoversWrite(w) {
@@ -300,21 +223,6 @@ func (e *fifoEngine) Seed(v *msg.Vec, _ uint64) { e.applied.Merge(v) }
 
 // Global implements Engine.
 func (e *fifoEngine) Global() uint64 { return 0 }
-
-// Seed implements Engine.
-func (e *causalEngine) Seed(v *msg.Vec, _ uint64) {
-	e.applied.Merge(v)
-	rest := e.buffer[:0]
-	for _, u := range e.buffer {
-		if u.Write.Seq > e.applied.Get(u.Write.Client) {
-			rest = append(rest, u)
-		}
-	}
-	e.buffer = rest
-}
-
-// Global implements Engine.
-func (e *causalEngine) Global() uint64 { return 0 }
 
 // Seed implements Engine: fast-forward both the applied vector and the
 // total-order position.

@@ -113,6 +113,63 @@ func TestPRAMBuffersGap(t *testing.T) {
 	}
 }
 
+// Closing one client's gap releases that client's run, in order, and
+// nothing of another client's.
+func TestPRAMReleasesOnlyTheClosedRun(t *testing.T) {
+	e := newPRAMEngine()
+	e.Submit(upd(1, 1))
+	for _, u := range []*Update{upd(1, 3), upd(1, 4), upd(2, 2)} {
+		if got := e.Submit(u); got != nil {
+			t.Fatalf("gap applied: %v", collectWiDs(got))
+		}
+	}
+	got := collectWiDs(e.Submit(upd(1, 2)))
+	want := []ids.WiD{{Client: 1, Seq: 2}, {Client: 1, Seq: 3}, {Client: 1, Seq: 4}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("released %v, want %v", got, want)
+	}
+	if e.Pending() != 1 || e.buffer[ids.WiD{Client: 2, Seq: 2}] == nil {
+		t.Fatalf("pending = %d, want client 2's write 2 still buffered", e.Pending())
+	}
+}
+
+// A write a Seed makes next in line is released with the next release, as
+// Seed itself releases nothing.
+func TestPRAMSeedReleasesNextInLineWithNextRelease(t *testing.T) {
+	e := newPRAMEngine()
+	e.Submit(upd(1, 3))
+	e.Submit(upd(1, 4))
+	seed := vecOf(1, 2)
+	e.Seed(&seed, 0)
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d after seed, want 2", e.Pending())
+	}
+	got := collectWiDs(e.Submit(upd(2, 1)))
+	want := []ids.WiD{{Client: 2, Seq: 1}, {Client: 1, Seq: 3}, {Client: 1, Seq: 4}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("released %v, want %v", got, want)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", e.Pending())
+	}
+}
+
+// browse and flashcrowd run PRAM: an in-order write costs the engine no
+// allocation.
+func TestPRAMInOrderSubmitAllocatesNothing(t *testing.T) {
+	e := newPRAMEngine()
+	u := upd(1, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		u.Write.Seq++
+		if len(e.Submit(u)) != 1 {
+			t.Fatalf("in-order write %v not released", u.Write)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("in-order Submit allocates %v times, want 0", allocs)
+	}
+}
+
 func TestPRAMDuplicateDropped(t *testing.T) {
 	e := newPRAMEngine()
 	e.Submit(upd(1, 1))
@@ -229,7 +286,7 @@ func causalUpd(c ids.ClientID, seq uint64, deps msg.Vec) *Update {
 }
 
 func TestCausalWaitsForDependency(t *testing.T) {
-	e := newCausalEngine()
+	e, _ := NewEngine(Causal)
 	// Client 2 reacts to client 1's first post.
 	reaction := causalUpd(2, 1, vecOf(1, 1))
 	if got := e.Submit(reaction); got != nil {
@@ -249,7 +306,7 @@ func TestCausalWaitsForDependency(t *testing.T) {
 }
 
 func TestCausalIndependentConcurrent(t *testing.T) {
-	e := newCausalEngine()
+	e, _ := NewEngine(Causal)
 	// Two concurrent posts: no mutual dependency, either order fine.
 	if got := e.Submit(causalUpd(2, 1, vecOf())); len(got) != 1 {
 		t.Fatalf("concurrent write blocked")
@@ -260,7 +317,7 @@ func TestCausalIndependentConcurrent(t *testing.T) {
 }
 
 func TestCausalDuplicateDropped(t *testing.T) {
-	e := newCausalEngine()
+	e, _ := NewEngine(Causal)
 	u := causalUpd(1, 1, vecOf())
 	e.Submit(u)
 	if got := e.Submit(u); got != nil {
@@ -296,7 +353,7 @@ func TestCausalRandomDeliveryProperty(t *testing.T) {
 		}
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 
-		e := newCausalEngine()
+		e, _ := NewEngine(Causal)
 		var applied msg.Vec
 		count := 0
 		for _, u := range pool {
@@ -414,7 +471,7 @@ func TestEventualLWW(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("eventual must never buffer")
 	}
-	st := e.Stamps()
+	st := e.stamps
 	if st["p"].Time != 20 || st["q"].Time != 1 {
 		t.Fatalf("stamps = %v", st)
 	}
@@ -454,7 +511,7 @@ func TestEventualConvergenceProperty(t *testing.T) {
 			for _, u := range p {
 				e.Submit(u)
 			}
-			results = append(results, e.Stamps())
+			results = append(results, e.stamps)
 		}
 		for r := 1; r < len(results); r++ {
 			if len(results[r]) != len(results[0]) {
@@ -495,6 +552,51 @@ func TestDepGuardBuffersUntilCovered(t *testing.T) {
 	}
 	if g.Pending() != 0 {
 		t.Fatalf("pending after drain = %d", g.Pending())
+	}
+}
+
+// An eventual write that loses its LWW race is applied without being
+// released; it still covers the writes that depend on it.
+func TestDepGuardReleasesOnLWWLoss(t *testing.T) {
+	g := NewDepGuard(newEventualEngine())
+	if got := g.Submit(stampUpd(3, 1, 100, "p")); len(got) != 1 {
+		t.Fatalf("first write: %v", collectWiDs(got))
+	}
+	dep := stampUpd(2, 1, 20, "q")
+	dep.Deps = &msg.Vec{}
+	dep.Deps.Set(1, 1)
+	if got := g.Submit(dep); got != nil {
+		t.Fatalf("dependent write applied early")
+	}
+	got := g.Submit(stampUpd(1, 1, 10, "p")) // older than c3#1 on p: loses
+	if len(got) != 1 || got[0] != dep {
+		t.Fatalf("release: %v, want [c2#1]", collectWiDs(got))
+	}
+	if g.Pending() != 0 {
+		t.Fatalf("pending = %d", g.Pending())
+	}
+}
+
+// A seed that covers a buffered write's dependencies lets the next forwarded
+// write release it, even one the inner engine only buffers.
+func TestDepGuardSeedThenSubmitReleasesBuffered(t *testing.T) {
+	g := NewDepGuard(newPRAMEngine())
+	u5 := upd(1, 5)
+	u5.Deps = &msg.Vec{}
+	u5.Deps.Set(2, 3)
+	if got := g.Submit(u5); got != nil {
+		t.Fatalf("dependent write applied early")
+	}
+	var seed msg.Vec
+	seed.Set(1, 4)
+	seed.Set(2, 3)
+	g.Seed(&seed, 0)
+	got := g.Submit(upd(1, 6))
+	if ws := collectWiDs(got); len(ws) != 2 || ws[0] != (ids.WiD{Client: 1, Seq: 5}) || ws[1] != (ids.WiD{Client: 1, Seq: 6}) {
+		t.Fatalf("release: %v, want [c1#5 c1#6]", ws)
+	}
+	if g.Pending() != 0 {
+		t.Fatalf("pending = %d", g.Pending())
 	}
 }
 

@@ -50,21 +50,6 @@ func NewSession(c ids.ClientID, models ...ClientModel) *Session {
 // Client returns the session's client ID.
 func (s *Session) Client() ids.ClientID { return s.client }
 
-// Enabled reports whether model m is enabled.
-func (s *Session) Enabled(m ClientModel) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.models[m]
-}
-
-// Enable turns on a client model mid-session (the paper allows requesting
-// models at bind time; enabling later only strengthens guarantees).
-func (s *Session) Enable(m ClientModel) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.models[m] = true
-}
-
 // SeedSeq advances the write counter to at least seq. Binds call it with
 // the store's applied sequence for this client, so a returning client (a
 // new process reusing a persistent client identity) resumes after its last
@@ -233,13 +218,6 @@ func (s *Session) ReadDone(storeApplied msg.Vec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.readVec.Merge(&storeApplied)
-}
-
-// LastWrite returns the RYW dependency (zero if the client has not written).
-func (s *Session) LastWrite() ids.Dependency {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastWrite
 }
 
 // Seq returns the number of writes issued so far.

@@ -87,17 +87,6 @@ func TestSessionWritesFollowReadsDeps(t *testing.T) {
 	}
 }
 
-func TestSessionEnable(t *testing.T) {
-	s := NewSession(1)
-	if s.Enabled(ReadYourWrites) {
-		t.Fatalf("model enabled by default")
-	}
-	s.Enable(ReadYourWrites)
-	if !s.Enabled(ReadYourWrites) {
-		t.Fatalf("Enable did not stick")
-	}
-}
-
 func TestSessionCombinedRYWAndMR(t *testing.T) {
 	s := NewSession(2, ReadYourWrites, MonotonicReads)
 	w, _ := s.NextWrite()

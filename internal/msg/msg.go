@@ -638,7 +638,3 @@ func decodeInto(m *Message, b []byte, alias bool) error {
 	}
 	return nil
 }
-
-// WireSize returns the encoded size of m in bytes without encoding; used by
-// the metrics layer for byte accounting.
-func WireSize(m *Message) int { return wireSize(m) }

@@ -149,8 +149,8 @@ func TestEncodingDeterministic(t *testing.T) {
 
 func TestWireSizeMatchesEncoding(t *testing.T) {
 	m := sampleMessage()
-	if got, want := WireSize(m), len(Encode(m)); got != want {
-		t.Fatalf("WireSize = %d, want %d", got, want)
+	if got, want := wireSize(m), len(Encode(m)); got != want {
+		t.Fatalf("wireSize = %d, want %d", got, want)
 	}
 }
 
@@ -272,8 +272,8 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestBatchWireSizeMatchesEncoding(t *testing.T) {
 	m := sampleBatchMessage()
-	if got, want := WireSize(m), len(Encode(m)); got != want {
-		t.Fatalf("WireSize = %d, want %d", got, want)
+	if got, want := wireSize(m), len(Encode(m)); got != want {
+		t.Fatalf("wireSize = %d, want %d", got, want)
 	}
 }
 

@@ -99,9 +99,6 @@ func (h *Hist) Max() int64 {
 	return h.max.Load()
 }
 
-// MaxDuration returns Max as a time.Duration.
-func (h *Hist) MaxDuration() time.Duration { return time.Duration(h.Max()) }
-
 // Quantile returns the q-quantile (q in [0,1]) with <=3.1% relative error.
 func (h *Hist) Quantile(q float64) int64 {
 	if h == nil {
@@ -123,11 +120,6 @@ func (h *Hist) Quantile(q float64) int64 {
 		}
 	}
 	return h.Max()
-}
-
-// QuantileDuration returns Quantile as a time.Duration.
-func (h *Hist) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q))
 }
 
 // CountAtMost returns the number of observations whose bucket lies entirely

@@ -191,7 +191,7 @@ func TestStatsCounters(t *testing.T) {
 	a, _ := n.Endpoint("a")
 	b, _ := n.Endpoint("b")
 	m := testMsg(msg.KindInvalidate, "payload")
-	size := uint64(msg.WireSize(m))
+	size := uint64(len(msg.Encode(m)))
 	if err := a.Send("b", m); err != nil {
 		t.Fatal(err)
 	}

@@ -465,13 +465,6 @@ func (s *System) dropRegistration(object ObjectID, addr string) {
 // Systems sharing one fabric.
 var nextResolverEP atomic.Uint64
 
-// NewSystemWithNetwork creates a simulated deployment with memnet options
-// (seed, default link profile). Shorthand for
-// NewSystem(WithFabric(NewMemFabric(opts...))).
-func NewSystemWithNetwork(opts ...memnet.Option) *System {
-	return NewSystem(WithFabric(NewMemFabric(opts...)))
-}
-
 // Network exposes the underlying simulated network (link shaping, traffic
 // statistics) when the system runs over a memnet fabric, and nil otherwise.
 func (s *System) Network() *memnet.Network {

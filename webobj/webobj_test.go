@@ -245,7 +245,7 @@ func TestDeepHierarchyPreservesBatches(t *testing.T) {
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sys := webobj.NewSystemWithNetwork(memnet.WithSeed(1))
+	sys := webobj.NewSystem(webobj.WithFabric(webobj.NewMemFabric(memnet.WithSeed(1))))
 	t.Cleanup(func() { _ = sys.Close() })
 	server, err := sys.NewServer("www")
 	if err != nil {
