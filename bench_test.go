@@ -1284,9 +1284,10 @@ func BenchmarkName_OpenByName(b *testing.B) {
 }
 
 // BenchmarkName_DirectorySyncIdle measures the steady-state cost of
-// directory anti-entropy between two naming peers holding a populated
-// directory with nothing changing: bytes/sec and digest frames/sec on an
-// idle deployment (the naming analogue of Digest_IdleNetworkOverhead).
+// directory gossip between two naming peers holding a populated directory
+// with nothing changing: bytes/sec, gossip digests/sec and gossip
+// replies/sec on an idle deployment (the naming analogue of
+// Digest_IdleNetworkOverhead). Converged peers answer a digest with nothing.
 func BenchmarkName_DirectorySyncIdle(b *testing.B) {
 	net := memnet.New(memnet.WithSeed(1))
 	defer net.Close()
@@ -1326,8 +1327,8 @@ func BenchmarkName_DirectorySyncIdle(b *testing.B) {
 	s := net.Stats()
 	secs := (time.Duration(b.N) * window).Seconds()
 	b.ReportMetric(float64(s.Bytes)/secs, "idleB/sec")
-	b.ReportMetric(float64(s.ByKind[msg.KindNameDigest])/secs, "digests/sec")
-	b.ReportMetric(float64(s.ByKind[msg.KindNameSync])/secs, "syncs/sec")
+	b.ReportMetric(float64(s.ByKind[msg.KindGossip])/secs, "digests/sec")
+	b.ReportMetric(float64(s.ByKind[msg.KindGossipReply])/secs, "replies/sec")
 }
 
 // --- durable stores (WAL + recovery) ------------------------------------------

@@ -1,7 +1,7 @@
 // Command globens is the standalone name server: the networked
 // naming/location service daemons register their objects with, clients
-// resolve through, and identifier leases come from. Several instances
-// replicate their directory by digest anti-entropy and stripe the
+// resolve through, and identifier leases come from. Several instances hold
+// replicas of one directory object, kept in sync by gossip, and stripe the
 // identifier lease space, so any of them can serve any daemon.
 //
 // Single server:
@@ -43,7 +43,7 @@ func run() error {
 		peers  = flag.String("peers", "", "comma-separated peer name-server addresses")
 		index  = flag.Int("index", 1, "this server's 1-based index in the peer group (lease striping)")
 		total  = flag.Int("total", 1, "total servers in the peer group")
-		sync   = flag.Duration("sync", 500*time.Millisecond, "peer directory-sync (digest) interval")
+		sync   = flag.Duration("sync", 500*time.Millisecond, "directory gossip interval between peers")
 		lease  = flag.Duration("lease-ttl", 0, "contact-point lease TTL: registrations from daemons that stop heartbeating expire out of resolution after this long (0 disables)")
 	)
 	flag.Parse()

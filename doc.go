@@ -49,28 +49,32 @@
 // resolved contact point invalidates, re-resolves, and retries once at the
 // next replica.
 //
-// Naming peers replicate the directory with the same digest/anti-entropy
-// pattern the replica layer uses for object state: every item (entry
-// upsert/tombstone, metadata update, write-sequence floor, lease cursor)
-// carries a two-part stamp — a witnessed Lamport time that orders
-// conflicting edits (last-writer-wins per key), and the origin's private
-// CONTIGUOUS item sequence, which is what makes anti-entropy exact: peers
-// advertise per-origin contiguous floors (KindNameDigest) on a jittered
-// interval, so a lost push pins the floor and the holder keeps re-shipping
-// the tail (KindNameSync, chunked) until the hole fills — a max-based
-// vector would jump the hole and hide the loss forever. Identifier
-// allocation is leased: daemons draw client/store ID ranges
-// (NextClient/NextStore) striped across the peer group, so identities are
-// globally unique with no coordination on the allocation path; each
-// server's allocation cursor and item counter replicate as directory items,
-// and a restarting peer answers StatusRetry (clients fail over and retry)
-// until it has recovered them from a peer or a grace period elapses, so a
-// restart does not re-issue ranges daemons already hold. The service also
-// keeps a replicated per-client write-sequence floor, reported when a
-// pinned-identity session closes; binds seed the session's write counter
-// from max(bound store's applied vector, floor), closing the
-// covered-write-ID reissue a reused identity hit when binding a lagging
-// replica.
+// The directory is itself a Web object, and internal/nameserv is its naming
+// front end. Every name server holds one replica of it: a
+// replication.Object under the mirrored-site strategy (§3.1's leaderless
+// mirrors, eventual model) over an unmodified kvstore, gossiping with the
+// configured peers. Each edit — a registration, deregistration, expiry,
+// renewal, floor report or lease-cursor step — is an ordinary write on the
+// server's own client identity, so peers converge by per-key
+// last-writer-wins, a deletion's stamp keeps a removed contact point
+// removed, and a gossip the retained log cannot answer gets the whole
+// object, as a demand does. That whole state carries each key's winning
+// stamp, and the receiver merges it key by key under last-writer-wins, so
+// servers split for longer than the log reaches lose no edit. Keys: e/<object>/<addr> (an entry),
+// m/<object> (metadata), l/<origin>/<kind> (a lease cursor, written only by
+// its origin) and f/<client>/<origin> (a floor as reported at one server;
+// the floor is the max over origins, since last-writer-wins on one shared
+// key could let an older, larger report lose). Identifier allocation is
+// leased: daemons draw client/store ID ranges (NextClient/NextStore)
+// striped across the peer group, so identities are globally unique with no
+// coordination on the allocation path. A restarting peer answers
+// StatusRetry (clients fail over and retry) until a peer's gossip shows
+// nothing it lacks or a grace period elapses, so it recovers its lease
+// cursors before allocating, and its writes continue above its old stream.
+// The per-client write-sequence floor is reported when a pinned-identity
+// session closes; binds seed the session's write counter from max(bound
+// store's applied vector, floor), closing the covered-write-ID reissue a
+// reused identity hit when binding a lagging replica.
 //
 // Daemons are multi-object: globed loads a manifest (stores × objects) or
 // accepts the control RPC (KindCtrlRequest served by System.ServeControl,
@@ -82,8 +86,12 @@
 //
 // Messages travel as version-prefixed binary frames (internal/msg). Wire
 // version 5 (this revision) added the name-service kinds — KindNameRegister,
-// KindNameDeregister, KindNameResolve, KindNameLease, KindNameReply,
-// KindNameDigest, KindNameSync — and the daemon-control kinds
+// KindNameDeregister, KindNameResolve, KindNameLease, KindNameReply, and two
+// directory-sync kinds since retired (their numbers stay unassigned, and a
+// frame carrying one fails to decode; the register and resolve items in
+// their payloads lost their 20-byte stamp at the same time, and an item
+// that names no object, or an entry no address, fails to decode, so an
+// older payload is refused, not registered) — and the daemon-control kinds
 // (KindCtrlRequest/KindCtrlReply). Version 4 added the KindDigest kind —
 // the anti-entropy heartbeat frame, carrying a store's applied vector in
 // VVec (see the anti-entropy section below). Version 3 appended the Sem

@@ -147,6 +147,19 @@ type Engine interface {
 	Global() uint64
 }
 
+// PageStamps is implemented by an engine that orders each page on its own,
+// by stamp: the eventual engine. A whole state sent between such replicas
+// carries every page's winning stamp, tombstones included, so a receiver
+// that holds writes the sender lacks merges the state page by page under
+// last-writer-wins instead of replacing them.
+type PageStamps interface {
+	// EachStamp calls f with every page's winning stamp.
+	EachStamp(f func(page string, s vclock.Stamp))
+	// MergeStamp records s as page's winning stamp if it beats the current
+	// one. The engine keeps page: the caller passes a string it owns.
+	MergeStamp(page string, s vclock.Stamp)
+}
+
 // DepsOf is the Deps of an update whose frame carries dependency vector v: a
 // copy of v, or nil when v is empty.
 func DepsOf(v *msg.Vec) *msg.Vec {

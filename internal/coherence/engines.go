@@ -125,23 +125,17 @@ func (e *sequentialEngine) Submit(u *Update) []*Update {
 		e.buffer[u.GlobalSeq] = u
 		return nil
 	}
-	e.out = append(e.out[:0], u)
-	e.apply(u)
-	for {
-		nxt, ok := e.buffer[e.nextGlobal]
-		if !ok {
-			break
-		}
-		delete(e.buffer, e.nextGlobal)
-		e.apply(nxt)
-		e.out = append(e.out, nxt)
+	// Release u, then walk the buffer from its successor on. Each released
+	// key is deleted, u's own too: a Seed can move nextGlobal onto a write
+	// still buffered, and its redelivery is what releases it.
+	e.out = e.out[:0]
+	for ; u != nil; u = e.buffer[e.nextGlobal] {
+		delete(e.buffer, u.GlobalSeq)
+		e.nextGlobal = u.GlobalSeq + 1
+		e.applied.Bump(u.Write.Client, u.Write.Seq)
+		e.out = append(e.out, u)
 	}
 	return e.out
-}
-
-func (e *sequentialEngine) apply(u *Update) {
-	e.nextGlobal = u.GlobalSeq + 1
-	e.applied.Bump(u.Write.Client, u.Write.Seq)
 }
 
 func (e *sequentialEngine) Pending() int { return len(e.buffer) }
@@ -242,9 +236,23 @@ func (e *sequentialEngine) Seed(v *msg.Vec, global uint64) {
 func (e *sequentialEngine) Global() uint64 { return e.nextGlobal }
 
 // Seed implements Engine. Snapshot state is authoritative for its vector;
-// per-element stamps are unknown, so LWW continues from the stamps seen in
-// subsequent updates.
+// its pages' stamps arrive through MergeStamp when the sender sent them, and
+// otherwise LWW continues from the stamps seen in subsequent updates.
 func (e *eventualEngine) Seed(v *msg.Vec, _ uint64) { e.applied.Merge(v) }
+
+// EachStamp implements PageStamps.
+func (e *eventualEngine) EachStamp(f func(page string, s vclock.Stamp)) {
+	for page, s := range e.stamps {
+		f(page, s)
+	}
+}
+
+// MergeStamp implements PageStamps.
+func (e *eventualEngine) MergeStamp(page string, s vclock.Stamp) {
+	if cur, ok := e.stamps[page]; !ok || cur.Less(s) {
+		e.stamps[page] = s
+	}
+}
 
 // Global implements Engine.
 func (e *eventualEngine) Global() uint64 { return 0 }

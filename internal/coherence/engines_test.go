@@ -408,6 +408,25 @@ func TestSequentialTotalOrder(t *testing.T) {
 	}
 }
 
+// A Seed that moves the sequencer position onto a buffered write leaves that
+// write waiting for its redelivery; the redelivery releases it, and the
+// buffered copy goes with it, so nothing stays pending.
+func TestSequentialSeedOntoBufferedWriteDrains(t *testing.T) {
+	e := newSequentialEngine()
+	e.Submit(seqUpd(1, 2, 2))
+	seed := vecOf(1, 1)
+	e.Seed(&seed, 2)
+	if got := collectWiDs(e.Submit(seqUpd(1, 2, 2))); len(got) != 1 || got[0] != (ids.WiD{Client: 1, Seq: 2}) {
+		t.Fatalf("redelivery released %v, want c1:2", got)
+	}
+	if got := collectWiDs(e.Submit(seqUpd(1, 3, 3))); len(got) != 1 || got[0] != (ids.WiD{Client: 1, Seq: 3}) {
+		t.Fatalf("next write released %v, want c1:3", got)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", e.Pending())
+	}
+}
+
 // Property: all sequential replicas apply the identical total order no
 // matter the delivery permutation.
 func TestSequentialSameOrderEverywhereProperty(t *testing.T) {

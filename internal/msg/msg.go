@@ -51,16 +51,16 @@ const (
 	KindDigest
 	// Name-service kinds (wire v5): the networked naming/location protocol
 	// of internal/nameserv. Register/Deregister/Resolve/Lease are
-	// client→server RPCs answered by KindNameReply; Digest and Sync are the
-	// server↔server directory anti-entropy (the same vector-digest pattern
-	// the replica heartbeats use, applied to name records).
+	// client→server RPCs answered by KindNameReply. Name servers replicate
+	// the directory among themselves with the gossip kinds above; the two
+	// retired numbers were the directory's own digest and sync frames.
 	KindNameRegister
 	KindNameDeregister
 	KindNameResolve
 	KindNameLease
 	KindNameReply
-	KindNameDigest
-	KindNameSync
+	_
+	_
 	// Control kinds (wire v5): the daemon control RPC (host/drop a replica
 	// at runtime) served by webobj.System.ServeControl.
 	KindCtrlRequest
@@ -73,7 +73,7 @@ const (
 const KindCount = int(kindMax)
 
 //globelint:wiresym type=Kind role=names exempt=kindMax
-var kindNames = map[Kind]string{
+var kindNames = [KindCount]string{
 	KindBindRequest:  "bind-request",
 	KindBindReply:    "bind-reply",
 	KindSubscribe:    "subscribe",
@@ -100,22 +100,21 @@ var kindNames = map[Kind]string{
 	KindNameResolve:    "name-resolve",
 	KindNameLease:      "name-lease",
 	KindNameReply:      "name-reply",
-	KindNameDigest:     "name-digest",
-	KindNameSync:       "name-sync",
 	KindCtrlRequest:    "ctrl-request",
 	KindCtrlReply:      "ctrl-reply",
 }
 
 // String names the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k.Valid() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Valid reports whether k is a defined message kind.
-func (k Kind) Valid() bool { return k >= KindBindRequest && k < kindMax }
+// Valid reports whether k is a defined message kind: in range, and not a
+// retired number.
+func (k Kind) Valid() bool { return int(k) < len(kindNames) && kindNames[k] != "" }
 
 // Status codes carried in replies.
 type Status uint8

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,7 +115,16 @@ func TestReplyCorrelation(t *testing.T) {
 }
 
 func TestKindAndStatusStrings(t *testing.T) {
+	// The retired name-service digest and sync numbers stay unassigned, so
+	// the control kinds keep their wire numbers.
+	retired := map[Kind]bool{KindNameReply + 1: true, KindNameReply + 2: true}
 	for k := KindBindRequest; k < kindMax; k++ {
+		if retired[k] {
+			if k.Valid() || k.String() != fmt.Sprintf("Kind(%d)", k) {
+				t.Fatalf("retired kind %d is valid or named %q", k, k)
+			}
+			continue
+		}
 		if !k.Valid() {
 			t.Fatalf("kind %d should be valid", k)
 		}
@@ -159,6 +169,9 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 func quickMessage(kind uint8, obj, from, to, page, errStr string, netSeq, wSeq, gSeq, sTime, wall uint64,
 	client, store, wClient uint32, method uint16, args, payload []byte, vv map[uint8]uint16, pages []string) *Message {
 	k := Kind(kind%uint8(kindMax-1)) + KindBindRequest
+	for !k.Valid() {
+		k++ // past a retired number
+	}
 	m := &Message{
 		Kind:      k,
 		Object:    ids.ObjectID(obj),
@@ -289,6 +302,9 @@ func TestBatchTruncationDetected(t *testing.T) {
 // TestAllKindsRoundTrip exercises the codec for every defined kind.
 func TestAllKindsRoundTrip(t *testing.T) {
 	for k := KindBindRequest; k < kindMax; k++ {
+		if !k.Valid() {
+			continue // a retired number (TestKindAndStatusStrings)
+		}
 		m := sampleMessage()
 		m.Kind = k
 		if k == KindUpdateBatch {

@@ -290,15 +290,12 @@ func TestFloorReplication(t *testing.T) {
 	}
 }
 
-// TestItemCodecRoundTrip round-trips every item kind through the sync wire.
+// TestItemCodecRoundTrip round-trips every item kind through the wire.
 func TestItemCodecRoundTrip(t *testing.T) {
 	strat := strategy.Whiteboard()
 	in := []Item{
-		{Kind: itemEntry, Object: "o1", Entry: naming.Entry{Addr: "a:1", Store: 9, Role: replication.RoleObjectInitiated},
-			Dead: true, Stamp: Stamp{Origin: 2, Seq: 7}},
-		{Kind: itemMeta, Object: "o2", Meta: naming.Meta{Sem: "applog", Strat: strat, HasStrat: true, Models: []string{"wfr"}},
-			Stamp: Stamp{Origin: 1, Seq: 3}},
-		{Kind: itemFloor, Client: 12, FloorSeq: 99, Stamp: Stamp{Origin: 3, Seq: 11}},
+		{Kind: itemEntry, Object: "o1", Entry: naming.Entry{Addr: "a:1", Store: 9, Role: replication.RoleObjectInitiated}},
+		{Kind: itemMeta, Object: "o2", Meta: naming.Meta{Sem: "applog", Strat: strat, HasStrat: true, Models: []string{"wfr"}}},
 	}
 	out, err := DecodeItems(EncodeItems(in))
 	if err != nil {
@@ -307,15 +304,12 @@ func TestItemCodecRoundTrip(t *testing.T) {
 	if len(out) != len(in) {
 		t.Fatalf("got %d items, want %d", len(out), len(in))
 	}
-	if out[0].Entry != in[0].Entry || !out[0].Dead || out[0].Stamp != in[0].Stamp || out[0].Object != "o1" {
+	if out[0].Entry != in[0].Entry || out[0].Object != "o1" {
 		t.Fatalf("entry item: %+v", out[0])
 	}
 	if out[1].Meta.Sem != "applog" || !out[1].Meta.HasStrat || out[1].Meta.Strat != strat ||
 		len(out[1].Meta.Models) != 1 || out[1].Meta.Models[0] != "wfr" {
 		t.Fatalf("meta item: %+v", out[1])
-	}
-	if out[2].Client != 12 || out[2].FloorSeq != 99 {
-		t.Fatalf("floor item: %+v", out[2])
 	}
 	// Corrupt counts must not panic or over-allocate.
 	if _, err := DecodeItems([]byte{0xff, 0xff, 0x01}); err == nil {

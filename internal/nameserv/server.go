@@ -1,17 +1,26 @@
 package nameserv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"net/url"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/coherence"
+	"repro/internal/control"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/naming"
+	"repro/internal/replication"
+	"repro/internal/semantics/kvstore"
+	"repro/internal/strategy"
 	"repro/internal/transport"
 )
 
@@ -32,77 +41,57 @@ type Config struct {
 	Name   string
 	// Index/Total place this server in the naming peer group for lease
 	// striping: server Index of Total (1-based) allocates only the ranges
-	// whose index ≡ Index-1 (mod Total). Zero values mean a single server.
+	// whose index ≡ Index-1 (mod Total). Index is also the server's writer
+	// identity in the directory. Zero values mean a single server.
 	Index, Total int
-	// Peers lists the other name servers' addresses for directory
-	// anti-entropy.
+	// Peers lists the other name servers' addresses: the directory
+	// replica's gossip peers.
 	Peers []string
-	// SyncInterval is the peer digest period (default 500ms; negative
-	// disables anti-entropy — single-server deployments pay nothing).
+	// SyncInterval is the directory's gossip period (default 500ms;
+	// negative disables peering — single-server deployments pay nothing).
 	SyncInterval time.Duration
 	// LeaseSpan is the number of identifiers per lease (default 64).
 	LeaseSpan uint64
 	// LeaseTTL makes registrations renewable leases: a contact point whose
 	// entries are not renewed (opRenewContact) within the TTL is expired —
-	// tombstoned exactly like a deregistration and replicated to peers, so
+	// deleted exactly like a deregistration and replicated to peers, so
 	// resolution stops returning dead replicas within one lease period.
 	// Zero disables expiry (the default; registrations live forever).
 	LeaseTTL time.Duration
 	Clock    clock.Clock
 }
 
-// entryState is one contact point with its replication stamp. seen is the
-// local wall time the entry was last applied or renewed: every server runs
-// its own expiry clock against it, and renewals replicate as re-stamped
-// entry items that refresh seen wherever they apply.
+// directory names the replicated object every name server holds a replica
+// of.
+const directory ids.ObjectID = "dir"
+
+// Lease kinds: the <kind> of a lease cursor key.
+const (
+	leaseClients = "clients"
+	leaseStores  = "stores"
+)
+
+// entryState is one live contact point. seen is the local wall time its key
+// was last applied — registered, renewed, or installed with a whole state:
+// every server runs its own expiry clock against it.
 type entryState struct {
-	e     naming.Entry
-	dead  bool
-	stamp Stamp
-	seen  time.Time
+	e    naming.Entry
+	seen time.Time
 }
 
-// objState is the directory's record of one object.
+// objState is the decoded record of one object.
 type objState struct {
-	entries   map[string]*entryState // by address
-	meta      naming.Meta
-	metaStamp Stamp
-	hasMeta   bool
-	version   uint64 // bumped on every applied change; clients cache against it
-}
-
-// floorState is one client identity's replicated write-sequence floor.
-type floorState struct {
-	seq   uint64
-	stamp Stamp
-}
-
-// originState tracks how much of one origin's contiguous item stream this
-// server has: floor is the highest seq below which EVERY item was applied;
-// ahead holds applied seqs above a hole. The advertised digest carries
-// floors, so a lost item pins the floor and peers keep re-shipping the
-// tail until the hole fills — exact gap detection, the property a max-based
-// vector cannot give (see Stamp).
-type originState struct {
-	floor uint64
-	ahead map[uint64]bool
-}
-
-// leaseState is one origin's replicated allocation cursor for one lease
-// kind (next unallocated range index). Replicating it lets a restarted
-// naming peer recover where it left off from its peers instead of
-// re-issuing ranges daemons already hold.
-type leaseState struct {
-	next  uint64
-	stamp Stamp
+	entries map[string]entryState // live contact points, by address
+	meta    naming.Meta
+	hasMeta bool
+	version uint64 // bumped on every applied change; clients cache against it
 }
 
 // Server is a networked naming/location service instance. All state is
 // confined to the event loop goroutine.
 type Server struct {
-	cfg  Config
-	self uint32
-	ep   transport.Endpoint
+	cfg Config
+	ep  transport.Endpoint
 
 	events  chan func()
 	done    chan struct{}
@@ -111,33 +100,29 @@ type Server struct {
 	mu      sync.Mutex
 	closed  bool
 
-	// Event-loop state.
-	dir     map[ids.ObjectID]*objState
-	floors  map[ids.ClientID]*floorState
-	origins map[uint32]*originState
-	lamport uint64 // LWW clock, witnessed across servers
-	itemSeq uint64 // own contiguous item counter (recovered from peers on restart)
-
-	// leases maps (origin, lease kind) → that origin's allocation cursor.
-	leases map[uint32]map[ids.ClientID]*leaseState
+	// Event-loop state: the directory replica, its kvstore, and the decoded
+	// index of its e/, m/ and f/ keys (index).
+	repl   *replication.Object
+	kv     *kvstore.Store
+	self   ids.ClientID // this server's writer identity
+	seq    uint64       // the last write sequence this server issued
+	objs   map[ids.ObjectID]*objState
+	floors map[ids.ClientID]uint64
 
 	pinnedClients map[ids.ClientID]bool
 	pinnedStores  map[ids.StoreID]bool
 
 	// ready gates the serving RPCs: a server with peers answers
-	// StatusRetry (clients fail over) until one sync exchange completed or
-	// a grace period elapsed, so a restarted peer first recovers its item
-	// counter and lease cursors instead of originating with a reset one.
+	// StatusRetry (clients fail over) until a peer's gossip showed nothing
+	// it lacks or a grace period elapsed, so a restarted peer first recovers
+	// its lease cursors instead of reissuing ranges daemons hold.
 	ready bool
 
-	syncArmed bool
-	syncTimer clock.Timer
-	syncRNG   *rand.Rand
-
-	// Lease liveness (LeaseTTL > 0): the expiry sweep timer and the
-	// lifetime count of entries this server tombstoned for silence.
+	// Lease liveness (LeaseTTL > 0): the expiry sweep timer, its jitter
+	// source, and the lifetime count of entries this server expired.
 	expireArmed    bool
 	expireTimer    clock.Timer
+	expireRNG      *rand.Rand
 	recordsExpired uint64
 }
 
@@ -175,20 +160,37 @@ func NewServer(cfg Config) (*Server, error) {
 	_, _ = h.Write([]byte(ep.Addr()))
 	s := &Server{
 		cfg:           cfg,
-		self:          uint32(cfg.Index),
 		ep:            ep,
 		events:        make(chan func(), 256),
 		done:          make(chan struct{}),
 		stopped:       make(chan struct{}),
-		dir:           make(map[ids.ObjectID]*objState),
-		floors:        make(map[ids.ClientID]*floorState),
-		origins:       make(map[uint32]*originState),
-		leases:        make(map[uint32]map[ids.ClientID]*leaseState),
+		kv:            kvstore.New(),
+		self:          ids.ClientID(cfg.Index),
+		objs:          make(map[ids.ObjectID]*objState),
+		floors:        make(map[ids.ClientID]uint64),
 		pinnedClients: make(map[ids.ClientID]bool),
 		pinnedStores:  make(map[ids.StoreID]bool),
-		syncRNG:       rand.New(rand.NewSource(int64(h.Sum64()))),
+		expireRNG:     rand.New(rand.NewSource(int64(h.Sum64()))),
+	}
+	// A lone server gossips with nobody, so its period only has to be valid.
+	s.repl, err = replication.New(replication.Config{
+		Env:    dirEnv{Control: control.New(s.kv), s: s},
+		Object: directory,
+		Self:   ids.StoreID(cfg.Index),
+		Addr:   ep.Addr(),
+		Role:   replication.RoleObjectInitiated,
+		Strat:  strategy.MirroredSite(max(cfg.SyncInterval, time.Millisecond)),
+	})
+	if err != nil {
+		_ = ep.Close()
+		return nil, err
 	}
 	peered := len(cfg.Peers) > 0 && cfg.SyncInterval > 0
+	if peered {
+		for _, p := range cfg.Peers {
+			s.repl.AddPeer(p)
+		}
+	}
 	s.ready = !peered
 	s.wg.Add(1)
 	go s.loop()
@@ -196,14 +198,9 @@ func NewServer(cfg Config) (*Server, error) {
 		s.post(func() { s.armExpire() })
 	}
 	if peered {
-		s.post(func() {
-			s.armSync()
-			s.syncRound() // solicit recovery state immediately
-		})
 		// Become ready unconditionally after a grace period: peers may all
 		// be down, and a lone survivor must still serve.
-		grace := 2 * cfg.SyncInterval
-		cfg.Clock.AfterFunc(grace, func() {
+		cfg.Clock.AfterFunc(2*cfg.SyncInterval, func() {
 			s.post(func() { s.ready = true })
 		})
 	}
@@ -246,6 +243,22 @@ func (s *Server) post(f func()) bool {
 	}
 }
 
+// onLoop runs f on the event loop and waits for it. It reports false when
+// the loop stopped first (Close, or the endpoint died under a shared
+// fabric), so a closure that will never run does not strand its caller.
+func (s *Server) onLoop(f func()) bool {
+	ch := make(chan struct{})
+	if !s.post(func() { f(); close(ch) }) {
+		return false
+	}
+	select {
+	case <-ch:
+		return true
+	case <-s.stopped:
+		return false
+	}
+}
+
 // loop is the server's single event goroutine. stopped is closed on every
 // exit path — including the endpoint's recv channel closing underneath us
 // (a shared fabric torn down first) — so posted closures that will never
@@ -253,13 +266,11 @@ func (s *Server) post(f func()) bool {
 func (s *Server) loop() {
 	defer s.wg.Done()
 	defer close(s.stopped)
+	defer s.repl.Close()
 	recv := s.ep.Recv()
 	for {
 		select {
 		case <-s.done:
-			if s.syncTimer != nil {
-				s.syncTimer.Stop()
-			}
 			if s.expireTimer != nil {
 				s.expireTimer.Stop()
 			}
@@ -282,6 +293,14 @@ func (s *Server) dispatch(m *msg.Message) {
 			s.replyErr(m, msg.StatusRetry, "name server recovering from peers; retry another server")
 			return
 		}
+	case msg.KindGossip, msg.KindGossipReply:
+		// A peer's digest that shows nothing we lack ends the recovery gate:
+		// the directory, lease cursors included, is back. A routine update
+		// proves nothing of the kind.
+		if !s.ready && m.Object == directory {
+			known := s.repl.Applied()
+			s.ready = known.Covers(&m.VVec)
+		}
 	}
 	switch m.Kind {
 	case msg.KindNameRegister:
@@ -292,199 +311,185 @@ func (s *Server) dispatch(m *msg.Message) {
 		s.onResolve(m)
 	case msg.KindNameLease:
 		s.onLease(m)
-	case msg.KindNameDigest:
-		s.onDigest(m)
-	case msg.KindNameSync:
-		// Deliberately does NOT end the recovery gate: a routine push from
-		// a peer proves nothing about how much of the directory (lease
-		// cursors included) we have back. Readiness comes from a digest
-		// comparison showing we are caught up (onDigest) or the grace
-		// timer.
-		s.onSync(m)
-	}
-}
-
-// stamp mints the next local stamp: a witnessed Lamport time for LWW plus
-// the origin's private contiguous item seq for anti-entropy coverage.
-func (s *Server) stamp() Stamp {
-	s.lamport++
-	s.itemSeq++
-	return Stamp{Time: s.lamport, Origin: s.self, Seq: s.itemSeq}
-}
-
-// witness folds an applied stamp into the Lamport clock (so later local
-// edits order after everything seen) and into the per-origin coverage
-// state. Receiving our OWN items back from a peer fast-forwards the item
-// counter — that is how a restarted server resumes its contiguous stream
-// instead of re-originating from 1.
-func (s *Server) witness(st Stamp) {
-	if st.Time > s.lamport {
-		s.lamport = st.Time
-	}
-	if st.Origin == s.self && st.Seq > s.itemSeq {
-		s.itemSeq = st.Seq
-	}
-	s.markApplied(st.Origin, st.Seq)
-}
-
-// markApplied records one origin item as received, advancing the floor
-// through any now-contiguous run.
-func (s *Server) markApplied(origin uint32, seq uint64) {
-	o := s.origins[origin]
-	if o == nil {
-		o = &originState{}
-		s.origins[origin] = o
-	}
-	switch {
-	case seq <= o.floor:
-		return // duplicate
-	case seq == o.floor+1:
-		o.floor = seq
-		for o.ahead[o.floor+1] {
-			delete(o.ahead, o.floor+1)
-			o.floor++
+	case msg.KindGossip, msg.KindGossipReply, msg.KindUpdate, msg.KindUpdateBatch, msg.KindStateReply:
+		if m.Object == directory {
+			s.repl.Handle(m)
 		}
-	default:
-		if o.ahead == nil {
-			o.ahead = make(map[uint64]bool, 2)
-		}
-		o.ahead[seq] = true
 	}
 }
 
-// coverageVec is the advertised digest: per origin, the contiguous floor.
-func (s *Server) coverageVec() msg.Vec {
-	v := msg.Vec{}
-	for origin, o := range s.origins {
-		v.Set(ids.ClientID(origin), o.floor)
-	}
-	// Our own stream is always fully known to us.
-	v.Set(ids.ClientID(s.self), s.selfFloor())
-	return v
+// --- the directory object -----------------------------------------------------
+
+// dirEnv is the directory replica's Env, as store's replicaEnv is a hosted
+// replica's: the server's endpoint, clock and event loop, and the kvstore
+// behind a control object. Applying a write or a whole state also refreshes
+// the decoded index.
+type dirEnv struct {
+	*control.Control
+	s *Server
 }
 
-func (s *Server) selfFloor() uint64 {
-	if o := s.origins[s.self]; o != nil {
-		return o.floor
+var _ replication.Env = dirEnv{}
+
+// Send drops the one frame addressed to the server itself: the ack of its
+// own directory write.
+func (e dirEnv) Send(to string, m *msg.Message) error {
+	if to == e.s.ep.Addr() {
+		return nil
 	}
-	return 0
+	return e.s.ep.Send(to, m)
+}
+
+func (e dirEnv) Multicast(tos []string, m *msg.Message) error { return e.s.ep.Multicast(tos, m) }
+
+func (e dirEnv) ApplyOp(u *coherence.Update) error {
+	if err := e.Control.ApplyOp(u); err != nil {
+		return err
+	}
+	e.s.index(u.Inv.Page)
+	return nil
+}
+
+func (e dirEnv) ApplyFull(snapshot []byte) error {
+	if err := e.Control.ApplyFull(snapshot); err != nil {
+		return err
+	}
+	e.s.reindex()
+	return nil
+}
+
+// ApplyElement and RemoveElement restore one key when a whole state from a
+// peer is merged: the key held a newer write here than at the peer.
+func (e dirEnv) ApplyElement(name string, data []byte) error {
+	if err := e.Control.ApplyElement(name, data); err != nil {
+		return err
+	}
+	e.s.index(name)
+	return nil
+}
+
+func (e dirEnv) RemoveElement(name string) error {
+	e.s.kv.Delete(name)
+	e.s.index(name)
+	return nil
+}
+
+func (e dirEnv) Now() time.Time { return e.s.cfg.Clock.Now() }
+
+// AfterFunc runs f on the server's event loop, where the replica lives.
+func (e dirEnv) AfterFunc(d time.Duration, f func()) clock.Timer {
+	return e.s.cfg.Clock.AfterFunc(d, func() { e.s.post(f) })
+}
+
+// dirKey builds a directory key: the kind, then first (an object, client or
+// origin) escaped so it holds no '/', then rest verbatim — an address may
+// hold '/'.
+func dirKey(kind byte, first, rest string) string {
+	k := string(kind) + "/" + url.PathEscape(first)
+	if rest != "" {
+		k += "/" + rest
+	}
+	return k
+}
+
+// splitKey inverts dirKey; kind is 0 for a key it did not build.
+func splitKey(key string) (kind byte, first, rest string) {
+	if len(key) < 2 || key[1] != '/' {
+		return 0, "", ""
+	}
+	esc, rest, _ := strings.Cut(key[2:], "/")
+	first, err := url.PathUnescape(esc)
+	if err != nil {
+		return 0, "", ""
+	}
+	return key[0], first, rest
+}
+
+func entryKey(obj ids.ObjectID, addr string) string { return dirKey('e', string(obj), addr) }
+
+// write makes one directory edit: a write on the server's own identity,
+// handed to the replica as a client's write would be. Its sequence continues
+// past every write of that identity the replica has applied, so a restarted
+// server resumes its stream above what its peers hold of it.
+func (s *Server) write(method uint16, key string, val []byte) {
+	applied := s.repl.Applied()
+	s.seq = max(s.seq, applied.Get(s.self)) + 1
+	s.repl.Handle(&msg.Message{
+		Kind: msg.KindWriteRequest, Object: directory, From: s.ep.Addr(),
+		Client: s.self, Write: ids.WiD{Client: s.self, Seq: s.seq},
+		Inv: msg.Invocation{Method: method, Page: key, Args: val},
+	})
+}
+
+// writeFact records one registered fact: a contact point or an object's
+// metadata. The value is the fact itself, as a one-item batch.
+func (s *Server) writeFact(it Item) {
+	key := entryKey(it.Object, it.Entry.Addr)
+	if it.Kind == itemMeta {
+		key = dirKey('m', string(it.Object), "")
+	}
+	s.write(kvstore.MethodPut, key, EncodeItems([]Item{it}))
 }
 
 func (s *Server) obj(id ids.ObjectID) *objState {
-	o := s.dir[id]
+	o := s.objs[id]
 	if o == nil {
-		o = &objState{entries: make(map[string]*entryState)}
-		s.dir[id] = o
+		o = &objState{entries: make(map[string]entryState)}
+		// id may be a window of an update's page name: clone it (cloneInv).
+		s.objs[ids.ObjectID(strings.Clone(string(id)))] = o
 	}
 	return o
 }
 
-// applyItem merges one directory item (local origination or peer sync).
-// Returns true when the item changed state (fresh information).
-func (s *Server) applyItem(it *Item) bool {
-	s.witness(it.Stamp)
-	switch it.Kind {
-	case itemEntry:
-		o := s.obj(it.Object)
-		cur := o.entries[it.Entry.Addr]
-		if cur != nil && !cur.stamp.Less(it.Stamp) {
-			return false
-		}
-		o.entries[it.Entry.Addr] = &entryState{
-			e: it.Entry, dead: it.Dead, stamp: it.Stamp,
-			seen: s.cfg.Clock.Now(),
-		}
+// index folds the current value of one directory key into the decoded view
+// that resolution, expiry and floor queries read. Floors only rise: a floor
+// is a max, over origins and over time.
+func (s *Server) index(key string) {
+	kind, first, rest := splitKey(key)
+	v, ok := s.kv.Get(key)
+	switch kind {
+	case 'e', 'm':
+		o := s.obj(ids.ObjectID(first))
 		o.version++
-		return true
-	case itemMeta:
-		o := s.obj(it.Object)
-		if o.hasMeta && !o.metaStamp.Less(it.Stamp) {
-			return false
+		var it Item
+		if items, err := DecodeItems(v); err == nil && len(items) == 1 {
+			it = items[0]
 		}
-		o.meta, o.metaStamp, o.hasMeta = it.Meta, it.Stamp, true
+		switch {
+		case kind == 'm':
+			o.meta, o.hasMeta = it.Meta, it.Kind == itemMeta
+		case it.Kind == itemEntry:
+			o.entries[it.Entry.Addr] = entryState{e: it.Entry, seen: s.cfg.Clock.Now()}
+		default:
+			delete(o.entries, rest)
+		}
+	case 'f':
+		c, err := strconv.ParseUint(first, 10, 32)
+		if err == nil && ok && len(v) == 8 {
+			id := ids.ClientID(c)
+			s.floors[id] = max(s.floors[id], binary.BigEndian.Uint64(v))
+		}
+	}
+}
+
+// reindex rebuilds the decoded view after a whole state was installed.
+func (s *Server) reindex() {
+	for _, o := range s.objs {
+		clear(o.entries)
+		o.meta, o.hasMeta = naming.Meta{}, false
 		o.version++
-		return true
-	case itemFloor:
-		cur := s.floors[it.Client]
-		if cur == nil {
-			s.floors[it.Client] = &floorState{seq: it.FloorSeq, stamp: it.Stamp}
-			return true
-		}
-		changed := false
-		if it.FloorSeq > cur.seq {
-			cur.seq = it.FloorSeq // floors max-merge regardless of stamp
-			changed = true
-		}
-		if cur.stamp.Less(it.Stamp) {
-			cur.stamp = it.Stamp
-		}
-		return changed
-	case itemLease:
-		byKind := s.leases[it.Stamp.Origin]
-		if byKind == nil {
-			byKind = make(map[ids.ClientID]*leaseState, 2)
-			s.leases[it.Stamp.Origin] = byKind
-		}
-		cur := byKind[it.Client]
-		if cur == nil {
-			cur = &leaseState{}
-			byKind[it.Client] = cur
-		}
-		changed := false
-		if it.FloorSeq > cur.next {
-			cur.next = it.FloorSeq // cursors max-merge
-			changed = true
-		}
-		if cur.stamp.Less(it.Stamp) {
-			cur.stamp = it.Stamp
-		}
-		return changed
 	}
-	return false
+	for _, key := range s.kv.Keys() {
+		s.index(key)
+	}
 }
 
-// leaseCursor returns this server's persistent-via-peers allocation cursor
-// for one lease kind.
-func (s *Server) leaseCursor(kind ids.ClientID) uint64 {
-	if byKind := s.leases[s.self]; byKind != nil {
-		if cur := byKind[kind]; cur != nil {
-			return cur.next
-		}
-	}
-	return 0
-}
-
-// advanceLease bumps this server's cursor for one lease kind, replicating
-// the new value to peers, and returns the range index to allocate.
-func (s *Server) advanceLease(kind ids.ClientID) uint64 {
-	idx := s.leaseCursor(kind)
-	it := Item{Kind: itemLease, Client: kind, FloorSeq: idx + 1, Stamp: s.stamp()}
-	s.applyItem(&it)
-	s.pushPeers([]Item{it})
-	return idx
-}
-
-// pushPeers forwards freshly originated items to every naming peer
-// (fire-and-forget; the digest/anti-entropy cycle repairs losses).
-func (s *Server) pushPeers(items []Item) {
-	if len(s.cfg.Peers) == 0 || len(items) == 0 {
-		return
-	}
-	for _, chunk := range ChunkItems(items) {
-		m := &msg.Message{
-			Kind:    msg.KindNameSync,
-			From:    s.ep.Addr(),
-			Store:   ids.StoreID(s.self),
-			Payload: EncodeItems(chunk),
-		}
-		_ = s.ep.Multicast(s.cfg.Peers, m)
-	}
-}
+// --- naming RPCs ----------------------------------------------------------------
 
 func (s *Server) reply(m *msg.Message, k msg.Kind) *msg.Message {
 	r := m.Reply(k)
 	r.From = s.ep.Addr()
-	r.Store = ids.StoreID(s.self)
+	r.Store = ids.StoreID(s.cfg.Index)
 	return r
 }
 
@@ -495,66 +500,48 @@ func (s *Server) replyErr(m *msg.Message, status msg.Status, text string) {
 	_ = s.ep.Send(m.From, r)
 }
 
-// onRegister applies a batch of client-submitted record facts (entries,
-// meta), stamping each here — registration authority rests with the server
-// the daemon is configured to talk to.
+// onRegister records a batch of client-submitted facts (entries, meta) —
+// registration authority rests with the server the daemon is configured to
+// talk to.
 func (s *Server) onRegister(m *msg.Message) {
 	items, err := DecodeItems(m.Payload)
 	if err != nil {
 		s.replyErr(m, msg.StatusError, err.Error())
 		return
 	}
-	for i := range items {
-		items[i].Stamp = s.stamp()
-		s.applyItem(&items[i])
+	for _, it := range items {
+		s.writeFact(it)
 	}
-	s.pushPeers(items)
 	r := s.reply(m, msg.KindNameReply)
-	if m.Object != "" {
-		if o := s.dir[m.Object]; o != nil {
-			r.GlobalSeq = o.version
-		}
+	if o := s.objs[m.Object]; o != nil {
+		r.GlobalSeq = o.version
 	}
 	_ = s.ep.Send(m.From, r)
 }
 
-// onDeregister tombstones one contact point of one object.
+// onDeregister removes one contact point of one object.
 func (s *Server) onDeregister(m *msg.Message) {
 	if len(m.Pages) == 0 {
 		s.replyErr(m, msg.StatusError, "deregister needs an address")
 		return
 	}
-	addr := m.Pages[0]
-	it := Item{Kind: itemEntry, Object: m.Object, Dead: true, Stamp: s.stamp()}
-	it.Entry.Addr = addr
-	if o := s.dir[m.Object]; o != nil {
-		if cur := o.entries[addr]; cur != nil {
-			it.Entry = cur.e // keep store/role in the tombstone for observability
-		}
-	}
-	s.applyItem(&it)
-	s.pushPeers([]Item{it})
+	s.write(kvstore.MethodDelete, entryKey(m.Object, m.Pages[0]), nil)
 	_ = s.ep.Send(m.From, s.reply(m, msg.KindNameReply))
 }
 
 // record assembles the live record of one object (nil when unknown).
 func (s *Server) record(obj ids.ObjectID) *naming.Record {
-	o := s.dir[obj]
-	if o == nil {
+	o := s.objs[obj]
+	if o == nil || (len(o.entries) == 0 && !o.hasMeta) {
 		return nil
 	}
 	rec := &naming.Record{Object: obj, Version: o.version}
 	for _, es := range o.entries {
-		if !es.dead {
-			rec.Entries = append(rec.Entries, es.e)
-		}
+		rec.Entries = append(rec.Entries, es.e)
 	}
 	sort.Slice(rec.Entries, func(i, j int) bool { return rec.Entries[i].Addr < rec.Entries[j].Addr })
 	if o.hasMeta {
 		rec.Meta = o.meta
-	}
-	if len(rec.Entries) == 0 && !o.hasMeta {
-		return nil
 	}
 	return rec
 }
@@ -577,14 +564,27 @@ func leaseStart(base, span uint64, index, total int, k uint64) uint64 {
 	return base + (k*uint64(total)+uint64(index-1))*span
 }
 
+// advanceLease steps this server's cursor for one lease kind and returns the
+// range index to allocate. The cursor is a directory key only this server
+// writes, so a restarted server recovers it from its peers.
+func (s *Server) advanceLease(kind string) uint64 {
+	key := dirKey('l', strconv.Itoa(s.cfg.Index), kind)
+	var k uint64
+	if v, ok := s.kv.Get(key); ok && len(v) == 8 {
+		k = binary.BigEndian.Uint64(v)
+	}
+	s.write(kvstore.MethodPut, key, binary.BigEndian.AppendUint64(nil, k+1))
+	return k
+}
+
 func (s *Server) onLease(m *msg.Message) {
 	r := s.reply(m, msg.KindNameReply)
 	switch m.Inv.Method {
 	case opLeaseClients:
-		k := s.advanceLease(leaseKindClient)
+		k := s.advanceLease(leaseClients)
 		r.Payload = EncodeLease(leaseStart(ClientLeaseBase, s.cfg.LeaseSpan, s.cfg.Index, s.cfg.Total, k), s.cfg.LeaseSpan)
 	case opLeaseStores:
-		k := s.advanceLease(leaseKindStore)
+		k := s.advanceLease(leaseStores)
 		r.Payload = EncodeLease(leaseStart(StoreLeaseBase, s.cfg.LeaseSpan, s.cfg.Index, s.cfg.Total, k), s.cfg.LeaseSpan)
 	case opReserveClient:
 		if m.Client >= ClientLeaseBase {
@@ -601,14 +601,14 @@ func (s *Server) onLease(m *msg.Message) {
 		}
 		s.pinnedStores[m.Store] = true
 	case opReportFloor:
-		it := Item{Kind: itemFloor, Client: m.Client, FloorSeq: m.Write.Seq, Stamp: s.stamp()}
-		if s.applyItem(&it) {
-			s.pushPeers([]Item{it})
+		// One key per (client, origin): last-writer-wins on a shared key
+		// could let an older-stamped, larger report lose to a smaller one.
+		if m.Write.Seq > s.floors[m.Client] {
+			key := dirKey('f', strconv.FormatUint(uint64(m.Client), 10), strconv.Itoa(s.cfg.Index))
+			s.write(kvstore.MethodPut, key, binary.BigEndian.AppendUint64(nil, m.Write.Seq))
 		}
 	case opQueryFloor:
-		if f := s.floors[m.Client]; f != nil {
-			r.Write.Seq = f.seq
-		}
+		r.Write.Seq = s.floors[m.Client]
 	case opRenewContact:
 		if len(m.Pages) == 0 || m.Pages[0] == "" {
 			s.replyErr(m, msg.StatusError, "renew needs an address")
@@ -625,25 +625,19 @@ func (s *Server) onLease(m *msg.Message) {
 
 // --- lease liveness ----------------------------------------------------------
 
-// renewContact re-stamps every live entry registered at addr (any object),
-// refreshing its lease in one frame per daemon heartbeat. The fresh stamps
-// replicate to peers like any edit, so their expiry clocks reset too. It
-// returns the renewed-entry count: zero tells the caller its registrations
-// were already expired (or never made) and it must re-register.
+// renewContact rewrites every live entry registered at addr (any object),
+// refreshing its lease in one frame per daemon heartbeat. The writes
+// replicate like any edit, so the peers' expiry clocks reset too. It returns
+// the renewed-entry count: zero tells the caller its registrations were
+// already expired (or never made) and it must re-register.
 func (s *Server) renewContact(addr string) uint64 {
 	var renewed uint64
-	var items []Item
-	for obj, o := range s.dir {
-		es := o.entries[addr]
-		if es == nil || es.dead {
-			continue
+	for obj, o := range s.objs {
+		if es, ok := o.entries[addr]; ok {
+			s.writeFact(Item{Kind: itemEntry, Object: obj, Entry: es.e})
+			renewed++
 		}
-		it := Item{Kind: itemEntry, Object: obj, Entry: es.e, Stamp: s.stamp()}
-		s.applyItem(&it) // fresh stamp always wins: refreshes stamp and seen
-		items = append(items, it)
-		renewed++
 	}
-	s.pushPeers(items)
 	return renewed
 }
 
@@ -657,7 +651,7 @@ func (s *Server) armExpire() {
 	s.expireArmed = true
 	d := s.cfg.LeaseTTL / 4
 	if quarter := int64(d / 4); quarter > 0 {
-		d += time.Duration(s.syncRNG.Int63n(quarter))
+		d += time.Duration(s.expireRNG.Int63n(quarter))
 	}
 	s.expireTimer = s.cfg.Clock.AfterFunc(d, func() {
 		s.post(func() {
@@ -670,183 +664,31 @@ func (s *Server) armExpire() {
 	})
 }
 
-// sweepExpired tombstones every live entry whose lease ran out, exactly as a
-// deregistration would: a stamped dead item, applied locally and replicated
-// through the ordinary push/anti-entropy channel so peers retire their copy
-// too. A renewal racing the sweep self-heals by LWW — whichever stamp is
-// newer wins everywhere, and the daemon's next heartbeat re-registers.
+// sweepExpired deletes every live entry whose lease ran out, exactly as a
+// deregistration would, and the delete replicates so peers retire their copy
+// too. A renewal racing the sweep settles by last-writer-wins everywhere, and
+// the daemon's next heartbeat re-registers.
 func (s *Server) sweepExpired() {
 	now := s.cfg.Clock.Now()
-	var items []Item
-	for obj, o := range s.dir {
+	for obj, o := range s.objs {
 		for addr, es := range o.entries {
-			if es.dead || now.Sub(es.seen) < s.cfg.LeaseTTL {
-				continue
+			if now.Sub(es.seen) >= s.cfg.LeaseTTL {
+				s.write(kvstore.MethodDelete, entryKey(obj, addr), nil)
+				s.recordsExpired++
 			}
-			it := Item{Kind: itemEntry, Object: obj, Dead: true, Stamp: s.stamp()}
-			it.Entry = es.e
-			it.Entry.Addr = addr
-			s.applyItem(&it)
-			items = append(items, it)
-			s.recordsExpired++
 		}
 	}
-	s.pushPeers(items)
 }
+
+// --- debug/test accessors ----------------------------------------------------
 
 // ExpiredSnapshot returns how many entries this server has expired (tests,
 // status surfaces).
 func (s *Server) ExpiredSnapshot() uint64 {
 	var out uint64
-	ch := make(chan struct{})
-	if !s.post(func() {
-		out = s.recordsExpired
-		close(ch)
-	}) {
-		return 0
-	}
-	select {
-	case <-ch:
-	case <-s.stopped:
-		return 0
-	}
+	s.onLoop(func() { out = s.recordsExpired })
 	return out
 }
-
-// --- peer anti-entropy -------------------------------------------------------
-
-// armSync schedules the next peer digest round (jittered like the replica
-// heartbeats, so a fleet sharing one interval de-synchronises).
-func (s *Server) armSync() {
-	if s.syncArmed || s.cfg.SyncInterval <= 0 || len(s.cfg.Peers) == 0 {
-		return
-	}
-	s.syncArmed = true
-	d := s.cfg.SyncInterval
-	if quarter := int64(d / 4); quarter > 0 {
-		d += time.Duration(s.syncRNG.Int63n(quarter))
-	}
-	s.syncTimer = s.cfg.Clock.AfterFunc(d, func() {
-		s.post(func() {
-			s.syncArmed = false
-			s.syncRound()
-			s.armSync()
-		})
-	})
-}
-
-// syncRound multicasts this server's directory digest to its peers.
-func (s *Server) syncRound() {
-	m := &msg.Message{
-		Kind:  msg.KindNameDigest,
-		From:  s.ep.Addr(),
-		Store: ids.StoreID(s.self),
-		VVec:  s.coverageVec(),
-	}
-	_ = s.ep.Multicast(s.cfg.Peers, m)
-}
-
-// itemsBeyond collects every directory item whose stamp seq exceeds the
-// peer's advertised contiguous floor for its origin — a superset of what
-// the peer is missing (it may hold some of them above a hole; duplicates
-// merge away on arrival).
-func (s *Server) itemsBeyond(v *msg.Vec) []Item {
-	var out []Item
-	needed := func(st Stamp) bool { return st.Seq > v.Get(ids.ClientID(st.Origin)) }
-	for obj, o := range s.dir {
-		for _, es := range o.entries {
-			if needed(es.stamp) {
-				out = append(out, Item{Kind: itemEntry, Object: obj, Entry: es.e, Dead: es.dead, Stamp: es.stamp})
-			}
-		}
-		if o.hasMeta && needed(o.metaStamp) {
-			out = append(out, Item{Kind: itemMeta, Object: obj, Meta: o.meta, Stamp: o.metaStamp})
-		}
-	}
-	for c, f := range s.floors {
-		if needed(f.stamp) {
-			out = append(out, Item{Kind: itemFloor, Client: c, FloorSeq: f.seq, Stamp: f.stamp})
-		}
-	}
-	for _, byKind := range s.leases {
-		for kind, ls := range byKind {
-			if needed(ls.stamp) {
-				out = append(out, Item{Kind: itemLease, Client: kind, FloorSeq: ls.next, Stamp: ls.stamp})
-			}
-		}
-	}
-	return out
-}
-
-// onDigest answers a peer's directory digest: ship what they lack, and
-// solicit (with our own digest) when their floors run ahead of ours. The
-// solicit is sent only when the peer is strictly ahead, so two converged
-// servers exchange one frame per interval and nothing else.
-func (s *Server) onDigest(m *msg.Message) {
-	// Fast-forward the own-stream counter past whatever the peer has seen
-	// of it: after a restart, surviving items alone can under-count (an
-	// item of ours that a peer's newer edit overwrote no longer exists
-	// anywhere, yet its seq is inside every floor), and re-originating at
-	// or below the fleet's floors would put fresh items permanently
-	// beneath gap detection. The floor itself is NOT raised — coverage
-	// must keep reflecting items actually received, so a lost recovery
-	// shipment keeps being re-sent. The residue is bounded chatter: when
-	// superseded seqs can never be re-shipped, the floors stay apart and
-	// converged peers exchange one extra digest per interval.
-	if their := m.VVec.Get(ids.ClientID(s.self)); their > s.itemSeq {
-		s.itemSeq = their
-	}
-	if items := s.itemsBeyond(&m.VVec); len(items) > 0 {
-		for _, chunk := range ChunkItems(items) {
-			r := &msg.Message{
-				Kind:    msg.KindNameSync,
-				From:    s.ep.Addr(),
-				Store:   ids.StoreID(s.self),
-				Payload: EncodeItems(chunk),
-			}
-			_ = s.ep.Send(m.From, r)
-		}
-	}
-	ahead := false
-	m.VVec.Each(func(c ids.ClientID, seq uint64) bool {
-		var our uint64
-		if o := s.origins[uint32(c)]; o != nil {
-			our = o.floor
-		}
-		if seq > our {
-			ahead = true
-			return false
-		}
-		return true
-	})
-	if ahead {
-		d := &msg.Message{
-			Kind:  msg.KindNameDigest,
-			From:  s.ep.Addr(),
-			Store: ids.StoreID(s.self),
-			VVec:  s.coverageVec(),
-		}
-		_ = s.ep.Send(m.From, d)
-	} else {
-		// Nothing to recover from this peer: safe to start serving. (When
-		// the peer IS ahead, readiness waits for its sync shipment or the
-		// grace timer.)
-		s.ready = true
-	}
-}
-
-// onSync merges a peer's item batch.
-func (s *Server) onSync(m *msg.Message) {
-	items, err := DecodeItems(m.Payload)
-	if err != nil {
-		return
-	}
-	for i := range items {
-		s.applyItem(&items[i])
-	}
-}
-
-// --- debug/test accessors ----------------------------------------------------
 
 // RecordSnapshot returns the live record of obj as seen by this server
 // (tests and the globens status loop). ok is false when the object is
@@ -854,21 +696,11 @@ func (s *Server) onSync(m *msg.Message) {
 func (s *Server) RecordSnapshot(obj ids.ObjectID) (naming.Record, bool) {
 	var rec naming.Record
 	ok := false
-	ch := make(chan struct{})
-	if !s.post(func() {
+	if !s.onLoop(func() {
 		if r := s.record(obj); r != nil {
 			rec, ok = *r, true
 		}
-		close(ch)
 	}) {
-		return rec, false
-	}
-	select {
-	case <-ch:
-	case <-s.stopped:
-		// The loop exited (Close, or the endpoint died under a shared
-		// fabric) without draining; don't wait for a closure that will
-		// never run.
 		return naming.Record{}, false
 	}
 	return rec, ok
@@ -877,19 +709,6 @@ func (s *Server) RecordSnapshot(obj ids.ObjectID) (naming.Record, bool) {
 // FloorSnapshot returns a client's replicated write-sequence floor.
 func (s *Server) FloorSnapshot(id ids.ClientID) uint64 {
 	var out uint64
-	ch := make(chan struct{})
-	if !s.post(func() {
-		if f := s.floors[id]; f != nil {
-			out = f.seq
-		}
-		close(ch)
-	}) {
-		return 0
-	}
-	select {
-	case <-ch:
-	case <-s.stopped:
-		return 0
-	}
+	s.onLoop(func() { out = s.floors[id] })
 	return out
 }

@@ -1,16 +1,28 @@
 // Package nameserv is the networked naming/location service: a name server
-// that any number of daemons register their objects with, that clients
-// resolve through, and that replicates its directory between naming peers
-// with the same digest/anti-entropy pattern the replica layer uses for
-// object state (KindNameDigest ↔ KindDigest).
+// that any number of daemons register their objects with and that clients
+// resolve through. It is the naming front end of a Web object of its own, the
+// directory.
 //
-// The directory's unit of replication is the item: an entry upsert (one
-// contact point of one object, possibly a tombstone), a metadata update
-// (semantics type, strategy, session models), or a client write-sequence
-// floor. Every item a server originates is stamped (origin server, seq)
-// from that server's monotonic counter; peers merge items last-writer-wins
-// per key (floors max-merge), and a per-origin version vector over stamps
-// is the directory digest peers exchange to detect and repair gaps.
+// Every name server holds one replica of the directory: a replication.Object
+// under the mirrored-site strategy (the eventual model, leaderless peers kept
+// in sync by gossip) over a kvstore semantics object. A directory edit — a
+// registration, a deregistration, an expiry, a renewal, a floor report, a
+// lease cursor step — is an ordinary write on the server's own client
+// identity, so peers converge by per-key last-writer-wins exactly as the pages
+// of a mirrored site do, a whole state exchanged after a long split included
+// (it is merged key by key, through dirEnv's ApplyElement and RemoveElement).
+// The keys are:
+//
+//	e/<object>/<addr>    one contact point; deregistration and expiry Delete it
+//	m/<object>           the object's metadata
+//	l/<origin>/<kind>    a server's lease cursor, written only by that server
+//	f/<client>/<origin>  a client's write-sequence floor as reported at one
+//	                     server; the floor is the max over origins
+//
+// An object or client is escaped so it holds no '/'. What is naming stays
+// here: the register/resolve/lease RPCs, the readiness gate, lease striping,
+// TTL expiry, and a decoded index of the e/ and m/ keys that resolution and
+// expiry read.
 //
 // Identifier allocation is leased: a daemon asks its name server for a
 // range of client or store IDs and allocates locally from it. Ranges are
@@ -42,7 +54,7 @@ const (
 	opReserveStore
 	opReportFloor
 	opQueryFloor
-	// opRenewContact re-stamps every live entry of one contact point (the
+	// opRenewContact rewrites every live entry of one contact point (the
 	// daemon's liveness heartbeat): registrations are renewable leases, and
 	// a server configured with a LeaseTTL expires entries whose renewals
 	// stop. Carried in Pages[0]; the reply returns the renewed-entry count
@@ -51,77 +63,27 @@ const (
 	opRenewContact
 )
 
-// Item kinds on the sync wire.
+// Item kinds on the wire.
 //
 //globelint:wiresym group=nameitem
 const (
 	itemEntry byte = iota + 1
 	itemMeta
-	itemFloor
-	itemLease
 )
 
-// Stamp orders and tracks directory items. It carries two counters with
-// distinct jobs:
-//
-//   - Time is a Lamport clock witnessed across servers; (Time, Origin) is
-//     the last-writer-wins order for conflicting edits of one key, and it
-//     respects happened-before (an edit made after observing another
-//     always wins against it).
-//   - Seq is the origin's private, strictly contiguous item counter
-//     (1, 2, 3, ... per origin, never witnessed from others). Contiguity is
-//     what makes anti-entropy exact: a receiver advertises, per origin, the
-//     highest seq below which it has EVERY item (its floor), so a lost item
-//     keeps the floor pinned and peers keep re-shipping everything beyond
-//     it until the hole fills. A single witnessed counter cannot provide
-//     this — applying seq 6 after seq 5 was lost would advance a max-based
-//     vector straight past the hole and hide it forever.
-type Stamp struct {
-	Time   uint64
-	Origin uint32
-	Seq    uint64
-}
-
-// Less orders stamps for LWW by (Time, origin) — a total order that agrees
-// with the happened-before the witnessing rule establishes.
-func (s Stamp) Less(o Stamp) bool {
-	if s.Time != o.Time {
-		return s.Time < o.Time
-	}
-	return s.Origin < o.Origin
-}
-
-// Item is one replicated directory fact.
+// Item is one directory fact on the wire: a contact point of an object, or
+// the object's metadata. Register requests and resolve replies carry batches
+// of them, and the directory object stores each fact as a one-item batch.
 type Item struct {
 	Kind   byte
-	Object ids.ObjectID // entry, meta
+	Object ids.ObjectID
 
-	// Entry fields (itemEntry). Dead marks a tombstone: the contact point
-	// was deregistered and the fact must outlive it so a peer that still
-	// holds the live entry retires it.
+	// Entry fields (itemEntry).
 	Entry naming.Entry
-	Dead  bool
 
 	// Meta fields (itemMeta).
 	Meta naming.Meta
-
-	// Floor fields (itemFloor): a client identity's write-sequence floor.
-	// For itemLease the pair is reused as (lease kind, next range index):
-	// Client 1 = client-ID ranges, 2 = store-ID ranges, and FloorSeq is the
-	// origin's next unallocated range index — replicated so a restarted
-	// naming peer recovers its allocation cursor from its peers instead of
-	// re-issuing ranges daemons already hold.
-	Client   ids.ClientID
-	FloorSeq uint64
-
-	Stamp Stamp
 }
-
-// Lease kinds inside an itemLease's Client field.
-const (
-	leaseKindClient ids.ClientID = 1
-	leaseKindStore  ids.ClientID = 2
-)
 
 // ErrShort reports a truncated or corrupt nameserv payload.
 var ErrShort = errors.New("nameserv: short or corrupt payload")
@@ -201,32 +163,8 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// MaxItemsPerFrame bounds one sync frame's item count well below both the
-// u16 wire count and the transports' frame budgets; senders of unbounded
-// batches split across frames with ChunkItems (silent truncation would let
-// the receiver's digest advance past items it never saw).
-const MaxItemsPerFrame = 2048
-
-// ChunkItems splits an item batch into MaxItemsPerFrame-sized sub-batches.
-func ChunkItems(items []Item) [][]Item {
-	if len(items) <= MaxItemsPerFrame {
-		return [][]Item{items}
-	}
-	var out [][]Item
-	for len(items) > 0 {
-		n := len(items)
-		if n > MaxItemsPerFrame {
-			n = MaxItemsPerFrame
-		}
-		out = append(out, items[:n])
-		items = items[n:]
-	}
-	return out
-}
-
 // EncodeItems serialises a batch of directory items into a frame payload.
-// Batches beyond the u16 count are truncated — callers with unbounded
-// batches must split with ChunkItems first.
+// Batches beyond the u16 count are truncated; no caller comes near it.
 //
 //globelint:wiresym group=nameitem role=encode
 func EncodeItems(items []Item) []byte {
@@ -238,20 +176,12 @@ func EncodeItems(items []Item) []byte {
 	for i := range items {
 		it := &items[i]
 		w.u8(it.Kind)
-		w.u64(it.Stamp.Time)
-		w.u32(it.Stamp.Origin)
-		w.u64(it.Stamp.Seq)
 		switch it.Kind {
 		case itemEntry:
 			w.str(string(it.Object))
 			w.str(it.Entry.Addr)
 			w.u32(uint32(it.Entry.Store))
 			w.u8(uint8(it.Entry.Role))
-			dead := uint8(0)
-			if it.Dead {
-				dead = 1
-			}
-			w.u8(dead)
 		case itemMeta:
 			w.str(string(it.Object))
 			w.str(it.Meta.Sem)
@@ -268,15 +198,20 @@ func EncodeItems(items []Item) []byte {
 			for _, m := range it.Meta.Models[:n] {
 				w.str(m)
 			}
-		case itemFloor, itemLease:
-			w.u32(uint32(it.Client))
-			w.u64(it.FloorSeq)
 		}
 	}
 	return w.buf
 }
 
-// DecodeItems parses an EncodeItems payload.
+// minItemBytes is the smallest wire form of a valid item: a metadata item
+// naming a one-byte object, every other string empty (kind, three string
+// lengths, the object, a model count).
+const minItemBytes = 9
+
+// DecodeItems parses an EncodeItems payload. An item must name its object,
+// and an entry its address: a payload in an older layout, which carried a
+// zero stamp ahead of each item's fields, then fails to decode rather than
+// registering an empty entry.
 //
 //globelint:wiresym group=nameitem role=decode
 func DecodeItems(b []byte) ([]Item, error) {
@@ -285,26 +220,16 @@ func DecodeItems(b []byte) ([]Item, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bound the pre-allocation by what the payload could actually hold
-	// (every item occupies ≥ 21 wire bytes), so a corrupt count cannot
-	// amplify into a huge allocation.
+	// Bound the pre-allocation by what the payload could actually hold, so
+	// a corrupt count cannot amplify into a huge allocation.
 	capHint := int(n)
-	if max := len(b) / 21; capHint > max {
+	if max := len(b) / minItemBytes; capHint > max {
 		capHint = max
 	}
 	items := make([]Item, 0, capHint)
 	for i := 0; i < int(n); i++ {
 		var it Item
 		if it.Kind, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if it.Stamp.Time, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if it.Stamp.Origin, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if it.Stamp.Seq, err = r.u64(); err != nil {
 			return nil, err
 		}
 		switch it.Kind {
@@ -327,11 +252,9 @@ func DecodeItems(b []byte) ([]Item, error) {
 				return nil, err
 			}
 			it.Entry.Role = replication.Role(role)
-			dead, err := r.u8()
-			if err != nil {
-				return nil, err
+			if it.Entry.Addr == "" {
+				return nil, fmt.Errorf("%w: entry without an address", ErrShort)
 			}
-			it.Dead = dead != 0
 		case itemMeta:
 			obj, err := r.str()
 			if err != nil {
@@ -363,17 +286,11 @@ func DecodeItems(b []byte) ([]Item, error) {
 				}
 				it.Meta.Models = append(it.Meta.Models, m)
 			}
-		case itemFloor, itemLease:
-			c, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			it.Client = ids.ClientID(c)
-			if it.FloorSeq, err = r.u64(); err != nil {
-				return nil, err
-			}
 		default:
 			return nil, fmt.Errorf("%w: unknown item kind %d", ErrShort, it.Kind)
+		}
+		if it.Object == "" {
+			return nil, fmt.Errorf("%w: item without an object", ErrShort)
 		}
 		items = append(items, it)
 	}
@@ -419,9 +336,7 @@ func recordFromItems(obj ids.ObjectID, version uint64, items []Item) naming.Reco
 		it := &items[i]
 		switch it.Kind {
 		case itemEntry:
-			if !it.Dead {
-				rec.Entries = append(rec.Entries, it.Entry)
-			}
+			rec.Entries = append(rec.Entries, it.Entry)
 		case itemMeta:
 			rec.Meta = it.Meta
 		}

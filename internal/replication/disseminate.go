@@ -163,6 +163,7 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 		m.Payload = snap
 		m.VVec = o.applied()
 		m.GlobalSeq = o.engine.Global()
+		m.Batch = o.pageStamps()
 		m.WallNanos = last.WallNanos
 		o.multicast(tos, &m)
 	}
@@ -252,7 +253,7 @@ func (o *Object) onUpdate(m *msg.Message) {
 		return
 	}
 	// Aggregated full-state update.
-	if o.install("", &m.VVec, m.GlobalSeq, m.Payload) {
+	if o.install("", m) {
 		o.relayDown(m)
 	}
 }
@@ -273,8 +274,11 @@ func (o *Object) onUpdateBatch(m *msg.Message) {
 }
 
 // submitOp runs one operation update through the ordering engine and applies
-// whatever it releases.
+// whatever it releases. Its stamp is witnessed first, so a write admitted here
+// afterwards orders after it under the eventual model's last-writer-wins: a
+// mirror that overwrites or deletes a page it was sent must win.
 func (o *Object) submitOp(u *coherence.Update) {
+	o.lamport.Witness(u.Stamp.Time)
 	released := o.submitLogged(u)
 	if len(released) == 0 && o.engine.Pending() > 0 {
 		// A gap was detected. Under object-outdate = demand the store

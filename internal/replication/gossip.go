@@ -62,16 +62,26 @@ func (o *Object) gossipRound() {
 	}
 }
 
-// onGossip handles a peer's digest, or its reply to ours: ship whatever the
-// peer is missing (as a single batch frame when more than one update is due).
-// A digest is answered with our own, so the exchange is symmetric; the reply
-// closes the loop (our writes that arrived after the peer's gossip was sent).
+// onGossip handles a peer's digest, or its reply to ours, the way onDemand
+// handles a child's demand: ship what the peer lacks from the log, as one
+// batch frame when several updates are due, or the whole object when the log
+// cannot bring the peer up to date (history pruned, or knowledge that came by
+// state transfer and was never logged). That state carries its page stamps,
+// so a peer holding writes we lack merges it (mergeState) and keeps them. A
+// digest is answered with our own only when the peer knows a write we lack,
+// so converged peers exchange one frame per round; the reply lets the peer
+// ship us what it has.
 func (o *Object) onGossip(m *msg.Message) {
+	known := o.applied()
+	if m.Kind == msg.KindGossip && !known.Covers(&m.VVec) {
+		r := o.frame(msg.KindGossipReply, m)
+		r.VVec = known
+		o.send(m.From, &r)
+	}
+	if !o.log.covers(&m.VVec, &known) {
+		o.serveState(m, nil)
+		return
+	}
 	var few [8]*coherence.Update
 	o.sendUpdates(m.From, o.log.since(&m.VVec, few[:0]))
-	if m.Kind == msg.KindGossip {
-		r := o.frame(msg.KindGossipReply, m)
-		r.VVec = o.applied()
-		o.answer(m, &r)
-	}
 }

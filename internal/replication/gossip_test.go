@@ -1,0 +1,149 @@
+package replication
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/ids"
+	"repro/internal/msg"
+	"repro/internal/semantics/webdoc"
+	"repro/internal/strategy"
+	"repro/internal/vclock"
+)
+
+// TestGossipBehindPrunedLogGetsState: a peer whose digest is older than the
+// log reaches back gets the whole object, as a demand would. Shipping only
+// what the log still holds would leave it without the pruned writes for good,
+// since a mirror has no parent to repair it.
+func TestGossipBehindPrunedLogGetsState(t *testing.T) {
+	env := newFakeEnv()
+	o := newObj(t, env, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "")
+	for i := 1; i <= logLimit+1; i++ {
+		o.Handle(writeMsg(1, uint64(i), fmt.Sprintf("p%d", i), "x"))
+	}
+	env.sent = nil
+	o.Handle(&msg.Message{Kind: msg.KindGossip, Object: "obj", From: "peer-1"})
+	states := env.takeSent(msg.KindStateReply)
+	if len(states) != 1 || states[0].To != "peer-1" || len(states[0].Pages) != 0 || len(states[0].Payload) == 0 {
+		t.Fatalf("state replies: %+v", states)
+	}
+	if !states[0].VVec.CoversWrite(ids.WiD{Client: 1, Seq: logLimit + 1}) {
+		t.Fatalf("state reply vector %v does not cover the last write", states[0].VVec)
+	}
+	if batches := env.takeSent(msg.KindUpdateBatch); len(batches) != 0 {
+		t.Fatalf("a peer behind the log was shipped a partial log: %d batch frames", len(batches))
+	}
+}
+
+// TestMirrorWriteOrdersAfterWhatItReceived: a write admitted at a mirror must
+// win last-writer-wins over every write the mirror already holds, whether it
+// came as an update or inside a state transfer (a state reply, a subscribe
+// ack). Otherwise the mirror's own overwrite or delete of a page loses to the
+// older write and never applies.
+func TestMirrorWriteOrdersAfterWhatItReceived(t *testing.T) {
+	env := newFakeEnv()
+	o := newObj(t, env, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "parent")
+	up := writeMsg(2, 1, "p", "peer")
+	up.Kind, up.Stamp = msg.KindUpdate, vclock.Stamp{Time: 10, Client: 2}
+	o.Handle(up)
+	o.Handle(writeMsg(1, 1, "p", "mine"))
+	fwd := env.takeSent(msg.KindWriteRequest)
+	if len(fwd) != 1 || fwd[0].Stamp.Time <= 10 {
+		t.Fatalf("write after an update stamped at 10 forwarded as %+v", fwd)
+	}
+	if got := o.Stats().UpdatesApplied; got != 2 {
+		t.Fatalf("UpdatesApplied = %d, want 2: the mirror's own write lost", got)
+	}
+
+	snap, err := env.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Handle(&msg.Message{
+		Kind: msg.KindStateReply, Object: "obj", From: "parent",
+		VVec: vecOf(1, 1, 2, 1, 3, 5), Stamp: vclock.Stamp{Time: 50}, Payload: snap,
+	})
+	o.Handle(writeMsg(1, 2, "p", "again"))
+	fwd = env.takeSent(msg.KindWriteRequest)
+	if len(fwd) != 1 || fwd[0].Stamp.Time <= 50 {
+		t.Fatalf("write after a state transfer stamped at 50 forwarded as %+v", fwd)
+	}
+
+	o.Handle(&msg.Message{
+		Kind: msg.KindSubscribeAck, Object: "obj", From: "parent",
+		VVec: vecOf(1, 2, 2, 1, 3, 6), Stamp: vclock.Stamp{Time: 90}, Payload: snap,
+	})
+	o.Handle(writeMsg(1, 3, "p", "once more"))
+	fwd = env.takeSent(msg.KindWriteRequest)
+	if len(fwd) != 1 || fwd[0].Stamp.Time <= 90 {
+		t.Fatalf("write after a subscribe ack stamped at 90 forwarded as %+v", fwd)
+	}
+}
+
+// TestStateReplyCarriesTheClock: a whole-object reply carries the Lamport
+// time that stamped the state it holds.
+func TestStateReplyCarriesTheClock(t *testing.T) {
+	env := newFakeEnv()
+	o := newObj(t, env, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "")
+	for i := uint64(1); i <= 3; i++ {
+		o.Handle(writeMsg(1, i, "p", "x"))
+	}
+	o.Handle(&msg.Message{Kind: msg.KindStateRequest, Object: "obj", From: "peer-1"})
+	states := env.takeSent(msg.KindStateReply)
+	if len(states) != 1 || states[0].Stamp.Time < 3 {
+		t.Fatalf("state replies: %+v", states)
+	}
+}
+
+// TestConcurrentStateMergesByPage: a whole state from a peer that lacks some
+// of this replica's writes is merged page by page under last-writer-wins: each
+// page takes the newer of the two writes, whichever side holds it, and a page
+// the sender never wrote keeps its content here.
+func TestConcurrentStateMergesByPage(t *testing.T) {
+	put := func(c ids.ClientID, seq uint64, page, content string) *msg.Message {
+		m := writeMsg(c, seq, page, content)
+		m.Inv.Method = webdoc.MethodPutPage
+		return m
+	}
+	aEnv, bEnv := newFakeEnv(), newFakeEnv()
+	a := newObj(t, aEnv, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "")
+	b := newObj(t, bEnv, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "")
+	a.Handle(put(1, 1, "p", "a-old"))  // stamp 1
+	a.Handle(put(1, 2, "q", "a-only")) // stamp 2
+	a.Handle(put(1, 3, "s", "a-new"))  // stamp 3
+	b.Handle(put(2, 1, "r", "b-only")) // stamp 1
+	b.Handle(put(2, 2, "s", "b-old"))  // stamp 2
+	b.Handle(put(2, 3, "p", "b-new"))  // stamp 3, beats a's p
+	want := map[string][]byte{}
+	for page, env := range map[string]*fakeEnv{"p": bEnv, "q": aEnv, "r": bEnv, "s": aEnv} {
+		data, err := env.SnapshotElement(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[page] = data
+	}
+
+	b.Handle(&msg.Message{Kind: msg.KindStateRequest, Object: "obj", From: "a"})
+	states := bEnv.takeSent(msg.KindStateReply)
+	if len(states) != 1 || len(states[0].Batch) != 3 {
+		t.Fatalf("state replies: %+v", states)
+	}
+	a.Handle(states[0])
+	for page, data := range want {
+		if got, err := aEnv.SnapshotElement(page); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("page %s after the merge = %q (%v), want %q", page, got, err, data)
+		}
+	}
+	if known := a.Applied(); !known.CoversWrite(ids.WiD{Client: 1, Seq: 3}) || !known.CoversWrite(ids.WiD{Client: 2, Seq: 3}) {
+		t.Fatalf("applied after the merge: %v", known)
+	}
+	// The merged stamps hold: b's older write to s, redelivered, loses.
+	up := put(2, 2, "s", "b-old")
+	up.Kind, up.Stamp = msg.KindUpdate, vclock.Stamp{Time: 2, Client: 2}
+	a.Handle(up)
+	if got, _ := aEnv.SnapshotElement("s"); !bytes.Equal(got, want["s"]) {
+		t.Fatalf("a redelivered older write replaced page s: %q", got)
+	}
+}

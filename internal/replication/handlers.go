@@ -25,7 +25,7 @@ func (o *Object) Handle(m *msg.Message) {
 // replication sees it, and the name-service/control protocols that have
 // their own servers.
 //
-//globelint:wiresym type=msg.Kind role=dispatch exempt=KindBindRequest,KindBindReply,KindReadReply,KindWriteReply,KindNameRegister,KindNameDeregister,KindNameResolve,KindNameLease,KindNameReply,KindNameDigest,KindNameSync,KindCtrlRequest,KindCtrlReply
+//globelint:wiresym type=msg.Kind role=dispatch exempt=KindBindRequest,KindBindReply,KindReadReply,KindWriteReply,KindNameRegister,KindNameDeregister,KindNameResolve,KindNameLease,KindNameReply,KindCtrlRequest,KindCtrlReply
 func (o *Object) dispatch(m *msg.Message) {
 	if o.closed {
 		return

@@ -592,7 +592,8 @@ func TestUpdateBatchGapStillDemands(t *testing.T) {
 }
 
 // TestGossipShipsBatch: an anti-entropy exchange ships all missing updates
-// to the peer in one batch frame.
+// to the peer in one batch frame. A peer that is behind gets no digest back;
+// one that knows a write we lack gets ours, so it can ship that write.
 func TestGossipShipsBatch(t *testing.T) {
 	env := newFakeEnv()
 	st := strategy.MirroredSite(time.Hour)
@@ -610,8 +611,18 @@ func TestGossipShipsBatch(t *testing.T) {
 	if len(batches) != 1 || len(batches[0].Batch) != 3 {
 		t.Fatalf("gossip delta batches: %+v", batches)
 	}
-	if replies := env.takeSent(msg.KindGossipReply); len(replies) != 1 {
-		t.Fatalf("gossip replies: %+v", replies)
+	if replies := env.takeSent(msg.KindGossipReply); len(replies) != 0 {
+		t.Fatalf("a peer behind us got a gossip reply: %+v", replies)
+	}
+	o.Handle(&msg.Message{
+		Kind: msg.KindGossip, Object: "obj", From: "peer-1",
+		VVec: vecOf(1, 4, 2, 1),
+	})
+	if replies := env.takeSent(msg.KindGossipReply); len(replies) != 1 || !replies[0].VVec.CoversWrite(ids.WiD{Client: 1, Seq: 4}) {
+		t.Fatalf("a peer ahead of us got gossip replies %+v, want one with our digest", replies)
+	}
+	if sent := env.takeSent(msg.KindUpdateBatch); len(sent) != 0 {
+		t.Fatalf("a peer that has everything was shipped %+v", sent)
 	}
 }
 

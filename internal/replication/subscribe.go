@@ -28,6 +28,7 @@ func (o *Object) onSubscribe(m *msg.Message) {
 func (o *Object) onSubscribeAck(m *msg.Message) {
 	o.subAcked = true
 	o.revalEpoch++
+	o.lamport.Witness(m.Stamp.Time)
 	if o.reparenting {
 		o.reparenting = false
 		inc(&o.stats.ReparentsDone)
@@ -36,7 +37,7 @@ func (o *Object) onSubscribeAck(m *msg.Message) {
 		}
 	}
 	o.armParentWatch()
-	o.install("", &m.VVec, m.GlobalSeq, m.Payload)
+	o.install("", m)
 }
 
 // onUnsubscribe removes a departing child from the children set (the

@@ -7,6 +7,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/msg"
 	"repro/internal/strategy"
+	"repro/internal/vclock"
 )
 
 // demandFromParent asks the parent for every update beyond our applied
@@ -175,6 +176,9 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 	}
 	r := o.frame(kind, req)
 	r.VVec = o.knowledge(page)
+	// The clock that stamped every write the state holds: the receiver's
+	// next write orders after all of it.
+	r.Stamp.Time = o.lamport.Now()
 	if page != "" {
 		r.Pages = req.Pages[:1]
 		data, err := o.env.SnapshotElement(page)
@@ -190,16 +194,37 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 		}
 		r.Payload = snap
 		r.GlobalSeq = o.engine.Global()
+		r.Batch = o.pageStamps()
 	}
 	o.answer(req, &r)
+}
+
+// pageStamps lists every page's winning stamp for a whole state to carry,
+// when the engine orders pages by stamp (the eventual model), as one entry
+// per page with only Inv.Page and Stamp set. An object with more pages than a
+// frame can list sends none, and its receivers replace rather than merge.
+func (o *Object) pageStamps() []msg.BatchUpdate {
+	ps, ok := o.engine.(coherence.PageStamps)
+	if !ok {
+		return nil
+	}
+	var out []msg.BatchUpdate
+	ps.EachStamp(func(page string, s vclock.Stamp) {
+		out = append(out, msg.BatchUpdate{Stamp: s, Inv: msg.Invocation{Page: page}})
+	})
+	if len(out) > msg.MaxBatch {
+		return nil
+	}
+	return out
 }
 
 // onStateReply installs fetched state: one page's, or the whole object's.
 func (o *Object) onStateReply(m *msg.Message) {
 	o.revalEpoch++
+	o.lamport.Witness(m.Stamp.Time)
 	if len(m.Pages) == 0 {
 		o.fetching = false
-		o.install("", &m.VVec, m.GlobalSeq, m.Payload)
+		o.install("", m)
 		return
 	}
 	// Cloned: the name is retained as a pageVec key and a semantics
@@ -213,7 +238,7 @@ func (o *Object) onStateReply(m *msg.Message) {
 		o.reconsiderParked()
 		return
 	}
-	o.install(page, &m.VVec, m.GlobalSeq, m.Payload)
+	o.install(page, m)
 	if !o.current(page) {
 		// Taken before the write the page's mark names: ask again.
 		o.fetch(page)
@@ -222,11 +247,13 @@ func (o *Object) onStateReply(m *msg.Message) {
 
 // install is the one place state from another replica replaces content here:
 // one page's (a page state reply), or the whole object's when page is "" (a
-// pushed snapshot, a full state reply, the subscribe ack). v is the vector of
-// what the sender held — K(page) for a page, its applied vector for the whole
-// object — and gseq its sequencer position. It reports whether the state was
-// taken, and retries parked requests either way — a dropped transfer still
-// proves the parent answered.
+// pushed snapshot, a full state reply, the subscribe ack). m carries it: its
+// VVec is the vector of what the sender held — K(page) for a page, its
+// applied vector for the whole object — its GlobalSeq the sender's sequencer
+// position, its Payload the state, and for a whole state under the eventual
+// model its Batch the sender's page stamps (pageStamps). It reports whether
+// the state was taken, and retries parked requests either way — a dropped
+// transfer still proves the parent answered.
 //
 // A transfer is taken only if K(page) does not already cover v (the stale
 // guard, staleSnapshot): demand and subscribe retries and link duplication
@@ -237,9 +264,11 @@ func (o *Object) onStateReply(m *msg.Message) {
 // mid-sequence gap readers can observe (an MW/PRAM violation) that no digest
 // would ever flag. Installing v grows K(page), and that alone meets the
 // invalid marks v covers: a transfer taken before a mark's write, however
-// late it arrives, leaves the mark unmet.
-func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) bool {
+// late it arrives, leaves the mark unmet. A whole state that carries page
+// stamps is merged instead (mergeState), which loses nothing on either side.
+func (o *Object) install(page string, m *msg.Message) bool {
 	defer o.reconsiderParked()
+	v, payload := &m.VVec, m.Payload
 	if o.staleSnapshot(v, page) {
 		return false
 	}
@@ -258,18 +287,77 @@ func (o *Object) install(page string, v *msg.Vec, gseq uint64, payload []byte) b
 	}
 	// A bare subscribe ack (no payload) still seeds the vectors.
 	if len(payload) > 0 {
-		if err := o.env.ApplyFull(payload); err != nil {
-			return false
+		ps, stamped := o.engine.(coherence.PageStamps)
+		if stamped && len(m.Batch) > 0 {
+			if err := o.mergeState(ps, payload, m.Batch); err != nil {
+				return false
+			}
+		} else {
+			if err := o.env.ApplyFull(payload); err != nil {
+				return false
+			}
+			o.reapplyBeyond(v, "")
 		}
 		o.fullFetches++
-		o.reapplyBeyond(v, "")
 	}
 	// The snapshot already reflects every write in v: seed the ordering
 	// engine so pushed op updates it covers are not re-applied.
 	o.fetchVec.Merge(v)
-	o.engine.Seed(v, gseq)
+	o.engine.Seed(v, m.GlobalSeq)
 	o.markAppliedStale()
 	return true
+}
+
+// elementRemover is implemented by an Env that can delete one element.
+// mergeState restores through it a deletion that beats the sender's content;
+// under an Env without it such a page keeps the sender's content.
+type elementRemover interface {
+	RemoveElement(name string) error
+}
+
+// mergeState installs an eventual object's whole state page by page under
+// last-writer-wins, the rule its writes follow: a page whose winning write
+// here is newer than the sender's, or that the sender never wrote, keeps this
+// replica's content (or its deletion); every other page takes the sender's.
+// So a peer concurrent with the sender loses none of its own writes, even
+// those its log no longer holds. stamps are the sender's (pageStamps); the
+// engine adopts those that win. Logged updates are not replayed: a page they
+// wrote either keeps its content here or lost to a newer sender write.
+func (o *Object) mergeState(ps coherence.PageStamps, payload []byte, stamps []msg.BatchUpdate) error {
+	theirs := make(map[string]vclock.Stamp, len(stamps))
+	for i := range stamps {
+		theirs[stamps[i].Inv.Page] = stamps[i].Stamp
+	}
+	type own struct {
+		page string
+		data []byte
+		gone bool
+	}
+	var keep []own
+	ps.EachStamp(func(page string, mine vclock.Stamp) {
+		if t, ok := theirs[page]; !ok || t.Less(mine) {
+			data, err := o.env.SnapshotElement(page)
+			keep = append(keep, own{page, data, err != nil})
+		}
+	})
+	if err := o.env.ApplyFull(payload); err != nil {
+		return err
+	}
+	rm, _ := o.env.(elementRemover)
+	for _, k := range keep {
+		switch {
+		case !k.gone:
+			_ = o.env.ApplyElement(k.page, k.data)
+		case rm != nil:
+			_ = rm.RemoveElement(k.page)
+		}
+	}
+	for i := range stamps {
+		// Cloned: the name outlives the frame as an engine key (cloneInv).
+		ps.MergeStamp(strings.Clone(stamps[i].Inv.Page), stamps[i].Stamp)
+		o.lamport.Witness(stamps[i].Stamp.Time)
+	}
+	return nil
 }
 
 // staleSnapshot is install's guard, run before replacing content with a

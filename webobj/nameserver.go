@@ -13,13 +13,13 @@ type NameServerConfig struct {
 	// an ephemeral port ("ns" on memnet).
 	Listen string
 	// Peers lists the other name servers' addresses; the directory
-	// replicates between peers by digest anti-entropy.
+	// replicates between peers by gossip.
 	Peers []string
 	// Index/Total place this server in the peer group (1-based) for
 	// identifier-lease striping: server i of N allocates disjoint ranges
 	// without coordinating. Zero values mean a single server.
 	Index, Total int
-	// SyncInterval is the peer digest period (default 500ms).
+	// SyncInterval is the directory's gossip period (default 500ms).
 	SyncInterval time.Duration
 	// LeaseTTL turns registrations into renewable liveness leases: a
 	// contact point whose daemon stops heartbeating (System option
