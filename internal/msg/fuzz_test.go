@@ -3,16 +3,18 @@ package msg
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/ids"
 )
 
-// FuzzDecode feeds arbitrary frames to both decoders: neither may panic, they
-// must agree, and whatever decodes must survive a re-encode unchanged. Seeds
-// are the golden frames plus one whose vector has spilled past VecInline; the
-// corpus of past crashers lives in testdata/fuzz/FuzzDecode.
+// FuzzDecode feeds arbitrary frames to both decoders: neither may panic or
+// allocate out of proportion to the frame, they must agree, and whatever
+// decodes must survive a re-encode unchanged. Seeds are the golden frames plus
+// one whose vector has spilled past VecInline; the corpus of past crashers
+// lives in testdata/fuzz/FuzzDecode.
 func FuzzDecode(f *testing.F) {
 	spilled := sampleMessage()
 	for i := 1; i <= 3*VecInline; i++ {
@@ -22,7 +24,11 @@ func FuzzDecode(f *testing.F) {
 		f.Add(Encode(m))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := Decode(b)
+		var m *Message
+		var err error
+		if n := allocBytes(func() { m, err = Decode(b) }); n > decodeAllocBound(len(b)) {
+			t.Fatalf("Decode of a %d-byte frame allocated %d bytes", len(b), n)
+		}
 		alias, aliasErr := DecodeAlias(b)
 		if (err == nil) != (aliasErr == nil) {
 			t.Fatalf("Decode error %v, DecodeAlias error %v", err, aliasErr)
@@ -70,4 +76,43 @@ func sameEntries(a, b *Vec) bool {
 		return ok
 	})
 	return ok
+}
+
+// decodeAllocBound is the most a decoder may allocate for an n-byte frame: a
+// small multiple of the frame (a page name on the wire is 2 bytes and 16 in
+// a Pages list) plus the message itself. A count field that pre-allocates
+// for more entries than the frame holds exceeds it.
+func decodeAllocBound(n int) uint64 { return uint64(16*n + 4096) }
+
+// allocBytes reports the bytes the process allocated while f ran.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeCapsPageList corrupts a frame's page count to 0xFFFF: the
+// decoder must fail without first allocating a list for 65 535 names the
+// frame cannot hold.
+func TestDecodeCapsPageList(t *testing.T) {
+	m := sampleMessage()
+	m.Pages = nil
+	b := Encode(m)
+	// After the page count: WallNanos, Status, empty Err and Sem, and an
+	// empty batch count.
+	off := len(b) - (2 + 8 + 1 + 2 + 2 + 2)
+	if b[off] != 0 || b[off+1] != 0 {
+		t.Fatalf("no empty page count at offset %d", off)
+	}
+	b[off], b[off+1] = 0xFF, 0xFF
+	var err error
+	n := allocBytes(func() { _, err = Decode(b) })
+	if err == nil {
+		t.Fatal("Decode accepted 65 535 page names in a frame too short for them")
+	}
+	if n > decodeAllocBound(len(b)) {
+		t.Fatalf("Decode of a %d-byte frame allocated %d bytes, bound %d", len(b), n, decodeAllocBound(len(b)))
+	}
 }

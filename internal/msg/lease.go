@@ -145,11 +145,20 @@ func (m *Message) Release() {
 }
 
 // Overwrite sets m's fields to r's and keeps m's lease, which still ends
-// with m's Release: how a handler answers in the request struct it owns.
+// with m's Release: how a handler answers in the request struct it owns. A
+// one-name Pages list moves to m's own slot, since r's may point into the
+// slot the copy overwrites (a reply naming the request's page).
 func (m *Message) Overwrite(r *Message) {
+	one := ""
+	if len(r.Pages) == 1 {
+		one = r.Pages[0]
+	}
 	leased, wire := m.leased, m.wire
 	*m = *r
 	m.leased, m.wire = leased, wire
+	if len(r.Pages) == 1 {
+		m.page[0], m.Pages = one, m.page[:]
+	}
 }
 
 // poisonKind marks a released message under leasecheck; no frame carries it.

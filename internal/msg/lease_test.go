@@ -27,11 +27,12 @@ func TestWireFormatGolden(t *testing.T) {
 	}
 }
 
-// TestMessageSize pins the decoded envelope in the 480-byte size class: an
-// inline Deps vector would add 136 bytes to every frame on every hop.
+// TestMessageSize pins the decoded envelope in the 480-byte size class,
+// which it fills with the one-name page slot: an inline Deps vector would add
+// 136 bytes to every frame on every hop.
 func TestMessageSize(t *testing.T) {
-	if got := unsafe.Sizeof(Message{}); got != 464 {
-		t.Fatalf("unsafe.Sizeof(Message{}) = %d, want 464", got)
+	if got := unsafe.Sizeof(Message{}); got != 480 {
+		t.Fatalf("unsafe.Sizeof(Message{}) = %d, want 480", got)
 	}
 }
 
@@ -119,5 +120,21 @@ func TestLeasedRoundTripAllocatesNothing(t *testing.T) {
 	// The page list is the decode's one allocation.
 	if allocs > 1 {
 		t.Fatalf("leased round trip: %.1f allocations, want at most 1", allocs)
+	}
+}
+
+// TestOverwriteKeepsOnePageName answers a one-page request in its own struct
+// with a reply naming the request's page, as a page state reply does: the
+// reply's list points into the request's slot, which the overwrite replaces,
+// so the name must move into the slot again.
+func TestOverwriteKeepsOnePageName(t *testing.T) {
+	req, err := Decode(Encode(&Message{Kind: KindStateRequest, Pages: []string{"program.html"}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Message{Kind: KindStateReply, Pages: req.Pages[:1]}
+	req.Overwrite(&r)
+	if req.Kind != KindStateReply || len(req.Pages) != 1 || req.Pages[0] != "program.html" {
+		t.Fatalf("reply names %q, want [program.html]", req.Pages)
 	}
 }

@@ -220,8 +220,9 @@ type Message struct {
 	// Payload carries reply data, state snapshots, or page content.
 	Payload []byte
 
-	// Pages lists page names (invalidations, notifications, gossip
-	// digests).
+	// Pages lists page names (invalidations, notifications, state requests
+	// and replies). A decoded list of one name points into page, the
+	// message's own slot, so it costs no allocation.
 	Pages []string
 
 	// Batch carries the aggregated operations of a KindUpdateBatch frame;
@@ -246,6 +247,11 @@ type Message struct {
 
 	// wire is the pooled frame a leased message aliases, if any.
 	wire *WireBuf
+
+	// page is the slot a decoded one-name Pages list points into; only
+	// Pages is on the wire. Pointing a message's Pages at its own slot moves
+	// a message on the stack to the heap.
+	page [1]string
 }
 
 // Reply constructs a reply envelope of kind k addressed back to m's sender,
@@ -295,7 +301,7 @@ var EncodeHook func(*Message)
 // names the fixed-size fields whose bytes appear as constant terms rather
 // than field references.
 //
-//globelint:wiresym fields=Message role=size exempt=Kind,NetSeq,Client,Store,Write,GlobalSeq,Stamp,ReadDep,WallNanos,Status,leased,wire
+//globelint:wiresym fields=Message role=size exempt=Kind,NetSeq,Client,Store,Write,GlobalSeq,Stamp,ReadDep,WallNanos,Status,leased,wire,page
 func wireSize(m *Message) int {
 	n := 2 // version, kind
 	n += 2 + strLen(string(m.Object))
@@ -368,7 +374,7 @@ func capBatch(batch []BatchUpdate) []BatchUpdate {
 // that know the target buffer (pooled or pre-sized) avoid every intermediate
 // allocation; Encode and EncodePooled are both built on it.
 //
-//globelint:wiresym fields=Message role=encode exempt=leased,wire
+//globelint:wiresym fields=Message role=encode exempt=leased,wire,page
 func AppendEncode(dst []byte, m *Message) []byte {
 	if EncodeHook != nil {
 		EncodeHook(m)
@@ -552,11 +558,19 @@ func decodeInto(m *Message, b []byte, alias bool) error {
 		return err
 	}
 	if np > 0 {
-		m.Pages = make([]string, np)
-		for i := range m.Pages {
-			if m.Pages[i], err = r.str(); err != nil {
+		// One name goes in the message's own slot. A longer list is capped by
+		// what the frame could hold, 2 bytes of length prefix per name, so a
+		// corrupt count cannot amplify into a huge allocation.
+		m.Pages = m.page[:0]
+		if np > 1 {
+			m.Pages = make([]string, 0, min(int(np), r.remaining()/2))
+		}
+		for range np {
+			p, err := r.str()
+			if err != nil {
 				return err
 			}
+			m.Pages = append(m.Pages, p)
 		}
 	}
 	wn, err := r.u64()

@@ -231,6 +231,10 @@ func TestRoundTripProperty(t *testing.T) {
 		if len(m.Pages) == 0 {
 			m.Pages = nil
 		}
+		// A one-name list decodes into the message's own slot.
+		if len(m.Pages) == 1 {
+			m.page[0], m.Pages = m.Pages[0], m.page[:]
+		}
 		return reflect.DeepEqual(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -138,13 +138,13 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 	switch {
 	case o.strat.Propagation == strategy.PropagateInvalidate:
 		inv := o.frame(msg.KindInvalidate, nil)
-		inv.Pages = pagesOf(ups)
+		inv.Pages = o.pagesOf(ups)
 		inv.Write = last.Write
 		inv.WallNanos = last.WallNanos
 		o.multicast(tos, &inv)
 	case o.strat.CoherenceTransfer == strategy.CoherenceNotification:
 		n := o.frame(msg.KindNotify, nil)
-		n.Pages = pagesOf(ups)
+		n.Pages = o.pagesOf(ups)
 		n.Write = last.Write
 		o.multicast(tos, &n)
 	case o.strat.CoherenceTransfer == strategy.CoherencePartial:
@@ -169,16 +169,18 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 	}
 }
 
-// pagesOf lists the distinct non-empty pages the updates touch.
-func pagesOf(ups []*coherence.Update) []string {
+// pagesOf lists the distinct non-empty pages the updates touch, in the
+// scratch list multicast clears.
+func (o *Object) pagesOf(ups []*coherence.Update) []string {
 	seen := make(map[string]bool, len(ups))
-	out := make([]string, 0, len(ups))
+	out := o.names[:0]
 	for _, u := range ups {
 		if p := u.Inv.Page; p != "" && !seen[p] {
 			seen[p] = true
 			out = append(out, p)
 		}
 	}
+	o.names = out
 	return out
 }
 

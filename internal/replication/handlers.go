@@ -94,20 +94,27 @@ func (o *Object) frame(k msg.Kind, re *msg.Message) msg.Message {
 
 // send and multicast hand m to the transport from o.out, the replica's one
 // envelope: Env encodes the frame before returning and keeps nothing, so a
-// frame built on the stack never moves to the heap, and the envelope is
-// zeroed again so it pins none of m's slices between sends.
+// frame built on the stack never moves to the heap, and the envelope and the
+// page list scratch (names) are cleared again so they pin none of m's
+// strings or slices between sends.
 func (o *Object) send(to string, m *msg.Message) {
 	//globelint:ignore aliasretain the envelope holds m only for the Env call below and is zeroed before send returns
 	o.out = *m
 	_ = o.env.Send(to, &o.out)
-	o.out = msg.Message{}
+	o.clearOut()
 }
 
 func (o *Object) multicast(tos []string, m *msg.Message) {
 	//globelint:ignore aliasretain the envelope holds m only for the Env call below and is zeroed before multicast returns
 	o.out = *m
 	_ = o.env.Multicast(tos, &o.out)
+	o.clearOut()
+}
+
+func (o *Object) clearOut() {
 	o.out = msg.Message{}
+	clear(o.names)
+	o.names = o.names[:0]
 }
 
 // answer sends reply r to the sender of req in req's own struct, which the

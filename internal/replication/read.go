@@ -152,7 +152,8 @@ func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 		if m.Kind == msg.KindReadRequest {
 			inc(&o.stats.ReadsParked)
 		}
-		p = &parkedReq{m: m, deadline: o.env.Now().Add(o.tune.ReadTimeout)}
+		p = o.newParked()
+		p.m, p.deadline = m, o.env.Now().Add(o.tune.ReadTimeout)
 		o.env.AfterFunc(o.tune.ReadTimeout, func() { o.expireParked() })
 		o.held = true
 	}
@@ -162,10 +163,30 @@ func (o *Object) park(m *msg.Message, p *parkedReq) *parkedReq {
 	return p
 }
 
-// refuseParked refuses parked request p with st and ends its lease.
+// newParked returns a zero queue entry, reused from a request that left the
+// queue when there is one.
+func (o *Object) newParked() *parkedReq {
+	n := len(o.freeParked)
+	if n == 0 {
+		return new(parkedReq)
+	}
+	p := o.freeParked[n-1]
+	o.freeParked = o.freeParked[:n-1]
+	return p
+}
+
+// unpark ends parked request p for good: its lease ends, and its entry goes
+// back for park to reuse.
+func (o *Object) unpark(p *parkedReq) {
+	p.m.Release()
+	*p = parkedReq{}
+	o.freeParked = append(o.freeParked, p)
+}
+
+// refuseParked refuses parked request p with st and unparks it.
 func (o *Object) refuseParked(p *parkedReq, st msg.Status, text string) {
 	o.refuse(p.m, st, text)
-	p.m.Release()
+	o.unpark(p)
 }
 
 // expireParked refuses requests whose deadline passed. A whole-object fetch
@@ -188,13 +209,13 @@ func (o *Object) expireParked() {
 }
 
 // reconsiderParked retries parked requests after local state changed; each
-// is answered, and its lease ended, or parks again.
+// is answered and unparked, or parks again, into the spare array.
 func (o *Object) reconsiderParked() {
 	if len(o.parked) == 0 {
 		return
 	}
 	pending := o.parked
-	o.parked = nil
+	o.parked, o.spareParked = o.spareParked[:0], nil
 	for _, p := range pending {
 		p.queued = false
 		switch {
@@ -206,9 +227,11 @@ func (o *Object) reconsiderParked() {
 			o.serveState(p.m, p)
 		}
 		if !p.queued {
-			p.m.Release()
+			o.unpark(p)
 		}
 	}
+	clear(pending)
+	o.spareParked = pending[:0]
 }
 
 // failParkedPage answers parked reads for one page with not-found.

@@ -100,6 +100,10 @@ type Env interface {
 	// the key, or it pins the whole block.
 	ApplyOp(u *coherence.Update) error
 	ApplyFull(snapshot []byte) error
+	// ApplyElement installs one element of a page state reply. name and data
+	// alias the received frame, so the semantics object copies what it
+	// keeps: webdoc keeps one copy of data, and clones name only for a page
+	// it did not hold.
 	ApplyElement(name string, data []byte) error
 	Snapshot() ([]byte, error)
 	SnapshotElement(name string) ([]byte, error)
@@ -235,6 +239,9 @@ type Object struct {
 	// out is the envelope every frame that is not a reply leaves in (send,
 	// multicast); it is zero between sends.
 	out msg.Message
+	// names is the page list of a frame being built (fetch, shipNow). The
+	// frame holds it only until send or multicast returns, which clear it.
+	names []string
 	// parent is the next store up the hierarchy ("" at permanent stores).
 	parent string
 	// children are subscribed lower-layer stores, sorted: the list every
@@ -385,6 +392,11 @@ type Object struct {
 	recoverRetryTimer *oneShot
 
 	parked []*parkedReq
+	// spareParked is the queue's second array, which reconsiderParked swaps
+	// in while it retries the first; freeParked holds the entries of
+	// requests that left the queue for good (unpark), for park to reuse.
+	spareParked []*parkedReq
+	freeParked  []*parkedReq
 	// held reports that the message Handle is dispatching was parked, so
 	// Handle leaves its release to the parked queue.
 	held bool

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,9 +27,13 @@ func newFakeEnv() *fakeEnv {
 	return &fakeEnv{ctrl: control.New(webdoc.New()), clk: clock.NewFake()}
 }
 
+// Send keeps a copy of m, as the Env contract allows: m's fields are the
+// replica's, so the page list is copied too (the replica builds it in a
+// scratch list it reuses).
 func (e *fakeEnv) Send(to string, m *msg.Message) error {
 	cp := *m
 	cp.To = to
+	cp.Pages = slices.Clone(m.Pages)
 	e.sent = append(e.sent, &cp)
 	return nil
 }

@@ -116,7 +116,8 @@ func (o *Object) fetch(page string) {
 	}
 	req := o.frame(msg.KindStateRequest, nil)
 	if !full {
-		req.Pages = []string{page}
+		o.names = append(o.names[:0], page)
+		req.Pages = o.names
 	}
 	o.send(o.parent, &req)
 }
@@ -227,9 +228,11 @@ func (o *Object) onStateReply(m *msg.Message) {
 		o.install("", m)
 		return
 	}
-	// Cloned: the name is retained as a pageVec key and a semantics
-	// element key, long past this frame (see cloneInv).
-	page := strings.Clone(m.Pages[0])
+	// The name aliases the frame. It is copied only where a map first keeps
+	// it (install's pageVec entry, the semantics object's page), never
+	// assigned to a key that exists: that would make the key alias the
+	// frame.
+	page := m.Pages[0]
 	if m.Status == msg.StatusNotFound {
 		// The parent lacks it too; fail parked reads for that page, and
 		// tell children asking for it the same.
@@ -280,7 +283,7 @@ func (o *Object) install(page string, m *msg.Message) bool {
 		pv := o.pageVec[page]
 		if pv == nil {
 			pv = new(msg.Vec)
-			o.pageVec[page] = pv
+			o.pageVec[strings.Clone(page)] = pv
 		}
 		pv.Merge(v)
 		return true

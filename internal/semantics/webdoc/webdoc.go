@@ -289,7 +289,9 @@ func (d *Document) SnapshotElement(name string) ([]byte, error) {
 
 // RestoreElement implements semantics.Object. Restoring an element replaces
 // the page wholesale, including its version counter, so replicas converge
-// on identical page metadata.
+// on identical page metadata. name and data may alias a received frame: the
+// page keeps one copy of data, and an existing page's record is rewritten in
+// place, since assigning a map entry anew would make its key alias name.
 func (d *Document) RestoreElement(name string, data []byte) error {
 	p, err := restored(data)
 	if err != nil {
@@ -297,22 +299,16 @@ func (d *Document) RestoreElement(name string, data []byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.pages == nil {
-		d.pages = make(map[string]*stored)
-	}
-	d.pages[name] = p
+	*d.page(name) = p
 	return nil
 }
 
 // restored makes a page record from a page encoding the caller keeps: one
 // copy of it, which is the record's encoding and holds its content and type.
-func restored(data []byte) (*stored, error) {
+func restored(data []byte) (stored, error) {
 	enc := append([]byte(nil), data...)
 	p, err := viewPage(enc)
-	if err != nil {
-		return nil, err
-	}
-	return &stored{Page: p, enc: enc}, nil
+	return stored{Page: p, enc: enc}, err
 }
 
 // Snapshot implements semantics.Object (full state transfer).
@@ -362,7 +358,7 @@ func (d *Document) Restore(data []byte) error {
 		if err != nil {
 			return err
 		}
-		pages[name] = p
+		pages[name] = &p
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("webdoc: %d trailing snapshot bytes", len(data))

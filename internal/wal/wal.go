@@ -471,6 +471,9 @@ func readSnapshot(path string) (*Snapshot, uint64, error) {
 	return s, 0, nil
 }
 
+// decodeSnapshot parses a snapshot file. Every count is checked against the
+// bytes left (count), and every loop stops at the first short read, so a
+// corrupt file allocates no more than its own size warrants.
 func decodeSnapshot(data []byte) (*Snapshot, bool) {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != string(snapMagic) {
 		return nil, false
@@ -483,35 +486,28 @@ func decodeSnapshot(data []byte) (*Snapshot, bool) {
 	s := &Snapshot{}
 	s.NextGlobal = r.u64()
 	s.Lamport = r.u64()
-	n := r.u32()
-	if r.bad || n > maxRecord {
-		return nil, false
-	}
-	for i := uint32(0); i < n; i++ {
+	for n := r.count(4 + 8); n > 0 && !r.bad; n-- {
 		c := ids.ClientID(r.u32())
 		s.Applied.Set(c, r.u64())
 	}
-	n = r.u32()
-	if r.bad || n > maxRecord {
-		return nil, false
-	}
-	for i := uint32(0); i < n; i++ {
-		a := ClientAdmission{Client: ids.ClientID(r.u32()), Max: r.u64()}
-		nh := r.u32()
-		if r.bad || nh > maxRecord {
-			return nil, false
+	if n := r.count(4 + 8 + 4); n > 0 {
+		s.Stamped = make([]ClientAdmission, 0, n)
+		for ; n > 0 && !r.bad; n-- {
+			a := ClientAdmission{Client: ids.ClientID(r.u32()), Max: r.u64()}
+			if nh := r.count(8); nh > 0 {
+				a.Holes = make([]uint64, 0, nh)
+				for ; nh > 0 && !r.bad; nh-- {
+					a.Holes = append(a.Holes, r.u64())
+				}
+			}
+			s.Stamped = append(s.Stamped, a)
 		}
-		for j := uint32(0); j < nh; j++ {
-			a.Holes = append(a.Holes, r.u64())
+	}
+	if n := r.count(4); n > 0 {
+		s.Children = make([]string, 0, n)
+		for ; n > 0 && !r.bad; n-- {
+			s.Children = append(s.Children, string(r.bytes(int(r.u32()))))
 		}
-		s.Stamped = append(s.Stamped, a)
-	}
-	n = r.u32()
-	if r.bad || n > maxRecord {
-		return nil, false
-	}
-	for i := uint32(0); i < n; i++ {
-		s.Children = append(s.Children, string(r.bytes(int(r.u32()))))
 	}
 	s.State = append([]byte(nil), r.bytes(int(r.u32()))...)
 	if r.bad {
@@ -543,6 +539,17 @@ func (r *snapReader) u64() uint64 {
 	v := binary.LittleEndian.Uint64(r.b)
 	r.b = r.b[8:]
 	return v
+}
+
+// count reads an entry count, and fails the read when the bytes left cannot
+// hold that many entries of at least size bytes each.
+func (r *snapReader) count(size int) int {
+	n := r.u32()
+	if r.bad || uint64(n)*uint64(size) > uint64(len(r.b)) {
+		r.bad = true
+		return 0
+	}
+	return int(n)
 }
 
 func (r *snapReader) bytes(n int) []byte {
