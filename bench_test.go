@@ -168,10 +168,26 @@ func BenchmarkMicro_EngineSubmit(b *testing.B) {
 // --- micro: serving a demand (what a child two updates behind costs) ----------
 
 // demandEnv is a replication.Env over a real control object with no network
-// and no clock: sends are counted, timers never fire.
+// and no clock: sends are counted, timers never fire. Like store's
+// replicaEnv, it appends read results and page elements into one scratch
+// buffer it reuses.
 type demandEnv struct {
 	*control.Control
-	sent int
+	sent    int
+	scratch []byte
+}
+
+func (e *demandEnv) ServeRead(inv msg.Invocation) ([]byte, error) {
+	return e.reuse(e.AppendRead(e.scratch[:0], inv))
+}
+func (e *demandEnv) SnapshotElement(name string) ([]byte, error) {
+	return e.reuse(e.AppendElement(e.scratch[:0], name))
+}
+func (e *demandEnv) reuse(b []byte, err error) ([]byte, error) {
+	if err == nil {
+		e.scratch = b
+	}
+	return b, err
 }
 
 func (e *demandEnv) Send(string, *msg.Message) error              { e.sent++; return nil }
@@ -229,24 +245,11 @@ func BenchmarkMicro_OnDemand(b *testing.B) {
 // --- micro: serving a read (the replica's share of every Get) -----------------
 
 // A permanent replica answers a 4 KiB page read: the reply is written into
-// the request and carries the page version's one shared encoding, so the
+// the request and carries the page appended into the Env's scratch, so the
 // replica allocates nothing per read. Handle owns the request it answers in,
 // so each iteration hands it a fresh copy.
 func BenchmarkMicro_ServeRead(b *testing.B) {
-	env := &demandEnv{Control: control.New(webdoc.New())}
-	obj, err := replication.New(replication.Config{
-		Env: env, Object: "doc", Self: 1, Addr: "www", Role: replication.RolePermanent,
-		Strat: strategy.Conference(time.Hour),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer obj.Close()
-	obj.Handle(&msg.Message{
-		Kind: msg.KindWriteRequest, Object: "doc", From: "client", Client: 1, Write: ids.WiD{Client: 1, Seq: 1},
-		Inv: msg.Invocation{Method: webdoc.MethodPutPage, Page: "index.html",
-			Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: make([]byte, 4096)})},
-	})
+	env, obj := servingReplica(b)
 	read := msg.Message{Kind: msg.KindReadRequest, Object: "doc", From: "client", Client: 2,
 		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "index.html"}}
 	var req msg.Message
@@ -260,6 +263,52 @@ func BenchmarkMicro_ServeRead(b *testing.B) {
 	if env.sent != b.N || req.Kind != msg.KindReadReply || req.Status != msg.StatusOK {
 		b.Fatalf("%d reads drew %d replies, the last %v %v", b.N, env.sent, req.Kind, req.Status)
 	}
+}
+
+// A permanent replica applies a 4 KiB Put and then answers a read of the page
+// it changed: the write allocates its update's block, and the read, which
+// appends into the Env's scratch, nothing.
+func BenchmarkMicro_ServeReadAfterWrite(b *testing.B) {
+	env, obj := servingReplica(b)
+	write := msg.Message{Kind: msg.KindWriteRequest, Object: "doc", From: "client", Client: 1,
+		Inv: msg.Invocation{Method: webdoc.MethodPutPage, Page: "index.html",
+			Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: make([]byte, 4096)})}}
+	read := msg.Message{Kind: msg.KindReadRequest, Object: "doc", From: "client", Client: 2,
+		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "index.html"}}
+	var req msg.Message
+	env.sent = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req = write
+		req.Write = ids.WiD{Client: 1, Seq: uint64(2 + i)}
+		obj.Handle(&req)
+		req = read
+		obj.Handle(&req)
+	}
+	if env.sent != 2*b.N || req.Kind != msg.KindReadReply || req.Status != msg.StatusOK {
+		b.Fatalf("%d writes and reads drew %d replies, the last %v %v", b.N, env.sent, req.Kind, req.Status)
+	}
+}
+
+// servingReplica is a permanent replica over a demandEnv holding one 4 KiB
+// page, written by client 1's first write.
+func servingReplica(b *testing.B) (*demandEnv, *replication.Object) {
+	env := &demandEnv{Control: control.New(webdoc.New())}
+	obj, err := replication.New(replication.Config{
+		Env: env, Object: "doc", Self: 1, Addr: "www", Role: replication.RolePermanent,
+		Strat: strategy.Conference(time.Hour),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(obj.Close)
+	obj.Handle(&msg.Message{
+		Kind: msg.KindWriteRequest, Object: "doc", From: "client", Client: 1, Write: ids.WiD{Client: 1, Seq: 1},
+		Inv: msg.Invocation{Method: webdoc.MethodPutPage, Page: "index.html",
+			Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: make([]byte, 4096)})},
+	})
+	return env, obj
 }
 
 // --- shared scenario helpers --------------------------------------------------

@@ -302,7 +302,13 @@
 // applied vector, admission watermarks, next global sequence, and the
 // children set are written to a temp file, fsynced, renamed over the old
 // snapshot, and the WAL truncated — crash-safe at every step because
-// replaying an already-snapshotted tail is absorbed by engine dedup.
+// replaying an already-snapshotted tail is absorbed by engine dedup. A
+// compaction encodes the state once, into one buffer of exactly its size,
+// and the WAL writes the header, that buffer and a CRC over both without
+// joining them. A failed write, fsync or close of the temp file stops the
+// compaction before the rename, with the log whole; the replica counts it
+// (Stats.WALSnapshotFailures) and tries again only after another
+// SnapshotEvery records.
 //
 // Restart replays snapshot + WAL, then runs recover-then-serve: if the log
 // recorded subscribed children, the store demands their update tails and
@@ -409,9 +415,12 @@
 // replica (send, multicast), which the Env encodes before returning and does
 // not retain. A write ack parked for a group commit is kept by value with its
 // own copy of the address, so it pins nothing of the request's frame. A read
-// result is shared: webdoc encodes each page version once, on the first
-// GetPage or SnapshotElement after a write, and every later read returns that
-// slice until the next write; the transport copies it into the reply frame.
+// result or a page element is appended into one scratch buffer per replica
+// (store's replicaEnv; semantics AppendRead and AppendElement), which the
+// replica sends before its next Env call, and the transport copies it into
+// the reply frame; mergeState, the one caller that keeps an element longer,
+// clones it. The scratch is kept up to msg.MaxPooledBuf. A page keeps one copy
+// of its content, the write's block or its own, and no read holds a view of it.
 // At the client, DecodePage makes two allocations: the page, which holds a
 // short content type as well, and the content. A received update is one
 // allocation: newUpdate copies its page name and arguments into one block
@@ -429,7 +438,8 @@
 // insertion only. With the parked read's expiry timer and the client's
 // DecodePage, an invalidated page's Put and Get cost 8 allocations
 // (webobj's TestAllocationBudgets). BenchmarkMicro_ServeRead pins a 4 KiB
-// read at a replica at 0 allocations.
+// read at a replica at 0 allocations, and TestServeReadAfterWriteAllocs a
+// write then a read of the page it changed at the write's one block.
 //
 // Its knobs are one struct, replication.Tuning (ReadTimeout, DemandRetry,
 // DigestInterval, ReparentAfter, Durability), whose withDefaults is the only

@@ -32,17 +32,19 @@ func (c *Control) Semantics() semantics.Object { return c.sem }
 // IsWrite classifies a method using the semantics method table.
 func (c *Control) IsWrite(method uint16) bool { return c.table.IsWrite(method) }
 
-// ServeRead executes a read invocation against the local semantics object.
-// Write methods are rejected: they must travel through the replication
-// object's ordering machinery. The result may be shared with other reads
-// until the next write (semantics.Object): send or decode it, never modify
-// it.
-func (c *Control) ServeRead(inv msg.Invocation) ([]byte, error) {
+// AppendRead executes a read invocation against the local semantics object
+// and appends the marshalled result to dst. Write methods are rejected: they
+// must travel through the replication object's ordering machinery. A replica
+// appends into a buffer it reuses for every reply it sends.
+func (c *Control) AppendRead(dst []byte, inv msg.Invocation) ([]byte, error) {
 	if c.table.IsWrite(inv.Method) {
 		return nil, fmt.Errorf("control: method %d is a write, not servable as read", inv.Method)
 	}
-	return c.sem.Invoke(inv)
+	return c.sem.AppendRead(dst, inv)
 }
+
+// ServeRead is AppendRead into a buffer of the caller's own.
+func (c *Control) ServeRead(inv msg.Invocation) ([]byte, error) { return c.AppendRead(nil, inv) }
 
 // ApplyOp applies an ordered write update to the semantics object. The update
 // is the replica's own (the replication object copied it off its frame, or
@@ -69,10 +71,14 @@ func (c *Control) Snapshot() ([]byte, error) { return c.sem.Snapshot() }
 // ApplyFull replaces local state from a full snapshot.
 func (c *Control) ApplyFull(snapshot []byte) error { return c.sem.Restore(snapshot) }
 
-// SnapshotElement marshals one element (transfer type "partial").
-func (c *Control) SnapshotElement(name string) ([]byte, error) {
-	return c.sem.SnapshotElement(name)
+// AppendElement appends one marshalled element to dst (transfer type
+// "partial").
+func (c *Control) AppendElement(dst []byte, name string) ([]byte, error) {
+	return c.sem.AppendElement(dst, name)
 }
+
+// SnapshotElement is AppendElement into a buffer of the caller's own.
+func (c *Control) SnapshotElement(name string) ([]byte, error) { return c.AppendElement(nil, name) }
 
 // ApplyElement replaces one element from a partial snapshot.
 func (c *Control) ApplyElement(name string, data []byte) error {

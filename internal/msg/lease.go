@@ -53,7 +53,7 @@ func (w *WireBuf) Release() {
 		chunkPool.Put(w)
 		return
 	}
-	if cap(w.b) > maxPooledBuf {
+	if cap(w.b) > MaxPooledBuf {
 		w.b = nil // let the outsized backing array go
 	}
 	wirePool.Put(w)
@@ -62,9 +62,10 @@ func (w *WireBuf) Release() {
 // wirePool recycles frame buffers across frames.
 var wirePool = sync.Pool{New: func() any { return new(WireBuf) }}
 
-// maxPooledBuf bounds the capacity retained by the pool so one huge
-// snapshot frame does not pin memory forever.
-const maxPooledBuf = 1 << 20
+// MaxPooledBuf bounds the capacity retained by the pool so one huge
+// snapshot frame does not pin memory forever. A buffer reused outside the
+// pool (a replica's reply scratch) keeps to the same bound.
+const MaxPooledBuf = 1 << 20
 
 // EncodePooled serialises m into a buffer drawn from the pool, holding one
 // reference. It is the transports' zero-steady-state-allocation send path.

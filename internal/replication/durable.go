@@ -178,16 +178,20 @@ func (o *Object) FlushAcks() {
 
 // maybeCompact snapshots when the log tail has grown past the threshold and
 // nothing is buffered (a buffered update's only durable copy is the log, so
-// truncating under it would lose it).
+// truncating under it would lose it). After a failed snapshot it waits for
+// another SnapshotEvery appends before it tries again (compactAt).
 func (o *Object) maybeCompact() {
 	every := o.tune.Durability.SnapshotEvery
 	if o.wal == nil || o.walReplaying || every <= 0 {
 		return
 	}
-	if o.wal.Appends() < uint64(every) || o.engine.Pending() > 0 {
+	if o.wal.Appends() < max(uint64(every), o.compactAt) || o.engine.Pending() > 0 {
 		return
 	}
-	_ = o.compact()
+	if o.compact() != nil {
+		inc(&o.stats.WALSnapshotFailures)
+		o.compactAt = o.wal.Appends() + uint64(every)
+	}
 }
 
 // Compact forces a snapshot compaction now (tests, control surfaces).
@@ -227,6 +231,7 @@ func (o *Object) compact() error {
 		return err
 	}
 	o.lastSnapVec = &snap.Applied
+	o.compactAt = 0
 	inc(&o.stats.WALSnapshots)
 	return nil
 }

@@ -2,6 +2,9 @@ package replication
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -375,5 +378,68 @@ func TestParkedAckOwnsItsAddress(t *testing.T) {
 	}
 	if env.dests[0] != "client-ep" || env.frames[0].To != "client-ep" {
 		t.Fatalf("parked ack sent to %q addressed %q, want client-ep", env.dests[0], env.frames[0].To)
+	}
+}
+
+// A compaction that fails (its snapshot's temp path is taken by a directory,
+// as a full disk would fail it) keeps the whole log, and the replica waits for
+// another SnapshotEvery appends before it tries again instead of re-encoding
+// its state on every apply. A fresh write appends two records (its update and
+// its admission), so 3×SnapshotEvery writes append 6×SnapshotEvery records
+// and may fail at most 6 times. Every write is acked and recovers.
+func TestFailedCompactionBacksOff(t *testing.T) {
+	const every, writes = 8, 3 * 8
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "snapshot.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	open := func(env Env) *Object {
+		wlog, rec, err := wal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(Config{
+			Env: env, Object: "obj", Self: 1, Addr: "self", Role: RolePermanent,
+			Strat: strategy.Conference(time.Hour), WAL: wlog, Recovered: rec,
+			Tuning: Tuning{ReadTimeout: time.Second, Durability: Durability{Fsync: wal.SyncAlways, SnapshotEvery: every}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	env1 := newFakeEnv()
+	o1 := open(env1)
+	for seq := uint64(1); seq <= writes; seq++ {
+		o1.Handle(writeMsg(1, seq, "p", fmt.Sprintf("<%d>", seq)))
+		o1.FlushAcks()
+	}
+	acks := env1.takeSent(msg.KindWriteReply)
+	if len(acks) != writes {
+		t.Fatalf("%d of %d writes acked", len(acks), writes)
+	}
+	for _, a := range acks {
+		if a.Status != msg.StatusOK {
+			t.Fatalf("write acked with %v: %s", a.Status, a.Err)
+		}
+	}
+	st := o1.Stats()
+	if st.WALSnapshots != 0 || st.WALSnapshotFailures == 0 || st.WALSnapshotFailures > 2*writes/every {
+		t.Fatalf("compactions: %d written, %d failed; want none written and 1 to %d failed",
+			st.WALSnapshots, st.WALSnapshotFailures, 2*writes/every)
+	}
+	// kill -9.
+
+	env2 := newFakeEnv()
+	o2 := open(env2)
+	defer o2.Close()
+	if got := o2.Stats().UpdatesApplied; got != writes {
+		t.Fatalf("recovered %d updates, want %d", got, writes)
+	}
+	content := pageContent(t, env2, "p")
+	for seq := 1; seq <= writes; seq++ {
+		if w := fmt.Sprintf("<%d>", seq); bytes.Count(content, []byte(w)) != 1 {
+			t.Fatalf("%q appears %d times in %q, want once", w, bytes.Count(content, []byte(w)), content)
+		}
 	}
 }

@@ -118,7 +118,7 @@ func TestConcurrentStateMergesByPage(t *testing.T) {
 	b.Handle(put(2, 3, "p", "b-new"))  // stamp 3, beats a's p
 	want := map[string][]byte{}
 	for page, env := range map[string]*fakeEnv{"p": bEnv, "q": aEnv, "r": bEnv, "s": aEnv} {
-		data, err := env.SnapshotElement(page)
+		data, err := env.ctrl.SnapshotElement(page)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,9 +106,11 @@ type Env interface {
 	// it did not hold.
 	ApplyElement(name string, data []byte) error
 	Snapshot() ([]byte, error)
+	// SnapshotElement's and ServeRead's results are valid until the next
+	// call into the Env: an Env may marshal every one into one buffer it
+	// reuses (store's replicaEnv does). The replica sends each before that
+	// call, and clones what it keeps longer (mergeState).
 	SnapshotElement(name string) ([]byte, error)
-	// ServeRead's result, like SnapshotElement's, may be shared with every
-	// other read until the next write: it is sent, never modified.
 	ServeRead(inv msg.Invocation) ([]byte, error)
 
 	Now() time.Time
@@ -152,6 +154,7 @@ type Stats struct {
 	GroupCommits        uint64 `obs:"globe_wal_group_commits_total" help:"fsync barriers that covered more than one ack"`
 	WALAppends          uint64 `obs:"globe_wal_appends_total" help:"records appended to the write-ahead log"`
 	WALSnapshots        uint64 `obs:"globe_wal_snapshots_total" help:"snapshot compactions written"`
+	WALSnapshotFailures uint64 `obs:"globe_wal_snapshot_failures_total" help:"snapshot compactions that failed; the log is kept whole"`
 	WALReplayed         uint64 `obs:"globe_wal_replayed_total" help:"update records replayed from disk on recovery"`
 	WALTornTail         uint64 `obs:"globe_wal_torn_tails_total" help:"corrupt WAL tails truncated on recovery"`
 	Recoveries          uint64 `obs:"globe_recoveries_total" help:"WAL recoveries performed at startup"`
@@ -382,6 +385,11 @@ type Object struct {
 	walSyncTimer *oneShot
 	walReplaying bool
 	lastSnapVec  *msg.Vec
+	// compactAt is the log length (wal.Appends) at which maybeCompact next
+	// tries a snapshot: SnapshotEvery, pushed SnapshotEvery further by each
+	// failure, so a full disk costs one state encoding per SnapshotEvery
+	// appends, not one per apply.
+	compactAt uint64
 
 	// Recover-then-serve gate state (see recover/gateRecovering).
 	recovering        bool

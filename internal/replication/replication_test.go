@@ -17,10 +17,14 @@ import (
 )
 
 // fakeEnv is a synchronous, in-memory replication.Env capturing all sends.
+// Like store's replicaEnv, it appends every read result and page element
+// into one scratch buffer, so a replica that kept one past its next Env call
+// would see it overwritten.
 type fakeEnv struct {
-	ctrl *control.Control
-	clk  *clock.Fake
-	sent []*msg.Message
+	ctrl    *control.Control
+	clk     *clock.Fake
+	sent    []*msg.Message
+	scratch []byte
 }
 
 func newFakeEnv() *fakeEnv {
@@ -28,12 +32,14 @@ func newFakeEnv() *fakeEnv {
 }
 
 // Send keeps a copy of m, as the Env contract allows: m's fields are the
-// replica's, so the page list is copied too (the replica builds it in a
-// scratch list it reuses).
+// replica's, so the page list and payload are copied too (the replica builds
+// the list in a scratch list it reuses, and a read's payload is this Env's
+// scratch).
 func (e *fakeEnv) Send(to string, m *msg.Message) error {
 	cp := *m
 	cp.To = to
 	cp.Pages = slices.Clone(m.Pages)
+	cp.Payload = slices.Clone(m.Payload)
 	e.sent = append(e.sent, &cp)
 	return nil
 }
@@ -47,13 +53,22 @@ func (e *fakeEnv) Multicast(tos []string, m *msg.Message) error {
 	return nil
 }
 
-func (e *fakeEnv) ApplyOp(u *coherence.Update) error        { return e.ctrl.ApplyOp(u) }
-func (e *fakeEnv) ApplyFull(s []byte) error                 { return e.ctrl.ApplyFull(s) }
-func (e *fakeEnv) ApplyElement(n string, d []byte) error    { return e.ctrl.ApplyElement(n, d) }
-func (e *fakeEnv) Snapshot() ([]byte, error)                { return e.ctrl.Snapshot() }
-func (e *fakeEnv) SnapshotElement(n string) ([]byte, error) { return e.ctrl.SnapshotElement(n) }
+func (e *fakeEnv) ApplyOp(u *coherence.Update) error     { return e.ctrl.ApplyOp(u) }
+func (e *fakeEnv) ApplyFull(s []byte) error              { return e.ctrl.ApplyFull(s) }
+func (e *fakeEnv) ApplyElement(n string, d []byte) error { return e.ctrl.ApplyElement(n, d) }
+func (e *fakeEnv) Snapshot() ([]byte, error)             { return e.ctrl.Snapshot() }
+func (e *fakeEnv) SnapshotElement(n string) ([]byte, error) {
+	return e.reuse(e.ctrl.AppendElement(e.scratch[:0], n))
+}
 func (e *fakeEnv) ServeRead(inv msg.Invocation) ([]byte, error) {
-	return e.ctrl.ServeRead(inv)
+	return e.reuse(e.ctrl.AppendRead(e.scratch[:0], inv))
+}
+
+func (e *fakeEnv) reuse(b []byte, err error) ([]byte, error) {
+	if err == nil {
+		e.scratch = b
+	}
+	return b, err
 }
 func (e *fakeEnv) Now() time.Time { return e.clk.Now() }
 func (e *fakeEnv) AfterFunc(d time.Duration, f func()) clock.Timer {
@@ -269,7 +284,7 @@ func TestInvalidateWaitDefersUntilAccess(t *testing.T) {
 	// Seed the replica with page content via state reply.
 	doc := webdoc.New()
 	doc.Put("p", []byte("v1"), "", 1)
-	el, _ := doc.SnapshotElement("p")
+	el, _ := doc.AppendElement(nil, "p")
 	o.Handle(&msg.Message{
 		Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
 		Pages: []string{"p"}, Payload: el, VVec: vecOf(1, 1),
@@ -289,7 +304,7 @@ func TestInvalidateWaitDefersUntilAccess(t *testing.T) {
 	}
 	// Parent answers with the fresh page; the parked read completes.
 	doc.Put("p", []byte("v2"), "", 2)
-	el2, _ := doc.SnapshotElement("p")
+	el2, _ := doc.AppendElement(nil, "p")
 	o.Handle(&msg.Message{
 		Kind: msg.KindStateReply, Object: "obj", From: "parent-store",
 		Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2),
@@ -1007,7 +1022,7 @@ func TestEmptyVectorSnapshotDoesNotRollBack(t *testing.T) {
 func TestEmptyVectorSnapshotAfterPageFetch(t *testing.T) {
 	doc := webdoc.New()
 	doc.Put("p", nil, "text/html", 1)
-	emptyEl, err := doc.SnapshotElement("p")
+	emptyEl, err := doc.AppendElement(nil, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1016,7 +1031,7 @@ func TestEmptyVectorSnapshotAfterPageFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc.Put("p", []byte("c1.1;"), "text/html", 2)
-	el1, err := doc.SnapshotElement("p")
+	el1, err := doc.AppendElement(nil, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1052,7 +1067,7 @@ func TestEmptyVectorSnapshotAfterPageFetch(t *testing.T) {
 func TestReorderedSnapshotsDoNotRollBackFetchedPage(t *testing.T) {
 	doc := webdoc.New()
 	doc.Append("p", []byte("c1.1;"), 1)
-	oldEl, err := doc.SnapshotElement("p")
+	oldEl, err := doc.AppendElement(nil, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1061,7 +1076,7 @@ func TestReorderedSnapshotsDoNotRollBackFetchedPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc.Append("p", []byte("c1.2;"), 2)
-	newEl, err := doc.SnapshotElement("p")
+	newEl, err := doc.AppendElement(nil, "p")
 	if err != nil {
 		t.Fatal(err)
 	}

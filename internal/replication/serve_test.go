@@ -53,7 +53,7 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc.Put("p", []byte("v2"), "", 2)
-	el2, err := doc.SnapshotElement("p")
+	el2, err := doc.AppendElement(nil, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +258,9 @@ func TestWholeReplyTakenBeforeAMarkKeepsIt(t *testing.T) {
 func TestOldPageReplyLeavesMarkSet(t *testing.T) {
 	doc := webdoc.New()
 	doc.Put("p", []byte("v1"), "", 1)
-	el1, _ := doc.SnapshotElement("p")
+	el1, _ := doc.AppendElement(nil, "p")
 	doc.Put("p", []byte("v2"), "", 2)
-	el2, _ := doc.SnapshotElement("p")
+	el2, _ := doc.AppendElement(nil, "p")
 
 	env := newFakeEnv()
 	st := strategy.PopularEventPage()
@@ -389,7 +389,7 @@ func TestMirrorWholeReplyCoversFetchedPages(t *testing.T) {
 func TestCoveredInvalidationFetchesNothing(t *testing.T) {
 	doc := webdoc.New()
 	doc.Put("p", []byte("v2"), "", 2)
-	el2, _ := doc.SnapshotElement("p")
+	el2, _ := doc.AppendElement(nil, "p")
 	env := newFakeEnv()
 	o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "www")
 	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2)})
@@ -400,5 +400,47 @@ func TestCoveredInvalidationFetchesNothing(t *testing.T) {
 	}
 	if got, ok := readPage(t, env, o, "p"); !ok || got != "v2" {
 		t.Fatalf("read served %q (ok %v), want v2 at once", got, ok)
+	}
+}
+
+// countEnv is a fakeEnv whose sends are counted, not kept, so that what the
+// replica allocates is all an allocation count sees.
+type countEnv struct {
+	*fakeEnv
+	n int
+}
+
+func (e *countEnv) Send(string, *msg.Message) error              { e.n++; return nil }
+func (e *countEnv) Multicast(tos []string, _ *msg.Message) error { e.n += len(tos); return nil }
+
+// A write and then a read of the page it wrote, at a permanent replica,
+// allocate only the write's update block: the read appends the page into the
+// Env's scratch, so serving a page right after it changed copies it into no
+// buffer of its own.
+func TestServeReadAfterWriteAllocs(t *testing.T) {
+	env := &countEnv{fakeEnv: newFakeEnv()}
+	o := newObj(t, env, RolePermanent, strategy.Conference(time.Hour), "")
+	defer o.Close()
+	write := msg.Message{Kind: msg.KindWriteRequest, Object: "obj", From: "client", Client: 1,
+		Inv: msg.Invocation{Method: webdoc.MethodPutPage, Page: "p",
+			Args: webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: make([]byte, 4096), ContentType: "text/html"})}}
+	read := msg.Message{Kind: msg.KindReadRequest, Object: "obj", From: "client", Client: 2,
+		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"}}
+	var req msg.Message
+	var seq uint64
+	pair := func() {
+		seq++
+		req = write
+		req.Write = ids.WiD{Client: 1, Seq: seq}
+		o.Handle(&req)
+		req = read
+		o.Handle(&req)
+	}
+	pair()
+	if a := testing.AllocsPerRun(300, pair); a > 1.1 {
+		t.Errorf("a write and a read allocate %.2f times, want at most 1.1 (the update's block)", a)
+	}
+	if env.n != 2*int(seq) || req.Kind != msg.KindReadReply || req.Status != msg.StatusOK || len(req.Payload) < 4096 {
+		t.Fatalf("%d pairs drew %d replies, the last %v %v with %d bytes", seq, env.n, req.Kind, req.Status, len(req.Payload))
 	}
 }

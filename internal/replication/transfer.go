@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 
@@ -339,8 +340,9 @@ func (o *Object) mergeState(ps coherence.PageStamps, payload []byte, stamps []ms
 	var keep []own
 	ps.EachStamp(func(page string, mine vclock.Stamp) {
 		if t, ok := theirs[page]; !ok || t.Less(mine) {
+			// Cloned: the element is valid only until the next Env call.
 			data, err := o.env.SnapshotElement(page)
-			keep = append(keep, own{page, data, err != nil})
+			keep = append(keep, own{page, bytes.Clone(data), err != nil})
 		}
 	})
 	if err := o.env.ApplyFull(payload); err != nil {

@@ -10,6 +10,7 @@ package applog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/msg"
@@ -58,33 +59,36 @@ func (l *Log) Methods() []semantics.MethodInfo { return methodTable }
 // Invoke implements semantics.Object. Entry/Suffix take a big-endian u32
 // index in Args; Append takes the payload in Args.
 func (l *Log) Invoke(inv msg.Invocation) ([]byte, error) {
-	switch inv.Method {
-	case MethodLen:
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], uint32(l.Len()))
-		return buf[:], nil
-	case MethodEntry:
-		if len(inv.Args) < 4 {
-			return nil, fmt.Errorf("applog: Entry needs a u32 index")
-		}
-		i := int(binary.BigEndian.Uint32(inv.Args))
-		e, ok := l.Entry(i)
-		if !ok {
-			return nil, fmt.Errorf("%w: entry %d", semantics.ErrNoElement, i)
-		}
-		return e, nil
-	case MethodSuffix:
-		if len(inv.Args) < 4 {
-			return nil, fmt.Errorf("applog: Suffix needs a u32 index")
-		}
-		i := int(binary.BigEndian.Uint32(inv.Args))
-		return encodeEntries(l.Suffix(i)), nil
-	case MethodAppend:
+	if inv.Method == MethodAppend {
 		l.Append(inv.Args)
 		return nil, nil
+	}
+	return l.AppendRead(nil, inv)
+}
+
+// AppendRead implements semantics.Object: Len appends the entry count, Entry
+// one entry, Suffix the encoding of every entry from the index on.
+func (l *Log) AppendRead(dst []byte, inv msg.Invocation) ([]byte, error) {
+	switch inv.Method {
+	case MethodLen:
+		return binary.BigEndian.AppendUint32(dst, uint32(l.Len())), nil
+	case MethodEntry, MethodSuffix:
 	default:
 		return nil, fmt.Errorf("%w: %d", semantics.ErrUnknownMethod, inv.Method)
 	}
+	if len(inv.Args) < 4 {
+		return nil, fmt.Errorf("applog: method %d needs a u32 index", inv.Method)
+	}
+	i := uint(binary.BigEndian.Uint32(inv.Args))
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if inv.Method == MethodSuffix {
+		return appendEntries(dst, l.entries[min(i, uint(len(l.entries))):]), nil
+	}
+	if i >= uint(len(l.entries)) {
+		return nil, fmt.Errorf("%w: entry %d", semantics.ErrNoElement, i)
+	}
+	return append(dst, l.entries[i]...), nil
 }
 
 // Append adds a copy of payload to the log.
@@ -131,12 +135,15 @@ func (l *Log) Len() int {
 // Elements implements semantics.Object.
 func (l *Log) Elements() []string { return []string{logElement} }
 
-// SnapshotElement implements semantics.Object.
-func (l *Log) SnapshotElement(name string) ([]byte, error) {
+// AppendElement implements semantics.Object: the whole log, as Snapshot
+// encodes it.
+func (l *Log) AppendElement(dst []byte, name string) ([]byte, error) {
 	if name != logElement {
 		return nil, fmt.Errorf("%w: %q", semantics.ErrNoElement, name)
 	}
-	return l.Snapshot()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return appendEntries(dst, l.entries), nil
 }
 
 // RestoreElement implements semantics.Object.
@@ -147,12 +154,9 @@ func (l *Log) RestoreElement(name string, data []byte) error {
 	return l.Restore(data)
 }
 
-// Snapshot implements semantics.Object.
-func (l *Log) Snapshot() ([]byte, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return encodeEntries(l.entries), nil
-}
+// Snapshot implements semantics.Object: the entries encoded into one buffer
+// of exactly their size.
+func (l *Log) Snapshot() ([]byte, error) { return l.AppendElement(nil, logElement) }
 
 // Restore implements semantics.Object.
 func (l *Log) Restore(data []byte) error {
@@ -166,14 +170,19 @@ func (l *Log) Restore(data []byte) error {
 	return nil
 }
 
-func encodeEntries(entries [][]byte) []byte {
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(entries)))
+// appendEntries appends the encoding of entries to dst (Snapshot, Suffix),
+// growing it at most once: u32 count, then u32-length-prefixed entries.
+func appendEntries(dst []byte, entries [][]byte) []byte {
+	size := 4
 	for _, e := range entries {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e)))
-		buf = append(buf, e...)
+		size += 4 + len(e)
 	}
-	return buf
+	dst = binary.BigEndian.AppendUint32(slices.Grow(dst, size), uint32(len(entries)))
+	for _, e := range entries {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(e)))
+		dst = append(dst, e...)
+	}
+	return dst
 }
 
 // EncodeIndex marshals the u32 index argument of MethodEntry / MethodSuffix.

@@ -137,7 +137,7 @@ func TestElementsInterface(t *testing.T) {
 		t.Fatalf("Elements = %v", got)
 	}
 	l.Append([]byte("x"))
-	e, err := l.SnapshotElement("log")
+	e, err := l.AppendElement(nil, "log")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestElementsInterface(t *testing.T) {
 	if l2.Len() != 1 {
 		t.Fatalf("element restore failed")
 	}
-	if _, err := l.SnapshotElement("bogus"); !errors.Is(err, semantics.ErrNoElement) {
+	if _, err := l.AppendElement(nil, "bogus"); !errors.Is(err, semantics.ErrNoElement) {
 		t.Fatalf("want ErrNoElement, got %v", err)
 	}
 	if err := l.RestoreElement("bogus", nil); !errors.Is(err, semantics.ErrNoElement) {
@@ -159,7 +159,7 @@ func TestElementsInterface(t *testing.T) {
 // Property: entries codec round-trips arbitrary logs.
 func TestEntriesCodecRoundTrip(t *testing.T) {
 	f := func(entries [][]byte) bool {
-		enc := encodeEntries(entries)
+		enc := appendEntries(nil, entries)
 		got, err := DecodeEntries(enc)
 		if err != nil {
 			return false
@@ -183,11 +183,44 @@ func TestDecodeEntriesRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeEntries([]byte{1}); err == nil {
 		t.Fatalf("short header accepted")
 	}
-	good := encodeEntries([][]byte{[]byte("x")})
+	good := appendEntries(nil, [][]byte{[]byte("x")})
 	if _, err := DecodeEntries(append(good, 7)); err == nil {
 		t.Fatalf("trailing bytes accepted")
 	}
 	if _, err := DecodeEntries(good[:5]); err == nil {
 		t.Fatalf("truncated body accepted")
+	}
+}
+
+// A read appends into the caller's buffer: with room there, Len, Entry,
+// Suffix and AppendElement allocate nothing, and each appends what Invoke
+// returns.
+func TestAppendReadAllocatesNothing(t *testing.T) {
+	l := New()
+	for _, e := range []string{"a", "bb", "ccc"} {
+		l.Append([]byte(e))
+	}
+	var one [4]byte
+	binary.BigEndian.PutUint32(one[:], 1)
+	buf := make([]byte, 0, 64)
+	for _, inv := range []msg.Invocation{
+		{Method: MethodLen}, {Method: MethodEntry, Args: one[:]}, {Method: MethodSuffix, Args: one[:]},
+	} {
+		if a := testing.AllocsPerRun(100, func() { _, _ = l.AppendRead(buf, inv) }); a != 0 {
+			t.Errorf("method %d into a buffer with room allocates %.0f times, want 0", inv.Method, a)
+		}
+		want, err := l.Invoke(inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := l.AppendRead(buf[:1], inv); err != nil || !bytes.Equal(got[1:], want) {
+			t.Fatalf("method %d appended %q, %v; Invoke returns %q", inv.Method, got, err, want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = l.AppendElement(buf, logElement) }); a != 0 {
+		t.Errorf("AppendElement into a buffer with room allocates %.0f times, want 0", a)
+	}
+	if _, err := l.AppendRead(nil, msg.Invocation{Method: MethodAppend}); !errors.Is(err, semantics.ErrUnknownMethod) {
+		t.Fatalf("AppendRead of a write: %v", err)
 	}
 }

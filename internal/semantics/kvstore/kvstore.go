@@ -54,20 +54,25 @@ func (s *Store) Methods() []semantics.MethodInfo { return methodTable }
 // the key; Args carry the value for Put.
 func (s *Store) Invoke(inv msg.Invocation) ([]byte, error) {
 	switch inv.Method {
-	case MethodGet:
-		v, ok := s.Get(inv.Page)
-		if !ok {
-			return nil, fmt.Errorf("%w: key %q", semantics.ErrNoElement, inv.Page)
-		}
-		return v, nil
-	case MethodKeys:
-		return EncodeKeys(s.Keys()), nil
 	case MethodPut:
 		s.Put(inv.Page, inv.Args)
 		return nil, nil
 	case MethodDelete:
 		s.Delete(inv.Page)
 		return nil, nil
+	default:
+		return s.AppendRead(nil, inv)
+	}
+}
+
+// AppendRead implements semantics.Object: Get appends the key's value, Keys
+// the sorted key set.
+func (s *Store) AppendRead(dst []byte, inv msg.Invocation) ([]byte, error) {
+	switch inv.Method {
+	case MethodGet:
+		return s.AppendElement(dst, inv.Page)
+	case MethodKeys:
+		return appendKeys(dst, s.Keys()), nil
 	default:
 		return nil, fmt.Errorf("%w: %d", semantics.ErrUnknownMethod, inv.Method)
 	}
@@ -131,13 +136,15 @@ func (s *Store) Len() int {
 // Elements implements semantics.Object.
 func (s *Store) Elements() []string { return s.Keys() }
 
-// SnapshotElement implements semantics.Object.
-func (s *Store) SnapshotElement(name string) ([]byte, error) {
-	v, ok := s.Get(name)
+// AppendElement implements semantics.Object: the key's value.
+func (s *Store) AppendElement(dst []byte, name string) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.data[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: key %q", semantics.ErrNoElement, name)
 	}
-	return v, nil
+	return append(dst, v...), nil
 }
 
 // RestoreElement implements semantics.Object.
@@ -146,20 +153,21 @@ func (s *Store) RestoreElement(name string, data []byte) error {
 	return nil
 }
 
-// Snapshot implements semantics.Object.
+// Snapshot implements semantics.Object. It sizes its buffer first and
+// appends every entry into it: one allocation for the state.
 func (s *Store) Snapshot() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	size := 4
+	for k, v := range s.data {
 		keys = append(keys, k)
+		size += 4 + len(k) + 4 + len(v)
 	}
 	sort.Strings(keys)
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(keys)))
 	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
+		buf = appendChunk(buf, k)
 		v := s.data[k]
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
 		buf = append(buf, v...)
@@ -196,16 +204,20 @@ func (s *Store) Restore(data []byte) error {
 	return nil
 }
 
-// EncodeKeys marshals a MethodKeys reply: u32 count, then u32-length-
-// prefixed keys.
-func EncodeKeys(keys []string) []byte {
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
+// appendKeys appends a MethodKeys reply to dst: u32 count, then
+// u32-length-prefixed keys.
+func appendKeys(dst []byte, keys []string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(keys)))
 	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
+		dst = appendChunk(dst, k)
 	}
-	return buf
+	return dst
+}
+
+// appendChunk appends one u32-length-prefixed string to dst.
+func appendChunk(dst []byte, s string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
 }
 
 // DecodeKeys unmarshals a MethodKeys reply.

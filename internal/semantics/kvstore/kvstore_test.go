@@ -88,7 +88,7 @@ func TestInvokeDispatch(t *testing.T) {
 func TestElementsTransfer(t *testing.T) {
 	s := New()
 	s.Put("a", []byte("1"))
-	e, err := s.SnapshotElement("a")
+	e, err := s.AppendElement(nil, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestElementsTransfer(t *testing.T) {
 	if !ok || string(v) != "1" {
 		t.Fatalf("restored = %q, %v", v, ok)
 	}
-	if _, err := s.SnapshotElement("zzz"); !errors.Is(err, semantics.ErrNoElement) {
+	if _, err := s.AppendElement(nil, "zzz"); !errors.Is(err, semantics.ErrNoElement) {
 		t.Fatalf("want ErrNoElement, got %v", err)
 	}
 }
@@ -169,4 +169,30 @@ func TestKeyOwnsItsName(t *testing.T) {
 func pointsInto(s, name string) bool {
 	off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(unsafe.StringData(name)))
 	return off < uintptr(len(name))
+}
+
+// A read appends into the caller's buffer: with room there, Get and
+// AppendElement allocate nothing, and what Invoke returns is the caller's own.
+func TestAppendReadAllocatesNothing(t *testing.T) {
+	s := New()
+	s.Put("k", []byte("value"))
+	get := msg.Invocation{Method: MethodGet, Page: "k"}
+	buf := make([]byte, 0, 64)
+	if a := testing.AllocsPerRun(100, func() { _, _ = s.AppendRead(buf, get) }); a != 0 {
+		t.Errorf("Get into a buffer with room allocates %.0f times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = s.AppendElement(buf, "k") }); a != 0 {
+		t.Errorf("AppendElement into a buffer with room allocates %.0f times, want 0", a)
+	}
+	if out, err := s.AppendRead(buf[:1], get); err != nil || string(out[1:]) != "value" {
+		t.Fatalf("Get appended %q, %v", out, err)
+	}
+	first, _ := s.Invoke(get)
+	s.Put("k", []byte("other"))
+	if string(first) != "value" {
+		t.Fatalf("a later Put changed what an earlier Get returned: %q", first)
+	}
+	if _, err := s.AppendRead(nil, msg.Invocation{Method: MethodPut, Page: "k"}); !errors.Is(err, semantics.ErrUnknownMethod) {
+		t.Fatalf("AppendRead of a write: %v", err)
+	}
 }

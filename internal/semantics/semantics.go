@@ -65,15 +65,23 @@ var ErrNoElement = errors.New("semantics: no such element")
 // Object is a semantics sub-object. Implementations must be safe for
 // concurrent use: the control object may invoke reads concurrently with
 // replicated writes.
+//
+// A read's result is appended to a buffer the caller supplies (AppendRead,
+// AppendElement), so a replica can marshal every reply it sends into one
+// buffer it reuses. Nothing the object returns aliases its state: a write
+// never changes a result already handed out.
 type Object interface {
 	// Methods returns the object's method table.
 	Methods() []MethodInfo
 	// Invoke executes a marshalled invocation and returns the marshalled
 	// result. A write's Args pass to the object, which may keep them as
-	// state: the caller neither changes nor reuses them afterwards. A read's
-	// result may be shared with every other read until the next write (webdoc
-	// encodes each page version once), so the caller must not modify it.
+	// state: the caller neither changes nor reuses them afterwards. A read
+	// returns AppendRead(nil, inv), a result of the caller's own.
 	Invoke(inv msg.Invocation) ([]byte, error)
+	// AppendRead executes a read invocation and appends its marshalled
+	// result to dst, returning the extended buffer. It knows only the read
+	// methods: any other, a write included, is an ErrUnknownMethod error.
+	AppendRead(dst []byte, inv msg.Invocation) ([]byte, error)
 
 	// Snapshot returns the full marshalled state (transfer type "full").
 	Snapshot() ([]byte, error)
@@ -83,10 +91,10 @@ type Object interface {
 	// Elements lists the names of independently transferable state parts
 	// (the pages of a Web document; transfer type "partial").
 	Elements() []string
-	// SnapshotElement marshals one element. Like a read's result, it may be
-	// shared until the next write and must not be modified.
-	SnapshotElement(name string) ([]byte, error)
-	// RestoreElement replaces one element from SnapshotElement data.
+	// AppendElement appends the marshalled element to dst, returning the
+	// extended buffer.
+	AppendElement(dst []byte, name string) ([]byte, error)
+	// RestoreElement replaces one element from AppendElement data.
 	RestoreElement(name string, data []byte) error
 }
 

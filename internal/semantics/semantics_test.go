@@ -15,12 +15,13 @@ func (tableObject) Methods() []MethodInfo {
 		{ID: 2, Name: "Write", Kind: Write},
 	}
 }
-func (tableObject) Invoke(msg.Invocation) ([]byte, error)  { return nil, nil }
-func (tableObject) Snapshot() ([]byte, error)              { return nil, nil }
-func (tableObject) Restore([]byte) error                   { return nil }
-func (tableObject) Elements() []string                     { return nil }
-func (tableObject) SnapshotElement(string) ([]byte, error) { return nil, ErrNoElement }
-func (tableObject) RestoreElement(string, []byte) error    { return ErrNoElement }
+func (tableObject) Invoke(msg.Invocation) ([]byte, error)                   { return nil, nil }
+func (tableObject) AppendRead(dst []byte, _ msg.Invocation) ([]byte, error) { return dst, nil }
+func (tableObject) Snapshot() ([]byte, error)                               { return nil, nil }
+func (tableObject) Restore([]byte) error                                    { return nil }
+func (tableObject) Elements() []string                                      { return nil }
+func (tableObject) AppendElement([]byte, string) ([]byte, error)            { return nil, ErrNoElement }
+func (tableObject) RestoreElement(string, []byte) error                     { return ErrNoElement }
 
 func TestTableClassification(t *testing.T) {
 	tab := NewTable(tableObject{})

@@ -62,15 +62,21 @@ func splitWriteArgs(b []byte) (contentType, content []byte, modifiedNanos int64,
 }
 
 // EncodePage marshals a page (content, type, version, modified time) into a
-// buffer sized up front: one allocation, the content copied once.
-func EncodePage(p *Page) []byte {
-	buf := make([]byte, 0, 4+len(p.ContentType)+8+8+4+len(p.Content))
-	buf = appendString(buf, p.ContentType)
-	buf = binary.BigEndian.AppendUint64(buf, p.Version)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.ModifiedNanos))
-	buf = appendBytes(buf, p.Content)
-	return buf
+// buffer of exactly its size: one allocation, the content copied once.
+func EncodePage(p *Page) []byte { return appendPage(make([]byte, 0, pageSize(p)), p) }
+
+// appendPage appends a page's encoding to dst, growing it at most once. It is
+// the one page encoder: reads, element transfers and snapshots all use it.
+func appendPage(dst []byte, p *Page) []byte {
+	dst = slices.Grow(dst, pageSize(p))
+	dst = appendString(dst, p.ContentType)
+	dst = binary.BigEndian.AppendUint64(dst, p.Version)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.ModifiedNanos))
+	return appendBytes(dst, p.Content)
 }
+
+// pageSize is the length of a page's encoding.
+func pageSize(p *Page) int { return 4 + len(p.ContentType) + 8 + 8 + 4 + len(p.Content) }
 
 // decoded is a Page allocated together with room for a short content type.
 type decoded struct {
@@ -156,14 +162,13 @@ func takeString(b []byte) (string, []byte, error) {
 	return string(f), rest, err
 }
 
-// encodeStrings marshals a string list (ListPages reply).
-func encodeStrings(ss []string) []byte {
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ss)))
+// appendStrings appends a string list (ListPages reply) to dst.
+func appendStrings(dst []byte, ss []string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ss)))
 	for _, s := range ss {
-		buf = appendString(buf, s)
+		dst = appendString(dst, s)
 	}
-	return buf
+	return dst
 }
 
 // DecodeStrings unmarshals a ListPages reply.

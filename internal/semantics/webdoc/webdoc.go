@@ -56,21 +56,15 @@ type Page struct {
 
 // Document is a thread-safe Web-document semantics object. The zero value
 // is an empty document ready for use.
+//
+// A page keeps one copy of its content. Its content and content type view
+// either the block of the write that put it (putOwned), which no one changes,
+// or memory of the page's own (Put, Append, and the copy RestoreElement and
+// Restore make of a page encoding). A read copies the page out under the read
+// lock (appendPage), so nothing a read returns aliases the page.
 type Document struct {
 	mu    sync.RWMutex
-	pages map[string]*stored
-}
-
-// stored is a page as the document keeps it: the Page, and enc, the encoding
-// of its current version. The first GetPage or SnapshotElement after a write
-// builds enc (encoded), and every read returns that same slice until the next
-// write drops it. Once enc exists the page's content and content type are
-// windows of it, so the page keeps one copy of its content, not two (after an
-// Append the type still points into the old encoding until the next read
-// builds a new one).
-type stored struct {
-	Page
-	enc []byte
+	pages map[string]*Page
 }
 
 var _ semantics.Object = (*Document)(nil)
@@ -91,12 +85,6 @@ func (d *Document) Methods() []semantics.MethodInfo { return methodTable }
 // document's to keep (semantics.Object), and PutPage keeps them.
 func (d *Document) Invoke(inv msg.Invocation) ([]byte, error) {
 	switch inv.Method {
-	case MethodGetPage:
-		return d.encoded(inv.Page)
-	case MethodListPages:
-		return encodeStrings(d.Pages()), nil
-	case MethodStatPage:
-		return d.stat(inv.Page)
 	case MethodPutPage:
 		return nil, d.putOwned(inv.Page, inv.Args)
 	case MethodAppendPage:
@@ -110,6 +98,21 @@ func (d *Document) Invoke(inv msg.Invocation) ([]byte, error) {
 		d.Delete(inv.Page)
 		return nil, nil
 	default:
+		return d.AppendRead(nil, inv)
+	}
+}
+
+// AppendRead implements semantics.Object: GetPage appends the page's
+// encoding, StatPage the same without content, ListPages the sorted names.
+func (d *Document) AppendRead(dst []byte, inv msg.Invocation) ([]byte, error) {
+	switch inv.Method {
+	case MethodGetPage:
+		return d.appendNamed(dst, inv.Page, true)
+	case MethodStatPage:
+		return d.appendNamed(dst, inv.Page, false)
+	case MethodListPages:
+		return appendStrings(dst, d.Pages()), nil
+	default:
 		return nil, fmt.Errorf("%w: %d", semantics.ErrUnknownMethod, inv.Method)
 	}
 }
@@ -122,7 +125,7 @@ func (d *Document) Get(name string) (*Page, error) {
 	if !ok {
 		return nil, noPage(name)
 	}
-	cp := p.Page
+	cp := *p
 	cp.Content = append([]byte(nil), p.Content...)
 	return &cp, nil
 }
@@ -131,46 +134,19 @@ func noPage(name string) error {
 	return fmt.Errorf("%w: page %q", semantics.ErrNoElement, name)
 }
 
-// encoded returns the encoding of the named page's current version, shared
-// with every other read until the next write: callers send it and must not
-// modify it. The first read after a write builds it under the write lock,
-// checking again there, since another reader may have built it meanwhile.
-func (d *Document) encoded(name string) ([]byte, error) {
-	d.mu.RLock()
-	p := d.pages[name]
-	var enc []byte
-	if p != nil {
-		enc = p.enc
-	}
-	d.mu.RUnlock()
-	if enc != nil {
-		return enc, nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p = d.pages[name]
-	if p == nil {
-		return nil, noPage(name)
-	}
-	if p.enc == nil {
-		enc := EncodePage(&p.Page)
-		// Point the page at the encoding's bytes (it cannot fail to parse: it
-		// was just built), so the content the page held before can go.
-		p.Page, _ = viewPage(enc)
-		p.enc = enc
-	}
-	return p.enc, nil
-}
-
-// stat is the StatPage reply: the named page's encoding without content.
-func (d *Document) stat(name string) ([]byte, error) {
+// appendNamed appends the named page's encoding to dst, its content left out
+// unless content is set (StatPage).
+func (d *Document) appendNamed(dst []byte, name string, content bool) ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	p, ok := d.pages[name]
 	if !ok {
 		return nil, noPage(name)
 	}
-	return EncodePage(&Page{ContentType: p.ContentType, Version: p.Version, ModifiedNanos: p.ModifiedNanos}), nil
+	if !content {
+		return appendPage(dst, &Page{ContentType: p.ContentType, Version: p.Version, ModifiedNanos: p.ModifiedNanos}), nil
+	}
+	return appendPage(dst, p), nil
 }
 
 // Pages returns the sorted page names.
@@ -203,10 +179,11 @@ func (d *Document) Put(name string, content []byte, contentType string, modified
 // applied write copies its content nowhere. The window's capacity is clamped
 // to its length: a later Append must grow a new buffer, never write into
 // args, which the replica's update log still holds. The content type is a
-// string over args too, so the page holds nothing of its previous version.
-// At a replica args are the tail of the update's one block, after the page
-// name: the page keeps that block, and its map key is a clone (page), so no
-// older write's block outlives its version.
+// string over args too; a write without one keeps the page's type as a copy
+// (or the default constant), so the page holds nothing of its previous
+// version. At a replica args are the tail of the update's one block, after
+// the page name: the page keeps that block, and its map key is a clone
+// (page), so no older write's block outlives its version.
 func (d *Document) putOwned(name string, args []byte) error {
 	contentType, content, modifiedNanos, err := splitWriteArgs(args)
 	if err != nil {
@@ -219,8 +196,13 @@ func (d *Document) putOwned(name string, args []byte) error {
 	if len(content) > 0 {
 		p.Content = content[:len(content):len(content)]
 	}
-	if len(contentType) > 0 {
+	switch {
+	case len(contentType) > 0:
 		p.ContentType = unsafe.String(&contentType[0], len(contentType))
+	case p.ContentType == defaultType:
+		p.ContentType = defaultType
+	default:
+		p.ContentType = strings.Clone(p.ContentType)
 	}
 	p.written(modifiedNanos)
 	return nil
@@ -228,10 +210,22 @@ func (d *Document) putOwned(name string, args []byte) error {
 
 // Append adds content to the end of a page, creating it if absent. This is
 // the incremental-update operation of the paper's conference-page example.
+// Content viewing a write's block or a restored copy has its capacity
+// clamped, so appending never writes into it. A page that outgrows its
+// content moves it, and its content type, into one new block of its own, so
+// it lets go of the block it viewed; appends then fill that block's spare
+// room, which no reader sees.
 func (d *Document) Append(name string, content []byte, modifiedNanos int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.page(name)
+	if n := len(p.Content) + len(content); n > cap(p.Content) {
+		ct := len(p.ContentType)
+		b := make([]byte, 0, ct+2*n)
+		b = append(append(b, p.ContentType...), p.Content...)
+		p.ContentType = unsafe.String(unsafe.SliceData(b), ct)
+		p.Content = b[ct:]
+	}
 	p.Content = append(p.Content, content...)
 	p.written(modifiedNanos)
 }
@@ -241,27 +235,28 @@ func (d *Document) Append(name string, content []byte, modifiedNanos int64) {
 // write's arguments (a replica's update), which the key would otherwise pin
 // for the page's life. Only creation assigns the key, so this is never paid
 // per write.
-func (d *Document) page(name string) *stored {
+func (d *Document) page(name string) *Page {
 	if d.pages == nil {
-		d.pages = make(map[string]*stored)
+		d.pages = make(map[string]*Page)
 	}
 	p, ok := d.pages[name]
 	if !ok {
-		p = &stored{}
+		p = &Page{}
 		d.pages[strings.Clone(name)] = p
 	}
 	return p
 }
 
-// written stamps one applied write on the page and drops the old version's
-// encoding (readers that hold it keep theirs).
-func (p *stored) written(modifiedNanos int64) {
+// defaultType is the content type of a page no write gave one.
+const defaultType = "text/html"
+
+// written stamps one applied write on the page.
+func (p *Page) written(modifiedNanos int64) {
 	if p.ContentType == "" {
-		p.ContentType = "text/html"
+		p.ContentType = defaultType
 	}
 	p.Version++
 	p.ModifiedNanos = modifiedNanos
-	p.enc = nil
 }
 
 // Delete removes a page (idempotent).
@@ -281,10 +276,10 @@ func (d *Document) Len() int {
 // Elements implements semantics.Object: pages are the transfer units.
 func (d *Document) Elements() []string { return d.Pages() }
 
-// SnapshotElement implements semantics.Object: the page's shared encoding,
-// as GetPage returns it.
-func (d *Document) SnapshotElement(name string) ([]byte, error) {
-	return d.encoded(name)
+// AppendElement implements semantics.Object: the page's encoding, as GetPage
+// appends it.
+func (d *Document) AppendElement(dst []byte, name string) ([]byte, error) {
+	return d.appendNamed(dst, name, true)
 }
 
 // RestoreElement implements semantics.Object. Restoring an element replaces
@@ -303,33 +298,30 @@ func (d *Document) RestoreElement(name string, data []byte) error {
 	return nil
 }
 
-// restored makes a page record from a page encoding the caller keeps: one
-// copy of it, which is the record's encoding and holds its content and type.
-func restored(data []byte) (stored, error) {
-	enc := append([]byte(nil), data...)
-	p, err := viewPage(enc)
-	return stored{Page: p, enc: enc}, err
+// restored makes a page from a page encoding the caller keeps: a view of one
+// copy of it, which holds the page's content and type.
+func restored(data []byte) (Page, error) {
+	return viewPage(append([]byte(nil), data...))
 }
 
-// Snapshot implements semantics.Object (full state transfer).
+// Snapshot implements semantics.Object (full state transfer). It sizes its
+// buffer first and appends every page into it: one allocation for the state.
 func (d *Document) Snapshot() ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	names := make([]string, 0, len(d.pages))
-	for n := range d.pages {
+	size := 4
+	for n, p := range d.pages {
 		names = append(names, n)
+		size += 4 + len(n) + 4 + pageSize(p)
 	}
 	sort.Strings(names)
-	var buf []byte
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(names)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(names)))
 	for _, n := range names {
-		buf = appendString(buf, n)
 		p := d.pages[n]
-		enc := p.enc
-		if enc == nil {
-			enc = EncodePage(&p.Page)
-		}
-		buf = appendBytes(buf, enc)
+		buf = appendString(buf, n)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(pageSize(p)))
+		buf = appendPage(buf, p)
 	}
 	return buf, nil
 }
@@ -341,7 +333,7 @@ func (d *Document) Restore(data []byte) error {
 	}
 	n := binary.BigEndian.Uint32(data)
 	data = data[4:]
-	pages := make(map[string]*stored, n)
+	pages := make(map[string]*Page, n)
 	for i := uint32(0); i < n; i++ {
 		var name string
 		var err error

@@ -173,7 +173,7 @@ func TestPartialElementTransfer(t *testing.T) {
 	if got := d.Elements(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("Elements = %v", got)
 	}
-	eb, err := d.SnapshotElement("b")
+	eb, err := d.AppendElement(nil, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPartialElementTransfer(t *testing.T) {
 	if string(p.Content) != "B" || p.Version != 1 || p.ModifiedNanos != 2 {
 		t.Fatalf("partial restore wrong: %+v", p)
 	}
-	if _, err := d.SnapshotElement("zzz"); !errors.Is(err, semantics.ErrNoElement) {
+	if _, err := d.AppendElement(nil, "zzz"); !errors.Is(err, semantics.ErrNoElement) {
 		t.Fatalf("want ErrNoElement, got %v", err)
 	}
 }
@@ -359,7 +359,7 @@ func TestAppendAfterOwnedPutLeavesLoggedArgsUntouched(t *testing.T) {
 	}
 }
 
-// getPage decodes what GetPage and SnapshotElement return for name; both must
+// getPage decodes what GetPage and AppendElement return for name; both must
 // agree.
 func getPage(t *testing.T, d *Document, name string) *Page {
 	t.Helper()
@@ -367,9 +367,9 @@ func getPage(t *testing.T, d *Document, name string) *Page {
 	if err != nil {
 		t.Fatalf("GetPage %q: %v", name, err)
 	}
-	el, err := d.SnapshotElement(name)
+	el, err := d.AppendElement(nil, name)
 	if err != nil || !bytes.Equal(out, el) {
-		t.Fatalf("SnapshotElement %q = %q, %v; GetPage = %q", name, el, err, out)
+		t.Fatalf("AppendElement %q = %q, %v; GetPage = %q", name, el, err, out)
 	}
 	p, err := DecodePage(out)
 	if err != nil {
@@ -378,8 +378,8 @@ func getPage(t *testing.T, d *Document, name string) *Page {
 	return p
 }
 
-// A page version is encoded once and shared, so every way of changing the page
-// must drop that encoding: the read after each mutation sees the new version.
+// Every way of changing the page shows in the next read: the read after each
+// mutation sees the new version.
 func TestEveryMutationDropsTheSharedEncoding(t *testing.T) {
 	d := New()
 	d.Put("p", []byte("v1"), "text/plain", 1)
@@ -404,7 +404,7 @@ func TestEveryMutationDropsTheSharedEncoding(t *testing.T) {
 	d.Append("p", []byte("+"), 4)
 	want("v3+", 4)
 
-	old, _ := d.SnapshotElement("p")
+	old, _ := d.AppendElement(nil, "p")
 	snap, _ := d.Snapshot()
 	d.Put("p", []byte("v5"), "", 5)
 	want("v5", 5)
@@ -425,47 +425,59 @@ func TestEveryMutationDropsTheSharedEncoding(t *testing.T) {
 	if _, err := d.Invoke(msg.Invocation{Method: MethodGetPage, Page: "p"}); !errors.Is(err, semantics.ErrNoElement) {
 		t.Fatalf("GetPage after Delete: %v", err)
 	}
-	if _, err := d.SnapshotElement("p"); !errors.Is(err, semantics.ErrNoElement) {
-		t.Fatalf("SnapshotElement after Delete: %v", err)
+	if _, err := d.AppendElement(nil, "p"); !errors.Is(err, semantics.ErrNoElement) {
+		t.Fatalf("AppendElement after Delete: %v", err)
 	}
 }
 
-// Reading an unchanged page again returns the very bytes the first read
-// built, and allocates nothing.
-func TestRepeatedGetPageSharesOneEncoding(t *testing.T) {
+// A read appends into the caller's buffer: with room there, GetPage, StatPage
+// and AppendElement allocate nothing. What Invoke returns is the caller's own,
+// so no later write changes it.
+func TestAppendReadAllocatesNothing(t *testing.T) {
 	d := New()
 	d.Put("p", bytes.Repeat([]byte("x"), 4096), "text/html", 1)
 	get := msg.Invocation{Method: MethodGetPage, Page: "p"}
+	stat := msg.Invocation{Method: MethodStatPage, Page: "p"}
+	buf := make([]byte, 0, 8192)
+	for name, read := range map[string]func() ([]byte, error){
+		"GetPage":       func() ([]byte, error) { return d.AppendRead(buf, get) },
+		"StatPage":      func() ([]byte, error) { return d.AppendRead(buf, stat) },
+		"AppendElement": func() ([]byte, error) { return d.AppendElement(buf, "p") },
+	} {
+		if a := testing.AllocsPerRun(100, func() { _, _ = read() }); a != 0 {
+			t.Errorf("%s into a buffer with room allocates %.0f times, want 0", name, a)
+		}
+	}
+	if out, err := d.AppendRead(buf, get); err != nil || &out[0] != &buf[:1][0] {
+		t.Fatalf("GetPage did not append into the buffer with room (%v)", err)
+	}
+
 	first, err := d.Invoke(get)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again []byte
-	if a := testing.AllocsPerRun(100, func() { again, _ = d.Invoke(get) }); a != 0 {
-		t.Errorf("GetPage of an unchanged page allocates %.0f times, want 0", a)
-	}
-	if &again[0] != &first[0] || !bytes.Equal(again, first) {
-		t.Fatalf("GetPage of an unchanged page returned other bytes")
-	}
-	// The page now keeps its content inside that encoding, and what the read
-	// handed out stays as it was across the next write.
 	keep := append([]byte(nil), first...)
-	d.Append("p", []byte("!"), 2)
-	if !bytes.Equal(first, keep) {
-		t.Fatalf("a write changed the encoding an earlier read returned")
+	el, _ := d.AppendElement(nil, "p")
+	d.Put("p", []byte("v2"), "", 2)
+	d.Append("p", []byte("!"), 3)
+	if err := d.RestoreElement("p", el); err != nil {
+		t.Fatal(err)
 	}
-	if p := getPage(t, d, "p"); len(p.Content) != 4097 || p.Version != 2 {
-		t.Fatalf("page after Append: %d bytes v%d", len(p.Content), p.Version)
+	if !bytes.Equal(first, keep) {
+		t.Fatalf("a later write changed what an earlier GetPage returned")
+	}
+	if p := getPage(t, d, "p"); len(p.Content) != 4096 || p.Version != 1 {
+		t.Fatalf("page after RestoreElement: %d bytes v%d", len(p.Content), p.Version)
 	}
 }
 
-// Readers filling the shared encoding race writers replacing it: run under
-// -race, every read must decode to a consistent version.
+// Readers copying pages out race writers replacing them: run under -race,
+// every read must decode to a consistent version.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	d := New()
 	d.Put("p", []byte("v0"), "", 0)
 	snap, _ := d.Snapshot()
-	el, _ := d.SnapshotElement("p")
+	el, _ := d.AppendElement(nil, "p")
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -480,7 +492,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_, _ = d.SnapshotElement("p")
+				_, _ = d.AppendElement(nil, "p")
 				_, _ = d.Snapshot()
 				_, _ = d.Get("p")
 			}
@@ -534,4 +546,29 @@ func TestPageKeyOwnsItsName(t *testing.T) {
 func pointsInto(s, name string) bool {
 	off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(unsafe.StringData(name)))
 	return off < uintptr(len(name))
+}
+
+// A page's content type never views a superseded write's block: a Put
+// without a type keeps the page's type as a copy, and an Append that outgrows
+// the content moves the type into the page's new block, so no older block
+// stays pinned by its type.
+func TestPageTypeHoldsNoOlderBlock(t *testing.T) {
+	d := New()
+	put := func(ct string) string {
+		args := EncodeWriteArgs(WriteArgs{Content: []byte("body"), ContentType: ct})
+		if _, err := d.Invoke(msg.Invocation{Method: MethodPutPage, Page: "p", Args: args}); err != nil {
+			t.Fatal(err)
+		}
+		return unsafe.String(&args[0], len(args))
+	}
+	first := put("text/plain")
+	put("")
+	if ct := d.pages["p"].ContentType; ct != "text/plain" || pointsInto(ct, first) {
+		t.Fatalf("after a typeless Put the type is %q, inside the first write's block: %v", ct, pointsInto(ct, first))
+	}
+	last := put("image/png")
+	d.Append("p", []byte("!"), 9)
+	if ct := d.pages["p"].ContentType; ct != "image/png" || pointsInto(ct, last) {
+		t.Fatalf("after an Append the type is %q, inside the last write's block: %v", ct, pointsInto(ct, last))
+	}
 }

@@ -467,10 +467,13 @@ func (s *Store) replyUnhosted(m *msg.Message) {
 }
 
 // replicaEnv implements replication.Env for one replica, bridging to the
-// store's endpoint, clock, and the replica's control object.
+// store's endpoint, clock, and the replica's control object. A read result
+// or page element is appended into scratch, which the next one reuses: the
+// replica sends each before its next Env call (replication.Env).
 type replicaEnv struct {
-	store *Store
-	ctrl  *control.Control
+	store   *Store
+	ctrl    *control.Control
+	scratch []byte
 }
 
 var _ replication.Env = (*replicaEnv)(nil)
@@ -490,10 +493,19 @@ func (e *replicaEnv) ApplyElement(name string, data []byte) error {
 }
 func (e *replicaEnv) Snapshot() ([]byte, error) { return e.ctrl.Snapshot() }
 func (e *replicaEnv) SnapshotElement(name string) ([]byte, error) {
-	return e.ctrl.SnapshotElement(name)
+	return e.reuse(e.ctrl.AppendElement(e.scratch[:0], name))
 }
 func (e *replicaEnv) ServeRead(inv msg.Invocation) ([]byte, error) {
-	return e.ctrl.ServeRead(inv)
+	return e.reuse(e.ctrl.AppendRead(e.scratch[:0], inv))
+}
+
+// reuse keeps b as the scratch for the next reply, unless it outgrew what
+// msg's frame pool keeps, so one huge page does not pin its size for good.
+func (e *replicaEnv) reuse(b []byte, err error) ([]byte, error) {
+	if err == nil && cap(b) <= msg.MaxPooledBuf {
+		e.scratch = b
+	}
+	return b, err
 }
 
 func (e *replicaEnv) Now() time.Time { return e.store.cfg.Clock.Now() }

@@ -184,11 +184,12 @@ func Open(dir string) (*Log, *Recovery, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	records, good, torn, err := scanLog(f)
+	data, err := io.ReadAll(f)
 	if err != nil {
 		_ = f.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: reading log: %w", err)
 	}
+	records, good, torn := scanLog(data)
 	rec.Records = records
 	rec.TornTail += torn
 	if torn > 0 {
@@ -209,37 +210,34 @@ func Open(dir string) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// scanLog decodes records until EOF or the first bad record, returning the
-// records, the byte offset of the valid prefix, and 1 if a tear was found.
-func scanLog(f *os.File) ([]Record, int64, uint64, error) {
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: reading log: %w", err)
-	}
+// scanLog decodes the log's records until its end or the first bad record,
+// returning the records, the byte offset of the valid prefix, and 1 if a
+// tear was found.
+func scanLog(data []byte) ([]Record, int64, uint64) {
 	var records []Record
 	off := int64(0)
 	for int64(len(data))-off >= 9 {
 		hdr := data[off:]
 		n := int64(binary.LittleEndian.Uint32(hdr[1:5]))
 		if n > maxRecord || int64(len(data))-off < 9+n {
-			return records, off, 1, nil // torn length or short payload
+			return records, off, 1 // torn length or short payload
 		}
 		payload := hdr[5 : 5+n]
 		want := binary.LittleEndian.Uint32(hdr[5+n : 9+n])
 		if crc32.ChecksumIEEE(hdr[:5+n]) != want {
-			return records, off, 1, nil
+			return records, off, 1
 		}
 		r, err := decodeRecord(hdr[0], payload)
 		if err != nil {
-			return records, off, 1, nil // undecodable payload: same as torn
+			return records, off, 1 // undecodable payload: same as torn
 		}
 		records = append(records, r)
 		off += 9 + n
 	}
 	if off != int64(len(data)) {
-		return records, off, 1, nil // trailing partial header
+		return records, off, 1 // trailing partial header
 	}
-	return records, off, 0, nil
+	return records, off, 0
 }
 
 //globelint:wiresym group=walrec role=decode
@@ -357,23 +355,19 @@ func (l *Log) Appends() uint64 { return l.appends }
 // Size reports the current log length in bytes.
 func (l *Log) Size() int64 { return l.size }
 
-// WriteSnapshot writes a compaction point atomically (temp file + rename +
-// directory sync) and truncates the log: every record the snapshot covers
-// is dropped. Crash-safe at every step — until the rename lands the old
-// snapshot + full log recover, after it the new snapshot + empty log do.
+// WriteSnapshot writes a compaction point atomically (temp file + fsync +
+// rename + directory sync) and truncates the log: every record the snapshot
+// covers is dropped. Crash-safe at every step — until the rename lands the
+// old snapshot + full log recover, after it the new snapshot + empty log do.
+// Any failure before the rename (a write, the fsync, the close) returns with
+// the old snapshot and the log untouched.
 func (l *Log) WriteSnapshot(s *Snapshot) error {
 	if l.f == nil {
 		return errors.New("wal: closed")
 	}
-	data := encodeSnapshot(s)
 	tmp := filepath.Join(l.dir, snapName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeSnapshotFile(tmp, s); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	tf, err := os.Open(tmp)
-	if err == nil {
-		_ = tf.Sync()
-		_ = tf.Close()
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
 		return fmt.Errorf("wal: snapshot rename: %w", err)
@@ -423,8 +417,36 @@ func syncDir(dir string) {
 // snapMagic versions the snapshot encoding.
 var snapMagic = []byte("GSNP1")
 
-func encodeSnapshot(s *Snapshot) []byte {
-	b := append([]byte(nil), snapMagic...)
+// writeSnapshotFile writes s to path as one snapshot file and syncs it: the
+// header, the state and a CRC over both, in three writes, so the state goes
+// to the file from the caller's buffer without a copy.
+func writeSnapshotFile(path string, s *Snapshot) error {
+	hdr := appendSnapshotHeader(nil, s)
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, s.State))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, b := range [...][]byte{hdr, s.State, sum[:]} {
+		if _, err = f.Write(b); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// appendSnapshotHeader appends everything of a snapshot file that precedes
+// the state, ending with the state's length. The file is that header, the
+// state, then the CRC-32 of both.
+func appendSnapshotHeader(b []byte, s *Snapshot) []byte {
+	b = append(b, snapMagic...)
 	b = binary.LittleEndian.AppendUint64(b, s.NextGlobal)
 	b = binary.LittleEndian.AppendUint64(b, s.Lamport)
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.Applied.Len()))
@@ -447,10 +469,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(c)))
 		b = append(b, c...)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.State)))
-	b = append(b, s.State...)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return b
+	return binary.LittleEndian.AppendUint32(b, uint32(len(s.State)))
 }
 
 // readSnapshot loads and validates the snapshot file. A missing file is a

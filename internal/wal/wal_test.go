@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -316,6 +318,122 @@ func TestSnapshotWithUnsortedVectorDecodes(t *testing.T) {
 		again, ok := decodeSnapshot(encodeSnapshot(s))
 		if !ok || !again.Applied.Equal(&s.Applied) {
 			t.Fatalf("%d entries: re-encoded snapshot decodes to %v", n, again.Applied)
+		}
+	}
+}
+
+// encodeSnapshot is the snapshot file WriteSnapshot writes for s: the header,
+// the state, and the CRC of both.
+func encodeSnapshot(s *Snapshot) []byte {
+	b := append(appendSnapshotHeader(nil, s), s.State...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// goldenSnapshot is a snapshot and the file an earlier encoder, which copied
+// header, state and CRC into one buffer, wrote for it.
+func goldenSnapshot() (*Snapshot, string) {
+	s := &Snapshot{State: []byte("<state>"), NextGlobal: 6, Lamport: 9, Children: []string{"cache-1", "cache-2"}}
+	s.Applied.Set(1, 4)
+	s.Applied.Set(7, 19)
+	s.Stamped = []ClientAdmission{{Client: 7, Max: 19, Holes: []uint64{12, 15}}, {Client: 2, Max: 1}}
+	return s, "47534e5031060000000000000009000000000000000200000001000000040000000000000007000000" +
+		"130000000000000002000000070000001300000000000000020000000c000000000000000f00000000" +
+		"00000002000000010000000000000000000000020000000700000063616368652d310700000063616368" +
+		"652d32070000003c73746174653e80cf26ce"
+}
+
+// WriteSnapshot writes header, state and CRC separately; the file must be
+// byte for byte what encodeSnapshot builds in one buffer, and what the
+// earlier encoder wrote, so a snapshot from before the change recovers.
+func TestSnapshotFileIsEncodeSnapshot(t *testing.T) {
+	s, golden := goldenSnapshot()
+	want, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeSnapshot(s); !bytes.Equal(got, want) {
+		t.Fatalf("encodeSnapshot = %x\nwant %x", got, want)
+	}
+	dir := t.TempDir()
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshot(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, snapName)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("snapshot file = %x (%v)\nwant %x", got, err, want)
+	}
+
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, snapName), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := Open(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Snapshot == nil || !sameSnapshot(rec.Snapshot, s) {
+		t.Fatalf("earlier snapshot recovered as %+v, want %+v", rec.Snapshot, s)
+	}
+}
+
+// A snapshot that cannot be written (its temp path is taken by a directory)
+// fails before the rename: the old snapshot and the whole log stay, and every
+// record recovers.
+func TestFailedSnapshotKeepsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 2; i++ {
+		if err := l.AppendUpdate(mkUpdate(2, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.WriteSnapshot(&Snapshot{State: []byte("old"), Applied: vecOf(2, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(3); i <= 5; i++ {
+		if err := l.AppendUpdate(mkUpdate(2, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, snapName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	size := l.Size()
+	if err := l.WriteSnapshot(&Snapshot{State: []byte("new"), Applied: vecOf(2, 5)}); err == nil {
+		t.Fatal("WriteSnapshot over a blocked temp path succeeded")
+	}
+	if l.Appends() != 3 || l.Size() != size {
+		t.Fatalf("failed snapshot touched the log: appends=%d size=%d, want 3/%d", l.Appends(), l.Size(), size)
+	}
+	if err := l.AppendUpdate(mkUpdate(2, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rec, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Snapshot == nil || string(rec.Snapshot.State) != "old" {
+		t.Fatalf("recovered snapshot %+v, want the old one", rec.Snapshot)
+	}
+	if len(rec.Records) != 4 {
+		t.Fatalf("recovered %d records, want 4", len(rec.Records))
+	}
+	for i, r := range rec.Records {
+		if r.Update == nil || r.Update.Write.Seq != uint64(3+i) {
+			t.Fatalf("record %d = %+v, want update seq %d", i, r, 3+i)
 		}
 	}
 }
