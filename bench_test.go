@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1094,6 +1095,7 @@ func BenchmarkFabric_EndToEndPutGet(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			woken := schedTransitions()
 			for i := 0; i < b.N; i++ {
 				if err := doc.Put("index.html", content, "text/html"); err != nil {
 					b.Fatal(err)
@@ -1102,8 +1104,23 @@ func BenchmarkFabric_EndToEndPutGet(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(8*(schedTransitions()-woken))/float64(b.N), "wakeups/op")
 		})
 	}
+}
+
+// schedTransitions counts the goroutine transitions to running that the
+// runtime has timed in /sched/latencies:seconds. The runtime times about one
+// transition in eight, so eight times the count's growth estimates the
+// goroutine wake-ups in between.
+func schedTransitions() uint64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
 }
 
 // --- digest heartbeats (anti-entropy) -----------------------------------------

@@ -174,6 +174,16 @@
 // both paths). A request over an instant link therefore wakes one
 // goroutine per hop, the receiver's.
 //
+// A client's reply wakes only its caller. transport.Demux, the request/reply
+// core under every client proxy, registers a receiver function with its
+// endpoint (transport.ReceiverSetter): memnet's delivering goroutine and
+// tcpnet's connection reader hand each reply to it instead of the inbox, and
+// it puts the reply straight into the waiting call's one-reply channel. A
+// call waits on that channel alone; one timer per Demux, armed at the
+// earliest deadline of a waiting call, fails the overdue ones. A Put+Get over
+// memnet thus wakes four goroutines, not six: the store loop and the caller,
+// twice (BenchmarkFabric_EndToEndPutGet reports wakeups/op).
+//
 // tcpnet (real TCP): each cached outbound connection carries its own write
 // locks, so an endpoint with K peer connections admits K concurrent
 // writers. A frame's 4-byte length header and body travel as one gathered

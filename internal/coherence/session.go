@@ -201,7 +201,8 @@ func (s *Session) ReadRequirementVec() (msg.Vec, ids.Dependency) {
 
 // ReadRequirement is ReadRequirementVec with the vector as a map.
 //
-// Deprecated: bench/ladder.go only; goes with ROADMAP item 7.
+// Deprecated: bench/ladder.go only; goes with the ROADMAP item "The
+// benchmark PR, part 1".
 func (s *Session) ReadRequirement() (map[ids.ClientID]uint64, ids.Dependency) {
 	req, dep := s.ReadRequirementVec()
 	out := make(map[ids.ClientID]uint64, req.Len())

@@ -66,5 +66,6 @@ func (d Dependency) String() string {
 // VersionVec is a version vector as a map. msg.Vec is the one vector type;
 // this name remains for one caller.
 //
-// Deprecated: bench/ladder.go only; goes with ROADMAP item 7.
+// Deprecated: bench/ladder.go only; goes with the ROADMAP item "The
+// benchmark PR, part 1".
 type VersionVec map[ClientID]uint64

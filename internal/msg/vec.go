@@ -42,7 +42,8 @@ type Vec struct {
 // VecFrom builds a Vec from a map-typed vector. The map is copied, never
 // aliased.
 //
-// Deprecated: bench/ladder.go only; goes with ROADMAP item 7.
+// Deprecated: bench/ladder.go only; goes with the ROADMAP item "The
+// benchmark PR, part 1".
 func VecFrom(m map[ids.ClientID]uint64) Vec {
 	var v Vec
 	for c, s := range m {

@@ -24,6 +24,7 @@ func (o *Object) applyReleased(released []*coherence.Update) {
 	}
 	for _, u := range released {
 		o.apply(u, o.coveredByState(u))
+		o.newestWall = max(o.newestWall, u.WallNanos)
 		if u.WallNanos > 0 {
 			// The headline metric: update age at apply, from the origin's
 			// wall-clock stamp. On one machine (memnet, tests) the clocks

@@ -20,16 +20,13 @@ func (o *Object) AddPeer(addr string) {
 	if o.strat.Model != coherence.Eventual || addr == o.addr {
 		return
 	}
-	if o.peers == nil {
-		o.peers = make(map[string]bool)
-	}
-	o.peers[addr] = true
+	addSorted(&o.peers, addr)
 	o.armGossip()
 }
 
 // RemovePeer deregisters a sibling replica from anti-entropy exchange.
 func (o *Object) RemovePeer(addr string) {
-	delete(o.peers, addr)
+	removeSorted(&o.peers, addr)
 }
 
 // armGossip schedules the next anti-entropy round. The lazy interval doubles
@@ -52,9 +49,9 @@ func (o *Object) gossip() {
 	o.armGossip()
 }
 
-// gossipRound sends this replica's digest to every peer.
+// gossipRound sends this replica's digest to every peer, in address order.
 func (o *Object) gossipRound() {
-	for peer := range o.peers {
+	for _, peer := range o.peers {
 		g := o.frame(msg.KindGossip, nil)
 		g.VVec = o.applied()
 		o.send(peer, &g)

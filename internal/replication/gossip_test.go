@@ -147,3 +147,24 @@ func TestConcurrentStateMergesByPage(t *testing.T) {
 		t.Fatalf("a redelivered older write replaced page s: %q", got)
 	}
 }
+
+// TestGossipRoundSendsInAddressOrder: a round sends its digests in peer
+// address order, whatever order the peers were added in, so a seeded run
+// emits the same frames in the same order every time.
+func TestGossipRoundSendsInAddressOrder(t *testing.T) {
+	env := newFakeEnv()
+	o := newObj(t, env, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "")
+	for _, p := range []string{"peer-c", "peer-a", "peer-b"} {
+		o.AddPeer(p)
+	}
+	for round := 0; round < 20; round++ {
+		o.gossipRound()
+		var got []string
+		for _, g := range env.takeSent(msg.KindGossip) {
+			got = append(got, g.To)
+		}
+		if fmt.Sprint(got) != "[peer-a peer-b peer-c]" {
+			t.Fatalf("round %d sent gossip to %v, want address order", round, got)
+		}
+	}
+}

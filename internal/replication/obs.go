@@ -50,7 +50,7 @@ func (o *Object) newRepObs(ob *obs.Observer) repObs {
 	ls := []obs.Label{obs.L("store", r.store), obs.L("object", r.obj)}
 	o.registerStats(reg, ls)
 	r.lag = reg.HistDuration("globe_propagation_lag_seconds",
-		"age of an update at local apply, measured from its origin wall-clock stamp", ls...)
+		"age of an update at local apply, or of the newest write in an installed state, measured from its origin wall-clock stamp", ls...)
 	r.walSync = reg.HistDuration("globe_wal_sync_seconds",
 		"write-ahead log fsync barrier latency", ls...)
 	r.commitSize = reg.Hist("globe_wal_group_commit_size",

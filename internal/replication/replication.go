@@ -315,8 +315,9 @@ type Object struct {
 	reparentTimer    *oneShot // same-parent-later cooldown
 	reparenting      bool     // a re-parent handshake awaits its ack
 
-	// Anti-entropy gossip peers (eventual model, sibling mirrors).
-	peers       map[string]bool
+	// Anti-entropy gossip peers (eventual model, sibling mirrors), sorted
+	// like children: addSorted and removeSorted are its only writers.
+	peers       []string
 	gossipTimer *oneShot
 
 	// Digest heartbeats: every tune.DigestInterval (jittered), the store sends
@@ -356,6 +357,10 @@ type Object struct {
 	// full-state updates, subscribe bootstraps); parked reads use it to
 	// detect "a full fetch finished and the element still is not here".
 	fullFetches uint64
+	// newestWall is the origin wall-clock time of the newest write this
+	// replica holds, applied or installed: what a state it serves carries
+	// as WallNanos, so the receiver's install records a propagation lag.
+	newestWall int64
 
 	// forwarded is the highest write sequence per client this replica passed
 	// upstream (forward): the writes whose updates it can expect back.
@@ -554,20 +559,26 @@ func (o *Object) Engine() coherence.Engine { return o.engine }
 // Parent returns the configured parent address.
 func (o *Object) Parent() string { return o.parent }
 
-// addChild and removeChild report whether the set changed. Each change makes
-// a new slice, so one handed to a transport earlier is never written under it.
-func (o *Object) addChild(addr string) bool {
-	i, found := slices.BinarySearch(o.children, addr)
+// addChild and removeChild report whether the set changed.
+func (o *Object) addChild(addr string) bool    { return addSorted(&o.children, addr) }
+func (o *Object) removeChild(addr string) bool { return removeSorted(&o.children, addr) }
+
+// addSorted and removeSorted keep set a sorted address list, so a round over
+// it sends in the same order every run, and report whether it changed. Each
+// change makes a new slice, so one handed to a transport earlier is never
+// written under it.
+func addSorted(set *[]string, addr string) bool {
+	i, found := slices.BinarySearch(*set, addr)
 	if !found {
-		o.children = slices.Insert(slices.Clone(o.children), i, addr)
+		*set = slices.Insert(slices.Clone(*set), i, addr)
 	}
 	return !found
 }
 
-func (o *Object) removeChild(addr string) bool {
-	i, found := slices.BinarySearch(o.children, addr)
+func removeSorted(set *[]string, addr string) bool {
+	i, found := slices.BinarySearch(*set, addr)
 	if found {
-		o.children = slices.Delete(slices.Clone(o.children), i, i+1)
+		*set = slices.Delete(slices.Clone(*set), i, i+1)
 	}
 	return found
 }

@@ -178,6 +178,7 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 	}
 	r := o.frame(kind, req)
 	r.VVec = o.knowledge(page)
+	r.WallNanos = o.newestWall
 	// The clock that stamped every write the state holds: the receiver's
 	// next write orders after all of it.
 	r.Stamp.Time = o.lamport.Now()
@@ -257,7 +258,9 @@ func (o *Object) onStateReply(m *msg.Message) {
 // position, its Payload the state, and for a whole state under the eventual
 // model its Batch the sender's page stamps (pageStamps). It reports whether
 // the state was taken, and retries parked requests either way — a dropped
-// transfer still proves the parent answered.
+// transfer still proves the parent answered. A taken state records one
+// propagation-lag sample, the age of the newest write it carries (WallNanos),
+// so a replica that catches up by transfer alone still reports its lag.
 //
 // A transfer is taken only if K(page) does not already cover v (the stale
 // guard, staleSnapshot): demand and subscribe retries and link duplication
@@ -287,6 +290,7 @@ func (o *Object) install(page string, m *msg.Message) bool {
 			o.pageVec[strings.Clone(page)] = pv
 		}
 		pv.Merge(v)
+		o.installed(m.WallNanos)
 		return true
 	}
 	// A bare subscribe ack (no payload) still seeds the vectors.
@@ -309,7 +313,20 @@ func (o *Object) install(page string, m *msg.Message) bool {
 	o.fetchVec.Merge(v)
 	o.engine.Seed(v, m.GlobalSeq)
 	o.markAppliedStale()
+	o.installed(m.WallNanos)
 	return true
+}
+
+// installed records a taken state whose newest write originated at wall
+// (UnixNano; zero when the sender held no stamped write).
+func (o *Object) installed(wall int64) {
+	if wall <= 0 {
+		return
+	}
+	o.newestWall = max(o.newestWall, wall)
+	if o.obsv.lag != nil {
+		o.obsv.lag.Observe(o.env.Now().UnixNano() - wall)
+	}
 }
 
 // elementRemover is implemented by an Env that can delete one element.

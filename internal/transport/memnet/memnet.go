@@ -21,7 +21,10 @@
 // that was not duplicated, and whose destination has nothing waiting in the
 // delivery schedule is decoded and placed in the destination inbox by the
 // sender itself, before Send returns: one goroutine wake-up per hop, the
-// receiver's. Every other frame — delayed, duplicated, behind a scheduled
+// receiver's. A destination with a receiver function set
+// (transport.ReceiverSetter) has the sender run it instead, as a Demux does
+// to put a reply in its caller's slot, and its inbox is never full. Every
+// other frame — delayed, duplicated, behind a scheduled
 // frame for the same destination, or facing a full inbox — goes to the
 // schedule, which one scheduler goroutine drains in (time, enqueue order).
 // Which path a frame takes follows from the link profile and the state of
@@ -29,7 +32,8 @@
 // per-sender sequence of draws and the order in which delayed frames arrive;
 // frames on instant links arrive in the order their senders ran. Per
 // (sender, destination) order is FIFO across both paths, and Send never
-// blocks and never runs receiver code on either.
+// blocks on either; the only receiver code it runs is a receiver function,
+// which must not block.
 //
 //globelint:deterministic
 package memnet
@@ -560,7 +564,8 @@ func (n *Network) deliverDue() {
 }
 
 // deliverOne decodes one frame into a leased message, which takes over the
-// caller's reference on w, and places it in its destination inbox. The
+// caller's reference on w, and hands it to its destination's receiver
+// function or places it in its destination inbox. The
 // scheduler passes wait and blocks on a full inbox until there is room or the
 // network shuts down; a sender passes false and gets false back, still
 // holding its reference, to schedule the frame instead. True means the frame
@@ -579,36 +584,39 @@ func (n *Network) deliverOne(e *endpoint, w *msg.WireBuf, wait bool) bool {
 		w.Release()
 		return true
 	}
-	// Once m is in the inbox it is the receiver's, which may answer in it
+	// Once m is handed over it is the receiver's, which may answer in it
 	// (replication.Object.Handle) or release it: read what the counters need
 	// first.
 	kind, size := int(m.Kind), len(w.Bytes())
-	if wait {
-		select {
-		case e.inbox <- m:
-		case <-n.done:
-			m.Release()
+	if !e.recv.Take(m) {
+		if wait {
+			select {
+			case e.inbox <- m:
+			case <-n.done:
+				m.Release()
+				return true
+			}
+		} else {
+			select {
+			case e.inbox <- m:
+			default:
+				w.Retain() // the reference m gives back stays the caller's
+				m.Release()
+				return false
+			}
+		}
+		if e.closed.Load() {
+			// Close raced with the hand-over: retire's drain may already
+			// have run, so scoop a buffered message back out rather than
+			// pin it (and the frame it aliases) until the network closes.
+			select {
+			case old := <-e.inbox:
+				old.Release()
+			default:
+			}
 			return true
 		}
-	} else {
-		select {
-		case e.inbox <- m:
-		default:
-			w.Retain() // the reference m gives back stays the caller's
-			m.Release()
-			return false
-		}
-	}
-	if e.closed.Load() {
-		// Close raced with the hand-over: retire's drain may already have
-		// run, so scoop a buffered message back out rather than pin it (and
-		// the frame it aliases) until the network closes.
-		select {
-		case old := <-e.inbox:
-			old.Release()
-		default:
-		}
-		return true
+		e.recv.Settle(e.inbox)
 	}
 	n.stats.delivered.Add(1)
 	n.stats.bytes.Add(uint64(size))
@@ -660,6 +668,8 @@ type endpoint struct {
 	// scheduled counts the frames for this endpoint that sit in its shard
 	// or are being delivered from it; senders hand over inline only at zero.
 	scheduled atomic.Int32
+	// recv, when set, takes every delivery in place of the inbox.
+	recv transport.Receiver
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -668,6 +678,7 @@ type endpoint struct {
 }
 
 var _ transport.Endpoint = (*endpoint)(nil)
+var _ transport.ReceiverSetter = (*endpoint)(nil)
 
 // A Network is a Fabric: webobj systems deploy over it directly.
 var _ transport.Fabric = (*Network)(nil)
@@ -689,6 +700,10 @@ func (e *endpoint) Multicast(tos []string, m *msg.Message) error {
 }
 
 func (e *endpoint) Recv() <-chan *msg.Message { return e.inbox }
+
+// SetReceiver implements transport.ReceiverSetter: deliveries, inline or
+// scheduled, call f on the delivering goroutine instead of filling the inbox.
+func (e *endpoint) SetReceiver(f func(*msg.Message)) { e.recv.Set(e.inbox, f) }
 
 // Close marks the endpoint closed and releases its address for reuse.
 // Deliveries already scheduled to the old endpoint are discarded; the

@@ -82,6 +82,8 @@ type Endpoint struct {
 	maxIn int    // per-peer inbound frame budget (≤ maxFrame)
 	inbox chan *msg.Message
 	done  chan struct{} // closed on Close; unblocks readers stuck on a full inbox
+	// recv, when set, takes every decoded frame in place of the inbox.
+	recv transport.Receiver
 
 	// st receives the traffic counters; endpoints minted by a Fabric share
 	// the fabric's set. Always non-nil — bumping an atomic is cheaper than
@@ -99,6 +101,7 @@ type Endpoint struct {
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
+var _ transport.ReceiverSetter = (*Endpoint)(nil)
 
 // Listen creates an endpoint bound to addr (e.g. "127.0.0.1:0") with the
 // default (absolute-maximum) inbound frame budget.
@@ -361,6 +364,10 @@ func (e *Endpoint) flushFrame(to string, pc *peerConn, body []byte) error {
 // Recv returns the delivery channel; it closes when the endpoint closes.
 func (e *Endpoint) Recv() <-chan *msg.Message { return e.inbox }
 
+// SetReceiver implements transport.ReceiverSetter: each connection's reader
+// calls f with the frames it decodes instead of filling the inbox.
+func (e *Endpoint) SetReceiver(f func(*msg.Message)) { e.recv.Set(e.inbox, f) }
+
 // Close shuts the listener and all connections and waits for the reader
 // goroutines to exit before closing the delivery channel.
 func (e *Endpoint) Close() error {
@@ -467,7 +474,7 @@ func (e *Endpoint) acceptLoop(ln net.Listener) {
 // frames out of; frames larger than a chunk get a dedicated buffer.
 const readChunk = msg.ChunkSize
 
-// readLoop decodes frames from one inbound connection into the inbox.
+// readLoop decodes frames from one inbound connection and delivers them.
 //
 // The reader fills a pooled receive chunk with one Read of whatever the
 // socket has ready and hands every complete frame in it to
@@ -544,7 +551,8 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// deliver decodes one frame body into the inbox. owner is the chunk body
+// deliver decodes one frame body and hands it to the endpoint's receiver
+// function, or into the inbox when none is set. owner is the chunk body
 // lies in, whose reference the message takes over, or nil for a frame with
 // a buffer of its own. deliver reports whether the reader should go on: it
 // skips a corrupt frame and keeps the stream, and stops on any other decode
@@ -559,11 +567,15 @@ func (e *Endpoint) deliver(body []byte, owner *msg.WireBuf) bool {
 	}
 	e.st.framesRecv.Add(1)
 	e.st.bytesRecv.Add(uint64(len(body)) + 4)
+	if e.recv.Take(m) {
+		return true
+	}
 	select {
 	case e.inbox <- m:
-		return true
 	case <-e.done:
 		m.Release()
 		return false
 	}
+	e.recv.Settle(e.inbox)
+	return true
 }

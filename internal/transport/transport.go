@@ -8,6 +8,7 @@ package transport
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"repro/internal/msg"
 )
@@ -55,15 +56,17 @@ type Endpoint interface {
 	// delayed, reordered relative to other senders, or dropped, depending
 	// on the transport; frames from one sender to one destination that do
 	// arrive, arrive in the order sent unless the link itself reorders
-	// (memnet jitter). Send itself never blocks on delivery, and never
-	// runs the receiver's code: the most it does on the caller's goroutine
-	// is place the frame in the destination's receive buffer, which memnet
+	// (memnet jitter). Send itself never blocks on delivery. The most it
+	// does on the caller's goroutine is deliver the frame, which memnet
 	// does for a frame with no delay to wait out (see its package comment;
 	// a full buffer or an earlier frame still in the delivery schedule
-	// hands the frame to the scheduler instead). m is encoded before Send
-	// returns and not retained, so the caller may reuse it. Nothing of to
-	// is kept either, so it may alias a received frame (a reply addressed
-	// to a request's From) that is released right after.
+	// hands the frame to the scheduler instead): it places the frame in
+	// the destination's receive buffer, or runs the receiver function the
+	// destination registered (ReceiverSetter), which must not block. m is
+	// encoded before Send returns and not retained, so the caller may
+	// reuse it. Nothing of to is kept either, so it may alias a received
+	// frame (a reply addressed to a request's From) that is released right
+	// after.
 	Send(to string, m *msg.Message) error
 	// Multicast transmits m to every address in tos. It is the multicast
 	// facility the paper's Web-server communication object offers in
@@ -80,4 +83,62 @@ type Endpoint interface {
 	Recv() <-chan *msg.Message
 	// Close releases the endpoint. It is idempotent.
 	Close() error
+}
+
+// ReceiverSetter is implemented by endpoints that can hand each received
+// frame to a function instead of their inbox; memnet's and tcpnet's do.
+// Demux registers one, so a reply reaches its caller without a goroutine
+// reading the inbox in between.
+type ReceiverSetter interface {
+	// SetReceiver routes every frame delivered from now on to f, on the
+	// goroutine that delivers it: a memnet sender or its scheduler, a
+	// tcpnet connection's reader. f must not block. Frames already in the
+	// inbox go to f too. A nil f hands delivery back to the inbox. The
+	// delivery counters count a frame the same either way.
+	SetReceiver(f func(*msg.Message))
+}
+
+// Receiver is an endpoint's receiver function, for implementing
+// ReceiverSetter; the zero value holds none.
+type Receiver struct {
+	f atomic.Pointer[func(*msg.Message)]
+}
+
+// Set registers f, or unregisters with nil, and hands f every frame already
+// waiting in inbox.
+func (r *Receiver) Set(inbox <-chan *msg.Message, f func(*msg.Message)) {
+	if f == nil {
+		r.f.Store(nil)
+		return
+	}
+	r.f.Store(&f)
+	r.Settle(inbox)
+}
+
+// Take hands m to the receiver function, if one is set, and reports whether
+// it did.
+func (r *Receiver) Take(m *msg.Message) bool {
+	f := r.f.Load()
+	if f != nil {
+		(*f)(m)
+	}
+	return f != nil
+}
+
+// Settle hands a receiver function every frame waiting in inbox. An endpoint
+// calls it after putting a frame in its inbox, which a receiver set at the
+// same moment may otherwise never see.
+func (r *Receiver) Settle(inbox <-chan *msg.Message) {
+	f := r.f.Load()
+	for f != nil {
+		select {
+		case m, ok := <-inbox:
+			if !ok {
+				return
+			}
+			(*f)(m)
+		default:
+			return
+		}
+	}
 }
