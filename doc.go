@@ -330,10 +330,10 @@
 // acknowledged writes, and at-most-once admission plus the replicated
 // write-sequence floor keep reused client identities exact across the
 // restart. The whole cycle is proven over real TCP by the kill -9 chaos
-// harness (internal/chaos RunCrash: crash the durable store mid-stream,
-// restart from disk on the same address, assert zero acked-write loss,
-// convergence, all four session guarantees, and the reused-identity
-// floor) and by scripts/smoke_e2e.sh part 3 at the daemon level; the
+// harness (internal/chaos, fault CrashRestart: crash the durable store
+// mid-stream, restart from disk on the same address, assert zero
+// acked-write loss, convergence, all four session guarantees, and the
+// reused-identity floor) and by scripts/smoke_e2e.sh part 3 at the daemon level; the
 // control RPC ("globectl ctl stats") exposes WAL size, snapshot vector,
 // recovery state, and replay counters at runtime.
 //
@@ -373,11 +373,12 @@
 // re-resolve, and rebind at the next live contact point, and application
 // errors never retry. Handles pinned with At() retry in place but never
 // migrate. The composed behaviour is proven by the mirror-kill chaos
-// schedule (internal/chaos RunReparent: kill the mirror permanently
+// schedule (internal/chaos, fault MirrorKill: kill the mirror permanently
 // mid-stream, assert its cache child re-parents onto the permanent store,
 // zero acked-write loss, convergence, all four session guarantees, and a
-// negative control that demonstrably stalls with re-parenting off) and by
-// scripts/smoke_e2e.sh part 4 over real TCP processes.
+// negative control that demonstrably stalls with re-parenting off; a
+// synctest sweep runs it 200 seeds a leg, under update push and under
+// invalidation) and by scripts/smoke_e2e.sh part 4 over real TCP processes.
 //
 // # The replication object: five jobs, one place each
 //

@@ -1,17 +1,22 @@
 // Package chaos is the fault-schedule convergence harness: it runs a seeded
-// randomized write/read workload over a lossy, partitioned simulated network
-// (memnet), heals every fault, and then asserts that (a) every replica
-// converges to the same state, and (b) no session guarantee — Read Your
-// Writes, Monotonic Reads, Monotonic Writes, Writes Follow Reads — was
-// violated at any point a client observed, fault or no fault.
+// randomized write/read workload while a fault hits the deployment, ends the
+// fault, and then asserts that (a) every replica converges to the same state,
+// and (b) no session guarantee — Read Your Writes, Monotonic Reads, Monotonic
+// Writes, Writes Follow Reads — was violated at any point a client observed,
+// fault or no fault.
 //
-// The harness is the reusable scenario backbone for fault testing: a Config
-// picks the coherence model, loss rate, partition cadence, and heartbeat
-// interval; Run returns a Result whose Violations list is empty exactly when
-// the framework kept its promises. The topology is the paper's three-layer
-// hierarchy — a permanent store, an object-initiated mirror, and two
-// client-initiated caches (one under the permanent store, one under the
-// mirror) — so faults hit both single-hop and multi-hop dissemination.
+// One runner serves every fault: a Scenario picks the fault, the coherence
+// model, loss rate and heartbeat interval, and run returns a Result whose
+// Violations list is empty exactly when the framework kept its promises. The
+// topology is the paper's three-layer hierarchy — a permanent store, an
+// object-initiated mirror, and two client-initiated caches (one under the
+// permanent store, one under the mirror) — so faults hit both single-hop and
+// multi-hop dissemination. The faults are Partitions (loss, duplication,
+// jitter and partition windows), MirrorKill (the mirror dies for good; its
+// cache must re-parent, reparent.go), both over memnet, and CrashRestart (the
+// durable permanent store is killed -9 and restarted from disk, crash.go)
+// over loopback tcpnet. The runner needs of a fabric only Endpoint, so the
+// memnet faults also run inside a synctest bubble, in virtual time.
 //
 // Fault model: loss, duplication, jitter, and partitions are injected only
 // on store↔store links. Client links stay clean, which keeps the workload's
@@ -35,16 +40,38 @@ import (
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/naming"
+	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/semantics"
 	"repro/internal/semantics/webdoc"
 	"repro/internal/store"
 	"repro/internal/strategy"
+	"repro/internal/transport"
 	"repro/internal/transport/memnet"
+	"repro/internal/transport/tcpnet"
+	"repro/internal/wal"
 )
 
-// Config parameterises one chaos run.
-type Config struct {
+// Fault is what a Scenario does to the deployment while its workload runs.
+type Fault int
+
+const (
+	// Partitions injects seeded partition windows on the memnet store↔store
+	// links, on top of their loss and duplication, and heals every link
+	// before the convergence wait.
+	Partitions Fault = iota
+	// MirrorKill kills the mirror for good a third of the way into the
+	// write stream (memnet); its cache must re-parent at the permanent store.
+	MirrorKill
+	// CrashRestart kills the durable permanent store -9 and restarts it
+	// from disk while the write stream is in flight (loopback tcpnet).
+	CrashRestart
+)
+
+// Scenario parameterises one chaos run. A zero field takes its fault's
+// default.
+type Scenario struct {
+	Fault Fault
 	// Seed drives the fault schedule and workload choices. Equal seeds give
 	// equal schedules (delivery timing still depends on the scheduler).
 	Seed int64
@@ -54,37 +81,70 @@ type Config struct {
 	// identical token sets otherwise (PRAM permits different interleavings of
 	// different clients' writes).
 	Strategy strategy.Strategy
-	// Loss is the per-frame drop probability on store↔store links.
-	Loss float64
-	// Dup is the per-frame duplication probability on store↔store links.
-	Dup float64
-	// OpsPerWriter is how many appends each writing client performs.
+	// Loss and Dup are the per-frame drop and duplication probabilities on
+	// memnet store↔store links.
+	Loss, Dup float64
+	// OpsPerWriter is how many appends each writing client performs
+	// (default 30, 60 under CrashRestart).
 	OpsPerWriter int
-	// DigestInterval is the anti-entropy heartbeat period (0 disables).
+	// DigestInterval is the anti-entropy heartbeat period: off by default
+	// under Partitions, 25ms under MirrorKill (the parent liveness signal),
+	// 75ms under CrashRestart (what re-converges children after a restart).
 	DigestInterval time.Duration
-	// ConvergeWithin bounds the post-heal convergence wait.
+	// ReparentAfter is the missed-digest threshold handed to every store.
+	// Zero disables re-parenting: MirrorKill's negative control, in which
+	// the orphaned cache must demonstrably stall.
+	ReparentAfter int
+	// Crashes is how many kill -9 → restart cycles CrashRestart runs
+	// (default 2; a cycle is skipped if the writers finish first, so assert
+	// Result.Crashes for non-vacuity).
+	Crashes int
+	// DataDir is the permanent store's durable directory (CrashRestart
+	// requires it).
+	DataDir string
+	// ConvergeWithin bounds the convergence wait (default 5s, 10s under
+	// CrashRestart).
 	ConvergeWithin time.Duration
 }
 
-func (c *Config) defaults() {
-	if c.Strategy.Model == 0 {
-		c.Strategy = pramConference(10 * time.Millisecond)
+func (s *Scenario) defaults() error {
+	if s.Strategy.Model == 0 {
+		s.Strategy = pramConference()
 	}
-	if c.OpsPerWriter == 0 {
-		c.OpsPerWriter = 30
+	ops, digest, within := 30, time.Duration(0), 5*time.Second
+	switch s.Fault {
+	case MirrorKill:
+		digest = 25 * time.Millisecond
+	case CrashRestart:
+		if s.DataDir == "" {
+			return errors.New("chaos: CrashRestart needs a DataDir")
+		}
+		ops, digest, within = 60, 75*time.Millisecond, 10*time.Second
+		if s.Crashes == 0 {
+			s.Crashes = 2
+		}
 	}
-	if c.ConvergeWithin == 0 {
-		c.ConvergeWithin = 5 * time.Second
+	if s.OpsPerWriter == 0 {
+		s.OpsPerWriter = ops
 	}
+	if s.DigestInterval == 0 {
+		s.DigestInterval = digest
+	}
+	if s.ConvergeWithin == 0 {
+		s.ConvergeWithin = within
+	}
+	return nil
 }
 
 // Result reports what a run did and every guarantee violation it caught.
 type Result struct {
-	// Violations is empty iff every convergence and session-guarantee check
-	// held. Each entry is a self-contained description.
+	// Violations is empty iff every convergence, durability and
+	// session-guarantee check held. Each entry is a self-contained
+	// description.
 	Violations []string
-	// Converged reports whether all replicas reached the same state within
-	// ConvergeWithin after the final heal; ConvergeIn is how long it took.
+	// Converged reports whether all live replicas reached the same state
+	// within ConvergeWithin after the fault ended; ConvergeIn is how long it
+	// took.
 	Converged  bool
 	ConvergeIn time.Duration
 	// Workload and fault accounting.
@@ -98,269 +158,382 @@ type Result struct {
 	// FramesDropped/FramesDuplicated are the memnet totals actually injected.
 	FramesDropped    uint64
 	FramesDuplicated uint64
+	// ReparentsDone / ParentMissedDigests aggregate the survivors' repair
+	// counters (the proof the orphan actually re-subscribed, not merely
+	// that traffic found another path). OrphanConverged reports whether
+	// cache2 — MirrorKill's orphan — specifically reached the permanent
+	// store's state.
+	ReparentsDone       uint64
+	ParentMissedDigests uint64
+	OrphanConverged     bool
+	// Crashes is how many kill -9 cycles actually ran; Recoveries how many
+	// restarts completed their recovery gate. WALReplayed totals the update
+	// records replayed from disk across all restarts, TornTails the corrupt
+	// WAL tails truncated, and LastRecovery is the final restart's
+	// replay-to-serve duration.
+	Crashes      int
+	Recoveries   int
+	WALReplayed  uint64
+	TornTails    uint64
+	LastRecovery time.Duration
 	// TraceDump holds the trailing write-lifecycle trace events per store,
 	// populated only when Violations is non-empty (see trace.go).
 	TraceDump []string
 }
 
-// Store addresses and the partitionable store↔store pairs.
+const (
+	obj = ids.ObjectID("chaos-doc")
+	// recoveryGrace bounds a restarted store's recover-then-serve gate.
+	recoveryGrace = time.Second
+	// stallAfter is the workload watchdog's base (awaitWriters).
+	stallAfter = 90 * time.Second
+)
+
+// Every replica offers every session guarantee; each client asks for its own.
+var session = []coherence.ClientModel{
+	coherence.ReadYourWrites, coherence.MonotonicReads,
+	coherence.MonotonicWrites, coherence.WritesFollowReads,
+}
+
+// tree is the store hierarchy, parents first; a store's ID is its position
+// plus one.
+var tree = []struct {
+	name, parent string
+	role         replication.Role
+}{
+	{"perm", "", replication.RolePermanent},
+	{"mirror", "perm", replication.RoleObjectInitiated},
+	{"cache1", "perm", replication.RoleClientInitiated},
+	{"cache2", "mirror", replication.RoleClientInitiated},
+}
+
+// cast is the client cast: two plain writers at the permanent store, a
+// Read-Your-Writes writer-reader at cache1, a Writes-Follow-Reads
+// read-then-write client at cache2, and Monotonic-Reads observers at both
+// caches. A client's ID is pinned to its position plus one (CrashRestart
+// re-binds identity 1 after the crashes).
+var cast = []struct {
+	name, at string
+	models   []coherence.ClientModel
+}{
+	{"w1", "perm", nil},
+	{"w2", "perm", nil},
+	{"ryw", "cache1", []coherence.ClientModel{coherence.ReadYourWrites, coherence.MonotonicWrites}},
+	{"wfr", "cache2", []coherence.ClientModel{coherence.WritesFollowReads}},
+	{"mr1", "cache1", []coherence.ClientModel{coherence.MonotonicReads}},
+	{"mr2", "cache2", []coherence.ClientModel{coherence.MonotonicReads}},
+}
+
+// The partitionable store↔store pairs, and the pages the workload touches.
 var (
-	storeAddrs = []string{"perm", "mirror", "cache1", "cache2"}
 	storePairs = [][2]string{{"perm", "mirror"}, {"perm", "cache1"}, {"mirror", "cache2"}}
 	pages      = []string{"pg0", "pg1", "ryw"}
 )
 
-// Run executes one chaos scenario; see the package comment for the shape.
-func Run(cfg Config) (*Result, error) {
-	cfg.defaults()
-	res := &Result{}
-	rec := newRecorder()
-	ob := newRunObserver()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// faults holds what each fault adds to the shared run: a write's retry
+// budget (a dead parent or a restarting store is a much longer outage than a
+// dropped frame), the coordinator that injects the fault alongside the
+// workload, what ends it before the convergence wait, a condition of its own
+// for that wait, and its own check after.
+var faults = [...]struct {
+	attempts       int
+	inject, settle func(*runner)
+	converged      func(*runner) string
+	check          func(*runner)
+}{
+	Partitions:   {40, (*runner).partition, (*runner).heal, nil, nil},
+	MirrorKill:   {120, (*runner).killMirror, (*runner).retireMirror, (*runner).reparented, (*runner).checkOrphan},
+	CrashRestart: {400, (*runner).crashCycles, (*runner).floorProbe, nil, nil},
+}
 
-	net := memnet.New(memnet.WithSeed(cfg.Seed))
-	defer net.Close()
-	ns := naming.New()
+// runner is one run's state, shared by its phases and its fault's hooks.
+type runner struct {
+	Scenario
+	res    Result
+	rec    *recorder
+	ob     *obs.Observer
+	rng    *rand.Rand
+	fabric transport.Fabric
+	net    *memnet.Network // the fabric under Partitions and MirrorKill
+	ns     *naming.Service // MirrorKill's directory: what re-parenting resolves
+	stores map[string]*store.Store
+	// permEp is the permanent store's endpoint; CrashRestart re-listens on
+	// its address after each kill.
+	permEp             transport.Endpoint
+	clients            []*core.Proxy
+	counts             *opCounts
+	writersDone, abort atomic.Bool
+}
 
-	// The store↔store links are hostile from the very first frame: the
-	// subscribe/bootstrap handshake itself runs under loss (its ack + retry
-	// and the digest-triggered re-subscribe are part of what this harness
-	// proves — the old harness had to warm up on a clean network because a
-	// lost send-once subscribe stranded the replica). Client links stay
-	// clean (see the package comment's fault model).
+// run executes one chaos scenario; see the package comment for its shape.
+func run(s Scenario) (*Result, error) {
+	if err := s.defaults(); err != nil {
+		return nil, err
+	}
+	f := faults[s.Fault]
+	r := &runner{
+		Scenario: s, rec: newRecorder(), ob: newRunObserver(),
+		rng:    rand.New(rand.NewSource(s.Seed)),
+		stores: make(map[string]*store.Store, len(tree)),
+	}
+	r.counts = &opCounts{abort: &r.abort, attempts: f.attempts}
+	if s.Fault == CrashRestart {
+		r.fabric = tcpnet.NewFabric("")
+	} else {
+		r.net = memnet.New(memnet.WithSeed(s.Seed))
+		r.fabric = r.net
+		r.hostileLinks()
+	}
+	if s.Fault == MirrorKill {
+		r.ns = naming.New()
+	}
+	defer r.close()
+	if err := r.deploy(); err != nil {
+		return nil, err
+	}
+	r.workload(f.inject)
+	f.settle(r)
+	r.converge(f.converged)
+	r.rec.checkObservations()
+	if f.check != nil {
+		f.check(r)
+	}
+	r.account()
+	return &r.res, nil
+}
+
+// pramConference is the default strategy: the conference preset opened to
+// every writer, with aggregated lazy partial pushes (batch frames to lose)
+// and a demand reaction to the gaps their loss leaves.
+func pramConference() strategy.Strategy {
+	st := strategy.Conference(10 * time.Millisecond)
+	st.Writers = strategy.MultipleWriters
+	st.ObjectOutdate = strategy.Demand
+	return st
+}
+
+// hostileLinks makes the memnet store↔store links lossy from the very first
+// frame: the subscribe/bootstrap handshake itself runs under loss (its ack +
+// retry and the digest-triggered re-subscribe are part of what this harness
+// proves). Client links stay clean (see the package comment's fault model).
+func (r *runner) hostileLinks() {
 	prof := memnet.LinkProfile{
 		Latency: 200 * time.Microsecond,
 		Jitter:  500 * time.Microsecond,
-		Loss:    cfg.Loss,
-		Dup:     cfg.Dup,
+		Loss:    r.Loss,
+		Dup:     r.Dup,
 	}
 	for _, p := range storePairs {
-		net.SetLinkBoth(p[0], p[1], prof)
+		r.net.SetLinkBoth(p[0], p[1], prof)
 	}
+	// MirrorKill's re-parented subscription runs over this link.
+	r.net.SetLinkBoth("perm", "cache2", prof)
+}
 
-	st := cfg.Strategy
-	session := []coherence.ClientModel{
-		coherence.ReadYourWrites, coherence.MonotonicReads,
-		coherence.MonotonicWrites, coherence.WritesFollowReads,
-	}
-
-	stores := make(map[string]*store.Store, len(storeAddrs))
-	mk := func(addr string, role replication.Role) (*store.Store, error) {
-		ep, err := net.Endpoint(addr)
-		if err != nil {
-			return nil, err
-		}
-		s := store.New(store.Config{
-			ID: ns.NextStore(), Role: role, Endpoint: ep,
-			Tuning: replication.Tuning{ReadTimeout: 300 * time.Millisecond, DigestInterval: cfg.DigestInterval},
-			Obs:    ob,
-		})
-		stores[addr] = s
-		return s, nil
-	}
-	perm, err := mk("perm", replication.RolePermanent)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		for _, s := range stores {
-			_ = s.Close()
-		}
-	}()
-	const obj = ids.ObjectID("chaos-doc")
-	if err := perm.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st, Session: session}); err != nil {
-		return nil, err
-	}
-	mirror, err := mk("mirror", replication.RoleObjectInitiated)
-	if err != nil {
-		return nil, err
-	}
-	if err := mirror.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st, Session: session, Parent: "perm", Subscribe: true}); err != nil {
-		return nil, err
-	}
-	for addr, parent := range map[string]string{"cache1": "perm", "cache2": "mirror"} {
-		c, err := mk(addr, replication.RoleClientInitiated)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Host(store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: st, Session: session, Parent: parent, Subscribe: true}); err != nil {
-			return nil, err
-		}
-	}
-
-	bind := func(epName, storeAddr string, models ...coherence.ClientModel) (*core.Proxy, error) {
-		ep, err := net.Endpoint(epName)
-		if err != nil {
-			return nil, err
-		}
-		return core.Bind(core.BindConfig{
-			Object: obj, Endpoint: ep, StoreAddr: storeAddr,
-			Client: ns.NextClient(), Session: models,
-			Prototype: webdoc.New(), Timeout: 500 * time.Millisecond,
-		})
-	}
-
-	// The cast: two plain writers at the permanent store, a Read-Your-Writes
-	// writer-reader at cache1, a Writes-Follow-Reads read-then-write client
-	// at cache2, and Monotonic-Reads observers at both caches.
-	var clients []*core.Proxy
-	addClient := func(p *core.Proxy, err error) (*core.Proxy, error) {
+// deploy starts the store tree and binds the cast.
+func (r *runner) deploy() error {
+	for i, n := range tree {
+		ep, err := r.fabric.Endpoint(n.name)
 		if err == nil {
-			clients = append(clients, p)
+			if i == 0 {
+				r.permEp = ep
+			}
+			err = r.startStore(i, ep)
 		}
-		return p, err
-	}
-	defer func() {
-		for _, p := range clients {
-			p.Close()
+		if err != nil {
+			return fmt.Errorf("chaos: start %s: %w", n.name, err)
 		}
-	}()
-	w1, err := addClient(bind("client/w1", "perm"))
-	if err != nil {
-		return nil, err
 	}
-	w2, err := addClient(bind("client/w2", "perm"))
-	if err != nil {
-		return nil, err
+	for i, c := range cast {
+		if _, err := r.bind(c.name, r.stores[c.at].Addr(), ids.ClientID(i+1), c.models); err != nil {
+			return fmt.Errorf("chaos: bind %s: %w", c.name, err)
+		}
 	}
-	ryw, err := addClient(bind("client/ryw", "cache1", coherence.ReadYourWrites, coherence.MonotonicWrites))
-	if err != nil {
-		return nil, err
-	}
-	wfr, err := addClient(bind("client/wfr", "cache2", coherence.WritesFollowReads))
-	if err != nil {
-		return nil, err
-	}
-	mr1, err := addClient(bind("client/mr1", "cache1", coherence.MonotonicReads))
-	if err != nil {
-		return nil, err
-	}
-	mr2, err := addClient(bind("client/mr2", "cache2", coherence.MonotonicReads))
-	if err != nil {
-		return nil, err
-	}
+	return nil
+}
 
-	// Phase A: faulted workload. The coordinator injects seeded partition
-	// windows on store links while the clients run; the MR readers and the
-	// coordinator run until the writing clients finish (or the watchdog
-	// aborts them — abort is checked per op and per retry, so a hung phase
-	// winds down instead of racing the convergence checks).
-	var writersDone, abort atomic.Bool
+// startStore starts tree[i] on ep and hosts the object there: durable at the
+// permanent store under CrashRestart, and resolving replacement parents
+// through the directory under MirrorKill.
+func (r *runner) startStore(i int, ep transport.Endpoint) error {
+	n := tree[i]
+	cfg := store.Config{
+		ID: ids.StoreID(i + 1), Role: n.role, Endpoint: ep, Obs: r.ob,
+		Tuning: replication.Tuning{
+			ReadTimeout:    300 * time.Millisecond,
+			DigestInterval: r.DigestInterval,
+			ReparentAfter:  r.ReparentAfter,
+		},
+	}
+	hc := store.HostConfig{Object: obj, Semantics: webdoc.New(), Strat: r.Strategy, Session: session}
+	if n.parent != "" {
+		hc.Parent, hc.Subscribe = r.stores[n.parent].Addr(), true
+	}
+	switch {
+	case r.Fault == MirrorKill:
+		cfg.ResolveParent = r.resolve
+	case r.Fault == CrashRestart && n.parent == "":
+		cfg.DataDir = r.DataDir
+		cfg.Tuning.Durability = replication.Durability{Fsync: wal.SyncAlways, RecoveryGrace: recoveryGrace}
+	}
+	s := store.New(cfg)
+	r.stores[n.name] = s
+	if r.ns != nil {
+		r.ns.Register(obj, naming.Entry{Addr: s.Addr(), Store: s.ID(), Role: n.role})
+	}
+	return s.Host(hc)
+}
+
+// bind opens a client handle with a pinned identity at the store at addr.
+func (r *runner) bind(name, addr string, client ids.ClientID, models []coherence.ClientModel) (*core.Proxy, error) {
+	ep, err := r.fabric.Endpoint("client/" + name)
+	if err != nil {
+		return nil, err
+	}
+	p, err := core.Bind(core.BindConfig{
+		Object: obj, Endpoint: ep, StoreAddr: addr,
+		Client: client, Session: models,
+		Prototype: webdoc.New(), Timeout: 500 * time.Millisecond,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.clients = append(r.clients, p)
+	return p, nil
+}
+
+// close ends the run: clients, then stores, then the fabric.
+func (r *runner) close() {
+	for _, p := range r.clients {
+		p.Close()
+	}
+	for _, s := range r.stores {
+		_ = s.Close()
+	}
+	_ = r.fabric.Close()
+}
+
+// workload is the faulted phase: inject runs the fault while the cast runs.
+// The MR readers and inject run until the writing clients finish, or the
+// watchdog aborts them — abort is checked per op and per retry, so a hung
+// phase winds down instead of racing the convergence checks. The watchdog's
+// deadline extends while the op counters advance (see awaitWriters), so CPU
+// overcommit stretching every round trip does not starve a healthy workload
+// into a false violation.
+func (r *runner) workload(inject func(*runner)) {
+	c := r.clients
+	ops, counts, rec := r.OpsPerWriter, r.counts, r.rec
 	var writerWG, readerWG sync.WaitGroup
-	counts := &opCounts{abort: &abort}
 	runW := func(f func()) { writerWG.Add(1); go func() { defer writerWG.Done(); f() }() }
-	runW(func() { runWriter(w1, 1, "pg0", cfg.OpsPerWriter, counts, rec) })
-	runW(func() { runWriter(w2, 2, "pg1", cfg.OpsPerWriter, counts, rec) })
-	runW(func() { runRYWWriter(ryw, 3, "ryw", cfg.OpsPerWriter, counts, rec) })
-	runW(func() { runWFRClient(wfr, 4, "pg0", cfg.OpsPerWriter/2, counts, rec) })
-	readerWG.Add(2)
-	go func() { defer readerWG.Done(); runMRReader(mr1, "mr1@cache1", "cache1", &writersDone, counts, rec) }()
-	go func() { defer readerWG.Done(); runMRReader(mr2, "mr2@cache2", "cache2", &writersDone, counts, rec) }()
+	runW(func() { runWriter(c[0], 1, "pg0", ops, counts, rec) })
+	runW(func() { runWriter(c[1], 2, "pg1", ops, counts, rec) })
+	runW(func() { runRYWWriter(c[2], 3, "ryw", ops, counts, rec) })
+	if r.Fault != MirrorKill || r.ReparentAfter > 0 {
+		// cache2 forwards writes up its parent chain; with re-parenting off
+		// (MirrorKill's negative control) they would hang against the
+		// corpse until the retry budget drained, so the stranded cache is
+		// exercised by its reader only.
+		runW(func() { runWFRClient(c[3], 4, "pg0", ops/2, counts, rec) })
+	}
+	readerWG.Add(3)
+	go func() { defer readerWG.Done(); runMRReader(c[4], "mr1@cache1", "cache1", &r.writersDone, counts, rec) }()
+	go func() { defer readerWG.Done(); runMRReader(c[5], "mr2@cache2", "cache2", &r.writersDone, counts, rec) }()
+	go func() { defer readerWG.Done(); inject(r) }()
 
-	partitions := 0
-	readerWG.Add(1)
-	go func() {
-		defer readerWG.Done()
-		for !writersDone.Load() {
-			time.Sleep(time.Duration(10+rng.Intn(40)) * time.Millisecond)
-			pair := storePairs[rng.Intn(len(storePairs))]
-			net.Partition(pair[0], pair[1])
-			partitions++
-			time.Sleep(time.Duration(20+rng.Intn(60)) * time.Millisecond)
-			net.Heal(pair[0], pair[1])
-		}
-	}()
-
-	// Wait for the writing clients, with a watchdog so a livelocked client
-	// fails the run instead of hanging the suite; the abort flag drains the
-	// stuck writers before the convergence phase reads any state. The
-	// deadline extends while the op counters advance (see awaitWriters), so
-	// CPU overcommit stretching every round trip does not starve a healthy
-	// workload into a false violation.
 	writersFinished := make(chan struct{})
 	go func() { writerWG.Wait(); close(writersFinished) }()
-	if !awaitWriters(writersFinished, counts, 60*time.Second) {
-		rec.violatef("workload phase stalled: no client progress for 60s (hard cap 240s)")
-		abort.Store(true)
+	if !awaitWriters(writersFinished, counts, stallAfter) {
+		rec.violatef("workload phase stalled: no client progress for %v (hard cap %v)", stallAfter, 4*stallAfter)
+		r.abort.Store(true)
 		<-writersFinished
 	}
-	writersDone.Store(true)
+	r.writersDone.Store(true)
 	readerWG.Wait()
-	res.Partitions = partitions
+}
 
-	// Phase B: heal the world. From here on, zero foreground traffic — only
-	// the coherence protocol (demand retries, digest heartbeats) runs.
-	for _, p := range storePairs {
-		net.Heal(p[0], p[1])
-		net.SetLinkBoth(p[0], p[1], memnet.LinkProfile{})
+// partition is Partitions' coordinator: seeded partition windows on the
+// store links until the writers finish.
+func (r *runner) partition() {
+	for !r.writersDone.Load() {
+		time.Sleep(time.Duration(10+r.rng.Intn(40)) * time.Millisecond)
+		pair := storePairs[r.rng.Intn(len(storePairs))]
+		r.net.Partition(pair[0], pair[1])
+		r.res.Partitions++
+		time.Sleep(time.Duration(20+r.rng.Intn(60)) * time.Millisecond)
+		r.net.Heal(pair[0], pair[1])
 	}
-	healed := time.Now()
+}
 
-	// Phase C: convergence. Poll replica state directly (ReadLocal bypasses
-	// the client path) until every store agrees, then run the global checks.
-	// The deadline is progress-extending: each time the disagreement diag
-	// changes (anti-entropy is visibly advancing — a loaded box stretches
-	// every digest round-trip, but catch-up never stalls), the replicas get
-	// another ConvergeWithin, up to a hard cap of 4x. A genuinely stuck
-	// replica still fails in ConvergeWithin flat; only demonstrable progress
-	// buys time.
-	deadline := healed.Add(cfg.ConvergeWithin)
-	hardCap := healed.Add(4 * cfg.ConvergeWithin)
+// heal ends Partitions: from here on every store link is clean and there is
+// zero foreground traffic — only the coherence protocol (demand retries,
+// digest heartbeats) runs.
+func (r *runner) heal() {
+	for _, p := range storePairs {
+		r.net.Heal(p[0], p[1])
+		r.net.SetLinkBoth(p[0], p[1], memnet.LinkProfile{})
+	}
+}
+
+// converge polls replica state directly (ReadLocal bypasses the client path)
+// until every live store agrees and the fault's own condition holds (nil
+// when it has none), then runs the global checks. The deadline is
+// progress-extending: each time the disagreement diag changes (anti-entropy
+// is visibly advancing — a loaded box stretches every digest round-trip, but
+// catch-up never stalls), the replicas get another ConvergeWithin, up to a
+// hard cap of 4x. A genuinely stuck replica still fails in ConvergeWithin
+// flat; only demonstrable progress buys time.
+func (r *runner) converge(fault func(*runner) string) {
+	start := time.Now()
+	deadline, hardCap := start.Add(r.ConvergeWithin), start.Add(4*r.ConvergeWithin)
 	lastDiag := ""
 	for {
-		diag := convergedState(stores, obj, st.Model, rec)
+		diag := convergedState(r.stores, r.Strategy.Model, r.rec)
+		if diag == "" && fault != nil {
+			diag = fault(r)
+		}
 		if diag == "" {
-			res.Converged = true
-			res.ConvergeIn = time.Since(healed)
-			break
+			r.res.Converged, r.res.ConvergeIn = true, time.Since(start)
+			finalChecks(r.stores, r.rec)
+			return
 		}
 		if diag != lastDiag {
 			lastDiag = diag
-			if d := time.Now().Add(cfg.ConvergeWithin); d.Before(hardCap) {
-				deadline = d
-			} else {
+			if deadline = time.Now().Add(r.ConvergeWithin); deadline.After(hardCap) {
 				deadline = hardCap
 			}
 		}
 		if time.Now().After(deadline) {
-			rec.violatef("replicas did not converge within %v: %s", cfg.ConvergeWithin, diag)
-			break
+			r.rec.violatef("replicas did not converge within %v: %s", r.ConvergeWithin, diag)
+			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if res.Converged {
-		finalChecks(stores, obj, counts, rec)
-	}
-	rec.checkObservations()
+}
 
-	res.WritesAcked = int(counts.acked.Load())
-	res.WriteRetries = int(counts.retries.Load())
-	res.ReadsOK = int(counts.readsOK.Load())
-	res.ReadsFailed = int(counts.readsFailed.Load())
-	for _, s := range stores {
+// account fills in the workload, store and fabric counters, and the trace of
+// a run that caught a violation.
+func (r *runner) account() {
+	res := &r.res
+	res.WritesAcked = int(r.counts.acked.Load())
+	res.WriteRetries = int(r.counts.retries.Load())
+	res.ReadsOK = int(r.counts.readsOK.Load())
+	res.ReadsFailed = int(r.counts.readsFailed.Load())
+	for _, s := range r.stores {
 		if st, err := s.Stats(obj); err == nil {
 			res.DigestsSent += st.DigestsSent
 			res.DigestDemands += st.DigestDemands
+			res.ReparentsDone += st.ReparentsDone
+			res.ParentMissedDigests += st.ParentMissedDigests
 		}
 	}
-	ns2 := net.Stats()
-	res.FramesDropped = ns2.Dropped
-	res.FramesDuplicated = ns2.Duplicated
-	res.Violations = rec.take()
-	if len(res.Violations) > 0 {
-		res.TraceDump = traceDump(ob, stores)
+	if r.net != nil {
+		ns := r.net.Stats()
+		res.FramesDropped, res.FramesDuplicated = ns.Dropped, ns.Duplicated
 	}
-	return res, nil
-}
-
-// pramConference is the harnesses' default strategy: the conference preset
-// opened to every writer, with aggregated lazy partial pushes (batch frames to
-// lose) and a demand reaction to the gaps their loss leaves.
-func pramConference(lazy time.Duration) strategy.Strategy {
-	st := strategy.Conference(lazy)
-	st.Writers = strategy.MultipleWriters
-	st.ObjectOutdate = strategy.Demand
-	return st
+	res.Violations = r.rec.take()
+	if len(res.Violations) > 0 {
+		res.TraceDump = traceDump(r.ob, r.stores)
+	}
 }
 
 // awaitWriters waits for the workload phase to finish. Under CPU overcommit
@@ -369,10 +542,10 @@ func pramConference(lazy time.Duration) strategy.Strategy {
 // while still making steady progress, so the watchdog deadline is
 // progress-extending: every advance of the op counters — they move on every
 // attempt, including retries — buys the writers another base, up to a hard
-// cap of 4×base, matching the Phase C convergence-deadline policy. A
-// genuinely livelocked workload still dies within base of its last
-// observed op. Reports whether the writers finished; on false the caller
-// raises the abort flag and drains them.
+// cap of 4×base, matching the convergence-deadline policy. A genuinely
+// livelocked workload still dies within base of its last observed op.
+// Reports whether the writers finished; on false the caller raises the abort
+// flag and drains them.
 func awaitWriters(finished <-chan struct{}, counts *opCounts, base time.Duration) bool {
 	start := time.Now()
 	deadline := start.Add(base)
@@ -403,10 +576,8 @@ func awaitWriters(finished <-chan struct{}, counts *opCounts, base time.Duration
 type opCounts struct {
 	acked, retries, readsOK, readsFailed atomic.Int64
 	abort                                *atomic.Bool
-	// maxAttempts overrides appendToken's retry budget (0 = 40, sized for
-	// transient frame loss; the crash harness raises it because a store
-	// restart is a much longer outage than a dropped frame).
-	maxAttempts int
+	// attempts is appendToken's retry budget (the fault's, see faults).
+	attempts int
 }
 
 // progress is the watchdog's liveness signal: the sum of every per-attempt
@@ -424,11 +595,7 @@ func (c *opCounts) progress() int64 {
 // by the stores' at-most-once admission as a replay — never applied twice.
 func appendToken(p *core.Proxy, page string, tok token, counts *opCounts, rec *recorder) bool {
 	args := webdoc.EncodeWriteArgs(webdoc.WriteArgs{Content: []byte(tok.String())})
-	budget := counts.maxAttempts
-	if budget == 0 {
-		budget = 40
-	}
-	for attempt := 0; attempt < budget && !counts.abort.Load(); attempt++ {
+	for attempt := 0; attempt < counts.attempts && !counts.abort.Load(); attempt++ {
 		_, err := p.Invoke(msg.Invocation{Method: webdoc.MethodAppendPage, Page: page, Args: args})
 		if err == nil {
 			counts.acked.Add(1)
@@ -438,7 +605,7 @@ func appendToken(p *core.Proxy, page string, tok token, counts *opCounts, rec *r
 		time.Sleep(5 * time.Millisecond)
 	}
 	if !counts.abort.Load() {
-		rec.violatef("write %v to %s never acked after %d attempts", tok, page, budget)
+		rec.violatef("write %v to %s never acked after %d attempts", tok, page, counts.attempts)
 	}
 	return false
 }
@@ -546,7 +713,7 @@ func runMRReader(p *core.Proxy, who, storeAddr string, done *atomic.Bool, counts
 }
 
 // localPage reads a page's content directly at a store (no client traffic).
-func localPage(s *store.Store, obj ids.ObjectID, page string) (string, error) {
+func localPage(s *store.Store, page string) (string, error) {
 	out, err := s.ReadLocal(obj, msg.Invocation{Method: webdoc.MethodGetPage, Page: page})
 	if err != nil {
 		if errors.Is(err, semantics.ErrNoElement) {
@@ -561,55 +728,53 @@ func localPage(s *store.Store, obj ids.ObjectID, page string) (string, error) {
 	return string(pg.Content), nil
 }
 
-// convergedState reports "" when every store agrees on every page — byte
-// identical under the sequential model, identical token sets under PRAM
-// (which permits different interleavings of different clients' writes) —
-// and all applied vectors are equal. Otherwise it returns a diagnostic.
-func convergedState(stores map[string]*store.Store, obj ids.ObjectID, model coherence.Model, rec *recorder) string {
+// convergedState reports "" when every live store agrees with the permanent
+// store on every page — byte identical under the sequential model, identical
+// token sets under PRAM (which permits different interleavings of different
+// clients' writes) — and on its applied vector. Otherwise it returns a
+// diagnostic.
+func convergedState(stores map[string]*store.Store, model coherence.Model, rec *recorder) string {
+	perm := stores["perm"]
 	ref := make(map[string]string, len(pages))
 	for _, page := range pages {
-		c, err := localPage(stores["perm"], obj, page)
+		c, err := localPage(perm, page)
 		if err != nil {
 			return fmt.Sprintf("perm read %q: %v", page, err)
 		}
 		ref[page] = c
 	}
-	for _, addr := range storeAddrs[1:] {
-		if _, alive := stores[addr]; !alive {
-			continue // permanently killed mid-run (the re-parent schedule)
-		}
-		for _, page := range pages {
-			c, err := localPage(stores[addr], obj, page)
-			if err != nil {
-				return fmt.Sprintf("%s read %q: %v", addr, page, err)
-			}
-			if model == coherence.Sequential {
-				if c != ref[page] {
-					return fmt.Sprintf("%s page %q = %q, perm has %q", addr, page, c, ref[page])
-				}
-				continue
-			}
-			a := parseTokens(c, rec, addr)
-			b := parseTokens(ref[page], rec, "perm")
-			if !sameTokenSet(a, b) {
-				return fmt.Sprintf("%s page %q tokens %v, perm has %v", addr, page, a, b)
-			}
-		}
-	}
-	permVec, err := stores["perm"].Applied(obj)
+	permVec, err := perm.Applied(obj)
 	if err != nil {
 		return err.Error()
 	}
-	for _, addr := range storeAddrs[1:] {
-		if _, alive := stores[addr]; !alive {
-			continue
+	for _, n := range tree[1:] {
+		s, alive := stores[n.name]
+		if !alive {
+			continue // killed for good (MirrorKill)
 		}
-		v, err := stores[addr].Applied(obj)
+		for _, page := range pages {
+			c, err := localPage(s, page)
+			if err != nil {
+				return fmt.Sprintf("%s read %q: %v", n.name, page, err)
+			}
+			if model == coherence.Sequential {
+				if c != ref[page] {
+					return fmt.Sprintf("%s page %q = %q, perm has %q", n.name, page, c, ref[page])
+				}
+				continue
+			}
+			a := parseTokens(c, rec, n.name)
+			b := parseTokens(ref[page], rec, "perm")
+			if !sameTokenSet(a, b) {
+				return fmt.Sprintf("%s page %q tokens %v, perm has %v", n.name, page, a, b)
+			}
+		}
+		v, err := s.Applied(obj)
 		if err != nil {
 			return err.Error()
 		}
 		if !v.Equal(&permVec) {
-			return fmt.Sprintf("%s applied vector %v, perm has %v", addr, v, permVec)
+			return fmt.Sprintf("%s applied vector %v, perm has %v", n.name, v, permVec)
 		}
 	}
 	return ""
@@ -618,11 +783,11 @@ func convergedState(stores map[string]*store.Store, obj ids.ObjectID, model cohe
 // finalChecks runs the post-convergence invariants: every acked token is
 // present at every store, and every final page content passes the per-client
 // order check.
-func finalChecks(stores map[string]*store.Store, obj ids.ObjectID, counts *opCounts, rec *recorder) {
+func finalChecks(stores map[string]*store.Store, rec *recorder) {
 	acked := rec.ackedByPage()
 	for addr, s := range stores {
 		for _, page := range pages {
-			content, err := localPage(s, obj, page)
+			content, err := localPage(s, page)
 			if err != nil {
 				rec.violatef("final read %s/%q: %v", addr, page, err)
 				continue

@@ -25,11 +25,12 @@ func lossRates(t *testing.T) []float64 {
 
 func report(t *testing.T, res *Result) {
 	t.Helper()
-	t.Logf("converged=%v in %v; acked=%d retries=%d reads=%d ok/%d failed; partitions=%d dropped=%d dup=%d digests=%d demands-via-digest=%d",
+	t.Logf("converged=%v in %v; acked=%d retries=%d reads=%d ok/%d failed; partitions=%d dropped=%d dup=%d digests=%d demands-via-digest=%d; crashes=%d recoveries=%d wal-replayed=%d torn=%d last-recovery=%v",
 		res.Converged, res.ConvergeIn.Round(time.Millisecond),
 		res.WritesAcked, res.WriteRetries, res.ReadsOK, res.ReadsFailed,
 		res.Partitions, res.FramesDropped, res.FramesDuplicated,
-		res.DigestsSent, res.DigestDemands)
+		res.DigestsSent, res.DigestDemands,
+		res.Crashes, res.Recoveries, res.WALReplayed, res.TornTails, res.LastRecovery.Round(time.Millisecond))
 	for _, v := range res.Violations {
 		t.Errorf("violation: %s", v)
 	}
@@ -49,7 +50,7 @@ func report(t *testing.T, res *Result) {
 func TestConvergenceUnderLossPRAM(t *testing.T) {
 	for _, loss := range lossRates(t) {
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
-			res, err := Run(Config{
+			res, err := run(Scenario{
 				Seed:           1998,
 				Loss:           loss,
 				Dup:            0.02,
@@ -75,7 +76,7 @@ func TestConvergenceUnderLossPRAM(t *testing.T) {
 func TestConvergenceUnderLossSequential(t *testing.T) {
 	for _, loss := range lossRates(t) {
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
-			res, err := Run(Config{
+			res, err := run(Scenario{
 				Seed:           424242,
 				Strategy:       strategy.Whiteboard(),
 				Loss:           loss,
@@ -110,7 +111,7 @@ func seedSweep(t *testing.T, st strategy.Strategy) {
 	}
 	for _, seed := range []int64{7, 63, 511} {
 		t.Run(fmt.Sprintf("seed=%d/loss=%g", seed, loss), func(t *testing.T) {
-			res, err := Run(Config{
+			res, err := run(Scenario{
 				Seed:           seed,
 				Strategy:       st,
 				Loss:           loss,
@@ -140,7 +141,7 @@ func TestConvergenceUnderLossInvalidate(t *testing.T) {
 		t.Run(transfer.String(), func(t *testing.T) {
 			for _, loss := range lossRates(t) {
 				t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
-					res, err := Run(Config{
+					res, err := run(Scenario{
 						Seed:           1998,
 						Strategy:       st,
 						Loss:           loss,

@@ -3,28 +3,7 @@ package chaos
 import (
 	"fmt"
 	"testing"
-	"time"
-
-	"repro/internal/wal"
 )
-
-func reportCrash(t *testing.T, res *CrashResult) {
-	t.Helper()
-	t.Logf("crashes=%d recoveries=%d wal-replayed=%d torn=%d last-recovery=%v; converged=%v in %v; acked=%d retries=%d reads=%d ok/%d failed",
-		res.Crashes, res.Recoveries, res.WALReplayed, res.TornTails,
-		res.LastRecovery.Round(time.Millisecond),
-		res.Converged, res.ConvergeIn.Round(time.Millisecond),
-		res.WritesAcked, res.WriteRetries, res.ReadsOK, res.ReadsFailed)
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	for _, l := range res.TraceDump {
-		t.Logf("trace: %s", l)
-	}
-	if !res.Converged {
-		t.Errorf("replicas did not converge after the crashes")
-	}
-}
 
 // TestCrashRestartKill9 is the durability tentpole scenario: the permanent
 // store — durable, fsync=always, over real TCP — is kill -9'd twice in the
@@ -34,15 +13,15 @@ func reportCrash(t *testing.T, res *CrashResult) {
 // observed point, and a writer identity re-bound at the recovered store
 // must resume its write sequence where the dead incarnation left it.
 func TestCrashRestartKill9(t *testing.T) {
-	res, err := RunCrash(CrashConfig{
+	res, err := run(Scenario{
+		Fault:   CrashRestart,
 		Seed:    7,
-		Fsync:   wal.SyncAlways,
 		DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reportCrash(t, res)
+	report(t, res)
 	if res.Crashes == 0 {
 		t.Errorf("no crash cycle ran — scenario vacuous")
 	}
@@ -63,16 +42,16 @@ func TestCrashRestartSeedSweep(t *testing.T) {
 	}
 	for _, seed := range []int64{1998, 511} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			res, err := RunCrash(CrashConfig{
+			res, err := run(Scenario{
+				Fault:   CrashRestart,
 				Seed:    seed,
 				Crashes: 1,
-				Fsync:   wal.SyncAlways,
 				DataDir: t.TempDir(),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			reportCrash(t, res)
+			report(t, res)
 			if res.Crashes == 0 {
 				t.Errorf("no crash cycle ran — scenario vacuous")
 			}

@@ -16,7 +16,8 @@ import (
 func TestMirrorKillReparent(t *testing.T) {
 	for _, loss := range lossRates(t) {
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
-			res, err := RunReparent(ReparentConfig{
+			res, err := run(Scenario{
+				Fault:          MirrorKill,
 				Seed:           1998,
 				Loss:           loss,
 				DigestInterval: 25 * time.Millisecond,
@@ -25,7 +26,7 @@ func TestMirrorKillReparent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			report(t, &res.Result)
+			report(t, res)
 			t.Logf("reparents=%d missed-digests=%d orphan-converged=%v",
 				res.ReparentsDone, res.ParentMissedDigests, res.OrphanConverged)
 			if res.ReparentsDone == 0 {
@@ -46,7 +47,8 @@ func TestMirrorKillReparent(t *testing.T) {
 // its dead parent — proving the positive run's convergence is the repair
 // machinery's doing, not a property the topology has for free.
 func TestMirrorKillWithoutReparentingStalls(t *testing.T) {
-	res, err := RunReparent(ReparentConfig{
+	res, err := run(Scenario{
+		Fault:          MirrorKill,
 		Seed:           1998,
 		Loss:           0.01,
 		DigestInterval: 25 * time.Millisecond,

@@ -189,8 +189,7 @@ func (o *Object) refuseParked(p *parkedReq, st msg.Status, text string) {
 	o.unpark(p)
 }
 
-// expireParked refuses requests whose deadline passed. A whole-object fetch
-// they waited for is presumed lost with them, so the next one may ask again.
+// expireParked refuses requests whose deadline passed.
 func (o *Object) expireParked() {
 	if o.closed {
 		return
@@ -202,7 +201,6 @@ func (o *Object) expireParked() {
 			rest = append(rest, p)
 			continue
 		}
-		o.fetching = false
 		o.refuseParked(p, msg.StatusRetry, "coherence requirement not satisfiable before timeout")
 	}
 	o.parked = rest
@@ -234,12 +232,15 @@ func (o *Object) reconsiderParked() {
 	o.spareParked = pending[:0]
 }
 
-// failParkedPage answers parked reads for one page with not-found.
-func (o *Object) failParkedPage(page, errText string) {
+// failParkedPage answers parked reads for one page with not-found reply r's
+// error, each only if r's vector covers what the read requires: a reply
+// older than a write the reader has seen says nothing about that write, so
+// the read stays parked for it.
+func (o *Object) failParkedPage(page string, r *msg.Message) {
 	rest := o.parked[:0]
 	for _, p := range o.parked {
-		if p.m.Inv.Page == page {
-			o.refuseParked(p, msg.StatusNotFound, errText)
+		if p.m.Inv.Page == page && r.VVec.Covers(&p.m.VVec) {
+			o.refuseParked(p, msg.StatusNotFound, r.Err)
 			continue
 		}
 		rest = append(rest, p)

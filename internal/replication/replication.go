@@ -351,8 +351,9 @@ type Object struct {
 	// an op update for page p whose write is covered by pageVec[p] must not
 	// re-apply its content (the fetched page already includes it).
 	pageVec map[string]*msg.Vec
-	// fetching de-duplicates concurrent full-state fetches.
-	fetching bool
+	// fetching holds when each fetch in flight left, per page and "" for
+	// the whole object; zero once its reply arrived (fetch).
+	fetching map[string]*time.Time
 	// fullFetches counts completed full state transfers (state replies,
 	// full-state updates, subscribe bootstraps); parked reads use it to
 	// detect "a full fetch finished and the element still is not here".
@@ -515,6 +516,7 @@ func New(cfg Config) (*Object, error) {
 		stamped:       make(map[ids.ClientID]*stampedSeqs),
 		invalid:       make(map[string]*msg.Vec),
 		pageVec:       make(map[string]*msg.Vec),
+		fetching:      make(map[string]*time.Time),
 		resolveParent: cfg.ResolveParent,
 		wal:           cfg.WAL,
 		stats:         new(Stats),

@@ -38,10 +38,11 @@ func transferredPage(t *testing.T, r *msg.Message, page string) string {
 	return string(pg.Content)
 }
 
-// TestInvalidatedReplicaNeverServesStaleState is ROADMAP 1(a): a mirror whose
-// page was invalidated used to answer a child's state request from that very
-// page, and the child cleared its own invalid mark on the old content — one
-// version stale for good. Whatever asks for state (a page request, a whole
+// TestInvalidatedReplicaNeverServesStaleState pins the first fix of the
+// ROADMAP item "Make invalidation correct, then make state transfer one
+// mechanism" (done): a mirror whose page was invalidated used to answer a
+// child's state request from that very page, and the child cleared its own
+// invalid mark on the old content — one version stale for good. Whatever asks for state (a page request, a whole
 // request, a demand the log cannot answer) is held behind the mirror's own
 // fetch and answered from what that fetch installs; a request still held at
 // ReadTimeout is dropped, never answered stale.
@@ -356,12 +357,12 @@ func TestMirrorPageReplyCarriesPageVector(t *testing.T) {
 	}
 }
 
-// TestMirrorWholeReplyCoversFetchedPages is ROADMAP 1(a)'s residual for whole
-// transfers: a mirror holding p at c1#2 past its applied vector c1#1 used to
-// answer a cache's subscribe with the whole object under c1#1, so the cache
-// took p's c1#2 as state it had not been told of and appended the replayed op
-// c1#2 a second time. A whole reply carries no per-page vectors, so the
-// mirror fetches the whole object before it serves it whole.
+// TestMirrorWholeReplyCoversFetchedPages is the same item's residual for
+// whole transfers: a mirror holding p at c1#2 past its applied vector c1#1
+// used to answer a cache's subscribe with the whole object under c1#1, so
+// the cache took p's c1#2 as state it had not been told of and appended the
+// replayed op c1#2 a second time. A whole reply carries no per-page vectors,
+// so the mirror fetches the whole object before it serves it whole.
 func TestMirrorWholeReplyCoversFetchedPages(t *testing.T) {
 	mirror, mirrorEnv, _, snap2 := mirrorAheadOnPage(t)
 	mirror.Handle(&msg.Message{Kind: msg.KindSubscribe, Object: "obj", From: "cache"})
@@ -400,6 +401,80 @@ func TestCoveredInvalidationFetchesNothing(t *testing.T) {
 	}
 	if got, ok := readPage(t, env, o, "p"); !ok || got != "v2" {
 		t.Fatalf("read served %q (ok %v), want v2 at once", got, ok)
+	}
+}
+
+// TestInvalidatedPageFetchedOnce: an invalidation fetches the page at once
+// (object-outdate = demand), and a read that parks on the page before the
+// reply lands waits for that fetch instead of sending its own. The read used
+// to fetch again, so every invalidated page that was read crossed the link
+// twice.
+func TestInvalidatedPageFetchedOnce(t *testing.T) {
+	doc := webdoc.New()
+	doc.Put("p", []byte("v1"), "", 1)
+	boot, _ := doc.Snapshot()
+	doc.Put("p", []byte("v2"), "", 2)
+	el2, _ := doc.AppendElement(nil, "p")
+	env := newFakeEnv()
+	o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "www")
+	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: boot, VVec: vecOf(1, 1)})
+	env.sent = nil
+	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
+	if _, ok := readPage(t, env, o, "p"); ok {
+		t.Fatal("read of an invalidated page served before its fetch returned")
+	}
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2)})
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
+		t.Fatalf("%d state requests left for one invalidated page, want 1: %+v", len(fetches), fetches)
+	}
+	replies := env.takeSent(msg.KindReadReply)
+	if len(replies) != 1 || replies[0].Status != msg.StatusOK {
+		t.Fatalf("parked read got %+v, want one reply", replies)
+	}
+	if pg, err := webdoc.DecodePage(replies[0].Payload); err != nil || string(pg.Content) != "v2" {
+		t.Fatalf("parked read served %q, %v; want v2", pg.Content, err)
+	}
+}
+
+// TestStaleNotFoundKeepsTheRead: a not-found page reply taken before a write
+// the read depends on (a late or duplicated answer to a fetch sent before
+// the page existed) says nothing about that write. It used to refuse every
+// read parked on the page with not-found and drop the page's mark, so a
+// client read its own acked write as an empty page (the chaos suite's "RYW
+// violated ... content \"\""). The read stays parked, whether the write
+// reached the cache as an invalidation (the mark stays too, and the page is
+// fetched again) or so far only as the reader's session requirement.
+func TestStaleNotFoundKeepsTheRead(t *testing.T) {
+	for _, invalidated := range []bool{true, false} {
+		t.Run(fmt.Sprintf("invalidated=%v", invalidated), func(t *testing.T) {
+			env := newFakeEnv()
+			o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "www", coherence.ReadYourWrites)
+			o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", VVec: vecOf(1, 1)})
+			if invalidated {
+				o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"q"}, Write: ids.WiD{Client: 3, Seq: 1}})
+			}
+			o.Handle(&msg.Message{
+				Kind: msg.KindReadRequest, Object: "obj", From: "reader-ep", Client: 3, VVec: vecOf(3, 1),
+				Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "q"},
+			})
+			env.sent = nil
+			o.Handle(&msg.Message{
+				Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"q"},
+				Status: msg.StatusNotFound, Err: "no element", VVec: vecOf(1, 1),
+			})
+			if refused := env.takeSent(msg.KindReadReply); len(refused) != 0 {
+				t.Fatalf("a reply older than the read's write refused it: %+v", refused)
+			}
+			if !invalidated {
+				return
+			}
+			if o.invalid["q"] == nil {
+				t.Fatal("a reply older than the page's write dropped its mark")
+			}
+			if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 || len(fetches[0].Pages) != 1 || fetches[0].Pages[0] != "q" {
+				t.Fatalf("after a stale not-found the cache sent %+v, want one fetch of q", fetches)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/coherence"
 	"repro/internal/msg"
@@ -99,28 +100,52 @@ func (o *Object) fetchesWhole(page string) bool {
 }
 
 // fetch requests state per the access-transfer type: one element
-// (partial) or the full document.
+// (partial) or the full document. One fetch per page ("" for the whole
+// object) is in flight at a time, so an invalidation's fetch and a read that
+// parks on the page ask once between them. A fetch still unanswered after
+// DemandRetry (ReadTimeout when retries are off) is presumed lost, and the
+// next one asks again.
 func (o *Object) fetch(page string) {
 	if o.parent == "" {
 		return
 	}
-	full := o.fetchesWhole(page)
-	if full {
-		if o.fetching {
-			return
-		}
-		o.fetching = true
+	if o.fetchesWhole(page) {
+		page = ""
 	}
+	now := o.env.Now()
+	sent := o.fetching[page]
+	if sent == nil {
+		// Page names arrive zero-copy decoded; the record outlives the
+		// frame and is made once per page, so a later fetch allocates
+		// nothing.
+		sent = new(time.Time)
+		o.fetching[strings.Clone(page)] = sent
+	}
+	lost := o.tune.DemandRetry
+	if lost <= 0 {
+		lost = o.tune.ReadTimeout
+	}
+	if !sent.IsZero() && now.Sub(*sent) < lost {
+		return
+	}
+	*sent = now
 	inc(&o.stats.DemandsSent)
 	if o.traceOn() {
 		o.emit("demand_sent", "to="+o.parent+" state_page="+page)
 	}
 	req := o.frame(msg.KindStateRequest, nil)
-	if !full {
+	if page != "" {
 		o.names = append(o.names[:0], page)
 		req.Pages = o.names
 	}
 	o.send(o.parent, &req)
+}
+
+// fetched ends page's fetch ("" the whole object's): its reply arrived.
+func (o *Object) fetched(page string) {
+	if sent := o.fetching[page]; sent != nil {
+		*sent = time.Time{}
+	}
 }
 
 // onDemand serves a child's demand-update: replay logged updates it lacks,
@@ -226,19 +251,27 @@ func (o *Object) onStateReply(m *msg.Message) {
 	o.revalEpoch++
 	o.lamport.Witness(m.Stamp.Time)
 	if len(m.Pages) == 0 {
-		o.fetching = false
+		o.fetched("")
 		o.install("", m)
 		return
 	}
 	// The name aliases the frame. It is copied only where a map first keeps
-	// it (install's pageVec entry, the semantics object's page), never
-	// assigned to a key that exists: that would make the key alias the
-	// frame.
+	// it (install's pageVec entry, the semantics object's page, fetch's
+	// record), never assigned to a key that exists: that would make the key
+	// alias the frame.
 	page := m.Pages[0]
+	o.fetched(page)
 	if m.Status == msg.StatusNotFound {
+		if !m.VVec.Covers(o.invalid[page]) || !m.VVec.Covers(o.invalid[""]) {
+			// Answered before the write a mark names (a late or duplicated
+			// reply): the page may exist by now, so keep the mark and ask
+			// again, as install does for a page taken too early.
+			o.fetch(page)
+			return
+		}
 		// The parent lacks it too; fail parked reads for that page, and
 		// tell children asking for it the same.
-		o.failParkedPage(page, m.Err)
+		o.failParkedPage(page, m)
 		delete(o.invalid, page)
 		o.reconsiderParked()
 		return

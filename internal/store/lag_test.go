@@ -64,8 +64,8 @@ func TestTransferOnlyReplicaRecordsLag(t *testing.T) {
 	if cs.UpdatesApplied != 0 {
 		t.Fatalf("the cache applied %d updates; the test needs one that catches up by transfer alone", cs.UpdatesApplied)
 	}
-	// Each version is installed once: the invalidation's own fetch and the
-	// parked read's both bring it, and the second reply is stale.
+	// Each version is installed once, by the one fetch its invalidation
+	// sends; the read that parks on the page waits for that fetch.
 	lag := reg.Find("globe_propagation_lag_seconds", obs.L("object", string(obj)))
 	if lag == nil || lag.Hist == nil {
 		t.Fatal("the cache registered no propagation-lag histogram")
