@@ -48,8 +48,6 @@ import (
 	"repro/internal/strategy"
 	"repro/internal/transport"
 	"repro/internal/transport/memnet"
-	"repro/internal/transport/tcpnet"
-	"repro/internal/wal"
 )
 
 // Fault is what a Scenario does to the deployment while its workload runs.
@@ -107,33 +105,20 @@ type Scenario struct {
 	ConvergeWithin time.Duration
 }
 
-func (s *Scenario) defaults() error {
+// defaults fills the zero fields from f, the Scenario's fault.
+func (s *Scenario) defaults(f *faultSpec) {
 	if s.Strategy.Model == 0 {
 		s.Strategy = pramConference()
 	}
-	ops, digest, within := 30, time.Duration(0), 5*time.Second
-	switch s.Fault {
-	case MirrorKill:
-		digest = 25 * time.Millisecond
-	case CrashRestart:
-		if s.DataDir == "" {
-			return errors.New("chaos: CrashRestart needs a DataDir")
-		}
-		ops, digest, within = 60, 75*time.Millisecond, 10*time.Second
-		if s.Crashes == 0 {
-			s.Crashes = 2
-		}
-	}
 	if s.OpsPerWriter == 0 {
-		s.OpsPerWriter = ops
+		s.OpsPerWriter = f.ops
 	}
 	if s.DigestInterval == 0 {
-		s.DigestInterval = digest
+		s.DigestInterval = f.digest
 	}
 	if s.ConvergeWithin == 0 {
-		s.ConvergeWithin = within
+		s.ConvergeWithin = f.within
 	}
-	return nil
 }
 
 // Result reports what a run did and every guarantee violation it caught.
@@ -185,8 +170,6 @@ const (
 	obj = ids.ObjectID("chaos-doc")
 	// recoveryGrace bounds a restarted store's recover-then-serve gate.
 	recoveryGrace = time.Second
-	// stallAfter is the workload watchdog's base (awaitWriters).
-	stallAfter = 90 * time.Second
 )
 
 // Every replica offers every session guarantee; each client asks for its own.
@@ -230,25 +213,59 @@ var (
 	pages      = []string{"pg0", "pg1", "ryw"}
 )
 
-// faults holds what each fault adds to the shared run: a write's retry
-// budget (a dead parent or a restarting store is a much longer outage than a
-// dropped frame), the coordinator that injects the fault alongside the
-// workload, what ends it before the convergence wait, a condition of its own
-// for that wait, and its own check after.
-var faults = [...]struct {
-	attempts       int
+// faultSpec is everything one fault adds to the shared run.
+type faultSpec struct {
+	// ops, digest and within are the defaults of OpsPerWriter,
+	// DigestInterval and ConvergeWithin.
+	ops            int
+	digest, within time.Duration
+	// attempts is a write's retry budget (a dead parent or a restarting
+	// store is a much longer outage than a dropped frame); stall is the
+	// workload watchdog's base (awaitWriters).
+	attempts int
+	stall    time.Duration
+	// extend lets the convergence wait extend while the replicas visibly
+	// progress (converge); without it the wait is a flat ConvergeWithin.
+	extend bool
+	// strands marks a fault that leaves cache2 without a live parent: with
+	// re-parenting off, its writes would hang against the corpse until the
+	// retry budget drained, so its writer sits out and the stranded cache is
+	// exercised by its reader only.
+	strands bool
+	// setup builds the fabric, and whatever else the fault needs, before the
+	// tree is deployed; host adjusts tree[i]'s store config (nil: nothing).
+	setup func(*runner) error
+	host  func(r *runner, i int, cfg *store.Config)
+	// inject runs the fault alongside the workload, and settle ends it before
+	// the convergence wait; converged is a condition of the fault's own for
+	// that wait, and check a check of its own after it (nil: none).
 	inject, settle func(*runner)
 	converged      func(*runner) string
 	check          func(*runner)
-}{
-	Partitions:   {40, (*runner).partition, (*runner).heal, nil, nil},
-	MirrorKill:   {120, (*runner).killMirror, (*runner).retireMirror, (*runner).reparented, (*runner).checkOrphan},
-	CrashRestart: {400, (*runner).crashCycles, (*runner).floorProbe, nil, nil},
+}
+
+var faults = [...]faultSpec{
+	Partitions: {
+		ops: 30, within: 5 * time.Second, attempts: 40, stall: 60 * time.Second, extend: true,
+		setup: (*runner).lossyNet, inject: (*runner).partition, settle: (*runner).heal,
+	},
+	MirrorKill: {
+		ops: 30, digest: 25 * time.Millisecond, within: 5 * time.Second, attempts: 120, stall: 90 * time.Second,
+		strands: true, setup: (*runner).directoryNet, host: (*runner).resolveThroughDirectory,
+		inject: (*runner).killMirror, settle: (*runner).retireMirror,
+		converged: (*runner).reparented, check: (*runner).checkOrphan,
+	},
+	CrashRestart: {
+		ops: 60, digest: 75 * time.Millisecond, within: 10 * time.Second, attempts: 400, stall: 90 * time.Second,
+		setup: (*runner).loopback, host: (*runner).durablePerm,
+		inject: (*runner).crashCycles, settle: (*runner).floorProbe,
+	},
 }
 
 // runner is one run's state, shared by its phases and its fault's hooks.
 type runner struct {
 	Scenario
+	f      *faultSpec
 	res    Result
 	rec    *recorder
 	ob     *obs.Observer
@@ -267,33 +284,24 @@ type runner struct {
 
 // run executes one chaos scenario; see the package comment for its shape.
 func run(s Scenario) (*Result, error) {
-	if err := s.defaults(); err != nil {
-		return nil, err
-	}
-	f := faults[s.Fault]
+	f := &faults[s.Fault]
+	s.defaults(f)
 	r := &runner{
-		Scenario: s, rec: newRecorder(), ob: newRunObserver(),
+		Scenario: s, f: f, rec: newRecorder(), ob: newRunObserver(),
 		rng:    rand.New(rand.NewSource(s.Seed)),
 		stores: make(map[string]*store.Store, len(tree)),
 	}
 	r.counts = &opCounts{abort: &r.abort, attempts: f.attempts}
-	if s.Fault == CrashRestart {
-		r.fabric = tcpnet.NewFabric("")
-	} else {
-		r.net = memnet.New(memnet.WithSeed(s.Seed))
-		r.fabric = r.net
-		r.hostileLinks()
-	}
-	if s.Fault == MirrorKill {
-		r.ns = naming.New()
+	if err := f.setup(r); err != nil {
+		return nil, err
 	}
 	defer r.close()
 	if err := r.deploy(); err != nil {
 		return nil, err
 	}
-	r.workload(f.inject)
+	r.workload()
 	f.settle(r)
-	r.converge(f.converged)
+	r.converge()
 	r.rec.checkObservations()
 	if f.check != nil {
 		f.check(r)
@@ -312,11 +320,14 @@ func pramConference() strategy.Strategy {
 	return st
 }
 
-// hostileLinks makes the memnet store↔store links lossy from the very first
-// frame: the subscribe/bootstrap handshake itself runs under loss (its ack +
-// retry and the digest-triggered re-subscribe are part of what this harness
-// proves). Client links stay clean (see the package comment's fault model).
-func (r *runner) hostileLinks() {
+// lossyNet is the memnet faults' fabric. Its store↔store links are lossy
+// from the very first frame: the subscribe/bootstrap handshake itself runs
+// under loss (its ack + retry and the digest-triggered re-subscribe are part
+// of what this harness proves). Client links stay clean (see the package
+// comment's fault model).
+func (r *runner) lossyNet() error {
+	r.net = memnet.New(memnet.WithSeed(r.Seed))
+	r.fabric = r.net
 	prof := memnet.LinkProfile{
 		Latency: 200 * time.Microsecond,
 		Jitter:  500 * time.Microsecond,
@@ -328,6 +339,7 @@ func (r *runner) hostileLinks() {
 	}
 	// MirrorKill's re-parented subscription runs over this link.
 	r.net.SetLinkBoth("perm", "cache2", prof)
+	return nil
 }
 
 // deploy starts the store tree and binds the cast.
@@ -352,9 +364,8 @@ func (r *runner) deploy() error {
 	return nil
 }
 
-// startStore starts tree[i] on ep and hosts the object there: durable at the
-// permanent store under CrashRestart, and resolving replacement parents
-// through the directory under MirrorKill.
+// startStore starts tree[i] on ep and hosts the object there, with the
+// fault's adjustments (faultSpec.host).
 func (r *runner) startStore(i int, ep transport.Endpoint) error {
 	n := tree[i]
 	cfg := store.Config{
@@ -369,12 +380,8 @@ func (r *runner) startStore(i int, ep transport.Endpoint) error {
 	if n.parent != "" {
 		hc.Parent, hc.Subscribe = r.stores[n.parent].Addr(), true
 	}
-	switch {
-	case r.Fault == MirrorKill:
-		cfg.ResolveParent = r.resolve
-	case r.Fault == CrashRestart && n.parent == "":
-		cfg.DataDir = r.DataDir
-		cfg.Tuning.Durability = replication.Durability{Fsync: wal.SyncAlways, RecoveryGrace: recoveryGrace}
+	if r.f.host != nil {
+		r.f.host(r, i, &cfg)
 	}
 	s := store.New(cfg)
 	r.stores[n.name] = s
@@ -413,14 +420,14 @@ func (r *runner) close() {
 	_ = r.fabric.Close()
 }
 
-// workload is the faulted phase: inject runs the fault while the cast runs.
+// workload is the faulted phase: the fault's inject runs while the cast runs.
 // The MR readers and inject run until the writing clients finish, or the
 // watchdog aborts them — abort is checked per op and per retry, so a hung
 // phase winds down instead of racing the convergence checks. The watchdog's
 // deadline extends while the op counters advance (see awaitWriters), so CPU
 // overcommit stretching every round trip does not starve a healthy workload
 // into a false violation.
-func (r *runner) workload(inject func(*runner)) {
+func (r *runner) workload() {
 	c := r.clients
 	ops, counts, rec := r.OpsPerWriter, r.counts, r.rec
 	var writerWG, readerWG sync.WaitGroup
@@ -428,22 +435,18 @@ func (r *runner) workload(inject func(*runner)) {
 	runW(func() { runWriter(c[0], 1, "pg0", ops, counts, rec) })
 	runW(func() { runWriter(c[1], 2, "pg1", ops, counts, rec) })
 	runW(func() { runRYWWriter(c[2], 3, "ryw", ops, counts, rec) })
-	if r.Fault != MirrorKill || r.ReparentAfter > 0 {
-		// cache2 forwards writes up its parent chain; with re-parenting off
-		// (MirrorKill's negative control) they would hang against the
-		// corpse until the retry budget drained, so the stranded cache is
-		// exercised by its reader only.
+	if !r.f.strands || r.ReparentAfter > 0 {
 		runW(func() { runWFRClient(c[3], 4, "pg0", ops/2, counts, rec) })
 	}
 	readerWG.Add(3)
 	go func() { defer readerWG.Done(); runMRReader(c[4], "mr1@cache1", "cache1", &r.writersDone, counts, rec) }()
 	go func() { defer readerWG.Done(); runMRReader(c[5], "mr2@cache2", "cache2", &r.writersDone, counts, rec) }()
-	go func() { defer readerWG.Done(); inject(r) }()
+	go func() { defer readerWG.Done(); r.f.inject(r) }()
 
 	writersFinished := make(chan struct{})
 	go func() { writerWG.Wait(); close(writersFinished) }()
-	if !awaitWriters(writersFinished, counts, stallAfter) {
-		rec.violatef("workload phase stalled: no client progress for %v (hard cap %v)", stallAfter, 4*stallAfter)
+	if !awaitWriters(writersFinished, counts, r.f.stall) {
+		rec.violatef("workload phase stalled: no client progress for %v (hard cap %v)", r.f.stall, 4*r.f.stall)
 		r.abort.Store(true)
 		<-writersFinished
 	}
@@ -475,21 +478,25 @@ func (r *runner) heal() {
 }
 
 // converge polls replica state directly (ReadLocal bypasses the client path)
-// until every live store agrees and the fault's own condition holds (nil
-// when it has none), then runs the global checks. The deadline is
-// progress-extending: each time the disagreement diag changes (anti-entropy
-// is visibly advancing — a loaded box stretches every digest round-trip, but
-// catch-up never stalls), the replicas get another ConvergeWithin, up to a
-// hard cap of 4x. A genuinely stuck replica still fails in ConvergeWithin
-// flat; only demonstrable progress buys time.
-func (r *runner) converge(fault func(*runner) string) {
+// until every live store agrees and the fault's own condition holds, then
+// runs the global checks. Under a fault that extends it (faultSpec.extend)
+// the deadline is progress-extending: each time the disagreement diag
+// changes (anti-entropy is visibly advancing — a loaded box stretches every
+// digest round-trip, but catch-up never stalls), the replicas get another
+// ConvergeWithin, up to a hard cap of 4x. A genuinely stuck replica still
+// fails in ConvergeWithin flat; only demonstrable progress buys time.
+func (r *runner) converge() {
 	start := time.Now()
-	deadline, hardCap := start.Add(r.ConvergeWithin), start.Add(4*r.ConvergeWithin)
+	deadline := start.Add(r.ConvergeWithin)
+	hardCap := deadline
+	if r.f.extend {
+		hardCap = start.Add(4 * r.ConvergeWithin)
+	}
 	lastDiag := ""
 	for {
 		diag := convergedState(r.stores, r.Strategy.Model, r.rec)
-		if diag == "" && fault != nil {
-			diag = fault(r)
+		if diag == "" && r.f.converged != nil {
+			diag = r.f.converged(r)
 		}
 		if diag == "" {
 			r.res.Converged, r.res.ConvergeIn = true, time.Since(start)

@@ -17,11 +17,36 @@
 package chaos
 
 import (
+	"errors"
 	"time"
 
+	"repro/internal/replication"
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/internal/transport/tcpnet"
+	"repro/internal/wal"
 )
+
+// loopback is CrashRestart's fabric, loopback tcpnet; a zero Crashes runs
+// two cycles.
+func (r *runner) loopback() error {
+	if r.DataDir == "" {
+		return errors.New("chaos: CrashRestart needs a DataDir")
+	}
+	if r.Crashes == 0 {
+		r.Crashes = 2
+	}
+	r.fabric = tcpnet.NewFabric("")
+	return nil
+}
+
+// durablePerm makes the permanent store durable under DataDir, fsync=always.
+func (r *runner) durablePerm(i int, cfg *store.Config) {
+	if tree[i].parent == "" {
+		cfg.DataDir = r.DataDir
+		cfg.Tuning.Durability = replication.Durability{Fsync: wal.SyncAlways, RecoveryGrace: recoveryGrace}
+	}
+}
 
 // crashCycles is CrashRestart's coordinator: kill -9, hold the address dark
 // for a beat so in-flight writes really fail, restart from disk, wait out

@@ -12,8 +12,23 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/naming"
 	"repro/internal/replication"
+	"repro/internal/store"
 )
+
+// directoryNet is MirrorKill's fabric, lossyNet's, plus the directory every
+// store registers at and resolves replacement parents through.
+func (r *runner) directoryNet() error {
+	r.ns = naming.New()
+	return r.lossyNet()
+}
+
+// resolveThroughDirectory has every store re-resolve a dead parent through
+// the directory.
+func (r *runner) resolveThroughDirectory(_ int, cfg *store.Config) {
+	cfg.ResolveParent = r.resolve
+}
 
 // resolve is every store's parent resolver under MirrorKill: the directory's
 // entries for the object. The runner plays the directory's liveness role (in

@@ -335,6 +335,8 @@ func (o *Object) require(page string, w ids.WiD) {
 	}
 	if r.Get(w.Client) < w.Seq {
 		r.Set(w.Client, w.Seq)
+		// A fetch that left before this write cannot bring it.
+		o.fetched(page)
 	}
 	if o.strat.ObjectOutdate == strategy.Demand && !o.current(page) {
 		o.fetch(page)

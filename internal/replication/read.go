@@ -133,12 +133,10 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 		}
 	}
 	p = o.park(m, p)
-	// The fetch for a page that is not current stays in flight until its
-	// reply lands (onStateReply asks again if that did not meet the mark); a
-	// miss after a fetch means that fetch did not bring the element, so ask
-	// again.
-	if current || !p.fetchTried {
-		o.fetch(page)
+	// Every visit asks: fetch sends nothing while the page's fetch is in
+	// flight, and asks again once it is answered or presumed lost.
+	o.fetch(page)
+	if !p.fetchTried {
 		p.fetchTried, p.fetchedAt = true, o.fullFetches
 	}
 }

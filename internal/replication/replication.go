@@ -172,7 +172,7 @@ type parkedReq struct {
 	// the parent has answered one revalidation (epoch advanced past epoch).
 	needsReval bool
 	epoch      uint64
-	// fetchTried/fetchedAt record that this request triggered a state fetch
+	// fetchTried/fetchedAt record that this request waited on a state fetch
 	// and how many full fetches had completed at that point: if a full
 	// fetch completes (fullFetches advances past fetchedAt) and the element
 	// is still missing, the parent does not have it and the read fails
@@ -352,7 +352,7 @@ type Object struct {
 	// re-apply its content (the fetched page already includes it).
 	pageVec map[string]*msg.Vec
 	// fetching holds when each fetch in flight left, per page and "" for
-	// the whole object; zero once its reply arrived (fetch).
+	// the whole object; zero once it ended (fetch, fetched).
 	fetching map[string]*time.Time
 	// fullFetches counts completed full state transfers (state replies,
 	// full-state updates, subscribe bootstraps); parked reads use it to
@@ -378,6 +378,9 @@ type Object struct {
 	demandRetryTimer *oneShot
 	demandEpoch      uint64
 	demandRetries    int
+	// fetchRetryTimer has the parked requests ask again after DemandRetry,
+	// so a lost state fetch is re-sent (fetch).
+	fetchRetryTimer *oneShot
 
 	// Group commit (see durable.go): write replies under the always policy
 	// park in ackPending, each addressed by its own To, and the owning loop
@@ -532,6 +535,7 @@ func New(cfg Config) (*Object, error) {
 	o.gossipTimer = o.timer(o.gossip)
 	o.digestTimer = o.timer(o.digest)
 	o.demandRetryTimer = o.timer(o.retryDemand)
+	o.fetchRetryTimer = o.timer(o.reconsiderParked)
 	o.walSyncTimer = o.timer(o.walSync)
 	o.recoverGraceTimer = o.timer(o.finishRecovery)
 	o.recoverRetryTimer = o.timer(o.retryRecovery)

@@ -442,8 +442,11 @@ func TestInvalidatedPageFetchedOnce(t *testing.T) {
 // read parked on the page with not-found and drop the page's mark, so a
 // client read its own acked write as an empty page (the chaos suite's "RYW
 // violated ... content \"\""). The read stays parked, whether the write
-// reached the cache as an invalidation (the mark stays too, and the page is
-// fetched again) or so far only as the reader's session requirement.
+// reached the cache as an invalidation or so far only as the reader's session
+// requirement. An invalidated page keeps its mark and is not fetched again at
+// once: the invalidation's own fetch is in flight, and a parent that keeps
+// answering short must not be asked at link speed. One fetch leaves per
+// DemandRetry while a read waits on the page.
 func TestStaleNotFoundKeepsTheRead(t *testing.T) {
 	for _, invalidated := range []bool{true, false} {
 		t.Run(fmt.Sprintf("invalidated=%v", invalidated), func(t *testing.T) {
@@ -457,6 +460,13 @@ func TestStaleNotFoundKeepsTheRead(t *testing.T) {
 				Kind: msg.KindReadRequest, Object: "obj", From: "reader-ep", Client: 3, VVec: vecOf(3, 1),
 				Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "q"},
 			})
+			if invalidated {
+				// A reader with no requirement waits on q's state alone.
+				o.Handle(&msg.Message{
+					Kind: msg.KindReadRequest, Object: "obj", From: "other-ep", Client: 5,
+					Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "q"},
+				})
+			}
 			env.sent = nil
 			o.Handle(&msg.Message{
 				Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"q"},
@@ -471,10 +481,60 @@ func TestStaleNotFoundKeepsTheRead(t *testing.T) {
 			if o.invalid["q"] == nil {
 				t.Fatal("a reply older than the page's write dropped its mark")
 			}
+			if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 0 {
+				t.Fatalf("a stale not-found sent %+v at once, want the fetch in flight to be waited for", fetches)
+			}
+			env.clk.Advance(defaultDemandRetry)
 			if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 || len(fetches[0].Pages) != 1 || fetches[0].Pages[0] != "q" {
-				t.Fatalf("after a stale not-found the cache sent %+v, want one fetch of q", fetches)
+				t.Fatalf("DemandRetry after a stale not-found the cache sent %+v, want one fetch of q", fetches)
 			}
 		})
+	}
+}
+
+// TestMirrorNotFoundCoversTheDelete: a mirror that never held q is told of
+// q's deletion (3,1), fetches it, and takes the parent's not-found, whose
+// vector covers the delete. Its own not-found to a child must cover the
+// delete too: it used to carry only the mirror's applied vector, so a child
+// marked with (3,1) found it short, kept its mark and fetched again at once,
+// and mirror and child traded fetches and not-founds at link speed while the
+// child's read waited out ReadTimeout.
+func TestMirrorNotFoundCoversTheDelete(t *testing.T) {
+	mirror, mirrorEnv, snap1, _ := mirrorAheadOnPage(t)
+	cacheEnv := newFakeEnv()
+	cache := newObj(t, cacheEnv, RoleClientInitiated, strategy.PopularEventPage(), "mirror")
+	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: snap1, VVec: vecOf(1, 1)})
+	del := ids.WiD{Client: 3, Seq: 1}
+	mirror.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"q"}, Write: del})
+	mirror.Handle(&msg.Message{
+		Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"q"},
+		Status: msg.StatusNotFound, Err: "no element", VVec: vecOf(1, 2, 3, 1),
+	})
+	cache.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "mirror", Pages: []string{"q"}, Write: del})
+	cache.Handle(&msg.Message{
+		Kind: msg.KindReadRequest, Object: "obj", From: "reader-ep", Client: 5,
+		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "q"},
+	})
+	fetches := cacheEnv.takeSent(msg.KindStateRequest)
+	if len(fetches) != 1 {
+		t.Fatalf("cache sent %d fetches for q, want 1", len(fetches))
+	}
+	mirrorEnv.sent = nil
+	mirror.Handle(fetches[0])
+	replies := mirrorEnv.takeSent(msg.KindStateReply)
+	if len(replies) != 1 || replies[0].Status != msg.StatusNotFound {
+		t.Fatalf("mirror answered the child's fetch of q with %+v, want one not-found", replies)
+	}
+	if !replies[0].VVec.CoversWrite(del) {
+		t.Fatalf("mirror's not-found carries %v, which does not cover the delete %v", replies[0].VVec, del)
+	}
+	cache.Handle(replies[0])
+	if again := cacheEnv.takeSent(msg.KindStateRequest); len(again) != 0 {
+		t.Fatalf("cache fetched q again after a not-found covering its mark: %+v", again)
+	}
+	refused := cacheEnv.takeSent(msg.KindReadReply)
+	if len(refused) != 1 || refused[0].Status != msg.StatusNotFound {
+		t.Fatalf("the read of the deleted page got %+v, want not-found", refused)
 	}
 }
 

@@ -2,12 +2,14 @@ package replication
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/coherence"
 	"repro/internal/msg"
+	"repro/internal/semantics"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
 )
@@ -102,15 +104,20 @@ func (o *Object) fetchesWhole(page string) bool {
 // fetch requests state per the access-transfer type: one element
 // (partial) or the full document. One fetch per page ("" for the whole
 // object) is in flight at a time, so an invalidation's fetch and a read that
-// parks on the page ask once between them. A fetch still unanswered after
-// DemandRetry (ReadTimeout when retries are off) is presumed lost, and the
-// next one asks again.
+// parks on the page ask once between them; require ends a page's fetch when
+// it marks a newer write, which a fetch that left before cannot bring. A
+// fetch still unanswered after DemandRetry (ReadTimeout when retries are off)
+// is presumed lost: the fetch-retry timer, armed while fetches are wanted,
+// has every request still parked ask again.
 func (o *Object) fetch(page string) {
 	if o.parent == "" {
 		return
 	}
 	if o.fetchesWhole(page) {
 		page = ""
+	}
+	if o.tune.DemandRetry > 0 {
+		o.arm(o.fetchRetryTimer, o.tune.DemandRetry)
 	}
 	now := o.env.Now()
 	sent := o.fetching[page]
@@ -141,8 +148,12 @@ func (o *Object) fetch(page string) {
 	o.send(o.parent, &req)
 }
 
-// fetched ends page's fetch ("" the whole object's): its reply arrived.
+// fetched ends page's fetch (the whole object's when fetch asks for it
+// whole): its reply arrived, or it left before a write it cannot bring.
 func (o *Object) fetched(page string) {
+	if o.fetchesWhole(page) {
+		page = ""
+	}
 	if sent := o.fetching[page]; sent != nil {
 		*sent = time.Time{}
 	}
@@ -191,10 +202,8 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 		page = req.Pages[0]
 	}
 	if !o.current(page) || (page == "" && !o.currentWhole()) {
-		if p = o.park(req, p); !p.fetchTried {
-			o.fetch(page)
-			p.fetchTried = true
-		}
+		o.park(req, p)
+		o.fetch(page)
 		return
 	}
 	kind := msg.KindStateReply
@@ -260,27 +269,39 @@ func (o *Object) onStateReply(m *msg.Message) {
 	// record), never assigned to a key that exists: that would make the key
 	// alias the frame.
 	page := m.Pages[0]
-	o.fetched(page)
 	if m.Status == msg.StatusNotFound {
-		if !m.VVec.Covers(o.invalid[page]) || !m.VVec.Covers(o.invalid[""]) {
-			// Answered before the write a mark names (a late or duplicated
-			// reply): the page may exist by now, so keep the mark and ask
-			// again, as install does for a page taken too early.
-			o.fetch(page)
-			return
-		}
-		// The parent lacks it too; fail parked reads for that page, and
-		// tell children asking for it the same.
-		o.failParkedPage(page, m)
-		delete(o.invalid, page)
-		o.reconsiderParked()
+		o.notFound(page, m)
+	} else {
+		o.install(page, m)
+	}
+	if o.current(page) {
+		o.fetched(page)
 		return
 	}
-	o.install(page, m)
-	if !o.current(page) {
-		// Taken before the write the page's mark names: ask again.
-		o.fetch(page)
+	// Answered before the write a mark names (a late or duplicated reply).
+	// The fetch that left after the mark brings it, and fetch asks again only
+	// when none did or that one is presumed lost: a parent that keeps
+	// answering short is asked once per DemandRetry, not at link speed.
+	o.fetch(page)
+}
+
+// notFound takes a not-found reply for page: the parent held no such page as
+// of m.VVec. It says nothing of a write it does not cover, so it is taken
+// only when it covers the page's marks, and fails only the parked reads whose
+// requirement it covers. Taken, it ends the page's mark, and when this replica
+// holds no such page either, m.VVec joins what it knows of the page, as a
+// taken page's vector does: the not-found it hands a child then covers the
+// same writes, and the child takes it.
+func (o *Object) notFound(page string, m *msg.Message) {
+	if !m.VVec.Covers(o.invalid[page]) || !m.VVec.Covers(o.invalid[""]) {
+		return
 	}
+	o.failParkedPage(page, m)
+	delete(o.invalid, page)
+	if _, err := o.env.SnapshotElement(page); errors.Is(err, semantics.ErrNoElement) {
+		o.learnPage(page, &m.VVec)
+	}
+	o.reconsiderParked()
 }
 
 // install is the one place state from another replica replaces content here:
@@ -317,12 +338,7 @@ func (o *Object) install(page string, m *msg.Message) bool {
 			return false
 		}
 		o.reapplyBeyond(v, page)
-		pv := o.pageVec[page]
-		if pv == nil {
-			pv = new(msg.Vec)
-			o.pageVec[strings.Clone(page)] = pv
-		}
-		pv.Merge(v)
+		o.learnPage(page, v)
 		o.installed(m.WallNanos)
 		return true
 	}
@@ -348,6 +364,16 @@ func (o *Object) install(page string, m *msg.Message) bool {
 	o.markAppliedStale()
 	o.installed(m.WallNanos)
 	return true
+}
+
+// learnPage merges v, the vector of state taken for page, into pageVec[page].
+func (o *Object) learnPage(page string, v *msg.Vec) {
+	pv := o.pageVec[page]
+	if pv == nil {
+		pv = new(msg.Vec)
+		o.pageVec[strings.Clone(page)] = pv
+	}
+	pv.Merge(v)
 }
 
 // installed records a taken state whose newest write originated at wall
