@@ -138,10 +138,21 @@
 // deployment ship from this tree, so no cross-version compatibility shim is
 // kept; bump wireVersion again on any layout change.
 //
+// A whole state — a state reply without pages, a subscribe ack, a full-state
+// push — carries one value in its Payload: the sender's engine state
+// (coherence.State: its applied vector, its sequencer position and, under
+// the eventual model, every page's winning stamp, in page order), encoded by
+// coherence alone, then the semantics snapshot. Such a frame sets no VVec,
+// GlobalSeq or Batch, and a digest sets no GlobalSeq. The frame layout did
+// not change, so wireVersion was not bumped and msg's golden frames pass
+// unedited; but a replica that put the vector, the sequencer position and
+// the stamps in those frame fields cannot exchange whole states with one of
+// this revision.
+//
 // msg.Vec is the one version vector, in frames and out of them: a frame's
 // VVec and Deps (and each batch entry's Deps; a Deps is nil when empty), an
 // engine's applied vector, a session's read vector, a replica's fetch, page
-// and forwarded vectors, a WAL snapshot's vector, and the vector
+// and forwarded vectors, an engine state's vector, and the vector
 // Store.Applied and the stats control reply report. Up to VecInline entries
 // live in a sorted inline array, so a vector moves and decodes without
 // allocating; larger vectors spill to a map. A copy of a spilled vector
@@ -308,17 +319,21 @@
 // lost and permanently stall that client's stream under the ordered models.
 // Every record is CRC-framed; recovery truncates the log at the first torn
 // record (counted in Stats.WALTornTail) rather than refusing to start.
-// Each SnapshotEvery records the log is compacted: full semantics state,
-// applied vector, admission watermarks, next global sequence, and the
-// children set are written to a temp file, fsynced, renamed over the old
-// snapshot, and the WAL truncated — crash-safe at every step because
-// replaying an already-snapshotted tail is absorbed by engine dedup. A
-// compaction encodes the state once, into one buffer of exactly its size,
-// and the WAL writes the header, that buffer and a CRC over both without
-// joining them. A failed write, fsync or close of the temp file stops the
-// compaction before the rename, with the log whole; the replica counts it
-// (Stats.WALSnapshotFailures) and tries again only after another
-// SnapshotEvery records.
+// Each SnapshotEvery records the log is compacted: the replica's whole state
+// as it would send it to another replica (engine state, then semantics
+// state), the Lamport clock, the admission watermarks (clients and holes in
+// ascending order, so one replica state writes one file) and the children
+// set are written to a temp file, fsynced, renamed over the old snapshot,
+// and the WAL truncated — crash-safe at every step because replaying an
+// already-snapshotted tail is absorbed by engine dedup. The engine state
+// holds the eventual model's page stamps, so a delete keeps beating older
+// writes across a restart. The WAL writes the header, the whole-state
+// buffer and a CRC over both without joining them. A snapshot in the
+// earlier GSNP1 format, which kept the vector and sequencer position in its
+// header and no stamps, still recovers. A failed write, fsync or close of
+// the temp file stops the compaction before the rename, with the log whole;
+// the replica counts it (Stats.WALSnapshotFailures) and tries again only
+// after another SnapshotEvery records.
 //
 // Restart replays snapshot + WAL, then runs recover-then-serve: if the log
 // recorded subscribed children, the store demands their update tails and

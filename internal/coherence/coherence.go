@@ -43,23 +43,10 @@ const (
 	Eventual
 )
 
+var modelNames = [...]string{Sequential: "sequential", PRAM: "pram", FIFO: "fifo", Causal: "causal", Eventual: "eventual"}
+
 // String names the model.
-func (m Model) String() string {
-	switch m {
-	case Sequential:
-		return "sequential"
-	case PRAM:
-		return "pram"
-	case FIFO:
-		return "fifo"
-	case Causal:
-		return "causal"
-	case Eventual:
-		return "eventual"
-	default:
-		return fmt.Sprintf("Model(%d)", int(m))
-	}
-}
+func (m Model) String() string { return enumName(modelNames[:], int(m), "Model") }
 
 // ClientModel enumerates the client-based coherence models of §3.2.2.
 type ClientModel int
@@ -73,20 +60,20 @@ const (
 	WritesFollowReads                        // client-causal
 )
 
+var clientModelNames = [...]string{
+	ReadYourWrites: "read-your-writes", MonotonicReads: "monotonic-reads",
+	MonotonicWrites: "monotonic-writes", WritesFollowReads: "writes-follow-reads",
+}
+
 // String names the client model.
-func (m ClientModel) String() string {
-	switch m {
-	case ReadYourWrites:
-		return "read-your-writes"
-	case MonotonicReads:
-		return "monotonic-reads"
-	case MonotonicWrites:
-		return "monotonic-writes"
-	case WritesFollowReads:
-		return "writes-follow-reads"
-	default:
-		return fmt.Sprintf("ClientModel(%d)", int(m))
+func (m ClientModel) String() string { return enumName(clientModelNames[:], int(m), "ClientModel") }
+
+// enumName is names[i], or kind(i) for a value names does not hold.
+func enumName(names []string, i int, kind string) string {
+	if i > 0 && i < len(names) {
+		return names[i]
 	}
+	return fmt.Sprintf("%s(%d)", kind, i)
 }
 
 // Update is one write operation as seen by an ordering engine: the
@@ -135,29 +122,17 @@ type Engine interface {
 	Covers(w ids.WiD) bool
 	// Pending reports how many updates are buffered awaiting predecessors.
 	Pending() int
-	// Seed fast-forwards the engine past writes whose effects arrived via
-	// full state transfer rather than ordered updates: v is the state's
-	// version vector and global the sequencer position it reflects (zero
-	// when the model is not sequential). Updates covered by a seed are
-	// treated as already applied.
-	Seed(v *msg.Vec, global uint64)
-	// Global reports the sequencer position (next expected total-order
-	// sequence) under the sequential model, and zero otherwise; it rides
-	// along with full state transfers so receivers can Seed correctly.
-	Global() uint64
-}
-
-// PageStamps is implemented by an engine that orders each page on its own,
-// by stamp: the eventual engine. A whole state sent between such replicas
-// carries every page's winning stamp, tombstones included, so a receiver
-// that holds writes the sender lacks merges the state page by page under
-// last-writer-wins instead of replacing them.
-type PageStamps interface {
-	// EachStamp calls f with every page's winning stamp.
-	EachStamp(f func(page string, s vclock.Stamp))
-	// MergeStamp records s as page's winning stamp if it beats the current
-	// one. The engine keeps page: the caller passes a string it owns.
-	MergeStamp(page string, s vclock.Stamp)
+	// State returns the engine's state, the caller's to keep or change: the
+	// applied vector, the sequencer position and, under the eventual model,
+	// every page's winning stamp. A whole state a replica sends, and each WAL
+	// snapshot it writes, carry it ahead of the content (State.Append).
+	State() *State
+	// Seed fast-forwards the engine past writes whose effects arrived inside
+	// a whole state rather than as ordered updates: s is that state's engine
+	// state. Updates the seed covers are treated as already applied, and
+	// under the eventual model a seeded page stamp beats every older write to
+	// its page, a tombstone's included.
+	Seed(s *State)
 }
 
 // DepsOf is the Deps of an update whose frame carries dependency vector v: a

@@ -91,12 +91,15 @@ func (g *DepGuard) Covers(w ids.WiD) bool { return g.inner.Covers(w) }
 // Pending counts both guard-buffered and inner-buffered updates.
 func (g *DepGuard) Pending() int { return len(g.buffer) + g.inner.Pending() }
 
+// State implements Engine: the inner engine's.
+func (g *DepGuard) State() *State { return g.inner.State() }
+
 // Seed implements Engine by delegating to the inner engine. Buffered updates
 // whose dependencies the seed covers go out with the next forwarded Submit:
 // releasing them here would bypass the caller's apply path. Seed drops only
 // the updates it made stale.
-func (g *DepGuard) Seed(v *msg.Vec, global uint64) {
-	g.inner.Seed(v, global)
+func (g *DepGuard) Seed(s *State) {
+	g.inner.Seed(s)
 	rest := g.buffer[:0]
 	for _, u := range g.buffer {
 		if !g.inner.Covers(u.Write) {
@@ -105,6 +108,3 @@ func (g *DepGuard) Seed(v *msg.Vec, global uint64) {
 	}
 	g.buffer = rest
 }
-
-// Global implements Engine.
-func (g *DepGuard) Global() uint64 { return g.inner.Global() }

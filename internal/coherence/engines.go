@@ -1,6 +1,9 @@
 package coherence
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/vclock"
@@ -15,6 +18,12 @@ func (a *appliedSet) Applied() msg.Vec { return a.applied.Clone() }
 
 // Covers implements Engine: a direct lookup on the live vector, no copy.
 func (a *appliedSet) Covers(w ids.WiD) bool { return a.applied.CoversWrite(w) }
+
+// Pending implements Engine for the models that buffer nothing.
+func (a *appliedSet) Pending() int { return 0 }
+
+// State implements Engine for the models whose state is the vector alone.
+func (a *appliedSet) State() *State { return &State{Applied: a.applied.Clone()} }
 
 // pramEngine applies each client's writes in per-client sequence order,
 // buffering out-of-order arrivals. This is exactly the protocol of §4.2:
@@ -93,8 +102,6 @@ func (e *fifoEngine) Submit(u *Update) []*Update {
 	return e.out[:]
 }
 
-func (e *fifoEngine) Pending() int { return 0 }
-
 // sequentialEngine applies updates in the single total order chosen by the
 // object's permanent store (which assigns GlobalSeq when it first accepts
 // the write). Every replica applies the identical sequence, giving
@@ -140,10 +147,6 @@ func (e *sequentialEngine) Submit(u *Update) []*Update {
 
 func (e *sequentialEngine) Pending() int { return len(e.buffer) }
 
-// NextGlobal exposes the sequencer position; the permanent store's
-// replication object uses it to assign GlobalSeq to fresh writes.
-func (e *sequentialEngine) NextGlobal() uint64 { return e.nextGlobal }
-
 // eventualEngine is the weakest model: updates are applied immediately with
 // no ordering constraint beyond convergence, implemented as per-element
 // last-writer-wins on the (Lamport stamp, client) total order. Replicas that
@@ -186,22 +189,20 @@ func (e *eventualEngine) newerStamp(u *Update) bool {
 	return cur.Less(u.Stamp)
 }
 
-func (e *eventualEngine) Pending() int { return 0 }
-
 // --- state-transfer seeding ---------------------------------------------------
 
 // Seed implements Engine: contiguous models merge the vector (state covers
 // every write up to it) and drop buffered updates the seed covers.
 // A buffered write the seed makes next in line waits in ready for the next
 // release: releasing it here would bypass the caller's apply path.
-func (e *pramEngine) Seed(v *msg.Vec, _ uint64) {
-	v.Each(func(c ids.ClientID, s uint64) bool {
-		if w := (ids.WiD{Client: c, Seq: s + 1}); s > e.applied.Get(c) && e.buffer[w] != nil {
+func (e *pramEngine) Seed(s *State) {
+	s.Applied.Each(func(c ids.ClientID, seq uint64) bool {
+		if w := (ids.WiD{Client: c, Seq: seq + 1}); seq > e.applied.Get(c) && e.buffer[w] != nil {
 			e.ready = append(e.ready, w)
 		}
 		return true
 	})
-	e.applied.Merge(v)
+	e.applied.Merge(&s.Applied)
 	for w := range e.buffer {
 		if e.applied.CoversWrite(w) {
 			delete(e.buffer, w)
@@ -209,22 +210,21 @@ func (e *pramEngine) Seed(v *msg.Vec, _ uint64) {
 	}
 }
 
-// Global implements Engine.
-func (e *pramEngine) Global() uint64 { return 0 }
-
 // Seed implements Engine.
-func (e *fifoEngine) Seed(v *msg.Vec, _ uint64) { e.applied.Merge(v) }
+func (e *fifoEngine) Seed(s *State) { e.applied.Merge(&s.Applied) }
 
-// Global implements Engine.
-func (e *fifoEngine) Global() uint64 { return 0 }
+// State implements Engine: the vector and the sequencer position.
+func (e *sequentialEngine) State() *State {
+	s := e.appliedSet.State()
+	s.Global = e.nextGlobal
+	return s
+}
 
 // Seed implements Engine: fast-forward both the applied vector and the
 // total-order position.
-func (e *sequentialEngine) Seed(v *msg.Vec, global uint64) {
-	e.applied.Merge(v)
-	if global > e.nextGlobal {
-		e.nextGlobal = global
-	}
+func (e *sequentialEngine) Seed(s *State) {
+	e.applied.Merge(&s.Applied)
+	e.nextGlobal = max(e.nextGlobal, s.Global)
 	for g := range e.buffer {
 		if g < e.nextGlobal {
 			delete(e.buffer, g)
@@ -232,27 +232,25 @@ func (e *sequentialEngine) Seed(v *msg.Vec, global uint64) {
 	}
 }
 
-// Global implements Engine.
-func (e *sequentialEngine) Global() uint64 { return e.nextGlobal }
-
-// Seed implements Engine. Snapshot state is authoritative for its vector;
-// its pages' stamps arrive through MergeStamp when the sender sent them, and
-// otherwise LWW continues from the stamps seen in subsequent updates.
-func (e *eventualEngine) Seed(v *msg.Vec, _ uint64) { e.applied.Merge(v) }
-
-// EachStamp implements PageStamps.
-func (e *eventualEngine) EachStamp(f func(page string, s vclock.Stamp)) {
-	for page, s := range e.stamps {
-		f(page, s)
+// State implements Engine: the vector and every page's winning stamp, in
+// page order.
+func (e *eventualEngine) State() *State {
+	s := e.appliedSet.State()
+	for page, st := range e.stamps {
+		s.Stamps = append(s.Stamps, PageStamp{Page: page, Stamp: st})
 	}
+	slices.SortFunc(s.Stamps, func(x, y PageStamp) int { return strings.Compare(x.Page, y.Page) })
+	return s
 }
 
-// MergeStamp implements PageStamps.
-func (e *eventualEngine) MergeStamp(page string, s vclock.Stamp) {
-	if cur, ok := e.stamps[page]; !ok || cur.Less(s) {
-		e.stamps[page] = s
+// Seed implements Engine: the vector merges, and each page keeps the newer
+// of its own stamp and the seed's, so a late duplicate of a write the state
+// already beat loses here too.
+func (e *eventualEngine) Seed(s *State) {
+	e.applied.Merge(&s.Applied)
+	for _, p := range s.Stamps {
+		if cur, ok := e.stamps[p.Page]; !ok || cur.Less(p.Stamp) {
+			e.stamps[p.Page] = p.Stamp
+		}
 	}
 }
-
-// Global implements Engine.
-func (e *eventualEngine) Global() uint64 { return 0 }

@@ -139,8 +139,7 @@ func TestPRAMSeedReleasesNextInLineWithNextRelease(t *testing.T) {
 	e := newPRAMEngine()
 	e.Submit(upd(1, 3))
 	e.Submit(upd(1, 4))
-	seed := vecOf(1, 2)
-	e.Seed(&seed, 0)
+	e.Seed(&State{Applied: vecOf(1, 2)})
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d after seed, want 2", e.Pending())
 	}
@@ -397,8 +396,8 @@ func TestSequentialTotalOrder(t *testing.T) {
 	if len(got) != 2 || got[0].GlobalSeq != 1 || got[1].GlobalSeq != 2 {
 		t.Fatalf("order: %v", collectWiDs(got))
 	}
-	if e.NextGlobal() != 3 {
-		t.Fatalf("NextGlobal = %d", e.NextGlobal())
+	if g := e.State().Global; g != 3 {
+		t.Fatalf("State().Global = %d", g)
 	}
 	if got := e.Submit(seqUpd(2, 1, 1)); got != nil {
 		t.Fatalf("duplicate applied")
@@ -414,8 +413,7 @@ func TestSequentialTotalOrder(t *testing.T) {
 func TestSequentialSeedOntoBufferedWriteDrains(t *testing.T) {
 	e := newSequentialEngine()
 	e.Submit(seqUpd(1, 2, 2))
-	seed := vecOf(1, 1)
-	e.Seed(&seed, 2)
+	e.Seed(&State{Applied: vecOf(1, 1), Global: 2})
 	if got := collectWiDs(e.Submit(seqUpd(1, 2, 2))); len(got) != 1 || got[0] != (ids.WiD{Client: 1, Seq: 2}) {
 		t.Fatalf("redelivery released %v, want c1:2", got)
 	}
@@ -606,10 +604,7 @@ func TestDepGuardSeedThenSubmitReleasesBuffered(t *testing.T) {
 	if got := g.Submit(u5); got != nil {
 		t.Fatalf("dependent write applied early")
 	}
-	var seed msg.Vec
-	seed.Set(1, 4)
-	seed.Set(2, 3)
-	g.Seed(&seed, 0)
+	g.Seed(&State{Applied: vecOf(1, 4, 2, 3)})
 	got := g.Submit(upd(1, 6))
 	if ws := collectWiDs(got); len(ws) != 2 || ws[0] != (ids.WiD{Client: 1, Seq: 5}) || ws[1] != (ids.WiD{Client: 1, Seq: 6}) {
 		t.Fatalf("release: %v, want [c1#5 c1#6]", ws)

@@ -71,8 +71,8 @@ func (e *refCausal) drain(out []*Update) []*Update {
 
 func (e *refCausal) Pending() int { return len(e.buffer) }
 
-func (e *refCausal) Seed(v *msg.Vec, _ uint64) {
-	e.applied.Merge(v)
+func (e *refCausal) Seed(s *State) {
+	e.applied.Merge(&s.Applied)
 	rest := e.buffer[:0]
 	for _, u := range e.buffer {
 		if u.Write.Seq > e.applied.Get(u.Write.Client) {
@@ -81,8 +81,6 @@ func (e *refCausal) Seed(v *msg.Vec, _ uint64) {
 	}
 	e.buffer = rest
 }
-
-func (e *refCausal) Global() uint64 { return 0 }
 
 // causalMatchesReference builds a causal history from pick's choices and
 // delivers it, shuffled and with duplicates, to both NewEngine(Causal) and
@@ -135,7 +133,7 @@ func causalMatchesReference(pick func(n int) int, steps int) error {
 	for _, u := range other[:pick(len(other)+1)] {
 		third.Submit(u)
 	}
-	seed := third.Applied()
+	seed := third.State()
 
 	delivery := append([]*Update(nil), history...)
 	for n := pick(len(history) + 1); n > 0; n-- {
@@ -154,9 +152,9 @@ func causalMatchesReference(pick func(n int) int, steps int) error {
 	for i, u := range delivery {
 		seeded := i >= seedAt
 		if i == seedAt {
-			e.Seed(&seed, 0)
-			ref.Seed(&seed, 0)
-			have.Merge(&seed)
+			e.Seed(seed)
+			ref.Seed(seed)
+			have.Merge(&seed.Applied)
 		}
 		want := map[ids.WiD]bool{}
 		for _, r := range ref.Submit(u) {

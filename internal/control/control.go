@@ -80,6 +80,10 @@ func (c *Control) AppendElement(dst []byte, name string) ([]byte, error) {
 // SnapshotElement is AppendElement into a buffer of the caller's own.
 func (c *Control) SnapshotElement(name string) ([]byte, error) { return c.AppendElement(nil, name) }
 
+// RemoveElement deletes one element: the state a replica installs says the
+// element is absent.
+func (c *Control) RemoveElement(name string) error { return c.sem.RemoveElement(name) }
+
 // ApplyElement replaces one element from a partial snapshot.
 func (c *Control) ApplyElement(name string, data []byte) error {
 	return c.sem.RestoreElement(name, data)

@@ -46,7 +46,7 @@ func (w *writer) inv(inv *Invocation) {
 // vecV encodes a Vec sorted by client, so equal vectors encode alike; a nil
 // vector encodes as an empty one.
 func (w *writer) vecV(v *Vec) {
-	es := v.entries()
+	es := v.Entries()
 	w.u16(uint16(len(es)))
 	for _, e := range es {
 		w.u32(uint32(e.Client))

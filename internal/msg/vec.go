@@ -137,9 +137,9 @@ func (v *Vec) Each(fn func(c ids.ClientID, seq uint64) bool) {
 	}
 }
 
-// entries returns the entries sorted by client: the inline array itself, or
-// a sorted copy of the spilled map.
-func (v *Vec) entries() []VecEntry {
+// Entries returns the entries sorted by client: the inline array itself, or
+// a sorted copy of the spilled map. The caller reads them and keeps nothing.
+func (v *Vec) Entries() []VecEntry {
 	if v == nil {
 		return nil
 	}
@@ -207,7 +207,7 @@ func (v *Vec) Equal(o *Vec) bool { return v.Covers(o) && o.Covers(v) }
 func (v Vec) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, e := range v.entries() {
+	for i, e := range v.Entries() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}

@@ -369,7 +369,9 @@ func (e dirEnv) ApplyElement(name string, data []byte) error {
 }
 
 func (e dirEnv) RemoveElement(name string) error {
-	e.s.kv.Delete(name)
+	if err := e.Control.RemoveElement(name); err != nil {
+		return err
+	}
 	e.s.index(name)
 	return nil
 }

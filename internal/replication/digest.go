@@ -49,9 +49,8 @@ func (o *Object) digestPeriod() time.Duration {
 	return d
 }
 
-// digestRound multicasts this store's applied-vector digest to its children.
-// GlobalSeq rides along so sequentially-coherent children could compare
-// sequencer positions too; the vector alone is what gap detection uses.
+// digestRound multicasts this store's applied-vector digest to its children:
+// the vector is all that gap detection uses.
 func (o *Object) digestRound() {
 	tos := o.children
 	if len(tos) == 0 {
@@ -59,7 +58,6 @@ func (o *Object) digestRound() {
 	}
 	m := o.frame(msg.KindDigest, nil)
 	m.VVec = o.applied()
-	m.GlobalSeq = o.engine.Global()
 	o.multicast(tos, &m)
 	add(&o.stats.DigestsSent, uint64(len(tos)))
 }

@@ -283,7 +283,7 @@ func TestDemandFromSeededStoreSendsFullState(t *testing.T) {
 	}
 	o.Handle(&msg.Message{
 		Kind: msg.KindSubscribeAck, Object: "obj", From: "up",
-		Payload: snap, VVec: vecOf(1, 1),
+		Payload: whole(snap, vecOf(1, 1), 0),
 	})
 	if applied := o.Applied(); !applied.CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
 		t.Fatalf("seed did not take: %+v", o.Applied())
@@ -298,8 +298,8 @@ func TestDemandFromSeededStoreSendsFullState(t *testing.T) {
 	if len(replies) != 1 || len(replies[0].Payload) == 0 {
 		t.Fatalf("want one full-state reply, got %+v", replies)
 	}
-	if !replies[0].VVec.CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
-		t.Fatalf("full-state reply misses seeded vector: %+v", replies[0].VVec)
+	if st, _ := splitWhole(t, replies[0].Payload); !st.Applied.CoversWrite(ids.WiD{Client: 1, Seq: 1}) {
+		t.Fatalf("full-state reply misses seeded vector: %+v", st.Applied)
 	}
 }
 

@@ -156,15 +156,12 @@ func (o *Object) shipNow(ups []*coherence.Update) {
 	case o.strat.CoherenceTransfer == strategy.CoherenceFull:
 		// Aggregation pays off here: one snapshot replaces the whole
 		// batch.
-		snap, err := o.env.Snapshot()
+		_, whole, err := o.wholeState(nil)
 		if err != nil {
 			return
 		}
 		m := o.frame(msg.KindUpdate, nil)
-		m.Payload = snap
-		m.VVec = o.applied()
-		m.GlobalSeq = o.engine.Global()
-		m.Batch = o.pageStamps()
+		m.Payload = whole
 		m.WallNanos = last.WallNanos
 		o.multicast(tos, &m)
 	}

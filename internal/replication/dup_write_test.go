@@ -41,7 +41,7 @@ func TestDuplicateWriteRequestNotResequenced(t *testing.T) {
 	if got := o.Stats(); got.WritesAccepted != 1 || got.UpdatesApplied != 1 {
 		t.Fatalf("replay was re-applied: %+v", got)
 	}
-	if g := o.Engine().Global(); g != 2 {
+	if g := o.Engine().State().Global; g != 2 {
 		t.Fatalf("sequencer advanced for the replay: next global = %d, want 2", g)
 	}
 

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"strconv"
@@ -206,31 +207,27 @@ func (o *Object) Compact() error {
 }
 
 func (o *Object) compact() error {
-	state, err := o.env.Snapshot()
+	st, state, err := o.wholeState(o.snapBuf[:0])
 	if err != nil {
 		return err
 	}
+	o.snapBuf = state
 	snap := &wal.Snapshot{
-		State:      state,
-		Applied:    o.applied(),
-		NextGlobal: o.nextGlobal,
-		Lamport:    o.lamport.Now(),
-		Children:   slices.Clone(o.children),
+		State:    state,
+		Lamport:  o.lamport.Now(),
+		Stamped:  make([]wal.ClientAdmission, 0, len(o.stamped)),
+		Children: slices.Clone(o.children),
 	}
-	if g := o.engine.Global(); g > snap.NextGlobal {
-		snap.NextGlobal = g
+	for _, a := range o.stamped {
+		snap.Stamped = append(snap.Stamped, *a)
 	}
-	for c, rec := range o.stamped {
-		a := wal.ClientAdmission{Client: c, Max: rec.max}
-		for h := range rec.holes {
-			a.Holes = append(a.Holes, h)
-		}
-		snap.Stamped = append(snap.Stamped, a)
-	}
+	// Clients in ascending order, as holes already are: the same replica
+	// state writes the same snapshot file.
+	slices.SortFunc(snap.Stamped, func(x, y wal.ClientAdmission) int { return cmp.Compare(x.Client, y.Client) })
 	if err := o.wal.WriteSnapshot(snap); err != nil {
 		return err
 	}
-	o.lastSnapVec = &snap.Applied
+	o.lastSnapVec = &st.Applied
 	o.compactAt = 0
 	inc(&o.stats.WALSnapshots)
 	return nil
@@ -249,28 +246,20 @@ func (o *Object) compact() error {
 func (o *Object) recover(rec *wal.Recovery) {
 	start := o.env.Now()
 	o.walReplaying = true
-	var snapVec *msg.Vec
 	if s := rec.Snapshot; s != nil {
-		if len(s.State) > 0 {
-			_ = o.env.ApplyFull(s.State)
+		// A snapshot whose engine state does not decode counts as torn, and
+		// the log alone recovers.
+		if st, state, err := coherence.SplitState(s.State); err != nil {
+			inc(&o.stats.WALTornTail)
+		} else {
+			_ = o.env.ApplyFull(state)
+			o.seed(st)
+			o.lastSnapVec = &st.Applied
 		}
-		snapVec = &s.Applied
-		o.engine.Seed(snapVec, s.NextGlobal)
-		o.fetchVec.Merge(snapVec)
-		o.lastSnapVec = snapVec
 		o.lamport.Witness(s.Lamport)
-		if s.NextGlobal > o.nextGlobal {
-			o.nextGlobal = s.NextGlobal
-		}
 		for _, a := range s.Stamped {
-			sr := &stampedSeqs{max: a.Max}
-			for _, h := range a.Holes {
-				if sr.holes == nil {
-					sr.holes = make(map[uint64]bool, len(a.Holes))
-				}
-				sr.holes[h] = true
-			}
-			o.stamped[a.Client] = sr
+			slices.Sort(a.Holes) // a GSNP1 file lists them in map order
+			o.stamped[a.Client] = &a
 		}
 		for _, c := range s.Children {
 			o.addChild(c)
@@ -292,7 +281,7 @@ func (o *Object) recover(rec *wal.Recovery) {
 				o.nextGlobal = u.GlobalSeq + 1
 			}
 			for _, ru := range o.engine.Submit(u) {
-				o.apply(ru, snapVec.CoversWrite(ru.Write))
+				o.apply(ru, o.coveredByState(ru))
 			}
 			inc(&o.stats.WALReplayed)
 		case r.Admit != nil:
@@ -307,11 +296,6 @@ func (o *Object) recover(rec *wal.Recovery) {
 				o.addChild(r.Child.Addr)
 			}
 		}
-	}
-	// A sequencer seeded only from replay must still clear the engine's own
-	// high-water mark (sequential model: buffered updates count too).
-	if g := o.engine.Global(); g > o.nextGlobal {
-		o.nextGlobal = g
 	}
 	add(&o.stats.WALTornTail, rec.TornTail)
 	o.markAppliedStale()

@@ -443,3 +443,51 @@ func TestFailedCompactionBacksOff(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotBytesAreCanonical: two durable replicas that admit the same
+// writes, from 8 clients in different orders, write byte-identical snapshot
+// files. Each client skips two sequence numbers, so every admission record
+// holds holes. Compaction used to list the records, and each record's holes,
+// in map order.
+func TestSnapshotBytesAreCanonical(t *testing.T) {
+	st := strategy.Conference(time.Hour)
+	st.Model, st.Writers = coherence.Sequential, strategy.MultipleWriters
+	var files [2][]byte
+	for i := range files {
+		dir := t.TempDir()
+		wlog, rec, err := wal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(Config{
+			Env: newFakeEnv(), Object: "obj", Self: 1, Addr: "self", Role: RolePermanent,
+			Strat: st, WAL: wlog, Recovered: rec,
+			Tuning: Tuning{ReadTimeout: time.Second, Durability: Durability{Fsync: wal.SyncAlways}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range []uint64{1, 3, 5} {
+			for c := 1; c <= 8; c++ {
+				if i == 1 {
+					c = 9 - c
+				}
+				o.Handle(writeMsg(ids.ClientID(c), seq, fmt.Sprintf("p%d", c), "x"))
+				if i == 1 {
+					c = 9 - c
+				}
+			}
+		}
+		o.FlushAcks()
+		if err := o.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		o.Close()
+		if files[i], err = os.ReadFile(filepath.Join(dir, "snapshot")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("the same replica state wrote two snapshot files:\n%x\n%x", files[0], files[1])
+	}
+}

@@ -29,8 +29,8 @@ func TestGossipBehindPrunedLogGetsState(t *testing.T) {
 	if len(states) != 1 || states[0].To != "peer-1" || len(states[0].Pages) != 0 || len(states[0].Payload) == 0 {
 		t.Fatalf("state replies: %+v", states)
 	}
-	if !states[0].VVec.CoversWrite(ids.WiD{Client: 1, Seq: logLimit + 1}) {
-		t.Fatalf("state reply vector %v does not cover the last write", states[0].VVec)
+	if st, _ := splitWhole(t, states[0].Payload); !st.Applied.CoversWrite(ids.WiD{Client: 1, Seq: logLimit + 1}) {
+		t.Fatalf("state reply vector %v does not cover the last write", st.Applied)
 	}
 	if batches := env.takeSent(msg.KindUpdateBatch); len(batches) != 0 {
 		t.Fatalf("a peer behind the log was shipped a partial log: %d batch frames", len(batches))
@@ -63,7 +63,7 @@ func TestMirrorWriteOrdersAfterWhatItReceived(t *testing.T) {
 	}
 	o.Handle(&msg.Message{
 		Kind: msg.KindStateReply, Object: "obj", From: "parent",
-		VVec: vecOf(1, 1, 2, 1, 3, 5), Stamp: vclock.Stamp{Time: 50}, Payload: snap,
+		Stamp: vclock.Stamp{Time: 50}, Payload: whole(snap, vecOf(1, 1, 2, 1, 3, 5), 0),
 	})
 	o.Handle(writeMsg(1, 2, "p", "again"))
 	fwd = env.takeSent(msg.KindWriteRequest)
@@ -73,7 +73,7 @@ func TestMirrorWriteOrdersAfterWhatItReceived(t *testing.T) {
 
 	o.Handle(&msg.Message{
 		Kind: msg.KindSubscribeAck, Object: "obj", From: "parent",
-		VVec: vecOf(1, 2, 2, 1, 3, 6), Stamp: vclock.Stamp{Time: 90}, Payload: snap,
+		Stamp: vclock.Stamp{Time: 90}, Payload: whole(snap, vecOf(1, 2, 2, 1, 3, 6), 0),
 	})
 	o.Handle(writeMsg(1, 3, "p", "once more"))
 	fwd = env.takeSent(msg.KindWriteRequest)
@@ -127,7 +127,10 @@ func TestConcurrentStateMergesByPage(t *testing.T) {
 
 	b.Handle(&msg.Message{Kind: msg.KindStateRequest, Object: "obj", From: "a"})
 	states := bEnv.takeSent(msg.KindStateReply)
-	if len(states) != 1 || len(states[0].Batch) != 3 {
+	if len(states) != 1 {
+		t.Fatalf("state replies: %+v", states)
+	}
+	if st, _ := splitWhole(t, states[0].Payload); len(st.Stamps) != 3 {
 		t.Fatalf("state replies: %+v", states)
 	}
 	a.Handle(states[0])
@@ -166,5 +169,55 @@ func TestGossipRoundSendsInAddressOrder(t *testing.T) {
 		if fmt.Sprint(got) != "[peer-a peer-b peer-c]" {
 			t.Fatalf("round %d sent gossip to %v, want address order", round, got)
 		}
+	}
+}
+
+// TestMergeOverMaxBatchPagesKeepsNewerLocalWrite: a whole state of more pages
+// than a frame's batch can list still carries every page's stamp, so a
+// concurrent newer write here survives the merge even once this replica's log
+// no longer holds it. The stamps used to ride in the frame's batch, which was
+// left empty above msg.MaxBatch pages, and the receiver then replaced its
+// content with the sender's.
+func TestMergeOverMaxBatchPagesKeepsNewerLocalWrite(t *testing.T) {
+	put := func(c ids.ClientID, seq uint64, page, content string) *msg.Message {
+		m := writeMsg(c, seq, page, content)
+		m.Inv.Method = webdoc.MethodPutPage
+		return m
+	}
+	aEnv, bEnv := newFakeEnv(), newFakeEnv()
+	a := newObj(t, aEnv, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "")
+	b := newObj(t, bEnv, RoleObjectInitiated, strategy.MirroredSite(time.Hour), "")
+	for i := 0; i <= msg.MaxBatch; i++ {
+		b.Handle(put(2, uint64(i+1), fmt.Sprintf("p%d", i), "b"))
+		bEnv.sent = bEnv.sent[:0]
+	}
+	// a has seen a write stamped past all of b's, so its own write to p0
+	// orders after b's; then enough writes follow that the log drops it.
+	up := put(9, 1, "z", "z")
+	up.Kind, up.Stamp = msg.KindUpdate, vclock.Stamp{Time: 1 << 20, Client: 9}
+	a.Handle(up)
+	a.Handle(put(1, 1, "p0", "a-new"))
+	for seq := uint64(2); seq <= logLimit+1; seq++ {
+		a.Handle(put(1, seq, "a-log", "x"))
+	}
+	want, err := aEnv.ctrl.SnapshotElement("p0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Handle(&msg.Message{Kind: msg.KindStateRequest, Object: "obj", From: "a"})
+	states := bEnv.takeSent(msg.KindStateReply)
+	if len(states) != 1 {
+		t.Fatalf("state replies: %d", len(states))
+	}
+	if st, _ := splitWhole(t, states[0].Payload); len(st.Stamps) <= msg.MaxBatch {
+		t.Fatalf("the state carries %d page stamps, want %d", len(st.Stamps), msg.MaxBatch+1)
+	}
+	a.Handle(states[0])
+	if got, err := aEnv.SnapshotElement("p0"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("page p0 after the merge = %q (%v), want the newer local write %q", got, err, want)
+	}
+	theirs, _ := bEnv.ctrl.SnapshotElement("p1")
+	if got, err := aEnv.SnapshotElement("p1"); err != nil || !bytes.Equal(got, theirs) {
+		t.Fatalf("page p1 after the merge = %q (%v), want the sender's %q", got, err, theirs)
 	}
 }

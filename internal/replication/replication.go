@@ -266,7 +266,7 @@ type Object struct {
 	// alone cannot either (a jittered link can reorder two in-flight
 	// writes), so each entry also keeps the bounded set of unseen
 	// sequences below its watermark.
-	stamped map[ids.ClientID]*stampedSeqs
+	stamped map[ids.ClientID]*wal.ClientAdmission
 
 	// log keeps applied updates in application order for demand-serving,
 	// replays and the re-apply after a state transfer (updatelog.go).
@@ -399,6 +399,9 @@ type Object struct {
 	// failure, so a full disk costs one state encoding per SnapshotEvery
 	// appends, not one per apply.
 	compactAt uint64
+	// snapBuf is the whole-state buffer compaction encodes into, reused
+	// from one snapshot to the next.
+	snapBuf []byte
 
 	// Recover-then-serve gate state (see recover/gateRecovering).
 	recovering        bool
@@ -516,7 +519,7 @@ func New(cfg Config) (*Object, error) {
 		strat:         cfg.Strat,
 		engine:        eng,
 		nextGlobal:    1,
-		stamped:       make(map[ids.ClientID]*stampedSeqs),
+		stamped:       make(map[ids.ClientID]*wal.ClientAdmission),
 		invalid:       make(map[string]*msg.Vec),
 		pageVec:       make(map[string]*msg.Vec),
 		fetching:      make(map[string]*time.Time),

@@ -57,6 +57,7 @@ func (e *fakeEnv) ApplyOp(u *coherence.Update) error     { return e.ctrl.ApplyOp
 func (e *fakeEnv) ApplyFull(s []byte) error              { return e.ctrl.ApplyFull(s) }
 func (e *fakeEnv) ApplyElement(n string, d []byte) error { return e.ctrl.ApplyElement(n, d) }
 func (e *fakeEnv) Snapshot() ([]byte, error)             { return e.ctrl.Snapshot() }
+func (e *fakeEnv) RemoveElement(n string) error          { return e.ctrl.RemoveElement(n) }
 func (e *fakeEnv) SnapshotElement(n string) ([]byte, error) {
 	return e.reuse(e.ctrl.AppendElement(e.scratch[:0], n))
 }
@@ -73,6 +74,23 @@ func (e *fakeEnv) reuse(b []byte, err error) ([]byte, error) {
 func (e *fakeEnv) Now() time.Time { return e.clk.Now() }
 func (e *fakeEnv) AfterFunc(d time.Duration, f func()) clock.Timer {
 	return e.clk.AfterFunc(d, f)
+}
+
+// whole is a whole state as a replica sends it: an engine state with vector
+// v and sequencer position global, then the semantics snapshot snap.
+func whole(snap []byte, v msg.Vec, global uint64) []byte {
+	st := coherence.State{Applied: v, Global: global}
+	return append(st.Append(nil), snap...)
+}
+
+// splitWhole decodes a whole state a replica sent.
+func splitWhole(t *testing.T, payload []byte) (*coherence.State, []byte) {
+	t.Helper()
+	st, snap, err := coherence.SplitState(payload)
+	if err != nil {
+		t.Fatalf("whole state %x: %v", payload, err)
+	}
+	return st, snap
 }
 
 // takeSent drains and returns captured messages of one kind.
@@ -231,7 +249,7 @@ func TestLazyAggregationFullSnapshot(t *testing.T) {
 	if len(ups) != 1 {
 		t.Fatalf("aggregation failed: %d updates", len(ups))
 	}
-	if len(ups[0].Payload) == 0 || !ups[0].VVec.CoversWrite(ids.WiD{Client: 1, Seq: 3}) {
+	if st, _ := splitWhole(t, ups[0].Payload); !st.Applied.CoversWrite(ids.WiD{Client: 1, Seq: 3}) {
 		t.Fatalf("aggregated snapshot malformed: %+v", ups[0])
 	}
 	if got := o.Stats(); got.LazyFlushes != 1 {
@@ -744,7 +762,7 @@ func TestTransferFullMissingElementFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Handle(&msg.Message{
-		Kind: msg.KindStateReply, Object: "obj", From: "parent", Payload: snap,
+		Kind: msg.KindStateReply, Object: "obj", From: "parent", Payload: whole(snap, msg.Vec{}, 0),
 	})
 	replies := env.takeSent(msg.KindReadReply)
 	if len(replies) != 1 || replies[0].Status != msg.StatusNotFound {
@@ -897,7 +915,7 @@ func TestStalePageStateReplyDoesNotRollBackPage(t *testing.T) {
 	// Bootstrap: tokens 1-3 arrive via full state transfer (never logged).
 	o.Handle(&msg.Message{
 		Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
-		Payload: snap, VVec: vecOf(1, 3), GlobalSeq: 4,
+		Payload: whole(snap, vecOf(1, 3), 4),
 	})
 	// Tokens 4-5 arrive as ordered pushes (these ARE logged).
 	for seq := uint64(4); seq <= 5; seq++ {
@@ -968,8 +986,8 @@ func TestEmptyVectorSnapshotDoesNotRollBack(t *testing.T) {
 	}
 
 	late := map[string]*msg.Message{
-		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: emptySnap, GlobalSeq: 1},
-		"full state reply": {Kind: msg.KindStateReply, Payload: emptySnap, GlobalSeq: 1},
+		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: whole(emptySnap, msg.Vec{}, 1)},
+		"full state reply": {Kind: msg.KindStateReply, Payload: whole(emptySnap, msg.Vec{}, 1)},
 		"page state reply": {Kind: msg.KindStateReply, Payload: emptyEl, Pages: []string{"p"}},
 	}
 	for name, m := range late {
@@ -979,7 +997,7 @@ func TestEmptyVectorSnapshotDoesNotRollBack(t *testing.T) {
 			// The very first bootstrap has an empty vector too — a parent
 			// seeded with content and not yet written to — and must install.
 			first := *m
-			first.Kind, first.Payload, first.Pages = msg.KindSubscribeAck, emptySnap, nil
+			first.Kind, first.Payload, first.Pages = msg.KindSubscribeAck, whole(emptySnap, msg.Vec{}, 1), nil
 			first.Object, first.From = "obj", "parent-store"
 			o.Handle(&first)
 			if _, err := env.ctrl.ServeRead(msg.Invocation{Method: webdoc.MethodGetPage, Page: "p"}); err != nil {
@@ -989,7 +1007,7 @@ func TestEmptyVectorSnapshotDoesNotRollBack(t *testing.T) {
 			// logged here); c1.2 arrives as an ordered push (logged).
 			o.Handle(&msg.Message{
 				Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
-				Payload: snap1, VVec: vecOf(1, 1), GlobalSeq: 2,
+				Payload: whole(snap1, vecOf(1, 1), 2),
 			})
 			u := appendUpd(2)
 			o.Handle(&msg.Message{
@@ -1037,7 +1055,7 @@ func TestEmptyVectorSnapshotAfterPageFetch(t *testing.T) {
 	}
 	late := map[string]*msg.Message{
 		"page state reply": {Kind: msg.KindStateReply, Pages: []string{"p"}, Payload: emptyEl},
-		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: emptySnap, GlobalSeq: 1},
+		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: whole(emptySnap, msg.Vec{}, 1)},
 	}
 	for name, m := range late {
 		t.Run(name, func(t *testing.T) {
@@ -1085,8 +1103,8 @@ func TestReorderedSnapshotsDoNotRollBackFetchedPage(t *testing.T) {
 	oldVec := vecOf(1, 1, 3, 1)
 	late := map[string]*msg.Message{
 		"page state reply": {Kind: msg.KindStateReply, Pages: []string{"p"}, Payload: oldEl, VVec: oldVec},
-		"full state reply": {Kind: msg.KindStateReply, Payload: oldSnap, VVec: oldVec, GlobalSeq: 3},
-		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: oldSnap, VVec: oldVec, GlobalSeq: 3},
+		"full state reply": {Kind: msg.KindStateReply, Payload: whole(oldSnap, oldVec, 3)},
+		"subscribe ack":    {Kind: msg.KindSubscribeAck, Payload: whole(oldSnap, oldVec, 3)},
 	}
 	for name, m := range late {
 		t.Run(name, func(t *testing.T) {

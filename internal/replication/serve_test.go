@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/semantics"
 	"repro/internal/semantics/webdoc"
 	"repro/internal/strategy"
 )
@@ -22,7 +24,8 @@ func transferredPage(t *testing.T, r *msg.Message, page string) string {
 	if len(r.Pages) > 0 {
 		err = c.ApplyElement(page, r.Payload)
 	} else {
-		err = c.ApplyFull(r.Payload)
+		_, snap := splitWhole(t, r.Payload)
+		err = c.ApplyFull(snap)
 	}
 	if err != nil {
 		t.Fatalf("transfer %v does not install: %v", r.Kind, err)
@@ -73,7 +76,7 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 			o := newObj(t, env, RoleObjectInitiated, strategy.PopularEventPage(), "www")
 			o.Handle(&msg.Message{
 				Kind: msg.KindStateReply, Object: "obj", From: "www",
-				Payload: snap1, VVec: vecOf(1, 1), GlobalSeq: 2,
+				Payload: whole(snap1, vecOf(1, 1), 2),
 			})
 			o.Handle(&msg.Message{Kind: msg.KindSubscribe, Object: "obj", From: "cache"})
 			if acks := env.takeSent(msg.KindSubscribeAck); len(acks) != 1 || transferredPage(t, acks[0], "p") != "v1" {
@@ -103,7 +106,7 @@ func TestInvalidatedReplicaNeverServesStaleState(t *testing.T) {
 				if early := env.takeSent(msg.KindStateReply); len(early) != 0 {
 					t.Fatalf("whole state left with p beyond applied(): %+v", early)
 				}
-				o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: snap2, VVec: vecOf(1, 2), GlobalSeq: 3})
+				o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: whole(snap2, vecOf(1, 2), 3)})
 			}
 			replies := env.takeSent(msg.KindStateReply)
 			if len(replies) != 1 || replies[0].To != "cache" {
@@ -157,14 +160,14 @@ func TestWholeObjectInstallClearsInvalidMarks(t *testing.T) {
 			o := newObj(t, env, RoleClientInitiated, st, "parent-store")
 			o.Handle(&msg.Message{
 				Kind: msg.KindSubscribeAck, Object: "obj", From: "parent-store",
-				Payload: snap1, VVec: vecOf(1, 1), GlobalSeq: 2,
+				Payload: whole(snap1, vecOf(1, 1), 2),
 			})
 			w := ids.WiD{Client: 1, Seq: 2}
 			o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "parent-store", Pages: []string{"p"}, Write: w})
 			o.Handle(&msg.Message{Kind: msg.KindNotify, Object: "obj", From: "parent-store", Write: w})
 			o.Handle(&msg.Message{
 				Kind: kind, Object: "obj", From: "parent-store",
-				Payload: snap2, VVec: vecOf(1, 2), GlobalSeq: 3,
+				Payload: whole(snap2, vecOf(1, 2), 3),
 			})
 			env.sent = nil
 			o.Handle(&msg.Message{
@@ -227,13 +230,13 @@ func TestWholeReplyTakenBeforeAMarkKeepsIt(t *testing.T) {
 	st.Writers = strategy.MultipleWriters
 	st.AccessTransfer = strategy.TransferFull
 	o := newObj(t, env, RoleClientInitiated, st, "www")
-	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: boot, VVec: vecOf(1, 1)})
+	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: whole(boot, vecOf(1, 1), 0)})
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"q"}, Write: ids.WiD{Client: 2, Seq: 1}})
 	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
 		t.Fatalf("setup: invalidating q sent %d fetches, want 1", len(fetches))
 	}
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
-	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: early, VVec: vecOf(1, 1, 2, 1)})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: whole(early, vecOf(1, 1, 2, 1), 0)})
 	env.sent = nil
 
 	if got, ok := readPage(t, env, o, "p"); ok {
@@ -242,7 +245,7 @@ func TestWholeReplyTakenBeforeAMarkKeepsIt(t *testing.T) {
 	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
 		t.Fatalf("parked read of stale p sent %d fetches, want 1", len(fetches))
 	}
-	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: fresh, VVec: vecOf(1, 2, 2, 1)})
+	o.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: whole(fresh, vecOf(1, 2, 2, 1), 0)})
 	replies := env.takeSent(msg.KindReadReply)
 	if len(replies) != 1 {
 		t.Fatalf("parked read got %d replies after the fresh snapshot, want 1", len(replies))
@@ -318,7 +321,7 @@ func mirrorAheadOnPage(t *testing.T) (mirror *Object, env *fakeEnv, snap1, snap2
 	snap2, _ = www.Snapshot()
 	env = newFakeEnv()
 	mirror = newObj(t, env, RoleObjectInitiated, strategy.PopularEventPage(), "www")
-	mirror.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: snap1, VVec: vecOf(1, 1)})
+	mirror.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: whole(snap1, vecOf(1, 1), 0)})
 	mirror.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
 	mirror.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"p"}, Payload: el2, VVec: vecOf(1, 2)})
 	env.sent = nil
@@ -341,7 +344,7 @@ func TestMirrorPageReplyCarriesPageVector(t *testing.T) {
 	mirror, mirrorEnv, snap1, _ := mirrorAheadOnPage(t)
 	cacheEnv := newFakeEnv()
 	cache := newObj(t, cacheEnv, RoleClientInitiated, strategy.PopularEventPage(), "mirror")
-	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: snap1, VVec: vecOf(1, 1)})
+	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: whole(snap1, vecOf(1, 1), 0)})
 	cache.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "mirror", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
 	mirror.Handle(&msg.Message{Kind: msg.KindStateRequest, Object: "obj", From: "cache", Pages: []string{"p"}})
 	replies := mirrorEnv.takeSent(msg.KindStateReply)
@@ -367,7 +370,7 @@ func TestMirrorWholeReplyCoversFetchedPages(t *testing.T) {
 	mirror, mirrorEnv, _, snap2 := mirrorAheadOnPage(t)
 	mirror.Handle(&msg.Message{Kind: msg.KindSubscribe, Object: "obj", From: "cache"})
 	if fetches := mirrorEnv.takeSent(msg.KindStateRequest); len(fetches) == 1 && len(fetches[0].Pages) == 0 {
-		mirror.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: snap2, VVec: vecOf(1, 2)})
+		mirror.Handle(&msg.Message{Kind: msg.KindStateReply, Object: "obj", From: "www", Payload: whole(snap2, vecOf(1, 2), 0)})
 	}
 	acks := mirrorEnv.takeSent(msg.KindSubscribeAck)
 	if len(acks) != 1 {
@@ -417,7 +420,7 @@ func TestInvalidatedPageFetchedOnce(t *testing.T) {
 	el2, _ := doc.AppendElement(nil, "p")
 	env := newFakeEnv()
 	o := newObj(t, env, RoleClientInitiated, strategy.PopularEventPage(), "www")
-	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: boot, VVec: vecOf(1, 1)})
+	o.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: whole(boot, vecOf(1, 1), 0)})
 	env.sent = nil
 	o.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"p"}, Write: ids.WiD{Client: 1, Seq: 2}})
 	if _, ok := readPage(t, env, o, "p"); ok {
@@ -503,7 +506,7 @@ func TestMirrorNotFoundCoversTheDelete(t *testing.T) {
 	mirror, mirrorEnv, snap1, _ := mirrorAheadOnPage(t)
 	cacheEnv := newFakeEnv()
 	cache := newObj(t, cacheEnv, RoleClientInitiated, strategy.PopularEventPage(), "mirror")
-	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: snap1, VVec: vecOf(1, 1)})
+	cache.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "mirror", Payload: whole(snap1, vecOf(1, 1), 0)})
 	del := ids.WiD{Client: 3, Seq: 1}
 	mirror.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"q"}, Write: del})
 	mirror.Handle(&msg.Message{
@@ -577,5 +580,49 @@ func TestServeReadAfterWriteAllocs(t *testing.T) {
 	}
 	if env.n != 2*int(seq) || req.Kind != msg.KindReadReply || req.Status != msg.StatusOK || len(req.Payload) < 4096 {
 		t.Fatalf("%d pairs drew %d replies, the last %v %v with %d bytes", seq, env.n, req.Kind, req.Status, len(req.Payload))
+	}
+}
+
+// TestTakenNotFoundRemovesHeldPage: a mirror that holds q is told of q's
+// deletion (3,1) and takes the parent's not-found, whose vector covers the
+// delete. q goes: the next read of it asks the parent, as a read of any page
+// the mirror lacks does, and fails with the parent's not-found. The mirror
+// used to drop only the mark and keep the page, so the read was answered ok
+// with q's deleted content.
+func TestTakenNotFoundRemovesHeldPage(t *testing.T) {
+	doc := webdoc.New()
+	doc.Put("q", []byte("v1"), "text/html", 1)
+	boot, err := control.New(doc).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newFakeEnv()
+	mirror := newObj(t, env, RoleObjectInitiated, strategy.PopularEventPage(), "www")
+	mirror.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: whole(boot, vecOf(1, 1), 0)})
+	mirror.Handle(&msg.Message{Kind: msg.KindInvalidate, Object: "obj", From: "www", Pages: []string{"q"}, Write: ids.WiD{Client: 3, Seq: 1}})
+	mirror.Handle(&msg.Message{
+		Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"q"},
+		Status: msg.StatusNotFound, Err: "no element", VVec: vecOf(1, 1, 3, 1),
+	})
+	env.sent = nil
+	mirror.Handle(&msg.Message{
+		Kind: msg.KindReadRequest, Object: "obj", From: "reader-ep", Client: 5,
+		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "q"},
+	})
+	if replies := env.takeSent(msg.KindReadReply); len(replies) != 0 {
+		t.Fatalf("the read of the deleted page was answered at once: %+v", replies)
+	}
+	if _, err := env.ctrl.SnapshotElement("q"); !errors.Is(err, semantics.ErrNoElement) {
+		t.Fatalf("the mirror still holds q (%v)", err)
+	}
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
+		t.Fatalf("the read sent %d fetches for q, want 1", len(fetches))
+	}
+	mirror.Handle(&msg.Message{
+		Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"q"},
+		Status: msg.StatusNotFound, Err: "no element", VVec: vecOf(1, 1, 3, 1),
+	})
+	if replies := env.takeSent(msg.KindReadReply); len(replies) != 1 || replies[0].Status != msg.StatusNotFound {
+		t.Fatalf("the read of the deleted page got %+v, want not-found", replies)
 	}
 }

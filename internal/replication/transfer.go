@@ -11,7 +11,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/semantics"
 	"repro/internal/strategy"
-	"repro/internal/vclock"
 )
 
 // demandFromParent asks the parent for every update beyond our applied
@@ -211,12 +210,12 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 		kind = msg.KindSubscribeAck
 	}
 	r := o.frame(kind, req)
-	r.VVec = o.knowledge(page)
 	r.WallNanos = o.newestWall
 	// The clock that stamped every write the state holds: the receiver's
 	// next write orders after all of it.
 	r.Stamp.Time = o.lamport.Now()
 	if page != "" {
+		r.VVec = o.knowledge(page)
 		r.Pages = req.Pages[:1]
 		data, err := o.env.SnapshotElement(page)
 		if err != nil {
@@ -225,34 +224,27 @@ func (o *Object) serveState(req *msg.Message, p *parkedReq) {
 		}
 		r.Payload = data
 	} else {
-		snap, err := o.env.Snapshot()
+		_, whole, err := o.wholeState(nil)
 		if err != nil {
 			return
 		}
-		r.Payload = snap
-		r.GlobalSeq = o.engine.Global()
-		r.Batch = o.pageStamps()
+		r.Payload = whole
 	}
 	o.answer(req, &r)
 }
 
-// pageStamps lists every page's winning stamp for a whole state to carry,
-// when the engine orders pages by stamp (the eventual model), as one entry
-// per page with only Inv.Page and Stamp set. An object with more pages than a
-// frame can list sends none, and its receivers replace rather than merge.
-func (o *Object) pageStamps() []msg.BatchUpdate {
-	ps, ok := o.engine.(coherence.PageStamps)
-	if !ok {
-		return nil
+// wholeState appends to dst the whole object as it leaves this replica, for
+// another replica or for a WAL snapshot: the engine's state, with applied()
+// as its vector, encoded ahead of the semantics snapshot. It returns the
+// engine state too.
+func (o *Object) wholeState(dst []byte) (*coherence.State, []byte, error) {
+	snap, err := o.env.Snapshot()
+	if err != nil {
+		return nil, nil, err
 	}
-	var out []msg.BatchUpdate
-	ps.EachStamp(func(page string, s vclock.Stamp) {
-		out = append(out, msg.BatchUpdate{Stamp: s, Inv: msg.Invocation{Page: page}})
-	})
-	if len(out) > msg.MaxBatch {
-		return nil
-	}
-	return out
+	st := o.engine.State()
+	st.Applied = o.applied()
+	return st, append(st.Append(dst), snap...), nil
 }
 
 // onStateReply installs fetched state: one page's, or the whole object's.
@@ -288,17 +280,20 @@ func (o *Object) onStateReply(m *msg.Message) {
 // notFound takes a not-found reply for page: the parent held no such page as
 // of m.VVec. It says nothing of a write it does not cover, so it is taken
 // only when it covers the page's marks, and fails only the parked reads whose
-// requirement it covers. Taken, it ends the page's mark, and when this replica
-// holds no such page either, m.VVec joins what it knows of the page, as a
-// taken page's vector does: the not-found it hands a child then covers the
-// same writes, and the child takes it.
+// requirement it covers. Taken, it ends the page's mark and installs the
+// absence as install installs a page: unless K(page) already covers m.VVec
+// (staleSnapshot), a page held here is removed, logged writes beyond m.VVec
+// are re-applied, and m.VVec joins what this replica knows of the page. The
+// not-found it hands a child then covers the same writes, and the child takes
+// it.
 func (o *Object) notFound(page string, m *msg.Message) {
 	if !m.VVec.Covers(o.invalid[page]) || !m.VVec.Covers(o.invalid[""]) {
 		return
 	}
 	o.failParkedPage(page, m)
 	delete(o.invalid, page)
-	if _, err := o.env.SnapshotElement(page); errors.Is(err, semantics.ErrNoElement) {
+	if !o.staleSnapshot(&m.VVec, page) && o.removeElement(page) {
+		o.reapplyBeyond(&m.VVec, page)
 		o.learnPage(page, &m.VVec)
 	}
 	o.reconsiderParked()
@@ -306,15 +301,14 @@ func (o *Object) notFound(page string, m *msg.Message) {
 
 // install is the one place state from another replica replaces content here:
 // one page's (a page state reply), or the whole object's when page is "" (a
-// pushed snapshot, a full state reply, the subscribe ack). m carries it: its
-// VVec is the vector of what the sender held — K(page) for a page, its
-// applied vector for the whole object — its GlobalSeq the sender's sequencer
-// position, its Payload the state, and for a whole state under the eventual
-// model its Batch the sender's page stamps (pageStamps). It reports whether
-// the state was taken, and retries parked requests either way — a dropped
-// transfer still proves the parent answered. A taken state records one
-// propagation-lag sample, the age of the newest write it carries (WallNanos),
-// so a replica that catches up by transfer alone still reports its lag.
+// pushed snapshot, a full state reply, the subscribe ack). m carries it. A
+// page's Payload is its element and m.VVec K(page) at the sender; a whole
+// state's Payload is wholeState's encoding, whose engine state gives its
+// vector, the sender's applied vector. It reports whether the state was
+// taken, and retries parked requests either way — a dropped transfer still
+// proves the parent answered. A taken state records one propagation-lag
+// sample, the age of the newest write it carries (WallNanos), so a replica
+// that catches up by transfer alone still reports its lag.
 //
 // A transfer is taken only if K(page) does not already cover v (the stale
 // guard, staleSnapshot): demand and subscribe retries and link duplication
@@ -325,16 +319,17 @@ func (o *Object) notFound(page string, m *msg.Message) {
 // mid-sequence gap readers can observe (an MW/PRAM violation) that no digest
 // would ever flag. Installing v grows K(page), and that alone meets the
 // invalid marks v covers: a transfer taken before a mark's write, however
-// late it arrives, leaves the mark unmet. A whole state that carries page
-// stamps is merged instead (mergeState), which loses nothing on either side.
+// late it arrives, leaves the mark unmet. Under the eventual model a whole
+// state that carries page stamps is merged instead (mergeState), which loses
+// nothing on either side. One without them comes from a replica that orders
+// by no stamp — the permanent store above an out-of-scope cache, which runs
+// eventual ordering beneath an ordered model — and its content is taken
+// whole, as any parent's is.
 func (o *Object) install(page string, m *msg.Message) bool {
 	defer o.reconsiderParked()
-	v, payload := &m.VVec, m.Payload
-	if o.staleSnapshot(v, page) {
-		return false
-	}
 	if page != "" {
-		if err := o.env.ApplyElement(page, payload); err != nil {
+		v := &m.VVec
+		if o.staleSnapshot(v, page) || o.env.ApplyElement(page, m.Payload) != nil {
 			return false
 		}
 		o.reapplyBeyond(v, page)
@@ -342,28 +337,33 @@ func (o *Object) install(page string, m *msg.Message) bool {
 		o.installed(m.WallNanos)
 		return true
 	}
-	// A bare subscribe ack (no payload) still seeds the vectors.
-	if len(payload) > 0 {
-		ps, stamped := o.engine.(coherence.PageStamps)
-		if stamped && len(m.Batch) > 0 {
-			if err := o.mergeState(ps, payload, m.Batch); err != nil {
-				return false
-			}
-		} else {
-			if err := o.env.ApplyFull(payload); err != nil {
-				return false
-			}
-			o.reapplyBeyond(v, "")
-		}
-		o.fullFetches++
+	st, content, err := coherence.SplitState(m.Payload)
+	if err != nil || o.staleSnapshot(&st.Applied, "") {
+		return false
 	}
-	// The snapshot already reflects every write in v: seed the ordering
-	// engine so pushed op updates it covers are not re-applied.
-	o.fetchVec.Merge(v)
-	o.engine.Seed(v, m.GlobalSeq)
-	o.markAppliedStale()
+	if o.engine.Model() == coherence.Eventual && len(st.Stamps) > 0 {
+		err = o.mergeState(st, content)
+	} else if err = o.env.ApplyFull(content); err == nil {
+		o.reapplyBeyond(&st.Applied, "")
+	}
+	if err != nil {
+		return false
+	}
+	o.fullFetches++
+	o.seed(st)
 	o.installed(m.WallNanos)
 	return true
+}
+
+// seed fast-forwards the engine and the sequencer to st, the engine state of
+// content that arrived whole: an installed transfer or a recovered snapshot.
+// Every write st covers counts as known here (fetchVec), so pushed updates it
+// covers are not re-applied.
+func (o *Object) seed(st *coherence.State) {
+	o.engine.Seed(st)
+	o.fetchVec.Merge(&st.Applied)
+	o.nextGlobal = max(o.nextGlobal, st.Global)
+	o.markAppliedStale()
 }
 
 // learnPage merges v, the vector of state taken for page, into pageVec[page].
@@ -388,55 +388,62 @@ func (o *Object) installed(wall int64) {
 	}
 }
 
-// elementRemover is implemented by an Env that can delete one element.
-// mergeState restores through it a deletion that beats the sender's content;
-// under an Env without it such a page keeps the sender's content.
+// elementRemover is implemented by an Env that can delete one element; the
+// store's and the name server's do. Without it, removeElement removes
+// nothing.
 type elementRemover interface {
 	RemoveElement(name string) error
+}
+
+// removeElement deletes page here, and reports whether this replica now holds
+// no such page.
+func (o *Object) removeElement(page string) bool {
+	if rm, ok := o.env.(elementRemover); ok {
+		return rm.RemoveElement(page) == nil
+	}
+	_, err := o.env.SnapshotElement(page)
+	return errors.Is(err, semantics.ErrNoElement)
 }
 
 // mergeState installs an eventual object's whole state page by page under
 // last-writer-wins, the rule its writes follow: a page whose winning write
 // here is newer than the sender's, or that the sender never wrote, keeps this
-// replica's content (or its deletion); every other page takes the sender's.
-// So a peer concurrent with the sender loses none of its own writes, even
-// those its log no longer holds. stamps are the sender's (pageStamps); the
-// engine adopts those that win. Logged updates are not replayed: a page they
-// wrote either keeps its content here or lost to a newer sender write.
-func (o *Object) mergeState(ps coherence.PageStamps, payload []byte, stamps []msg.BatchUpdate) error {
-	theirs := make(map[string]vclock.Stamp, len(stamps))
-	for i := range stamps {
-		theirs[stamps[i].Inv.Page] = stamps[i].Stamp
-	}
+// replica's content (or its deletion); every other page takes the sender's
+// content. So a peer concurrent with the sender loses none of its own writes,
+// even those its log no longer holds. Both stamp lists are in page order, so
+// one pass pairs them; install then seeds the engine with the sender's
+// stamps, which keeps the winners. Logged updates are not replayed: a page
+// they wrote either keeps its content here or lost to a newer sender write.
+func (o *Object) mergeState(theirs *coherence.State, content []byte) error {
 	type own struct {
 		page string
 		data []byte
 		gone bool
 	}
 	var keep []own
-	ps.EachStamp(func(page string, mine vclock.Stamp) {
-		if t, ok := theirs[page]; !ok || t.Less(mine) {
-			// Cloned: the element is valid only until the next Env call.
-			data, err := o.env.SnapshotElement(page)
-			keep = append(keep, own{page, bytes.Clone(data), err != nil})
+	t := theirs.Stamps
+	for _, mine := range o.engine.State().Stamps {
+		for len(t) > 0 && t[0].Page < mine.Page {
+			t = t[1:]
 		}
-	})
-	if err := o.env.ApplyFull(payload); err != nil {
+		if len(t) == 0 || t[0].Page != mine.Page || t[0].Stamp.Less(mine.Stamp) {
+			// Cloned: the element is valid only until the next Env call.
+			data, err := o.env.SnapshotElement(mine.Page)
+			keep = append(keep, own{mine.Page, bytes.Clone(data), err != nil})
+		}
+	}
+	if err := o.env.ApplyFull(content); err != nil {
 		return err
 	}
-	rm, _ := o.env.(elementRemover)
 	for _, k := range keep {
-		switch {
-		case !k.gone:
+		if k.gone {
+			o.removeElement(k.page)
+		} else {
 			_ = o.env.ApplyElement(k.page, k.data)
-		case rm != nil:
-			_ = rm.RemoveElement(k.page)
 		}
 	}
-	for i := range stamps {
-		// Cloned: the name outlives the frame as an engine key (cloneInv).
-		ps.MergeStamp(strings.Clone(stamps[i].Inv.Page), stamps[i].Stamp)
-		o.lamport.Witness(stamps[i].Stamp.Time)
+	for _, p := range theirs.Stamps {
+		o.lamport.Witness(p.Stamp.Time)
 	}
 	return nil
 }

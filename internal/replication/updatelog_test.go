@@ -147,7 +147,7 @@ func (h *logHistory) seed() {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.handle(&msg.Message{Kind: msg.KindUpdate, Payload: snap, VVec: vecFromMap(h.seq), GlobalSeq: h.global + 1})
+	h.handle(&msg.Message{Kind: msg.KindUpdate, Payload: whole(snap, vecFromMap(h.seq), h.global+1)})
 }
 
 // caughtUp replays missing over a requester that holds every write up to v,

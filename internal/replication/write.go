@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/strategy"
 	"repro/internal/vclock"
+	"repro/internal/wal"
 )
 
 // onWrite handles a client write request. Non-permanent stores forward
@@ -149,18 +151,15 @@ func (o *Object) ackWrite(m *msg.Message) {
 	o.answer(m, &r)
 }
 
-// stampedSeqs is one client's unstamped-write admission record: the highest
-// sequence stamped so far plus the sequences below it this store has NOT
-// seen (holes left by in-flight reordering on a jittered link). The holes
-// set is bounded by the client's writes-in-flight window in practice; a
-// pathological gap (e.g. a reused client identity resuming far ahead, see
-// coherence.SeedSeq) is not recorded beyond the cap, and uncovered old
-// sequences then classify as replays — matching the documented semantics of
-// reused write IDs everywhere else in the system.
-type stampedSeqs struct {
-	max   uint64
-	holes map[uint64]bool
-}
+// A client's unstamped-write admission record is a wal.ClientAdmission, the
+// form a snapshot keeps it in: the highest sequence stamped so far (Max) plus
+// the sequences below it this store has NOT seen (Holes, ascending: holes
+// left by in-flight reordering on a jittered link). The holes are bounded by
+// the client's writes-in-flight window in practice; a pathological gap (e.g.
+// a reused client identity resuming far ahead, see coherence.SeedSeq) is not
+// recorded beyond the cap, and uncovered old sequences then classify as
+// replays — matching the documented semantics of reused write IDs everywhere
+// else in the system.
 
 // maxStampedHoles caps the per-client holes set.
 const maxStampedHoles = 256
@@ -191,7 +190,7 @@ func (o *Object) admitSeq(c ids.ClientID, seq uint64) bool {
 			found := false
 			for old, rec := range o.stamped {
 				victim, found = old, true
-				if len(rec.holes) == 0 {
+				if len(rec.Holes) == 0 {
 					break
 				}
 			}
@@ -199,7 +198,7 @@ func (o *Object) admitSeq(c ids.ClientID, seq uint64) bool {
 				delete(o.stamped, victim)
 			}
 		}
-		u = &stampedSeqs{}
+		u = &wal.ClientAdmission{Client: c}
 		o.stamped[c] = u
 		if seq > maxStampedHoles {
 			// First contact at a high sequence is a resumed client identity
@@ -207,26 +206,22 @@ func (o *Object) admitSeq(c ids.ClientID, seq uint64) bool {
 			// coherence.SeedSeq) — its old sequences were admitted in an
 			// earlier life and must classify as replays, not as holes a
 			// floating duplicate could crawl back through.
-			u.max = seq
+			u.Max = seq
 			return false
 		}
 	}
-	switch {
-	case seq > u.max:
-		for s := u.max + 1; s < seq && len(u.holes) < maxStampedHoles; s++ {
-			if u.holes == nil {
-				u.holes = make(map[uint64]bool, 2)
-			}
-			u.holes[s] = true
+	if seq > u.Max {
+		for s := u.Max + 1; s < seq && len(u.Holes) < maxStampedHoles; s++ {
+			u.Holes = append(u.Holes, s)
 		}
-		u.max = seq
+		u.Max = seq
 		return false
-	case u.holes[seq]:
-		delete(u.holes, seq)
-		return false // overtaken in flight; new write, admit it
-	default:
-		return true
 	}
+	i, hole := slices.BinarySearch(u.Holes, seq)
+	if hole {
+		u.Holes = slices.Delete(u.Holes, i, i+1) // overtaken in flight; new write, admit it
+	}
+	return !hole
 }
 
 // updateFromMsg builds the engine-level update from a wire message.

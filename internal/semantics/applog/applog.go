@@ -154,6 +154,16 @@ func (l *Log) RestoreElement(name string, data []byte) error {
 	return l.Restore(data)
 }
 
+// RemoveElement implements semantics.Object: removing the log empties it.
+func (l *Log) RemoveElement(name string) error {
+	if name == logElement {
+		l.mu.Lock()
+		l.entries = nil
+		l.mu.Unlock()
+	}
+	return nil
+}
+
 // Snapshot implements semantics.Object: the entries encoded into one buffer
 // of exactly their size.
 func (l *Log) Snapshot() ([]byte, error) { return l.AppendElement(nil, logElement) }

@@ -153,6 +153,12 @@ func (s *Store) RestoreElement(name string, data []byte) error {
 	return nil
 }
 
+// RemoveElement implements semantics.Object.
+func (s *Store) RemoveElement(name string) error {
+	s.Delete(name)
+	return nil
+}
+
 // Snapshot implements semantics.Object. It sizes its buffer first and
 // appends every entry into it: one allocation for the state.
 func (s *Store) Snapshot() ([]byte, error) {

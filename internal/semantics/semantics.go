@@ -96,6 +96,9 @@ type Object interface {
 	AppendElement(dst []byte, name string) ([]byte, error)
 	// RestoreElement replaces one element from AppendElement data.
 	RestoreElement(name string, data []byte) error
+	// RemoveElement deletes one element, as a delete write of it would; an
+	// element that is not there is no error.
+	RemoveElement(name string) error
 }
 
 // Factory creates a fresh, empty semantics object; stores use it to install

@@ -22,6 +22,7 @@ func (tableObject) Restore([]byte) error                                    { re
 func (tableObject) Elements() []string                                      { return nil }
 func (tableObject) AppendElement([]byte, string) ([]byte, error)            { return nil, ErrNoElement }
 func (tableObject) RestoreElement(string, []byte) error                     { return ErrNoElement }
+func (tableObject) RemoveElement(string) error                              { return nil }
 
 func TestTableClassification(t *testing.T) {
 	tab := NewTable(tableObject{})

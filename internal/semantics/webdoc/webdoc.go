@@ -298,6 +298,12 @@ func (d *Document) RestoreElement(name string, data []byte) error {
 	return nil
 }
 
+// RemoveElement implements semantics.Object.
+func (d *Document) RemoveElement(name string) error {
+	d.Delete(name)
+	return nil
+}
+
 // restored makes a page from a page encoding the caller keeps: a view of one
 // copy of it, which holds the page's content and type.
 func restored(data []byte) (Page, error) {

@@ -492,6 +492,9 @@ func (e *replicaEnv) ApplyElement(name string, data []byte) error {
 	return e.ctrl.ApplyElement(name, data)
 }
 func (e *replicaEnv) Snapshot() ([]byte, error) { return e.ctrl.Snapshot() }
+func (e *replicaEnv) RemoveElement(name string) error {
+	return e.ctrl.RemoveElement(name)
+}
 func (e *replicaEnv) SnapshotElement(name string) ([]byte, error) {
 	return e.reuse(e.ctrl.AppendElement(e.scratch[:0], name))
 }

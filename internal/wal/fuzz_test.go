@@ -43,13 +43,11 @@ func allocBytes(f func()) uint64 {
 	return least
 }
 
-// countedBody is a snapshot body with no applied entries and no admissions
-// whose child count claims n children it does not hold.
+// countedBody is a snapshot body with no admissions whose child count claims
+// n children it does not hold.
 func countedBody(children uint32) []byte {
 	var b []byte
-	b = binary.LittleEndian.AppendUint64(b, 0) // NextGlobal
 	b = binary.LittleEndian.AppendUint64(b, 0) // Lamport
-	b = binary.LittleEndian.AppendUint32(b, 0) // applied entries
 	b = binary.LittleEndian.AppendUint32(b, 0) // admissions
 	return binary.LittleEndian.AppendUint32(b, children)
 }
@@ -73,9 +71,7 @@ func TestDecodeSnapshotCapsCounts(t *testing.T) {
 // checksum: the decoder may not panic or allocate out of proportion to the
 // file, and a snapshot it accepts must survive a re-encode unchanged.
 func FuzzDecodeSnapshot(f *testing.F) {
-	s := &Snapshot{State: []byte("state"), NextGlobal: 6, Lamport: 9, Children: []string{"cache-1", ""}}
-	s.Applied.Set(1, 4)
-	s.Applied.Set(7, 19)
+	s := &Snapshot{State: []byte("state"), Lamport: 9, Children: []string{"cache-1", ""}}
 	s.Stamped = []ClientAdmission{{Client: 7, Max: 19, Holes: []uint64{12, 15}}, {Client: 2, Max: 1}}
 	full := encodeSnapshot(s)
 	f.Add(full[len(snapMagic) : len(full)-4])
@@ -94,18 +90,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !ok {
 			t.Fatal("re-encoded snapshot does not decode")
 		}
-		if !sameSnapshot(got, again) {
+		if !reflect.DeepEqual(got, again) {
 			t.Fatalf("re-encode changed the snapshot:\n%+v\n%+v", got, again)
 		}
 	})
-}
-
-// sameSnapshot compares two snapshots with their applied vectors taken entry
-// by entry, as a vector naming a client twice may decode spilled.
-func sameSnapshot(a, b *Snapshot) bool {
-	x, y := *a, *b
-	x.Applied, y.Applied = msg.Vec{}, msg.Vec{}
-	return a.Applied.Equal(&b.Applied) && reflect.DeepEqual(x, y)
 }
 
 // resealLog recomputes the CRC of every record whose length fits in data, so

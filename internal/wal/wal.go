@@ -10,8 +10,9 @@
 // On-disk layout (one directory per store+object):
 //
 //	wal.log   — append-only records: [type u8][len u32][payload][crc32 u32]
-//	snapshot  — full state + applied vector + sequencer/admission state,
-//	            written to a temp file and renamed into place
+//	snapshot  — the replica's whole state (engine state, then content) +
+//	            Lamport clock + admission state + children, written to a
+//	            temp file and renamed into place
 //
 // Every record carries a CRC32 over type+len+payload; recovery truncates the
 // log at the first record that fails the check (a torn tail from a crash
@@ -28,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/coherence"
 	"repro/internal/ids"
@@ -51,32 +53,26 @@ const (
 	SyncAlways
 )
 
+var policyNames = [...]string{SyncOff: "off", SyncInterval: "interval", SyncAlways: "always"}
+
 // String names the policy ("off", "interval", "always").
 func (p Policy) String() string {
-	switch p {
-	case SyncOff:
-		return "off"
-	case SyncInterval:
-		return "interval"
-	case SyncAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// ParsePolicy parses a policy name as accepted by flags and manifests.
+// ParsePolicy parses a policy name as accepted by flags and manifests; the
+// empty name is off.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "off", "":
+	if s == "" {
 		return SyncOff, nil
-	case "interval":
-		return SyncInterval, nil
-	case "always":
-		return SyncAlways, nil
-	default:
-		return SyncOff, fmt.Errorf("wal: unknown fsync policy %q (want off|interval|always)", s)
 	}
+	if i := slices.Index(policyNames[:], s); i >= 0 {
+		return Policy(i), nil
+	}
+	return SyncOff, fmt.Errorf("wal: unknown fsync policy %q (want off|interval|always)", s)
 }
 
 // Record types in wal.log.
@@ -123,12 +119,11 @@ type ClientAdmission struct {
 // Snapshot is the compacted replica state: everything recovery needs that
 // is not in the log tail.
 type Snapshot struct {
-	// State is the semantics object's full snapshot (Env.Snapshot()).
+	// State is the replica's whole state as it sends it to another replica:
+	// the encoded engine state (coherence.State: the applied vector, the
+	// sequencer position, the eventual model's page stamps), then the
+	// semantics object's full snapshot.
 	State []byte
-	// Applied is the replica's applied version vector at snapshot time.
-	Applied msg.Vec
-	// NextGlobal is the sequential-model sequencer position.
-	NextGlobal uint64
 	// Lamport is the Lamport clock reading.
 	Lamport uint64
 	// Stamped is the per-client admission state.
@@ -414,8 +409,10 @@ func syncDir(dir string) {
 
 // --- snapshot codec ----------------------------------------------------------
 
-// snapMagic versions the snapshot encoding.
-var snapMagic = []byte("GSNP1")
+// snapMagic versions the snapshot encoding. A GSNP1 file, which held the
+// applied vector and the sequencer position in its header and the content
+// alone as its state, still decodes (decodeSnapshot).
+var snapMagic, snapMagic1 = []byte("GSNP2"), []byte("GSNP1")
 
 // writeSnapshotFile writes s to path as one snapshot file and syncs it: the
 // header, the state and a CRC over both, in three writes, so the state goes
@@ -447,14 +444,7 @@ func writeSnapshotFile(path string, s *Snapshot) error {
 // state, then the CRC-32 of both.
 func appendSnapshotHeader(b []byte, s *Snapshot) []byte {
 	b = append(b, snapMagic...)
-	b = binary.LittleEndian.AppendUint64(b, s.NextGlobal)
 	b = binary.LittleEndian.AppendUint64(b, s.Lamport)
-	b = binary.LittleEndian.AppendUint32(b, uint32(s.Applied.Len()))
-	s.Applied.Each(func(c ids.ClientID, seq uint64) bool {
-		b = binary.LittleEndian.AppendUint32(b, uint32(c))
-		b = binary.LittleEndian.AppendUint64(b, seq)
-		return true
-	})
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Stamped)))
 	for _, a := range s.Stamped {
 		b = binary.LittleEndian.AppendUint32(b, uint32(a.Client))
@@ -492,91 +482,77 @@ func readSnapshot(path string) (*Snapshot, uint64, error) {
 
 // decodeSnapshot parses a snapshot file. Every count is checked against the
 // bytes left (count), and every loop stops at the first short read, so a
-// corrupt file allocates no more than its own size warrants.
+// corrupt file allocates no more than its own size warrants. A GSNP1 file's
+// vector and sequencer position become the engine state ahead of its content,
+// with no page stamps: it predates them.
 func decodeSnapshot(data []byte) (*Snapshot, bool) {
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != string(snapMagic) {
+	if len(data) < len(snapMagic)+4 {
+		return nil, false
+	}
+	magic := string(data[:len(snapMagic)])
+	if magic != string(snapMagic) && magic != string(snapMagic1) {
 		return nil, false
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, false
 	}
-	r := &snapReader{b: body[len(snapMagic):]}
-	s := &Snapshot{}
-	s.NextGlobal = r.u64()
-	s.Lamport = r.u64()
-	for n := r.count(4 + 8); n > 0 && !r.bad; n-- {
-		c := ids.ClientID(r.u32())
-		s.Applied.Set(c, r.u64())
+	b, bad := body[len(snapMagic):], false
+	take := func(n int) []byte {
+		if bad || n > len(b) {
+			bad = true
+			return make([]byte, 8)
+		}
+		v := b[:n]
+		b = b[n:]
+		return v
 	}
-	if n := r.count(4 + 8 + 4); n > 0 {
+	u32 := func() uint32 { return binary.LittleEndian.Uint32(take(4)) }
+	u64 := func() uint64 { return binary.LittleEndian.Uint64(take(8)) }
+	// count reads an entry count, which must fit what is left at size bytes
+	// an entry.
+	count := func(size int) int {
+		n := int(u32())
+		bad = bad || n > len(b)/size
+		return n
+	}
+	s := &Snapshot{}
+	var old *coherence.State
+	if magic == string(snapMagic1) {
+		old = &coherence.State{Global: u64()}
+	}
+	s.Lamport = u64()
+	if old != nil {
+		for n := count(4 + 8); n > 0 && !bad; n-- {
+			c := ids.ClientID(u32())
+			old.Applied.Set(c, u64())
+		}
+	}
+	if n := count(4 + 8 + 4); n > 0 && !bad {
 		s.Stamped = make([]ClientAdmission, 0, n)
-		for ; n > 0 && !r.bad; n-- {
-			a := ClientAdmission{Client: ids.ClientID(r.u32()), Max: r.u64()}
-			if nh := r.count(8); nh > 0 {
+		for ; n > 0 && !bad; n-- {
+			a := ClientAdmission{Client: ids.ClientID(u32()), Max: u64()}
+			if nh := count(8); nh > 0 && !bad {
 				a.Holes = make([]uint64, 0, nh)
-				for ; nh > 0 && !r.bad; nh-- {
-					a.Holes = append(a.Holes, r.u64())
+				for ; nh > 0 && !bad; nh-- {
+					a.Holes = append(a.Holes, u64())
 				}
 			}
 			s.Stamped = append(s.Stamped, a)
 		}
 	}
-	if n := r.count(4); n > 0 {
+	if n := count(4); n > 0 && !bad {
 		s.Children = make([]string, 0, n)
-		for ; n > 0 && !r.bad; n-- {
-			s.Children = append(s.Children, string(r.bytes(int(r.u32()))))
+		for ; n > 0 && !bad; n-- {
+			s.Children = append(s.Children, string(take(int(u32()))))
 		}
 	}
-	s.State = append([]byte(nil), r.bytes(int(r.u32()))...)
-	if r.bad {
+	s.State = append([]byte(nil), take(int(u32()))...)
+	if bad {
 		return nil, false
 	}
+	if old != nil {
+		s.State = append(old.Append(nil), s.State...)
+	}
 	return s, true
-}
-
-type snapReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *snapReader) u32() uint32 {
-	if len(r.b) < 4 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *snapReader) u64() uint64 {
-	if len(r.b) < 8 {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-// count reads an entry count, and fails the read when the bytes left cannot
-// hold that many entries of at least size bytes each.
-func (r *snapReader) count(size int) int {
-	n := r.u32()
-	if r.bad || uint64(n)*uint64(size) > uint64(len(r.b)) {
-		r.bad = true
-		return 0
-	}
-	return int(n)
-}
-
-func (r *snapReader) bytes(n int) []byte {
-	if r.bad || n < 0 || len(r.b) < n {
-		r.bad = true
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/coherence"
@@ -193,12 +194,10 @@ func TestSnapshotCompaction(t *testing.T) {
 		}
 	}
 	snap := &Snapshot{
-		State:      []byte("full-state"),
-		Applied:    vecOf(2, 5),
-		NextGlobal: 6,
-		Lamport:    50,
-		Stamped:    []ClientAdmission{{Client: 2, Max: 5, Holes: []uint64{3}}},
-		Children:   []string{"store/kid:1"},
+		State:    []byte("full-state"),
+		Lamport:  50,
+		Stamped:  []ClientAdmission{{Client: 2, Max: 5, Holes: []uint64{3}}},
+		Children: []string{"store/kid:1"},
 	}
 	if err := l.WriteSnapshot(snap); err != nil {
 		t.Fatal(err)
@@ -222,7 +221,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	if s == nil {
 		t.Fatal("snapshot not recovered")
 	}
-	if string(s.State) != "full-state" || s.Applied.Get(2) != 5 || s.NextGlobal != 6 || s.Lamport != 50 {
+	if string(s.State) != "full-state" || s.Lamport != 50 {
 		t.Fatalf("snapshot mismatch: %+v", s)
 	}
 	if len(s.Stamped) != 1 || s.Stamped[0].Max != 5 || len(s.Stamped[0].Holes) != 1 {
@@ -244,7 +243,7 @@ func TestCorruptSnapshotIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(&Snapshot{State: []byte("s"), Applied: vecOf(1, 1)}); err != nil {
+	if err := l.WriteSnapshot(&Snapshot{State: []byte("s")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendAdmit(1, 2); err != nil {
@@ -274,23 +273,15 @@ func TestCorruptSnapshotIgnored(t *testing.T) {
 	}
 }
 
-// vecOf builds a vector from client, seq pairs.
-func vecOf(kv ...uint64) msg.Vec {
-	var v msg.Vec
-	for i := 0; i+1 < len(kv); i += 2 {
-		v.Set(ids.ClientID(kv[i]), kv[i+1])
-	}
-	return v
-}
-
-// A snapshot written when the applied vector was a map lists its entries in
-// map-iteration order, so the decoder must take them in any order. The
-// hand-built files below list them in descending client order, once within
-// msg.VecInline entries and once beyond it.
+// A GSNP1 snapshot written when the applied vector was a map lists its
+// entries in map-iteration order, so the decoder must take them in any order.
+// The hand-built files below list them in descending client order, once
+// within msg.VecInline entries and once beyond it; each decodes to an engine
+// state holding them all, ahead of the content.
 func TestSnapshotWithUnsortedVectorDecodes(t *testing.T) {
 	for _, n := range []int{msg.VecInline, 3 * msg.VecInline} {
-		b := append([]byte(nil), snapMagic...)
-		b = binary.LittleEndian.AppendUint64(b, 6) // NextGlobal
+		b := append([]byte(nil), snapMagic1...)
+		b = binary.LittleEndian.AppendUint64(b, 6) // sequencer position
 		b = binary.LittleEndian.AppendUint64(b, 9) // Lamport
 		b = binary.LittleEndian.AppendUint32(b, uint32(n))
 		for c := n; c >= 1; c-- {
@@ -307,17 +298,18 @@ func TestSnapshotWithUnsortedVectorDecodes(t *testing.T) {
 		if !ok {
 			t.Fatalf("%d entries: hand-built snapshot rejected", n)
 		}
-		if s.Applied.Len() != n || s.NextGlobal != 6 || s.Lamport != 9 || string(s.State) != "s" {
-			t.Fatalf("%d entries: decoded %v, next %d, lamport %d", n, s.Applied, s.NextGlobal, s.Lamport)
+		st, content, err := coherence.SplitState(s.State)
+		if err != nil || st.Applied.Len() != n || st.Global != 6 || s.Lamport != 9 || string(content) != "s" || st.Stamps != nil {
+			t.Fatalf("%d entries: decoded %+v (%v), content %q, lamport %d", n, st, err, content, s.Lamport)
 		}
 		for c := 1; c <= n; c++ {
-			if got := s.Applied.Get(ids.ClientID(c)); got != uint64(100+c) {
+			if got := st.Applied.Get(ids.ClientID(c)); got != uint64(100+c) {
 				t.Fatalf("%d entries: client %d at %d, want %d", n, c, got, 100+c)
 			}
 		}
 		again, ok := decodeSnapshot(encodeSnapshot(s))
-		if !ok || !again.Applied.Equal(&s.Applied) {
-			t.Fatalf("%d entries: re-encoded snapshot decodes to %v", n, again.Applied)
+		if !ok || !reflect.DeepEqual(again, s) {
+			t.Fatalf("%d entries: re-encoded snapshot decodes to %+v", n, again)
 		}
 	}
 }
@@ -329,25 +321,34 @@ func encodeSnapshot(s *Snapshot) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// goldenSnapshot is a snapshot and the file an earlier encoder, which copied
-// header, state and CRC into one buffer, wrote for it.
-func goldenSnapshot() (*Snapshot, string) {
-	s := &Snapshot{State: []byte("<state>"), NextGlobal: 6, Lamport: 9, Children: []string{"cache-1", "cache-2"}}
-	s.Applied.Set(1, 4)
-	s.Applied.Set(7, 19)
+// goldenSnapshot is a snapshot, the GSNP2 file WriteSnapshot writes for it,
+// and the GSNP1 file an earlier encoder wrote for the same replica state,
+// which held the applied vector {1:4, 7:19} and sequencer position 6 in its
+// header and the content "<state>" alone as its state.
+func goldenSnapshot() (s *Snapshot, gsnp2, gsnp1 string) {
+	st := &coherence.State{Global: 6}
+	st.Applied.Set(1, 4)
+	st.Applied.Set(7, 19)
+	s = &Snapshot{State: append(st.Append(nil), "<state>"...), Lamport: 9, Children: []string{"cache-1", "cache-2"}}
 	s.Stamped = []ClientAdmission{{Client: 7, Max: 19, Holes: []uint64{12, 15}}, {Client: 2, Max: 1}}
-	return s, "47534e5031060000000000000009000000000000000200000001000000040000000000000007000000" +
-		"130000000000000002000000070000001300000000000000020000000c000000000000000f00000000" +
-		"00000002000000010000000000000000000000020000000700000063616368652d310700000063616368" +
-		"652d32070000003c73746174653e80cf26ce"
+	return s,
+		"47534e5032090000000000000002000000070000001300000000000000020000000c000000000000000f" +
+			"0000000000000002000000010000000000000000000000020000000700000063616368652d3107000000" +
+			"63616368652d322f00000006000000000000000200000001000000040000000000000007000000130000" +
+			"0000000000000000003c73746174653ee4de17d9",
+		"47534e5031060000000000000009000000000000000200000001000000040000000000000007000000" +
+			"130000000000000002000000070000001300000000000000020000000c000000000000000f00000000" +
+			"00000002000000010000000000000000000000020000000700000063616368652d310700000063616368" +
+			"652d32070000003c73746174653e80cf26ce"
 }
 
 // WriteSnapshot writes header, state and CRC separately; the file must be
-// byte for byte what encodeSnapshot builds in one buffer, and what the
-// earlier encoder wrote, so a snapshot from before the change recovers.
+// byte for byte what encodeSnapshot builds in one buffer, and the pinned
+// GSNP2 encoding. A GSNP1 file from before the engine state moved into the
+// state recovers to the same snapshot, with no page stamps.
 func TestSnapshotFileIsEncodeSnapshot(t *testing.T) {
-	s, golden := goldenSnapshot()
-	want, err := hex.DecodeString(golden)
+	s, gsnp2, gsnp1 := goldenSnapshot()
+	want, err := hex.DecodeString(gsnp2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,16 +370,22 @@ func TestSnapshotFileIsEncodeSnapshot(t *testing.T) {
 		t.Fatalf("snapshot file = %x (%v)\nwant %x", got, err, want)
 	}
 
-	old := t.TempDir()
-	if err := os.WriteFile(filepath.Join(old, snapName), want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rec, err := Open(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Snapshot == nil || !sameSnapshot(rec.Snapshot, s) {
-		t.Fatalf("earlier snapshot recovered as %+v, want %+v", rec.Snapshot, s)
+	for name, file := range map[string]string{"GSNP2": gsnp2, "GSNP1": gsnp1} {
+		data, err := hex.DecodeString(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := t.TempDir()
+		if err := os.WriteFile(filepath.Join(old, snapName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, rec, err := Open(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Snapshot == nil || !reflect.DeepEqual(rec.Snapshot, s) {
+			t.Fatalf("%s snapshot recovered as %+v, want %+v", name, rec.Snapshot, s)
+		}
 	}
 }
 
@@ -396,7 +403,7 @@ func TestFailedSnapshotKeepsTheLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot(&Snapshot{State: []byte("old"), Applied: vecOf(2, 2)}); err != nil {
+	if err := l.WriteSnapshot(&Snapshot{State: []byte("old")}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(3); i <= 5; i++ {
@@ -408,7 +415,7 @@ func TestFailedSnapshotKeepsTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := l.Size()
-	if err := l.WriteSnapshot(&Snapshot{State: []byte("new"), Applied: vecOf(2, 5)}); err == nil {
+	if err := l.WriteSnapshot(&Snapshot{State: []byte("new")}); err == nil {
 		t.Fatal("WriteSnapshot over a blocked temp path succeeded")
 	}
 	if l.Appends() != 3 || l.Size() != size {
