@@ -52,10 +52,14 @@
 // The directory is itself a Web object, and internal/nameserv is its naming
 // front end. Every name server holds one replica of it: a
 // replication.Object under the mirrored-site strategy (§3.1's leaderless
-// mirrors, eventual model) over an unmodified kvstore, gossiping with the
-// configured peers. Each edit — a registration, deregistration, expiry,
-// renewal, floor report or lease-cursor step — is an ordinary write on the
-// server's own client identity, so peers converge by per-key
+// mirrors, eventual model) over the directory object, a kvstore that folds
+// every key change into a naming.Service — the index an in-process System
+// resolves through too — gossiping with the configured peers. So a record
+// lists its entries in one order wherever it is resolved: store layer, then
+// store ID (0 last), then address, the first entry being Pick's choice.
+// Each edit — a registration, deregistration, expiry, renewal, floor report
+// or lease-cursor step — is an ordinary write on the server's own client
+// identity, so peers converge by per-key
 // last-writer-wins, a deletion's stamp keeps a removed contact point
 // removed, and a gossip the retained log cannot answer gets the whole
 // object, as a demand does. That whole state carries each key's winning

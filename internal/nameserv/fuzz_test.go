@@ -26,6 +26,16 @@ func FuzzDecodeItems(f *testing.F) {
 	f.Add(EncodeItems([]Item{{Kind: itemMeta, Object: "a"}, {Kind: itemMeta, Object: "b"}, {Kind: itemMeta, Object: "c"}}))
 	// A corrupt count.
 	f.Add([]byte{0xff, 0xff, 0x01})
+	// Metadata whose strategy text carries an interval Marshal cannot write
+	// back: a negative pull.
+	w := writer{}
+	w.u16(1)
+	w.u8(itemMeta)
+	w.str("doc")
+	w.str("webdoc")
+	w.str(strategy.Marshal(strategy.Whiteboard()) + ",pull=-1ns")
+	w.u8(0)
+	f.Add(w.buf)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		items, err := DecodeItems(b)
 		if err != nil {

@@ -6,14 +6,13 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/coherence"
 	"repro/internal/control"
 	"repro/internal/ids"
 	"repro/internal/msg"
@@ -71,24 +70,8 @@ const (
 	leaseStores  = "stores"
 )
 
-// entryState is one live contact point. seen is the local wall time its key
-// was last applied — registered, renewed, or installed with a whole state:
-// every server runs its own expiry clock against it.
-type entryState struct {
-	e    naming.Entry
-	seen time.Time
-}
-
-// objState is the decoded record of one object.
-type objState struct {
-	entries map[string]entryState // live contact points, by address
-	meta    naming.Meta
-	hasMeta bool
-	version uint64 // bumped on every applied change; clients cache against it
-}
-
-// Server is a networked naming/location service instance. All state is
-// confined to the event loop goroutine.
+// Server is a networked naming/location service instance. All state but
+// the index and the expired count is confined to the event loop goroutine.
 type Server struct {
 	cfg Config
 	ep  transport.Endpoint
@@ -100,17 +83,12 @@ type Server struct {
 	mu      sync.Mutex
 	closed  bool
 
-	// Event-loop state: the directory replica, its kvstore, and the decoded
-	// index of its e/, m/ and f/ keys (index).
-	repl   *replication.Object
-	kv     *kvstore.Store
-	self   ids.ClientID // this server's writer identity
-	seq    uint64       // the last write sequence this server issued
-	objs   map[ids.ObjectID]*objState
-	floors map[ids.ClientID]uint64
-
-	pinnedClients map[ids.ClientID]bool
-	pinnedStores  map[ids.StoreID]bool
+	// Event-loop state: the directory replica and its semantics object,
+	// whose index (dir.ns, with its own lock) is the part read elsewhere.
+	repl *replication.Object
+	dir  *dirObject
+	self ids.ClientID // this server's writer identity
+	seq  uint64       // the last write sequence this server issued
 
 	// ready gates the serving RPCs: a server with peers answers
 	// StatusRetry (clients fail over) until a peer's gossip showed nothing
@@ -123,7 +101,7 @@ type Server struct {
 	expireArmed    bool
 	expireTimer    clock.Timer
 	expireRNG      *rand.Rand
-	recordsExpired uint64
+	recordsExpired atomic.Uint64
 }
 
 // NewServer creates and starts a name server on its own endpoint.
@@ -159,22 +137,18 @@ func NewServer(cfg Config) (*Server, error) {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(ep.Addr()))
 	s := &Server{
-		cfg:           cfg,
-		ep:            ep,
-		events:        make(chan func(), 256),
-		done:          make(chan struct{}),
-		stopped:       make(chan struct{}),
-		kv:            kvstore.New(),
-		self:          ids.ClientID(cfg.Index),
-		objs:          make(map[ids.ObjectID]*objState),
-		floors:        make(map[ids.ClientID]uint64),
-		pinnedClients: make(map[ids.ClientID]bool),
-		pinnedStores:  make(map[ids.StoreID]bool),
-		expireRNG:     rand.New(rand.NewSource(int64(h.Sum64()))),
+		cfg:       cfg,
+		ep:        ep,
+		events:    make(chan func(), 256),
+		done:      make(chan struct{}),
+		stopped:   make(chan struct{}),
+		dir:       &dirObject{Store: kvstore.New(), ns: naming.New(), seen: make(map[string]time.Time), clock: cfg.Clock},
+		self:      ids.ClientID(cfg.Index),
+		expireRNG: rand.New(rand.NewSource(int64(h.Sum64()))),
 	}
 	// A lone server gossips with nobody, so its period only has to be valid.
 	s.repl, err = replication.New(replication.Config{
-		Env:    dirEnv{Control: control.New(s.kv), s: s},
+		Env:    dirEnv{Control: control.New(s.dir), s: s},
 		Object: directory,
 		Self:   ids.StoreID(cfg.Index),
 		Addr:   ep.Addr(),
@@ -243,22 +217,6 @@ func (s *Server) post(f func()) bool {
 	}
 }
 
-// onLoop runs f on the event loop and waits for it. It reports false when
-// the loop stopped first (Close, or the endpoint died under a shared
-// fabric), so a closure that will never run does not strand its caller.
-func (s *Server) onLoop(f func()) bool {
-	ch := make(chan struct{})
-	if !s.post(func() { f(); close(ch) }) {
-		return false
-	}
-	select {
-	case <-ch:
-		return true
-	case <-s.stopped:
-		return false
-	}
-}
-
 // loop is the server's single event goroutine. stopped is closed on every
 // exit path — including the endpoint's recv channel closing underneath us
 // (a shared fabric torn down first) — so posted closures that will never
@@ -321,9 +279,8 @@ func (s *Server) dispatch(m *msg.Message) {
 // --- the directory object -----------------------------------------------------
 
 // dirEnv is the directory replica's Env, as store's replicaEnv is a hosted
-// replica's: the server's endpoint, clock and event loop, and the kvstore
-// behind a control object. Applying a write or a whole state also refreshes
-// the decoded index.
+// replica's: the server's endpoint, clock and event loop, and the directory
+// object behind a control object.
 type dirEnv struct {
 	*control.Control
 	s *Server
@@ -342,45 +299,88 @@ func (e dirEnv) Send(to string, m *msg.Message) error {
 
 func (e dirEnv) Multicast(tos []string, m *msg.Message) error { return e.s.ep.Multicast(tos, m) }
 
-func (e dirEnv) ApplyOp(u *coherence.Update) error {
-	if err := e.Control.ApplyOp(u); err != nil {
-		return err
-	}
-	e.s.index(u.Inv.Page)
-	return nil
-}
-
-func (e dirEnv) ApplyFull(snapshot []byte) error {
-	if err := e.Control.ApplyFull(snapshot); err != nil {
-		return err
-	}
-	e.s.reindex()
-	return nil
-}
-
-// ApplyElement and RemoveElement restore one key when a whole state from a
-// peer is merged: the key held a newer write here than at the peer.
-func (e dirEnv) ApplyElement(name string, data []byte) error {
-	if err := e.Control.ApplyElement(name, data); err != nil {
-		return err
-	}
-	e.s.index(name)
-	return nil
-}
-
-func (e dirEnv) RemoveElement(name string) error {
-	if err := e.Control.RemoveElement(name); err != nil {
-		return err
-	}
-	e.s.index(name)
-	return nil
-}
-
 func (e dirEnv) Now() time.Time { return e.s.cfg.Clock.Now() }
 
 // AfterFunc runs f on the server's event loop, where the replica lives.
 func (e dirEnv) AfterFunc(d time.Duration, f func()) clock.Timer {
 	return e.s.cfg.Clock.AfterFunc(d, func() { e.s.post(f) })
+}
+
+// dirObject is the directory's semantics object: a kvstore that folds every
+// key it changes into ns, the server's one index — by a write, a whole state
+// installed, or one key restored or removed when a peer's whole state is
+// merged. seen holds, for each live e/ key, the local time it was last
+// folded (registered, renewed or installed): every server runs its own
+// expiry clock against it. Only the event loop touches seen.
+type dirObject struct {
+	*kvstore.Store
+	ns    *naming.Service
+	seen  map[string]time.Time
+	clock clock.Clock
+}
+
+func (d *dirObject) Invoke(inv msg.Invocation) ([]byte, error) {
+	out, err := d.Store.Invoke(inv)
+	if err == nil && (inv.Method == kvstore.MethodPut || inv.Method == kvstore.MethodDelete) {
+		d.fold(inv.Page)
+	}
+	return out, err
+}
+
+// Restore folds every key the directory held before the state or holds
+// now, so the index moves key by key and never reads as an empty directory.
+func (d *dirObject) Restore(data []byte) error {
+	old := d.Keys()
+	if err := d.Store.Restore(data); err != nil {
+		return err
+	}
+	for _, key := range append(old, d.Keys()...) {
+		d.fold(key)
+	}
+	return nil
+}
+
+func (d *dirObject) RestoreElement(name string, data []byte) error {
+	d.Put(name, data)
+	d.fold(name)
+	return nil
+}
+
+func (d *dirObject) RemoveElement(name string) error {
+	d.Delete(name)
+	d.fold(name)
+	return nil
+}
+
+// fold brings the index up to date with the current value of one directory
+// key. A zero Meta removes the object's metadata. A client's floor only
+// rises: it is a max, over origins and over time.
+func (d *dirObject) fold(key string) {
+	kind, first, rest := splitKey(key)
+	v, _ := d.Get(key)
+	var it Item
+	if items, err := DecodeItems(v); err == nil && len(items) == 1 {
+		it = items[0]
+	}
+	// first may be a window of an update's page name: clone it (cloneInv).
+	obj := ids.ObjectID(strings.Clone(first))
+	switch kind {
+	case 'e':
+		if it.Kind == itemEntry {
+			d.ns.Register(obj, it.Entry)
+			d.seen[strings.Clone(key)] = d.clock.Now()
+		} else {
+			d.ns.Deregister(obj, rest)
+			delete(d.seen, key)
+		}
+	case 'm':
+		d.ns.SetMeta(obj, it.Meta)
+	case 'f':
+		c, err := strconv.ParseUint(first, 10, 32)
+		if err == nil && len(v) == 8 {
+			d.ns.ReportClientSeq(ids.ClientID(c), binary.BigEndian.Uint64(v))
+		}
+	}
 }
 
 // dirKey builds a directory key: the kind, then first (an object, client or
@@ -433,59 +433,6 @@ func (s *Server) writeFact(it Item) {
 	s.write(kvstore.MethodPut, key, EncodeItems([]Item{it}))
 }
 
-func (s *Server) obj(id ids.ObjectID) *objState {
-	o := s.objs[id]
-	if o == nil {
-		o = &objState{entries: make(map[string]entryState)}
-		// id may be a window of an update's page name: clone it (cloneInv).
-		s.objs[ids.ObjectID(strings.Clone(string(id)))] = o
-	}
-	return o
-}
-
-// index folds the current value of one directory key into the decoded view
-// that resolution, expiry and floor queries read. Floors only rise: a floor
-// is a max, over origins and over time.
-func (s *Server) index(key string) {
-	kind, first, rest := splitKey(key)
-	v, ok := s.kv.Get(key)
-	switch kind {
-	case 'e', 'm':
-		o := s.obj(ids.ObjectID(first))
-		o.version++
-		var it Item
-		if items, err := DecodeItems(v); err == nil && len(items) == 1 {
-			it = items[0]
-		}
-		switch {
-		case kind == 'm':
-			o.meta, o.hasMeta = it.Meta, it.Kind == itemMeta
-		case it.Kind == itemEntry:
-			o.entries[it.Entry.Addr] = entryState{e: it.Entry, seen: s.cfg.Clock.Now()}
-		default:
-			delete(o.entries, rest)
-		}
-	case 'f':
-		c, err := strconv.ParseUint(first, 10, 32)
-		if err == nil && ok && len(v) == 8 {
-			id := ids.ClientID(c)
-			s.floors[id] = max(s.floors[id], binary.BigEndian.Uint64(v))
-		}
-	}
-}
-
-// reindex rebuilds the decoded view after a whole state was installed.
-func (s *Server) reindex() {
-	for _, o := range s.objs {
-		clear(o.entries)
-		o.meta, o.hasMeta = naming.Meta{}, false
-		o.version++
-	}
-	for _, key := range s.kv.Keys() {
-		s.index(key)
-	}
-}
-
 // --- naming RPCs ----------------------------------------------------------------
 
 func (s *Server) reply(m *msg.Message, k msg.Kind) *msg.Message {
@@ -515,9 +462,8 @@ func (s *Server) onRegister(m *msg.Message) {
 		s.writeFact(it)
 	}
 	r := s.reply(m, msg.KindNameReply)
-	if o := s.objs[m.Object]; o != nil {
-		r.GlobalSeq = o.version
-	}
+	rec, _ := s.dir.ns.Record(m.Object)
+	r.GlobalSeq = rec.Version
 	_ = s.ep.Send(m.From, r)
 }
 
@@ -531,31 +477,14 @@ func (s *Server) onDeregister(m *msg.Message) {
 	_ = s.ep.Send(m.From, s.reply(m, msg.KindNameReply))
 }
 
-// record assembles the live record of one object (nil when unknown).
-func (s *Server) record(obj ids.ObjectID) *naming.Record {
-	o := s.objs[obj]
-	if o == nil || (len(o.entries) == 0 && !o.hasMeta) {
-		return nil
-	}
-	rec := &naming.Record{Object: obj, Version: o.version}
-	for _, es := range o.entries {
-		rec.Entries = append(rec.Entries, es.e)
-	}
-	sort.Slice(rec.Entries, func(i, j int) bool { return rec.Entries[i].Addr < rec.Entries[j].Addr })
-	if o.hasMeta {
-		rec.Meta = o.meta
-	}
-	return rec
-}
-
 func (s *Server) onResolve(m *msg.Message) {
-	rec := s.record(m.Object)
-	if rec == nil {
+	rec, ok := s.dir.ns.Record(m.Object)
+	if !ok {
 		s.replyErr(m, msg.StatusNotFound, fmt.Sprintf("object %q not registered", m.Object))
 		return
 	}
 	r := s.reply(m, msg.KindNameReply)
-	r.Payload = EncodeItems(recordItems(rec))
+	r.Payload = EncodeItems(recordItems(&rec))
 	r.GlobalSeq = rec.Version
 	_ = s.ep.Send(m.From, r)
 }
@@ -572,7 +501,7 @@ func leaseStart(base, span uint64, index, total int, k uint64) uint64 {
 func (s *Server) advanceLease(kind string) uint64 {
 	key := dirKey('l', strconv.Itoa(s.cfg.Index), kind)
 	var k uint64
-	if v, ok := s.kv.Get(key); ok && len(v) == 8 {
+	if v, ok := s.dir.Get(key); ok && len(v) == 8 {
 		k = binary.BigEndian.Uint64(v)
 	}
 	s.write(kvstore.MethodPut, key, binary.BigEndian.AppendUint64(nil, k+1))
@@ -594,30 +523,28 @@ func (s *Server) onLease(m *msg.Message) {
 				fmt.Sprintf("client ID %d is inside the leased space (pin below %d)", m.Client, ClientLeaseBase))
 			return
 		}
-		s.pinnedClients[m.Client] = true
 	case opReserveStore:
 		if m.Store >= StoreLeaseBase {
 			s.replyErr(m, msg.StatusForbidden,
 				fmt.Sprintf("store ID %d is inside the leased space (pin below %d)", m.Store, StoreLeaseBase))
 			return
 		}
-		s.pinnedStores[m.Store] = true
 	case opReportFloor:
 		// One key per (client, origin): last-writer-wins on a shared key
 		// could let an older-stamped, larger report lose to a smaller one.
-		if m.Write.Seq > s.floors[m.Client] {
+		if m.Write.Seq > s.dir.ns.ClientSeqFloor(m.Client) {
 			key := dirKey('f', strconv.FormatUint(uint64(m.Client), 10), strconv.Itoa(s.cfg.Index))
 			s.write(kvstore.MethodPut, key, binary.BigEndian.AppendUint64(nil, m.Write.Seq))
 		}
 	case opQueryFloor:
-		r.Write.Seq = s.floors[m.Client]
+		r.Write.Seq = s.dir.ns.ClientSeqFloor(m.Client)
 	case opRenewContact:
 		if len(m.Pages) == 0 || m.Pages[0] == "" {
 			s.replyErr(m, msg.StatusError, "renew needs an address")
 			return
 		}
 		r.Write.Seq = s.renewContact(m.Pages[0])
-		r.GlobalSeq = s.recordsExpired
+		r.GlobalSeq = s.recordsExpired.Load()
 	default:
 		s.replyErr(m, msg.StatusError, fmt.Sprintf("unknown lease op %d", m.Inv.Method))
 		return
@@ -634,9 +561,10 @@ func (s *Server) onLease(m *msg.Message) {
 // already expired (or never made) and it must re-register.
 func (s *Server) renewContact(addr string) uint64 {
 	var renewed uint64
-	for obj, o := range s.objs {
-		if es, ok := o.entries[addr]; ok {
-			s.writeFact(Item{Kind: itemEntry, Object: obj, Entry: es.e})
+	for key := range s.dir.seen {
+		if _, _, rest := splitKey(key); rest == addr {
+			v, _ := s.dir.Get(key)
+			s.write(kvstore.MethodPut, key, v)
 			renewed++
 		}
 	}
@@ -672,12 +600,10 @@ func (s *Server) armExpire() {
 // the daemon's next heartbeat re-registers.
 func (s *Server) sweepExpired() {
 	now := s.cfg.Clock.Now()
-	for obj, o := range s.objs {
-		for addr, es := range o.entries {
-			if now.Sub(es.seen) >= s.cfg.LeaseTTL {
-				s.write(kvstore.MethodDelete, entryKey(obj, addr), nil)
-				s.recordsExpired++
-			}
+	for key, seen := range s.dir.seen {
+		if now.Sub(seen) >= s.cfg.LeaseTTL {
+			s.write(kvstore.MethodDelete, key, nil)
+			s.recordsExpired.Add(1)
 		}
 	}
 }
@@ -686,31 +612,12 @@ func (s *Server) sweepExpired() {
 
 // ExpiredSnapshot returns how many entries this server has expired (tests,
 // status surfaces).
-func (s *Server) ExpiredSnapshot() uint64 {
-	var out uint64
-	s.onLoop(func() { out = s.recordsExpired })
-	return out
-}
+func (s *Server) ExpiredSnapshot() uint64 { return s.recordsExpired.Load() }
 
 // RecordSnapshot returns the live record of obj as seen by this server
 // (tests and the globens status loop). ok is false when the object is
-// unknown or the server is closed.
-func (s *Server) RecordSnapshot(obj ids.ObjectID) (naming.Record, bool) {
-	var rec naming.Record
-	ok := false
-	if !s.onLoop(func() {
-		if r := s.record(obj); r != nil {
-			rec, ok = *r, true
-		}
-	}) {
-		return naming.Record{}, false
-	}
-	return rec, ok
-}
+// unknown.
+func (s *Server) RecordSnapshot(obj ids.ObjectID) (naming.Record, bool) { return s.dir.ns.Record(obj) }
 
 // FloorSnapshot returns a client's replicated write-sequence floor.
-func (s *Server) FloorSnapshot(id ids.ClientID) uint64 {
-	var out uint64
-	s.onLoop(func() { out = s.floors[id] })
-	return out
-}
+func (s *Server) FloorSnapshot(id ids.ClientID) uint64 { return s.dir.ns.ClientSeqFloor(id) }

@@ -5,13 +5,12 @@
 //
 // Every name server holds one replica of the directory: a replication.Object
 // under the mirrored-site strategy (the eventual model, leaderless peers kept
-// in sync by gossip) over a kvstore semantics object. A directory edit — a
-// registration, a deregistration, an expiry, a renewal, a floor report, a
+// in sync by gossip) over the directory object, a kvstore. A directory edit —
+// a registration, a deregistration, an expiry, a renewal, a floor report, a
 // lease cursor step — is an ordinary write on the server's own client
 // identity, so peers converge by per-key last-writer-wins exactly as the pages
 // of a mirrored site do, a whole state exchanged after a long split included
-// (it is merged key by key, through dirEnv's ApplyElement and RemoveElement).
-// The keys are:
+// (it is merged key by key). The keys are:
 //
 //	e/<object>/<addr>    one contact point; deregistration and expiry Delete it
 //	m/<object>           the object's metadata
@@ -19,10 +18,14 @@
 //	f/<client>/<origin>  a client's write-sequence floor as reported at one
 //	                     server; the floor is the max over origins
 //
-// An object or client is escaped so it holds no '/'. What is naming stays
-// here: the register/resolve/lease RPCs, the readiness gate, lease striping,
-// TTL expiry, and a decoded index of the e/ and m/ keys that resolution and
-// expiry read.
+// An object or client is escaped so it holds no '/'. The directory object
+// folds every key it changes — by a write, a whole state installed, or one
+// key merged from a peer's whole state — into a naming.Service, the same
+// index an in-process resolver uses, so a record lists its entries in the
+// one order naming.Service gives (layer, then store ID with 0 last, then
+// address) whichever way it is resolved. What is naming stays here: the
+// register/resolve/lease RPCs, the readiness gate, lease striping and TTL
+// expiry.
 //
 // Identifier allocation is leased: a daemon asks its name server for a
 // range of client or store IDs and allocates locally from it. Ranges are

@@ -171,19 +171,25 @@ func (s *Service) Deregister(obj ids.ObjectID, addr string) {
 }
 
 // SetMeta records an object's semantics/strategy/model metadata, completing
-// its name record.
+// its name record. A zero Meta removes it.
 func (s *Service) SetMeta(obj ids.ObjectID, m Meta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.versions[obj]++
+	if m.Sem == "" && !m.HasStrat && len(m.Models) == 0 {
+		delete(s.meta, obj)
+		return
+	}
 	s.meta[obj] = m
 }
 
-// Record returns the full name record of obj, its entries lowest store layer
-// first (client-initiated, then object-initiated, then permanent): "it is
-// generally up to the client to decide to which replica he will bind", and
-// closer layers are usually preferable. ok is false when the service knows
-// nothing about obj.
+// Record returns the full name record of obj, its entries in Pick's order:
+// lowest store layer first (client-initiated, then object-initiated, then
+// permanent), then store ID, then address. "It is generally up to the
+// client to decide to which replica he will bind", closer layers are
+// usually preferable, and the order depends only on the entries, not on the
+// order they were registered in. ok is false when the service knows nothing
+// about obj.
 func (s *Service) Record(obj ids.ObjectID) (Record, bool) {
 	s.mu.Lock()
 	entries := append([]Entry(nil), s.objects[obj]...)
@@ -193,9 +199,7 @@ func (s *Service) Record(obj ids.ObjectID) (Record, bool) {
 	if len(entries) == 0 && !hasMeta {
 		return Record{}, false
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		return layerRank(entries[i].Role) < layerRank(entries[j].Role)
-	})
+	sort.Slice(entries, func(i, j int) bool { return pickLess(entries[i], entries[j]) })
 	return Record{Object: obj, Entries: entries, Meta: m, Version: v}, true
 }
 

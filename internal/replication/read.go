@@ -126,8 +126,12 @@ func (o *Object) serveRead(m *msg.Message, p *parkedReq) {
 		}
 		// A cold or partially warm replica misses elements it never
 		// fetched; resolve through the parent per the access-transfer type.
+		// A page whose state was taken here — its absence included — and
+		// whose knowledge covers the read is known to be absent: a fetch
+		// would only bring the same not-found back.
 		fetchedInVain := p != nil && p.fetchTried && o.fetchesWhole(page) && o.fullFetches > p.fetchedAt
-		if !errors.Is(err, semantics.ErrNoElement) || o.parent == "" || fetchedInVain {
+		knownAbsent := o.pageVec[page] != nil && o.knows(page, &m.VVec)
+		if !errors.Is(err, semantics.ErrNoElement) || o.parent == "" || fetchedInVain || knownAbsent {
 			o.refuse(m, msg.StatusNotFound, err.Error())
 			return
 		}

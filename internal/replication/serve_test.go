@@ -585,10 +585,10 @@ func TestServeReadAfterWriteAllocs(t *testing.T) {
 
 // TestTakenNotFoundRemovesHeldPage: a mirror that holds q is told of q's
 // deletion (3,1) and takes the parent's not-found, whose vector covers the
-// delete. q goes: the next read of it asks the parent, as a read of any page
-// the mirror lacks does, and fails with the parent's not-found. The mirror
-// used to drop only the mark and keep the page, so the read was answered ok
-// with q's deleted content.
+// delete. q goes, and the next read of it fails with not-found at once: the
+// mirror knows q is absent, so it asks the parent nothing. The mirror used
+// to drop only the mark and keep the page, so the read was answered ok with
+// q's deleted content.
 func TestTakenNotFoundRemovesHeldPage(t *testing.T) {
 	doc := webdoc.New()
 	doc.Put("q", []byte("v1"), "text/html", 1)
@@ -609,20 +609,45 @@ func TestTakenNotFoundRemovesHeldPage(t *testing.T) {
 		Kind: msg.KindReadRequest, Object: "obj", From: "reader-ep", Client: 5,
 		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "q"},
 	})
-	if replies := env.takeSent(msg.KindReadReply); len(replies) != 0 {
-		t.Fatalf("the read of the deleted page was answered at once: %+v", replies)
-	}
 	if _, err := env.ctrl.SnapshotElement("q"); !errors.Is(err, semantics.ErrNoElement) {
 		t.Fatalf("the mirror still holds q (%v)", err)
 	}
-	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 1 {
-		t.Fatalf("the read sent %d fetches for q, want 1", len(fetches))
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 0 {
+		t.Fatalf("the read sent %d fetches for q, want none", len(fetches))
 	}
+	if replies := env.takeSent(msg.KindReadReply); len(replies) != 1 || replies[0].Status != msg.StatusNotFound {
+		t.Fatalf("the read of the deleted page got %+v, want one not-found at once", replies)
+	}
+}
+
+// TestReadOfKnownAbsentPageDoesNotFetch: a mirror that never held r takes
+// the parent's not-found for it, whose vector covers r's deletion (3,1). A
+// read of r then fails with not-found at once and sends no fetch: the
+// mirror's knowledge of r covers the read. It used to park the read and
+// fetch r, to be told again what it already knew.
+func TestReadOfKnownAbsentPageDoesNotFetch(t *testing.T) {
+	doc := webdoc.New()
+	doc.Put("q", []byte("v1"), "text/html", 1)
+	boot, err := control.New(doc).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newFakeEnv()
+	mirror := newObj(t, env, RoleObjectInitiated, strategy.PopularEventPage(), "www")
+	mirror.Handle(&msg.Message{Kind: msg.KindSubscribeAck, Object: "obj", From: "www", Payload: whole(boot, vecOf(1, 1), 0)})
 	mirror.Handle(&msg.Message{
-		Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"q"},
+		Kind: msg.KindStateReply, Object: "obj", From: "www", Pages: []string{"r"},
 		Status: msg.StatusNotFound, Err: "no element", VVec: vecOf(1, 1, 3, 1),
 	})
+	env.sent = nil
+	mirror.Handle(&msg.Message{
+		Kind: msg.KindReadRequest, Object: "obj", From: "reader-ep", Client: 5,
+		Inv: msg.Invocation{Method: webdoc.MethodGetPage, Page: "r"},
+	})
+	if fetches := env.takeSent(msg.KindStateRequest); len(fetches) != 0 {
+		t.Fatalf("the read of a page known absent sent %+v, want no fetch", fetches)
+	}
 	if replies := env.takeSent(msg.KindReadReply); len(replies) != 1 || replies[0].Status != msg.StatusNotFound {
-		t.Fatalf("the read of the deleted page got %+v, want not-found", replies)
+		t.Fatalf("the read of a page known absent got %+v, want one not-found", replies)
 	}
 }

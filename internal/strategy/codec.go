@@ -77,6 +77,10 @@ func Parse(text string) (Strategy, error) {
 			if err != nil {
 				return s, fmt.Errorf("strategy: bad %s interval %q: %v", k, v, err)
 			}
+			if d < 0 {
+				// Marshal writes no interval below zero back.
+				return s, fmt.Errorf("strategy: negative %s interval %q", k, v)
+			}
 			if k == "lazy" {
 				s.LazyInterval = d
 			} else {

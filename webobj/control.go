@@ -200,7 +200,7 @@ func (s *System) controlStats(st *Store, obj ObjectID) ([]byte, error) {
 		Durability: dur,
 		Applied:    applied,
 	}
-	if ns, ok := s.res.(nsResolver); ok {
+	if ns, ok := s.res.(*nameserv.Client); ok {
 		cs := ns.Stats()
 		out.Naming = &cs
 	}

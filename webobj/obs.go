@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"sort"
 
+	"repro/internal/nameserv"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/transport/memnet"
@@ -70,7 +71,7 @@ func (s *System) initObs() {
 				obs.L("fabric", name))
 		}
 	}
-	if ns, ok := s.res.(nsResolver); ok {
+	if ns, ok := s.res.(*nameserv.Client); ok {
 		reg.CounterFunc("globe_nameserv_resolve_hits_total",
 			"name resolves answered from the client cache",
 			func() float64 { return float64(ns.Stats().ResolveHits) })

@@ -123,8 +123,4 @@ func (l localResolver) ReportClientSeq(id ClientID, seq uint64) { l.ns.ReportCli
 
 func (l localResolver) Close() error { return nil }
 
-// nsResolver wraps the name-service client so the interface conversion to
-// Resolver is explicit and checked here.
-type nsResolver struct{ *nameserv.Client }
-
-var _ Resolver = nsResolver{}
+var _ Resolver = (*nameserv.Client)(nil)

@@ -382,13 +382,13 @@ func NewSystem(opts ...SystemOption) *System {
 	}
 	if s.res == nil {
 		if len(s.nsAddrs) > 0 {
-			s.res = nsResolver{nameserv.NewClient(nameserv.ClientConfig{
+			s.res = nameserv.NewClient(nameserv.ClientConfig{
 				Fabric: s.fabric,
 				// Unique per System: several Systems may share one fabric
 				// (memnet simulations), and endpoint names must not collide.
 				Name:    fmt.Sprintf("nsc/%d", nextResolverEP.Add(1)),
 				Servers: s.nsAddrs,
-			})}
+			})
 		} else {
 			s.res = localResolver{ns: s.ns}
 		}
