@@ -50,7 +50,12 @@
 // next replica.
 //
 // The directory is itself a Web object, and internal/nameserv is its naming
-// front end. Every name server holds one replica of it: a
+// front end. Every name server is a store.Store hosting one replica of it,
+// as any store hosts any object, with the naming RPCs as the store's front
+// end. The front end sees each frame first, answers the RPCs and lets
+// through only the directory's replication traffic; the store releases
+// every frame the front end consumes, so a bind, read or write sent
+// straight at the directory is refused. The replica is a
 // replication.Object under the mirrored-site strategy (§3.1's leaderless
 // mirrors, eventual model) over the directory object, a kvstore that folds
 // every key change into a naming.Service — the index an in-process System

@@ -1,15 +1,19 @@
 package nameserv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/naming"
 	"repro/internal/replication"
+	"repro/internal/semantics/kvstore"
 	"repro/internal/strategy"
+	"repro/internal/transport"
 	"repro/internal/transport/memnet"
 )
 
@@ -586,5 +590,42 @@ func TestLeaseExpiryReplicatesToPeers(t *testing.T) {
 			t.Fatalf("expiry did not retire the entry everywhere")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDirectoryRefusesOutsideTraffic: the directory replica is reachable
+// only through the naming RPCs and its peers' replication traffic. A bind,
+// a write and a read sent straight at it from outside get no OK, and the
+// write does not land: it would have forged a lease cursor.
+func TestDirectoryRefusesOutsideTraffic(t *testing.T) {
+	net := memnet.New()
+	defer net.Close()
+	srv := newServerT(t, net, "ns", 1, 1, nil, -1)
+	ep, err := net.Endpoint("intruder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := transport.NewDemux(ep)
+	defer d.Close()
+	const key = "l/1/clients"
+	cursor := binary.BigEndian.AppendUint64(nil, 99)
+	for _, m := range []*msg.Message{
+		{Kind: msg.KindBindRequest, Object: directory, Client: 7},
+		{Kind: msg.KindWriteRequest, Object: directory, Client: 7, Write: ids.WiD{Client: 7, Seq: 1},
+			Inv: msg.Invocation{Method: kvstore.MethodPut, Page: key, Args: cursor}},
+		{Kind: msg.KindReadRequest, Object: directory, Client: 7,
+			Inv: msg.Invocation{Method: kvstore.MethodGet, Page: key}},
+	} {
+		kind := m.Kind
+		r, err := d.Call(srv.Addr(), m, 200*time.Millisecond)
+		if err == nil {
+			if r.Status == msg.StatusOK {
+				t.Errorf("%v on the directory answered OK", kind)
+			}
+			r.Release()
+		}
+	}
+	if v, ok := srv.dir.Get(key); ok {
+		t.Fatalf("an outside write set %s to %x", key, v)
 	}
 }

@@ -8,17 +8,16 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/control"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/naming"
 	"repro/internal/replication"
 	"repro/internal/semantics/kvstore"
+	"repro/internal/store"
 	"repro/internal/strategy"
 	"repro/internal/transport"
 )
@@ -70,21 +69,18 @@ const (
 	leaseStores  = "stores"
 )
 
-// Server is a networked naming/location service instance. All state but
-// the index and the expired count is confined to the event loop goroutine.
+// Server is a networked naming/location service instance: a store hosting
+// one replica of the directory, with the naming RPCs as its front end. All
+// state but the index and the expired count is confined to the store's
+// event loop.
 type Server struct {
 	cfg Config
 	ep  transport.Endpoint
+	st  *store.Store
 
-	events  chan func()
-	done    chan struct{}
-	stopped chan struct{} // closed when the event loop exits (Close OR endpoint death)
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	closed  bool
-
-	// Event-loop state: the directory replica and its semantics object,
-	// whose index (dir.ns, with its own lock) is the part read elsewhere.
+	// Loop state: the directory replica (nil until hosted) and its
+	// semantics object, whose index (dir.ns, with its own lock) is the part
+	// read elsewhere.
 	repl *replication.Object
 	dir  *dirObject
 	self ids.ClientID // this server's writer identity
@@ -96,10 +92,9 @@ type Server struct {
 	// its lease cursors instead of reissuing ranges daemons hold.
 	ready bool
 
-	// Lease liveness (LeaseTTL > 0): the expiry sweep timer, its jitter
-	// source, and the lifetime count of entries this server expired.
+	// Lease liveness (LeaseTTL > 0): whether an expiry sweep is due, its
+	// jitter source, and the lifetime count of entries this server expired.
 	expireArmed    bool
-	expireTimer    clock.Timer
 	expireRNG      *rand.Rand
 	recordsExpired atomic.Uint64
 }
@@ -136,46 +131,40 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(ep.Addr()))
+	peered := len(cfg.Peers) > 0 && cfg.SyncInterval > 0
 	s := &Server{
 		cfg:       cfg,
 		ep:        ep,
-		events:    make(chan func(), 256),
-		done:      make(chan struct{}),
-		stopped:   make(chan struct{}),
 		dir:       &dirObject{Store: kvstore.New(), ns: naming.New(), seen: make(map[string]time.Time), clock: cfg.Clock},
 		self:      ids.ClientID(cfg.Index),
+		ready:     !peered,
 		expireRNG: rand.New(rand.NewSource(int64(h.Sum64()))),
 	}
+	s.st = store.New(store.Config{
+		ID: ids.StoreID(cfg.Index), Role: replication.RoleObjectInitiated,
+		Endpoint: ep, Clock: cfg.Clock, Front: s.front,
+	})
 	// A lone server gossips with nobody, so its period only has to be valid.
-	s.repl, err = replication.New(replication.Config{
-		Env:    dirEnv{Control: control.New(s.dir), s: s},
-		Object: directory,
-		Self:   ids.StoreID(cfg.Index),
-		Addr:   ep.Addr(),
-		Role:   replication.RoleObjectInitiated,
-		Strat:  strategy.MirroredSite(max(cfg.SyncInterval, time.Millisecond)),
+	err = s.st.Host(store.HostConfig{
+		Object: directory, Semantics: s.dir,
+		Strat: strategy.MirroredSite(max(cfg.SyncInterval, time.Millisecond)),
 	})
 	if err != nil {
-		_ = ep.Close()
+		_ = s.Close()
 		return nil, err
 	}
-	peered := len(cfg.Peers) > 0 && cfg.SyncInterval > 0
+	s.st.Post(func() {
+		s.repl = s.st.Replica(directory)
+		s.armExpire()
+	})
 	if peered {
 		for _, p := range cfg.Peers {
-			s.repl.AddPeer(p)
+			_ = s.st.AddPeer(directory, p)
 		}
-	}
-	s.ready = !peered
-	s.wg.Add(1)
-	go s.loop()
-	if cfg.LeaseTTL > 0 {
-		s.post(func() { s.armExpire() })
-	}
-	if peered {
 		// Become ready unconditionally after a grace period: peers may all
 		// be down, and a lone survivor must still serve.
 		cfg.Clock.AfterFunc(2*cfg.SyncInterval, func() {
-			s.post(func() { s.ready = true })
+			s.st.Post(func() { s.ready = true })
 		})
 	}
 	return s, nil
@@ -185,77 +174,29 @@ func NewServer(cfg Config) (*Server, error) {
 // are configured with).
 func (s *Server) Addr() string { return s.ep.Addr() }
 
-// Close stops the server and its endpoint.
+// Close stops the server's store and its endpoint.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.done)
-	s.wg.Wait()
+	_ = s.st.Close()
 	return s.ep.Close()
 }
 
-func (s *Server) post(f func()) bool {
-	select {
-	case <-s.done:
-		return false
-	case <-s.stopped:
-		return false
-	default:
-	}
-	select {
-	case s.events <- f:
-		return true
-	case <-s.done:
-		return false
-	case <-s.stopped:
-		return false
-	}
-}
-
-// loop is the server's single event goroutine. stopped is closed on every
-// exit path — including the endpoint's recv channel closing underneath us
-// (a shared fabric torn down first) — so posted closures that will never
-// run do not strand their callers.
-func (s *Server) loop() {
-	defer s.wg.Done()
-	defer close(s.stopped)
-	defer s.repl.Close()
-	recv := s.ep.Recv()
-	for {
-		select {
-		case <-s.done:
-			if s.expireTimer != nil {
-				s.expireTimer.Stop()
-			}
-			return
-		case f := <-s.events:
-			f()
-		case m, ok := <-recv:
-			if !ok {
-				return
-			}
-			s.dispatch(m)
-		}
-	}
-}
-
-func (s *Server) dispatch(m *msg.Message) {
+// front is the store's front end: it answers the naming RPCs and lets
+// through only the directory's replication traffic. Everything else,
+// a bind, read or write sent at the directory included, is consumed
+// unanswered. Until NewServer has handed the loop the hosted replica, the
+// RPCs are answered as a recovering server's are.
+func (s *Server) front(m *msg.Message) bool {
 	switch m.Kind {
 	case msg.KindNameRegister, msg.KindNameDeregister, msg.KindNameResolve, msg.KindNameLease:
-		if !s.ready {
+		if !s.ready || s.repl == nil {
 			s.replyErr(m, msg.StatusRetry, "name server recovering from peers; retry another server")
-			return
+			return true
 		}
 	case msg.KindGossip, msg.KindGossipReply:
 		// A peer's digest that shows nothing we lack ends the recovery gate:
 		// the directory, lease cursors included, is back. A routine update
 		// proves nothing of the kind.
-		if !s.ready && m.Object == directory {
+		if !s.ready && m.Object == directory && s.repl != nil {
 			known := s.repl.Applied()
 			s.ready = known.Covers(&m.VVec)
 		}
@@ -270,41 +211,12 @@ func (s *Server) dispatch(m *msg.Message) {
 	case msg.KindNameLease:
 		s.onLease(m)
 	case msg.KindGossip, msg.KindGossipReply, msg.KindUpdate, msg.KindUpdateBatch, msg.KindStateReply:
-		if m.Object == directory {
-			s.repl.Handle(m)
-		}
+		return m.Object != directory
 	}
+	return true
 }
 
 // --- the directory object -----------------------------------------------------
-
-// dirEnv is the directory replica's Env, as store's replicaEnv is a hosted
-// replica's: the server's endpoint, clock and event loop, and the directory
-// object behind a control object.
-type dirEnv struct {
-	*control.Control
-	s *Server
-}
-
-var _ replication.Env = dirEnv{}
-
-// Send drops the one frame addressed to the server itself: the ack of its
-// own directory write.
-func (e dirEnv) Send(to string, m *msg.Message) error {
-	if to == e.s.ep.Addr() {
-		return nil
-	}
-	return e.s.ep.Send(to, m)
-}
-
-func (e dirEnv) Multicast(tos []string, m *msg.Message) error { return e.s.ep.Multicast(tos, m) }
-
-func (e dirEnv) Now() time.Time { return e.s.cfg.Clock.Now() }
-
-// AfterFunc runs f on the server's event loop, where the replica lives.
-func (e dirEnv) AfterFunc(d time.Duration, f func()) clock.Timer {
-	return e.s.cfg.Clock.AfterFunc(d, func() { e.s.post(f) })
-}
 
 // dirObject is the directory's semantics object: a kvstore that folds every
 // key it changes into ns, the server's one index — by a write, a whole state
@@ -583,8 +495,8 @@ func (s *Server) armExpire() {
 	if quarter := int64(d / 4); quarter > 0 {
 		d += time.Duration(s.expireRNG.Int63n(quarter))
 	}
-	s.expireTimer = s.cfg.Clock.AfterFunc(d, func() {
-		s.post(func() {
+	s.cfg.Clock.AfterFunc(d, func() {
+		s.st.Post(func() {
 			s.expireArmed = false
 			if s.ready {
 				s.sweepExpired()

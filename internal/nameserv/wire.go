@@ -3,9 +3,15 @@
 // resolve through. It is the naming front end of a Web object of its own, the
 // directory.
 //
-// Every name server holds one replica of the directory: a replication.Object
-// under the mirrored-site strategy (the eventual model, leaderless peers kept
-// in sync by gossip) over the directory object, a kvstore. A directory edit —
+// Every name server is a store.Store hosting one replica of the directory: a
+// replication.Object under the mirrored-site strategy (the eventual model,
+// leaderless peers kept in sync by gossip) over the directory object, a
+// kvstore. The server is the store's front end (store.Config.Front): it sees
+// each frame first, answers the naming RPCs, and lets through only the
+// directory's gossip, updates and state replies; every other frame, a bind,
+// read or write sent at the directory included, it consumes unanswered, and
+// the store releases it. Its own edits, its expiry sweep and its readiness
+// timer run on the store's loop (Store.Post, Store.Replica). A directory edit —
 // a registration, a deregistration, an expiry, a renewal, a floor report, a
 // lease cursor step — is an ordinary write on the server's own client
 // identity, so peers converge by per-key last-writer-wins exactly as the pages

@@ -8,7 +8,12 @@
 //
 // The store is a single-event-loop actor: every network message and timer
 // callback is funnelled through one goroutine, so replication objects need
-// no internal locking.
+// no internal locking. An owner may put a front end before the routing
+// (Config.Front): it sees each frame first on the loop, and the store
+// releases every frame it consumes. The name server (internal/nameserv) is
+// such an owner: a store hosting the directory, with the naming RPCs as
+// its front end, its own edits posted to the loop (Post) and made on the
+// hosted replica (Replica).
 //
 //globelint:deterministic
 //globelint:aliased-input
@@ -73,6 +78,11 @@ type Config struct {
 	// propagation-lag histogram, and — when the observer carries a trace
 	// ring — structured protocol events. Nil is the default.
 	Obs *obs.Observer
+	// Front, when set, sees every frame on the event loop before the store
+	// routes it. It returns true when it consumed the frame (the store then
+	// releases it) and false to let the store route it as usual. The name
+	// server answers its RPCs here in front of its directory replica.
+	Front func(m *msg.Message) bool
 }
 
 // replica is one hosted local object.
@@ -85,8 +95,10 @@ type replica struct {
 // Store hosts replicas and runs their shared event loop.
 type Store struct {
 	cfg      Config
+	addr     string // the endpoint's address, read on every send
 	events   chan func()
 	done     chan struct{}
+	stopped  chan struct{} // closed when the loop exits: Close, Crash, or the endpoint's Recv closing
 	wg       sync.WaitGroup
 	mu       sync.Mutex
 	replicas map[ids.ObjectID]*replica
@@ -101,8 +113,10 @@ func New(cfg Config) *Store {
 	}
 	s := &Store{
 		cfg:      cfg,
+		addr:     cfg.Endpoint.Addr(),
 		events:   make(chan func(), 1024),
 		done:     make(chan struct{}),
+		stopped:  make(chan struct{}),
 		replicas: make(map[ids.ObjectID]*replica),
 	}
 	s.hosted = cfg.Obs.Registry().Gauge("globe_store_objects_hosted",
@@ -120,7 +134,7 @@ func (s *Store) ID() ids.StoreID { return s.cfg.ID }
 func (s *Store) Role() replication.Role { return s.cfg.Role }
 
 // Addr returns the store's transport address.
-func (s *Store) Addr() string { return s.cfg.Endpoint.Addr() }
+func (s *Store) Addr() string { return s.addr }
 
 // HostConfig describes one replica to install.
 type HostConfig struct {
@@ -217,13 +231,35 @@ func (s *Store) walDir(object ids.ObjectID) string {
 }
 
 // onLoop runs f on the event loop and waits for it: ErrClosed when the loop
-// is gone before f could be posted.
+// is gone before f could run.
 func (s *Store) onLoop(f func() error) error {
 	errCh := make(chan error, 1)
-	if !s.post(func() { errCh <- f() }) {
+	if !s.Post(func() { errCh <- f() }) {
 		return ErrClosed
 	}
-	return <-errCh
+	select {
+	case err := <-errCh:
+		return err
+	case <-s.stopped:
+		// f runs before the loop exits, or never.
+		select {
+		case err := <-errCh:
+			return err
+		default:
+			return ErrClosed
+		}
+	}
+}
+
+// Replica returns the hosted replica of object, or nil. Only loop code
+// (a posted function or the front end) may use it.
+//
+//globelint:looponly
+func (s *Store) Replica(object ids.ObjectID) *replication.Object {
+	if r, ok := s.replicas[object]; ok {
+		return r.repl
+	}
+	return nil
 }
 
 // call runs f against the hosted replica of object on the event loop and
@@ -324,17 +360,18 @@ func (s *Store) Durability(object ids.ObjectID) (replication.DurabilityInfo, err
 	return call(s, object, func(r *replica) (replication.DurabilityInfo, error) { return r.repl.Durability(), nil })
 }
 
-// post schedules f on the event loop; reports false if the store is closed.
-func (s *Store) post(f func()) bool {
+// Post schedules f on the event loop; it reports false once the loop has
+// stopped. A function posted while the loop stops may never run.
+func (s *Store) Post(f func()) bool {
 	select {
-	case <-s.done:
+	case <-s.stopped:
 		return false
 	default:
 	}
 	select {
 	case s.events <- f:
 		return true
-	case <-s.done:
+	case <-s.stopped:
 		return false
 	}
 }
@@ -351,6 +388,7 @@ const maxDrainBatch = 128
 // writev leader, the queue is the batch.
 func (s *Store) loop() {
 	defer s.wg.Done()
+	defer close(s.stopped)
 	recv := s.cfg.Endpoint.Recv()
 	for {
 		select {
@@ -397,12 +435,16 @@ func (s *Store) flushAcks() {
 	}
 }
 
-// dispatch routes one message to the store or its replicas, and sees that
-// its frame is released: a replica's Handle does that itself, possibly only
-// once a parked request is answered.
+// dispatch routes one message to the front end, the store or its replicas,
+// and sees that its frame is released: a replica's Handle does that itself,
+// possibly only once a parked request is answered.
 //
 //globelint:looponly
 func (s *Store) dispatch(m *msg.Message) {
+	if s.cfg.Front != nil && s.cfg.Front(m) {
+		m.Release()
+		return
+	}
 	r, ok := s.replicas[m.Object]
 	switch {
 	case m.Kind == msg.KindBindRequest:
@@ -478,7 +520,12 @@ type replicaEnv struct {
 
 var _ replication.Env = (*replicaEnv)(nil)
 
+// Send drops a frame to the store itself: the ack of a write that loop code
+// handed its own replica (the name server's directory edits).
 func (e *replicaEnv) Send(to string, m *msg.Message) error {
+	if to == e.store.addr {
+		return nil
+	}
 	return e.store.cfg.Endpoint.Send(to, m)
 }
 
@@ -517,7 +564,7 @@ func (e *replicaEnv) Now() time.Time { return e.store.cfg.Clock.Now() }
 // replication objects stay single-threaded.
 func (e *replicaEnv) AfterFunc(d time.Duration, f func()) clock.Timer {
 	return e.store.cfg.Clock.AfterFunc(d, func() {
-		_ = e.store.post(f)
+		_ = e.store.Post(f)
 	})
 }
 

@@ -26,7 +26,11 @@
 # show non-empty WAL series, /metrics at the cache must show a non-empty
 # propagation-lag histogram, and globectl's daemon-wide ctl metrics /
 # ctl trace ops must return the same series and the write lifecycle.
-set -euo pipefail
+#
+# Every check greps captured output or a here-string, never a pipe: grep -q
+# exits at its first match, the writer then dies of SIGPIPE, and under
+# pipefail that fails a check that passed.
+set -Eeuo pipefail
 cd "$(dirname "$0")/.."
 
 PORT_A="${PORT_A:-7401}"
@@ -38,7 +42,10 @@ PORT_D2="${PORT_D2:-7413}"
 PORT_CTL="${PORT_CTL:-7414}"
 OBJ=smoke-doc
 BIN="$(mktemp -d)"
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$BIN"' EXIT
+trap 'echo "smoke_e2e: FAIL: line $LINENO: $BASH_COMMAND" >&2' ERR
+# Wait for the daemons before removing their binaries, so a re-run does not
+# find their ports still bound.
+trap 'kill $(jobs -p) 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 go build -o "$BIN/globed" ./cmd/globed
 go build -o "$BIN/globectl" ./cmd/globectl
@@ -81,7 +88,8 @@ if [ "$GOT" != "$WANT" ]; then
 fi
 
 # Page listing works at the cache too.
-"$BIN/globectl" -store "127.0.0.1:$PORT_B" -object $OBJ pages | grep -qx index.html
+PAGES="$("$BIN/globectl" -store "127.0.0.1:$PORT_B" -object $OBJ pages)"
+grep -qx index.html <<<"$PAGES"
 
 echo "smoke_e2e: part 1 OK (put at 127.0.0.1:$PORT_A, replicated get at 127.0.0.1:$PORT_B)"
 
@@ -150,23 +158,25 @@ fi
 # the record supplying its semantics for the bind-time type check.
 "$BIN/globectl" -nameserver "$NS" -object ns-kv -semantics kv -client 203 put knuth 'TAOCP'
 # No -client here: the ID is leased from globens (the globally-unique path).
-"$BIN/globectl" -nameserver "$NS" -object ns-kv -semantics kv get knuth | grep -qx 'TAOCP'
+KV="$("$BIN/globectl" -nameserver "$NS" -object ns-kv -semantics kv get knuth)"
+grep -qx 'TAOCP' <<<"$KV"
 
 # The resolve subcommand prints the record: both replicas of ns-doc and the
 # published metadata.
 RES="$("$BIN/globectl" -nameserver "$NS" -object ns-doc resolve)"
-echo "$RES" | grep -q "semantics webdoc"
-echo "$RES" | grep -q "127.0.0.1:$PORT_C"
-echo "$RES" | grep -q "127.0.0.1:$PORT_D"
+grep -q "semantics webdoc" <<<"$RES"
+grep -q "127.0.0.1:$PORT_C" <<<"$RES"
+grep -q "127.0.0.1:$PORT_D" <<<"$RES"
 
 # Runtime replica: the control RPC hosts ns-kv on daemon D's empty mirror
 # store; it must register itself and serve reads.
 "$BIN/globectl" -ctl "127.0.0.1:$PORT_CTL" -object ns-kv -ctl-store mirrorD ctl host
 for _ in $(seq 1 50); do
-    if "$BIN/globectl" -nameserver "$NS" -object ns-kv resolve | grep -q "127.0.0.1:$PORT_D2"; then break; fi
+    RES="$("$BIN/globectl" -nameserver "$NS" -object ns-kv resolve 2>/dev/null || true)"
+    if grep -q "127.0.0.1:$PORT_D2" <<<"$RES"; then break; fi
     sleep 0.1
 done
-"$BIN/globectl" -nameserver "$NS" -object ns-kv resolve | grep -q "127.0.0.1:$PORT_D2"
+grep -q "127.0.0.1:$PORT_D2" <<<"$RES"
 GOTKV=""
 for _ in $(seq 1 50); do
     GOTKV="$("$BIN/globectl" -store "127.0.0.1:$PORT_D2" -object ns-kv -semantics kv -client 205 \
@@ -233,7 +243,7 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 for i in $(seq 1 10) $(cat "$BIN/acked.txt"); do
-    if ! printf '%s' "$GOT3" | grep -q "L$i;"; then
+    if ! grep -q "L$i;" <<<"$GOT3"; then
         echo "smoke_e2e: FAIL: acked append L$i; lost across SIGKILL (content $(printf %q "$GOT3"))" >&2
         exit 1
     fi
@@ -241,8 +251,8 @@ done
 
 # The control RPC reports the durable state and the replay that just ran.
 STATS="$("$BIN/globectl" -ctl "127.0.0.1:$PORT_ECTL" -object $DUR ctl stats)"
-echo "$STATS" | grep -q '"durable": true'
-echo "$STATS" | grep -Eq '"WALReplayed": [1-9]'
+grep -q '"durable": true' <<<"$STATS"
+grep -Eq '"WALReplayed": [1-9]' <<<"$STATS"
 
 N_ACKED=$(wc -l < "$BIN/acked.txt")
 echo "smoke_e2e: part 3 OK (SIGKILL after $((10 + N_ACKED)) acked appends; all survived restart)"
@@ -298,8 +308,8 @@ kill -9 "$MIR_PID"
 # digests, then the re-subscribe handshake at the permanent store).
 REPARENTED=0
 for _ in $(seq 1 100); do
-    if "$BIN/globectl" -ctl "127.0.0.1:$PORT_KCTL" -object $HEAL ctl stats 2>/dev/null \
-        | grep -Eq '"ReparentsDone": [1-9]'; then
+    KSTATS="$("$BIN/globectl" -ctl "127.0.0.1:$PORT_KCTL" -object $HEAL ctl stats 2>/dev/null || true)"
+    if grep -Eq '"ReparentsDone": [1-9]' <<<"$KSTATS"; then
         REPARENTED=1; break
     fi
     sleep 0.1
@@ -316,8 +326,8 @@ fi
 GONE=0
 for _ in $(seq 1 40); do
     REC="$("$BIN/globectl" -nameserver "$NS2" -object $HEAL resolve 2>/dev/null || true)"
-    if echo "$REC" | grep -q "127.0.0.1:$PORT_P" \
-        && ! echo "$REC" | grep -q "127.0.0.1:$PORT_M"; then
+    if grep -q "127.0.0.1:$PORT_P" <<<"$REC" \
+        && ! grep -q "127.0.0.1:$PORT_M" <<<"$REC"; then
         GONE=1; break
     fi
     sleep 0.1
@@ -347,8 +357,8 @@ if [ "$GOT5" != "$WANT5" ]; then
 fi
 
 # The daemon's naming counters prove the lease heartbeat actually ran.
-"$BIN/globectl" -ctl "127.0.0.1:$PORT_KCTL" -object $HEAL ctl stats \
-    | grep -Eq '"lease_renewals_sent": [1-9]'
+KSTATS="$("$BIN/globectl" -ctl "127.0.0.1:$PORT_KCTL" -object $HEAL ctl stats)"
+grep -Eq '"lease_renewals_sent": [1-9]' <<<"$KSTATS"
 
 echo "smoke_e2e: part 4 OK (mirror SIGKILLed; cache re-parented, lease expired, writes kept flowing)"
 
@@ -388,10 +398,10 @@ GOT6=""
 for _ in $(seq 1 50); do
     GOT6="$("$BIN/globectl" -store "127.0.0.1:$PORT_T" -object $OBS -client 502 \
         get feed.html 2>/dev/null || true)"
-    printf '%s' "$GOT6" | grep -q "F15;" && break
+    grep -q "F15;" <<<"$GOT6" && break
     sleep 0.1
 done
-if ! printf '%s' "$GOT6" | grep -q "F15;"; then
+if ! grep -q "F15;" <<<"$GOT6"; then
     echo "smoke_e2e: FAIL: cache never converged for the metrics scrape" >&2
     exit 1
 fi
@@ -399,21 +409,22 @@ fi
 # …then the scrapes are deterministic. Root: WAL series must be non-empty
 # (15 appends, each behind an fsync barrier).
 ROOT_METRICS="$(curl -sf "http://127.0.0.1:$PORT_RM/metrics")"
-echo "$ROOT_METRICS" | grep -Eq '^globe_wal_appends_total\{[^}]*\} [1-9]'
-echo "$ROOT_METRICS" | grep -Eq '^globe_wal_sync_seconds_count\{[^}]*\} [1-9]'
-echo "$ROOT_METRICS" | grep -q '^globe_propagation_lag_seconds_bucket'
+grep -Eq '^globe_wal_appends_total\{[^}]*\} [1-9]' <<<"$ROOT_METRICS"
+grep -Eq '^globe_wal_sync_seconds_count\{[^}]*\} [1-9]' <<<"$ROOT_METRICS"
+grep -q '^globe_propagation_lag_seconds_bucket' <<<"$ROOT_METRICS"
 
 # Cache: the per-replica propagation-lag histogram must have recorded every
 # applied update, and the transport counters must show real TCP traffic.
 CACHE_METRICS="$(curl -sf "http://127.0.0.1:$PORT_TM/metrics")"
-echo "$CACHE_METRICS" | grep -Eq '^globe_propagation_lag_seconds_count\{[^}]*object="obs-doc"[^}]*\} [1-9]'
-echo "$CACHE_METRICS" | grep -Eq '^globe_transport_frames_recv_total\{[^}]*fabric="tcpnet"[^}]*\} [1-9]'
+grep -Eq '^globe_propagation_lag_seconds_count\{[^}]*object="obs-doc"[^}]*\} [1-9]' <<<"$CACHE_METRICS"
+grep -Eq '^globe_transport_frames_recv_total\{[^}]*fabric="tcpnet"[^}]*\} [1-9]' <<<"$CACHE_METRICS"
 
 # The daemon-wide control ops return the same registry and the lifecycle
 # trace (no -object needed).
-"$BIN/globectl" -ctl "127.0.0.1:$PORT_TCTL" ctl metrics \
-    | grep -q '"globe_propagation_lag_seconds"'
-"$BIN/globectl" -ctl "127.0.0.1:$PORT_TCTL" ctl trace | grep -q 'update_applied'
+CTL_METRICS="$("$BIN/globectl" -ctl "127.0.0.1:$PORT_TCTL" ctl metrics)"
+grep -q '"globe_propagation_lag_seconds"' <<<"$CTL_METRICS"
+TRACE="$("$BIN/globectl" -ctl "127.0.0.1:$PORT_TCTL" ctl trace)"
+grep -q 'update_applied' <<<"$TRACE"
 
 echo "smoke_e2e: part 5 OK (non-empty WAL and propagation-lag series over /metrics; ctl metrics/trace)"
 
